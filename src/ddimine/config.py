@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -16,6 +17,16 @@ VOCAB_STOPWORD_MODES = ("keep", "drop")
 
 @dataclass
 class ModelSection:
+    """The classifier and its solver.
+
+    ``tolerance`` bounds the certified KKT residual of every fit, relative to
+    the L1 penalty (absolute when ``l1_lambda`` is 0): a fit stops once no
+    optimality condition is violated by more than ``tolerance * l1_lambda``.
+    ``max_iters`` caps the solver's iterations (Newton steps for logistic
+    loss, LP iterations for hinge); a fit cut off by it is written to
+    ``model.txt`` with ``converged 0``.
+    """
+
     loss: str = "logistic"
     l1_lambda: float = 0.0
     max_iters: int = 10_000
@@ -144,22 +155,7 @@ def build_config(raw: dict[str, Any], overrides: dict[str, Any] | None = None) -
     if vocab_stopwords not in VOCAB_STOPWORD_MODES:
         violations.append(f"vocab_stopwords must be one of {VOCAB_STOPWORD_MODES}")
 
-    model_raw = take(raw, "model", {}) or {}
-    model = ModelSection(
-        loss=take(model_raw, "loss", "logistic"),
-        l1_lambda=float(take(model_raw, "l1_lambda", 0.0)),
-        max_iters=int(take(model_raw, "max_iters", 10_000)),
-        tolerance=float(take(model_raw, "tolerance", 1e-6)),
-        standardize=bool(take(model_raw, "standardize", False)),
-    )
-    if model.loss not in ("logistic", "hinge"):
-        violations.append(f"model.loss must be 'logistic' or 'hinge', got {model.loss!r}")
-    if model.l1_lambda < 0:
-        violations.append("model.l1_lambda must be nonnegative")
-    if model.max_iters < 1:
-        violations.append("model.max_iters must be at least 1")
-    if model.tolerance <= 0:
-        violations.append("model.tolerance must be positive")
+    model = _model_section(take(raw, "model", {}) or {}, violations)
 
     cv_raw = take(raw, "cv", {}) or {}
     grid = take(cv_raw, "grid")
@@ -219,6 +215,44 @@ def build_config(raw: dict[str, Any], overrides: dict[str, Any] | None = None) -
         alerts=alerts,
         jobs=int(jobs),
     )
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _model_section(model_raw: Any, violations: list[str]) -> ModelSection:
+    """The ``model`` object, type-checked field by field; violations are appended."""
+    model = ModelSection()
+    if not isinstance(model_raw, dict):
+        violations.append(f"model must be an object, got {model_raw!r}")
+        return model
+    loss = model_raw.get("loss", model.loss)
+    if loss not in ("logistic", "hinge"):
+        violations.append(f"model.loss must be 'logistic' or 'hinge', got {loss!r}")
+    else:
+        model.loss = loss
+    l1_lambda = model_raw.get("l1_lambda", model.l1_lambda)
+    if not _is_number(l1_lambda) or not math.isfinite(l1_lambda) or l1_lambda < 0:
+        violations.append(f"model.l1_lambda must be a finite nonnegative number, got {l1_lambda!r}")
+    else:
+        model.l1_lambda = float(l1_lambda)
+    max_iters = model_raw.get("max_iters", model.max_iters)
+    if not isinstance(max_iters, int) or isinstance(max_iters, bool) or max_iters < 1:
+        violations.append(f"model.max_iters must be an integer of at least 1, got {max_iters!r}")
+    else:
+        model.max_iters = max_iters
+    tolerance = model_raw.get("tolerance", model.tolerance)
+    if not _is_number(tolerance) or not math.isfinite(tolerance) or tolerance <= 0:
+        violations.append(f"model.tolerance must be a finite positive number, got {tolerance!r}")
+    else:
+        model.tolerance = float(tolerance)
+    standardize = model_raw.get("standardize", model.standardize)
+    if not isinstance(standardize, bool):
+        violations.append(f"model.standardize must be true or false, got {standardize!r}")
+    else:
+        model.standardize = standardize
+    return model
 
 
 def config_digest(cfg: PipelineConfig) -> str:

@@ -39,7 +39,6 @@ def planted_signal_experiment(
     cv_k: int = 3,
     grid_points: int = 5,
     tolerance: float = 1e-5,
-    cv_tolerance: float = 1e-4,
 ) -> PlantedResult:
     ds: SynthDataset = generate_dataset(params or planted_params(seed))
     tokenized = tokenize_abstracts(ds.abstracts, ds.lexicon)
@@ -63,7 +62,7 @@ def planted_signal_experiment(
 
     cfg = TrainConfig(loss="logistic", tolerance=tolerance, seed=seed)
     grid = default_lambda_grid(train_matrix, n_points=grid_points, decades=2.5)
-    cv = cross_validate(train_matrix, grid, cv_k, replace(cfg, tolerance=cv_tolerance), seed)
+    cv = cross_validate(train_matrix, grid, cv_k, cfg, seed)
     model = train(train_matrix, replace(cfg, l1_lambda=cv.best_lambda))
 
     dev_auc = roc_curve(predict_scores(model, dev_matrix), dev_matrix.y).auc

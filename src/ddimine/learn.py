@@ -4,17 +4,32 @@ The trained objective is
 
     (1/n) * sum_i loss(y_i, w.x_i + b) + lambda * ||w||_1
 
-with the bias unpenalized.  The solver is proximal (sub)gradient descent with
-a monotone backtracking line search, so the objective never increases across
-iterations.  Training uses no randomness: the same data and config give the
-same model bit for bit.
+with the bias unpenalized.  Both losses are solved to a certified optimum.
+The certificate is the KKT residual: the largest violation of the optimality
+conditions over the weights and the bias, divided by lambda (absolute at
+lambda = 0).  A fit is ``converged`` when that residual is at most
+``TrainConfig.tolerance``; both figures are kept in ``TrainingMeta``.
+
+* Logistic loss uses a working-set solver.  Each outer step computes the full
+  gradient and stops once the residual meets the tolerance.  Otherwise the
+  working set becomes the support plus the worst violators, at most
+  max(10, 2 * |support|) columns, and a projected (orthant-wise) Newton method
+  with an Armijo line search on the true objective solves the problem
+  restricted to those columns, held as a dense block, plus the bias.
+* Hinge loss is the exact L1-SVM linear program (Zhu et al. 2003), solved by
+  HiGHS; the residual is read off the program's duals.
+
+``max_iters`` caps the Newton steps or the LP iterations; a logistic fit cut
+off by it reports ``converged = False``.  Training uses no randomness and a
+fixed column order, so the same data and config give the same model bit for
+bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,8 +42,15 @@ from .rng import Rng
 LOSS_KINDS = ("logistic", "hinge")
 
 _CV_STREAM = 31
-_MIN_STEP = 1e-15
-_MONOTONE_SLACK = 1e-12
+_MIN_WORKING_SET = 10
+_ARMIJO = 1e-4  # fraction of the predicted decrease a line-search step must achieve
+_MAX_HALVINGS = 60  # a step shorter than 2**-60 of the Newton step is no descent
+_RCOND = 1e-12  # Hessian directions below this share of the largest are treated as flat
+# Levenberg-Marquardt damping, as a multiple of the absolute KKT residual: it
+# shortens steps along nearly flat directions far from the optimum (nearly
+# separable data at small lambda) and vanishes at the optimum, where the
+# steps become Newton steps again.
+_DAMPING = 0.1
 
 
 @dataclass
@@ -36,7 +58,7 @@ class TrainConfig:
     loss: str = "logistic"
     l1_lambda: float = 0.0
     max_iters: int = 10_000
-    tolerance: float = 1e-6
+    tolerance: float = 1e-6  # bound on the KKT residual over l1_lambda (absolute at 0)
     seed: int = 0
     standardize: bool = False
 
@@ -47,6 +69,8 @@ class TrainingMeta:
     objective: float
     seed: int
     standardized: bool = False
+    kkt_rel: float = float("nan")  # KKT residual over lambda (absolute at lambda = 0)
+    converged: bool = False  # kkt_rel is within the tolerance
 
 
 @dataclass
@@ -62,6 +86,15 @@ class LinearModel:
         return int(np.count_nonzero(self.weights))
 
 
+class _Fit(NamedTuple):
+    w: np.ndarray
+    b: float
+    iterations: int
+    objective: float
+    kkt_rel: float
+    converged: bool
+
+
 def _sigmoid(s: np.ndarray) -> np.ndarray:
     out = np.empty_like(s, dtype=float)
     pos = s >= 0
@@ -74,6 +107,23 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
 def _logistic_value(s: np.ndarray, y: np.ndarray) -> float:
     # log(1 + e^s) - y*s, computed stably
     return float(np.mean(np.maximum(s, 0.0) - y * s + np.log1p(np.exp(-np.abs(s)))))
+
+
+def _logistic_change(s: np.ndarray, h: np.ndarray, y: np.ndarray) -> float:
+    """Mean logistic loss at scores ``s + h`` minus that at ``s``.
+
+    Written as log1p(p * expm1(h)) with p = sigmoid(s), mirrored for s >= 0 so
+    that p <= 1/2, the change keeps its relative precision when it is far
+    below the rounding error of the loss itself.  That lets the line search
+    tell descent steps apart down to the tightest KKT tolerance.  Overflow
+    gives inf or nan, which no Armijo test accepts.
+    """
+    out = np.empty_like(s)
+    neg = s < 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[neg] = np.log1p(_sigmoid(s[neg]) * np.expm1(h[neg]))
+        out[~neg] = h[~neg] + np.log1p(_sigmoid(-s[~neg]) * np.expm1(-h[~neg]))
+    return float(np.mean(out - y * h))
 
 
 def _hinge_value(s: np.ndarray, y: np.ndarray) -> float:
@@ -108,15 +158,27 @@ def loss_gradient(loss: str, X, y: np.ndarray, s: np.ndarray) -> tuple[np.ndarra
     return X.T @ r, float(r.sum())
 
 
-def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+def _pseudo_gradient(w: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
+    """Minimum-norm subgradient of the penalized objective over the weights.
+
+    Its magnitude is each weight's KKT violation: |g + lam*sign(w)| off zero
+    and max(|g| - lam, 0) at zero.
+    """
+    pg = g + lam * np.sign(w)
+    at_zero = w == 0
+    pg[at_zero] = np.sign(g[at_zero]) * np.maximum(np.abs(g[at_zero]) - lam, 0.0)
+    return pg
 
 
-def _initial_bias(loss: str, y: np.ndarray) -> float:
-    if loss == "logistic":
-        ybar = float(y.mean())
-        return float(np.log(ybar) - np.log1p(-ybar))
-    return 0.0
+def _kkt_rel(pg: np.ndarray, gb: float, lam: float) -> float:
+    worst = max(float(np.max(np.abs(pg), initial=0.0)), abs(gb))
+    return worst / lam if lam > 0 else worst
+
+
+def _initial_bias(y: np.ndarray) -> float:
+    """logit(mean(y)): the logistic bias that is optimal while every weight is zero."""
+    ybar = float(y.mean())
+    return float(np.log(ybar) - np.log1p(-ybar))
 
 
 def _check_matrix(matrix: FeatureMatrix) -> tuple:
@@ -131,16 +193,36 @@ def _check_matrix(matrix: FeatureMatrix) -> tuple:
     return X, y
 
 
-def lambda_max(matrix: FeatureMatrix) -> float:
+def _design(matrix: FeatureMatrix, standardize: bool) -> tuple:
+    """(X, y, scale): the checked design, columns divided by ``scale`` when standardizing.
+
+    The scale comes from the whole matrix, so the lambda grid, every CV fold
+    and the final fit all see the same columns.
+    """
+    X, y = _check_matrix(matrix)
+    if not standardize:
+        return X, y, None
+    scale = _column_scale(X)
+    return _apply_scale(X, scale), y, scale
+
+
+def _check_config(config: TrainConfig) -> None:
+    if config.l1_lambda < 0:
+        raise ValidationError(f"l1_lambda must be nonnegative, got {config.l1_lambda}")
+    if config.loss not in LOSS_KINDS:
+        raise ValidationError(f"unknown loss kind {config.loss!r}; expected one of {LOSS_KINDS}")
+
+
+def lambda_max(matrix: FeatureMatrix, standardize: bool = False) -> float:
     """Smallest L1 penalty at which the all-zero weight vector is optimal.
 
     For logistic loss with the bias at its zero-weights optimum logit(mean(y)),
-    this is max_j |(1/n) sum_i x_ij (y_i - mean(y))|.  Computed through the
-    same code path as the trainer's first gradient so that training at
-    ``lam >= lambda_max(matrix)`` yields exactly zero weights.
+    this is max_j |(1/n) sum_i x_ij (y_i - mean(y))|, on the standardized
+    columns when ``standardize`` is set.  Training at ``lam >= lambda_max``
+    yields exactly zero weights.
     """
-    X, y = _check_matrix(matrix)
-    b0 = _initial_bias("logistic", y)
+    X, y, _ = _design(matrix, standardize)
+    b0 = _initial_bias(y)
     s = np.full(len(y), b0, dtype=float)
     gw, _ = loss_gradient("logistic", X, y, s)
     gw = np.asarray(gw).ravel()
@@ -148,21 +230,15 @@ def lambda_max(matrix: FeatureMatrix) -> float:
 
 
 def train(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
-    """Fit a linear model by monotone proximal (sub)gradient descent."""
-    X, y = _check_matrix(matrix)
-    if config.l1_lambda < 0:
-        raise ValidationError(f"l1_lambda must be nonnegative, got {config.l1_lambda}")
-    if config.loss not in LOSS_KINDS:
-        raise ValidationError(f"unknown loss kind {config.loss!r}; expected one of {LOSS_KINDS}")
-    scale = None
-    if config.standardize:
-        scale = _column_scale(X)
-        X = _apply_scale(X, scale)
-    w, b, iterations, objective = _fit(X, y, config)
-    if scale is not None:
-        w = w / scale
-    meta = TrainingMeta(iterations, objective, config.seed, config.standardize)
-    return LinearModel(w, b, config.loss, config.l1_lambda, meta)
+    """Fit a linear model to a certified optimum (see the module docstring)."""
+    _check_config(config)
+    X, y, scale = _design(matrix, config.standardize)
+    fit = _fit(X, y, config)
+    w = fit.w if scale is None else fit.w / scale
+    meta = TrainingMeta(
+        fit.iterations, fit.objective, config.seed, config.standardize, fit.kkt_rel, fit.converged
+    )
+    return LinearModel(w, fit.b, config.loss, config.l1_lambda, meta)
 
 
 def _column_scale(X) -> np.ndarray:
@@ -189,49 +265,140 @@ def _fit(
     config: TrainConfig,
     w0: np.ndarray | None = None,
     b0: float | None = None,
-) -> tuple[np.ndarray, float, int, float]:
-    lam = config.l1_lambda
-    loss = config.loss
-    w = np.zeros(X.shape[1]) if w0 is None else w0.astype(float).copy()
-    b = _initial_bias(loss, y) if b0 is None else float(b0)
-    s = X @ w + b
-    f = loss_value(loss, s, y)
-    objective = f + lam * float(np.abs(w).sum())
-    gw, gb = loss_gradient(loss, X, y, s)
-    gw = np.asarray(gw).ravel()
-    step = 1.0
-    iterations = 0
-    for iterations in range(1, config.max_iters + 1):
-        step = min(step * 2.0, 1e8)
-        accepted = False
-        while step >= _MIN_STEP:
-            w_new = _soft_threshold(w - step * gw, step * lam)
-            b_new = b - step * gb
-            s_new = X @ w_new + b_new
-            f_new = loss_value(loss, s_new, y)
-            objective_new = f_new + lam * float(np.abs(w_new).sum())
-            if loss == "logistic":
-                dw = w_new - w
-                db = b_new - b
-                quad = f + float(gw @ dw) + gb * db + (float(dw @ dw) + db * db) / (2.0 * step)
-                ok = f_new <= quad + _MONOTONE_SLACK and objective_new <= objective + _MONOTONE_SLACK
-            else:
-                ok = objective_new <= objective + _MONOTONE_SLACK
-            if ok:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break  # no descent step exists at the smallest step; treat as converged
-        delta = objective - objective_new
-        w, b, f, objective = w_new, b_new, f_new, objective_new
-        if abs(delta) <= config.tolerance * max(1.0, abs(objective)):
-            break
-        gw, gb = loss_gradient(loss, X, y, s_new)
-        gw = np.asarray(gw).ravel()
-    if not np.isfinite(objective):
+) -> _Fit:
+    """Solve at ``config.l1_lambda``; logistic fits start from (w0, b0) when given."""
+    if config.loss == "hinge":
+        fit = _fit_hinge(X, y, config)
+    else:
+        fit = _fit_logistic(X, y, config, w0, b0)
+    if not np.isfinite(fit.objective):
         raise ValidationError("training diverged to a non-finite objective")
-    return w, b, iterations, objective
+    return fit
+
+
+def _fit_logistic(X, y: np.ndarray, config: TrainConfig, w0, b0) -> _Fit:
+    """Working-set outer loop: full gradient and KKT stop, then Newton on the set."""
+    lam = config.l1_lambda
+    n, d = X.shape
+    Xt = X.T.tocsr() if sp.issparse(X) else np.ascontiguousarray(X.T)
+    w = np.zeros(d) if w0 is None else np.array(w0, dtype=float)
+    b = _initial_bias(y) if b0 is None else float(b0)
+    iterations = 0
+    while True:
+        s = np.asarray(X @ w).ravel() + b
+        r = (_sigmoid(s) - y) / n
+        pg = _pseudo_gradient(w, np.asarray(Xt @ r).ravel(), lam)
+        kkt_rel = _kkt_rel(pg, float(r.sum()), lam)
+        if kkt_rel <= config.tolerance or iterations >= config.max_iters:
+            break
+        support = np.flatnonzero(w)
+        priority = np.abs(pg)
+        priority[support] = np.inf
+        ranked = np.argsort(-priority, kind="stable")[: max(_MIN_WORKING_SET, 2 * len(support))]
+        ws = np.sort(ranked[priority[ranked] > 0])
+        block = Xt[ws].toarray() if sp.issparse(Xt) else Xt[ws]
+        w_ws, b, steps = _newton(block, y, lam, w[ws], b, config.tolerance, config.max_iters - iterations)
+        iterations += steps
+        w = np.zeros(d)
+        w[ws] = w_ws
+        if steps == 0:  # the line search found no descent from here: report this point
+            break
+    objective = _logistic_value(s, y) + lam * float(np.abs(w).sum())
+    return _Fit(w, b, iterations, objective, kkt_rel, kkt_rel <= config.tolerance)
+
+
+def _newton(
+    A: np.ndarray, y: np.ndarray, lam: float, w: np.ndarray, b: float, tolerance: float, budget: int
+) -> tuple[np.ndarray, float, int]:
+    """Orthant-wise Newton on the columns held as the rows of ``A``, plus the bias.
+
+    Each step solves the damped Newton system on the free weights (off zero,
+    or at zero with a nonzero pseudo-gradient).  A weight at zero may only leave
+    it against its pseudo-gradient, and no weight may cross zero within a
+    step: the step is projected onto the orthant it starts in.  The step is
+    halved until the objective falls by the Armijo fraction of the predicted
+    decrease.  Returns (w, b, steps taken).
+    """
+    n = len(y)
+    s = w @ A + b
+    steps = 0
+    while steps < budget:
+        p = _sigmoid(s)
+        r = (p - y) / n
+        pg = _pseudo_gradient(w, A @ r, lam)
+        gb = float(r.sum())
+        kkt_rel = _kkt_rel(pg, gb, lam)
+        if kkt_rel <= tolerance:
+            break
+        free = np.flatnonzero((w != 0) | (pg != 0))
+        F = A[free]
+        Fc = F * (p * (1.0 - p) / n)
+        m = len(free)
+        H = np.empty((m + 1, m + 1))
+        H[:m, :m] = Fc @ F.T
+        H[:m, m] = H[m, :m] = Fc.sum(axis=1)
+        H[m, m] = float(np.sum(p * (1.0 - p))) / n
+        H[np.diag_indices(m + 1)] += _DAMPING * kkt_rel * (lam if lam > 0 else 1.0)
+        # least squares: duplicate columns make H singular, and the gradient has
+        # no component along such a flat direction, so the step takes none
+        step = np.linalg.lstsq(H, -np.append(pg[free], gb), rcond=_RCOND)[0]
+        dw = np.zeros_like(w)
+        dw[free] = step[:m]
+        db = float(step[m])
+        dw[(w == 0) & (dw * pg > 0)] = 0.0  # a weight leaves zero only against its pseudo-gradient
+        if not float(pg @ dw) + gb * db < 0:  # no descent left after alignment
+            dw, db = -pg, -gb
+        orthant = np.where(w != 0, np.sign(w), -np.sign(pg))
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            w_new = w + t * dw
+            w_new[np.sign(w_new) != orthant] = 0.0
+            moved = w_new - w
+            h = moved @ A + t * db
+            # per-weight differences: the difference of two sums of |w| would drown tiny changes
+            change = _logistic_change(s, h, y) + lam * float(np.sum(np.abs(w_new) - np.abs(w)))
+            if change <= _ARMIJO * (float(pg @ moved) + gb * t * db):
+                break
+            t *= 0.5
+        else:
+            return w, b, steps
+        w, b, s = w_new, b + t * db, s + h
+        steps += 1
+    return w, b, steps
+
+
+def _fit_hinge(X, y: np.ndarray, config: TrainConfig) -> _Fit:
+    """The exact L1-SVM as a linear program (Zhu et al. 2003), solved by HiGHS.
+
+    Variables [u, v, b, xi] with w = u - v: minimise lam * sum(u + v) + mean(xi)
+    subject to xi_i >= 1 - y_i (x_i.w + b) and u, v, xi >= 0.  The duals of the
+    margin constraints are the hinge subgradient weights at the optimum, which
+    give the KKT residual.
+    """
+    from scipy.optimize import linprog  # deferred: `import ddimine` stays free of scipy.optimize
+
+    lam = config.l1_lambda
+    n, d = X.shape
+    ysign = 2.0 * y - 1.0
+    YX = sp.csr_matrix(sp.diags(ysign) @ X)
+    A = sp.hstack([-YX, YX, sp.csr_matrix(-ysign[:, None]), -sp.identity(n)], format="csr")
+    c = np.concatenate([np.full(2 * d, lam), [0.0], np.full(n, 1.0 / n)])
+    bounds = [(0.0, None)] * (2 * d) + [(None, None)] + [(0.0, None)] * n
+    res = linprog(c, A_ub=A, b_ub=-np.ones(n), bounds=bounds, method="highs",
+                  options={"maxiter": config.max_iters})
+    if res.x is None:
+        raise ValidationError(f"hinge linear program found no solution: {res.message}")
+    w = res.x[:d] - res.x[d : 2 * d]
+    b = float(res.x[2 * d])
+    alpha = -res.ineqlin.marginals
+    g = -np.asarray(X.T @ (alpha * ysign)).ravel()
+    # HiGHS can leave round-off (~1e-14) in a weight its duals price out, one
+    # whose gradient does not sit at -lam*sign(w): such a weight is zero
+    w[(w != 0) & (np.abs(g + lam * np.sign(w)) > config.tolerance * (lam if lam > 0 else 1.0))] = 0.0
+    kkt_rel = _kkt_rel(_pseudo_gradient(w, g, lam), -float(alpha @ ysign), lam)
+    s = np.asarray(X @ w).ravel() + b
+    objective = _hinge_value(s, y) + lam * float(np.abs(w).sum())
+    return _Fit(w, b, int(res.nit), objective, kkt_rel, kkt_rel <= config.tolerance)
 
 
 def predict_scores(model: LinearModel, matrix: FeatureMatrix) -> np.ndarray:
@@ -283,6 +450,7 @@ class CvResult:
     lambda_grid: tuple[float, ...]  # descending
     fold_auc: np.ndarray  # shape (len(grid), k); nan where undefined
     mean_auc: np.ndarray
+    mean_loss: np.ndarray  # held-out mean loss over the folds with a defined AUC
     best_lambda: float
     warnings: list[str] = field(default_factory=list)
 
@@ -297,10 +465,14 @@ def cross_validate(
     """Stratified k-fold AUC sweep over an L1 grid; folds cut within this matrix.
 
     A held-out fold with a single class has no AUC; it is excluded from that
-    lambda's mean with a warning.  Ties in mean AUC resolve toward the larger
+    lambda's mean with a warning, and so is a fit that stops short of the
+    tolerance.  Ties in mean AUC resolve toward the lower mean held-out loss:
+    on well-separated data several lambdas rank every held-out fold perfectly,
+    and the loss still tells them apart.  Remaining ties go to the larger
     lambda (the sparser model).
     """
-    X, y = _check_matrix(matrix)
+    _check_config(config)
+    X, y, _ = _design(matrix, config.standardize)
     if k < 2:
         raise ValidationError(f"cross-validation needs k >= 2, got {k}")
     if matrix.n_rows < k:
@@ -321,6 +493,7 @@ def cross_validate(
         folds[i % k].append(idx)
 
     fold_auc = np.full((len(grid), k), np.nan)
+    fold_loss = np.full((len(grid), k), np.nan)
     warnings: list[str] = []
     for fold_i, held in enumerate(folds):
         held_arr = np.sort(np.array(held, dtype=np.int64))
@@ -337,23 +510,32 @@ def cross_validate(
         b_prev: float | None = None
         for gi, lam in enumerate(grid):
             cfg = replace(config, l1_lambda=lam)
-            w, b, _, _ = _fit(X_tr, y_tr, cfg, w_prev, b_prev)
-            w_prev, b_prev = w, b  # warm start down the path
-            scores = np.asarray(X_ho @ w).ravel() + b
+            fit = _fit(X_tr, y_tr, cfg, w_prev, b_prev)
+            w_prev, b_prev = fit.w, fit.b  # warm start down the path
+            if not fit.converged:
+                warnings.append(
+                    f"fold {fold_i}, lambda {lam!r}: fit stopped after {fit.iterations} "
+                    f"iterations with KKT residual {fit.kkt_rel!r} (not converged)"
+                )
+            scores = np.asarray(X_ho @ fit.w).ravel() + fit.b
             fold_auc[gi, fold_i] = roc_curve(scores, y_ho).auc
-    with np.errstate(invalid="ignore"):
-        mean_auc = np.array(
-            [np.nan if np.all(np.isnan(row)) else float(np.nanmean(row)) for row in fold_auc]
-        )
+            fold_loss[gi, fold_i] = loss_value(config.loss, scores, y[held_arr])
+    mean_auc, mean_loss = (
+        np.array([np.nan if np.all(np.isnan(row)) else float(np.nanmean(row)) for row in folds])
+        for folds in (fold_auc, fold_loss)
+    )
     if np.all(np.isnan(mean_auc)):
         raise ValidationError("no fold produced a defined AUC; cannot select lambda")
-    best_idx = int(np.nanargmax(mean_auc))  # first max in descending grid = larger lambda
-    return CvResult(grid, fold_auc, mean_auc, float(grid[best_idx]), warnings)
+    tied = np.flatnonzero(mean_auc == np.nanmax(mean_auc))
+    best_idx = int(tied[np.argmin(mean_loss[tied])])  # first min in descending grid = larger lambda
+    return CvResult(grid, fold_auc, mean_auc, mean_loss, float(grid[best_idx]), warnings)
 
 
-def default_lambda_grid(matrix: FeatureMatrix, n_points: int = 7, decades: float = 3.0) -> list[float]:
+def default_lambda_grid(
+    matrix: FeatureMatrix, n_points: int = 7, decades: float = 3.0, standardize: bool = False
+) -> list[float]:
     """Log-spaced grid from lambda_max down, the usual L1 path."""
-    lmax = lambda_max(matrix)
+    lmax = lambda_max(matrix, standardize)
     if lmax <= 0:
         raise ValidationError("lambda_max is zero; features carry no label signal")
     return [float(lmax * 10 ** (-decades * i / (n_points - 1))) for i in range(n_points)]
@@ -365,13 +547,15 @@ def save_model(model: LinearModel, path: Path | str, extra_header: dict[str, str
     for key, val in (extra_header or {}).items():
         lines.append(f"# {key}: {val}")
     lines.append(f"loss {model.loss_kind}")
-    lines.append(f"lambda {model.l1_lambda!r}")
+    lines.append(f"lambda {float(model.l1_lambda)!r}")
     lines.append(f"dims {len(model.weights)}")
-    lines.append(f"bias {model.bias!r}")
+    lines.append(f"bias {float(model.bias)!r}")
     lines.append(f"seed {model.meta.seed}")
-    lines.append(f"objective {model.meta.objective!r}")
+    lines.append(f"objective {float(model.meta.objective)!r}")
     lines.append(f"iterations {model.meta.iterations}")
     lines.append(f"standardized {int(model.meta.standardized)}")
+    lines.append(f"kkt_rel {float(model.meta.kkt_rel)!r}")
+    lines.append(f"converged {int(model.meta.converged)}")
     for col in np.flatnonzero(model.weights):
         lines.append(f"w {int(col)} {float(model.weights[col])!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -412,6 +596,9 @@ def load_model(path: Path | str) -> tuple[LinearModel, dict[str, str]]:
                 objective=float(meta["objective"]),
                 seed=int(meta["seed"]),
                 standardized=bool(int(meta.get("standardized", "0"))),
+                # files written before the solver certified its fits lack these
+                kkt_rel=float(meta.get("kkt_rel", "nan")),
+                converged=bool(int(meta.get("converged", "0"))),
             ),
         )
     except (KeyError, ValueError, IndexError) as exc:

@@ -4,7 +4,8 @@ Each administration opens a fixed post-administration exposure window
 (default 24 hours, overridable per drug).  For every catalog-positive drug
 pair, overlapping exposures of the two drugs within a patient become alert
 windows.  The window model is deliberately simple and is not a pharmacokinetic
-claim; see the README.
+claim: a fixed window stands in for each drug's exposure, whatever its dose,
+route or half-life.
 """
 
 from __future__ import annotations

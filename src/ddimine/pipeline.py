@@ -370,16 +370,18 @@ def stage_train(cfg: PipelineConfig) -> None:
         seed=cfg.seed,
         standardize=cfg.model.standardize,
     )
-    def fmt_auc(value: float) -> str:
+    def fmt_number(value: float) -> str:
         return "N/A" if math.isnan(value) else repr(float(value))
 
-    cv_lines = ["# lambda\tmean_auc\t" + "\t".join(f"fold{i}" for i in range(cfg.cv.k))]
+    cv_lines = ["# lambda\tmean_auc\tmean_loss\t" + "\t".join(f"fold{i}" for i in range(cfg.cv.k))]
     if cfg.cv_enabled():
-        grid = cfg.cv.grid or learn_mod.default_lambda_grid(matrix)
+        grid = cfg.cv.grid or learn_mod.default_lambda_grid(matrix, standardize=cfg.model.standardize)
         result = learn_mod.cross_validate(matrix, grid, cfg.cv.k, train_cfg, cfg.seed)
         for gi, lam in enumerate(result.lambda_grid):
-            folds = "\t".join(fmt_auc(result.fold_auc[gi, i]) for i in range(result.fold_auc.shape[1]))
-            cv_lines.append(f"{lam!r}\t{fmt_auc(result.mean_auc[gi])}\t{folds}")
+            folds = "\t".join(fmt_number(result.fold_auc[gi, i]) for i in range(result.fold_auc.shape[1]))
+            cv_lines.append(
+                f"{lam!r}\t{fmt_number(result.mean_auc[gi])}\t{fmt_number(result.mean_loss[gi])}\t{folds}"
+            )
         cv_lines.append(f"# best_lambda: {result.best_lambda!r}")
         for warning in result.warnings:
             cv_lines.append(f"# warning: {warning}")

@@ -115,3 +115,90 @@ def random_dense_matrix(rng: random.Random, n: int, d: int) -> FeatureMatrix:
     if y.sum() == n:
         y[0] = 0
     return dense_matrix(X, y)
+
+
+def l1_kkt_residual(X, y, w, b: float, lam: float) -> float:
+    """Largest violation of the L1-logistic optimality conditions, bias included.
+
+    Off zero a weight needs g_j = -lam*sign(w_j); at zero it needs |g_j| <= lam;
+    the unpenalized bias needs a zero derivative.
+    """
+    X = X.toarray() if hasattr(X, "toarray") else np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    s = X @ w + b
+    r = (0.5 * (1.0 + np.tanh(0.5 * s)) - y) / len(y)
+    g = X.T @ r
+    viol = np.where(w != 0, np.abs(g + lam * np.sign(w)), np.maximum(np.abs(g) - lam, 0.0))
+    return float(max(viol.max(), abs(r.sum())))
+
+
+def l1_objective(loss: str, X, y, w, b: float, lam: float) -> float:
+    """Mean loss plus lam*||w||_1, written out from the definitions."""
+    X = X.toarray() if hasattr(X, "toarray") else np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    s = X @ w + b
+    if loss == "logistic":
+        data = np.logaddexp(0.0, s) - y * s
+    else:
+        data = np.maximum(0.0, 1.0 - (2.0 * y - 1.0) * s)
+    return float(data.mean() + lam * np.abs(w).sum())
+
+
+def l1_logistic_reference(X, y, lam: float, tol: float = 1e-8) -> tuple[np.ndarray, float, float]:
+    """(w, b, objective) of L1 logistic regression by L-BFGS-B on w = u - v, u, v >= 0.
+
+    The split turns the penalty into a smooth linear term under bound
+    constraints.  L-BFGS-B can stop on its relative-reduction test, so it
+    restarts from where it stopped until ``l1_kkt_residual`` certifies the
+    point to ``tol``, an absolute bound: its objective-based line search
+    cannot resolve much below 1e-9.
+    """
+    from scipy.optimize import minimize
+
+    X = X.toarray() if hasattr(X, "toarray") else np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+
+    def f(z):
+        s = X @ (z[:d] - z[d : 2 * d]) + z[-1]
+        r = (0.5 * (1.0 + np.tanh(0.5 * s)) - y) / n
+        g = X.T @ r
+        value = (np.logaddexp(0.0, s) - y * s).mean() + lam * z[: 2 * d].sum()
+        return value, np.concatenate([g + lam, lam - g, [r.sum()]])
+
+    z = np.zeros(2 * d + 1)
+    bounds = [(0.0, None)] * (2 * d) + [(None, None)]
+    for _ in range(10):
+        z = minimize(f, z, jac=True, method="L-BFGS-B", bounds=bounds,
+                     options={"maxiter": 20_000, "ftol": 1e-15, "gtol": 1e-12}).x
+        w, b = z[:d] - z[d : 2 * d], float(z[-1])
+        if l1_kkt_residual(X, y, w, b, lam) <= tol:
+            break
+    else:
+        raise AssertionError("L-BFGS-B reference did not certify its optimum")
+    return w, b, l1_objective("logistic", X, y, w, b, lam)
+
+
+def l1_svm_reference(X, y, lam: float) -> float:
+    """Optimal L1-SVM objective from a linear program with weight bounds |w_j| <= t_j.
+
+    Variables [w, t, b, xi]: minimise lam*sum(t) + mean(xi) subject to
+    -t <= w <= t and xi_i >= 1 - y_i (x_i.w + b), xi >= 0.
+    """
+    from scipy.optimize import linprog
+
+    X = X.toarray() if hasattr(X, "toarray") else np.asarray(X, dtype=float)
+    n, d = X.shape
+    ysign = 2.0 * np.asarray(y, dtype=float) - 1.0
+    eye_d, zeros_d = np.eye(d), np.zeros((d, 1 + n))
+    rows = [
+        np.hstack([eye_d, -eye_d, zeros_d]),  # w - t <= 0
+        np.hstack([-eye_d, -eye_d, zeros_d]),  # -w - t <= 0
+        np.hstack([-ysign[:, None] * X, np.zeros((n, d)), -ysign[:, None], -np.eye(n)]),
+    ]
+    c = np.concatenate([np.zeros(d), np.full(d, lam), [0.0], np.full(n, 1.0 / n)])
+    b_ub = np.concatenate([np.zeros(2 * d), -np.ones(n)])
+    bounds = [(None, None)] * d + [(0.0, None)] * d + [(None, None)] + [(0.0, None)] * n
+    res = linprog(c, A_ub=np.vstack(rows), b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)

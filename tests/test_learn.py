@@ -1,0 +1,215 @@
+import random
+from dataclasses import replace
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from ddimine.errors import ValidationError
+from ddimine.features import FeatureMatrix
+from ddimine.learn import (
+    LinearModel,
+    TrainConfig,
+    TrainingMeta,
+    cross_validate,
+    default_lambda_grid,
+    gradient_check,
+    lambda_max,
+    load_model,
+    save_model,
+    train,
+)
+from helpers import (
+    dense_matrix,
+    l1_kkt_residual,
+    l1_logistic_reference,
+    l1_objective,
+    l1_svm_reference,
+    random_dense_matrix,
+)
+
+
+def count_matrix(seed: int, n: int = 120, d: int = 40) -> FeatureMatrix:
+    """Sparse word counts whose first columns carry the label, with one duplicated column."""
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n) < 0.5).astype(np.int64)
+    counts = rng.poisson(0.4, size=(n, d)).astype(float)
+    counts[:, :3] += rng.poisson(1.5, size=(n, 3)) * y[:, None]
+    counts[:, 5] = counts[:, 4]  # identical columns: a singular Newton block if both enter
+    keys = [f"s{i:04d}" for i in range(n)]
+    return FeatureMatrix(keys, sp.csr_matrix(counts), y, "counts")
+
+
+MATRICES = {
+    "counts": lambda: count_matrix(3),
+    "dense": lambda: random_dense_matrix(random.Random(5), 90, 15),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MATRICES))
+@pytest.mark.parametrize("fraction", [0.5, 0.1, 0.01])
+def test_logistic_kkt_and_objective_match_reference(kind, fraction):
+    matrix = MATRICES[kind]()
+    lam = fraction * lambda_max(matrix)
+    model = train(matrix, TrainConfig(l1_lambda=lam, tolerance=1e-8))
+    assert model.meta.converged
+    assert model.meta.kkt_rel <= 1e-8
+    assert l1_kkt_residual(matrix.X, matrix.y, model.weights, model.bias, lam) <= 1e-8 * lam
+    _, _, best = l1_logistic_reference(matrix.X, matrix.y, lam)
+    value = l1_objective("logistic", matrix.X, matrix.y, model.weights, model.bias, lam)
+    assert value == pytest.approx(model.meta.objective, rel=1e-12)
+    assert value == pytest.approx(best, rel=1e-9)
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_lambda_max_gives_zero_weights(standardize):
+    matrix = count_matrix(4)
+    lmax = lambda_max(matrix, standardize)
+    for lam in (lmax, 2.0 * lmax):
+        model = train(matrix, TrainConfig(l1_lambda=lam, standardize=standardize))
+        assert model.nonzero_weights == 0
+        assert model.meta.converged
+    below = train(matrix, TrainConfig(l1_lambda=0.9 * lmax, standardize=standardize))
+    assert below.nonzero_weights > 0
+
+
+def shifted_counts(seed: int = 35) -> FeatureMatrix:
+    """Counts shifted up for positives; at seed 35 HiGHS leaves 1e-14 in a weight it prices out."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(20, 150)), int(rng.integers(3, 50))
+    y = (rng.random(n) < 0.5).astype(np.int64)
+    y[:2] = (0, 1)
+    X = rng.poisson(0.5, size=(n, d)) + y[:, None] * rng.poisson(0.3, size=(n, d))
+    return FeatureMatrix([f"s{i}" for i in range(n)], sp.csr_matrix(X.astype(float)), y, "counts")
+
+
+@pytest.mark.parametrize("kind,fraction", [("counts", 0.3), ("counts", 0.05), ("shifted", 0.3)])
+def test_hinge_objective_equals_linear_program(kind, fraction):
+    matrix = count_matrix(6, n=80, d=25) if kind == "counts" else shifted_counts()
+    lam = fraction * lambda_max(matrix)
+    model = train(matrix, TrainConfig(loss="hinge", l1_lambda=lam))
+    assert model.meta.converged
+    value = l1_objective("hinge", matrix.X, matrix.y, model.weights, model.bias, lam)
+    assert value == pytest.approx(model.meta.objective, rel=1e-12)
+    assert value == pytest.approx(l1_svm_reference(matrix.X, matrix.y, lam), rel=1e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize("loss", ["logistic", "hinge"])
+def test_refits_bit_identical(loss):
+    matrix = count_matrix(7)
+    config = TrainConfig(loss=loss, l1_lambda=0.05 * lambda_max(matrix))
+    first, second = train(matrix, config), train(matrix, config)
+    assert first.weights.tobytes() == second.weights.tobytes()
+    assert first.bias == second.bias and first.meta == second.meta
+    grid = default_lambda_grid(matrix, n_points=4)
+    cv1 = cross_validate(matrix, grid, 3, config, seed=2)
+    cv2 = cross_validate(matrix, grid, 3, config, seed=2)
+    assert cv1.fold_auc.tobytes() == cv2.fold_auc.tobytes()
+
+
+@pytest.mark.parametrize("loss", ["logistic", "hinge"])
+def test_gradient_check_on_random_dense(loss):
+    rng = random.Random(11)
+    matrix = random_dense_matrix(rng, 40, 6)
+    w = np.array([rng.gauss(0.0, 0.3) for _ in range(6)])
+    # hinge needs a smooth point: with Gaussian data no margin is exactly 1
+    assert gradient_check(loss, matrix.X, matrix.y, w, 0.1) < 1e-6
+
+
+def test_max_iters_cut_reports_not_converged():
+    matrix = count_matrix(8)
+    config = TrainConfig(l1_lambda=0.01 * lambda_max(matrix), max_iters=1)
+    model = train(matrix, config)
+    assert model.meta.iterations == 1
+    assert not model.meta.converged
+    assert model.meta.kkt_rel > config.tolerance
+    full = train(matrix, replace(config, max_iters=10_000))
+    assert full.meta.converged and full.meta.iterations > 1
+    cv = cross_validate(matrix, [config.l1_lambda], 3, config, seed=0)
+    assert len(cv.warnings) == 3 and all("not converged" in w for w in cv.warnings)
+
+
+def test_cv_and_grid_see_the_standardized_design():
+    matrix = count_matrix(9)
+    X = matrix.X.toarray()
+    std = X.std(axis=0)
+    std[std == 0] = 1.0
+    scaled = FeatureMatrix(matrix.keys, sp.csr_matrix(X / std), matrix.y, matrix.kind)
+    grid = default_lambda_grid(matrix, n_points=5, standardize=True)
+    assert grid == pytest.approx(default_lambda_grid(scaled, n_points=5), rel=1e-12)
+    config = TrainConfig(tolerance=1e-8)
+    on_scaled = cross_validate(scaled, grid, 3, config, seed=1)
+    standardized = cross_validate(matrix, grid, 3, replace(config, standardize=True), seed=1)
+    np.testing.assert_allclose(standardized.fold_auc, on_scaled.fold_auc, rtol=0, atol=1e-12)
+    assert standardized.best_lambda == on_scaled.best_lambda
+    assert standardized.warnings == on_scaled.warnings == []
+    model = train(matrix, replace(config, l1_lambda=standardized.best_lambda, standardize=True))
+    reference = train(scaled, replace(config, l1_lambda=standardized.best_lambda))
+    np.testing.assert_allclose(model.weights * std, reference.weights, rtol=1e-6, atol=1e-9)
+
+
+def test_bad_config_rejected():
+    matrix = count_matrix(1)
+    with pytest.raises(ValidationError):
+        train(matrix, TrainConfig(loss="squared"))
+    with pytest.raises(ValidationError):
+        cross_validate(matrix, [0.1], 3, TrainConfig(l1_lambda=-1.0), seed=0)
+
+
+class TestModelFile:
+    def test_roundtrip_with_numpy_scalars(self, tmp_path):
+        meta = TrainingMeta(12, np.float64(0.25), 3, False, np.float64(2.5e-9), True)
+        model = LinearModel(np.array([0.0, -1.5, 0.0, 2.0]), np.float64(0.3125), "logistic",
+                            np.float64(0.01), meta)
+        path = tmp_path / "model.txt"
+        save_model(model, path, {"config_digest": "abc"})
+        assert "np.float64" not in path.read_text(encoding="utf-8")
+        loaded, header = load_model(path)
+        assert header == {"config_digest": "abc"}
+        assert loaded.weights.tolist() == model.weights.tolist()
+        assert (loaded.bias, loaded.l1_lambda, loaded.loss_kind) == (0.3125, 0.01, "logistic")
+        assert loaded.meta == TrainingMeta(12, 0.25, 3, False, 2.5e-9, True)
+
+    def test_trained_model_roundtrip(self, tmp_path):
+        matrix = count_matrix(2)
+        model = train(matrix, TrainConfig(l1_lambda=0.1 * lambda_max(matrix)))
+        save_model(model, tmp_path / "model.txt")
+        loaded, _ = load_model(tmp_path / "model.txt")
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert loaded.bias == model.bias and loaded.meta == model.meta
+
+    def test_file_without_certificate_lines_loads(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(
+            "# linear-model\nloss hinge\nlambda 0.5\ndims 3\nbias -0.25\nseed 7\n"
+            "objective 0.75\niterations 40\nstandardized 0\nw 1 0.5\n",
+            encoding="utf-8",
+        )
+        loaded, _ = load_model(path)
+        assert loaded.weights.tolist() == [0.0, 0.5, 0.0]
+        assert np.isnan(loaded.meta.kkt_rel) and not loaded.meta.converged
+
+    def test_malformed_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("# linear-model\nloss logistic\nlambda np.float64(0.5)\ndims 3\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="malformed model file"):
+            load_model(path)
+
+
+def test_single_class_rejected():
+    with pytest.raises(ValidationError, match="single class"):
+        train(dense_matrix([[1.0], [2.0]], [1, 1]), TrainConfig())
+
+
+def test_cv_auc_ties_broken_by_held_out_loss():
+    # separable classes: every lambda below the top ranks each held-out fold perfectly
+    rng = np.random.default_rng(12)
+    y = np.repeat([0, 1], 30)
+    X = rng.normal(size=(60, 4)) + 3.0 * y[:, None]
+    matrix = dense_matrix(X, y)
+    cv = cross_validate(matrix, default_lambda_grid(matrix, n_points=5), 3, TrainConfig(), seed=0)
+    tied = np.flatnonzero(cv.mean_auc == 1.0)
+    assert len(tied) >= 2
+    best = tied[np.argmin(cv.mean_loss[tied])]
+    assert cv.best_lambda == cv.lambda_grid[best] != cv.lambda_grid[tied[0]]
+    assert np.all(np.diff(cv.mean_loss[tied]) < 0)  # a looser penalty fits held-out rows better here
