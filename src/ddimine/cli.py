@@ -23,7 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="pipeline configuration file (JSON)")
         p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--jobs", type=int, help="parallel workers for featurization")
         p.add_argument("--output", help="override the configured output directory")
         return p
 
@@ -63,8 +62,6 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {}
         if args.seed is not None:
             overrides["seed"] = args.seed
-        if args.jobs is not None:
-            overrides["jobs"] = args.jobs
         if args.output is not None:
             overrides["output"] = args.output
         cfg = load_config(args.config, overrides)

@@ -68,7 +68,6 @@ class PipelineConfig:
     cv: CvSection = field(default_factory=CvSection)
     threshold: float = 0.0
     alerts: AlertSection = field(default_factory=AlertSection)
-    jobs: int = 1
 
     def cv_enabled(self) -> bool:
         if self.cv.enabled is None:
@@ -89,60 +88,52 @@ def build_config(raw: dict[str, Any], overrides: dict[str, Any] | None = None) -
     violations: list[str] = []
     overrides = overrides or {}
 
-    def take(mapping: dict, key: str, default=None):
-        return mapping.get(key, default)
-
-    paths = raw.get("paths")
+    paths = raw.get("paths") if isinstance(raw, dict) else None
     if not isinstance(paths, dict):
         raise ConfigError(["config must carry a 'paths' object"])
 
     def path_of(key: str, required: bool) -> Path | None:
-        val = take(paths, key)
+        val = overrides.get(key) or paths.get(key)
         if val is None or val == "":
             if required:
                 violations.append(f"paths.{key} is required")
+            return None
+        if not isinstance(val, str):
+            violations.append(f"paths.{key} must be a string, got {val!r}")
             return None
         return Path(val)
 
     corpus = path_of("corpus", True)
     lexicon = path_of("lexicon", True)
     catalog = path_of("catalog", True)
-    output_raw = overrides.get("output") or take(paths, "output")
-    if not output_raw:
-        violations.append("paths.output is required")
-        output = None
-    else:
-        output = Path(output_raw)
+    output = path_of("output", True)
     embeddings = path_of("embeddings", False)
     stopwords = path_of("stopwords", False)
     mar = path_of("mar", False)
 
-    corpus_format = take(raw, "corpus_format", "lines")
+    corpus_format = raw.get("corpus_format", "lines")
     if corpus_format not in ("lines", "pubmed-xml"):
         violations.append(f"corpus_format must be 'lines' or 'pubmed-xml', got {corpus_format!r}")
 
-    seed = overrides.get("seed", take(raw, "seed", 7))
-    if not isinstance(seed, int):
+    seed = overrides.get("seed", raw.get("seed", 7))
+    if not _is_int(seed):
         violations.append(f"seed must be an integer, got {seed!r}")
 
-    ratios_raw = take(raw, "ratios", [0.64, 0.16, 0.2])
-    ratios: tuple[float, float, float] = (0.64, 0.16, 0.2)
+    ratios = raw.get("ratios", [0.64, 0.16, 0.2])
     if (
-        not isinstance(ratios_raw, (list, tuple))
-        or len(ratios_raw) != 3
-        or any(not isinstance(r, (int, float)) or r < 0 for r in ratios_raw)
+        not isinstance(ratios, (list, tuple))
+        or len(ratios) != 3
+        or not all(_is_number(r) and r >= 0 for r in ratios)
     ):
-        violations.append(f"ratios must be 3 nonnegative numbers, got {ratios_raw!r}")
-    elif abs(sum(ratios_raw) - 1.0) > 1e-9:
-        violations.append(f"ratios must sum to 1, got {sum(ratios_raw)!r}")
-    else:
-        ratios = (float(ratios_raw[0]), float(ratios_raw[1]), float(ratios_raw[2]))
+        violations.append(f"ratios must be 3 nonnegative numbers, got {ratios!r}")
+    elif abs(sum(ratios) - 1.0) > 1e-9:
+        violations.append(f"ratios must sum to 1, got {sum(ratios)!r}")
 
-    top_k = take(raw, "top_k")
-    if top_k is not None and (not isinstance(top_k, int) or top_k < 0):
+    top_k = raw.get("top_k")
+    if top_k is not None and (not _is_int(top_k) or top_k < 0):
         violations.append(f"top_k must be a nonnegative integer or null, got {top_k!r}")
 
-    feature_kind = take(raw, "features", "counts")
+    feature_kind = raw.get("features", "counts")
     if feature_kind not in FEATURE_KINDS:
         violations.append(f"features must be one of {FEATURE_KINDS}, got {feature_kind!r}")
     if feature_kind == "embeddings":
@@ -151,44 +142,44 @@ def build_config(raw: dict[str, Any], overrides: dict[str, Any] | None = None) -
         if stopwords is None:
             violations.append("features=embeddings requires paths.stopwords")
 
-    vocab_stopwords = take(raw, "vocab_stopwords", "keep")
+    vocab_stopwords = raw.get("vocab_stopwords", "keep")
     if vocab_stopwords not in VOCAB_STOPWORD_MODES:
         violations.append(f"vocab_stopwords must be one of {VOCAB_STOPWORD_MODES}")
 
-    model = _model_section(take(raw, "model", {}) or {}, violations)
+    flags = {key: raw.get(key, False) for key in ("drop_empty_samples", "undersample_train")}
+    for key, val in flags.items():
+        if not isinstance(val, bool):
+            violations.append(f"{key} must be true or false, got {val!r}")
 
-    cv_raw = take(raw, "cv", {}) or {}
-    grid = take(cv_raw, "grid")
+    model = _model_section(_section(raw, "model", violations), violations)
+
+    cv_raw = _section(raw, "cv", violations)
+    enabled = cv_raw.get("enabled")
+    if enabled is not None and not isinstance(enabled, bool):
+        violations.append(f"cv.enabled must be true, false or null, got {enabled!r}")
+    grid = cv_raw.get("grid")
     if grid is not None and (
-        not isinstance(grid, list) or not grid or any(not isinstance(g, (int, float)) or g <= 0 for g in grid)
+        not isinstance(grid, list) or not grid or not all(_is_number(g) and g > 0 for g in grid)
     ):
         violations.append("cv.grid must be null or a non-empty list of positive numbers")
-    cv = CvSection(
-        enabled=take(cv_raw, "enabled"),
-        grid=None if grid is None else [float(g) for g in grid],
-        k=int(take(cv_raw, "k", 3)),
-    )
-    if cv.k < 2:
-        violations.append("cv.k must be at least 2")
+    k = cv_raw.get("k", 3)
+    if not _is_int(k) or k < 2:
+        violations.append(f"cv.k must be an integer of at least 2, got {k!r}")
 
-    threshold = take(raw, "threshold", 0.0)
-    if not isinstance(threshold, (int, float)):
-        violations.append(f"threshold must be a number, got {threshold!r}")
+    threshold = raw.get("threshold", 0.0)
+    if not _is_number(threshold):
+        violations.append(f"threshold must be a finite number, got {threshold!r}")
 
-    alerts_raw = take(raw, "alerts", {}) or {}
-    alerts = AlertSection(
-        window_hours=float(take(alerts_raw, "window_hours", 24.0)),
-        per_drug_hours={str(k): float(v) for k, v in (take(alerts_raw, "per_drug_hours", {}) or {}).items()},
-    )
-    if alerts.window_hours <= 0 or any(v <= 0 for v in alerts.per_drug_hours.values()):
-        violations.append("alert windows must be positive")
-
-    jobs = overrides.get("jobs", take(raw, "jobs", 1))
-    if not isinstance(jobs, int) or jobs < 1:
-        violations.append(f"jobs must be a positive integer, got {jobs!r}")
-
-    drop_empty = bool(take(raw, "drop_empty_samples", False))
-    undersample_train = bool(take(raw, "undersample_train", False))
+    alerts_raw = _section(raw, "alerts", violations)
+    window_hours = alerts_raw.get("window_hours", 24.0)
+    if not _is_number(window_hours) or window_hours <= 0:
+        violations.append(f"alerts.window_hours must be a positive number, got {window_hours!r}")
+    per_drug_hours = alerts_raw.get("per_drug_hours")
+    per_drug_hours = {} if per_drug_hours is None else per_drug_hours
+    if not isinstance(per_drug_hours, dict) or not all(
+        _is_number(v) and v > 0 for v in per_drug_hours.values()
+    ):
+        violations.append(f"alerts.per_drug_hours must map drugs to positive hours, got {per_drug_hours!r}")
 
     if violations:
         raise ConfigError(violations)
@@ -202,48 +193,62 @@ def build_config(raw: dict[str, Any], overrides: dict[str, Any] | None = None) -
         stopwords=stopwords,
         mar=mar,
         corpus_format=corpus_format,
-        seed=int(seed),
-        ratios=ratios,
+        seed=seed,
+        ratios=(float(ratios[0]), float(ratios[1]), float(ratios[2])),
         top_k=top_k,
         feature_kind=feature_kind,
         vocab_stopwords=vocab_stopwords,
-        drop_empty_samples=drop_empty,
-        undersample_train=undersample_train,
+        drop_empty_samples=flags["drop_empty_samples"],
+        undersample_train=flags["undersample_train"],
         model=model,
-        cv=cv,
+        cv=CvSection(enabled, None if grid is None else [float(g) for g in grid], k),
         threshold=float(threshold),
-        alerts=alerts,
-        jobs=int(jobs),
+        alerts=AlertSection(float(window_hours), {str(d): float(h) for d, h in per_drug_hours.items()}),
     )
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float; a boolean is not a number here."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _model_section(model_raw: Any, violations: list[str]) -> ModelSection:
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _section(raw: dict[str, Any], key: str, violations: list[str]) -> dict[str, Any]:
+    """The object under ``key``; absent or null reads as empty, anything else is a violation."""
+    section = raw.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        violations.append(f"{key} must be an object, got {section!r}")
+        return {}
+    return section
+
+
+def _model_section(model_raw: dict[str, Any], violations: list[str]) -> ModelSection:
     """The ``model`` object, type-checked field by field; violations are appended."""
     model = ModelSection()
-    if not isinstance(model_raw, dict):
-        violations.append(f"model must be an object, got {model_raw!r}")
-        return model
     loss = model_raw.get("loss", model.loss)
     if loss not in ("logistic", "hinge"):
         violations.append(f"model.loss must be 'logistic' or 'hinge', got {loss!r}")
     else:
         model.loss = loss
     l1_lambda = model_raw.get("l1_lambda", model.l1_lambda)
-    if not _is_number(l1_lambda) or not math.isfinite(l1_lambda) or l1_lambda < 0:
+    if not _is_number(l1_lambda) or l1_lambda < 0:
         violations.append(f"model.l1_lambda must be a finite nonnegative number, got {l1_lambda!r}")
     else:
         model.l1_lambda = float(l1_lambda)
     max_iters = model_raw.get("max_iters", model.max_iters)
-    if not isinstance(max_iters, int) or isinstance(max_iters, bool) or max_iters < 1:
+    if not _is_int(max_iters) or max_iters < 1:
         violations.append(f"model.max_iters must be an integer of at least 1, got {max_iters!r}")
     else:
         model.max_iters = max_iters
     tolerance = model_raw.get("tolerance", model.tolerance)
-    if not _is_number(tolerance) or not math.isfinite(tolerance) or tolerance <= 0:
+    if not _is_number(tolerance) or tolerance <= 0:
         violations.append(f"model.tolerance must be a finite positive number, got {tolerance!r}")
     else:
         model.tolerance = float(tolerance)
@@ -258,9 +263,9 @@ def _model_section(model_raw: Any, violations: list[str]) -> ModelSection:
 def config_digest(cfg: PipelineConfig) -> str:
     """SHA-256 over the experiment-relevant configuration.
 
-    The output directory and job count are excluded: neither changes what any
-    artifact contains, and reruns into a different directory must still verify
-    as the same experiment.
+    The output directory is excluded: it does not change what any artifact
+    contains, and reruns into a different directory must still verify as the
+    same experiment.
     """
     payload = {
         "corpus": str(cfg.corpus),

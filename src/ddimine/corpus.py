@@ -64,7 +64,7 @@ class DrugLexicon:
             if any(ch.isspace() or ch == "|" for ch in drug_id):
                 raise ValidationError(f"drug id {drug_id!r} contains whitespace or '|'")
             phrases = tuple(tuple(p) for p in phrase_list)
-            if not phrases or any(not p for p in phrases):
+            if not phrases or any(not p or "" in p for p in phrases):
                 raise ValidationError(f"drug {drug_id!r} has an empty phrase")
             self.phrases[drug_id] = phrases
         self.cardiac = frozenset(cardiac)

@@ -1,4 +1,14 @@
-"""Per-sample features: summed sparse word counts and tf-weighted embedding sums."""
+"""Per-sample features: summed sparse word counts and tf-weighted embedding sums.
+
+A sample's row is the sum of its abstracts' rows, so both feature kinds are one
+product with the binary sample x abstract incidence matrix A: X = A @ C for
+counts, C holding each abstract's vocabulary counts, and X = A @ E for
+embeddings, E holding each abstract's embedding.  A's columns are the
+abstracts the samples reference, in sorted-id order; as the split gives each
+abstract to one split, each abstract's row is built once per stage.  Counts
+are integers, so A @ C is exact, and the column order makes A @ E add a
+sample's abstract vectors in sorted-id order.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,38 +79,6 @@ def load_vocab(path: Path | str) -> Vocabulary:
             tok, _, freq = line.partition("\t")
             words.append((tok, int(freq)))
     return Vocabulary(words, {tok: col for col, (tok, _) in enumerate(words)})
-
-
-@dataclass
-class SparseVector:
-    dims: int
-    entries: dict[int, float]  # no explicit zeros
-
-
-def _abstract_columns(ab: TokenizedAbstract, vocab: Vocabulary) -> dict[int, int]:
-    cols: dict[int, int] = {}
-    index = vocab.index
-    for tok in ab.tokens:
-        col = index.get(tok)
-        if col is not None:
-            cols[col] = cols.get(col, 0) + 1
-    return cols
-
-
-def count_vector(
-    sample: InteractionSample,
-    abstracts_by_id: Mapping[str, TokenizedAbstract],
-    vocab: Vocabulary,
-) -> SparseVector:
-    """Word counts summed over the sample's assigned abstracts."""
-    entries: dict[int, float] = {}
-    for aid in sorted(sample.abstract_ids):
-        ab = abstracts_by_id.get(aid)
-        if ab is None:
-            raise ValidationError(f"sample {sample.key!r} references unknown abstract {aid!r}")
-        for col, n in _abstract_columns(ab, vocab).items():
-            entries[col] = entries.get(col, 0) + n
-    return SparseVector(len(vocab), entries)
 
 
 class EmbeddingTable:
@@ -176,25 +154,6 @@ def embed_abstract(
     return vec, misses
 
 
-def embed_sample(
-    sample: InteractionSample,
-    abstracts_by_id: Mapping[str, TokenizedAbstract],
-    table: EmbeddingTable,
-    stopwords: frozenset[str] | set[str],
-) -> tuple[np.ndarray, int]:
-    """Sum of abstract embeddings over the sample's assigned abstracts."""
-    vec = np.zeros(table.dim, dtype=float)
-    misses = 0
-    for aid in sorted(sample.abstract_ids):
-        ab = abstracts_by_id.get(aid)
-        if ab is None:
-            raise ValidationError(f"sample {sample.key!r} references unknown abstract {aid!r}")
-        part, m = embed_abstract(ab, table, stopwords)
-        vec += part
-        misses += m
-    return vec, misses
-
-
 @dataclass
 class FeatureMatrix:
     """Aligned sample keys, feature rows, and binary labels."""
@@ -217,41 +176,43 @@ class FeatureMatrix:
         return sp.issparse(self.X)
 
 
+def _incidence(
+    samples: Sequence[InteractionSample], abstracts_by_id: Mapping[str, TokenizedAbstract]
+) -> tuple[sp.csr_matrix, list[TokenizedAbstract]]:
+    """The incidence matrix A and the abstracts behind its columns, in sorted-id order."""
+    ids = sorted({aid for s in samples for aid in s.abstract_ids})
+    column = {aid: j for j, aid in enumerate(ids)}
+    indices: list[int] = []
+    indptr = [0]
+    for s in samples:
+        for aid in sorted(s.abstract_ids):
+            if aid not in abstracts_by_id:
+                raise ValidationError(f"sample {s.key!r} references unknown abstract {aid!r}")
+            indices.append(column[aid])
+        indptr.append(len(indices))
+    A = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(samples), len(ids)))
+    return A, [abstracts_by_id[aid] for aid in ids]
+
+
 def build_count_matrix(
     samples: Sequence[InteractionSample],
     abstracts_by_id: Mapping[str, TokenizedAbstract],
     vocab: Vocabulary,
     drop_empty: bool = False,
-    jobs: int = 1,
 ) -> FeatureMatrix:
     """Sparse count features for every sample, rows in sample order."""
     if drop_empty:
         samples = [s for s in samples if s.abstract_ids]
-    cache = {aid: _abstract_columns(ab, vocab) for aid, ab in abstracts_by_id.items()}
-
-    def row_of(sample: InteractionSample) -> dict[int, int]:
-        entries: dict[int, int] = {}
-        for aid in sample.abstract_ids:
-            cols = cache.get(aid)
-            if cols is None:
-                raise ValidationError(f"sample {sample.key!r} references unknown abstract {aid!r}")
-            for col, n in cols.items():
-                entries[col] = entries.get(col, 0) + n
-        return entries
-
-    rows = _ordered_map(row_of, samples, jobs)
-    indptr = [0]
+    A, abstracts = _incidence(samples, abstracts_by_id)
+    index = vocab.index
     indices: list[int] = []
-    data: list[float] = []
-    for entries in rows:
-        for col in sorted(entries):
-            indices.append(col)
-            data.append(float(entries[col]))
+    indptr = [0]
+    for ab in abstracts:
+        indices += [index[tok] for tok in ab.tokens if tok in index]
         indptr.append(len(indices))
-    X = sp.csr_matrix(
-        (np.array(data, dtype=float), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(samples), len(vocab)),
-    )
+    C = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(abstracts), len(vocab)))
+    X = A @ C
+    X.sort_indices()
     y = np.array([s.label for s in samples], dtype=np.int64)
     return FeatureMatrix([s.key for s in samples], X, y, "counts")
 
@@ -262,42 +223,21 @@ def build_embedding_matrix(
     table: EmbeddingTable,
     stopwords: frozenset[str] | set[str],
     drop_empty: bool = False,
-    jobs: int = 1,
 ) -> tuple[FeatureMatrix, int]:
-    """Dense embedding features; returns the matrix and the total miss count."""
+    """Dense embedding features; returns the matrix and the total miss count.
+
+    Misses are counted per (sample, abstract) pair, as distinct out-of-table
+    tokens of each abstract.
+    """
     if drop_empty:
         samples = [s for s in samples if s.abstract_ids]
-    cache = {aid: embed_abstract(ab, table, stopwords) for aid, ab in abstracts_by_id.items()}
-
-    def row_of(sample: InteractionSample) -> tuple[np.ndarray, int]:
-        vec = np.zeros(table.dim, dtype=float)
-        misses = 0
-        for aid in sorted(sample.abstract_ids):
-            if aid not in cache:
-                raise ValidationError(f"sample {sample.key!r} references unknown abstract {aid!r}")
-            part, m = cache[aid]
-            vec = vec + part
-            misses += m
-        return vec, misses
-
-    rows = _ordered_map(row_of, samples, jobs)
-    X = np.vstack([vec for vec, _ in rows]) if rows else np.zeros((0, table.dim))
-    total_misses = sum(m for _, m in rows)
+    A, abstracts = _incidence(samples, abstracts_by_id)
+    embedded = [embed_abstract(ab, table, stopwords) for ab in abstracts]
+    E = np.array([vec for vec, _ in embedded], dtype=float).reshape(len(abstracts), table.dim)
+    misses = np.array([m for _, m in embedded], dtype=np.int64)
+    total_misses = int(np.bincount(A.indices, minlength=len(abstracts)) @ misses)
     y = np.array([s.label for s in samples], dtype=np.int64)
-    return FeatureMatrix([s.key for s in samples], X, y, "embeddings"), total_misses
-
-
-def _ordered_map(fn, items: Sequence, jobs: int) -> list:
-    """Map preserving input order; thread-parallel when jobs > 1.
-
-    Row construction is pure, so any evaluation order gives the same rows.
-    """
-    if jobs <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    return FeatureMatrix([s.key for s in samples], A @ E, y, "embeddings"), total_misses
 
 
 def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
@@ -335,17 +275,17 @@ def save_matrix(matrix: FeatureMatrix, path: Path | str, extra_header: dict[str,
     lines.append(f"dims {matrix.dims}")
     lines.append(f"storage {storage}")
     lines.append(f"kind {matrix.kind}")
-    for i, key in enumerate(matrix.keys):
-        label = int(matrix.y[i])
-        if matrix.is_sparse:
-            start, end = matrix.X.indptr[i], matrix.X.indptr[i + 1]
-            cells = " ".join(
-                f"{int(matrix.X.indices[j])}:{float(matrix.X.data[j])!r}" for j in range(start, end)
-            )
-            lines.append(f"row {key} {label} {cells}".rstrip())
-        else:
-            cells = " ".join(repr(float(v)) for v in matrix.X[i])
-            lines.append(f"row {key} {label} {cells}".rstrip())
+    if matrix.is_sparse:
+        indptr, cols = matrix.X.indptr.tolist(), matrix.X.indices.tolist()
+        vals = np.asarray(matrix.X.data, dtype=float).tolist()
+        rows = (
+            " ".join(map("{}:{!r}".format, cols[start:end], vals[start:end]))
+            for start, end in zip(indptr, indptr[1:])
+        )
+    else:
+        rows = (" ".join(map(repr, row)) for row in np.asarray(matrix.X, dtype=float).tolist())
+    for key, label, cells in zip(matrix.keys, matrix.y.tolist(), rows):
+        lines.append(f"row {key} {label} {cells}".rstrip())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -1,4 +1,9 @@
-"""Interaction catalog, pair enumeration, binary labels, and type templates."""
+"""Interaction catalog, pair enumeration, binary labels, and type templates.
+
+A template is a catalog description with both drugs' name phrases replaced by
+a placeholder.  Each drug's phrases compile to one regex, once per catalog, and
+a description is scanned with its two drugs' patterns side by side.
+"""
 
 from __future__ import annotations
 
@@ -136,22 +141,68 @@ def enumerate_samples(
     return samples
 
 
+def _priority(phrase: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    """Longest phrase text first, then lexicographic."""
+    return (-len(" ".join(phrase)), phrase)
+
+
+def _drug_pattern(phrases: Iterable[tuple[str, ...]]) -> tuple[re.Pattern[str], list]:
+    """One drug's phrases as a single regex, one capture group per phrase in priority order.
+
+    Returns the pattern and the priority of each group.
+    """
+    ordered = sorted(phrases, key=_priority)
+    groups = "|".join("(" + r"[\s\-]+".join(map(re.escape, p)) + ")" for p in ordered)
+    pattern = re.compile(rf"(?<![0-9A-Za-z])(?:{groups})(?![0-9A-Za-z])", re.IGNORECASE)
+    return pattern, [_priority(p) for p in ordered]
+
+
 def templateize(
-    description: str, drug_a: str, drug_b: str, lexicon: DrugLexicon
+    description: str,
+    drug_a: str,
+    drug_b: str,
+    lexicon: DrugLexicon,
+    patterns: dict[str, tuple[re.Pattern[str], list]] | None = None,
 ) -> tuple[str, int]:
     """Replace both drugs' name phrases in ``description`` with the placeholder.
 
-    Matching is case-insensitive, longest phrase first.  Returns the template
-    text and the number of replacements made (0 means the caller should count
-    a warning; the text is returned unchanged).
+    Matching is case-insensitive, left to right without overlap, longest
+    phrase first: the earliest match wins, and of two matches at one start the
+    higher-priority phrase.  That is what one alternation over both drugs'
+    phrases in priority order matches, but each drug's phrases are compiled
+    once; ``patterns`` caches the compiled patterns by drug id across calls.
+    Returns the template text and the number of replacements made (0 means
+    the caller should count a warning; the text is returned unchanged).
     """
     if not description:
         raise ValidationError("empty interaction description")
-    phrases = list(lexicon.phrases_for(drug_a)) + list(lexicon.phrases_for(drug_b))
-    phrases.sort(key=lambda p: (-len(" ".join(p)), p))
-    alternation = "|".join(r"[\s\-]+".join(re.escape(tok) for tok in p) for p in phrases)
-    pattern = re.compile(rf"(?<![0-9A-Za-z])(?:{alternation})(?![0-9A-Za-z])", re.IGNORECASE)
-    return pattern.subn(PLACEHOLDER, description)
+    patterns = {} if patterns is None else patterns
+    for drug in (drug_a, drug_b):
+        if drug not in patterns:
+            patterns[drug] = _drug_pattern(lexicon.phrases_for(drug))
+    (pat_a, prio_a), (pat_b, prio_b) = patterns[drug_a], patterns[drug_b]
+    m_a, m_b = pat_a.search(description), pat_b.search(description)
+    pieces: list[str] = []
+    pos = n_replaced = 0
+    while m_a or m_b:
+        if m_b is None or (
+            m_a is not None
+            and (m_a.start(), prio_a[m_a.lastindex - 1]) <= (m_b.start(), prio_b[m_b.lastindex - 1])
+        ):
+            m = m_a
+        else:
+            m = m_b
+        pieces += (description[pos : m.start()], PLACEHOLDER)
+        pos = m.end()
+        n_replaced += 1
+        # a scan whose next match starts before pos resumes from pos; lookbehind
+        # still sees the text before it
+        if m_a is not None and m_a.start() < pos:
+            m_a = pat_a.search(description, pos)
+        if m_b is not None and m_b.start() < pos:
+            m_b = pat_b.search(description, pos)
+    pieces.append(description[pos:])
+    return "".join(pieces), n_replaced
 
 
 @dataclass
@@ -173,8 +224,9 @@ def extract_templates(catalog: InteractionCatalog, lexicon: DrugLexicon) -> Temp
     by_pair: dict[tuple[str, str], int] = {}
     support: dict[int, int] = {}
     warnings = 0
+    patterns: dict[str, tuple[re.Pattern[str], list]] = {}
     for a, b in catalog.pairs():
-        text, n_replaced = templateize(catalog.description(a, b), a, b, lexicon)
+        text, n_replaced = templateize(catalog.description(a, b), a, b, lexicon, patterns)
         if n_replaced == 0:
             warnings += 1
             continue

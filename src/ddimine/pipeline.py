@@ -326,7 +326,7 @@ def stage_featurize(cfg: PipelineConfig) -> None:
     if cfg.feature_kind == "counts":
         matrices = {
             split: features_mod.build_count_matrix(
-                by_split[split], abstracts_by_id, vocab, cfg.drop_empty_samples, cfg.jobs
+                by_split[split], abstracts_by_id, vocab, cfg.drop_empty_samples
             )
             for split in splitting_mod.SPLITS
         }
@@ -336,7 +336,7 @@ def stage_featurize(cfg: PipelineConfig) -> None:
         matrices = {}
         for split in splitting_mod.SPLITS:
             matrix, misses = features_mod.build_embedding_matrix(
-                by_split[split], abstracts_by_id, table, stopwords, cfg.drop_empty_samples, cfg.jobs
+                by_split[split], abstracts_by_id, table, stopwords, cfg.drop_empty_samples
             )
             matrices[split] = matrix
             report_lines.append(f"embedding_misses_{split}\t{misses}")

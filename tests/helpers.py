@@ -8,11 +8,15 @@ path it checks.
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import dataclass
 from datetime import timedelta
 
 import numpy as np
 
-from ddimine.features import FeatureMatrix
+from ddimine.errors import ValidationError
+from ddimine.features import FeatureMatrix, embed_abstract
+from ddimine.labeling import PLACEHOLDER
 
 
 def auc_pair_oracle(scores, labels) -> float:
@@ -202,3 +206,48 @@ def l1_svm_reference(X, y, lam: float) -> float:
     res = linprog(c, A_ub=np.vstack(rows), b_ub=b_ub, bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def templateize_oracle(description: str, drug_a: str, drug_b: str, lexicon) -> tuple[str, int]:
+    """One alternation over both drugs' phrases, longest text first, compiled per pair."""
+    if not description:
+        raise ValidationError("empty interaction description")
+    phrases = list(lexicon.phrases_for(drug_a)) + list(lexicon.phrases_for(drug_b))
+    phrases.sort(key=lambda p: (-len(" ".join(p)), p))
+    alternation = "|".join(r"[\s\-]+".join(re.escape(tok) for tok in p) for p in phrases)
+    pattern = re.compile(rf"(?<![0-9A-Za-z])(?:{alternation})(?![0-9A-Za-z])", re.IGNORECASE)
+    return pattern.subn(PLACEHOLDER, description)
+
+
+@dataclass
+class SparseVector:
+    dims: int
+    entries: dict[int, float]  # no explicit zeros
+
+
+def count_vector(sample, abstracts_by_id, vocab) -> SparseVector:
+    """Word counts summed over one sample's abstracts, token by token."""
+    entries: dict[int, float] = {}
+    for aid in sorted(sample.abstract_ids):
+        ab = abstracts_by_id.get(aid)
+        if ab is None:
+            raise ValidationError(f"sample {sample.key!r} references unknown abstract {aid!r}")
+        for tok in ab.tokens:
+            col = vocab.index.get(tok)
+            if col is not None:
+                entries[col] = entries.get(col, 0) + 1
+    return SparseVector(len(vocab), entries)
+
+
+def embed_sample(sample, abstracts_by_id, table, stopwords) -> tuple[np.ndarray, int]:
+    """Sum of abstract embeddings over one sample's abstracts, in sorted-id order."""
+    vec = np.zeros(table.dim, dtype=float)
+    misses = 0
+    for aid in sorted(sample.abstract_ids):
+        ab = abstracts_by_id.get(aid)
+        if ab is None:
+            raise ValidationError(f"sample {sample.key!r} references unknown abstract {aid!r}")
+        part, m = embed_abstract(ab, table, stopwords)
+        vec += part
+        misses += m
+    return vec, misses

@@ -9,9 +9,9 @@ from ddimine.errors import ConfigError
 PATHS = {"corpus": "corpus.tsv", "lexicon": "lexicon.tsv", "catalog": "catalog.tsv", "output": "out"}
 
 
-def write_config(tmp_path, model) -> str:
+def write_config(tmp_path, model, **fields) -> str:
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"paths": PATHS, "model": model}), encoding="utf-8")
+    path.write_text(json.dumps({"paths": PATHS, "model": model, **fields}), encoding="utf-8")
     return str(path)
 
 
@@ -57,3 +57,70 @@ def test_valid_model_section(tmp_path):
     assert cfg.model.tolerance == 1e-8 and cfg.model.standardize is True
     assert isinstance(cfg.model.l1_lambda, float)
     assert load_config(write_config(tmp_path, None)).model == type(cfg.model)()
+
+
+BAD_FIELDS = {
+    "string_cv_enabled": ({"cv": {"enabled": "no"}}, "cv.enabled"),
+    "string_cv_k": ({"cv": {"k": "x"}}, "cv.k"),
+    "bool_cv_k": ({"cv": {"k": True}}, "cv.k"),
+    "nan_cv_grid": ({"cv": {"grid": [float("nan")]}}, "cv.grid"),
+    "cv_not_an_object": ({"cv": "on"}, "cv must be an object"),
+    "list_per_drug_hours": ({"alerts": {"per_drug_hours": [1]}}, "alerts.per_drug_hours"),
+    "string_window_hours": ({"alerts": {"window_hours": "abc"}}, "alerts.window_hours"),
+    "nan_threshold": ({"threshold": float("nan")}, "threshold"),
+    "bool_seed": ({"seed": True}, "seed"),
+    "bool_top_k": ({"top_k": True}, "top_k"),
+    "nan_ratios": ({"ratios": [float("nan"), 0.5, 0.5]}, "ratios"),
+    "string_drop_empty": ({"drop_empty_samples": "false"}, "drop_empty_samples"),
+    "string_undersample": ({"undersample_train": "no"}, "undersample_train"),
+    "number_path": ({"paths": {**PATHS, "corpus": 5}}, "paths.corpus"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+def test_bad_field_rejected(tmp_path, case):
+    fields, expected = BAD_FIELDS[case]
+    with pytest.raises(ConfigError) as info:
+        load_config(write_config(tmp_path, None, **fields))
+    assert len(info.value.violations) == 1
+    assert expected in info.value.violations[0]
+
+
+def test_every_field_violation_listed_and_exit_code_2(tmp_path, capsys):
+    fields = {
+        "cv": {"enabled": "no", "k": "x"},
+        "alerts": {"per_drug_hours": [1]},
+        "threshold": float("nan"),
+        "seed": True,
+        "top_k": True,
+        "drop_empty_samples": "false",
+        "undersample_train": "no",
+    }
+    path = write_config(tmp_path, None, **fields)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert len(info.value.violations) == 8
+    assert main(["featurize", "--config", path]) == 2
+    err = capsys.readouterr().err
+    for name in ("cv.enabled", "cv.k", "per_drug_hours", "threshold", "seed", "top_k",
+                 "drop_empty_samples", "undersample_train"):
+        assert name in err
+
+
+def test_valid_fields_and_retired_jobs_key(tmp_path):
+    fields = {
+        "cv": {"enabled": False, "k": 5, "grid": [1, 0.1]},
+        "alerts": {"window_hours": 12, "per_drug_hours": {"d1": 6}},
+        "threshold": -0.5,
+        "seed": 3,
+        "top_k": 0,
+        "drop_empty_samples": True,
+        "undersample_train": False,
+    }
+    cfg = load_config(write_config(tmp_path, None, **fields))
+    assert (cfg.cv.enabled, cfg.cv.k, cfg.cv.grid, cfg.cv_enabled()) == (False, 5, [1.0, 0.1], False)
+    assert (cfg.alerts.window_hours, cfg.alerts.per_drug_hours) == (12.0, {"d1": 6.0})
+    assert (cfg.threshold, cfg.seed, cfg.top_k) == (-0.5, 3, 0)
+    assert (cfg.drop_empty_samples, cfg.undersample_train) == (True, False)
+    # "jobs" configured the removed thread pool; like any unknown key it is ignored
+    assert load_config(write_config(tmp_path, None, **fields, jobs=4)) == cfg

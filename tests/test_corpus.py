@@ -277,6 +277,12 @@ class TestLexicon:
         with pytest.raises(ValidationError):
             DrugLexicon({"bad id": [("bad",)]}, set())
 
+    @pytest.mark.parametrize("phrase", [(), ("",), ("acetyl", "")])
+    def test_empty_phrase_or_token_rejected(self, phrase):
+        # an empty token would match the empty string in a template pattern
+        with pytest.raises(ValidationError, match="empty phrase"):
+            DrugLexicon({"d": [phrase]}, set())
+
 
 def test_tokenize_abstracts_deterministic(small_lexicon):
     abstracts = [Abstract("X1", FIG1_SENTENCE), Abstract("X2", "Digoxin toxicity case.")]

@@ -1,7 +1,10 @@
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddimine.corpus import TokenizedAbstract
 from ddimine.errors import ValidationError
@@ -11,10 +14,8 @@ from ddimine.features import (
     build_count_matrix,
     build_embedding_matrix,
     build_vocab,
-    count_vector,
     default_stopwords,
     embed_abstract,
-    embed_sample,
     load_matrix,
     load_stopwords,
     load_vocab,
@@ -23,7 +24,7 @@ from ddimine.features import (
     undersample,
 )
 from ddimine.labeling import InteractionSample
-from helpers import dense_matrix
+from helpers import count_vector, dense_matrix, embed_sample
 
 
 def toka(aid, tokens, mentions=()):
@@ -213,21 +214,50 @@ class TestMatrixBuilders:
         m = build_count_matrix(samples, abstracts, vocab, drop_empty=True)
         assert m.n_rows == 1
 
-    def test_jobs_parallel_identical(self):
-        rng = random.Random(9)
-        words = [f"w{i}" for i in range(50)]
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_builders_equal_single_sample_oracles(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        words = [f"w{i}" for i in range(15)]
         abstracts = {
-            f"a{i}": toka(f"a{i}", [rng.choice(words) for _ in range(30)]) for i in range(20)
+            f"a{i}": toka(f"a{i}", rng.choices(words, k=rng.randint(0, 25)))
+            for i in range(data.draw(st.integers(0, 8)))
         }
-        vocab = build_vocab(list(abstracts.values()))
+        vocab = build_vocab(list(abstracts.values()), data.draw(st.none() | st.integers(0, 12)))
+        table = EmbeddingTable({w: np.array([rng.gauss(0, 1) for _ in range(3)]) for w in words[:11]})
+        stop = set(rng.sample(words, 3))
         samples = [
-            sample_with(rng.sample(sorted(abstracts), rng.randint(0, 5)), o=f"o{i}")
-            for i in range(30)
+            sample_with(rng.sample(sorted(abstracts), rng.randint(0, len(abstracts))), o=f"o{j}", label=j % 2)
+            for j in range(data.draw(st.integers(0, 10)))
         ]
-        seq = build_count_matrix(samples, abstracts, vocab, jobs=1)
-        par = build_count_matrix(samples, abstracts, vocab, jobs=4)
-        assert (seq.X != par.X).nnz == 0
-        assert seq.keys == par.keys
+        drop_empty = data.draw(st.booleans())
+        kept = [s for s in samples if s.abstract_ids or not drop_empty]
+
+        counts = build_count_matrix(samples, abstracts, vocab, drop_empty)
+        embedded, misses = build_embedding_matrix(samples, abstracts, table, stop, drop_empty)
+        for m in (counts, embedded):
+            assert m.keys == [s.key for s in kept]
+            assert m.y.tolist() == [s.label for s in kept]
+        assert counts.X.shape == (len(kept), len(vocab)) and embedded.X.shape == (len(kept), 3)
+        expected_misses = 0
+        for i, s in enumerate(kept):
+            entries = count_vector(s, abstracts, vocab).entries
+            row = counts.X[i]
+            assert row.indices.tolist() == sorted(entries)  # sorted, no explicit zeros
+            assert row.data.tolist() == [float(entries[c]) for c in sorted(entries)]
+            vec, m = embed_sample(s, abstracts, table, stop)
+            assert embedded.X[i].tobytes() == vec.tobytes()  # bit for bit
+            expected_misses += m
+        assert misses == expected_misses
+
+        ghost = samples + [sample_with(sorted(abstracts)[:1] + ["ghost"], o="oz")]
+        message = re.escape("'c1|oz' references unknown abstract 'ghost'")
+        for build in (
+            lambda: build_count_matrix(ghost, abstracts, vocab, drop_empty),
+            lambda: build_embedding_matrix(ghost, abstracts, table, stop, drop_empty),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                build()
 
     def test_embedding_matrix(self):
         table = EmbeddingTable({"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0])})

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddimine import labeling
 from ddimine.corpus import DrugLexicon
 from ddimine.errors import ValidationError
 from ddimine.labeling import (
@@ -17,6 +18,7 @@ from ddimine.labeling import (
     positive_tallies,
     templateize,
 )
+from helpers import templateize_oracle
 
 
 def catalog_of(*pairs):
@@ -201,6 +203,30 @@ class TestTemplateize:
         with pytest.raises(ValidationError):
             templateize("", "digoxin", "quinidine", LEXICON)
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_per_drug_scan_equals_per_pair_alternation(self, data):
+        # overlapping, multi-word, hyphenated phrases, some shared between drugs
+        tokens = st.sampled_from(["ab", "abc", "b", "bc", "c1", "x-y", "y"])
+        phrase = st.lists(tokens, min_size=1, max_size=3).map(tuple)
+        phrase_lists = data.draw(st.lists(st.lists(phrase, min_size=1, max_size=3), min_size=2, max_size=4))
+        lexicon = DrugLexicon({f"d{i}": ps for i, ps in enumerate(phrase_lists)}, cardiac=())
+
+        def rendered(p):
+            n = len(p) - 1
+            seps = st.lists(st.sampled_from([" ", "-", "  ", " - ", "\n"]), min_size=n, max_size=n)
+            case = st.sampled_from([str.lower, str.upper, str.title])
+            return st.tuples(seps, case).map(lambda t: t[1](p[0] + "".join(map(str.__add__, t[0], p[1:]))))
+
+        mention = st.sampled_from([p for ps in phrase_lists for p in ps]).flatmap(rendered)
+        filler = st.sampled_from([" ", "-", ", ", "x", "9", "Ab", ".", " and ", "_"])
+        description = "".join(data.draw(st.lists(st.one_of(mention, filler), min_size=1, max_size=12)))
+        patterns: dict = {}  # shared across pairs, as extract_templates shares it
+        for a, b in itertools.permutations(lexicon.phrases, 2):
+            expected = templateize_oracle(description, a, b, lexicon)
+            assert templateize(description, a, b, lexicon) == expected
+            assert templateize(description, a, b, lexicon, patterns) == expected
+
 
 class TestExtractTemplates:
     def test_name_varied_descriptions_share_id(self):
@@ -223,6 +249,17 @@ class TestExtractTemplates:
         table = extract_templates(cat, LEXICON)
         assert table.n_warnings == 1
         assert table.templates == []
+
+    def test_one_pattern_per_drug(self, monkeypatch):
+        compiled = []
+        compile_ = labeling.re.compile
+        monkeypatch.setattr(labeling.re, "compile", lambda *a: compiled.append(a) or compile_(*a))
+        cat = InteractionCatalog(
+            [(a, b, f"{a} and {b}") for a, b in itertools.combinations(sorted(LEXICON.phrases), 2)]
+        )
+        table = extract_templates(cat, LEXICON)
+        assert len(compiled) == len(LEXICON.phrases) == 4
+        assert table.support == {0: 6}
 
     def test_every_template_has_placeholder(self):
         cat = InteractionCatalog(

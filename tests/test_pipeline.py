@@ -1,0 +1,79 @@
+import json
+
+import pytest
+
+from ddimine.config import load_config
+from ddimine.corpus import DrugLexicon, TokenizedAbstract
+from ddimine.features import load_vocab
+from ddimine.labeling import InteractionCatalog, InteractionSample
+from ddimine.pipeline import artifact_digests, run_all
+from ddimine.synth import SynthParams, write_dataset
+from helpers import count_vector, templateize_oracle
+
+
+def data_lines(path) -> list[str]:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+@pytest.fixture(scope="module")
+def mini(tmp_path_factory):
+    """The ``mini`` preset run twice into separate output directories, once per feature kind."""
+    root = tmp_path_factory.mktemp("mini")
+    paths = write_dataset(SynthParams(seed=7), root)
+    raw = json.loads(paths["config"].read_text(encoding="utf-8"))
+    outputs = {}
+    for kind in ("counts", "embeddings"):
+        config = root / f"config_{kind}.json"
+        config.write_text(json.dumps({**raw, "features": kind}), encoding="utf-8")
+        outputs[kind] = []
+        for rerun in ("a", "b"):
+            cfg = load_config(config, {"output": str(root / f"out_{kind}_{rerun}")})
+            run_all(cfg)
+            outputs[kind].append(cfg.output)
+    return paths, outputs
+
+
+@pytest.mark.parametrize("kind", ["counts", "embeddings"])
+def test_reruns_byte_identical(mini, kind):
+    first, second = mini[1][kind]
+    digests = artifact_digests(first)
+    assert len(digests) == 22  # every artifact of every stage, alerts included
+    assert artifact_digests(second) == digests
+
+
+def test_templates_match_per_pair_oracle(mini):
+    paths, outputs = mini
+    catalog = InteractionCatalog.load(paths["catalog"])
+    lexicon = DrugLexicon.load(paths["lexicon"])
+    ids: dict[str, int] = {}
+    support: dict[int, int] = {}
+    for a, b in catalog.pairs():
+        text, n = templateize_oracle(catalog.description(a, b), a, b, lexicon)
+        if n:
+            tid = ids.setdefault(text, len(ids))
+            support[tid] = support.get(tid, 0) + 1
+    expected = [f"{tid}\t{text}\t{support[tid]}" for text, tid in ids.items()]
+    assert expected and data_lines(outputs["counts"][0] / "templates.tsv") == expected
+
+
+def test_train_rows_match_count_vector_oracle(mini):
+    out = mini[1]["counts"][0]
+    vocab = load_vocab(out / "vocab.tsv")
+    abstracts = {}
+    for line in (out / "cardiac.jsonl").read_text(encoding="utf-8").splitlines()[1:]:  # after the header
+        rec = json.loads(line)
+        abstracts[rec["id"]] = TokenizedAbstract(rec["id"], tuple(rec["tokens"]), frozenset(rec["mentions"]))
+    samples = {}
+    for line in data_lines(out / "assigned_samples.tsv"):
+        cardiac, other, label, _, ids = line.split("\t")
+        ids = frozenset() if ids == "-" else frozenset(ids.split(","))
+        s = InteractionSample(cardiac, other, int(label), None, ids)
+        samples[s.key] = s
+    rows = [line for line in data_lines(out / "features_train.txt") if line.startswith("row ")]
+    assert rows
+    for line in rows:
+        s = samples[line.split(" ")[1]]
+        entries = count_vector(s, abstracts, vocab).entries
+        cells = " ".join(f"{col}:{float(entries[col])!r}" for col in sorted(entries))
+        assert line == f"row {s.key} {s.label} {cells}".rstrip()
