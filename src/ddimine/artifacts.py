@@ -1,0 +1,82 @@
+"""The artifact codec: one header format, one digest check, one atomic writer.
+
+Every artifact starts with a header block::
+
+    # ddimine <kind>
+    # config_digest: <sha256 of the configuration>
+    # seed: <seed>
+    # <key>: <value>        (per-file fields, e.g. ratios or skipped_records)
+
+The header is the first line, when it starts with ``#``, and the run of
+``# key: value`` lines (the key an identifier) after it; the body starts at
+the first other line.  Column lines such as ``# template_id<TAB>text`` and
+the ``# best_lambda:`` notes after the CV rows are therefore body.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+from pathlib import Path
+from typing import Mapping
+
+from .errors import ArtifactMismatchError
+
+
+def _header_text(kind: str, fields: Mapping[str, object]) -> str:
+    return f"# ddimine {kind}\n" + "".join(f"# {key}: {val}\n" for key, val in fields.items())
+
+
+def _split_header(lines: list[str]) -> tuple[list[str], dict[str, str]]:
+    fields: dict[str, str] = {}
+    start = 1 if lines and lines[0].startswith("#") else 0
+    for line in lines[start:]:
+        key, sep, val = line[2:].partition(": ")
+        if not (line.startswith("# ") and sep and key.isidentifier()):
+            break
+        fields[key] = val
+        start += 1
+    return lines[start:], fields
+
+
+def write_atomic(path: Path | str, *texts: str) -> None:
+    """Replace ``path`` with ``texts``, concatenated, through a temp file in the same directory.
+
+    A reader, or a stage killed mid-write, sees the old file or the new one,
+    never a part.  No fsync: this guards against partial files, not power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(texts)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write(path: Path | str, kind: str, fields: Mapping[str, object], body: str) -> None:
+    """Write one artifact: the header, then ``body`` (newline-terminated text)."""
+    write_atomic(path, _header_text(kind, fields), body)  # no joined copy of a large body
+
+
+def read(path: Path | str) -> tuple[list[str], dict[str, str]]:
+    """(body lines, header fields) of one artifact; the kind line is not a field."""
+    with open(path, encoding="utf-8") as fh:
+        return _split_header([line.rstrip("\n") for line in fh])
+
+
+def check_digest(path: Path | str, expected: str) -> None:
+    """Refuse an artifact written under another configuration, or with no header.
+
+    Reads the header alone, so a stale body is never decoded.
+    """
+    with open(path, encoding="utf-8") as fh:
+        head = [line.rstrip("\n") for line in itertools.takewhile(lambda line: line.startswith("#"), fh)]
+    found = _split_header(head)[1].get("config_digest")
+    if found != expected:
+        raise ArtifactMismatchError(
+            f"{path} was written under config digest {found!r}, current is {expected!r}; "
+            "rerun the producing stage"
+        )

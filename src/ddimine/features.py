@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from . import artifacts
 from .corpus import TokenizedAbstract
 from .errors import ValidationError
 from .labeling import InteractionSample
@@ -61,23 +62,13 @@ def build_vocab(train_abstracts: Sequence[TokenizedAbstract], top_k: int | None 
 
 
 def save_vocab(vocab: Vocabulary, path: Path | str, extra_header: dict[str, str] | None = None) -> None:
-    lines = ["# vocabulary"]
-    for key, val in (extra_header or {}).items():
-        lines.append(f"# {key}: {val}")
-    for tok, freq in vocab.words:
-        lines.append(f"{tok}\t{freq}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    body = "".join(f"{tok}\t{freq}\n" for tok, freq in vocab.words)
+    artifacts.write(path, "vocabulary", extra_header or {}, body)
 
 
 def load_vocab(path: Path | str) -> Vocabulary:
-    words = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            tok, _, freq = line.partition("\t")
-            words.append((tok, int(freq)))
+    lines, _ = artifacts.read(path)
+    words = [(tok, int(freq)) for tok, _, freq in (line.partition("\t") for line in lines)]
     return Vocabulary(words, {tok: col for col, (tok, _) in enumerate(words)})
 
 
@@ -263,18 +254,12 @@ def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
 
 
 def save_matrix(matrix: FeatureMatrix, path: Path | str, extra_header: dict[str, str] | None = None) -> None:
-    """Persist as a text header plus one row record per sample.
+    """Persist as the artifact header plus one row record per sample.
 
     Sparse rows are ``col:value`` pairs; dense rows are the full value list.
     """
-    lines = ["# feature-matrix"]
-    for key, val in (extra_header or {}).items():
-        lines.append(f"# {key}: {val}")
     storage = "sparse" if matrix.is_sparse else "dense"
-    lines.append(f"rows {matrix.n_rows}")
-    lines.append(f"dims {matrix.dims}")
-    lines.append(f"storage {storage}")
-    lines.append(f"kind {matrix.kind}")
+    lines = [f"rows {matrix.n_rows}", f"dims {matrix.dims}", f"storage {storage}", f"kind {matrix.kind}"]
     if matrix.is_sparse:
         indptr, cols = matrix.X.indptr.tolist(), matrix.X.indices.tolist()
         vals = np.asarray(matrix.X.data, dtype=float).tolist()
@@ -286,36 +271,30 @@ def save_matrix(matrix: FeatureMatrix, path: Path | str, extra_header: dict[str,
         rows = (" ".join(map(repr, row)) for row in np.asarray(matrix.X, dtype=float).tolist())
     for key, label, cells in zip(matrix.keys, matrix.y.tolist(), rows):
         lines.append(f"row {key} {label} {cells}".rstrip())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    artifacts.write(path, "feature-matrix", extra_header or {}, "\n".join(lines) + "\n")
 
 
 def load_matrix(path: Path | str) -> tuple[FeatureMatrix, dict[str, str]]:
-    """Inverse of :func:`save_matrix`; returns the matrix and header fields."""
-    header: dict[str, str] = {}
+    """Inverse of :func:`save_matrix`; returns the matrix and header fields.
+
+    Every row's cells are parsed in one numpy conversion; a sparse row's
+    ``indptr`` step is its cell count.
+    """
+    lines, header = artifacts.read(path)
     meta: dict[str, str] = {}
     keys: list[str] = []
     labels: list[int] = []
-    row_lines: list[list[str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    k, _, v = body.partition(":")
-                    header[k.strip()] = v.strip()
-                continue
-            parts = line.split(" ")
-            if parts[0] in ("rows", "dims", "storage", "kind"):
-                meta[parts[0]] = parts[1]
-            elif parts[0] == "row":
-                keys.append(parts[1])
-                labels.append(int(parts[2]))
-                row_lines.append(parts[3:])
-            else:
-                raise ValidationError(f"{path}: unexpected line {line!r}")
+    cells: list[str] = []
+    for line in lines:
+        parts = line.split(" ", 3)
+        if parts[0] == "row" and len(parts) >= 3:
+            keys.append(parts[1])
+            labels.append(int(parts[2]))
+            cells.append(parts[3] if len(parts) == 4 else "")
+        elif parts[0] in ("rows", "dims", "storage", "kind") and len(parts) == 2:
+            meta[parts[0]] = parts[1]
+        elif line:
+            raise ValidationError(f"{path}: unexpected line {line!r}")
     try:
         n_rows, dims = int(meta["rows"]), int(meta["dims"])
         storage, kind = meta["storage"], meta["kind"]
@@ -323,24 +302,19 @@ def load_matrix(path: Path | str) -> tuple[FeatureMatrix, dict[str, str]]:
         raise ValidationError(f"{path}: incomplete matrix header") from exc
     if len(keys) != n_rows:
         raise ValidationError(f"{path}: header says {n_rows} rows, found {len(keys)}")
-    y = np.array(labels, dtype=np.int64)
-    if storage == "sparse":
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        for cells in row_lines:
-            for cell in cells:
-                col, _, val = cell.partition(":")
-                indices.append(int(col))
-                data.append(float(val))
-            indptr.append(len(indices))
-        X = sp.csr_matrix(
-            (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-            shape=(n_rows, dims),
-        )
-    elif storage == "dense":
-        X = np.array([[float(v) for v in cells] for cells in row_lines], dtype=float)
-        X = X.reshape((n_rows, dims))
-    else:
+    if storage not in ("sparse", "dense"):
         raise ValidationError(f"{path}: unknown storage kind {storage!r}")
-    return FeatureMatrix(keys, X, y, kind), header
+    text = " ".join(filter(None, cells))  # fromstring reads a blank string as [-1.0]
+    values = np.fromstring(text.replace(":", " ") if storage == "sparse" else text, sep=" ")
+    if storage == "sparse":
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum([c.count(":") for c in cells], out=indptr[1:])
+        indices = values[0::2].astype(np.int64)
+        if values.size != 2 * indptr[-1] or not np.array_equal(indices, values[0::2]):
+            raise ValidationError(f"{path}: malformed sparse cells")
+        X = sp.csr_matrix((np.ascontiguousarray(values[1::2]), indices, indptr), shape=(n_rows, dims))
+    else:
+        if values.size != n_rows * dims:
+            raise ValidationError(f"{path}: dense rows do not hold {dims} values each")
+        X = values.reshape((n_rows, dims))
+    return FeatureMatrix(keys, X, np.array(labels, dtype=np.int64), kind), header

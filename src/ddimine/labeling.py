@@ -149,10 +149,11 @@ def _priority(phrase: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
 def _drug_pattern(phrases: Iterable[tuple[str, ...]]) -> tuple[re.Pattern[str], list]:
     """One drug's phrases as a single regex, one capture group per phrase in priority order.
 
-    Returns the pattern and the priority of each group.
+    Returns the pattern and the priority of each group.  With no phrases the
+    pattern never matches.
     """
     ordered = sorted(phrases, key=_priority)
-    groups = "|".join("(" + r"[\s\-]+".join(map(re.escape, p)) + ")" for p in ordered)
+    groups = "|".join("(" + r"[\s\-]+".join(map(re.escape, p)) + ")" for p in ordered) or "(?!)"
     pattern = re.compile(rf"(?<![0-9A-Za-z])(?:{groups})(?![0-9A-Za-z])", re.IGNORECASE)
     return pattern, [_priority(p) for p in ordered]
 
@@ -171,15 +172,16 @@ def templateize(
     higher-priority phrase.  That is what one alternation over both drugs'
     phrases in priority order matches, but each drug's phrases are compiled
     once; ``patterns`` caches the compiled patterns by drug id across calls.
-    Returns the template text and the number of replacements made (0 means
-    the caller should count a warning; the text is returned unchanged).
+    A drug missing from the lexicon has no phrases.  Returns the template
+    text and the number of replacements made (0 means the caller should
+    count a warning; the text is returned unchanged).
     """
     if not description:
         raise ValidationError("empty interaction description")
     patterns = {} if patterns is None else patterns
     for drug in (drug_a, drug_b):
         if drug not in patterns:
-            patterns[drug] = _drug_pattern(lexicon.phrases_for(drug))
+            patterns[drug] = _drug_pattern(lexicon.phrases.get(drug, ()))
     (pat_a, prio_a), (pat_b, prio_b) = patterns[drug_a], patterns[drug_b]
     m_a, m_b = pat_a.search(description), pat_b.search(description)
     pieces: list[str] = []

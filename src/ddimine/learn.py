@@ -34,6 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from . import artifacts
 from .errors import ValidationError
 from .features import FeatureMatrix
 from .metrics import roc_curve
@@ -543,44 +544,33 @@ def default_lambda_grid(
 
 def save_model(model: LinearModel, path: Path | str, extra_header: dict[str, str] | None = None) -> None:
     """Header plus sparse nonzero weight records, plain text."""
-    lines = ["# linear-model"]
-    for key, val in (extra_header or {}).items():
-        lines.append(f"# {key}: {val}")
-    lines.append(f"loss {model.loss_kind}")
-    lines.append(f"lambda {float(model.l1_lambda)!r}")
-    lines.append(f"dims {len(model.weights)}")
-    lines.append(f"bias {float(model.bias)!r}")
-    lines.append(f"seed {model.meta.seed}")
-    lines.append(f"objective {float(model.meta.objective)!r}")
-    lines.append(f"iterations {model.meta.iterations}")
-    lines.append(f"standardized {int(model.meta.standardized)}")
-    lines.append(f"kkt_rel {float(model.meta.kkt_rel)!r}")
-    lines.append(f"converged {int(model.meta.converged)}")
+    lines = [
+        f"loss {model.loss_kind}",
+        f"lambda {float(model.l1_lambda)!r}",
+        f"dims {len(model.weights)}",
+        f"bias {float(model.bias)!r}",
+        f"seed {model.meta.seed}",
+        f"objective {float(model.meta.objective)!r}",
+        f"iterations {model.meta.iterations}",
+        f"standardized {int(model.meta.standardized)}",
+        f"kkt_rel {float(model.meta.kkt_rel)!r}",
+        f"converged {int(model.meta.converged)}",
+    ]
     for col in np.flatnonzero(model.weights):
         lines.append(f"w {int(col)} {float(model.weights[col])!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    artifacts.write(path, "linear-model", extra_header or {}, "\n".join(lines) + "\n")
 
 
 def load_model(path: Path | str) -> tuple[LinearModel, dict[str, str]]:
-    header: dict[str, str] = {}
+    lines, header = artifacts.read(path)
     meta: dict[str, str] = {}
     weights: list[tuple[int, float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    k, _, v = body.partition(":")
-                    header[k.strip()] = v.strip()
-                continue
-            parts = line.split(" ")
-            if parts[0] == "w":
-                weights.append((int(parts[1]), float(parts[2])))
-            else:
-                meta[parts[0]] = parts[1]
+    for line in lines:
+        parts = line.split(" ")
+        if parts[0] == "w":
+            weights.append((int(parts[1]), float(parts[2])))
+        elif line:
+            meta[parts[0]] = parts[1]
     try:
         dims = int(meta["dims"])
         w = np.zeros(dims)

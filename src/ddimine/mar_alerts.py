@@ -16,6 +16,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import artifacts
 from .errors import ValidationError
 from .labeling import InteractionCatalog, pair_key
 
@@ -167,14 +168,14 @@ def detect_overlaps(exposures: Sequence[ExposureInterval], catalog: InteractionC
     return alerts
 
 
-def canonical_tuple(alert: DdiAlert) -> str:
-    """The coded alert rendering, at date granularity.
+def _window_dates(alert: DdiAlert) -> tuple[str, str]:
+    """Window start and end dates; the end date is that of the last instant covered."""
+    return alert.start.date().isoformat(), (alert.end - timedelta(seconds=1)).date().isoformat()
 
-    The end date is the date of the last instant covered (the window end is
-    exclusive).
-    """
-    start_date = alert.start.date().isoformat()
-    end_date = (alert.end - timedelta(seconds=1)).date().isoformat()
+
+def canonical_tuple(alert: DdiAlert) -> str:
+    """The coded alert rendering, at date granularity."""
+    start_date, end_date = _window_dates(alert)
     return (
         f'(({alert.drug_a}, {alert.drug_b}), '
         f'("{start_date}", "{end_date}"), "{alert.effect}")'
@@ -182,35 +183,33 @@ def canonical_tuple(alert: DdiAlert) -> str:
 
 
 def alert_report(alerts: Sequence[DdiAlert]) -> str:
-    """Per-patient chronological listing plus per-pair totals."""
-    ordered = sorted(alerts, key=lambda al: (al.patient_id, al.start, al.drug_a, al.drug_b))
+    """Per-patient chronological listing plus per-pair totals.
+
+    ``alerts`` must be in :func:`detect_overlaps` order.
+    """
     lines = []
-    for patient, group in itertools.groupby(ordered, key=lambda al: al.patient_id):
+    for patient, group in itertools.groupby(alerts, key=lambda al: al.patient_id):
         lines.append(f"patient {patient}:")
         for alert in group:
             lines.append(f"  {canonical_tuple(alert)}")
     lines.append("pair totals:")
     totals: dict[tuple[str, str], int] = {}
-    for alert in ordered:
+    for alert in alerts:
         key = pair_key(alert.drug_a, alert.drug_b)
         totals[key] = totals.get(key, 0) + 1
     for (a, b), count in sorted(totals.items()):
         lines.append(f"  {a}/{b}\t{count}")
-    lines.append(f"total alerts\t{len(ordered)}")
+    lines.append(f"total alerts\t{len(alerts)}")
     return "\n".join(lines) + "\n"
 
 
 def save_alerts(alerts: Sequence[DdiAlert], path: Path | str, extra_header: dict[str, str] | None = None) -> None:
     """TSV with date-granularity windows plus full-precision timestamps."""
-    lines = ["# ddi-alerts"]
-    for key, val in (extra_header or {}).items():
-        lines.append(f"# {key}: {val}")
-    lines.append("patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso")
+    lines = ["patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso"]
     for al in alerts:
-        start_date = al.start.date().isoformat()
-        end_date = (al.end - timedelta(seconds=1)).date().isoformat()
+        start_date, end_date = _window_dates(al)
         lines.append(
             f"{al.patient_id}\t{al.drug_a}\t{al.drug_b}\t{start_date}\t{end_date}"
             f"\t{al.effect}\t{al.start.isoformat()}\t{al.end.isoformat()}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    artifacts.write(path, "ddi-alerts", extra_header or {}, "\n".join(lines) + "\n")

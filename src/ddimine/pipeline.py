@@ -1,9 +1,20 @@
 """Stage orchestration: artifacts on disk, manifests, digests, prerequisites.
 
-Every artifact carries the configuration digest in its header; stages refuse
-inputs written under a different configuration.  Stage manifests (timings,
-input/output content digests) live under ``manifests/`` and are metadata, not
-artifacts: reruns are byte-identical in everything outside that directory.
+Every artifact is written through :mod:`ddimine.artifacts`, atomically, with
+one header format::
+
+    # ddimine <kind>
+    # config_digest: <sha256 of the configuration>
+    # seed: <seed>
+    # <key>: <value>        (per-file fields)
+
+The header is that leading block only; later ``#`` lines are body.  Every
+read checks the digest, so a stage refuses an input written under a different
+configuration or with no header (:class:`ArtifactMismatchError`), and a
+missing input names the stage that produces it (:class:`MissingArtifactError`).
+Stage manifests (timings, input/output content digests) live under
+``manifests/`` and are metadata, not artifacts: reruns are byte-identical in
+everything outside that directory.
 """
 
 from __future__ import annotations
@@ -14,8 +25,9 @@ import math
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
+from . import artifacts
 from . import corpus as corpus_mod
 from . import features as features_mod
 from . import labeling as labeling_mod
@@ -24,33 +36,34 @@ from . import mar_alerts as mar_mod
 from . import metrics as metrics_mod
 from . import splitting as splitting_mod
 from .config import PipelineConfig, config_digest
-from .errors import ArtifactMismatchError, ConfigError, MissingArtifactError, ValidationError
+from .errors import ConfigError, MissingArtifactError, ValidationError
 
 STAGE_ORDER = ("ingest", "filter", "label", "split", "featurize", "train", "evaluate", "alerts")
 
-ARTIFACTS: dict[str, tuple[str, str]] = {
-    "tokenized.jsonl": ("ingest", "tokenized abstracts"),
-    "cardiac.jsonl": ("filter", "filtered abstracts"),
-    "corpus_stats.txt": ("filter", "corpus statistics"),
-    "samples.tsv": ("label", "labeled interaction samples"),
-    "templates.tsv": ("label", "interaction type templates"),
-    "label_report.txt": ("label", "labeling tallies"),
-    "assignment.tsv": ("split", "split assignment"),
-    "assigned_samples.tsv": ("split", "samples with assigned abstracts"),
-    "leakage_report.txt": ("split", "leakage report"),
-    "vocab.tsv": ("featurize", "train vocabulary"),
-    "features_train.txt": ("featurize", "train feature matrix"),
-    "features_dev.txt": ("featurize", "dev feature matrix"),
-    "features_test.txt": ("featurize", "test feature matrix"),
-    "featurize_report.txt": ("featurize", "featurization report"),
-    "model.txt": ("train", "trained linear model"),
-    "cv_results.tsv": ("train", "cross-validation results"),
-    "metrics_dev.txt": ("evaluate", "dev metrics"),
-    "metrics_test.txt": ("evaluate", "test metrics"),
-    "curve_dev.tsv": ("evaluate", "dev ROC curve"),
-    "curve_test.tsv": ("evaluate", "test ROC curve"),
-    "alerts.tsv": ("alerts", "interaction alerts"),
-    "alert_report.txt": ("alerts", "alert report"),
+# artifact -> the stage that writes it
+ARTIFACTS: dict[str, str] = {
+    "tokenized.jsonl": "ingest",
+    "cardiac.jsonl": "filter",
+    "corpus_stats.txt": "filter",
+    "samples.tsv": "label",
+    "templates.tsv": "label",
+    "label_report.txt": "label",
+    "assignment.tsv": "split",
+    "assigned_samples.tsv": "split",
+    "leakage_report.txt": "split",
+    "vocab.tsv": "featurize",
+    "features_train.txt": "featurize",
+    "features_dev.txt": "featurize",
+    "features_test.txt": "featurize",
+    "featurize_report.txt": "featurize",
+    "model.txt": "train",
+    "cv_results.tsv": "train",
+    "metrics_dev.txt": "evaluate",
+    "metrics_test.txt": "evaluate",
+    "curve_dev.tsv": "evaluate",
+    "curve_test.tsv": "evaluate",
+    "alerts.tsv": "alerts",
+    "alert_report.txt": "alerts",
 }
 
 _STAGE_INPUT_PATHS: dict[str, tuple[str, ...]] = {
@@ -105,112 +118,57 @@ def _artifact(cfg: PipelineConfig, name: str) -> Path:
     return Path(cfg.output) / name
 
 
-def _require(cfg: PipelineConfig, name: str) -> Path:
-    path = _artifact(cfg, name)
-    if not path.exists():
-        raise MissingArtifactError(name, ARTIFACTS[name][0])
-    return path
-
-
 def _header(cfg: PipelineConfig) -> dict[str, str]:
     return {"config_digest": config_digest(cfg), "seed": str(cfg.seed)}
 
 
-def _check_digest(cfg: PipelineConfig, path: Path, found: str | None) -> None:
-    expected = config_digest(cfg)
-    if found != expected:
-        raise ArtifactMismatchError(
-            f"{path} was written under config digest {found!r}, current is {expected!r}; "
-            "rerun the producing stage"
-        )
+def _load(cfg: PipelineConfig, name: str, loader=artifacts.read):
+    """The value ``loader(path)`` decodes, once the artifact exists and carries the config's digest."""
+    path = _artifact(cfg, name)
+    if not path.exists():
+        raise MissingArtifactError(name, ARTIFACTS[name])
+    artifacts.check_digest(path, config_digest(cfg))
+    return loader(path)[0]
 
 
-def _read_commented_header(path: Path) -> dict[str, str]:
-    header = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, val = body.partition(":")
-                header[key.strip()] = val.strip()
-    return header
+def _write(cfg: PipelineConfig, name: str, kind: str, body: str, **fields) -> None:
+    artifacts.write(_artifact(cfg, name), kind, {**_header(cfg), **fields}, body)
 
 
-def _write_text_artifact(cfg: PipelineConfig, name: str, kind: str, body: str) -> None:
-    lines = [f"# ddimine {kind}"]
-    for key, val in _header(cfg).items():
-        lines.append(f"# {key}: {val}")
-    _artifact(cfg, name).write_text("\n".join(lines) + "\n" + body, encoding="utf-8")
+def _write_tokenized(cfg: PipelineConfig, name: str, abstracts, **fields) -> None:
+    rows = (dict(id=ab.id, tokens=list(ab.tokens), mentions=sorted(ab.drug_mentions)) for ab in abstracts)
+    body = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    _write(cfg, name, "tokenized-abstracts", body, **fields)
 
 
-# ---------------------------------------------------------------------------
-# tokenized-abstract JSONL artifacts
-# ---------------------------------------------------------------------------
+def _read_tokenized(cfg: PipelineConfig, name: str) -> list:
+    return [
+        corpus_mod.TokenizedAbstract(rec["id"], tuple(rec["tokens"]), frozenset(rec["mentions"]))
+        for rec in map(json.loads, _load(cfg, name))
+    ]
 
-def _write_tokenized(cfg: PipelineConfig, name: str, abstracts, extra: dict) -> None:
-    with open(_artifact(cfg, name), "w", encoding="utf-8") as fh:
-        head = {"kind": "tokenized-abstracts", **_header(cfg), **extra}
-        fh.write(json.dumps({"header": head}, sort_keys=True) + "\n")
-        for ab in abstracts:
-            rec = {"id": ab.id, "tokens": list(ab.tokens), "mentions": sorted(ab.drug_mentions)}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def _read_tokenized(cfg: PipelineConfig, name: str) -> tuple[list, dict]:
-    path = _require(cfg, name)
-    abstracts = []
-    header: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            rec = json.loads(line)
-            if i == 0 and "header" in rec:
-                header = rec["header"]
-                _check_digest(cfg, path, header.get("config_digest"))
-                continue
-            abstracts.append(
-                corpus_mod.TokenizedAbstract(rec["id"], tuple(rec["tokens"]), frozenset(rec["mentions"]))
-            )
-    return abstracts, header
-
-
-# ---------------------------------------------------------------------------
-# sample TSV artifacts
-# ---------------------------------------------------------------------------
 
 def _write_samples(cfg: PipelineConfig, name: str, samples, with_ids: bool) -> None:
-    lines = ["# ddimine samples"]
-    for key, val in _header(cfg).items():
-        lines.append(f"# {key}: {val}")
-    cols = "cardiac\tother\tlabel\ttemplate_id" + ("\tabstract_ids" if with_ids else "")
-    lines.append(f"# columns: {cols}")
+    lines = []
     for s in samples:
         tid = "-" if s.template_id is None else str(s.template_id)
         row = f"{s.cardiac_drug}\t{s.other_drug}\t{s.label}\t{tid}"
         if with_ids:
             row += "\t" + (",".join(sorted(s.abstract_ids)) if s.abstract_ids else "-")
-        lines.append(row)
-    _artifact(cfg, name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines.append(f"{row}\n")
+    cols = "cardiac\tother\tlabel\ttemplate_id" + ("\tabstract_ids" if with_ids else "")
+    _write(cfg, name, "samples", "".join(lines), columns=cols)
 
 
 def _read_samples(cfg: PipelineConfig, name: str, with_ids: bool) -> list:
-    path = _require(cfg, name)
-    _check_digest(cfg, path, _read_commented_header(path).get("config_digest"))
     samples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            tid = None if parts[3] == "-" else int(parts[3])
-            ids: frozenset[str] = frozenset()
-            if with_ids and len(parts) > 4 and parts[4] != "-":
-                ids = frozenset(parts[4].split(","))
-            samples.append(
-                labeling_mod.InteractionSample(parts[0], parts[1], int(parts[2]), tid, ids)
-            )
+    for line in _load(cfg, name):
+        parts = line.split("\t")
+        tid = None if parts[3] == "-" else int(parts[3])
+        ids: frozenset[str] = frozenset()
+        if with_ids and len(parts) > 4 and parts[4] != "-":
+            ids = frozenset(parts[4].split(","))
+        samples.append(labeling_mod.InteractionSample(parts[0], parts[1], int(parts[2]), tid, ids))
     return samples
 
 
@@ -223,16 +181,16 @@ def stage_ingest(cfg: PipelineConfig) -> None:
     lexicon = corpus_mod.DrugLexicon.load(cfg.lexicon)
     abstracts, skipped = corpus_mod.load_corpus(cfg.corpus, cfg.corpus_format)
     tokenized = corpus_mod.tokenize_abstracts(abstracts, lexicon)
-    _write_tokenized(cfg, "tokenized.jsonl", tokenized, {"skipped_records": skipped})
+    _write_tokenized(cfg, "tokenized.jsonl", tokenized, skipped_records=skipped)
 
 
 def stage_filter(cfg: PipelineConfig) -> None:
     """Keep abstracts mentioning a lexicon drug; write corpus statistics."""
     lexicon = corpus_mod.DrugLexicon.load(cfg.lexicon)
-    tokenized, _ = _read_tokenized(cfg, "tokenized.jsonl")
+    tokenized = _read_tokenized(cfg, "tokenized.jsonl")
     kept = corpus_mod.filter_cardiac(tokenized, lexicon)
     retention = len(kept) / len(tokenized) if tokenized else 0.0
-    _write_tokenized(cfg, "cardiac.jsonl", kept, {"retention": retention, "before": len(tokenized)})
+    _write_tokenized(cfg, "cardiac.jsonl", kept, retention=retention, before=len(tokenized))
     stats = corpus_mod.corpus_stats(kept)
     seen_cardiac = set()
     for ab in kept:
@@ -241,7 +199,7 @@ def stage_filter(cfg: PipelineConfig) -> None:
     body += f"retention_ratio\t{retention!r}\n"
     body += f"cardiac_drugs_in_lexicon\t{len(lexicon.cardiac)}\n"
     body += f"cardiac_drugs_in_abstracts\t{len(seen_cardiac)}\n"
-    _write_text_artifact(cfg, "corpus_stats.txt", "corpus-stats", body)
+    _write(cfg, "corpus_stats.txt", "corpus-stats", body)
 
 
 def stage_label(cfg: PipelineConfig) -> None:
@@ -257,7 +215,7 @@ def stage_label(cfg: PipelineConfig) -> None:
     lines = ["# template_id\ttext\tsupport"]
     for tpl in table.templates:
         lines.append(f"{tpl.template_id}\t{tpl.text}\t{table.support.get(tpl.template_id, 0)}")
-    _write_text_artifact(cfg, "templates.tsv", "templates", "\n".join(lines) + "\n")
+    _write(cfg, "templates.tsv", "templates", "\n".join(lines) + "\n")
 
     tallies = labeling_mod.positive_tallies(samples)
     body_lines = [
@@ -276,28 +234,26 @@ def stage_label(cfg: PipelineConfig) -> None:
         "# related drugs 1781; positive interactions 63450;",
         "# cardiac-cardiac positives 218; interaction types 53.",
     ]
-    _write_text_artifact(cfg, "label_report.txt", "label-report", "\n".join(body_lines) + "\n")
+    _write(cfg, "label_report.txt", "label-report", "\n".join(body_lines) + "\n")
 
 
 def stage_split(cfg: PipelineConfig) -> None:
     """Split abstracts and samples independently, then attach same-split abstracts."""
-    tokenized, _ = _read_tokenized(cfg, "cardiac.jsonl")
+    tokenized = _read_tokenized(cfg, "cardiac.jsonl")
     samples = _read_samples(cfg, "samples.tsv", with_ids=False)
     assignment = splitting_mod.split_corpus(tokenized, samples, cfg.ratios, cfg.seed)
     assigned = splitting_mod.assign_abstracts(assignment, tokenized, samples)
     splitting_mod.save_assignment(assignment, _artifact(cfg, "assignment.tsv"), _header(cfg))
     _write_samples(cfg, "assigned_samples.tsv", assigned, with_ids=True)
     report = splitting_mod.leakage_report(assignment, assigned)
-    _write_text_artifact(cfg, "leakage_report.txt", "leakage-report", report.render())
+    _write(cfg, "leakage_report.txt", "leakage-report", report.render())
     if report.total_cross_split != 0:
         raise ValidationError("split postcondition violated: cross-split abstract sharing detected")
 
 
 def _load_split_artifacts(cfg: PipelineConfig):
-    tokenized, _ = _read_tokenized(cfg, "cardiac.jsonl")
-    path = _require(cfg, "assignment.tsv")
-    assignment, header = splitting_mod.load_assignment(path)
-    _check_digest(cfg, path, header.get("config_digest"))
+    tokenized = _read_tokenized(cfg, "cardiac.jsonl")
+    assignment = _load(cfg, "assignment.tsv", splitting_mod.load_assignment)
     assigned = _read_samples(cfg, "assigned_samples.tsv", with_ids=True)
     return tokenized, assignment, assigned
 
@@ -349,19 +305,12 @@ def stage_featurize(cfg: PipelineConfig) -> None:
         m = matrices[split]
         report_lines.append(f"rows_{split}\t{m.n_rows}")
         features_mod.save_matrix(m, _artifact(cfg, f"features_{split}.txt"), _header(cfg))
-    _write_text_artifact(cfg, "featurize_report.txt", "featurize-report", "\n".join(report_lines) + "\n")
-
-
-def _load_matrix(cfg: PipelineConfig, name: str):
-    path = _require(cfg, name)
-    matrix, header = features_mod.load_matrix(path)
-    _check_digest(cfg, path, header.get("config_digest"))
-    return matrix
+    _write(cfg, "featurize_report.txt", "featurize-report", "\n".join(report_lines) + "\n")
 
 
 def stage_train(cfg: PipelineConfig) -> None:
     """Cross-validate the L1 penalty by held-out AUC, then fit the final model."""
-    matrix = _load_matrix(cfg, "features_train.txt")
+    matrix = _load(cfg, "features_train.txt", features_mod.load_matrix)
     train_cfg = learn_mod.TrainConfig(
         loss=cfg.model.loss,
         l1_lambda=cfg.model.l1_lambda,
@@ -388,18 +337,16 @@ def stage_train(cfg: PipelineConfig) -> None:
         train_cfg = replace(train_cfg, l1_lambda=result.best_lambda)
     else:
         cv_lines.append("# cross-validation disabled")
-    _write_text_artifact(cfg, "cv_results.tsv", "cv-results", "\n".join(cv_lines) + "\n")
+    _write(cfg, "cv_results.tsv", "cv-results", "\n".join(cv_lines) + "\n")
     model = learn_mod.train(matrix, train_cfg)
     learn_mod.save_model(model, _artifact(cfg, "model.txt"), _header(cfg))
 
 
 def stage_evaluate(cfg: PipelineConfig) -> None:
     """Score dev and test splits; write metric reports and ROC curve exports."""
-    path = _require(cfg, "model.txt")
-    model, header = learn_mod.load_model(path)
-    _check_digest(cfg, path, header.get("config_digest"))
+    model = _load(cfg, "model.txt", learn_mod.load_model)
     for split in ("dev", "test"):
-        matrix = _load_matrix(cfg, f"features_{split}.txt")
+        matrix = _load(cfg, f"features_{split}.txt", features_mod.load_matrix)
         scores = learn_mod.predict_scores(model, matrix)
         counts = metrics_mod.confusion(scores, matrix.y, cfg.threshold)
         m = metrics_mod.binary_metrics(counts)
@@ -414,8 +361,8 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
             for thr, sens, spec, fpr in metrics_mod.curve_rows(curve):
                 curve_lines.append(f"{thr!r}\t{sens!r}\t{spec!r}\t{fpr!r}")
         body = metrics_mod.render_metrics_report(counts, m, cfg.threshold, extra)
-        _write_text_artifact(cfg, f"metrics_{split}.txt", "metrics", body)
-        _write_text_artifact(cfg, f"curve_{split}.tsv", "roc-curve", "\n".join(curve_lines) + "\n")
+        _write(cfg, f"metrics_{split}.txt", "metrics", body)
+        _write(cfg, f"curve_{split}.tsv", "roc-curve", "\n".join(curve_lines) + "\n")
 
 
 def stage_alerts(cfg: PipelineConfig) -> None:
@@ -425,7 +372,7 @@ def stage_alerts(cfg: PipelineConfig) -> None:
     exposures = mar_mod.build_exposures(events, cfg.alerts.window_hours, cfg.alerts.per_drug_hours)
     alerts = mar_mod.detect_overlaps(exposures, catalog)
     mar_mod.save_alerts(alerts, _artifact(cfg, "alerts.tsv"), _header(cfg))
-    _write_text_artifact(cfg, "alert_report.txt", "alert-report", mar_mod.alert_report(alerts))
+    _write(cfg, "alert_report.txt", "alert-report", mar_mod.alert_report(alerts))
 
 
 def diagnose_split(cfg: PipelineConfig) -> str:
@@ -443,7 +390,7 @@ def diagnose_split(cfg: PipelineConfig) -> str:
         )
     lines.append(f"total\t{isolated.total_cross_split}\t{naive.total_cross_split}")
     body = "\n".join(lines) + "\n"
-    _write_text_artifact(cfg, "diagnose_split.txt", "split-diagnosis", body)
+    _write(cfg, "diagnose_split.txt", "split-diagnosis", body)
     return body
 
 
@@ -457,24 +404,6 @@ STAGE_FUNCS: dict[str, Callable[[PipelineConfig], None]] = {
     "evaluate": stage_evaluate,
     "alerts": stage_alerts,
 }
-
-_STAGE_OUTPUTS: dict[str, tuple[str, ...]] = {
-    "ingest": ("tokenized.jsonl",),
-    "filter": ("cardiac.jsonl", "corpus_stats.txt"),
-    "label": ("samples.tsv", "templates.tsv", "label_report.txt"),
-    "split": ("assignment.tsv", "assigned_samples.tsv", "leakage_report.txt"),
-    "featurize": (
-        "vocab.tsv",
-        "features_train.txt",
-        "features_dev.txt",
-        "features_test.txt",
-        "featurize_report.txt",
-    ),
-    "train": ("model.txt", "cv_results.tsv"),
-    "evaluate": ("metrics_dev.txt", "metrics_test.txt", "curve_dev.tsv", "curve_test.tsv"),
-    "alerts": ("alerts.tsv", "alert_report.txt"),
-}
-
 
 def run_stage(cfg: PipelineConfig, stage: str) -> None:
     """Run one stage and write its manifest."""
@@ -498,14 +427,13 @@ def run_stage(cfg: PipelineConfig, stage: str) -> None:
         "inputs": input_digests,
         "outputs": {
             name: file_digest(_artifact(cfg, name))
-            for name in _STAGE_OUTPUTS.get(stage, ())
-            if _artifact(cfg, name).exists()
+            for name, producer in ARTIFACTS.items()
+            if producer == stage and _artifact(cfg, name).exists()
         },
         "elapsed_s": elapsed,
     }
-    (manifest_dir / f"{stage}.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    artifacts.write_atomic(manifest_dir / f"{stage}.json", text)
 
 
 def run_all(cfg: PipelineConfig) -> list[str]:

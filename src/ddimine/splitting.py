@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import artifacts
 from .corpus import TokenizedAbstract
 from .errors import ValidationError
 from .labeling import InteractionSample
@@ -188,41 +189,24 @@ def save_assignment(
     assignment: SplitAssignment, path: Path | str, extra_header: dict[str, str] | None = None
 ) -> None:
     """Write rows (kind, key, split); the header records seed and ratios."""
-    lines = [
-        "# split-assignment",
-        f"# seed: {assignment.seed}",
-        "# ratios: " + " ".join(repr(r) for r in assignment.ratios),
-    ]
-    for key, val in (extra_header or {}).items():
-        lines.append(f"# {key}: {val}")
-    for key in sorted(assignment.abstract_split):
-        lines.append(f"abstract\t{key}\t{assignment.abstract_split[key]}")
-    for key in sorted(assignment.sample_split):
-        lines.append(f"sample\t{key}\t{assignment.sample_split[key]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ratios = " ".join(map(repr, assignment.ratios))
+    fields = {**(extra_header or {}), "seed": assignment.seed, "ratios": ratios}
+    splits = (("abstract", assignment.abstract_split), ("sample", assignment.sample_split))
+    body = "".join(f"{kind}\t{key}\t{split[key]}\n" for kind, split in splits for key in sorted(split))
+    artifacts.write(path, "split-assignment", fields, body)
 
 
 def load_assignment(path: Path | str) -> tuple[SplitAssignment, dict[str, str]]:
     """Read an assignment file; returns the assignment and its header fields."""
-    header: dict[str, str] = {}
+    lines, header = artifacts.read(path)
     abstract_split: dict[str, str] = {}
     sample_split: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, val = body.partition(":")
-                    header[key.strip()] = val.strip()
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[0] not in ("abstract", "sample") or parts[2] not in SPLITS:
-                raise ValidationError(f"{path}:{lineno}: bad assignment row {line!r}")
-            target = abstract_split if parts[0] == "abstract" else sample_split
-            target[parts[1]] = parts[2]
+    for line in lines:
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[0] not in ("abstract", "sample") or parts[2] not in SPLITS:
+            raise ValidationError(f"{path}: bad assignment row {line!r}")
+        target = abstract_split if parts[0] == "abstract" else sample_split
+        target[parts[1]] = parts[2]
     try:
         seed = int(header["seed"])
         ratios = tuple(float(r) for r in header["ratios"].split())

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from datetime import timedelta
 
 import numpy as np
+import scipy.sparse as sp
 
 from ddimine.errors import ValidationError
 from ddimine.features import FeatureMatrix, embed_abstract
@@ -209,10 +210,15 @@ def l1_svm_reference(X, y, lam: float) -> float:
 
 
 def templateize_oracle(description: str, drug_a: str, drug_b: str, lexicon) -> tuple[str, int]:
-    """One alternation over both drugs' phrases, longest text first, compiled per pair."""
+    """One alternation over both drugs' phrases, longest text first, compiled per pair.
+
+    A drug missing from the lexicon contributes no phrases.
+    """
     if not description:
         raise ValidationError("empty interaction description")
-    phrases = list(lexicon.phrases_for(drug_a)) + list(lexicon.phrases_for(drug_b))
+    phrases = list(lexicon.phrases.get(drug_a, ())) + list(lexicon.phrases.get(drug_b, ()))
+    if not phrases:  # neither drug is in the lexicon: nothing to replace
+        return description, 0
     phrases.sort(key=lambda p: (-len(" ".join(p)), p))
     alternation = "|".join(r"[\s\-]+".join(re.escape(tok) for tok in p) for p in phrases)
     pattern = re.compile(rf"(?<![0-9A-Za-z])(?:{alternation})(?![0-9A-Za-z])", re.IGNORECASE)
@@ -251,3 +257,37 @@ def embed_sample(sample, abstracts_by_id, table, stopwords) -> tuple[np.ndarray,
         vec += part
         misses += m
     return vec, misses
+
+
+def load_matrix_oracle(path) -> FeatureMatrix:
+    """A feature-matrix file parsed cell by cell in Python; ``#`` lines skipped."""
+    meta: dict[str, str] = {}
+    keys, labels, row_cells = [], [], []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(" ")
+            if parts[0] == "row":
+                keys.append(parts[1])
+                labels.append(int(parts[2]))
+                row_cells.append(parts[3:])
+            else:
+                meta[parts[0]] = parts[1]
+    n_rows, dims = int(meta["rows"]), int(meta["dims"])
+    if meta["storage"] == "dense":
+        X = np.array([[float(v) for v in cells] for cells in row_cells], dtype=float).reshape((n_rows, dims))
+    else:
+        indptr, indices, data = [0], [], []
+        for cells in row_cells:
+            for cell in cells:
+                col, _, val = cell.partition(":")
+                indices.append(int(col))
+                data.append(float(val))
+            indptr.append(len(indices))
+        X = sp.csr_matrix(
+            (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+            shape=(n_rows, dims),
+        )
+    return FeatureMatrix(keys, X, np.array(labels, dtype=np.int64), meta["kind"])

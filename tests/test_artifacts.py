@@ -1,0 +1,142 @@
+"""The artifact codec: header format, digest checks, missing inputs and atomic writes."""
+
+import shutil
+from pathlib import Path
+
+import pytest
+
+from ddimine import artifacts
+from ddimine.cli import main
+from ddimine.config import load_config
+from ddimine.errors import ArtifactMismatchError, MissingArtifactError
+from ddimine.features import save_matrix
+from ddimine.pipeline import run_all, run_stage
+from ddimine.synth import SynthParams, write_dataset
+from helpers import dense_matrix
+
+# every artifact a later stage reads: (artifact, producing stage, a reading stage)
+READS = [
+    ("tokenized.jsonl", "ingest", "filter"),
+    ("cardiac.jsonl", "filter", "split"),
+    ("cardiac.jsonl", "filter", "featurize"),
+    ("samples.tsv", "label", "split"),
+    ("assignment.tsv", "split", "featurize"),
+    ("assigned_samples.tsv", "split", "featurize"),
+    ("features_train.txt", "featurize", "train"),
+    ("features_dev.txt", "featurize", "evaluate"),
+    ("features_test.txt", "featurize", "evaluate"),
+    ("model.txt", "train", "evaluate"),
+]
+
+
+def foreign_digest(path: Path) -> None:
+    lines = path.read_text(encoding="utf-8").split("\n")
+    i = next(i for i, line in enumerate(lines) if line.startswith("# config_digest: "))
+    lines[i] = "# config_digest: " + "0" * 64
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def strip_header(path: Path) -> None:
+    lines = path.read_text(encoding="utf-8").split("\n")
+    while lines[0].startswith("#"):
+        lines.pop(0)
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+DAMAGE = {"missing": Path.unlink, "foreign_digest": foreign_digest, "stripped_header": strip_header}
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """The ``mini`` preset's config and the outputs of its full run."""
+    root = tmp_path_factory.mktemp("chain")
+    paths = write_dataset(SynthParams(seed=7), root)
+    run_all(load_config(paths["config"]))
+    return paths["config"], root / "out"
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("name, producer, stage", READS)
+def test_damaged_input_refused(chain, tmp_path, capsys, damage, name, producer, stage):
+    config, out = chain
+    shutil.copytree(out, tmp_path / "out")
+    DAMAGE[damage](tmp_path / "out" / name)
+    cfg = load_config(config, {"output": str(tmp_path / "out")})
+    if damage == "missing":
+        with pytest.raises(MissingArtifactError) as info:
+            run_stage(cfg, stage)
+        assert (info.value.artifact, info.value.producing_stage) == (name, producer)
+    else:
+        with pytest.raises(ArtifactMismatchError, match=name):
+            run_stage(cfg, stage)
+    capsys.readouterr()
+    assert main([stage, "--config", str(config), "--output", str(cfg.output)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and len(err.splitlines()) == 1
+
+
+def test_header_block_then_body(tmp_path):
+    path = tmp_path / "cv_results.tsv"
+    fields = {"config_digest": "abc", "seed": 7, "ratios": "0.5 0.5"}
+    body = "# lambda\tmean_auc\n0.1\t0.9\n# best_lambda: 0.1\n"
+    artifacts.write(path, "cv-results", fields, body)
+    header = "# ddimine cv-results\n# config_digest: abc\n# seed: 7\n# ratios: 0.5 0.5\n"
+    assert path.read_text(encoding="utf-8") == header + body
+    assert artifacts.read(path) == (
+        ["# lambda\tmean_auc", "0.1\t0.9", "# best_lambda: 0.1"],
+        {"config_digest": "abc", "seed": "7", "ratios": "0.5 0.5"},
+    )
+    artifacts.check_digest(path, "abc")
+    with pytest.raises(ArtifactMismatchError):
+        artifacts.check_digest(path, "abd")
+
+
+def test_every_output_file_written_atomically(tmp_path, monkeypatch):
+    written = []
+    write_atomic = artifacts.write_atomic
+    monkeypatch.setattr(
+        artifacts, "write_atomic", lambda path, *texts: written.append(Path(path)) or write_atomic(path, *texts)
+    )
+    cfg = load_config(write_dataset(SynthParams(seed=7), tmp_path)["config"])
+    run_all(cfg)
+    files = sorted(p for p in Path(cfg.output).rglob("*") if p.is_file())
+    assert len(files) == 22 + 8  # artifacts plus one manifest per stage
+    assert sorted(written) == files
+
+
+class HalfWriter:
+    """A file that takes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, texts):
+        text = "".join(texts)
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+
+def fail_replace(src, dst):
+    raise OSError("replace failed")
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch, failure):
+    path = tmp_path / "features_train.txt"
+    save_matrix(dense_matrix([[1.0, 2.0]], [1]), path, {"config_digest": "old"})
+    before = path.read_bytes()
+    if failure == "write":
+        monkeypatch.setattr(artifacts, "open", lambda *a, **k: HalfWriter(open(*a, **k)), raising=False)
+    else:
+        monkeypatch.setattr(artifacts.os, "replace", fail_replace)
+    with pytest.raises(OSError):
+        save_matrix(dense_matrix([[3.0, 4.0], [5.0, 6.0]], [0, 1]), path, {"config_digest": "new"})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left

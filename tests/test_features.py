@@ -1,8 +1,11 @@
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +27,7 @@ from ddimine.features import (
     undersample,
 )
 from ddimine.labeling import InteractionSample
-from helpers import count_vector, dense_matrix, embed_sample
+from helpers import count_vector, dense_matrix, embed_sample, load_matrix_oracle
 
 
 def toka(aid, tokens, mentions=()):
@@ -327,6 +330,36 @@ class TestMatrixPersistence:
         loaded, _ = load_matrix(tmp_path / "m.txt")
         assert np.array_equal(loaded.X, m.X)
         assert loaded.kind == "embeddings"
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_load_equals_cell_by_cell_oracle(self, data):
+        n, d = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+        value = st.one_of(st.just(0.0), st.floats(width=64))  # nan, inf, -0.0 and subnormals too
+        rows = data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n))
+        X = np.array(rows, dtype=float).reshape(n, d)
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+        sparse = data.draw(st.booleans())
+        keys = [f"s{i}" for i in range(n)]
+        m = FeatureMatrix(keys, sp.csr_matrix(X) if sparse else X, y, "counts" if sparse else "embeddings")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.txt"
+            save_matrix(m, path, {"config_digest": "abc"})
+            got, header = load_matrix(path)
+            want = load_matrix_oracle(path)
+        assert header["config_digest"] == "abc"
+        assert (got.keys, got.kind, got.y.tolist()) == (want.keys, want.kind, want.y.tolist())
+        arrays = ("data", "indices", "indptr") if sparse else ()
+        pairs = [(getattr(got.X, a), getattr(want.X, a)) for a in arrays] or [(got.X, want.X)]
+        for a, b in pairs:
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+    @pytest.mark.parametrize("row", ["row s0 1 3", "row s0 1 3:1.0 4", "row s0 1 3.5:1.0", "row s0 1 x:1.0"])
+    def test_malformed_sparse_cells_rejected(self, tmp_path, row):
+        path = tmp_path / "m.txt"
+        path.write_text(f"rows 1\ndims 5\nstorage sparse\nkind counts\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError):  # ValidationError is a ValueError
+            load_matrix(path)
 
 
 def test_stopword_files(tmp_path):

@@ -221,8 +221,10 @@ class TestTemplateize:
         mention = st.sampled_from([p for ps in phrase_lists for p in ps]).flatmap(rendered)
         filler = st.sampled_from([" ", "-", ", ", "x", "9", "Ab", ".", " and ", "_"])
         description = "".join(data.draw(st.lists(st.one_of(mention, filler), min_size=1, max_size=12)))
+        # catalog drugs missing from the lexicon contribute no phrases
+        absent = [f"absent{i}" for i in range(data.draw(st.integers(0, 2)))]
         patterns: dict = {}  # shared across pairs, as extract_templates shares it
-        for a, b in itertools.permutations(lexicon.phrases, 2):
+        for a, b in itertools.permutations([*lexicon.phrases, *absent], 2):
             expected = templateize_oracle(description, a, b, lexicon)
             assert templateize(description, a, b, lexicon) == expected
             assert templateize(description, a, b, lexicon, patterns) == expected

@@ -6,7 +6,7 @@ from ddimine.config import load_config
 from ddimine.corpus import DrugLexicon, TokenizedAbstract
 from ddimine.features import load_vocab
 from ddimine.labeling import InteractionCatalog, InteractionSample
-from ddimine.pipeline import artifact_digests, run_all
+from ddimine.pipeline import artifact_digests, run_all, run_stage
 from ddimine.synth import SynthParams, write_dataset
 from helpers import count_vector, templateize_oracle
 
@@ -61,7 +61,7 @@ def test_train_rows_match_count_vector_oracle(mini):
     out = mini[1]["counts"][0]
     vocab = load_vocab(out / "vocab.tsv")
     abstracts = {}
-    for line in (out / "cardiac.jsonl").read_text(encoding="utf-8").splitlines()[1:]:  # after the header
+    for line in data_lines(out / "cardiac.jsonl"):
         rec = json.loads(line)
         abstracts[rec["id"]] = TokenizedAbstract(rec["id"], tuple(rec["tokens"]), frozenset(rec["mentions"]))
     samples = {}
@@ -77,3 +77,25 @@ def test_train_rows_match_count_vector_oracle(mini):
         entries = count_vector(s, abstracts, vocab).entries
         cells = " ".join(f"{col}:{float(entries[col])!r}" for col in sorted(entries))
         assert line == f"row {s.key} {s.label} {cells}".rstrip()
+
+
+def test_label_stage_with_catalog_drugs_missing_from_lexicon(tmp_path):
+    paths = write_dataset(SynthParams(seed=7), tmp_path)
+    lexicon = DrugLexicon.load(paths["lexicon"])
+    cardiac = sorted(lexicon.cardiac)[0]
+    with open(paths["catalog"], "a", encoding="utf-8") as fh:
+        fh.write("aspirin\tibuprofen\tAspirin lowers ibuprofen levels.\n")
+        fh.write(f"{cardiac}\taspirin\tThe risk rises when {cardiac.title()} meets aspirin.\n")
+    cfg = load_config(paths["config"], {"output": str(tmp_path / "out")})
+    run_stage(cfg, "label")
+    catalog = InteractionCatalog.load(paths["catalog"])
+    unmatched = sum(
+        templateize_oracle(catalog.description(a, b), a, b, lexicon)[1] == 0 for a, b in catalog.pairs()
+    )
+
+    def rows(name):
+        return [line.split("\t") for line in data_lines(cfg.output / name)]
+
+    assert unmatched >= 1 and int(dict(rows("label_report.txt"))["template_warnings"]) == unmatched
+    tid = {text: tid for tid, text, _ in rows("templates.tsv")}["The risk rises when (~drug~) meets aspirin."]
+    assert [cardiac, "aspirin", "1", tid] in rows("samples.tsv")
