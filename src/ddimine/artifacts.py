@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import os
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import ArtifactMismatchError
 
@@ -39,26 +39,29 @@ def _split_header(lines: list[str]) -> tuple[list[str], dict[str, str]]:
     return lines[start:], fields
 
 
-def write_atomic(path: Path | str, *texts: str) -> None:
-    """Replace ``path`` with ``texts``, concatenated, through a temp file in the same directory.
+def write_atomic(path: Path | str, chunks: Iterable[str]) -> None:
+    """Replace ``path`` with ``chunks``, concatenated, through a temp file in the same directory.
 
-    A reader, or a stage killed mid-write, sees the old file or the new one,
-    never a part.  No fsync: this guards against partial files, not power loss.
+    The chunks are written as they come, so a generator streams.  A reader, or
+    a stage killed mid-write, or a chunk source that raises, leaves the old file
+    or the new one, never a part.  No fsync: this guards against partial files,
+    not power loss.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(texts)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def write(path: Path | str, kind: str, fields: Mapping[str, object], body: str) -> None:
-    """Write one artifact: the header, then ``body`` (newline-terminated text)."""
-    write_atomic(path, _header_text(kind, fields), body)  # no joined copy of a large body
+def write(path: Path | str, kind: str, fields: Mapping[str, object], body: str | Iterable[str]) -> None:
+    """Write one artifact: the header, then ``body``, newline-terminated text or its chunks."""
+    chunks = [body] if isinstance(body, str) else body
+    write_atomic(path, itertools.chain([_header_text(kind, fields)], chunks))
 
 
 def read(path: Path | str) -> tuple[list[str], dict[str, str]]:

@@ -81,12 +81,6 @@ class DrugLexicon:
     def drug_ids(self) -> set[str]:
         return set(self.phrases)
 
-    def phrases_for(self, drug_id: str) -> tuple[tuple[str, ...], ...]:
-        try:
-            return self.phrases[drug_id]
-        except KeyError:
-            raise ValidationError(f"unknown drug id {drug_id!r}") from None
-
     def candidates(self, first_token: str) -> list[tuple[tuple[str, ...], str]]:
         return self._first_token.get(first_token, [])
 

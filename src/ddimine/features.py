@@ -1,4 +1,4 @@
-"""Per-sample features: summed sparse word counts and tf-weighted embedding sums.
+"""Per-sample features: summed word counts and tf-weighted embedding sums.
 
 A sample's row is the sum of its abstracts' rows, so both feature kinds are one
 product with the binary sample x abstract incidence matrix A: X = A @ C for
@@ -8,6 +8,9 @@ abstracts the samples reference, in sorted-id order; as the split gives each
 abstract to one split, each abstract's row is built once per stage.  Counts
 are integers, so A @ C is exact, and the column order makes A @ E add a
 sample's abstract vectors in sorted-id order.
+
+Both kinds give one representation, a CSR matrix of floats, and one file
+format: a ``col:value`` pair per stored cell of each row.
 """
 
 from __future__ import annotations
@@ -147,12 +150,20 @@ def embed_abstract(
 
 @dataclass
 class FeatureMatrix:
-    """Aligned sample keys, feature rows, and binary labels."""
+    """Aligned sample keys, feature rows, and binary labels.
+
+    ``X`` is a float CSR matrix with sorted column indices for both feature
+    kinds; the constructor converts whatever it is given, dense rows included.
+    """
 
     keys: list[str]
-    X: sp.csr_matrix | np.ndarray
+    X: sp.csr_matrix
     y: np.ndarray
     kind: str  # "counts" | "embeddings"
+
+    def __post_init__(self) -> None:
+        self.X = sp.csr_matrix(self.X, dtype=float)
+        self.X.sort_indices()
 
     @property
     def n_rows(self) -> int:
@@ -161,10 +172,6 @@ class FeatureMatrix:
     @property
     def dims(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.X)
 
 
 def _incidence(
@@ -191,7 +198,7 @@ def build_count_matrix(
     vocab: Vocabulary,
     drop_empty: bool = False,
 ) -> FeatureMatrix:
-    """Sparse count features for every sample, rows in sample order."""
+    """Count features for every sample, rows in sample order."""
     if drop_empty:
         samples = [s for s in samples if s.abstract_ids]
     A, abstracts = _incidence(samples, abstracts_by_id)
@@ -202,10 +209,8 @@ def build_count_matrix(
         indices += [index[tok] for tok in ab.tokens if tok in index]
         indptr.append(len(indices))
     C = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(abstracts), len(vocab)))
-    X = A @ C
-    X.sort_indices()
     y = np.array([s.label for s in samples], dtype=np.int64)
-    return FeatureMatrix([s.key for s in samples], X, y, "counts")
+    return FeatureMatrix([s.key for s in samples], A @ C, y, "counts")
 
 
 def build_embedding_matrix(
@@ -215,7 +220,7 @@ def build_embedding_matrix(
     stopwords: frozenset[str] | set[str],
     drop_empty: bool = False,
 ) -> tuple[FeatureMatrix, int]:
-    """Dense embedding features; returns the matrix and the total miss count.
+    """Embedding features; returns the matrix and the total miss count.
 
     Misses are counted per (sample, abstract) pair, as distinct out-of-table
     tokens of each abstract.
@@ -228,7 +233,7 @@ def build_embedding_matrix(
     misses = np.array([m for _, m in embedded], dtype=np.int64)
     total_misses = int(np.bincount(A.indices, minlength=len(abstracts)) @ misses)
     y = np.array([s.label for s in samples], dtype=np.int64)
-    return FeatureMatrix([s.key for s in samples], A @ E, y, "embeddings"), total_misses
+    return FeatureMatrix([s.key for s in samples], A @ sp.csr_matrix(E), y, "embeddings"), total_misses
 
 
 def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
@@ -256,19 +261,15 @@ def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
 def save_matrix(matrix: FeatureMatrix, path: Path | str, extra_header: dict[str, str] | None = None) -> None:
     """Persist as the artifact header plus one row record per sample.
 
-    Sparse rows are ``col:value`` pairs; dense rows are the full value list.
+    A row lists its stored cells as ``col:value`` pairs.
     """
-    storage = "sparse" if matrix.is_sparse else "dense"
-    lines = [f"rows {matrix.n_rows}", f"dims {matrix.dims}", f"storage {storage}", f"kind {matrix.kind}"]
-    if matrix.is_sparse:
-        indptr, cols = matrix.X.indptr.tolist(), matrix.X.indices.tolist()
-        vals = np.asarray(matrix.X.data, dtype=float).tolist()
-        rows = (
-            " ".join(map("{}:{!r}".format, cols[start:end], vals[start:end]))
-            for start, end in zip(indptr, indptr[1:])
-        )
-    else:
-        rows = (" ".join(map(repr, row)) for row in np.asarray(matrix.X, dtype=float).tolist())
+    lines = [f"rows {matrix.n_rows}", f"dims {matrix.dims}", f"kind {matrix.kind}"]
+    indptr, cols = matrix.X.indptr.tolist(), matrix.X.indices.tolist()
+    vals = matrix.X.data.tolist()
+    rows = (
+        " ".join(map("{}:{!r}".format, cols[start:end], vals[start:end]))
+        for start, end in zip(indptr, indptr[1:])
+    )
     for key, label, cells in zip(matrix.keys, matrix.y.tolist(), rows):
         lines.append(f"row {key} {label} {cells}".rstrip())
     artifacts.write(path, "feature-matrix", extra_header or {}, "\n".join(lines) + "\n")
@@ -277,8 +278,8 @@ def save_matrix(matrix: FeatureMatrix, path: Path | str, extra_header: dict[str,
 def load_matrix(path: Path | str) -> tuple[FeatureMatrix, dict[str, str]]:
     """Inverse of :func:`save_matrix`; returns the matrix and header fields.
 
-    Every row's cells are parsed in one numpy conversion; a sparse row's
-    ``indptr`` step is its cell count.
+    Every row's cells are parsed in one numpy conversion; a row's ``indptr``
+    step is its cell count.
     """
     lines, header = artifacts.read(path)
     meta: dict[str, str] = {}
@@ -291,30 +292,22 @@ def load_matrix(path: Path | str) -> tuple[FeatureMatrix, dict[str, str]]:
             keys.append(parts[1])
             labels.append(int(parts[2]))
             cells.append(parts[3] if len(parts) == 4 else "")
-        elif parts[0] in ("rows", "dims", "storage", "kind") and len(parts) == 2:
+        elif parts[0] in ("rows", "dims", "kind") and len(parts) == 2:
             meta[parts[0]] = parts[1]
         elif line:
             raise ValidationError(f"{path}: unexpected line {line!r}")
     try:
-        n_rows, dims = int(meta["rows"]), int(meta["dims"])
-        storage, kind = meta["storage"], meta["kind"]
+        n_rows, dims, kind = int(meta["rows"]), int(meta["dims"]), meta["kind"]
     except KeyError as exc:
         raise ValidationError(f"{path}: incomplete matrix header") from exc
     if len(keys) != n_rows:
         raise ValidationError(f"{path}: header says {n_rows} rows, found {len(keys)}")
-    if storage not in ("sparse", "dense"):
-        raise ValidationError(f"{path}: unknown storage kind {storage!r}")
-    text = " ".join(filter(None, cells))  # fromstring reads a blank string as [-1.0]
-    values = np.fromstring(text.replace(":", " ") if storage == "sparse" else text, sep=" ")
-    if storage == "sparse":
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum([c.count(":") for c in cells], out=indptr[1:])
-        indices = values[0::2].astype(np.int64)
-        if values.size != 2 * indptr[-1] or not np.array_equal(indices, values[0::2]):
-            raise ValidationError(f"{path}: malformed sparse cells")
-        X = sp.csr_matrix((np.ascontiguousarray(values[1::2]), indices, indptr), shape=(n_rows, dims))
-    else:
-        if values.size != n_rows * dims:
-            raise ValidationError(f"{path}: dense rows do not hold {dims} values each")
-        X = values.reshape((n_rows, dims))
+    # fromstring reads a blank string as [-1.0]
+    values = np.fromstring(" ".join(filter(None, cells)).replace(":", " "), sep=" ")
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum([c.count(":") for c in cells], out=indptr[1:])
+    indices = values[0::2].astype(np.int64)
+    if values.size != 2 * indptr[-1] or not np.array_equal(indices, values[0::2]):
+        raise ValidationError(f"{path}: malformed cells")
+    X = sp.csr_matrix((np.ascontiguousarray(values[1::2]), indices, indptr), shape=(n_rows, dims))
     return FeatureMatrix(keys, X, np.array(labels, dtype=np.int64), kind), header

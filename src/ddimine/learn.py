@@ -8,7 +8,7 @@ with the bias unpenalized.  Both losses are solved to a certified optimum.
 The certificate is the KKT residual: the largest violation of the optimality
 conditions over the weights and the bias, divided by lambda (absolute at
 lambda = 0).  A fit is ``converged`` when that residual is at most
-``TrainConfig.tolerance``; both figures are kept in ``TrainingMeta``.
+``ModelSection.tolerance``; both figures are kept in ``TrainingMeta``.
 
 * Logistic loss uses a working-set solver.  Each outer step computes the full
   gradient and stops once the residual meets the tolerance.  Otherwise the
@@ -35,6 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import artifacts
+from .config import ModelSection
 from .errors import ValidationError
 from .features import FeatureMatrix
 from .metrics import roc_curve
@@ -52,16 +53,6 @@ _RCOND = 1e-12  # Hessian directions below this share of the largest are treated
 # separable data at small lambda) and vanishes at the optimum, where the
 # steps become Newton steps again.
 _DAMPING = 0.1
-
-
-@dataclass
-class TrainConfig:
-    loss: str = "logistic"
-    l1_lambda: float = 0.0
-    max_iters: int = 10_000
-    tolerance: float = 1e-6  # bound on the KKT residual over l1_lambda (absolute at 0)
-    seed: int = 0
-    standardize: bool = False
 
 
 @dataclass
@@ -188,8 +179,7 @@ def _check_matrix(matrix: FeatureMatrix) -> tuple:
         raise ValidationError("feature matrix has no columns")
     if len(np.unique(matrix.y)) < 2:
         raise ValidationError("training data contains a single class")
-    data = X.data if sp.issparse(X) else X
-    if not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(X.data)):
         raise ValidationError("feature matrix contains non-finite values")
     return X, y
 
@@ -207,7 +197,7 @@ def _design(matrix: FeatureMatrix, standardize: bool) -> tuple:
     return _apply_scale(X, scale), y, scale
 
 
-def _check_config(config: TrainConfig) -> None:
+def _check_config(config: ModelSection) -> None:
     if config.l1_lambda < 0:
         raise ValidationError(f"l1_lambda must be nonnegative, got {config.l1_lambda}")
     if config.loss not in LOSS_KINDS:
@@ -230,40 +220,34 @@ def lambda_max(matrix: FeatureMatrix, standardize: bool = False) -> float:
     return float(np.max(np.abs(gw)))
 
 
-def train(matrix: FeatureMatrix, config: TrainConfig) -> LinearModel:
-    """Fit a linear model to a certified optimum (see the module docstring)."""
+def train(matrix: FeatureMatrix, config: ModelSection, seed: int) -> LinearModel:
+    """Fit a linear model to a certified optimum (see the module docstring); ``seed`` is only recorded."""
     _check_config(config)
     X, y, scale = _design(matrix, config.standardize)
     fit = _fit(X, y, config)
     w = fit.w if scale is None else fit.w / scale
     meta = TrainingMeta(
-        fit.iterations, fit.objective, config.seed, config.standardize, fit.kkt_rel, fit.converged
+        fit.iterations, fit.objective, seed, config.standardize, fit.kkt_rel, fit.converged
     )
     return LinearModel(w, fit.b, config.loss, config.l1_lambda, meta)
 
 
-def _column_scale(X) -> np.ndarray:
-    if sp.issparse(X):
-        mean = np.asarray(X.mean(axis=0)).ravel()
-        mean_sq = np.asarray(X.multiply(X).mean(axis=0)).ravel()
-    else:
-        mean = X.mean(axis=0)
-        mean_sq = (X * X).mean(axis=0)
+def _column_scale(X: sp.csr_matrix) -> np.ndarray:
+    mean = np.asarray(X.mean(axis=0)).ravel()
+    mean_sq = np.asarray(X.multiply(X).mean(axis=0)).ravel()
     var = np.maximum(mean_sq - mean * mean, 0.0)
     std = np.sqrt(var)
     std[std == 0.0] = 1.0
     return std
 
-def _apply_scale(X, scale: np.ndarray):
-    if sp.issparse(X):
-        return (X @ sp.diags(1.0 / scale)).tocsr()
-    return X / scale
+def _apply_scale(X: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
+    return (X @ sp.diags(1.0 / scale)).tocsr()
 
 
 def _fit(
     X,
     y: np.ndarray,
-    config: TrainConfig,
+    config: ModelSection,
     w0: np.ndarray | None = None,
     b0: float | None = None,
 ) -> _Fit:
@@ -277,11 +261,11 @@ def _fit(
     return fit
 
 
-def _fit_logistic(X, y: np.ndarray, config: TrainConfig, w0, b0) -> _Fit:
+def _fit_logistic(X, y: np.ndarray, config: ModelSection, w0, b0) -> _Fit:
     """Working-set outer loop: full gradient and KKT stop, then Newton on the set."""
     lam = config.l1_lambda
     n, d = X.shape
-    Xt = X.T.tocsr() if sp.issparse(X) else np.ascontiguousarray(X.T)
+    Xt = X.T.tocsr()
     w = np.zeros(d) if w0 is None else np.array(w0, dtype=float)
     b = _initial_bias(y) if b0 is None else float(b0)
     iterations = 0
@@ -297,7 +281,7 @@ def _fit_logistic(X, y: np.ndarray, config: TrainConfig, w0, b0) -> _Fit:
         priority[support] = np.inf
         ranked = np.argsort(-priority, kind="stable")[: max(_MIN_WORKING_SET, 2 * len(support))]
         ws = np.sort(ranked[priority[ranked] > 0])
-        block = Xt[ws].toarray() if sp.issparse(Xt) else Xt[ws]
+        block = Xt[ws].toarray()
         w_ws, b, steps = _newton(block, y, lam, w[ws], b, config.tolerance, config.max_iters - iterations)
         iterations += steps
         w = np.zeros(d)
@@ -368,7 +352,7 @@ def _newton(
     return w, b, steps
 
 
-def _fit_hinge(X, y: np.ndarray, config: TrainConfig) -> _Fit:
+def _fit_hinge(X, y: np.ndarray, config: ModelSection) -> _Fit:
     """The exact L1-SVM as a linear program (Zhu et al. 2003), solved by HiGHS.
 
     Variables [u, v, b, xi] with w = u - v: minimise lam * sum(u + v) + mean(xi)
@@ -460,7 +444,7 @@ def cross_validate(
     matrix: FeatureMatrix,
     grid: Sequence[float],
     k: int,
-    config: TrainConfig,
+    config: ModelSection,
     seed: int,
 ) -> CvResult:
     """Stratified k-fold AUC sweep over an L1 grid; folds cut within this matrix.

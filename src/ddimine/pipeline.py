@@ -25,7 +25,7 @@ import math
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import artifacts
 from . import corpus as corpus_mod
@@ -75,7 +75,6 @@ _STAGE_INPUT_PATHS: dict[str, tuple[str, ...]] = {
     "train": (),
     "evaluate": (),
     "alerts": ("catalog", "mar"),
-    "diagnose-split": (),
 }
 
 
@@ -131,13 +130,13 @@ def _load(cfg: PipelineConfig, name: str, loader=artifacts.read):
     return loader(path)[0]
 
 
-def _write(cfg: PipelineConfig, name: str, kind: str, body: str, **fields) -> None:
+def _write(cfg: PipelineConfig, name: str, kind: str, body: str | Iterable[str], **fields) -> None:
     artifacts.write(_artifact(cfg, name), kind, {**_header(cfg), **fields}, body)
 
 
 def _write_tokenized(cfg: PipelineConfig, name: str, abstracts, **fields) -> None:
     rows = (dict(id=ab.id, tokens=list(ab.tokens), mentions=sorted(ab.drug_mentions)) for ab in abstracts)
-    body = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    body = (json.dumps(row, sort_keys=True) + "\n" for row in rows)  # streamed, never one string
     _write(cfg, name, "tokenized-abstracts", body, **fields)
 
 
@@ -311,21 +310,15 @@ def stage_featurize(cfg: PipelineConfig) -> None:
 def stage_train(cfg: PipelineConfig) -> None:
     """Cross-validate the L1 penalty by held-out AUC, then fit the final model."""
     matrix = _load(cfg, "features_train.txt", features_mod.load_matrix)
-    train_cfg = learn_mod.TrainConfig(
-        loss=cfg.model.loss,
-        l1_lambda=cfg.model.l1_lambda,
-        max_iters=cfg.model.max_iters,
-        tolerance=cfg.model.tolerance,
-        seed=cfg.seed,
-        standardize=cfg.model.standardize,
-    )
+    model_cfg = cfg.model
+
     def fmt_number(value: float) -> str:
         return "N/A" if math.isnan(value) else repr(float(value))
 
     cv_lines = ["# lambda\tmean_auc\tmean_loss\t" + "\t".join(f"fold{i}" for i in range(cfg.cv.k))]
     if cfg.cv_enabled():
         grid = cfg.cv.grid or learn_mod.default_lambda_grid(matrix, standardize=cfg.model.standardize)
-        result = learn_mod.cross_validate(matrix, grid, cfg.cv.k, train_cfg, cfg.seed)
+        result = learn_mod.cross_validate(matrix, grid, cfg.cv.k, model_cfg, cfg.seed)
         for gi, lam in enumerate(result.lambda_grid):
             folds = "\t".join(fmt_number(result.fold_auc[gi, i]) for i in range(result.fold_auc.shape[1]))
             cv_lines.append(
@@ -334,11 +327,11 @@ def stage_train(cfg: PipelineConfig) -> None:
         cv_lines.append(f"# best_lambda: {result.best_lambda!r}")
         for warning in result.warnings:
             cv_lines.append(f"# warning: {warning}")
-        train_cfg = replace(train_cfg, l1_lambda=result.best_lambda)
+        model_cfg = replace(model_cfg, l1_lambda=result.best_lambda)
     else:
         cv_lines.append("# cross-validation disabled")
     _write(cfg, "cv_results.tsv", "cv-results", "\n".join(cv_lines) + "\n")
-    model = learn_mod.train(matrix, train_cfg)
+    model = learn_mod.train(matrix, model_cfg, cfg.seed)
     learn_mod.save_model(model, _artifact(cfg, "model.txt"), _header(cfg))
 
 
@@ -433,7 +426,7 @@ def run_stage(cfg: PipelineConfig, stage: str) -> None:
         "elapsed_s": elapsed,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    artifacts.write_atomic(manifest_dir / f"{stage}.json", text)
+    artifacts.write_atomic(manifest_dir / f"{stage}.json", [text])
 
 
 def run_all(cfg: PipelineConfig) -> list[str]:

@@ -106,6 +106,7 @@ def alert_hours(alerts) -> dict[tuple[str, tuple[str, str]], set]:
 
 
 def dense_matrix(X, y, kind: str = "counts") -> FeatureMatrix:
+    """A feature matrix from rows given in full; the constructor stores them as CSR."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     keys = [f"s{i:04d}" for i in range(X.shape[0])]
@@ -275,19 +276,15 @@ def load_matrix_oracle(path) -> FeatureMatrix:
                 row_cells.append(parts[3:])
             else:
                 meta[parts[0]] = parts[1]
-    n_rows, dims = int(meta["rows"]), int(meta["dims"])
-    if meta["storage"] == "dense":
-        X = np.array([[float(v) for v in cells] for cells in row_cells], dtype=float).reshape((n_rows, dims))
-    else:
-        indptr, indices, data = [0], [], []
-        for cells in row_cells:
-            for cell in cells:
-                col, _, val = cell.partition(":")
-                indices.append(int(col))
-                data.append(float(val))
-            indptr.append(len(indices))
-        X = sp.csr_matrix(
-            (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-            shape=(n_rows, dims),
-        )
+    indptr, indices, data = [0], [], []
+    for cells in row_cells:
+        for cell in cells:
+            col, _, val = cell.partition(":")
+            indices.append(int(col))
+            data.append(float(val))
+        indptr.append(len(indices))
+    X = sp.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(int(meta["rows"]), int(meta["dims"])),
+    )
     return FeatureMatrix(keys, X, np.array(labels, dtype=np.int64), meta["kind"])

@@ -127,16 +127,25 @@ def fail_replace(src, dst):
     raise OSError("replace failed")
 
 
-@pytest.mark.parametrize("failure", ["write", "replace"])
+def failing_body():
+    """A streamed body whose source fails after the first chunk."""
+    yield "rows 2\n"
+    raise OSError("body source failed")
+
+
+@pytest.mark.parametrize("failure", ["write", "replace", "body"])
 def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch, failure):
     path = tmp_path / "features_train.txt"
     save_matrix(dense_matrix([[1.0, 2.0]], [1]), path, {"config_digest": "old"})
     before = path.read_bytes()
     if failure == "write":
         monkeypatch.setattr(artifacts, "open", lambda *a, **k: HalfWriter(open(*a, **k)), raising=False)
-    else:
+    elif failure == "replace":
         monkeypatch.setattr(artifacts.os, "replace", fail_replace)
     with pytest.raises(OSError):
-        save_matrix(dense_matrix([[3.0, 4.0], [5.0, 6.0]], [0, 1]), path, {"config_digest": "new"})
+        if failure == "body":
+            artifacts.write(path, "feature-matrix", {"config_digest": "new"}, failing_body())
+        else:
+            save_matrix(dense_matrix([[3.0, 4.0], [5.0, 6.0]], [0, 1]), path, {"config_digest": "new"})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left

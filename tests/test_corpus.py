@@ -258,8 +258,8 @@ class TestLexicon:
         )
         lex = DrugLexicon.load(path)
         assert lex.cardiac == {"furosemide"}
-        assert ("acetyl", "salicylic", "acid") in lex.phrases_for("aspirin")
-        assert len(lex.phrases_for("furosemide")) == 2
+        assert ("acetyl", "salicylic", "acid") in lex.phrases["aspirin"]
+        assert len(lex.phrases["furosemide"]) == 2
 
     def test_conflicting_flag_rejected(self, tmp_path):
         path = tmp_path / "lexicon.tsv"

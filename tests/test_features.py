@@ -249,7 +249,7 @@ class TestMatrixBuilders:
             assert row.indices.tolist() == sorted(entries)  # sorted, no explicit zeros
             assert row.data.tolist() == [float(entries[c]) for c in sorted(entries)]
             vec, m = embed_sample(s, abstracts, table, stop)
-            assert embedded.X[i].tobytes() == vec.tobytes()  # bit for bit
+            assert embedded.X[i].toarray().ravel().tobytes() == vec.tobytes()  # bit for bit
             expected_misses += m
         assert misses == expected_misses
 
@@ -267,7 +267,7 @@ class TestMatrixBuilders:
         abstracts = {"a1": toka("a1", ["x", "y", "gone"])}
         samples = [sample_with(["a1"], label=1)]
         m, misses = build_embedding_matrix(samples, abstracts, table, set())
-        assert m.X.tolist() == [[1.0, 1.0]]
+        assert m.X.toarray().tolist() == [[1.0, 1.0]]
         assert misses == 1
 
 
@@ -282,7 +282,7 @@ class TestUndersample:
         m = dense_matrix(np.arange(8).reshape(4, 2), [1, 0, 1, 0])
         out = undersample(m, seed=1)
         assert out.keys == m.keys
-        assert np.array_equal(out.X, m.X)
+        assert np.array_equal(out.X.toarray(), m.X.toarray())
 
     def test_single_class_rejected(self):
         m = dense_matrix(np.arange(4).reshape(2, 2), [1, 1])
@@ -301,12 +301,12 @@ class TestUndersample:
             a = undersample(m, seed=trial)
             b = undersample(m, seed=trial)
             assert a.keys == b.keys
-            assert np.array_equal(a.X, b.X)
+            assert np.array_equal(a.X.toarray(), b.X.toarray())
             n_pos = sum(a.y == 1)
             assert n_pos == sum(a.y == 0) == min(sum(m.y), len(m.y) - sum(m.y))
-            for key, row in zip(a.keys, a.X):
+            for key, row in zip(a.keys, a.X.toarray()):
                 orig = m.keys.index(key)
-                assert np.array_equal(row, m.X[orig])
+                assert np.array_equal(row, m.X.toarray()[orig])
             # original order preserved among survivors
             assert [m.keys.index(k) for k in a.keys] == sorted(m.keys.index(k) for k in a.keys)
 
@@ -326,10 +326,18 @@ class TestMatrixPersistence:
 
     def test_dense_roundtrip(self, tmp_path):
         m = dense_matrix([[0.125, -3.5], [1e-9, 2.0]], [1, 0], kind="embeddings")
+        assert isinstance(m.X, sp.csr_matrix)
         save_matrix(m, tmp_path / "m.txt")
         loaded, _ = load_matrix(tmp_path / "m.txt")
-        assert np.array_equal(loaded.X, m.X)
+        assert isinstance(loaded.X, sp.csr_matrix)
+        assert np.array_equal(loaded.X.toarray(), m.X.toarray())
         assert loaded.kind == "embeddings"
+
+    def test_storage_line_rejected(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("rows 1\ndims 2\nstorage dense\nkind embeddings\nrow s0 1 0.5 2.0\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="storage"):
+            load_matrix(path)
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -339,9 +347,9 @@ class TestMatrixPersistence:
         rows = data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n))
         X = np.array(rows, dtype=float).reshape(n, d)
         y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
-        sparse = data.draw(st.booleans())
+        kind = data.draw(st.sampled_from(["counts", "embeddings"]))
         keys = [f"s{i}" for i in range(n)]
-        m = FeatureMatrix(keys, sp.csr_matrix(X) if sparse else X, y, "counts" if sparse else "embeddings")
+        m = FeatureMatrix(keys, X, y, kind)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.txt"
             save_matrix(m, path, {"config_digest": "abc"})
@@ -349,15 +357,13 @@ class TestMatrixPersistence:
             want = load_matrix_oracle(path)
         assert header["config_digest"] == "abc"
         assert (got.keys, got.kind, got.y.tolist()) == (want.keys, want.kind, want.y.tolist())
-        arrays = ("data", "indices", "indptr") if sparse else ()
-        pairs = [(getattr(got.X, a), getattr(want.X, a)) for a in arrays] or [(got.X, want.X)]
-        for a, b in pairs:
+        for a, b in ((getattr(got.X, name), getattr(want.X, name)) for name in ("data", "indices", "indptr")):
             assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
     @pytest.mark.parametrize("row", ["row s0 1 3", "row s0 1 3:1.0 4", "row s0 1 3.5:1.0", "row s0 1 x:1.0"])
     def test_malformed_sparse_cells_rejected(self, tmp_path, row):
         path = tmp_path / "m.txt"
-        path.write_text(f"rows 1\ndims 5\nstorage sparse\nkind counts\n{row}\n", encoding="utf-8")
+        path.write_text(f"rows 1\ndims 5\nkind counts\n{row}\n", encoding="utf-8")
         with pytest.raises(ValueError):  # ValidationError is a ValueError
             load_matrix(path)
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ddimine.config import ModelSection
 from ddimine.errors import ValidationError
 from ddimine.features import FeatureMatrix
 from ddimine.learn import (
     LinearModel,
-    TrainConfig,
     TrainingMeta,
     cross_validate,
     default_lambda_grid,
@@ -51,7 +51,7 @@ MATRICES = {
 def test_logistic_kkt_and_objective_match_reference(kind, fraction):
     matrix = MATRICES[kind]()
     lam = fraction * lambda_max(matrix)
-    model = train(matrix, TrainConfig(l1_lambda=lam, tolerance=1e-8))
+    model = train(matrix, ModelSection(l1_lambda=lam, tolerance=1e-8), seed=0)
     assert model.meta.converged
     assert model.meta.kkt_rel <= 1e-8
     assert l1_kkt_residual(matrix.X, matrix.y, model.weights, model.bias, lam) <= 1e-8 * lam
@@ -66,10 +66,10 @@ def test_lambda_max_gives_zero_weights(standardize):
     matrix = count_matrix(4)
     lmax = lambda_max(matrix, standardize)
     for lam in (lmax, 2.0 * lmax):
-        model = train(matrix, TrainConfig(l1_lambda=lam, standardize=standardize))
+        model = train(matrix, ModelSection(l1_lambda=lam, standardize=standardize), seed=0)
         assert model.nonzero_weights == 0
         assert model.meta.converged
-    below = train(matrix, TrainConfig(l1_lambda=0.9 * lmax, standardize=standardize))
+    below = train(matrix, ModelSection(l1_lambda=0.9 * lmax, standardize=standardize), seed=0)
     assert below.nonzero_weights > 0
 
 
@@ -87,7 +87,7 @@ def shifted_counts(seed: int = 35) -> FeatureMatrix:
 def test_hinge_objective_equals_linear_program(kind, fraction):
     matrix = count_matrix(6, n=80, d=25) if kind == "counts" else shifted_counts()
     lam = fraction * lambda_max(matrix)
-    model = train(matrix, TrainConfig(loss="hinge", l1_lambda=lam))
+    model = train(matrix, ModelSection(loss="hinge", l1_lambda=lam), seed=0)
     assert model.meta.converged
     value = l1_objective("hinge", matrix.X, matrix.y, model.weights, model.bias, lam)
     assert value == pytest.approx(model.meta.objective, rel=1e-12)
@@ -97,8 +97,8 @@ def test_hinge_objective_equals_linear_program(kind, fraction):
 @pytest.mark.parametrize("loss", ["logistic", "hinge"])
 def test_refits_bit_identical(loss):
     matrix = count_matrix(7)
-    config = TrainConfig(loss=loss, l1_lambda=0.05 * lambda_max(matrix))
-    first, second = train(matrix, config), train(matrix, config)
+    config = ModelSection(loss=loss, l1_lambda=0.05 * lambda_max(matrix))
+    first, second = train(matrix, config, seed=0), train(matrix, config, seed=0)
     assert first.weights.tobytes() == second.weights.tobytes()
     assert first.bias == second.bias and first.meta == second.meta
     grid = default_lambda_grid(matrix, n_points=4)
@@ -118,12 +118,12 @@ def test_gradient_check_on_random_dense(loss):
 
 def test_max_iters_cut_reports_not_converged():
     matrix = count_matrix(8)
-    config = TrainConfig(l1_lambda=0.01 * lambda_max(matrix), max_iters=1)
-    model = train(matrix, config)
+    config = ModelSection(l1_lambda=0.01 * lambda_max(matrix), max_iters=1)
+    model = train(matrix, config, seed=0)
     assert model.meta.iterations == 1
     assert not model.meta.converged
     assert model.meta.kkt_rel > config.tolerance
-    full = train(matrix, replace(config, max_iters=10_000))
+    full = train(matrix, replace(config, max_iters=10_000), seed=0)
     assert full.meta.converged and full.meta.iterations > 1
     cv = cross_validate(matrix, [config.l1_lambda], 3, config, seed=0)
     assert len(cv.warnings) == 3 and all("not converged" in w for w in cv.warnings)
@@ -137,23 +137,23 @@ def test_cv_and_grid_see_the_standardized_design():
     scaled = FeatureMatrix(matrix.keys, sp.csr_matrix(X / std), matrix.y, matrix.kind)
     grid = default_lambda_grid(matrix, n_points=5, standardize=True)
     assert grid == pytest.approx(default_lambda_grid(scaled, n_points=5), rel=1e-12)
-    config = TrainConfig(tolerance=1e-8)
+    config = ModelSection(tolerance=1e-8)
     on_scaled = cross_validate(scaled, grid, 3, config, seed=1)
     standardized = cross_validate(matrix, grid, 3, replace(config, standardize=True), seed=1)
     np.testing.assert_allclose(standardized.fold_auc, on_scaled.fold_auc, rtol=0, atol=1e-12)
     assert standardized.best_lambda == on_scaled.best_lambda
     assert standardized.warnings == on_scaled.warnings == []
-    model = train(matrix, replace(config, l1_lambda=standardized.best_lambda, standardize=True))
-    reference = train(scaled, replace(config, l1_lambda=standardized.best_lambda))
+    model = train(matrix, replace(config, l1_lambda=standardized.best_lambda, standardize=True), seed=0)
+    reference = train(scaled, replace(config, l1_lambda=standardized.best_lambda), seed=0)
     np.testing.assert_allclose(model.weights * std, reference.weights, rtol=1e-6, atol=1e-9)
 
 
 def test_bad_config_rejected():
     matrix = count_matrix(1)
     with pytest.raises(ValidationError):
-        train(matrix, TrainConfig(loss="squared"))
+        train(matrix, ModelSection(loss="squared"), seed=0)
     with pytest.raises(ValidationError):
-        cross_validate(matrix, [0.1], 3, TrainConfig(l1_lambda=-1.0), seed=0)
+        cross_validate(matrix, [0.1], 3, ModelSection(l1_lambda=-1.0), seed=0)
 
 
 class TestModelFile:
@@ -172,7 +172,7 @@ class TestModelFile:
 
     def test_trained_model_roundtrip(self, tmp_path):
         matrix = count_matrix(2)
-        model = train(matrix, TrainConfig(l1_lambda=0.1 * lambda_max(matrix)))
+        model = train(matrix, ModelSection(l1_lambda=0.1 * lambda_max(matrix)), seed=0)
         save_model(model, tmp_path / "model.txt")
         loaded, _ = load_model(tmp_path / "model.txt")
         assert loaded.weights.tobytes() == model.weights.tobytes()
@@ -198,7 +198,7 @@ class TestModelFile:
 
 def test_single_class_rejected():
     with pytest.raises(ValidationError, match="single class"):
-        train(dense_matrix([[1.0], [2.0]], [1, 1]), TrainConfig())
+        train(dense_matrix([[1.0], [2.0]], [1, 1]), ModelSection(), seed=0)
 
 
 def test_cv_auc_ties_broken_by_held_out_loss():
@@ -207,7 +207,7 @@ def test_cv_auc_ties_broken_by_held_out_loss():
     y = np.repeat([0, 1], 30)
     X = rng.normal(size=(60, 4)) + 3.0 * y[:, None]
     matrix = dense_matrix(X, y)
-    cv = cross_validate(matrix, default_lambda_grid(matrix, n_points=5), 3, TrainConfig(), seed=0)
+    cv = cross_validate(matrix, default_lambda_grid(matrix, n_points=5), 3, ModelSection(), seed=0)
     tied = np.flatnonzero(cv.mean_auc == 1.0)
     assert len(tied) >= 2
     best = tied[np.argmin(cv.mean_loss[tied])]

@@ -16,30 +16,40 @@ def data_lines(path) -> list[str]:
     return [line for line in lines if line and not line.startswith("#")]
 
 
+# variant -> (feature kind, fields changed in config sections)
+VARIANTS = {
+    "counts": ("counts", {}),
+    "embeddings": ("embeddings", {}),
+    "embeddings-hinge": ("embeddings", {"model": {"loss": "hinge"}, "cv": {"enabled": True}}),
+}
+
+
 @pytest.fixture(scope="module")
 def mini(tmp_path_factory):
-    """The ``mini`` preset run twice into separate output directories, once per feature kind."""
+    """The ``mini`` preset run twice into separate output directories, once per variant."""
     root = tmp_path_factory.mktemp("mini")
     paths = write_dataset(SynthParams(seed=7), root)
     raw = json.loads(paths["config"].read_text(encoding="utf-8"))
     outputs = {}
-    for kind in ("counts", "embeddings"):
-        config = root / f"config_{kind}.json"
-        config.write_text(json.dumps({**raw, "features": kind}), encoding="utf-8")
-        outputs[kind] = []
+    for variant, (kind, sections) in VARIANTS.items():
+        config = root / f"config_{variant}.json"
+        changed = {name: {**raw[name], **fields} for name, fields in sections.items()}
+        config.write_text(json.dumps({**raw, "features": kind, **changed}), encoding="utf-8")
+        outputs[variant] = []
         for rerun in ("a", "b"):
-            cfg = load_config(config, {"output": str(root / f"out_{kind}_{rerun}")})
+            cfg = load_config(config, {"output": str(root / f"out_{variant}_{rerun}")})
             run_all(cfg)
-            outputs[kind].append(cfg.output)
+            outputs[variant].append(cfg.output)
     return paths, outputs
 
 
-@pytest.mark.parametrize("kind", ["counts", "embeddings"])
-def test_reruns_byte_identical(mini, kind):
-    first, second = mini[1][kind]
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_reruns_byte_identical(mini, variant):
+    first, second = mini[1][variant]
     digests = artifact_digests(first)
     assert len(digests) == 22  # every artifact of every stage, alerts included
     assert artifact_digests(second) == digests
+    assert "converged 1" in data_lines(first / "model.txt")
 
 
 def test_templates_match_per_pair_oracle(mini):
