@@ -22,6 +22,10 @@ from typing import Iterable, Mapping
 
 from .errors import ArtifactMismatchError
 
+# an artifact before it is written: (kind, per-file header fields, body);
+# the body is newline-terminated text or its chunks, as :func:`write` takes it
+Encoded = tuple[str, Mapping[str, object], str | Iterable[str]]
+
 
 def _header_text(kind: str, fields: Mapping[str, object]) -> str:
     return f"# ddimine {kind}\n" + "".join(f"# {key}: {val}\n" for key, val in fields.items())

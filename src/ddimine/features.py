@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,9 +64,8 @@ def build_vocab(train_abstracts: Sequence[TokenizedAbstract], top_k: int | None 
     return Vocabulary(ordered, {tok: col for col, (tok, _) in enumerate(ordered)})
 
 
-def save_vocab(vocab: Vocabulary, path: Path | str, extra_header: dict[str, str] | None = None) -> None:
-    body = "".join(f"{tok}\t{freq}\n" for tok, freq in vocab.words)
-    artifacts.write(path, "vocabulary", extra_header or {}, body)
+def encode_vocab(vocab: Vocabulary) -> artifacts.Encoded:
+    return "vocabulary", {}, "".join(f"{tok}\t{freq}\n" for tok, freq in vocab.words)
 
 
 def load_vocab(path: Path | str) -> Vocabulary:
@@ -258,25 +257,25 @@ def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
     return FeatureMatrix([matrix.keys[i] for i in keep], X, y[keep], matrix.kind)
 
 
-def save_matrix(matrix: FeatureMatrix, path: Path | str, extra_header: dict[str, str] | None = None) -> None:
-    """Persist as the artifact header plus one row record per sample.
+def encode_matrix(matrix: FeatureMatrix) -> artifacts.Encoded:
+    """One row record per sample, listing its stored cells as ``col:value`` pairs.
 
-    A row lists its stored cells as ``col:value`` pairs.
+    The body is a generator: no text exists until the artifact is written.
     """
-    lines = [f"rows {matrix.n_rows}", f"dims {matrix.dims}", f"kind {matrix.kind}"]
+    return "feature-matrix", {}, _matrix_lines(matrix)
+
+
+def _matrix_lines(matrix: FeatureMatrix) -> Iterator[str]:
+    yield f"rows {matrix.n_rows}\ndims {matrix.dims}\nkind {matrix.kind}\n"
     indptr, cols = matrix.X.indptr.tolist(), matrix.X.indices.tolist()
     vals = matrix.X.data.tolist()
-    rows = (
-        " ".join(map("{}:{!r}".format, cols[start:end], vals[start:end]))
-        for start, end in zip(indptr, indptr[1:])
-    )
-    for key, label, cells in zip(matrix.keys, matrix.y.tolist(), rows):
-        lines.append(f"row {key} {label} {cells}".rstrip())
-    artifacts.write(path, "feature-matrix", extra_header or {}, "\n".join(lines) + "\n")
+    for key, label, start, end in zip(matrix.keys, matrix.y.tolist(), indptr, indptr[1:]):
+        cells = " ".join(map("{}:{!r}".format, cols[start:end], vals[start:end]))
+        yield f"row {key} {label} {cells}".rstrip() + "\n"
 
 
 def load_matrix(path: Path | str) -> tuple[FeatureMatrix, dict[str, str]]:
-    """Inverse of :func:`save_matrix`; returns the matrix and header fields.
+    """Inverse of :func:`encode_matrix`; returns the matrix and header fields.
 
     Every row's cells are parsed in one numpy conversion; a row's ``indptr``
     step is its cell count.

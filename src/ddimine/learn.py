@@ -73,10 +73,6 @@ class LinearModel:
     l1_lambda: float
     meta: TrainingMeta
 
-    @property
-    def nonzero_weights(self) -> int:
-        return int(np.count_nonzero(self.weights))
-
 
 class _Fit(NamedTuple):
     w: np.ndarray
@@ -395,41 +391,6 @@ def predict_scores(model: LinearModel, matrix: FeatureMatrix) -> np.ndarray:
     return np.asarray(matrix.X @ model.weights).ravel() + model.bias
 
 
-def gradient_check(
-    loss: str, X, y: np.ndarray, w: np.ndarray, b: float, step: float = 1e-5
-) -> float:
-    """Max relative error, analytic vs central-difference gradients.
-
-    Checks every weight coordinate and the bias on the unpenalized objective.
-    For hinge loss the caller must supply a smooth point (no margin exactly 1).
-    """
-    y = np.asarray(y, dtype=float)
-    s = X @ w + b
-    gw, gb = loss_gradient(loss, X, y, s)
-    gw = np.asarray(gw).ravel()
-    worst = 0.0
-
-    def value(w_probe: np.ndarray, b_probe: float) -> float:
-        return loss_value(loss, X @ w_probe + b_probe, y)
-
-    for j in range(len(w)):
-        w_plus = w.copy()
-        w_plus[j] += step
-        w_minus = w.copy()
-        w_minus[j] -= step
-        fd = (value(w_plus, b) - value(w_minus, b)) / (2.0 * step)
-        worst = max(worst, _relative_error(gw[j], fd))
-    fd_b = (value(w, b + step) - value(w, b - step)) / (2.0 * step)
-    return max(worst, _relative_error(gb, fd_b))
-
-
-def _relative_error(a: float, b: float) -> float:
-    denom = max(abs(a), abs(b))
-    if denom < 1e-6:
-        return abs(a - b)  # absolute scale for near-zero gradients
-    return abs(a - b) / denom
-
-
 @dataclass
 class CvResult:
     lambda_grid: tuple[float, ...]  # descending
@@ -526,8 +487,8 @@ def default_lambda_grid(
     return [float(lmax * 10 ** (-decades * i / (n_points - 1))) for i in range(n_points)]
 
 
-def save_model(model: LinearModel, path: Path | str, extra_header: dict[str, str] | None = None) -> None:
-    """Header plus sparse nonzero weight records, plain text."""
+def encode_model(model: LinearModel) -> artifacts.Encoded:
+    """Solver settings and certificate, then one record per nonzero weight."""
     lines = [
         f"loss {model.loss_kind}",
         f"lambda {float(model.l1_lambda)!r}",
@@ -542,7 +503,7 @@ def save_model(model: LinearModel, path: Path | str, extra_header: dict[str, str
     ]
     for col in np.flatnonzero(model.weights):
         lines.append(f"w {int(col)} {float(model.weights[col])!r}")
-    artifacts.write(path, "linear-model", extra_header or {}, "\n".join(lines) + "\n")
+    return "linear-model", {}, "\n".join(lines) + "\n"
 
 
 def load_model(path: Path | str) -> tuple[LinearModel, dict[str, str]]:

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import artifacts
 from .errors import ValidationError
@@ -134,21 +134,13 @@ def _intersect_sorted(
     return out
 
 
-def _merge_touching(windows: list[tuple[datetime, datetime]]) -> list[tuple[datetime, datetime]]:
-    merged: list[tuple[datetime, datetime]] = []
-    for start, end in windows:
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
 def detect_overlaps(exposures: Sequence[ExposureInterval], catalog: InteractionCatalog) -> list[DdiAlert]:
     """Alerts for every catalog-positive pair with intersecting exposures.
 
-    Adjacent windows for the same pair are merged.  Output order is (patient,
-    window start, pair), which is also the report order.
+    ``exposures`` must be :func:`build_exposures` output: each (patient, drug)
+    has disjoint windows with gaps between them, so the intersections of two
+    drugs' windows never touch and each one is its own alert.  Output order is
+    (patient, window start, pair), which is also the report order.
     """
     by_patient: dict[str, dict[str, list[tuple[datetime, datetime]]]] = {}
     for exp in exposures:
@@ -159,7 +151,7 @@ def detect_overlaps(exposures: Sequence[ExposureInterval], catalog: InteractionC
         for drug_x, drug_y in itertools.combinations(sorted(drugs), 2):
             if (drug_x, drug_y) not in catalog:
                 continue
-            windows = _merge_touching(_intersect_sorted(sorted(drugs[drug_x]), sorted(drugs[drug_y])))
+            windows = _intersect_sorted(sorted(drugs[drug_x]), sorted(drugs[drug_y]))
             display_a, display_b = catalog.display(drug_x, drug_y)
             effect = catalog.description(drug_x, drug_y)
             for start, end in windows:
@@ -203,7 +195,7 @@ def alert_report(alerts: Sequence[DdiAlert]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_alerts(alerts: Sequence[DdiAlert], path: Path | str, extra_header: dict[str, str] | None = None) -> None:
+def encode_alerts(alerts: Sequence[DdiAlert]) -> artifacts.Encoded:
     """TSV with date-granularity windows plus full-precision timestamps."""
     lines = ["patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso"]
     for al in alerts:
@@ -212,4 +204,4 @@ def save_alerts(alerts: Sequence[DdiAlert], path: Path | str, extra_header: dict
             f"{al.patient_id}\t{al.drug_a}\t{al.drug_b}\t{start_date}\t{end_date}"
             f"\t{al.effect}\t{al.start.isoformat()}\t{al.end.isoformat()}"
         )
-    artifacts.write(path, "ddi-alerts", extra_header or {}, "\n".join(lines) + "\n")
+    return "ddi-alerts", {}, "\n".join(lines) + "\n"

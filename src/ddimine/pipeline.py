@@ -1,7 +1,10 @@
 """Stage orchestration: artifacts on disk, manifests, digests, prerequisites.
 
-Every artifact is written through :mod:`ddimine.artifacts`, atomically, with
-one header format::
+A stage function returns its artifacts, name -> (kind, header fields, body),
+and writes nothing; :func:`run_stage` writes them after the stage returns.
+So a stage that fails writes nothing: split's leakage check, for one, raises
+before any ``leakage_report.txt`` is written.  Every artifact is written
+atomically through :mod:`ddimine.artifacts`, with one header format::
 
     # ddimine <kind>
     # config_digest: <sha256 of the configuration>
@@ -25,7 +28,7 @@ import math
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import artifacts
 from . import corpus as corpus_mod
@@ -66,14 +69,11 @@ ARTIFACTS: dict[str, str] = {
     "alert_report.txt": "alerts",
 }
 
+# stage -> the config keys of the external files it reads; featurize's depend on the config
 _STAGE_INPUT_PATHS: dict[str, tuple[str, ...]] = {
     "ingest": ("corpus", "lexicon"),
     "filter": ("lexicon",),
     "label": ("catalog", "lexicon"),
-    "split": (),
-    "featurize": (),
-    "train": (),
-    "evaluate": (),
     "alerts": ("catalog", "mar"),
 }
 
@@ -82,33 +82,24 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def artifact_digests(output_dir: Path | str) -> dict[str, str]:
-    """Content digests of every artifact file; manifests are excluded."""
-    out = Path(output_dir)
-    digests = {}
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and "manifests" not in path.parts:
-            digests[str(path.relative_to(out))] = file_digest(path)
-    return digests
+def _stage_inputs(cfg: PipelineConfig, stage: str) -> tuple[str, ...]:
+    """The config keys of the external inputs ``stage`` reads under ``cfg``."""
+    if stage == "featurize" and cfg.feature_kind == "embeddings":
+        return ("embeddings", "stopwords")
+    if stage == "featurize" and cfg.vocab_stopwords == "drop":
+        return ("stopwords",)
+    return _STAGE_INPUT_PATHS.get(stage, ())
 
 
 def check_stage_paths(cfg: PipelineConfig, stage: str) -> None:
     """Verify the input paths a stage reads exist; reports all missing at once."""
     missing = []
-    for key in _STAGE_INPUT_PATHS.get(stage, ()):
+    for key in _stage_inputs(cfg, stage):
         val = getattr(cfg, key)
         if val is None:
             missing.append(f"paths.{key} is required by the {stage!r} stage")
         elif not Path(val).exists():
             missing.append(f"paths.{key} does not exist: {val}")
-    if stage == "featurize" and cfg.feature_kind == "embeddings":
-        for key in ("embeddings", "stopwords"):
-            val = getattr(cfg, key)
-            if val is None or not Path(val).exists():
-                missing.append(f"paths.{key} is required for embedding features")
-    if stage == "featurize" and cfg.vocab_stopwords == "drop":
-        if cfg.stopwords is None or not Path(cfg.stopwords).exists():
-            missing.append("paths.stopwords is required when vocab_stopwords=drop")
     if missing:
         raise ConfigError(missing)
 
@@ -130,14 +121,10 @@ def _load(cfg: PipelineConfig, name: str, loader=artifacts.read):
     return loader(path)[0]
 
 
-def _write(cfg: PipelineConfig, name: str, kind: str, body: str | Iterable[str], **fields) -> None:
-    artifacts.write(_artifact(cfg, name), kind, {**_header(cfg), **fields}, body)
-
-
-def _write_tokenized(cfg: PipelineConfig, name: str, abstracts, **fields) -> None:
+def _encode_tokenized(abstracts, **fields) -> artifacts.Encoded:
     rows = (dict(id=ab.id, tokens=list(ab.tokens), mentions=sorted(ab.drug_mentions)) for ab in abstracts)
     body = (json.dumps(row, sort_keys=True) + "\n" for row in rows)  # streamed, never one string
-    _write(cfg, name, "tokenized-abstracts", body, **fields)
+    return "tokenized-abstracts", fields, body
 
 
 def _read_tokenized(cfg: PipelineConfig, name: str) -> list:
@@ -147,7 +134,7 @@ def _read_tokenized(cfg: PipelineConfig, name: str) -> list:
     ]
 
 
-def _write_samples(cfg: PipelineConfig, name: str, samples, with_ids: bool) -> None:
+def _encode_samples(samples, with_ids: bool) -> artifacts.Encoded:
     lines = []
     for s in samples:
         tid = "-" if s.template_id is None else str(s.template_id)
@@ -156,7 +143,7 @@ def _write_samples(cfg: PipelineConfig, name: str, samples, with_ids: bool) -> N
             row += "\t" + (",".join(sorted(s.abstract_ids)) if s.abstract_ids else "-")
         lines.append(f"{row}\n")
     cols = "cardiac\tother\tlabel\ttemplate_id" + ("\tabstract_ids" if with_ids else "")
-    _write(cfg, name, "samples", "".join(lines), columns=cols)
+    return "samples", {"columns": cols}, "".join(lines)
 
 
 def _read_samples(cfg: PipelineConfig, name: str, with_ids: bool) -> list:
@@ -175,21 +162,23 @@ def _read_samples(cfg: PipelineConfig, name: str, with_ids: bool) -> list:
 # stages
 # ---------------------------------------------------------------------------
 
-def stage_ingest(cfg: PipelineConfig) -> None:
+Outputs = dict[str, artifacts.Encoded]
+
+
+def stage_ingest(cfg: PipelineConfig) -> Outputs:
     """Parse the corpus, tokenize, and match the drug lexicon."""
     lexicon = corpus_mod.DrugLexicon.load(cfg.lexicon)
     abstracts, skipped = corpus_mod.load_corpus(cfg.corpus, cfg.corpus_format)
     tokenized = corpus_mod.tokenize_abstracts(abstracts, lexicon)
-    _write_tokenized(cfg, "tokenized.jsonl", tokenized, skipped_records=skipped)
+    return {"tokenized.jsonl": _encode_tokenized(tokenized, skipped_records=skipped)}
 
 
-def stage_filter(cfg: PipelineConfig) -> None:
-    """Keep abstracts mentioning a lexicon drug; write corpus statistics."""
+def stage_filter(cfg: PipelineConfig) -> Outputs:
+    """Keep abstracts mentioning a lexicon drug, with corpus statistics."""
     lexicon = corpus_mod.DrugLexicon.load(cfg.lexicon)
     tokenized = _read_tokenized(cfg, "tokenized.jsonl")
     kept = corpus_mod.filter_cardiac(tokenized, lexicon)
     retention = len(kept) / len(tokenized) if tokenized else 0.0
-    _write_tokenized(cfg, "cardiac.jsonl", kept, retention=retention, before=len(tokenized))
     stats = corpus_mod.corpus_stats(kept)
     seen_cardiac = set()
     for ab in kept:
@@ -198,10 +187,13 @@ def stage_filter(cfg: PipelineConfig) -> None:
     body += f"retention_ratio\t{retention!r}\n"
     body += f"cardiac_drugs_in_lexicon\t{len(lexicon.cardiac)}\n"
     body += f"cardiac_drugs_in_abstracts\t{len(seen_cardiac)}\n"
-    _write(cfg, "corpus_stats.txt", "corpus-stats", body)
+    return {
+        "cardiac.jsonl": _encode_tokenized(kept, retention=retention, before=len(tokenized)),
+        "corpus_stats.txt": ("corpus-stats", {}, body),
+    }
 
 
-def stage_label(cfg: PipelineConfig) -> None:
+def stage_label(cfg: PipelineConfig) -> Outputs:
     """Enumerate (cardiac, other) samples with labels and type templates."""
     lexicon = corpus_mod.DrugLexicon.load(cfg.lexicon)
     catalog = labeling_mod.InteractionCatalog.load(cfg.catalog)
@@ -209,12 +201,10 @@ def stage_label(cfg: PipelineConfig) -> None:
     samples = labeling_mod.enumerate_samples(set(lexicon.cardiac), universe, catalog)
     table = labeling_mod.extract_templates(catalog, lexicon)
     samples = labeling_mod.annotate_template_ids(samples, table)
-    _write_samples(cfg, "samples.tsv", samples, with_ids=False)
 
     lines = ["# template_id\ttext\tsupport"]
     for tpl in table.templates:
         lines.append(f"{tpl.template_id}\t{tpl.text}\t{table.support.get(tpl.template_id, 0)}")
-    _write(cfg, "templates.tsv", "templates", "\n".join(lines) + "\n")
 
     tallies = labeling_mod.positive_tallies(samples)
     body_lines = [
@@ -233,21 +223,27 @@ def stage_label(cfg: PipelineConfig) -> None:
         "# related drugs 1781; positive interactions 63450;",
         "# cardiac-cardiac positives 218; interaction types 53.",
     ]
-    _write(cfg, "label_report.txt", "label-report", "\n".join(body_lines) + "\n")
+    return {
+        "samples.tsv": _encode_samples(samples, with_ids=False),
+        "templates.tsv": ("templates", {}, "\n".join(lines) + "\n"),
+        "label_report.txt": ("label-report", {}, "\n".join(body_lines) + "\n"),
+    }
 
 
-def stage_split(cfg: PipelineConfig) -> None:
+def stage_split(cfg: PipelineConfig) -> Outputs:
     """Split abstracts and samples independently, then attach same-split abstracts."""
     tokenized = _read_tokenized(cfg, "cardiac.jsonl")
     samples = _read_samples(cfg, "samples.tsv", with_ids=False)
     assignment = splitting_mod.split_corpus(tokenized, samples, cfg.ratios, cfg.seed)
     assigned = splitting_mod.assign_abstracts(assignment, tokenized, samples)
-    splitting_mod.save_assignment(assignment, _artifact(cfg, "assignment.tsv"), _header(cfg))
-    _write_samples(cfg, "assigned_samples.tsv", assigned, with_ids=True)
     report = splitting_mod.leakage_report(assignment, assigned)
-    _write(cfg, "leakage_report.txt", "leakage-report", report.render())
     if report.total_cross_split != 0:
         raise ValidationError("split postcondition violated: cross-split abstract sharing detected")
+    return {
+        "assignment.tsv": splitting_mod.encode_assignment(assignment),
+        "assigned_samples.tsv": _encode_samples(assigned, with_ids=True),
+        "leakage_report.txt": ("leakage-report", {}, report.render()),
+    }
 
 
 def _load_split_artifacts(cfg: PipelineConfig):
@@ -257,7 +253,7 @@ def _load_split_artifacts(cfg: PipelineConfig):
     return tokenized, assignment, assigned
 
 
-def stage_featurize(cfg: PipelineConfig) -> None:
+def stage_featurize(cfg: PipelineConfig) -> Outputs:
     """Build the train vocabulary and per-split feature matrices."""
     tokenized, assignment, assigned = _load_split_artifacts(cfg)
     abstracts_by_id = {ab.id: ab for ab in tokenized}
@@ -266,7 +262,6 @@ def stage_featurize(cfg: PipelineConfig) -> None:
         by_split[assignment.sample_split[s.key]].append(s)
     train_abstracts = [ab for ab in tokenized if assignment.abstract_split[ab.id] == "train"]
 
-    report_lines = []
     if cfg.vocab_stopwords == "drop":
         stop = features_mod.load_stopwords(cfg.stopwords)
         vocab_source = [
@@ -275,8 +270,8 @@ def stage_featurize(cfg: PipelineConfig) -> None:
     else:
         vocab_source = train_abstracts
     vocab = features_mod.build_vocab(vocab_source, cfg.top_k)
-    features_mod.save_vocab(vocab, _artifact(cfg, "vocab.tsv"), _header(cfg))
-    report_lines.append(f"vocab_size\t{len(vocab)}")
+    outputs = {"vocab.tsv": features_mod.encode_vocab(vocab)}
+    report_lines = [f"vocab_size\t{len(vocab)}"]
 
     if cfg.feature_kind == "counts":
         matrices = {
@@ -303,11 +298,12 @@ def stage_featurize(cfg: PipelineConfig) -> None:
     for split in splitting_mod.SPLITS:
         m = matrices[split]
         report_lines.append(f"rows_{split}\t{m.n_rows}")
-        features_mod.save_matrix(m, _artifact(cfg, f"features_{split}.txt"), _header(cfg))
-    _write(cfg, "featurize_report.txt", "featurize-report", "\n".join(report_lines) + "\n")
+        outputs[f"features_{split}.txt"] = features_mod.encode_matrix(m)
+    outputs["featurize_report.txt"] = ("featurize-report", {}, "\n".join(report_lines) + "\n")
+    return outputs
 
 
-def stage_train(cfg: PipelineConfig) -> None:
+def stage_train(cfg: PipelineConfig) -> Outputs:
     """Cross-validate the L1 penalty by held-out AUC, then fit the final model."""
     matrix = _load(cfg, "features_train.txt", features_mod.load_matrix)
     model_cfg = cfg.model
@@ -330,14 +326,17 @@ def stage_train(cfg: PipelineConfig) -> None:
         model_cfg = replace(model_cfg, l1_lambda=result.best_lambda)
     else:
         cv_lines.append("# cross-validation disabled")
-    _write(cfg, "cv_results.tsv", "cv-results", "\n".join(cv_lines) + "\n")
     model = learn_mod.train(matrix, model_cfg, cfg.seed)
-    learn_mod.save_model(model, _artifact(cfg, "model.txt"), _header(cfg))
+    return {
+        "cv_results.tsv": ("cv-results", {}, "\n".join(cv_lines) + "\n"),
+        "model.txt": learn_mod.encode_model(model),
+    }
 
 
-def stage_evaluate(cfg: PipelineConfig) -> None:
-    """Score dev and test splits; write metric reports and ROC curve exports."""
+def stage_evaluate(cfg: PipelineConfig) -> Outputs:
+    """Score dev and test splits: metric reports and ROC curve exports."""
     model = _load(cfg, "model.txt", learn_mod.load_model)
+    outputs = {}
     for split in ("dev", "test"):
         matrix = _load(cfg, f"features_{split}.txt", features_mod.load_matrix)
         scores = learn_mod.predict_scores(model, matrix)
@@ -354,18 +353,21 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
             for thr, sens, spec, fpr in metrics_mod.curve_rows(curve):
                 curve_lines.append(f"{thr!r}\t{sens!r}\t{spec!r}\t{fpr!r}")
         body = metrics_mod.render_metrics_report(counts, m, cfg.threshold, extra)
-        _write(cfg, f"metrics_{split}.txt", "metrics", body)
-        _write(cfg, f"curve_{split}.tsv", "roc-curve", "\n".join(curve_lines) + "\n")
+        outputs[f"metrics_{split}.txt"] = ("metrics", {}, body)
+        outputs[f"curve_{split}.tsv"] = ("roc-curve", {}, "\n".join(curve_lines) + "\n")
+    return outputs
 
 
-def stage_alerts(cfg: PipelineConfig) -> None:
+def stage_alerts(cfg: PipelineConfig) -> Outputs:
     """Detect co-exposure windows for catalog-positive pairs in the MAR."""
     catalog = labeling_mod.InteractionCatalog.load(cfg.catalog)
     events = mar_mod.parse_mar(cfg.mar)
     exposures = mar_mod.build_exposures(events, cfg.alerts.window_hours, cfg.alerts.per_drug_hours)
     alerts = mar_mod.detect_overlaps(exposures, catalog)
-    mar_mod.save_alerts(alerts, _artifact(cfg, "alerts.tsv"), _header(cfg))
-    _write(cfg, "alert_report.txt", "alert-report", mar_mod.alert_report(alerts))
+    return {
+        "alerts.tsv": mar_mod.encode_alerts(alerts),
+        "alert_report.txt": ("alert-report", {}, mar_mod.alert_report(alerts)),
+    }
 
 
 def diagnose_split(cfg: PipelineConfig) -> str:
@@ -383,11 +385,11 @@ def diagnose_split(cfg: PipelineConfig) -> str:
         )
     lines.append(f"total\t{isolated.total_cross_split}\t{naive.total_cross_split}")
     body = "\n".join(lines) + "\n"
-    _write(cfg, "diagnose_split.txt", "split-diagnosis", body)
+    artifacts.write(_artifact(cfg, "diagnose_split.txt"), "split-diagnosis", _header(cfg), body)
     return body
 
 
-STAGE_FUNCS: dict[str, Callable[[PipelineConfig], None]] = {
+STAGE_FUNCS: dict[str, Callable[[PipelineConfig], Outputs]] = {
     "ingest": stage_ingest,
     "filter": stage_filter,
     "label": stage_label,
@@ -399,18 +401,20 @@ STAGE_FUNCS: dict[str, Callable[[PipelineConfig], None]] = {
 }
 
 def run_stage(cfg: PipelineConfig, stage: str) -> None:
-    """Run one stage and write its manifest."""
+    """Run one stage, then write its artifacts under the config's digest and seed, and its manifest."""
     if stage not in STAGE_FUNCS:
         raise ValidationError(f"unknown stage {stage!r}; expected one of {STAGE_ORDER}")
     check_stage_paths(cfg, stage)
     Path(cfg.output).mkdir(parents=True, exist_ok=True)
-    input_digests = {}
-    for key in _STAGE_INPUT_PATHS.get(stage, ()):
-        val = getattr(cfg, key)
-        if val is not None and Path(val).is_file():
-            input_digests[key] = file_digest(Path(val))
+    input_digests = {
+        key: file_digest(getattr(cfg, key))
+        for key in _stage_inputs(cfg, stage)
+        if Path(getattr(cfg, key)).is_file()  # a corpus may be a directory
+    }
     started = time.perf_counter()
-    STAGE_FUNCS[stage](cfg)
+    outputs = STAGE_FUNCS[stage](cfg)
+    for name, (kind, fields, body) in outputs.items():
+        artifacts.write(_artifact(cfg, name), kind, {**_header(cfg), **fields}, body)
     elapsed = time.perf_counter() - started
     manifest_dir = Path(cfg.output) / "manifests"
     manifest_dir.mkdir(exist_ok=True)
@@ -418,11 +422,7 @@ def run_stage(cfg: PipelineConfig, stage: str) -> None:
         "stage": stage,
         "config_digest": config_digest(cfg),
         "inputs": input_digests,
-        "outputs": {
-            name: file_digest(_artifact(cfg, name))
-            for name, producer in ARTIFACTS.items()
-            if producer == stage and _artifact(cfg, name).exists()
-        },
+        "outputs": {name: file_digest(_artifact(cfg, name)) for name in outputs},
         "elapsed_s": elapsed,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import artifacts
 from .corpus import TokenizedAbstract
@@ -185,15 +185,12 @@ def leakage_report(
     return LeakageReport(shared, empty, sample_counts, abstract_counts)
 
 
-def save_assignment(
-    assignment: SplitAssignment, path: Path | str, extra_header: dict[str, str] | None = None
-) -> None:
-    """Write rows (kind, key, split); the header records seed and ratios."""
+def encode_assignment(assignment: SplitAssignment) -> artifacts.Encoded:
+    """Rows (kind, key, split); the header records seed and ratios."""
     ratios = " ".join(map(repr, assignment.ratios))
-    fields = {**(extra_header or {}), "seed": assignment.seed, "ratios": ratios}
     splits = (("abstract", assignment.abstract_split), ("sample", assignment.sample_split))
     body = "".join(f"{kind}\t{key}\t{split[key]}\n" for kind, split in splits for key in sorted(split))
-    artifacts.write(path, "split-assignment", fields, body)
+    return "split-assignment", {"seed": assignment.seed, "ratios": ratios}, body
 
 
 def load_assignment(path: Path | str) -> tuple[SplitAssignment, dict[str, str]]:

@@ -11,13 +11,33 @@ import random
 import re
 from dataclasses import dataclass
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+from ddimine import artifacts
 from ddimine.errors import ValidationError
 from ddimine.features import FeatureMatrix, embed_abstract
 from ddimine.labeling import PLACEHOLDER
+from ddimine.learn import loss_gradient, loss_value
+from ddimine.pipeline import file_digest
+
+
+def save(path, encoded: artifacts.Encoded, header: dict[str, str] | None = None) -> None:
+    """Write what an ``encode_*`` function returns, as ``run_stage`` does, with ``header`` first."""
+    kind, fields, body = encoded
+    artifacts.write(path, kind, {**(header or {}), **fields}, body)
+
+
+def artifact_digests(output_dir) -> dict[str, str]:
+    """Content digests of every artifact file; manifests are excluded."""
+    out = Path(output_dir)
+    digests = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file() and "manifests" not in path.parts:
+            digests[str(path.relative_to(out))] = file_digest(path)
+    return digests
 
 
 def auc_pair_oracle(scores, labels) -> float:
@@ -121,6 +141,41 @@ def random_dense_matrix(rng: random.Random, n: int, d: int) -> FeatureMatrix:
     if y.sum() == n:
         y[0] = 0
     return dense_matrix(X, y)
+
+
+def gradient_check(
+    loss: str, X, y: np.ndarray, w: np.ndarray, b: float, step: float = 1e-5
+) -> float:
+    """Max relative error, analytic vs central-difference gradients.
+
+    Checks every weight coordinate and the bias on the unpenalized objective.
+    For hinge loss the caller must supply a smooth point (no margin exactly 1).
+    """
+    y = np.asarray(y, dtype=float)
+    s = X @ w + b
+    gw, gb = loss_gradient(loss, X, y, s)
+    gw = np.asarray(gw).ravel()
+    worst = 0.0
+
+    def value(w_probe: np.ndarray, b_probe: float) -> float:
+        return loss_value(loss, X @ w_probe + b_probe, y)
+
+    for j in range(len(w)):
+        w_plus = w.copy()
+        w_plus[j] += step
+        w_minus = w.copy()
+        w_minus[j] -= step
+        fd = (value(w_plus, b) - value(w_minus, b)) / (2.0 * step)
+        worst = max(worst, _relative_error(gw[j], fd))
+    fd_b = (value(w, b + step) - value(w, b - step)) / (2.0 * step)
+    return max(worst, _relative_error(gb, fd_b))
+
+
+def _relative_error(a: float, b: float) -> float:
+    denom = max(abs(a), abs(b))
+    if denom < 1e-6:
+        return abs(a - b)  # absolute scale for near-zero gradients
+    return abs(a - b) / denom
 
 
 def l1_kkt_residual(X, y, w, b: float, lam: float) -> float:

@@ -9,10 +9,10 @@ from ddimine import artifacts
 from ddimine.cli import main
 from ddimine.config import load_config
 from ddimine.errors import ArtifactMismatchError, MissingArtifactError
-from ddimine.features import save_matrix
+from ddimine.features import encode_matrix
 from ddimine.pipeline import run_all, run_stage
 from ddimine.synth import SynthParams, write_dataset
-from helpers import dense_matrix
+from helpers import dense_matrix, save
 
 # every artifact a later stage reads: (artifact, producing stage, a reading stage)
 READS = [
@@ -136,7 +136,7 @@ def failing_body():
 @pytest.mark.parametrize("failure", ["write", "replace", "body"])
 def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch, failure):
     path = tmp_path / "features_train.txt"
-    save_matrix(dense_matrix([[1.0, 2.0]], [1]), path, {"config_digest": "old"})
+    save(path, encode_matrix(dense_matrix([[1.0, 2.0]], [1])), {"config_digest": "old"})
     before = path.read_bytes()
     if failure == "write":
         monkeypatch.setattr(artifacts, "open", lambda *a, **k: HalfWriter(open(*a, **k)), raising=False)
@@ -146,6 +146,6 @@ def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch, failure):
         if failure == "body":
             artifacts.write(path, "feature-matrix", {"config_digest": "new"}, failing_body())
         else:
-            save_matrix(dense_matrix([[3.0, 4.0], [5.0, 6.0]], [0, 1]), path, {"config_digest": "new"})
+            save(path, encode_matrix(dense_matrix([[3.0, 4.0], [5.0, 6.0]], [0, 1])), {"config_digest": "new"})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left

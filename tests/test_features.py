@@ -19,15 +19,15 @@ from ddimine.features import (
     build_vocab,
     default_stopwords,
     embed_abstract,
+    encode_matrix,
+    encode_vocab,
     load_matrix,
     load_stopwords,
     load_vocab,
-    save_matrix,
-    save_vocab,
     undersample,
 )
 from ddimine.labeling import InteractionSample
-from helpers import count_vector, dense_matrix, embed_sample, load_matrix_oracle
+from helpers import count_vector, dense_matrix, embed_sample, load_matrix_oracle, save
 
 
 def toka(aid, tokens, mentions=()):
@@ -64,7 +64,7 @@ class TestBuildVocab:
 
     def test_roundtrip(self, tmp_path):
         vocab = build_vocab([toka("1", ["b", "a", "b"])])
-        save_vocab(vocab, tmp_path / "v.tsv")
+        save(tmp_path / "v.tsv", encode_vocab(vocab))
         loaded = load_vocab(tmp_path / "v.tsv")
         assert loaded.words == vocab.words
         assert loaded.index == vocab.index
@@ -316,7 +316,7 @@ class TestMatrixPersistence:
         abstracts = {"a1": toka("a1", ["dose", "dose", "response"])}
         vocab = build_vocab(list(abstracts.values()))
         m = build_count_matrix([sample_with(["a1"], label=1), sample_with([], o="o2")], abstracts, vocab)
-        save_matrix(m, tmp_path / "m.txt", {"config_digest": "abc"})
+        save(tmp_path / "m.txt", encode_matrix(m), {"config_digest": "abc"})
         loaded, header = load_matrix(tmp_path / "m.txt")
         assert header["config_digest"] == "abc"
         assert loaded.keys == m.keys
@@ -327,7 +327,7 @@ class TestMatrixPersistence:
     def test_dense_roundtrip(self, tmp_path):
         m = dense_matrix([[0.125, -3.5], [1e-9, 2.0]], [1, 0], kind="embeddings")
         assert isinstance(m.X, sp.csr_matrix)
-        save_matrix(m, tmp_path / "m.txt")
+        save(tmp_path / "m.txt", encode_matrix(m))
         loaded, _ = load_matrix(tmp_path / "m.txt")
         assert isinstance(loaded.X, sp.csr_matrix)
         assert np.array_equal(loaded.X.toarray(), m.X.toarray())
@@ -352,7 +352,7 @@ class TestMatrixPersistence:
         m = FeatureMatrix(keys, X, y, kind)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.txt"
-            save_matrix(m, path, {"config_digest": "abc"})
+            save(path, encode_matrix(m), {"config_digest": "abc"})
             got, header = load_matrix(path)
             want = load_matrix_oracle(path)
         assert header["config_digest"] == "abc"

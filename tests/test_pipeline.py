@@ -1,19 +1,30 @@
 import json
+import shutil
 
 import pytest
 
-from ddimine.config import load_config
+from ddimine import artifacts
+from ddimine.cli import main
+from ddimine.config import config_digest, load_config
 from ddimine.corpus import DrugLexicon, TokenizedAbstract
 from ddimine.features import load_vocab
 from ddimine.labeling import InteractionCatalog, InteractionSample
-from ddimine.pipeline import artifact_digests, run_all, run_stage
+from ddimine.pipeline import ARTIFACTS, STAGE_FUNCS, STAGE_ORDER, file_digest, run_all, run_stage
 from ddimine.synth import SynthParams, write_dataset
-from helpers import count_vector, templateize_oracle
+from helpers import artifact_digests, count_vector, templateize_oracle
 
 
 def data_lines(path) -> list[str]:
     lines = path.read_text(encoding="utf-8").splitlines()
     return [line for line in lines if line and not line.startswith("#")]
+
+
+def manifest(out, stage: str) -> dict:
+    return json.loads((out / "manifests" / f"{stage}.json").read_text(encoding="utf-8"))
+
+
+def produced_by(stage: str) -> list[str]:
+    return sorted(name for name, producer in ARTIFACTS.items() if producer == stage)
 
 
 # variant -> (feature kind, fields changed in config sections)
@@ -109,3 +120,94 @@ def test_label_stage_with_catalog_drugs_missing_from_lexicon(tmp_path):
     assert unmatched >= 1 and int(dict(rows("label_report.txt"))["template_warnings"]) == unmatched
     tid = {text: tid for tid, text, _ in rows("templates.tsv")}["The risk rises when (~drug~) meets aspirin."]
     assert [cardiac, "aspirin", "1", tid] in rows("samples.tsv")
+
+
+@pytest.mark.parametrize("variant", ["counts", "embeddings-hinge"])
+def test_stages_return_their_artifacts_and_run_stage_writes_them(mini, tmp_path, monkeypatch, variant):
+    cfg = load_config(mini[0]["config"].parent / f"config_{variant}.json", {"output": str(tmp_path / "out")})
+    returned = {}
+    for stage, func in list(STAGE_FUNCS.items()):
+
+        def recording(cfg, stage=stage, func=func):
+            before = sorted(tmp_path.rglob("*"))
+            outputs = func(cfg)
+            assert sorted(tmp_path.rglob("*")) == before  # the stage function itself writes nothing
+            returned[stage] = sorted(outputs)
+            return outputs
+
+        monkeypatch.setitem(STAGE_FUNCS, stage, recording)
+    assert run_all(cfg) == list(STAGE_ORDER)
+    for stage in STAGE_ORDER:
+        assert returned[stage] == produced_by(stage)
+        assert manifest(cfg.output, stage)["outputs"] == {
+            name: file_digest(cfg.output / name) for name in produced_by(stage)
+        }
+
+
+def test_featurize_manifest_digests_the_inputs_it_read(mini):
+    paths, outputs = mini
+    assert manifest(outputs["counts"][0], "featurize")["inputs"] == {}
+    assert manifest(outputs["embeddings"][0], "featurize")["inputs"] == {
+        key: file_digest(paths[key]) for key in ("embeddings", "stopwords")
+    }
+
+
+def test_ingest_reads_a_directory_corpus(tmp_path):
+    paths = write_dataset(SynthParams(seed=7), tmp_path)
+    run_stage(load_config(paths["config"]), "ingest")
+    (tmp_path / "corpus_dir").mkdir()
+    shutil.copy(paths["corpus"], tmp_path / "corpus_dir" / "part1.txt")
+    raw = json.loads(paths["config"].read_text(encoding="utf-8"))
+    raw["paths"] = {**raw["paths"], "corpus": str(tmp_path / "corpus_dir"), "output": str(tmp_path / "out_dir")}
+    config = tmp_path / "config_dir.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    cfg = load_config(config)
+    run_stage(cfg, "ingest")
+    body, header = artifacts.read(cfg.output / "tokenized.jsonl")
+    assert body == artifacts.read(tmp_path / "out" / "tokenized.jsonl")[0]
+    assert header["config_digest"] == config_digest(cfg)
+    # a directory has no content digest of its own; the lexicon file does
+    assert manifest(cfg.output, "ingest")["inputs"] == {"lexicon": file_digest(paths["lexicon"])}
+
+
+def test_failed_featurize_writes_nothing(tmp_path, capsys):
+    paths = write_dataset(SynthParams(seed=7), tmp_path)
+    raw = json.loads(paths["config"].read_text(encoding="utf-8"))
+    config = tmp_path / "config_embeddings.json"
+    config.write_text(json.dumps({**raw, "features": "embeddings"}), encoding="utf-8")
+    for stage in ("ingest", "filter", "label", "split"):
+        assert main([stage, "--config", str(config)]) == 0
+    with open(paths["embeddings"], "a", encoding="utf-8") as fh:
+        fh.write("malformed 0.5 not-a-number\n")
+    capsys.readouterr()
+    assert main(["featurize", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "bad vector component" in err and len(err.splitlines()) == 1
+    out = load_config(config).output
+    assert len(produced_by("featurize")) == 5
+    assert [name for name in produced_by("featurize") if (out / name).exists()] == []
+    assert not (out / "manifests" / "featurize.json").exists()
+    assert not list(out.glob(".*"))  # no temp file either
+
+
+def test_diagnose_split_cli(tmp_path, capsys):
+    paths = write_dataset(SynthParams(seed=7), tmp_path)
+    config = str(paths["config"])
+    assert main(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    assert main(["diagnose-split", "--config", config]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "missing artifact 'cardiac.jsonl'" in err[0]
+
+    for stage in ("filter", "label", "split"):
+        assert main([stage, "--config", config]) == 0
+    capsys.readouterr()
+    assert main(["diagnose-split", "--config", config]) == 0
+    printed = capsys.readouterr().out
+    rows = {row[0]: row[1:] for row in (line.split("\t") for line in printed.splitlines())}
+    isolated, naive = map(int, rows["total"])
+    assert isolated == 0 and naive > 0
+    cfg = load_config(config)
+    body, header = artifacts.read(cfg.output / "diagnose_split.txt")
+    assert body == printed.splitlines()
+    assert header == {"config_digest": config_digest(cfg), "seed": "7"}

@@ -12,10 +12,10 @@ from ddimine.splitting import (
     assign_abstracts_naive,
     leakage_report,
     load_assignment,
-    save_assignment,
+    encode_assignment,
     split_corpus,
 )
-from helpers import alg1_assign_oracle
+from helpers import alg1_assign_oracle, save
 
 
 def make_abstract(aid, mentions):
@@ -197,8 +197,8 @@ class TestAssignmentFile:
         abstracts, samples = random_corpus(random.Random(31), 20, 15)
         assignment = split_corpus(abstracts, samples, seed=9)
         p1, p2 = tmp_path / "a1.tsv", tmp_path / "a2.tsv"
-        save_assignment(assignment, p1)
-        save_assignment(split_corpus(abstracts, samples, seed=9), p2)
+        save(p1, encode_assignment(assignment))
+        save(p2, encode_assignment(split_corpus(abstracts, samples, seed=9)))
         assert p1.read_bytes() == p2.read_bytes()
         loaded, header = load_assignment(p1)
         assert loaded.abstract_split == assignment.abstract_split
@@ -209,6 +209,6 @@ class TestAssignmentFile:
     def test_different_seed_different_bytes(self, tmp_path):
         abstracts, samples = random_corpus(random.Random(32), 20, 15)
         p1, p2 = tmp_path / "a1.tsv", tmp_path / "a2.tsv"
-        save_assignment(split_corpus(abstracts, samples, seed=1), p1)
-        save_assignment(split_corpus(abstracts, samples, seed=2), p2)
+        save(p1, encode_assignment(split_corpus(abstracts, samples, seed=1)))
+        save(p2, encode_assignment(split_corpus(abstracts, samples, seed=2)))
         assert p1.read_bytes() != p2.read_bytes()
