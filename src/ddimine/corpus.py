@@ -15,7 +15,7 @@ from .errors import CorpusParseError, ValidationError
 # internal hyphens; a hyphen without a run on both sides is a separator.
 _TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*", re.UNICODE)
 
-CORPUS_FORMATS = ("pubmed-xml", "lines")
+CORPUS_FORMATS = ("lines", "pubmed-xml")
 
 # Full-scale figures for the reference corpus this pipeline was designed
 # against (663,597 abstracts filtered to 69,713).  They are documented in

@@ -60,15 +60,6 @@ class InteractionCatalog:
     def display(self, a: str, b: str) -> tuple[str, str]:
         return self._records[pair_key(a, b)][0]
 
-    def partners(self, drug: str) -> set[str]:
-        out = set()
-        for x, y in self._records:
-            if x == drug:
-                out.add(y)
-            elif y == drug:
-                out.add(x)
-        return out
-
     @classmethod
     def load(cls, path: Path | str) -> "InteractionCatalog":
         """Read rows ``drug_a TAB drug_b TAB description``; '#' lines are comments."""
@@ -111,8 +102,9 @@ def build_universe(cardiac: set[str], catalog: InteractionCatalog) -> set[str]:
     if not cardiac:
         raise ValidationError("cardiac drug set is empty")
     universe = set(cardiac)
-    for drug in cardiac:
-        universe |= catalog.partners(drug)
+    for a, b in catalog.pairs():
+        if a in cardiac or b in cardiac:
+            universe.update((a, b))
     return universe
 
 

@@ -35,13 +35,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import artifacts
-from .config import ModelSection
+from .config import LOSS_KINDS, ModelSection
 from .errors import ValidationError
 from .features import FeatureMatrix
 from .metrics import roc_curve
 from .rng import Rng
-
-LOSS_KINDS = ("logistic", "hinge")
 
 _CV_STREAM = 31
 _MIN_WORKING_SET = 10
@@ -129,20 +127,13 @@ def loss_value(loss: str, s: np.ndarray, y: np.ndarray) -> float:
 
 
 def loss_gradient(loss: str, X, y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
-    """(d/dw, d/db) of the mean unpenalized loss at scores ``s = Xw + b``.
+    """(d/dw, d/db) of the mean unpenalized logistic loss at scores ``s = Xw + b``.
 
-    For hinge this is the subgradient that is zero at inactive margins; points
-    with margin exactly 1 contribute zero.
+    Logistic loss only: hinge fits read their optimality from the LP duals.
     """
-    n = len(y)
-    if loss == "logistic":
-        r = (_sigmoid(s) - y) / n
-    elif loss == "hinge":
-        ysign = 2.0 * y - 1.0
-        active = ysign * s < 1.0
-        r = np.where(active, -ysign, 0.0) / n
-    else:
-        raise ValidationError(f"unknown loss kind {loss!r}; expected one of {LOSS_KINDS}")
+    if loss != "logistic":
+        raise ValidationError(f"loss_gradient needs logistic loss, got {loss!r}")
+    r = (_sigmoid(s) - y) / len(y)
     return X.T @ r, float(r.sum())
 
 

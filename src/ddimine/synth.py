@@ -12,7 +12,7 @@ a sparse linear model on word counts can recover the signal words.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 

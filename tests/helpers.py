@@ -148,8 +148,8 @@ def gradient_check(
 ) -> float:
     """Max relative error, analytic vs central-difference gradients.
 
-    Checks every weight coordinate and the bias on the unpenalized objective.
-    For hinge loss the caller must supply a smooth point (no margin exactly 1).
+    Checks every weight coordinate and the bias on the unpenalized objective;
+    ``loss_gradient`` has logistic loss only.
     """
     y = np.asarray(y, dtype=float)
     s = X @ w + b

@@ -58,6 +58,14 @@ class TestBuildUniverse:
         cat = catalog_of(("A", "B"), ("A", "C"), ("X", "Y"))
         assert build_universe({"A"}, cat) == {"A", "B", "C"}
 
+    def test_cardiac_second_in_pair(self):
+        cat = catalog_of(("B", "A"), ("C", "A"), ("B", "C"))
+        assert build_universe({"A"}, cat) == {"A", "B", "C"}
+
+    def test_pair_of_two_cardiac_drugs(self):
+        cat = catalog_of(("A", "B"), ("B", "C"), ("D", "E"))
+        assert build_universe({"A", "B"}, cat) == {"A", "B", "C"}
+
     def test_empty_catalog(self):
         assert build_universe({"A"}, catalog_of()) == {"A"}
 

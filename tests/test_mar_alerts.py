@@ -1,13 +1,26 @@
-"""Co-exposure alerts against the hour-by-hour oracle."""
+"""Co-exposure alerts against the hour-by-hour oracle; MAR parsing and alert rendering."""
 
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddimine.errors import ValidationError
 from ddimine.labeling import InteractionCatalog, pair_key
-from ddimine.mar_alerts import AdminEvent, ExposureInterval, build_exposures, detect_overlaps
+from ddimine.mar_alerts import (
+    AdminEvent,
+    DdiAlert,
+    ExposureInterval,
+    alert_report,
+    build_exposures,
+    detect_overlaps,
+    encode_alerts,
+    parse_mar,
+    parse_timestamp,
+)
 from helpers import alert_hours, hourly_alert_oracle
 
 T0 = datetime(2024, 3, 1, tzinfo=timezone.utc)
@@ -46,3 +59,55 @@ def test_alerts_cover_exactly_the_oracle_hours(seed):
     for group in by_pair.values():  # touching windows of one pair are merged
         assert all(prev.end < nxt.start for prev, nxt in zip(group, group[1:]))
     assert alerts == sorted(alerts, key=lambda al: (al.patient_id, al.start, al.drug_a, al.drug_b))
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("2024-03-01T08:30:00Z", datetime(2024, 3, 1, 8, 30, tzinfo=timezone.utc)),
+    ("2024-03-01T08:30:00", datetime(2024, 3, 1, 8, 30, tzinfo=timezone.utc)),
+    ("2024-03-01T08:30:00+02:00", datetime(2024, 3, 1, 6, 30, tzinfo=timezone.utc)),
+])
+def test_timestamps_read_as_utc(text, expected):
+    ts = parse_timestamp(text)
+    assert ts == expected and ts.utcoffset() == timedelta(0)
+
+
+@pytest.mark.parametrize("text", ["1899-12-31T23:00:00Z", "2100-01-01T00:00:00Z", "yesterday"])
+def test_timestamp_outside_range_or_malformed_rejected(text):
+    with pytest.raises(ValidationError):
+        parse_timestamp(text)
+
+
+def test_mar_without_header_rejected(tmp_path):
+    path = tmp_path / "mar.tsv"
+    path.write_text("p1\td1\t2024-03-01T00:00:00Z\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="missing MAR header"):
+        parse_mar(path)
+
+
+def test_bad_mar_row_names_its_line(tmp_path):
+    path = tmp_path / "mar.tsv"
+    path.write_text("patient_id\tdrug\ttimestamp\np1\td1\t2024-03-01T00:00:00Z\n\np1\td2\tnoon\n",
+                    encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}:4: bad timestamp")):
+        parse_mar(path)
+
+
+def test_window_ending_at_midnight_ends_the_day_before():
+    alert = DdiAlert("a", "b", T0 + timedelta(hours=6), T0 + timedelta(days=1), "effect", "p1")
+    _, _, body = encode_alerts([alert])
+    row = body.splitlines()[1].split("\t")
+    assert row[3:5] == ["2024-03-01", "2024-03-01"]
+    assert row[7] == "2024-03-02T00:00:00+00:00"
+
+
+def test_report_totals_per_pair_and_overall():
+    window = (T0, T0 + timedelta(hours=1))
+    alerts = [
+        DdiAlert("b", "a", *window, "e", "p1"),
+        DdiAlert("c", "d", *window, "e", "p1"),
+        DdiAlert("a", "b", *window, "e", "p2"),
+    ]
+    lines = alert_report(alerts).splitlines()
+    totals = lines[lines.index("pair totals:") + 1:]
+    assert totals == ["  a/b\t2", "  c/d\t1", "total alerts\t3"]
+    assert lines[0] == "patient p1:" and "patient p2:" in lines

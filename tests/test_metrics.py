@@ -1,10 +1,10 @@
-"""ROC AUC against the pairwise-count oracle."""
+"""ROC AUC against the pairwise-count oracle; confusion counts and the report."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddimine.metrics import roc_curve
+from ddimine.metrics import ConfusionCounts, binary_metrics, confusion, render_metrics_report, roc_curve
 from helpers import auc_pair_oracle
 
 # few distinct scores, so most draws hold ties within and across the classes
@@ -21,3 +21,17 @@ def test_auc_equals_pair_oracle_with_ties(rows, scale):
     curve = roc_curve(scores, labels)
     assert curve.auc == pytest.approx(auc_pair_oracle(scores, labels), rel=1e-12, abs=1e-15)
     assert curve.points[0] == (0.0, 0.0) and curve.points[-1] == (1.0, 1.0)
+
+
+def test_score_at_the_threshold_counts_as_positive():
+    counts = confusion([0.5, 0.5, 0.4, 0.6], [1, 0, 1, 0], threshold=0.5)
+    assert counts == ConfusionCounts(tp=1, fp=2, tn=0, fn=1)
+
+
+def test_undefined_ratios_are_none_and_render_as_na():
+    counts = ConfusionCounts(tp=0, fp=0, tn=3, fn=0)  # no positives, none predicted
+    m = binary_metrics(counts)
+    assert (m.sensitivity, m.specificity, m.ppv, m.npv) == (None, 1.0, None, 1.0)
+    report = render_metrics_report(counts, m, 0.0).splitlines()
+    assert "sensitivity\tN/A" in report and "ppv\tN/A" in report
+    assert "specificity\t1.0" in report and "npv\t1.0" in report
