@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import os
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ArtifactMismatchError
 
@@ -29,18 +29,6 @@ Encoded = tuple[str, Mapping[str, object], str | Iterable[str]]
 
 def _header_text(kind: str, fields: Mapping[str, object]) -> str:
     return f"# ddimine {kind}\n" + "".join(f"# {key}: {val}\n" for key, val in fields.items())
-
-
-def _split_header(lines: list[str]) -> tuple[list[str], dict[str, str]]:
-    fields: dict[str, str] = {}
-    start = 1 if lines and lines[0].startswith("#") else 0
-    for line in lines[start:]:
-        key, sep, val = line[2:].partition(": ")
-        if not (line.startswith("# ") and sep and key.isidentifier()):
-            break
-        fields[key] = val
-        start += 1
-    return lines[start:], fields
 
 
 def write_atomic(path: Path | str, chunks: Iterable[str]) -> None:
@@ -68,10 +56,33 @@ def write(path: Path | str, kind: str, fields: Mapping[str, object], body: str |
     write_atomic(path, itertools.chain([_header_text(kind, fields)], chunks))
 
 
-def read(path: Path | str) -> tuple[list[str], dict[str, str]]:
-    """(body lines, header fields) of one artifact; the kind line is not a field."""
+def read(path: Path | str) -> tuple[Iterator[str], dict[str, str]]:
+    """(body lines, header fields) of one artifact; the kind line is not a field.
+
+    The body is an iterator that reads the file as it goes, so no list of every
+    line exists; the file closes when the iterator is exhausted or dropped.
+    """
+    lines = _read(path)
+    return lines, next(lines)
+
+
+def _read(path: Path | str) -> Iterator:
+    """The header fields, then each body line: the file is open from the first ``next`` to the last."""
     with open(path, encoding="utf-8") as fh:
-        return _split_header([line.rstrip("\n") for line in fh])
+        fields: dict[str, str] = {}
+        line = fh.readline()
+        if line.startswith("#"):  # the kind line
+            line = fh.readline()
+        while line.startswith("# "):
+            key, sep, val = line[2:].rstrip("\n").partition(": ")
+            if not (sep and key.isidentifier()):
+                break
+            fields[key] = val
+            line = fh.readline()
+        yield fields
+        while line:
+            yield line.rstrip("\n")
+            line = fh.readline()
 
 
 def check_digest(path: Path | str, expected: str) -> None:
@@ -79,9 +90,7 @@ def check_digest(path: Path | str, expected: str) -> None:
 
     Reads the header alone, so a stale body is never decoded.
     """
-    with open(path, encoding="utf-8") as fh:
-        head = [line.rstrip("\n") for line in itertools.takewhile(lambda line: line.startswith("#"), fh)]
-    found = _split_header(head)[1].get("config_digest")
+    found = read(path)[1].get("config_digest")
     if found != expected:
         raise ArtifactMismatchError(
             f"{path} was written under config digest {found!r}, current is {expected!r}; "

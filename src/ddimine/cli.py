@@ -5,9 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import artifacts
 from .config import load_config
 from .errors import PipelineError
-from .pipeline import diagnose_split, run_all, run_stage
+from .pipeline import run_all, run_stage
 from .synth import SynthParams, write_dataset
 
 
@@ -70,7 +71,8 @@ def main(argv: list[str] | None = None) -> int:
             ran = run_all(cfg)
             print(f"completed stages: {', '.join(ran)}")
         elif args.command == "diagnose-split":
-            print(diagnose_split(cfg), end="")
+            run_stage(cfg, "diagnose-split")
+            print(*artifacts.read(cfg.output / "diagnose_split.txt")[0], sep="\n")
         else:
             run_stage(cfg, args.command)
             print(f"stage {args.command} complete")

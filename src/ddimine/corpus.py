@@ -140,13 +140,18 @@ def parse_abstracts(source: BinaryIO, fmt: str) -> tuple[list[Abstract], int]:
         abstracts, skipped = _parse_lines(source.read())
     else:
         raise ValidationError(f"unknown corpus format {fmt!r}; expected one of {CORPUS_FORMATS}")
-    _check_unique_ids(abstracts)
+    _check_ids(abstracts)
     return abstracts, skipped
 
 
-def _check_unique_ids(abstracts: list[Abstract]) -> None:
+def _check_ids(abstracts: list[Abstract]) -> None:
+    """Ids are unique and fit the tab-separated ``abstract_ids`` column, which joins them with "," ("-": none)."""
     seen: set[str] = set()
     for ab in abstracts:
+        if ab.id == "-" or any(c in ab.id for c in ",\t\r\n"):
+            raise ValidationError(
+                f"abstract id {ab.id!r} is not allowed: '-', ',', tabs and line breaks are reserved"
+            )
         if ab.id in seen:
             raise ValidationError(f"duplicate abstract id {ab.id!r}")
         seen.add(ab.id)
@@ -236,7 +241,7 @@ def load_corpus(path: Path | str, fmt: str) -> tuple[list[Abstract], int]:
     else:
         with open(path, "rb") as fh:
             return parse_abstracts(fh, fmt)
-    _check_unique_ids(abstracts)
+    _check_ids(abstracts)
     return abstracts, skipped
 
 

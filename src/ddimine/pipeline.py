@@ -1,21 +1,19 @@
-"""Stage orchestration: artifacts on disk, manifests, digests, prerequisites.
+"""Stage orchestration: the stage table, artifacts on disk, manifests, digests.
 
-A stage function returns its artifacts, name -> (kind, header fields, body),
-and writes nothing; :func:`run_stage` writes them after the stage returns.
-So a stage that fails writes nothing: split's leakage check, for one, raises
-before any ``leakage_report.txt`` is written.  Every artifact is written
-atomically through :mod:`ddimine.artifacts`, with one header format::
+Each stage is declared once, in :data:`STAGES`: its function, the config keys
+of the external files it reads, the artifacts it reads (in argument order) and
+the artifacts it writes.  ``STAGE_ORDER`` and ``ARTIFACTS`` are derived from it.
 
-    # ddimine <kind>
-    # config_digest: <sha256 of the configuration>
-    # seed: <seed>
-    # <key>: <value>        (per-file fields)
-
-The header is that leading block only; later ``#`` lines are body.  Every
-read checks the digest, so a stage refuses an input written under a different
-configuration or with no header (:class:`ArtifactMismatchError`), and a
-missing input names the stage that produces it (:class:`MissingArtifactError`).
-Stage manifests (timings, input/output content digests) live under
+:func:`run_stage` does every artifact read and write.  Before a stage runs, a
+missing input names the stage that produces it (:class:`MissingArtifactError`),
+and one written under a different configuration or with no header is refused
+(:class:`ArtifactMismatchError`); then each input is decoded and passed to the
+stage function.  The stage returns its artifacts, name -> (kind, header fields,
+body), and reads and writes none; ``run_stage`` writes them after it returns,
+atomically and under the header of :mod:`ddimine.artifacts`.  So a stage that
+fails writes nothing: split's leakage check, for one, raises before any
+``leakage_report.txt`` is written.  Stage manifests (timing; content digests of
+the external files and artifacts read and of the artifacts written) live under
 ``manifests/`` and are metadata, not artifacts: reruns are byte-identical in
 everything outside that directory.
 """
@@ -28,7 +26,7 @@ import math
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import artifacts
 from . import corpus as corpus_mod
@@ -41,41 +39,16 @@ from . import splitting as splitting_mod
 from .config import PipelineConfig, config_digest
 from .errors import ConfigError, MissingArtifactError, ValidationError
 
-STAGE_ORDER = ("ingest", "filter", "label", "split", "featurize", "train", "evaluate", "alerts")
+Outputs = dict[str, artifacts.Encoded]
 
-# artifact -> the stage that writes it
-ARTIFACTS: dict[str, str] = {
-    "tokenized.jsonl": "ingest",
-    "cardiac.jsonl": "filter",
-    "corpus_stats.txt": "filter",
-    "samples.tsv": "label",
-    "templates.tsv": "label",
-    "label_report.txt": "label",
-    "assignment.tsv": "split",
-    "assigned_samples.tsv": "split",
-    "leakage_report.txt": "split",
-    "vocab.tsv": "featurize",
-    "features_train.txt": "featurize",
-    "features_dev.txt": "featurize",
-    "features_test.txt": "featurize",
-    "featurize_report.txt": "featurize",
-    "model.txt": "train",
-    "cv_results.tsv": "train",
-    "metrics_dev.txt": "evaluate",
-    "metrics_test.txt": "evaluate",
-    "curve_dev.tsv": "evaluate",
-    "curve_test.tsv": "evaluate",
-    "alerts.tsv": "alerts",
-    "alert_report.txt": "alerts",
-}
 
-# stage -> the config keys of the external files it reads; featurize's depend on the config
-_STAGE_INPUT_PATHS: dict[str, tuple[str, ...]] = {
-    "ingest": ("corpus", "lexicon"),
-    "filter": ("lexicon",),
-    "label": ("catalog", "lexicon"),
-    "alerts": ("catalog", "mar"),
-}
+class Stage(NamedTuple):
+    """One stage, declared once: what it runs, reads and writes."""
+
+    run: Callable[..., Outputs]  # (cfg, *decoded reads) -> its artifacts; reads and writes no artifact
+    paths: tuple[str, ...]  # config keys of the external files it reads; featurize's are in _stage_inputs
+    reads: tuple[str, ...]  # the artifacts it reads, in argument order
+    writes: tuple[str, ...]  # the artifacts it returns
 
 
 def file_digest(path: Path) -> str:
@@ -88,7 +61,7 @@ def _stage_inputs(cfg: PipelineConfig, stage: str) -> tuple[str, ...]:
         return ("embeddings", "stopwords")
     if stage == "featurize" and cfg.vocab_stopwords == "drop":
         return ("stopwords",)
-    return _STAGE_INPUT_PATHS.get(stage, ())
+    return STAGES[stage].paths
 
 
 def check_stage_paths(cfg: PipelineConfig, stage: str) -> None:
@@ -104,33 +77,16 @@ def check_stage_paths(cfg: PipelineConfig, stage: str) -> None:
         raise ConfigError(missing)
 
 
-def _artifact(cfg: PipelineConfig, name: str) -> Path:
-    return Path(cfg.output) / name
-
-
-def _header(cfg: PipelineConfig) -> dict[str, str]:
-    return {"config_digest": config_digest(cfg), "seed": str(cfg.seed)}
-
-
-def _load(cfg: PipelineConfig, name: str, loader=artifacts.read):
-    """The value ``loader(path)`` decodes, once the artifact exists and carries the config's digest."""
-    path = _artifact(cfg, name)
-    if not path.exists():
-        raise MissingArtifactError(name, ARTIFACTS[name])
-    artifacts.check_digest(path, config_digest(cfg))
-    return loader(path)[0]
-
-
 def _encode_tokenized(abstracts, **fields) -> artifacts.Encoded:
     rows = (dict(id=ab.id, tokens=list(ab.tokens), mentions=sorted(ab.drug_mentions)) for ab in abstracts)
     body = (json.dumps(row, sort_keys=True) + "\n" for row in rows)  # streamed, never one string
     return "tokenized-abstracts", fields, body
 
 
-def _read_tokenized(cfg: PipelineConfig, name: str) -> list:
+def _decode_tokenized(path: Path) -> list[corpus_mod.TokenizedAbstract]:
     return [
         corpus_mod.TokenizedAbstract(rec["id"], tuple(rec["tokens"]), frozenset(rec["mentions"]))
-        for rec in map(json.loads, _load(cfg, name))
+        for rec in map(json.loads, artifacts.read(path)[0])
     ]
 
 
@@ -146,24 +102,35 @@ def _encode_samples(samples, with_ids: bool) -> artifacts.Encoded:
     return "samples", {"columns": cols}, "".join(lines)
 
 
-def _read_samples(cfg: PipelineConfig, name: str, with_ids: bool) -> list:
+def _decode_samples(path: Path) -> list[labeling_mod.InteractionSample]:
+    """Inverse of :func:`_encode_samples`; a fifth column, when there is one, holds the abstract ids."""
     samples = []
-    for line in _load(cfg, name):
+    for line in artifacts.read(path)[0]:
         parts = line.split("\t")
         tid = None if parts[3] == "-" else int(parts[3])
-        ids: frozenset[str] = frozenset()
-        if with_ids and len(parts) > 4 and parts[4] != "-":
-            ids = frozenset(parts[4].split(","))
+        ids = frozenset(parts[4].split(",")) if len(parts) > 4 and parts[4] != "-" else frozenset()
         samples.append(labeling_mod.InteractionSample(parts[0], parts[1], int(parts[2]), tid, ids))
     return samples
+
+
+# artifact -> its decoder.  The module loaders are looked up at each call, so a
+# wrapper installed on them later (a tracer, say) sees the read.
+_DECODERS: dict[str, Callable[[Path], object]] = {
+    "tokenized.jsonl": _decode_tokenized,
+    "cardiac.jsonl": _decode_tokenized,
+    "samples.tsv": _decode_samples,
+    "assigned_samples.tsv": _decode_samples,
+    "assignment.tsv": lambda path: splitting_mod.load_assignment(path)[0],
+    "model.txt": lambda path: learn_mod.load_model(path)[0],
+    "features_train.txt": lambda path: features_mod.load_matrix(path)[0],
+    "features_dev.txt": lambda path: features_mod.load_matrix(path)[0],
+    "features_test.txt": lambda path: features_mod.load_matrix(path)[0],
+}
 
 
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
-
-Outputs = dict[str, artifacts.Encoded]
-
 
 def stage_ingest(cfg: PipelineConfig) -> Outputs:
     """Parse the corpus, tokenize, and match the drug lexicon."""
@@ -173,10 +140,9 @@ def stage_ingest(cfg: PipelineConfig) -> Outputs:
     return {"tokenized.jsonl": _encode_tokenized(tokenized, skipped_records=skipped)}
 
 
-def stage_filter(cfg: PipelineConfig) -> Outputs:
+def stage_filter(cfg: PipelineConfig, tokenized) -> Outputs:
     """Keep abstracts mentioning a lexicon drug, with corpus statistics."""
     lexicon = corpus_mod.DrugLexicon.load(cfg.lexicon)
-    tokenized = _read_tokenized(cfg, "tokenized.jsonl")
     kept = corpus_mod.filter_cardiac(tokenized, lexicon)
     retention = len(kept) / len(tokenized) if tokenized else 0.0
     stats = corpus_mod.corpus_stats(kept)
@@ -230,10 +196,8 @@ def stage_label(cfg: PipelineConfig) -> Outputs:
     }
 
 
-def stage_split(cfg: PipelineConfig) -> Outputs:
+def stage_split(cfg: PipelineConfig, tokenized, samples) -> Outputs:
     """Split abstracts and samples independently, then attach same-split abstracts."""
-    tokenized = _read_tokenized(cfg, "cardiac.jsonl")
-    samples = _read_samples(cfg, "samples.tsv", with_ids=False)
     assignment = splitting_mod.split_corpus(tokenized, samples, cfg.ratios, cfg.seed)
     assigned = splitting_mod.assign_abstracts(assignment, tokenized, samples)
     report = splitting_mod.leakage_report(assignment, assigned)
@@ -246,16 +210,8 @@ def stage_split(cfg: PipelineConfig) -> Outputs:
     }
 
 
-def _load_split_artifacts(cfg: PipelineConfig):
-    tokenized = _read_tokenized(cfg, "cardiac.jsonl")
-    assignment = _load(cfg, "assignment.tsv", splitting_mod.load_assignment)
-    assigned = _read_samples(cfg, "assigned_samples.tsv", with_ids=True)
-    return tokenized, assignment, assigned
-
-
-def stage_featurize(cfg: PipelineConfig) -> Outputs:
+def stage_featurize(cfg: PipelineConfig, tokenized, assignment, assigned) -> Outputs:
     """Build the train vocabulary and per-split feature matrices."""
-    tokenized, assignment, assigned = _load_split_artifacts(cfg)
     abstracts_by_id = {ab.id: ab for ab in tokenized}
     by_split: dict[str, list] = {split: [] for split in splitting_mod.SPLITS}
     for s in assigned:
@@ -303,9 +259,8 @@ def stage_featurize(cfg: PipelineConfig) -> Outputs:
     return outputs
 
 
-def stage_train(cfg: PipelineConfig) -> Outputs:
+def stage_train(cfg: PipelineConfig, matrix) -> Outputs:
     """Cross-validate the L1 penalty by held-out AUC, then fit the final model."""
-    matrix = _load(cfg, "features_train.txt", features_mod.load_matrix)
     model_cfg = cfg.model
 
     def fmt_number(value: float) -> str:
@@ -333,12 +288,10 @@ def stage_train(cfg: PipelineConfig) -> Outputs:
     }
 
 
-def stage_evaluate(cfg: PipelineConfig) -> Outputs:
+def stage_evaluate(cfg: PipelineConfig, model, dev, test) -> Outputs:
     """Score dev and test splits: metric reports and ROC curve exports."""
-    model = _load(cfg, "model.txt", learn_mod.load_model)
     outputs = {}
-    for split in ("dev", "test"):
-        matrix = _load(cfg, f"features_{split}.txt", features_mod.load_matrix)
+    for split, matrix in (("dev", dev), ("test", test)):
         scores = learn_mod.predict_scores(model, matrix)
         counts = metrics_mod.confusion(scores, matrix.y, cfg.threshold)
         m = metrics_mod.binary_metrics(counts)
@@ -370,10 +323,8 @@ def stage_alerts(cfg: PipelineConfig) -> Outputs:
     }
 
 
-def diagnose_split(cfg: PipelineConfig) -> str:
+def stage_diagnose_split(cfg: PipelineConfig, tokenized, assignment, assigned, samples) -> Outputs:
     """Side-by-side leakage counts: the split-isolated assignment vs the naive one."""
-    tokenized, assignment, assigned = _load_split_artifacts(cfg)
-    samples = _read_samples(cfg, "samples.tsv", with_ids=False)
     isolated = splitting_mod.leakage_report(assignment, assigned)
     naive = splitting_mod.leakage_report(
         assignment, splitting_mod.assign_abstracts_naive(tokenized, samples)
@@ -384,45 +335,75 @@ def diagnose_split(cfg: PipelineConfig) -> str:
             f"{key[0]}/{key[1]}\t{isolated.cross_split_shared[key]}\t{naive.cross_split_shared[key]}"
         )
     lines.append(f"total\t{isolated.total_cross_split}\t{naive.total_cross_split}")
-    body = "\n".join(lines) + "\n"
-    artifacts.write(_artifact(cfg, "diagnose_split.txt"), "split-diagnosis", _header(cfg), body)
-    return body
+    return {"diagnose_split.txt": ("split-diagnosis", {}, "\n".join(lines) + "\n")}
 
 
-STAGE_FUNCS: dict[str, Callable[[PipelineConfig], Outputs]] = {
-    "ingest": stage_ingest,
-    "filter": stage_filter,
-    "label": stage_label,
-    "split": stage_split,
-    "featurize": stage_featurize,
-    "train": stage_train,
-    "evaluate": stage_evaluate,
-    "alerts": stage_alerts,
+# the stage table; diagnose-split reports on the split and is not a link of the chain
+STAGES: dict[str, Stage] = {
+    "ingest": Stage(stage_ingest, ("corpus", "lexicon"), (), ("tokenized.jsonl",)),
+    "filter": Stage(stage_filter, ("lexicon",), ("tokenized.jsonl",), ("cardiac.jsonl", "corpus_stats.txt")),
+    "label": Stage(stage_label, ("catalog", "lexicon"), (), ("samples.tsv", "templates.tsv", "label_report.txt")),
+    "split": Stage(
+        stage_split, (), ("cardiac.jsonl", "samples.tsv"),
+        ("assignment.tsv", "assigned_samples.tsv", "leakage_report.txt"),
+    ),
+    "featurize": Stage(
+        stage_featurize, (), ("cardiac.jsonl", "assignment.tsv", "assigned_samples.tsv"),
+        ("vocab.tsv", "features_train.txt", "features_dev.txt", "features_test.txt", "featurize_report.txt"),
+    ),
+    "train": Stage(stage_train, (), ("features_train.txt",), ("model.txt", "cv_results.tsv")),
+    "evaluate": Stage(
+        stage_evaluate, (), ("model.txt", "features_dev.txt", "features_test.txt"),
+        ("metrics_dev.txt", "metrics_test.txt", "curve_dev.tsv", "curve_test.tsv"),
+    ),
+    "alerts": Stage(stage_alerts, ("catalog", "mar"), (), ("alerts.tsv", "alert_report.txt")),
+    "diagnose-split": Stage(
+        stage_diagnose_split, (), ("cardiac.jsonl", "assignment.tsv", "assigned_samples.tsv", "samples.tsv"),
+        ("diagnose_split.txt",),
+    ),
 }
+STAGE_ORDER = tuple(stage for stage in STAGES if stage != "diagnose-split")
+# artifact -> the stage that writes it
+ARTIFACTS: dict[str, str] = {name: stage for stage, spec in STAGES.items() for name in spec.writes}
+# stage -> its function, as run_stage calls it: bench/spans.py's tracer wraps the
+# functions held in module dicts, so calls made through this one are traced
+STAGE_FUNCS: dict[str, Callable[..., Outputs]] = {stage: spec.run for stage, spec in STAGES.items()}
+
 
 def run_stage(cfg: PipelineConfig, stage: str) -> None:
-    """Run one stage, then write its artifacts under the config's digest and seed, and its manifest."""
-    if stage not in STAGE_FUNCS:
-        raise ValidationError(f"unknown stage {stage!r}; expected one of {STAGE_ORDER}")
+    """Check and decode the stage's inputs, run it, then write its artifacts and its manifest."""
+    if stage not in STAGES:
+        raise ValidationError(f"unknown stage {stage!r}; expected one of {tuple(STAGES)}")
+    spec = STAGES[stage]
     check_stage_paths(cfg, stage)
-    Path(cfg.output).mkdir(parents=True, exist_ok=True)
+    cfg.output.mkdir(parents=True, exist_ok=True)
+    digest = config_digest(cfg)
+    for name in spec.reads:
+        if not (cfg.output / name).exists():
+            raise MissingArtifactError(name, ARTIFACTS[name])
+        artifacts.check_digest(cfg.output / name, digest)
     input_digests = {
         key: file_digest(getattr(cfg, key))
         for key in _stage_inputs(cfg, stage)
         if Path(getattr(cfg, key)).is_file()  # a corpus may be a directory
     }
+    read_digests = {name: file_digest(cfg.output / name) for name in spec.reads}
     started = time.perf_counter()
-    outputs = STAGE_FUNCS[stage](cfg)
+    inputs = [_DECODERS[name](cfg.output / name) for name in spec.reads]
+    outputs = STAGE_FUNCS[stage](cfg, *inputs)
+    del inputs  # what the outputs still need, they hold; the rest goes before the writes
+    header = {"config_digest": digest, "seed": str(cfg.seed)}
     for name, (kind, fields, body) in outputs.items():
-        artifacts.write(_artifact(cfg, name), kind, {**_header(cfg), **fields}, body)
+        artifacts.write(cfg.output / name, kind, {**header, **fields}, body)
     elapsed = time.perf_counter() - started
-    manifest_dir = Path(cfg.output) / "manifests"
+    manifest_dir = cfg.output / "manifests"
     manifest_dir.mkdir(exist_ok=True)
     manifest = {
         "stage": stage,
-        "config_digest": config_digest(cfg),
+        "config_digest": digest,
         "inputs": input_digests,
-        "outputs": {name: file_digest(_artifact(cfg, name)) for name in outputs},
+        "reads": read_digests,
+        "outputs": {name: file_digest(cfg.output / name) for name in outputs},
         "elapsed_s": elapsed,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"

@@ -10,7 +10,7 @@ from ddimine.cli import main
 from ddimine.config import load_config
 from ddimine.errors import ArtifactMismatchError, MissingArtifactError
 from ddimine.features import encode_matrix
-from ddimine.pipeline import run_all, run_stage
+from ddimine.pipeline import STAGES, run_all, run_stage
 from ddimine.synth import SynthParams, write_dataset
 from helpers import dense_matrix, save
 
@@ -27,6 +27,13 @@ READS = [
     ("features_test.txt", "featurize", "evaluate"),
     ("model.txt", "train", "evaluate"),
 ]
+
+
+def test_stage_table_declares_every_read():
+    declared = {(name, stage) for stage, spec in STAGES.items() for name in spec.reads}
+    diagnosis = ("cardiac.jsonl", "assignment.tsv", "assigned_samples.tsv", "samples.tsv")
+    expected = {(name, stage) for name, _, stage in READS} | {(name, "diagnose-split") for name in diagnosis}
+    assert declared == expected
 
 
 def foreign_digest(path: Path) -> None:
@@ -82,10 +89,9 @@ def test_header_block_then_body(tmp_path):
     artifacts.write(path, "cv-results", fields, body)
     header = "# ddimine cv-results\n# config_digest: abc\n# seed: 7\n# ratios: 0.5 0.5\n"
     assert path.read_text(encoding="utf-8") == header + body
-    assert artifacts.read(path) == (
-        ["# lambda\tmean_auc", "0.1\t0.9", "# best_lambda: 0.1"],
-        {"config_digest": "abc", "seed": "7", "ratios": "0.5 0.5"},
-    )
+    body, fields = artifacts.read(path)
+    assert fields == {"config_digest": "abc", "seed": "7", "ratios": "0.5 0.5"}
+    assert list(body) == ["# lambda\tmean_auc", "0.1\t0.9", "# best_lambda: 0.1"]
     artifacts.check_digest(path, "abc")
     with pytest.raises(ArtifactMismatchError):
         artifacts.check_digest(path, "abd")

@@ -1,4 +1,5 @@
 import io
+import re
 import tarfile
 
 import pytest
@@ -151,6 +152,22 @@ class TestParsePubmedXml:
         doc = PUBMED_DOC.replace(b"<PMID>103</PMID>", b"<PMID>101</PMID>")
         with pytest.raises(ValidationError, match="duplicate"):
             parse_abstracts(io.BytesIO(doc), "pubmed-xml")
+
+
+@pytest.mark.parametrize(
+    "fmt, doc, rec_id",
+    [
+        ("lines", b"a,b\tsome text\n", "a,b"),
+        ("lines", b"-\tsome text\n", "-"),
+        ("pubmed-xml", PUBMED_DOC.replace(b"<PMID>103</PMID>", b"<PMID>1\t3</PMID>"), "1\t3"),
+        ("pubmed-xml", PUBMED_DOC.replace(b"<PMID>103</PMID>", b"<PMID>1,3</PMID>"), "1,3"),
+    ],
+    ids=["lines-comma", "lines-dash", "xml-tab", "xml-comma"],
+)
+def test_id_the_samples_column_cannot_hold_rejected(fmt, doc, rec_id):
+    # assigned_samples.tsv joins abstract ids with "," and writes "-" for none
+    with pytest.raises(ValidationError, match=re.escape(repr(rec_id))):
+        parse_abstracts(io.BytesIO(doc), fmt)
 
 
 class TestLoadCorpus:

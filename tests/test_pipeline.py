@@ -7,11 +7,12 @@ from ddimine import artifacts
 from ddimine.cli import main
 from ddimine.config import config_digest, load_config
 from ddimine.corpus import DrugLexicon, TokenizedAbstract
-from ddimine.features import load_vocab
+from ddimine.features import load_matrix, load_vocab
 from ddimine.labeling import InteractionCatalog, InteractionSample
-from ddimine.pipeline import ARTIFACTS, STAGE_FUNCS, STAGE_ORDER, file_digest, run_all, run_stage
+from ddimine.learn import load_model
+from ddimine.pipeline import ARTIFACTS, STAGE_FUNCS, STAGE_ORDER, STAGES, file_digest, run_all, run_stage
 from ddimine.synth import SynthParams, write_dataset
-from helpers import artifact_digests, count_vector, templateize_oracle
+from helpers import artifact_digests, count_vector, save, templateize_oracle
 
 
 def data_lines(path) -> list[str]:
@@ -25,6 +26,31 @@ def manifest(out, stage: str) -> dict:
 
 def produced_by(stage: str) -> list[str]:
     return sorted(name for name, producer in ARTIFACTS.items() if producer == stage)
+
+
+def read_abstracts(path) -> list[TokenizedAbstract]:
+    recs = map(json.loads, data_lines(path))
+    return [TokenizedAbstract(r["id"], tuple(r["tokens"]), frozenset(r["mentions"])) for r in recs]
+
+
+def read_samples(path) -> list[InteractionSample]:
+    samples = []
+    for line in data_lines(path):
+        cardiac, other, label, tid, *ids = line.split("\t")
+        ids = frozenset() if ids in ([], ["-"]) else frozenset(ids[0].split(","))
+        samples.append(InteractionSample(cardiac, other, int(label), None if tid == "-" else int(tid), ids))
+    return samples
+
+
+# artifact -> an independent decoder, for calling stage functions on in-memory inputs
+DECODE = {
+    "cardiac.jsonl": read_abstracts,
+    "samples.tsv": read_samples,
+    "features_train.txt": lambda path: load_matrix(path)[0],
+    "features_dev.txt": lambda path: load_matrix(path)[0],
+    "features_test.txt": lambda path: load_matrix(path)[0],
+    "model.txt": lambda path: load_model(path)[0],
+}
 
 
 # variant -> (feature kind, fields changed in config sections)
@@ -81,16 +107,8 @@ def test_templates_match_per_pair_oracle(mini):
 def test_train_rows_match_count_vector_oracle(mini):
     out = mini[1]["counts"][0]
     vocab = load_vocab(out / "vocab.tsv")
-    abstracts = {}
-    for line in data_lines(out / "cardiac.jsonl"):
-        rec = json.loads(line)
-        abstracts[rec["id"]] = TokenizedAbstract(rec["id"], tuple(rec["tokens"]), frozenset(rec["mentions"]))
-    samples = {}
-    for line in data_lines(out / "assigned_samples.tsv"):
-        cardiac, other, label, _, ids = line.split("\t")
-        ids = frozenset() if ids == "-" else frozenset(ids.split(","))
-        s = InteractionSample(cardiac, other, int(label), None, ids)
-        samples[s.key] = s
+    abstracts = {ab.id: ab for ab in read_abstracts(out / "cardiac.jsonl")}
+    samples = {s.key: s for s in read_samples(out / "assigned_samples.tsv")}
     rows = [line for line in data_lines(out / "features_train.txt") if line.startswith("row ")]
     assert rows
     for line in rows:
@@ -122,16 +140,23 @@ def test_label_stage_with_catalog_drugs_missing_from_lexicon(tmp_path):
     assert [cardiac, "aspirin", "1", tid] in rows("samples.tsv")
 
 
+def no_artifact_read(*args):
+    raise AssertionError(f"a stage function read an artifact: {args}")
+
+
 @pytest.mark.parametrize("variant", ["counts", "embeddings-hinge"])
 def test_stages_return_their_artifacts_and_run_stage_writes_them(mini, tmp_path, monkeypatch, variant):
     cfg = load_config(mini[0]["config"].parent / f"config_{variant}.json", {"output": str(tmp_path / "out")})
     returned = {}
     for stage, func in list(STAGE_FUNCS.items()):
 
-        def recording(cfg, stage=stage, func=func):
+        def recording(cfg, *inputs, stage=stage, func=func):
             before = sorted(tmp_path.rglob("*"))
-            outputs = func(cfg)
-            assert sorted(tmp_path.rglob("*")) == before  # the stage function itself writes nothing
+            with monkeypatch.context() as patch:  # the stage function itself reads no artifact
+                patch.setattr(artifacts, "read", no_artifact_read)
+                patch.setattr(artifacts, "check_digest", no_artifact_read)
+                outputs = func(cfg, *inputs)
+            assert sorted(tmp_path.rglob("*")) == before  # and writes nothing
             returned[stage] = sorted(outputs)
             return outputs
 
@@ -142,6 +167,23 @@ def test_stages_return_their_artifacts_and_run_stage_writes_them(mini, tmp_path,
         assert manifest(cfg.output, stage)["outputs"] == {
             name: file_digest(cfg.output / name) for name in produced_by(stage)
         }
+        assert manifest(cfg.output, stage)["reads"] == {
+            name: file_digest(cfg.output / name) for name in STAGES[stage].reads
+        }
+
+
+@pytest.mark.parametrize("stage", ["split", "train", "evaluate"])
+def test_stage_runs_on_in_memory_inputs(mini, tmp_path, stage):
+    out = mini[1]["counts"][0]
+    cfg = load_config(mini[0]["config"].parent / "config_counts.json", {"output": str(tmp_path / "absent")})
+    inputs = [DECODE[name](out / name) for name in STAGES[stage].reads]
+    outputs = STAGES[stage].run(cfg, *inputs)
+    assert not cfg.output.exists()
+    assert sorted(outputs) == produced_by(stage)
+    header = {"config_digest": config_digest(cfg), "seed": str(cfg.seed)}
+    for name, encoded in outputs.items():
+        save(tmp_path / name, encoded, header)
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_featurize_manifest_digests_the_inputs_it_read(mini):
@@ -164,7 +206,7 @@ def test_ingest_reads_a_directory_corpus(tmp_path):
     cfg = load_config(config)
     run_stage(cfg, "ingest")
     body, header = artifacts.read(cfg.output / "tokenized.jsonl")
-    assert body == artifacts.read(tmp_path / "out" / "tokenized.jsonl")[0]
+    assert list(body) == list(artifacts.read(tmp_path / "out" / "tokenized.jsonl")[0])
     assert header["config_digest"] == config_digest(cfg)
     # a directory has no content digest of its own; the lexicon file does
     assert manifest(cfg.output, "ingest")["inputs"] == {"lexicon": file_digest(paths["lexicon"])}
@@ -190,6 +232,16 @@ def test_failed_featurize_writes_nothing(tmp_path, capsys):
     assert not list(out.glob(".*"))  # no temp file either
 
 
+def test_ingest_rejects_an_id_the_samples_column_cannot_hold(tmp_path, capsys):
+    paths = write_dataset(SynthParams(seed=7), tmp_path)
+    lexicon = DrugLexicon.load(paths["lexicon"])
+    with open(paths["corpus"], "a", encoding="utf-8") as fh:
+        fh.write(f"a,b\t{sorted(lexicon.cardiac)[0]} was given.\n")
+    assert main(["ingest", "--config", str(paths["config"])]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "abstract id 'a,b'" in err[0]
+
+
 def test_diagnose_split_cli(tmp_path, capsys):
     paths = write_dataset(SynthParams(seed=7), tmp_path)
     config = str(paths["config"])
@@ -209,5 +261,9 @@ def test_diagnose_split_cli(tmp_path, capsys):
     assert isolated == 0 and naive > 0
     cfg = load_config(config)
     body, header = artifacts.read(cfg.output / "diagnose_split.txt")
-    assert body == printed.splitlines()
+    assert list(body) == printed.splitlines()
     assert header == {"config_digest": config_digest(cfg), "seed": "7"}
+    reads = ("cardiac.jsonl", "assignment.tsv", "assigned_samples.tsv", "samples.tsv")
+    digests = {name: file_digest(cfg.output / name) for name in (*reads, "diagnose_split.txt")}
+    assert manifest(cfg.output, "diagnose-split")["reads"] == {name: digests[name] for name in reads}
+    assert manifest(cfg.output, "diagnose-split")["outputs"] == {"diagnose_split.txt": digests["diagnose_split.txt"]}
