@@ -8,7 +8,7 @@ import sys
 from . import artifacts
 from .config import load_config
 from .errors import PipelineError
-from .pipeline import run_all, run_stage
+from .pipeline import STAGES, run_all, run_stage
 from .synth import SynthParams, write_dataset
 
 
@@ -27,16 +27,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="override the configured output directory")
         return p
 
-    add_stage("ingest", "parse and tokenize the corpus, match the drug lexicon")
-    add_stage("filter", "keep abstracts mentioning a lexicon drug; corpus stats")
-    add_stage("label", "enumerate drug pairs with labels and type templates")
-    add_stage("split", "leakage-free train/dev/test split and abstract assignment")
-    add_stage("featurize", "build vocabulary and per-split feature matrices")
-    add_stage("train", "train the linear model (cross-validated L1 when enabled)")
-    add_stage("evaluate", "metrics and ROC curves on the dev and test splits")
-    add_stage("alerts", "detect interaction alerts in the MAR")
+    for stage, spec in STAGES.items():
+        add_stage(stage, spec.run.__doc__.partition("\n")[0])
     add_stage("all", "run every stage in order")
-    add_stage("diagnose-split", "compare leakage: isolated assignment vs naive baseline")
 
     gen = sub.add_parser("gen-synthetic", help="write a synthetic dataset plus a ready config")
     gen.add_argument("--output", required=True, help="directory for the generated files")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import re
 import tarfile
 import xml.etree.ElementTree as ET
@@ -49,6 +50,15 @@ class TokenizedAbstract:
     drug_mentions: frozenset[str]
 
 
+def check_drug_id(drug_id: str) -> None:
+    """Refuse an id that is empty or holds whitespace or '|'.
+
+    Sample keys join two ids with '|', and feature rows are space-separated.
+    """
+    if not drug_id or re.search(r"[\s|]", drug_id):  # \s matches what str.isspace() does
+        raise ValidationError(f"drug id {drug_id!r} is empty or contains whitespace or '|'")
+
+
 class DrugLexicon:
     """Canonical drug ids, their name phrases, and the cardiac-subset flag.
 
@@ -59,10 +69,7 @@ class DrugLexicon:
     def __init__(self, entries: Mapping[str, Iterable[tuple[str, ...]]], cardiac: Iterable[str]):
         self.phrases: dict[str, tuple[tuple[str, ...], ...]] = {}
         for drug_id, phrase_list in entries.items():
-            if not drug_id:
-                raise ValidationError("empty drug id in lexicon")
-            if any(ch.isspace() or ch == "|" for ch in drug_id):
-                raise ValidationError(f"drug id {drug_id!r} contains whitespace or '|'")
+            check_drug_id(drug_id)
             phrases = tuple(tuple(p) for p in phrase_list)
             if not phrases or any(not p or "" in p for p in phrases):
                 raise ValidationError(f"drug {drug_id!r} has an empty phrase")
@@ -158,9 +165,10 @@ def _check_ids(abstracts: list[Abstract]) -> None:
 
 
 def _parse_lines(data: bytes) -> tuple[list[Abstract], int]:
+    """One ``id TAB text`` record per line; a line ends at LF, CR LF or CR only."""
     abstracts: list[Abstract] = []
     skipped = 0
-    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1):
         if not raw.strip():
             continue
         rec_id, sep, text = raw.partition("\t")

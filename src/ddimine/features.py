@@ -68,12 +68,6 @@ def encode_vocab(vocab: Vocabulary) -> artifacts.Encoded:
     return "vocabulary", {}, "".join(f"{tok}\t{freq}\n" for tok, freq in vocab.words)
 
 
-def load_vocab(path: Path | str) -> Vocabulary:
-    lines, _ = artifacts.read(path)
-    words = [(tok, int(freq)) for tok, _, freq in (line.partition("\t") for line in lines)]
-    return Vocabulary(words, {tok: col for col, (tok, _) in enumerate(words)})
-
-
 class EmbeddingTable:
     """token -> dense vector, all of the same width."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .corpus import DrugLexicon
+from .corpus import DrugLexicon, check_drug_id
 from .errors import ValidationError
 
 PLACEHOLDER = "(~drug~)"
@@ -34,8 +34,8 @@ class InteractionCatalog:
         self._records: dict[tuple[str, str], tuple[tuple[str, str], str]] = {}
         self.n_duplicate_rows = 0
         for a, b, description in rows:
-            if not a or not b:
-                raise ValidationError("catalog row with empty drug id")
+            check_drug_id(a)
+            check_drug_id(b)
             if a == b:
                 raise ValidationError(f"catalog contains self-pair ({a!r}, {b!r})")
             key = pair_key(a, b)
@@ -62,18 +62,28 @@ class InteractionCatalog:
 
     @classmethod
     def load(cls, path: Path | str) -> "InteractionCatalog":
-        """Read rows ``drug_a TAB drug_b TAB description``; '#' lines are comments."""
-        rows = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValidationError(f"{path}:{lineno}: expected 3 tab-separated fields")
-                rows.append((parts[0], parts[1], parts[2]))
-        return cls(rows)
+        """Read rows ``drug_a TAB drug_b TAB description``; '#' lines are comments.
+
+        Rows reach the constructor one at a time, so an error names the last row read, as ``path:line``.
+        """
+        lineno = 0
+
+        def rows() -> Iterator[list[str]]:
+            nonlocal lineno
+            with open(path, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.rstrip("\n")
+                    if not line.strip() or line.lstrip().startswith("#"):
+                        continue
+                    parts = line.split("\t")
+                    if len(parts) != 3:
+                        raise ValidationError("expected 3 tab-separated fields")
+                    yield parts
+
+        try:
+            return cls(rows())
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
 
 
 @dataclass(frozen=True)

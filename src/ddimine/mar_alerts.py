@@ -6,6 +6,11 @@ pair, overlapping exposures of the two drugs within a patient become alert
 windows.  The window model is deliberately simple and is not a pharmacokinetic
 claim: a fixed window stands in for each drug's exposure, whatever its dose,
 route or half-life.
+
+One shape carries the records from parsing to alerts: :func:`build_exposures`
+groups administrations once, into :data:`Windows`, and :func:`detect_overlaps`
+walks that mapping as it is.  :func:`encode_alerts` streams both alert files:
+their bodies are generators, so no alert text exists until they are written.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import artifacts
 from .errors import ValidationError
@@ -23,22 +29,16 @@ from .labeling import InteractionCatalog, pair_key
 _MIN_TIME = datetime(1900, 1, 1, tzinfo=timezone.utc)
 _MAX_TIME = datetime(2100, 1, 1, tzinfo=timezone.utc)
 
+Window = tuple[datetime, datetime]  # half-open [start, end)
+# patient -> drug -> that drug's exposure windows: sorted, disjoint and not touching
+Windows = dict[str, dict[str, list[Window]]]
+
 
 @dataclass(frozen=True)
 class AdminEvent:
     patient_id: str
     drug: str
     time: datetime
-
-
-@dataclass(frozen=True)
-class ExposureInterval:
-    """Half-open [start, end); per (patient, drug) intervals are disjoint and sorted."""
-
-    patient_id: str
-    drug: str
-    start: datetime
-    end: datetime
 
 
 @dataclass(frozen=True)
@@ -69,23 +69,23 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def parse_mar(path: Path | str) -> list[AdminEvent]:
-    """Read rows ``patient_id TAB drug TAB timestamp``; the header row is required."""
+    """Read ``patient_id TAB drug TAB timestamp`` rows, ending at LF, CR LF or CR, after the header."""
     events: list[AdminEvent] = []
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or [c.strip().lower() for c in lines[0].split("\t")] != ["patient_id", "drug", "timestamp"]:
-        raise ValidationError(f"{path}: missing MAR header 'patient_id<TAB>drug<TAB>timestamp'")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3 or not parts[0].strip() or not parts[1].strip():
-            raise ValidationError(f"{path}:{lineno}: expected patient_id, drug, timestamp")
-        try:
-            ts = parse_timestamp(parts[2])
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        events.append(AdminEvent(parts[0].strip(), parts[1].strip(), ts))
+        header = fh.readline().rstrip("\n")
+        if [c.strip().lower() for c in header.split("\t")] != ["patient_id", "drug", "timestamp"]:
+            raise ValidationError(f"{path}: missing MAR header 'patient_id<TAB>drug<TAB>timestamp'")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 3 or not parts[0].strip() or not parts[1].strip():
+                raise ValidationError(f"{path}:{lineno}: expected patient_id, drug, timestamp")
+            try:
+                ts = parse_timestamp(parts[2])
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            events.append(AdminEvent(parts[0].strip(), parts[1].strip(), ts))
     return events
 
 
@@ -93,34 +93,35 @@ def build_exposures(
     events: Sequence[AdminEvent],
     default_window_hours: float = 24.0,
     per_drug_hours: Mapping[str, float] | None = None,
-) -> list[ExposureInterval]:
-    """Expand events to [t, t+W) windows and merge touching ones per (patient, drug)."""
+) -> Windows:
+    """Each patient's exposure windows by drug: [t, t+W) per event, touching ones merged."""
     per_drug_hours = per_drug_hours or {}
     if default_window_hours <= 0 or any(w <= 0 for w in per_drug_hours.values()):
         raise ValidationError("exposure window must be positive")
-    grouped: dict[tuple[str, str], list[datetime]] = {}
+    times: dict[str, dict[str, list[datetime]]] = {}
     for ev in events:
-        grouped.setdefault((ev.patient_id, ev.drug), []).append(ev.time)
-    out: list[ExposureInterval] = []
-    for (patient, drug), times in sorted(grouped.items()):
-        window = timedelta(hours=per_drug_hours.get(drug, default_window_hours))
-        times.sort()
-        start = times[0]
-        end = times[0] + window
-        for t in times[1:]:
-            if t <= end:  # overlapping or touching: extend
-                end = max(end, t + window)
-            else:
-                out.append(ExposureInterval(patient, drug, start, end))
-                start, end = t, t + window
-        out.append(ExposureInterval(patient, drug, start, end))
-    return out
+        times.setdefault(ev.patient_id, {}).setdefault(ev.drug, []).append(ev.time)
+    return {
+        patient: {
+            drug: _merge(sorted(stamps), timedelta(hours=per_drug_hours.get(drug, default_window_hours)))
+            for drug, stamps in drugs.items()
+        }
+        for patient, drugs in times.items()
+    }
 
 
-def _intersect_sorted(
-    a: Sequence[tuple[datetime, datetime]], b: Sequence[tuple[datetime, datetime]]
-) -> list[tuple[datetime, datetime]]:
-    out: list[tuple[datetime, datetime]] = []
+def _merge(times: list[datetime], window: timedelta) -> list[Window]:
+    merged: list[Window] = []
+    for t in times:  # sorted, so each window ends no earlier than the one before
+        if merged and t <= merged[-1][1]:  # overlapping or touching: extend
+            merged[-1] = (merged[-1][0], t + window)
+        else:
+            merged.append((t, t + window))
+    return merged
+
+
+def _intersect_sorted(a: list[Window], b: list[Window]) -> list[Window]:
+    out: list[Window] = []
     i = j = 0
     while i < len(a) and j < len(b):
         start = max(a[i][0], b[j][0])
@@ -134,30 +135,40 @@ def _intersect_sorted(
     return out
 
 
-def detect_overlaps(exposures: Sequence[ExposureInterval], catalog: InteractionCatalog) -> list[DdiAlert]:
+def detect_overlaps(windows: Windows, catalog: InteractionCatalog) -> list[DdiAlert]:
     """Alerts for every catalog-positive pair with intersecting exposures.
 
-    ``exposures`` must be :func:`build_exposures` output: each (patient, drug)
-    has disjoint windows with gaps between them, so the intersections of two
-    drugs' windows never touch and each one is its own alert.  Output order is
+    ``windows`` must be :func:`build_exposures` output: each drug's windows are
+    sorted and have gaps between them, so the intersections of two drugs'
+    windows never touch and each one is its own alert.  Output order is
     (patient, window start, pair), which is also the report order.
     """
-    by_patient: dict[str, dict[str, list[tuple[datetime, datetime]]]] = {}
-    for exp in exposures:
-        by_patient.setdefault(exp.patient_id, {}).setdefault(exp.drug, []).append((exp.start, exp.end))
     alerts: list[DdiAlert] = []
-    for patient in sorted(by_patient):
-        drugs = by_patient[patient]
+    for patient in sorted(windows):
+        drugs = windows[patient]
+        found: list[DdiAlert] = []
         for drug_x, drug_y in itertools.combinations(sorted(drugs), 2):
             if (drug_x, drug_y) not in catalog:
                 continue
-            windows = _intersect_sorted(sorted(drugs[drug_x]), sorted(drugs[drug_y]))
             display_a, display_b = catalog.display(drug_x, drug_y)
             effect = catalog.description(drug_x, drug_y)
-            for start, end in windows:
-                alerts.append(DdiAlert(display_a, display_b, start, end, effect, patient))
-    alerts.sort(key=lambda al: (al.patient_id, al.start, al.drug_a, al.drug_b))
+            for start, end in _intersect_sorted(drugs[drug_x], drugs[drug_y]):
+                found.append(DdiAlert(display_a, display_b, start, end, effect, patient))
+        found.sort(key=attrgetter("start", "drug_a", "drug_b"))
+        alerts += found
     return alerts
+
+
+def encode_alerts(alerts: Sequence[DdiAlert]) -> dict[str, artifacts.Encoded]:
+    """``alerts.tsv`` and ``alert_report.txt``, streamed; ``alerts`` in :func:`detect_overlaps` order.
+
+    The TSV holds date-granularity windows plus full-precision timestamps; the
+    report lists each patient's alerts as coded tuples, then per-pair totals.
+    """
+    return {
+        "alerts.tsv": ("ddi-alerts", {}, _tsv_lines(alerts)),
+        "alert_report.txt": ("alert-report", {}, _report_lines(alerts)),
+    }
 
 
 def _window_dates(alert: DdiAlert) -> tuple[str, str]:
@@ -165,43 +176,26 @@ def _window_dates(alert: DdiAlert) -> tuple[str, str]:
     return alert.start.date().isoformat(), (alert.end - timedelta(seconds=1)).date().isoformat()
 
 
-def canonical_tuple(alert: DdiAlert) -> str:
-    """The coded alert rendering, at date granularity."""
-    start_date, end_date = _window_dates(alert)
-    return (
-        f'(({alert.drug_a}, {alert.drug_b}), '
-        f'("{start_date}", "{end_date}"), "{alert.effect}")'
-    )
-
-
-def alert_report(alerts: Sequence[DdiAlert]) -> str:
-    """Per-patient chronological listing plus per-pair totals.
-
-    ``alerts`` must be in :func:`detect_overlaps` order.
-    """
-    lines = []
-    for patient, group in itertools.groupby(alerts, key=lambda al: al.patient_id):
-        lines.append(f"patient {patient}:")
-        for alert in group:
-            lines.append(f"  {canonical_tuple(alert)}")
-    lines.append("pair totals:")
-    totals: dict[tuple[str, str], int] = {}
-    for alert in alerts:
-        key = pair_key(alert.drug_a, alert.drug_b)
-        totals[key] = totals.get(key, 0) + 1
-    for (a, b), count in sorted(totals.items()):
-        lines.append(f"  {a}/{b}\t{count}")
-    lines.append(f"total alerts\t{len(alerts)}")
-    return "\n".join(lines) + "\n"
-
-
-def encode_alerts(alerts: Sequence[DdiAlert]) -> artifacts.Encoded:
-    """TSV with date-granularity windows plus full-precision timestamps."""
-    lines = ["patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso"]
+def _tsv_lines(alerts: Sequence[DdiAlert]) -> Iterator[str]:
+    yield "patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso\n"
     for al in alerts:
         start_date, end_date = _window_dates(al)
-        lines.append(
+        yield (
             f"{al.patient_id}\t{al.drug_a}\t{al.drug_b}\t{start_date}\t{end_date}"
-            f"\t{al.effect}\t{al.start.isoformat()}\t{al.end.isoformat()}"
+            f"\t{al.effect}\t{al.start.isoformat()}\t{al.end.isoformat()}\n"
         )
-    return "ddi-alerts", {}, "\n".join(lines) + "\n"
+
+
+def _report_lines(alerts: Sequence[DdiAlert]) -> Iterator[str]:
+    totals: dict[tuple[str, str], int] = {}
+    for patient, group in itertools.groupby(alerts, key=attrgetter("patient_id")):
+        yield f"patient {patient}:\n"
+        for al in group:
+            start_date, end_date = _window_dates(al)
+            yield f'  (({al.drug_a}, {al.drug_b}), ("{start_date}", "{end_date}"), "{al.effect}")\n'
+            key = pair_key(al.drug_a, al.drug_b)
+            totals[key] = totals.get(key, 0) + 1
+    yield "pair totals:\n"
+    for (a, b), count in sorted(totals.items()):
+        yield f"  {a}/{b}\t{count}\n"
+    yield f"total alerts\t{len(alerts)}\n"

@@ -315,12 +315,9 @@ def stage_alerts(cfg: PipelineConfig) -> Outputs:
     """Detect co-exposure windows for catalog-positive pairs in the MAR."""
     catalog = labeling_mod.InteractionCatalog.load(cfg.catalog)
     events = mar_mod.parse_mar(cfg.mar)
-    exposures = mar_mod.build_exposures(events, cfg.alerts.window_hours, cfg.alerts.per_drug_hours)
-    alerts = mar_mod.detect_overlaps(exposures, catalog)
-    return {
-        "alerts.tsv": mar_mod.encode_alerts(alerts),
-        "alert_report.txt": ("alert-report", {}, mar_mod.alert_report(alerts)),
-    }
+    windows = mar_mod.build_exposures(events, cfg.alerts.window_hours, cfg.alerts.per_drug_hours)
+    alerts = mar_mod.detect_overlaps(windows, catalog)
+    return mar_mod.encode_alerts(alerts)
 
 
 def stage_diagnose_split(cfg: PipelineConfig, tokenized, assignment, assigned, samples) -> Outputs:

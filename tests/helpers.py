@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from ddimine import artifacts
 from ddimine.errors import ValidationError
-from ddimine.features import FeatureMatrix, embed_abstract
+from ddimine.features import FeatureMatrix, Vocabulary, embed_abstract
 from ddimine.labeling import PLACEHOLDER
 from ddimine.learn import loss_gradient, loss_value
 from ddimine.pipeline import file_digest
@@ -28,6 +28,13 @@ def save(path, encoded: artifacts.Encoded, header: dict[str, str] | None = None)
     """Write what an ``encode_*`` function returns, as ``run_stage`` does, with ``header`` first."""
     kind, fields, body = encoded
     artifacts.write(path, kind, {**(header or {}), **fields}, body)
+
+
+def load_vocab(path) -> Vocabulary:
+    """Inverse of ``features.encode_vocab``; no stage reads ``vocab.tsv``."""
+    lines, _ = artifacts.read(path)
+    words = [(tok, int(freq)) for tok, _, freq in (line.partition("\t") for line in lines)]
+    return Vocabulary(words, {tok: col for col, (tok, _) in enumerate(words)})
 
 
 def artifact_digests(output_dir) -> dict[str, str]:
@@ -85,13 +92,14 @@ def alg1_assign_oracle(assignment, abstracts, samples) -> list[set[str]]:
 def hourly_alert_oracle(exposures, catalog) -> dict[tuple[str, tuple[str, str]], set]:
     """Hour-by-hour scan: hours where both drugs of a catalog pair are active.
 
-    Valid when all interval endpoints are whole hours.
+    ``exposures`` holds (patient, drug, start, end) windows, half-open; valid
+    when all their endpoints are whole hours.
     """
     active: dict[tuple[str, str], set] = {}
-    for e in exposures:
-        hours = active.setdefault((e.patient_id, e.drug), set())
-        t = e.start
-        while t < e.end:
+    for patient, drug, start, end in exposures:
+        hours = active.setdefault((patient, drug), set())
+        t = start
+        while t < end:
             hours.add(t)
             t += timedelta(hours=1)
     by_patient: dict[str, list[str]] = {}

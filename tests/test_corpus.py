@@ -91,6 +91,14 @@ class TestParseLines:
         assert [a.id for a in abstracts] == ["A", "C"]
         assert skipped == 1
 
+    def test_records_break_only_at_line_ends(self):
+        data = "1\tFirst abstract.\r\n2\tSecond\x0cabstract\x1ctext\u2028more.\r3\tThird\x85one.\n".encode()
+        abstracts, skipped = parse_abstracts(io.BytesIO(data), "lines")
+        assert [(a.id, a.text) for a in abstracts] == [
+            ("1", "First abstract."), ("2", "Second\x0cabstract\x1ctext\u2028more."), ("3", "Third\x85one.")
+        ]
+        assert skipped == 0
+
     def test_duplicate_id_rejected(self):
         data = b"A\tone\nA\ttwo\n"
         with pytest.raises(ValidationError, match="duplicate"):

@@ -16,10 +16,10 @@ import numpy as np
 
 from ddimine import artifacts
 from ddimine.config import load_config
-from ddimine.features import load_vocab
 from ddimine.learn import load_model
 from ddimine.pipeline import run_all
 from ddimine.synth import SIGNAL_WORDS, planted_params, write_dataset
+from helpers import load_vocab
 
 
 @dataclass

@@ -23,11 +23,10 @@ from ddimine.features import (
     encode_vocab,
     load_matrix,
     load_stopwords,
-    load_vocab,
     undersample,
 )
 from ddimine.labeling import InteractionSample
-from helpers import count_vector, dense_matrix, embed_sample, load_matrix_oracle, save
+from helpers import count_vector, dense_matrix, embed_sample, load_matrix_oracle, load_vocab, save
 
 
 def toka(aid, tokens, mentions=()):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,19 @@ class TestCatalog:
         cat = InteractionCatalog.load(path)
         assert len(cat) == 2
         assert cat.description("D", "C") == "lowers clearance"
+
+    @pytest.mark.parametrize("row, message", [
+        ("A\tB C\teffect", "drug id 'B C'"),
+        ("A|B\tC\teffect", "drug id 'A|B'"),
+        ("\tC\teffect", "drug id ''"),
+        ("A\tA\teffect", "catalog contains self-pair"),
+        ("A\tB", "expected 3 tab-separated fields"),
+    ])
+    def test_bad_row_named_by_its_line(self, tmp_path, row, message):
+        path = tmp_path / "catalog.tsv"
+        path.write_text(f"# header\nC\tD\tlowers clearance\n{row}\nE\tF\teffect\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:3: {message}")):
+            InteractionCatalog.load(path)
 
 
 class TestBuildUniverse:

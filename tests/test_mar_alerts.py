@@ -13,8 +13,6 @@ from ddimine.labeling import InteractionCatalog, pair_key
 from ddimine.mar_alerts import (
     AdminEvent,
     DdiAlert,
-    ExposureInterval,
-    alert_report,
     build_exposures,
     detect_overlaps,
     encode_alerts,
@@ -42,14 +40,23 @@ def test_alerts_cover_exactly_the_oracle_hours(seed):
             for a, b in rng.sample(pairs, rng.randint(0, len(pairs)))]
     catalog = InteractionCatalog(rows)
 
-    alerts = detect_overlaps(build_exposures(events, default_hours, per_drug_hours), catalog)
+    windows = build_exposures(events, default_hours, per_drug_hours)
+    alerts = detect_overlaps(windows, catalog)
     # the oracle sees each administration's own window, unmerged
-    windows = [
-        ExposureInterval(ev.patient_id, ev.drug, ev.time,
-                         ev.time + timedelta(hours=per_drug_hours.get(ev.drug, default_hours)))
+    unmerged = [
+        (ev.patient_id, ev.drug, ev.time,
+         ev.time + timedelta(hours=per_drug_hours.get(ev.drug, default_hours)))
         for ev in events
     ]
-    assert alert_hours(alerts) == hourly_alert_oracle(windows, catalog)
+    assert alert_hours(alerts) == hourly_alert_oracle(unmerged, catalog)
+    merged = [(patient, drug, *w) for patient, drugs in windows.items()
+              for drug, ws in drugs.items() for w in ws]
+    assert hourly_alert_oracle(merged, catalog) == hourly_alert_oracle(unmerged, catalog)
+    assert {(ev.patient_id, ev.drug) for ev in events} == {(p, d) for p, d, *_ in merged}
+    for drugs in windows.values():  # each drug's windows: sorted, with gaps between them
+        for ws in drugs.values():
+            assert all(start < end for start, end in ws)
+            assert all(prev[1] < nxt[0] for prev, nxt in zip(ws, ws[1:]))
 
     by_pair: dict[tuple, list] = {}
     for al in alerts:
@@ -94,8 +101,8 @@ def test_bad_mar_row_names_its_line(tmp_path):
 
 def test_window_ending_at_midnight_ends_the_day_before():
     alert = DdiAlert("a", "b", T0 + timedelta(hours=6), T0 + timedelta(days=1), "effect", "p1")
-    _, _, body = encode_alerts([alert])
-    row = body.splitlines()[1].split("\t")
+    _, _, body = encode_alerts([alert])["alerts.tsv"]
+    row = "".join(body).splitlines()[1].split("\t")
     assert row[3:5] == ["2024-03-01", "2024-03-01"]
     assert row[7] == "2024-03-02T00:00:00+00:00"
 
@@ -107,7 +114,32 @@ def test_report_totals_per_pair_and_overall():
         DdiAlert("c", "d", *window, "e", "p1"),
         DdiAlert("a", "b", *window, "e", "p2"),
     ]
-    lines = alert_report(alerts).splitlines()
+    lines = "".join(encode_alerts(alerts)["alert_report.txt"][2]).splitlines()
     totals = lines[lines.index("pair totals:") + 1:]
     assert totals == ["  a/b\t2", "  c/d\t1", "total alerts\t3"]
     assert lines[0] == "patient p1:" and "patient p2:" in lines
+
+
+def test_alert_files_stream_and_report_no_alerts():
+    encoded = encode_alerts([])
+    assert [(name, kind) for name, (kind, _, _) in encoded.items()] == [
+        ("alerts.tsv", "ddi-alerts"), ("alert_report.txt", "alert-report")
+    ]
+    # generators, written as they come
+    assert not any(isinstance(body, str) for _, _, body in encoded.values())
+    assert "".join(encoded["alert_report.txt"][2]) == "pair totals:\ntotal alerts\t0\n"
+    assert "".join(encoded["alerts.tsv"][2]).count("\n") == 1  # the column line alone
+
+
+def test_mar_rows_break_only_at_line_ends(tmp_path):
+    path = tmp_path / "mar.tsv"
+    text = (
+        "patient_id\tdrug\ttimestamp\r\n"
+        "p1\td\x0c1\t2024-03-01T00:00:00Z\r\n"
+        "p\u20282\td2\t2024-03-01T01:00:00Z\r"
+        "p3\td\x853\t2024-03-01T02:00:00Z\n"
+    )
+    path.write_bytes(text.encode("utf-8"))
+    events = parse_mar(path)
+    assert [(ev.patient_id, ev.drug) for ev in events] == [("p1", "d\x0c1"), ("p\u20282", "d2"), ("p3", "d\x853")]
+    assert [ev.time.hour for ev in events] == [0, 1, 2]

@@ -4,15 +4,15 @@ import shutil
 import pytest
 
 from ddimine import artifacts
-from ddimine.cli import main
+from ddimine.cli import _build_parser, main
 from ddimine.config import config_digest, load_config
 from ddimine.corpus import DrugLexicon, TokenizedAbstract
-from ddimine.features import load_matrix, load_vocab
+from ddimine.features import load_matrix
 from ddimine.labeling import InteractionCatalog, InteractionSample
 from ddimine.learn import load_model
 from ddimine.pipeline import ARTIFACTS, STAGE_FUNCS, STAGE_ORDER, STAGES, file_digest, run_all, run_stage
 from ddimine.synth import SynthParams, write_dataset
-from helpers import artifact_digests, count_vector, save, templateize_oracle
+from helpers import artifact_digests, count_vector, load_vocab, save, templateize_oracle
 
 
 def data_lines(path) -> list[str]:
@@ -240,6 +240,28 @@ def test_ingest_rejects_an_id_the_samples_column_cannot_hold(tmp_path, capsys):
     assert main(["ingest", "--config", str(paths["config"])]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "abstract id 'a,b'" in err[0]
+
+
+def test_every_stage_is_a_subcommand_with_its_docstring_as_help():
+    parser = _build_parser()
+    listing = " ".join(parser.format_help().split())
+    for stage, spec in STAGES.items():
+        assert parser.parse_args([stage, "--config", "c.json"]).command == stage
+        assert " ".join(spec.run.__doc__.partition("\n")[0].split()) in listing
+    assert parser.parse_args(["all", "--config", "c.json"]).command == "all"
+    assert parser.parse_args(["gen-synthetic", "--output", "d"]).command == "gen-synthetic"
+
+
+@pytest.mark.parametrize("bad_id", ["some drug", "some|drug"])
+def test_label_rejects_a_catalog_id_feature_rows_cannot_hold(tmp_path, capsys, bad_id):
+    paths = write_dataset(SynthParams(seed=7), tmp_path)
+    cardiac = sorted(DrugLexicon.load(paths["lexicon"]).cardiac)[0]
+    with open(paths["catalog"], "a", encoding="utf-8") as fh:
+        fh.write(f"{cardiac}\t{bad_id}\t{cardiac} may interact with {bad_id}.\n")
+    lineno = len(paths["catalog"].read_text(encoding="utf-8").splitlines())
+    assert main(["label", "--config", str(paths["config"])]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{paths['catalog']}:{lineno}: drug id {bad_id!r}" in err[0]
 
 
 def test_diagnose_split_cli(tmp_path, capsys):
