@@ -102,17 +102,12 @@ class DrugLexicon:
                 line = line.rstrip("\n")
                 if not line.strip() or line.lstrip().startswith("#"):
                     continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValidationError(f"{path}:{lineno}: expected 3 tab-separated fields")
-                drug_id, phrase_text, flag_text = parts
-                phrase = tuple(tokenize(phrase_text))
-                if not phrase:
-                    raise ValidationError(f"{path}:{lineno}: phrase tokenizes to nothing")
-                flag = _parse_flag(flag_text, path, lineno)
-                if drug_id in flags and flags[drug_id] != flag:
-                    raise ValidationError(f"{path}:{lineno}: conflicting cardiac flag for {drug_id!r}")
-                flags[drug_id] = flag
+                try:
+                    drug_id, phrase, flag = _lexicon_row(line)
+                    if flags.setdefault(drug_id, flag) != flag:
+                        raise ValidationError(f"conflicting cardiac flag for {drug_id!r}")
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
                 if flag:
                     cardiac.add(drug_id)
                 entries.setdefault(drug_id, []).append(phrase)
@@ -121,13 +116,20 @@ class DrugLexicon:
         return cls(entries, cardiac)
 
 
-def _parse_flag(text: str, path, lineno: int) -> bool:
-    val = text.strip().lower()
-    if val in ("1", "true", "yes"):
-        return True
-    if val in ("0", "false", "no"):
-        return False
-    raise ValidationError(f"{path}:{lineno}: bad cardiac flag {text!r}")
+def _lexicon_row(line: str) -> tuple[str, tuple[str, ...], bool]:
+    """(drug id, phrase tokens, cardiac flag) of one lexicon row."""
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise ValidationError("expected 3 tab-separated fields")
+    drug_id, phrase_text, flag_text = parts
+    check_drug_id(drug_id)
+    phrase = tuple(tokenize(phrase_text))
+    if not phrase:
+        raise ValidationError("phrase tokenizes to nothing")
+    flag = flag_text.strip().lower()
+    if flag not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValidationError(f"bad cardiac flag {flag_text!r}")
+    return drug_id, phrase, flag in ("1", "true", "yes")
 
 
 def tokenize(text: str) -> list[str]:
@@ -166,9 +168,14 @@ def _check_ids(abstracts: list[Abstract]) -> None:
 
 def _parse_lines(data: bytes) -> tuple[list[Abstract], int]:
     """One ``id TAB text`` record per line; a line ends at LF, CR LF or CR only."""
+    try:
+        decoded = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len(re.findall(r"\r\n|\r|\n", data[: exc.start].decode("utf-8"))) + 1
+        raise CorpusParseError(f"line {lineno}: not valid UTF-8", exc.start) from None
     abstracts: list[Abstract] = []
     skipped = 0
-    for lineno, raw in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1):
+    for lineno, raw in enumerate(io.StringIO(decoded, newline=None), start=1):
         if not raw.strip():
             continue
         rec_id, sep, text = raw.partition("\t")
@@ -223,7 +230,7 @@ def load_corpus(path: Path | str, fmt: str) -> tuple[list[Abstract], int]:
     """Load abstracts from a file, a directory of files, or a tar archive.
 
     Directory and archive members are processed in sorted name order; ids must
-    be unique across the whole corpus.
+    be unique across the whole corpus.  A parse error names the file or member.
     """
     path = Path(path)
     abstracts: list[Abstract] = []
@@ -234,7 +241,7 @@ def load_corpus(path: Path | str, fmt: str) -> tuple[list[Abstract], int]:
             raise ValidationError(f"{path}: directory contains no corpus files")
         for member in members:
             with open(member, "rb") as fh:
-                part, skip = parse_abstracts(fh, fmt)
+                part, skip = _parse_named(fh, fmt, str(member))
             abstracts.extend(part)
             skipped += skip
     elif tarfile.is_tarfile(path):
@@ -243,14 +250,23 @@ def load_corpus(path: Path | str, fmt: str) -> tuple[list[Abstract], int]:
             for name in names:
                 fh = tar.extractfile(name)
                 assert fh is not None
-                part, skip = parse_abstracts(fh, fmt)
+                part, skip = _parse_named(fh, fmt, f"{path}:{name}")
                 abstracts.extend(part)
                 skipped += skip
     else:
         with open(path, "rb") as fh:
-            return parse_abstracts(fh, fmt)
+            return _parse_named(fh, fmt, str(path))
     _check_ids(abstracts)
     return abstracts, skipped
+
+
+def _parse_named(source: BinaryIO, fmt: str, name: str) -> tuple[list[Abstract], int]:
+    """:func:`parse_abstracts`, with ``name`` put before the message of a parse error."""
+    try:
+        return parse_abstracts(source, fmt)
+    except CorpusParseError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
 
 
 def match_drugs(tokens: list[str] | tuple[str, ...], lexicon: DrugLexicon) -> set[str]:

@@ -1,22 +1,24 @@
 """Per-sample features: summed word counts and tf-weighted embedding sums.
 
 A sample's row is the sum of its abstracts' rows, so both feature kinds are one
-product with the binary sample x abstract incidence matrix A: X = A @ C for
-counts, C holding each abstract's vocabulary counts, and X = A @ E for
-embeddings, E holding each abstract's embedding.  A's columns are the
-abstracts the samples reference, in sorted-id order; as the split gives each
-abstract to one split, each abstract's row is built once per stage.  Counts
-are integers, so A @ C is exact, and the column order makes A @ E add a
-sample's abstract vectors in sorted-id order.
+product X = A @ P of the binary sample x abstract incidence matrix A and the
+part rows P: C, each abstract's vocabulary counts, or E, each abstract's
+embedding.  A's columns are the abstracts the samples reference, in sorted-id
+order; as the split gives each abstract to one split, each abstract's row is
+built once per stage.  Counts are integers, so A @ C is exact, and the column
+order makes A @ E add a sample's abstract vectors in sorted-id order.
 
-Both kinds give one representation, a CSR matrix of floats, and one file
-format: a ``col:value`` pair per stored cell of each row.
+:class:`FeatureMatrix` holds the factors; X is formed only when read.  A
+feature file holds them too: each part row once, as ``col:value`` pairs, then
+one line per sample with the indices of its part rows, so no sample x word
+matrix is ever written.  Indices, not abstract ids, because ids may hold spaces.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -143,28 +145,45 @@ def embed_abstract(
 
 @dataclass
 class FeatureMatrix:
-    """Aligned sample keys, feature rows, and binary labels.
+    """Aligned sample keys, feature rows as factors, and binary labels.
 
-    ``X`` is a float CSR matrix with sorted column indices for both feature
-    kinds; the constructor converts whatever it is given, dense rows included.
+    ``parts`` holds the part rows P (an abstract's counts or embedding) as
+    float CSR, duplicate cells summed, and ``A`` the binary sample x part
+    incidence, so a sample's row is the sum of its parts in the order of its
+    row of ``A``; ``A=None``, as for rows given in full, means the identity.
+    ``X = A @ P``, float CSR with sorted column indices, is formed on first
+    read and kept.
     """
 
     keys: list[str]
-    X: sp.csr_matrix
+    parts: sp.csr_matrix
     y: np.ndarray
     kind: str  # "counts" | "embeddings"
+    A: sp.csr_matrix | None = None
 
     def __post_init__(self) -> None:
-        self.X = sp.csr_matrix(self.X, dtype=float)
-        self.X.sort_indices()
+        self.parts = sp.csr_matrix(self.parts, dtype=float)
+        self.parts.sum_duplicates()
+        if self.A is None:
+            self.A = sp.identity(self.parts.shape[0], format="csr")
+        if self.A.shape != (len(self.keys), self.parts.shape[0]):
+            raise ValidationError(
+                f"incidence is {self.A.shape}, expected {len(self.keys)} rows x {self.parts.shape[0]} parts"
+            )
+
+    @cached_property
+    def X(self) -> sp.csr_matrix:
+        X = self.A @ self.parts
+        X.sort_indices()
+        return X
 
     @property
     def n_rows(self) -> int:
-        return self.X.shape[0]
+        return len(self.keys)
 
     @property
     def dims(self) -> int:
-        return self.X.shape[1]
+        return self.parts.shape[1]
 
 
 def _incidence(
@@ -203,7 +222,7 @@ def build_count_matrix(
         indptr.append(len(indices))
     C = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(abstracts), len(vocab)))
     y = np.array([s.label for s in samples], dtype=np.int64)
-    return FeatureMatrix([s.key for s in samples], A @ C, y, "counts")
+    return FeatureMatrix([s.key for s in samples], C, y, "counts", A)
 
 
 def build_embedding_matrix(
@@ -226,7 +245,7 @@ def build_embedding_matrix(
     misses = np.array([m for _, m in embedded], dtype=np.int64)
     total_misses = int(np.bincount(A.indices, minlength=len(abstracts)) @ misses)
     y = np.array([s.label for s in samples], dtype=np.int64)
-    return FeatureMatrix([s.key for s in samples], A @ sp.csr_matrix(E), y, "embeddings"), total_misses
+    return FeatureMatrix([s.key for s in samples], sp.csr_matrix(E), y, "embeddings", A), total_misses
 
 
 def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
@@ -234,7 +253,8 @@ def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
 
     All minority rows survive; majority survivors are drawn without
     replacement by the seeded generator.  Row order is the original order
-    restricted to survivors.  Already-balanced input is returned as-is.
+    restricted to survivors, and the parts no survivor references are
+    dropped.  Already-balanced input is returned as-is.
     """
     y = matrix.y
     pos = np.flatnonzero(y == 1)
@@ -247,12 +267,14 @@ def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
     rng = Rng(seed).derive(_UNDERSAMPLE_STREAM)
     chosen = rng.sample_indices(len(majority), len(minority))
     keep = np.sort(np.concatenate([minority, majority[np.array(chosen, dtype=np.int64)]]))
-    X = matrix.X[keep]
-    return FeatureMatrix([matrix.keys[i] for i in keep], X, y[keep], matrix.kind)
+    A = matrix.A[keep]
+    used = np.unique(A.indices)  # ascending, so each row keeps its part order
+    A = sp.csr_matrix((A.data, np.searchsorted(used, A.indices), A.indptr), shape=(len(keep), len(used)))
+    return FeatureMatrix([matrix.keys[i] for i in keep], matrix.parts[used], y[keep], matrix.kind, A)
 
 
 def encode_matrix(matrix: FeatureMatrix) -> artifacts.Encoded:
-    """One row record per sample, listing its stored cells as ``col:value`` pairs.
+    """Each part row as ``col:value`` pairs, then one row record per sample with its part indices.
 
     The body is a generator: no text exists until the artifact is written.
     """
@@ -260,47 +282,74 @@ def encode_matrix(matrix: FeatureMatrix) -> artifacts.Encoded:
 
 
 def _matrix_lines(matrix: FeatureMatrix) -> Iterator[str]:
-    yield f"rows {matrix.n_rows}\ndims {matrix.dims}\nkind {matrix.kind}\n"
-    indptr, cols = matrix.X.indptr.tolist(), matrix.X.indices.tolist()
-    vals = matrix.X.data.tolist()
+    P, A = matrix.parts, matrix.A
+    yield f"rows {matrix.n_rows}\nparts {P.shape[0]}\ndims {matrix.dims}\nkind {matrix.kind}\n"
+    indptr, cols, vals = P.indptr.tolist(), P.indices.tolist(), P.data.tolist()
+    for start, end in zip(indptr, indptr[1:]):
+        yield " ".join(["part", *map("{}:{!r}".format, cols[start:end], vals[start:end])]) + "\n"
+    indptr, refs = A.indptr.tolist(), A.indices.tolist()
     for key, label, start, end in zip(matrix.keys, matrix.y.tolist(), indptr, indptr[1:]):
-        cells = " ".join(map("{}:{!r}".format, cols[start:end], vals[start:end]))
-        yield f"row {key} {label} {cells}".rstrip() + "\n"
+        yield " ".join(["row", key, str(label), *map(str, refs[start:end])]) + "\n"
 
 
 def load_matrix(path: Path | str) -> tuple[FeatureMatrix, dict[str, str]]:
     """Inverse of :func:`encode_matrix`; returns the matrix and header fields.
 
-    Every row's cells are parsed in one numpy conversion; a row's ``indptr``
-    step is its cell count.
+    The cells of every part row, and the part indices of every sample row, are
+    each parsed in one numpy conversion.  A file from before the factored
+    format, with no ``parts`` line, is refused.
     """
     lines, header = artifacts.read(path)
     meta: dict[str, str] = {}
+    cells: list[str] = []
     keys: list[str] = []
     labels: list[int] = []
-    cells: list[str] = []
+    refs: list[str] = []
     for line in lines:
-        parts = line.split(" ", 3)
-        if parts[0] == "row" and len(parts) >= 3:
-            keys.append(parts[1])
-            labels.append(int(parts[2]))
-            cells.append(parts[3] if len(parts) == 4 else "")
-        elif parts[0] in ("rows", "dims", "kind") and len(parts) == 2:
-            meta[parts[0]] = parts[1]
+        fields = line.split(" ", 3)
+        if fields[0] == "part":
+            cells.append(line[5:])
+        elif fields[0] == "row" and len(fields) >= 3:
+            keys.append(fields[1])
+            labels.append(int(fields[2]))
+            refs.append(fields[3] if len(fields) == 4 else "")
+        elif fields[0] in ("rows", "parts", "dims", "kind") and len(fields) == 2:
+            meta[fields[0]] = fields[1]
         elif line:
             raise ValidationError(f"{path}: unexpected line {line!r}")
+    if "parts" not in meta:
+        raise ValidationError(f"{path}: sample x word feature file from an older version; rerun featurize")
     try:
-        n_rows, dims, kind = int(meta["rows"]), int(meta["dims"]), meta["kind"]
+        n_rows, n_parts, dims, kind = int(meta["rows"]), int(meta["parts"]), int(meta["dims"]), meta["kind"]
     except KeyError as exc:
         raise ValidationError(f"{path}: incomplete matrix header") from exc
     if len(keys) != n_rows:
         raise ValidationError(f"{path}: header says {n_rows} rows, found {len(keys)}")
+    if len(cells) != n_parts:
+        raise ValidationError(f"{path}: header says {n_parts} parts, found {len(cells)}")
+    values, indptr = _numbers(path, cells, [c.count(":") for c in cells], 2, "cells")
+    cols = values[0::2].astype(np.int64)
+    if not np.array_equal(cols, values[0::2]) or cols.size and not 0 <= cols.min() <= cols.max() < dims:
+        raise ValidationError(f"{path}: a cell's column is not an integer in [0, {dims})")
+    parts = sp.csr_matrix((np.ascontiguousarray(values[1::2]), cols, indptr), shape=(n_parts, dims))
+    values, indptr = _numbers(path, refs, [r.count(" ") + 1 if r else 0 for r in refs], 1, "part indices")
+    idx = values.astype(np.int64)
+    if not np.array_equal(idx, values) or idx.size and not 0 <= idx.min() <= idx.max() < n_parts:
+        raise ValidationError(f"{path}: a part index is not an integer in [0, {n_parts})")
+    A = sp.csr_matrix((np.ones(idx.size), idx, indptr), shape=(n_rows, n_parts))
+    return FeatureMatrix(keys, parts, np.array(labels, dtype=np.int64), kind, A), header
+
+
+def _numbers(path, texts: list[str], counts: list[int], width: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every number in ``texts``, read as floats in one conversion, and the indptr of their entries.
+
+    Text i holds ``counts[i]`` entries of ``width`` numbers each, split by spaces
+    (and by ``:`` within a ``col:value`` cell).
+    """
     # fromstring reads a blank string as [-1.0]
-    values = np.fromstring(" ".join(filter(None, cells)).replace(":", " "), sep=" ")
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum([c.count(":") for c in cells], out=indptr[1:])
-    indices = values[0::2].astype(np.int64)
-    if values.size != 2 * indptr[-1] or not np.array_equal(indices, values[0::2]):
-        raise ValidationError(f"{path}: malformed cells")
-    X = sp.csr_matrix((np.ascontiguousarray(values[1::2]), indices, indptr), shape=(n_rows, dims))
-    return FeatureMatrix(keys, X, np.array(labels, dtype=np.int64), kind), header
+    values = np.fromstring(" ".join(filter(None, texts)).replace(":", " "), sep=" ")
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    if values.size != width * indptr[-1]:
+        raise ValidationError(f"{path}: malformed {what}")
+    return values, indptr

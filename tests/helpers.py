@@ -134,7 +134,7 @@ def alert_hours(alerts) -> dict[tuple[str, tuple[str, str]], set]:
 
 
 def dense_matrix(X, y, kind: str = "counts") -> FeatureMatrix:
-    """A feature matrix from rows given in full; the constructor stores them as CSR."""
+    """A feature matrix from rows given in full: the rows are its CSR parts, and A is the identity."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     keys = [f"s{i:04d}" for i in range(X.shape[0])]
@@ -324,30 +324,40 @@ def embed_sample(sample, abstracts_by_id, table, stopwords) -> tuple[np.ndarray,
 
 
 def load_matrix_oracle(path) -> FeatureMatrix:
-    """A feature-matrix file parsed cell by cell in Python; ``#`` lines skipped."""
+    """A feature file parsed in Python, ``#`` lines skipped: each row sums its parts cell by cell, in part order.
+
+    A column whose sum is zero is not stored; the rows come back in full (A = identity).
+    """
     meta: dict[str, str] = {}
-    keys, labels, row_cells = [], [], []
+    parts, keys, labels, row_refs = [], [], [], []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(" ")
-            if parts[0] == "row":
-                keys.append(parts[1])
-                labels.append(int(parts[2]))
-                row_cells.append(parts[3:])
+            fields = line.split(" ")
+            if fields[0] == "part":
+                parts.append([(int(col), float(val)) for col, _, val in (c.partition(":") for c in fields[1:])])
+            elif fields[0] == "row":
+                keys.append(fields[1])
+                labels.append(int(fields[2]))
+                row_refs.append([int(i) for i in fields[3:]])
             else:
-                meta[parts[0]] = parts[1]
+                meta[fields[0]] = fields[1]
+    assert len(parts) == int(meta["parts"]) and len(keys) == int(meta["rows"])
     indptr, indices, data = [0], [], []
-    for cells in row_cells:
-        for cell in cells:
-            col, _, val = cell.partition(":")
-            indices.append(int(col))
-            data.append(float(val))
+    for refs in row_refs:
+        sums: dict[int, float] = {}
+        for i in refs:
+            for col, val in parts[i]:
+                sums[col] = sums.get(col, 0.0) + val
+        for col in sorted(sums):
+            if sums[col] != 0:
+                indices.append(col)
+                data.append(sums[col])
         indptr.append(len(indices))
     X = sp.csr_matrix(
         (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(int(meta["rows"]), int(meta["dims"])),
+        shape=(len(keys), int(meta["dims"])),
     )
     return FeatureMatrix(keys, X, np.array(labels, dtype=np.int64), meta["kind"])

@@ -196,6 +196,29 @@ class TestLoadCorpus:
         assert [a.id for a in abstracts] == ["101", "103"]
         assert skipped == 1
 
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        doc = b"A1\tfine text\r\nA2\tmore\rA3\tabc \xff def\n"
+        with pytest.raises(CorpusParseError, match=r"^line 3: not valid UTF-8 \(byte offset 29\)$") as err:
+            parse_abstracts(io.BytesIO(doc), "lines")
+        assert err.value.byte_offset == doc.index(b"\xff")
+        with pytest.raises(CorpusParseError, match="invalid XML"):  # expat refuses it too
+            parse_abstracts(io.BytesIO(PUBMED_DOC.replace(b"Part one.", b"Part \xff one.")), "pubmed-xml")
+
+        single = tmp_path / "corpus.tsv"
+        single.write_bytes(doc)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "dir" / "a.tsv").write_text("B1\tgood\n")
+        (tmp_path / "dir" / "b.tsv").write_bytes(doc)
+        archive = tmp_path / "corpus.tar"
+        with tarfile.open(archive, "w") as tar:
+            for name, payload in [("a.tsv", b"B1\tgood\n"), ("b.tsv", doc)]:
+                info = tarfile.TarInfo(name)
+                info.size = len(payload)
+                tar.addfile(info, io.BytesIO(payload))
+        for path, name in [(single, single), (tmp_path / "dir", tmp_path / "dir" / "b.tsv"), (archive, f"{archive}:b.tsv")]:
+            with pytest.raises(CorpusParseError, match=re.escape(f"{name}: line 3: not valid UTF-8")):
+                load_corpus(path, "lines")
+
     def test_duplicate_across_files(self, tmp_path):
         (tmp_path / "a.tsv").write_text("A1\tone\n")
         (tmp_path / "b.tsv").write_text("A1\ttwo\n")
@@ -301,6 +324,14 @@ class TestLexicon:
     def test_drug_id_with_whitespace_rejected(self):
         with pytest.raises(ValidationError):
             DrugLexicon({"bad id": [("bad",)]}, set())
+
+    @pytest.mark.parametrize("bad_id", ["bad id", "bad|id", ""])
+    def test_bad_drug_id_in_file_names_its_line(self, tmp_path, bad_id):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text(f"# comment\na\talpha\t1\n{bad_id}\tbad\t0\n")
+        message = f"{path}:3: drug id {bad_id!r} is empty or contains whitespace or '|'"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            DrugLexicon.load(path)
 
     @pytest.mark.parametrize("phrase", [(), ("",), ("acetyl", "")])
     def test_empty_phrase_or_token_rejected(self, phrase):

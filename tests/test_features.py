@@ -334,7 +334,10 @@ class TestMatrixPersistence:
 
     def test_storage_line_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
-        path.write_text("rows 1\ndims 2\nstorage dense\nkind embeddings\nrow s0 1 0.5 2.0\n", encoding="utf-8")
+        path.write_text(
+            "rows 1\nparts 1\ndims 2\nstorage dense\nkind embeddings\npart 0:0.5 1:2.0\nrow s0 1 0\n",
+            encoding="utf-8",
+        )
         with pytest.raises(ValidationError, match="storage"):
             load_matrix(path)
 
@@ -348,23 +351,85 @@ class TestMatrixPersistence:
         y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
         kind = data.draw(st.sampled_from(["counts", "embeddings"]))
         keys = [f"s{i}" for i in range(n)]
-        m = FeatureMatrix(keys, X, y, kind)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "m.txt"
-            save(path, encode_matrix(m), {"config_digest": "abc"})
-            got, header = load_matrix(path)
-            want = load_matrix_oracle(path)
-        assert header["config_digest"] == "abc"
-        assert (got.keys, got.kind, got.y.tolist()) == (want.keys, want.kind, want.y.tolist())
-        for a, b in ((getattr(got.X, name), getattr(want.X, name)) for name in ("data", "indices", "indptr")):
-            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+        # the drawn rows as parts, each sample summing a sorted subset of them
+        refs = [sorted(data.draw(st.sets(st.integers(0, n - 1)))) if n else [] for _ in range(n)]
+        A = sp.csr_matrix(
+            (np.ones(sum(map(len, refs))), [i for r in refs for i in r], np.cumsum([0, *map(len, refs)])),
+            shape=(n, n),
+        )
+        for m in (FeatureMatrix(keys, X, y, kind), FeatureMatrix(keys, X, y, kind, A)):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "m.txt"
+                save(path, encode_matrix(m), {"config_digest": "abc"})
+                got, header = load_matrix(path)
+                want = load_matrix_oracle(path)
+            assert header["config_digest"] == "abc"
+            assert (got.keys, got.kind, got.y.tolist()) == (want.keys, want.kind, want.y.tolist())
+            for a, b in ((getattr(got.X, name), getattr(want.X, name)) for name in ("data", "indices", "indptr")):
+                assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
-    @pytest.mark.parametrize("row", ["row s0 1 3", "row s0 1 3:1.0 4", "row s0 1 3.5:1.0", "row s0 1 x:1.0"])
-    def test_malformed_sparse_cells_rejected(self, tmp_path, row):
+    @pytest.mark.parametrize(
+        "line",
+        ["row s0 1 3", "row s0 1 3:1.0 4", "row s0 1 3.5:1.0", "row s0 1 x:1.0",
+         "part 3", "part 3:1.0 4", "part 3.5:1.0", "part x:1.0", "part 5:1.0"],
+    )
+    def test_malformed_sparse_cells_rejected(self, tmp_path, line):
+        # each text is malformed both as a sample row's part indices and as a part row's cells
+        part, row = (line, "row s0 1 0") if line.startswith("part") else ("part 0:1.0", line)
         path = tmp_path / "m.txt"
-        path.write_text(f"rows 1\ndims 5\nkind counts\n{row}\n", encoding="utf-8")
+        path.write_text(f"rows 1\nparts 1\ndims 5\nkind counts\n{part}\n{row}\n", encoding="utf-8")
         with pytest.raises(ValueError):  # ValidationError is a ValueError
             load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("rows 1\nparts 1\ndims 2\nkind counts\npart 0:1.0\nrow s0 1 1\n", r"part index .* \[0, 1\)"),
+            ("rows 1\nparts 1\ndims 2\nkind counts\npart 0:1.0\nrow s0 1 -1\n", r"part index .* \[0, 1\)"),
+            ("rows 1\nparts 1\ndims 2\nkind counts\npart 0:1.0\nrow s0 1 0.5\n", r"part index .* \[0, 1\)"),
+            ("rows 1\nparts 1\ndims 2\nkind counts\npart 0:1.0\nrow s0 1 0:1.0\n", "malformed part indices"),
+            ("rows 1\nparts 2\ndims 2\nkind counts\npart 0:1.0\nrow s0 1 0\n", "says 2 parts, found 1"),
+            ("rows 2\nparts 1\ndims 2\nkind counts\npart 0:1.0\nrow s0 1 0\n", "says 2 rows, found 1"),
+            ("rows 1\ndims 2\nkind counts\nrow s0 1 0:1.0 1:2.0\n", "rerun featurize"),
+        ],
+        ids=["index-past-end", "index-negative", "index-fraction", "index-cell", "part-count", "row-count",
+             "old-format"],
+    )
+    def test_inconsistent_file_rejected(self, tmp_path, body, message):
+        path = tmp_path / "features_train.txt"
+        save(path, ("feature-matrix", {}, body), {"config_digest": "abc"})
+        with pytest.raises(ValidationError, match=message) as err:
+            load_matrix(path)
+        assert str(path) in str(err.value)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_written_file_gives_the_in_memory_product_bit_for_bit(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        words = [f"w{i}" for i in range(15)]
+        abstracts = {f"a {i}": toka(f"a {i}", rng.choices(words, k=rng.randint(0, 25))) for i in range(10)}
+        vocab = build_vocab(list(abstracts.values()), 12)
+        table = EmbeddingTable({w: np.array([rng.gauss(0, 1) for _ in range(3)]) for w in words[:11]})
+        samples = [
+            sample_with(rng.sample(sorted(abstracts), rng.randint(0, 4)), o=f"o{j}", label=int(j % 3 == 0))
+            for j in range(data.draw(st.integers(2, 14)))
+        ]
+        for full in (
+            build_count_matrix(samples, abstracts, vocab),
+            build_embedding_matrix(samples, abstracts, table, set())[0],
+        ):
+            kept = undersample(full, seed=rng.randint(0, 99))
+            assert kept.parts.shape[0] == len(np.unique(kept.A.indices))  # no part left unreferenced
+            rows = [full.keys.index(key) for key in kept.keys]
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "m.txt"
+                save(path, encode_matrix(kept), {"config_digest": "abc"})
+                loaded, _ = load_matrix(path)
+            # what the file gives, the product in memory, and the rows of the product before undersampling
+            for X in (kept.X, full.X[rows]):
+                for name in ("data", "indices", "indptr"):
+                    a, b = getattr(loaded.X, name), getattr(X, name)
+                    assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
 
 def test_stopword_files(tmp_path):

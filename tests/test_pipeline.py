@@ -12,7 +12,7 @@ from ddimine.labeling import InteractionCatalog, InteractionSample
 from ddimine.learn import load_model
 from ddimine.pipeline import ARTIFACTS, STAGE_FUNCS, STAGE_ORDER, STAGES, file_digest, run_all, run_stage
 from ddimine.synth import SynthParams, write_dataset
-from helpers import artifact_digests, count_vector, load_vocab, save, templateize_oracle
+from helpers import artifact_digests, count_vector, load_matrix_oracle, load_vocab, save, templateize_oracle
 
 
 def data_lines(path) -> list[str]:
@@ -109,13 +109,14 @@ def test_train_rows_match_count_vector_oracle(mini):
     vocab = load_vocab(out / "vocab.tsv")
     abstracts = {ab.id: ab for ab in read_abstracts(out / "cardiac.jsonl")}
     samples = {s.key: s for s in read_samples(out / "assigned_samples.tsv")}
-    rows = [line for line in data_lines(out / "features_train.txt") if line.startswith("row ")]
-    assert rows
-    for line in rows:
-        s = samples[line.split(" ")[1]]
+    train = load_matrix_oracle(out / "features_train.txt")
+    assert train.keys
+    for i, key in enumerate(train.keys):
+        s = samples[key]
         entries = count_vector(s, abstracts, vocab).entries
-        cells = " ".join(f"{col}:{float(entries[col])!r}" for col in sorted(entries))
-        assert line == f"row {s.key} {s.label} {cells}".rstrip()
+        assert train.y[i] == s.label
+        assert train.X[i].indices.tolist() == sorted(entries)
+        assert train.X[i].data.tolist() == [float(entries[col]) for col in sorted(entries)]
 
 
 def test_label_stage_with_catalog_drugs_missing_from_lexicon(tmp_path):
@@ -240,6 +241,16 @@ def test_ingest_rejects_an_id_the_samples_column_cannot_hold(tmp_path, capsys):
     assert main(["ingest", "--config", str(paths["config"])]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "abstract id 'a,b'" in err[0]
+
+
+def test_ingest_rejects_a_corpus_that_is_not_utf8(tmp_path, capsys):
+    paths = write_dataset(SynthParams(seed=7), tmp_path)
+    with open(paths["corpus"], "ab") as fh:
+        fh.write(b"badid\tabc \xff def\n")
+    lineno = len(paths["corpus"].read_bytes().splitlines())
+    assert main(["ingest", "--config", str(paths["config"])]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{paths['corpus']}: line {lineno}: not valid UTF-8" in err[0]
 
 
 def test_every_stage_is_a_subcommand_with_its_docstring_as_help():
