@@ -21,6 +21,7 @@ from typing import Any, Callable
 
 from .corpus import CORPUS_FORMATS
 from .errors import ConfigError
+from .mar_alerts import WINDOW_HOURS_RANGE, valid_window_hours
 
 FEATURE_KINDS = ("counts", "embeddings")
 VOCAB_STOPWORD_MODES = ("keep", "drop")
@@ -38,6 +39,10 @@ def _is_number(value: Any) -> bool:
 
 def _is_bool(value: Any) -> bool:
     return isinstance(value, bool)
+
+
+def _is_window(value: Any) -> bool:
+    return _is_number(value) and valid_window_hours(value)
 
 
 def _or_null(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
@@ -85,11 +90,12 @@ class CvSection:
 
 @dataclass
 class AlertSection:
-    window_hours: float = _setting(24.0, lambda v: _is_number(v) and v > 0, "a positive number", float)
+    window_hours: float = _setting(24.0, _is_window, f"a number of hours {WINDOW_HOURS_RANGE}", float)
     # null reads as no per-drug windows
     per_drug_hours: dict[str, float] = _setting(
-        {}, _or_null(lambda v: isinstance(v, dict) and all(_is_number(h) and h > 0 for h in v.values())),
-        "an object mapping drugs to positive hours", lambda v: {str(d): float(h) for d, h in (v or {}).items()})
+        {}, _or_null(lambda v: isinstance(v, dict) and all(map(_is_window, v.values()))),
+        f"an object mapping drugs to hours {WINDOW_HOURS_RANGE}",
+        lambda v: {str(d): float(h) for d, h in (v or {}).items()})
 
 
 @dataclass

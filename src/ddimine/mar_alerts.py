@@ -11,16 +11,20 @@ One shape carries the records from parsing to alerts: :func:`build_exposures`
 groups administrations once, into :data:`Windows`, and :func:`detect_overlaps`
 walks that mapping as it is.  :func:`encode_alerts` streams both alert files:
 their bodies are generators, so no alert text exists until they are written.
+
+:func:`parse_mar` parses each distinct timestamp string once, through a
+bounded lookup that lives only while the file is read; the alert files keep no
+lookup.  A window's end date is that of the last instant it covers, ``end -
+1 µs``, the finest step a ``datetime`` holds.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import artifacts
 from .errors import ValidationError
@@ -28,21 +32,23 @@ from .labeling import InteractionCatalog, pair_key
 
 _MIN_TIME = datetime(1900, 1, 1, tzinfo=timezone.utc)
 _MAX_TIME = datetime(2100, 1, 1, tzinfo=timezone.utc)
+_TICK = timedelta(microseconds=1)  # the finest step a datetime holds
+_MAX_PARSED = 4096  # distinct timestamp strings parse_mar keeps, under 1 MB
+_MAX_WINDOW_HOURS = 1e7  # _MAX_TIME plus this many hours is still inside datetime's years 1 to 9999
+WINDOW_HOURS_RANGE = "from 1 microsecond to 1e7 (about 1,141 years)"
 
 Window = tuple[datetime, datetime]  # half-open [start, end)
 # patient -> drug -> that drug's exposure windows: sorted, disjoint and not touching
 Windows = dict[str, dict[str, list[Window]]]
 
 
-@dataclass(frozen=True)
-class AdminEvent:
+class AdminEvent(NamedTuple):
     patient_id: str
     drug: str
     time: datetime
 
 
-@dataclass(frozen=True)
-class DdiAlert:
+class DdiAlert(NamedTuple):
     drug_a: str  # display order from the catalog
     drug_b: str
     start: datetime
@@ -62,15 +68,20 @@ def parse_timestamp(text: str) -> datetime:
         raise ValidationError(f"bad timestamp {text!r}") from exc
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    ts = ts.astimezone(timezone.utc)
-    if not _MIN_TIME <= ts < _MAX_TIME:
+    if not _MIN_TIME <= ts < _MAX_TIME:  # compared before conversion, which can overflow
         raise ValidationError(f"timestamp {text!r} outside the sane range 1900-2100")
-    return ts
+    return ts.astimezone(timezone.utc)
+
+
+def valid_window_hours(hours: float) -> bool:
+    """Whether an exposure window of ``hours`` is :data:`WINDOW_HOURS_RANGE` long, once held as a ``timedelta``."""
+    return 0 < hours <= _MAX_WINDOW_HOURS and timedelta(hours=hours) >= _TICK
 
 
 def parse_mar(path: Path | str) -> list[AdminEvent]:
     """Read ``patient_id TAB drug TAB timestamp`` rows, ending at LF, CR LF or CR, after the header."""
     events: list[AdminEvent] = []
+    parsed: dict[str, datetime] = {}  # raw timestamp text -> its UTC time; bad text never enters
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if [c.strip().lower() for c in header.split("\t")] != ["patient_id", "drug", "timestamp"]:
@@ -81,10 +92,13 @@ def parse_mar(path: Path | str) -> list[AdminEvent]:
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3 or not parts[0].strip() or not parts[1].strip():
                 raise ValidationError(f"{path}:{lineno}: expected patient_id, drug, timestamp")
-            try:
-                ts = parse_timestamp(parts[2])
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            if (ts := parsed.get(parts[2])) is None:
+                if len(parsed) == _MAX_PARSED:  # full: start over
+                    parsed.clear()
+                try:
+                    ts = parsed[parts[2]] = parse_timestamp(parts[2])
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
             events.append(AdminEvent(parts[0].strip(), parts[1].strip(), ts))
     return events
 
@@ -96,11 +110,11 @@ def build_exposures(
 ) -> Windows:
     """Each patient's exposure windows by drug: [t, t+W) per event, touching ones merged."""
     per_drug_hours = per_drug_hours or {}
-    if default_window_hours <= 0 or any(w <= 0 for w in per_drug_hours.values()):
-        raise ValidationError("exposure window must be positive")
+    if not all(map(valid_window_hours, [default_window_hours, *per_drug_hours.values()])):
+        raise ValidationError(f"exposure window must be a number of hours {WINDOW_HOURS_RANGE}")
     times: dict[str, dict[str, list[datetime]]] = {}
-    for ev in events:
-        times.setdefault(ev.patient_id, {}).setdefault(ev.drug, []).append(ev.time)
+    for patient, drug, time in events:
+        times.setdefault(patient, {}).setdefault(drug, []).append(time)
     return {
         patient: {
             drug: _merge(sorted(stamps), timedelta(hours=per_drug_hours.get(drug, default_window_hours)))
@@ -112,11 +126,13 @@ def build_exposures(
 
 def _merge(times: list[datetime], window: timedelta) -> list[Window]:
     merged: list[Window] = []
-    for t in times:  # sorted, so each window ends no earlier than the one before
-        if merged and t <= merged[-1][1]:  # overlapping or touching: extend
-            merged[-1] = (merged[-1][0], t + window)
-        else:
-            merged.append((t, t + window))
+    start, end = times[0], times[0] + window  # never empty: one list per (patient, drug) seen
+    for t in times[1:]:  # sorted, so each window ends no earlier than the one before
+        if t > end:  # a gap: the open window is complete
+            merged.append((start, end))
+            start = t
+        end = t + window
+    merged.append((start, end))
     return merged
 
 
@@ -124,11 +140,12 @@ def _intersect_sorted(a: list[Window], b: list[Window]) -> list[Window]:
     out: list[Window] = []
     i = j = 0
     while i < len(a) and j < len(b):
-        start = max(a[i][0], b[j][0])
-        end = min(a[i][1], b[j][1])
+        (a_start, a_end), (b_start, b_end) = a[i], b[j]
+        start = a_start if a_start > b_start else b_start
+        end = a_end if a_end < b_end else b_end
         if start < end:
             out.append((start, end))
-        if a[i][1] <= b[j][1]:
+        if a_end <= b_end:
             i += 1
         else:
             j += 1
@@ -171,18 +188,18 @@ def encode_alerts(alerts: Sequence[DdiAlert]) -> dict[str, artifacts.Encoded]:
     }
 
 
-def _window_dates(alert: DdiAlert) -> tuple[str, str]:
-    """Window start and end dates; the end date is that of the last instant covered."""
-    return alert.start.date().isoformat(), (alert.end - timedelta(seconds=1)).date().isoformat()
+def _last_date(end: datetime) -> str:
+    """The date of the last instant a window ending at ``end`` covers."""
+    return (end - _TICK).date().isoformat()
 
 
 def _tsv_lines(alerts: Sequence[DdiAlert]) -> Iterator[str]:
     yield "patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso\n"
-    for al in alerts:
-        start_date, end_date = _window_dates(al)
+    for drug_a, drug_b, start, end, effect, patient in alerts:
+        start_iso, end_iso = start.isoformat(), end.isoformat()
         yield (
-            f"{al.patient_id}\t{al.drug_a}\t{al.drug_b}\t{start_date}\t{end_date}"
-            f"\t{al.effect}\t{al.start.isoformat()}\t{al.end.isoformat()}\n"
+            f"{patient}\t{drug_a}\t{drug_b}\t{start_iso[:10]}\t{_last_date(end)}"
+            f"\t{effect}\t{start_iso}\t{end_iso}\n"
         )
 
 
@@ -190,10 +207,9 @@ def _report_lines(alerts: Sequence[DdiAlert]) -> Iterator[str]:
     totals: dict[tuple[str, str], int] = {}
     for patient, group in itertools.groupby(alerts, key=attrgetter("patient_id")):
         yield f"patient {patient}:\n"
-        for al in group:
-            start_date, end_date = _window_dates(al)
-            yield f'  (({al.drug_a}, {al.drug_b}), ("{start_date}", "{end_date}"), "{al.effect}")\n'
-            key = pair_key(al.drug_a, al.drug_b)
+        for drug_a, drug_b, start, end, effect, _ in group:
+            yield f'  (({drug_a}, {drug_b}), ("{start.date().isoformat()}", "{_last_date(end)}"), "{effect}")\n'
+            key = pair_key(drug_a, drug_b)
             totals[key] = totals.get(key, 0) + 1
     yield "pair totals:\n"
     for (a, b), count in sorted(totals.items()):

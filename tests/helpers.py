@@ -133,6 +133,38 @@ def alert_hours(alerts) -> dict[tuple[str, tuple[str, str]], set]:
     return result
 
 
+def alert_files_oracle(alerts) -> dict[str, str]:
+    """``alerts.tsv`` and ``alert_report.txt`` bodies, each alert formatted on its own.
+
+    ``alerts`` are in report order, with aware times, each written in its own
+    zone.  A window's dates run from its start's date to the date of the last
+    microsecond it covers.
+    """
+
+    def iso(t):
+        fraction = f".{t.microsecond:06d}" if t.microsecond else ""
+        minutes = t.utcoffset() // timedelta(minutes=1)
+        sign = "-" if minutes < 0 else "+"
+        return f"{t:%Y-%m-%dT%H:%M:%S}{fraction}{sign}{abs(minutes) // 60:02d}:{abs(minutes) % 60:02d}"
+
+    tsv = ["patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso\n"]
+    report: list[str] = []
+    totals: dict[tuple[str, str], int] = {}
+    for i, al in enumerate(alerts):
+        first, last = f"{al.start:%Y-%m-%d}", f"{al.end - timedelta(microseconds=1):%Y-%m-%d}"
+        fields = [al.patient_id, al.drug_a, al.drug_b, first, last, al.effect, iso(al.start), iso(al.end)]
+        tsv.append("\t".join(fields) + "\n")
+        if i == 0 or alerts[i - 1].patient_id != al.patient_id:
+            report.append(f"patient {al.patient_id}:\n")
+        report.append(f'  (({al.drug_a}, {al.drug_b}), ("{first}", "{last}"), "{al.effect}")\n')
+        pair = tuple(sorted((al.drug_a, al.drug_b)))
+        totals[pair] = totals.get(pair, 0) + 1
+    report.append("pair totals:\n")
+    report += [f"  {a}/{b}\t{count}\n" for (a, b), count in sorted(totals.items())]
+    report.append(f"total alerts\t{len(alerts)}\n")
+    return {"alerts.tsv": "".join(tsv), "alert_report.txt": "".join(report)}
+
+
 def dense_matrix(X, y, kind: str = "counts") -> FeatureMatrix:
     """A feature matrix from rows given in full: the rows are its CSR parts, and A is the identity."""
     X = np.asarray(X, dtype=float)

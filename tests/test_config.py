@@ -1,10 +1,12 @@
 import json
+from datetime import timedelta
 
 import pytest
 
 from ddimine.cli import main
 from ddimine.config import load_config
 from ddimine.errors import ConfigError
+from ddimine.mar_alerts import AdminEvent, build_exposures, parse_timestamp
 
 PATHS = {"corpus": "corpus.tsv", "lexicon": "lexicon.tsv", "catalog": "catalog.tsv", "output": "out"}
 
@@ -67,6 +69,11 @@ BAD_FIELDS = {
     "cv_not_an_object": ({"cv": "on"}, "cv must be an object"),
     "list_per_drug_hours": ({"alerts": {"per_drug_hours": [1]}}, "alerts.per_drug_hours"),
     "string_window_hours": ({"alerts": {"window_hours": "abc"}}, "alerts.window_hours"),
+    # a timedelta cannot hold the first; the second rounds to 0 microseconds
+    "huge_window_hours": ({"alerts": {"window_hours": 1e12}}, "alerts.window_hours"),
+    "tiny_window_hours": ({"alerts": {"window_hours": 1e-12}}, "alerts.window_hours"),
+    "huge_per_drug_hours": ({"alerts": {"per_drug_hours": {"d1": 1e12}}}, "alerts.per_drug_hours"),
+    "tiny_per_drug_hours": ({"alerts": {"per_drug_hours": {"d1": 6, "d2": 1e-12}}}, "alerts.per_drug_hours"),
     "nan_threshold": ({"threshold": float("nan")}, "threshold"),
     "bool_seed": ({"seed": True}, "seed"),
     "bool_top_k": ({"top_k": True}, "top_k"),
@@ -84,6 +91,16 @@ def test_bad_field_rejected(tmp_path, case):
         load_config(write_config(tmp_path, None, **fields))
     assert len(info.value.violations) == 1
     assert expected in info.value.violations[0]
+
+
+def test_window_bounds_hold_at_the_extreme_mar_times(tmp_path):
+    alerts = {"window_hours": 1e7, "per_drug_hours": {"d1": 1e-9}}
+    cfg = load_config(write_config(tmp_path, None, alerts=alerts))
+    latest = parse_timestamp("2099-12-31T23:59:59.999999Z")
+    events = [AdminEvent("p", "d0", latest), AdminEvent("p", "d1", latest)]
+    windows = build_exposures(events, cfg.alerts.window_hours, cfg.alerts.per_drug_hours)["p"]
+    assert windows["d0"] == [(latest, latest + timedelta(hours=1e7))]
+    assert windows["d1"] == [(latest, latest + timedelta(microseconds=4))]  # 3.6 µs, rounded
 
 
 def test_every_field_violation_listed_and_exit_code_2(tmp_path, capsys):

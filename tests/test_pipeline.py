@@ -253,6 +253,27 @@ def test_ingest_rejects_a_corpus_that_is_not_utf8(tmp_path, capsys):
     assert len(err) == 1 and f"{paths['corpus']}: line {lineno}: not valid UTF-8" in err[0]
 
 
+# in UTC these fall outside datetime's years 1 to 9999
+@pytest.mark.parametrize("stamp", ["9999-12-31T23:00:00-05:00", "0001-01-01T00:00:00+05:00"])
+def test_alerts_reject_a_mar_time_outside_datetime_after_utc(tmp_path, capsys, stamp):
+    paths = write_dataset(SynthParams(seed=7), tmp_path)
+    with open(paths["mar"], "a", encoding="utf-8") as fh:
+        fh.write(f"p0\td0\t{stamp}\n")
+    lineno = len(paths["mar"].read_text(encoding="utf-8").splitlines())
+    assert main(["alerts", "--config", str(paths["config"])]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{paths['mar']}:{lineno}: timestamp {stamp!r} outside the sane range" in err[0]
+
+
+@pytest.mark.parametrize("alerts", [{"window_hours": 1e12}, {"per_drug_hours": {"d0": 1e-12}}])
+def test_alerts_reject_a_window_timedelta_cannot_hold(tmp_path, capsys, alerts):
+    paths = write_dataset(SynthParams(seed=7), tmp_path)
+    raw = json.loads(paths["config"].read_text(encoding="utf-8"))
+    paths["config"].write_text(json.dumps({**raw, "alerts": alerts}), encoding="utf-8")
+    assert main(["alerts", "--config", str(paths["config"])]) == 2
+    assert f"alerts.{next(iter(alerts))} must be" in capsys.readouterr().err
+
+
 def test_every_stage_is_a_subcommand_with_its_docstring_as_help():
     parser = _build_parser()
     listing = " ".join(parser.format_help().split())
