@@ -15,7 +15,10 @@ lambda = 0).  A fit is ``converged`` when that residual is at most
   working set becomes the support plus the worst violators, at most
   max(10, 2 * |support|) columns, and a projected (orthant-wise) Newton method
   with an Armijo line search on the true objective solves the problem
-  restricted to those columns, held as a dense block, plus the bias.
+  restricted to those columns, held as a dense block, plus the bias.  A Newton
+  step takes one exponential of the scores and solves its damped system by LU,
+  with least squares as the fallback.  Each CV fold, and the final fit,
+  transposes its design once for all the fits on it.
 * Hinge loss is the exact L1-SVM linear program (Zhu et al. 2003), solved by
   HiGHS; the residual is read off the program's duals.
 
@@ -45,7 +48,7 @@ _CV_STREAM = 31
 _MIN_WORKING_SET = 10
 _ARMIJO = 1e-4  # fraction of the predicted decrease a line-search step must achieve
 _MAX_HALVINGS = 60  # a step shorter than 2**-60 of the Newton step is no descent
-_RCOND = 1e-12  # Hessian directions below this share of the largest are treated as flat
+_RCOND = 1e-12  # least-squares fallback: Hessian directions below this share of the largest are flat
 # Levenberg-Marquardt damping, as a multiple of the absolute KKT residual: it
 # shortens steps along nearly flat directions far from the optimum (nearly
 # separable data at small lambda) and vanishes at the optimum, where the
@@ -81,13 +84,11 @@ class _Fit(NamedTuple):
     converged: bool
 
 
-def _sigmoid(s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s, dtype=float)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    es = np.exp(s[~pos])
-    out[~pos] = es / (1.0 + es)
-    return out
+def _sigmoids(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigmoid(s), sigmoid(-|s|) <= 1/2), both to full relative precision, from one exp."""
+    e = np.exp(-np.abs(s))
+    q = e / (1.0 + e)
+    return np.where(s < 0, q, 1.0 / (1.0 + e)), q
 
 
 def _logistic_value(s: np.ndarray, y: np.ndarray) -> float:
@@ -95,21 +96,22 @@ def _logistic_value(s: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.maximum(s, 0.0) - y * s + np.log1p(np.exp(-np.abs(s)))))
 
 
-def _logistic_change(s: np.ndarray, h: np.ndarray, y: np.ndarray) -> float:
+def _logistic_change(s: np.ndarray, h: np.ndarray, y: np.ndarray, q: np.ndarray) -> float:
     """Mean logistic loss at scores ``s + h`` minus that at ``s``.
 
-    Written as log1p(p * expm1(h)) with p = sigmoid(s), mirrored for s >= 0 so
-    that p <= 1/2, the change keeps its relative precision when it is far
-    below the rounding error of the loss itself.  That lets the line search
-    tell descent steps apart down to the tightest KKT tolerance.  Overflow
-    gives inf or nan, which no Armijo test accepts.
+    A row's loss is log(1 + e^z) on its signed score z = (1 - 2y) * s, so its
+    change is log1p(q * expm1(k)) for z < 0 and k + log1p(q * expm1(-k)) for
+    z >= 0, with k = (1 - 2y) * h and q = sigmoid(-|s|) <= 1/2, computed once per
+    Newton step.  No term cancels another, so the change keeps its relative
+    precision when it is far below the rounding error of the loss itself.
+    That lets the line search tell descent steps apart down to the tightest
+    KKT tolerance.  Overflow gives inf or nan, which no Armijo test accepts.
     """
-    out = np.empty_like(s)
-    neg = s < 0
+    sign = 1.0 - 2.0 * y
+    k = sign * h
+    up = sign * s >= 0
     with np.errstate(over="ignore", invalid="ignore"):
-        out[neg] = np.log1p(_sigmoid(s[neg]) * np.expm1(h[neg]))
-        out[~neg] = h[~neg] + np.log1p(_sigmoid(-s[~neg]) * np.expm1(-h[~neg]))
-    return float(np.mean(out - y * h))
+        return float(np.mean(np.where(up, k, 0.0) + np.log1p(q * np.expm1(np.where(up, -k, k)))))
 
 
 def _hinge_value(s: np.ndarray, y: np.ndarray) -> float:
@@ -133,7 +135,7 @@ def loss_gradient(loss: str, X, y: np.ndarray, s: np.ndarray) -> tuple[np.ndarra
     """
     if loss != "logistic":
         raise ValidationError(f"loss_gradient needs logistic loss, got {loss!r}")
-    r = (_sigmoid(s) - y) / len(y)
+    r = (_sigmoids(s)[0] - y) / len(y)
     return X.T @ r, float(r.sum())
 
 
@@ -211,7 +213,7 @@ def train(matrix: FeatureMatrix, config: ModelSection, seed: int) -> LinearModel
     """Fit a linear model to a certified optimum (see the module docstring); ``seed`` is only recorded."""
     _check_config(config)
     X, y, scale = _design(matrix, config.standardize)
-    fit = _fit(X, y, config)
+    fit = _fit(X, X.T.tocsr(), y, config)
     w = fit.w if scale is None else fit.w / scale
     meta = TrainingMeta(
         fit.iterations, fit.objective, seed, config.standardize, fit.kkt_rel, fit.converged
@@ -233,32 +235,32 @@ def _apply_scale(X: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
 
 def _fit(
     X,
+    Xt: sp.csr_matrix,
     y: np.ndarray,
     config: ModelSection,
     w0: np.ndarray | None = None,
     b0: float | None = None,
 ) -> _Fit:
-    """Solve at ``config.l1_lambda``; logistic fits start from (w0, b0) when given."""
+    """Solve at ``config.l1_lambda`` on X and its CSR transpose; logistic fits start from (w0, b0) when given."""
     if config.loss == "hinge":
-        fit = _fit_hinge(X, y, config)
+        fit = _fit_hinge(X, Xt, y, config)
     else:
-        fit = _fit_logistic(X, y, config, w0, b0)
+        fit = _fit_logistic(X, Xt, y, config, w0, b0)
     if not np.isfinite(fit.objective):
         raise ValidationError("training diverged to a non-finite objective")
     return fit
 
 
-def _fit_logistic(X, y: np.ndarray, config: ModelSection, w0, b0) -> _Fit:
+def _fit_logistic(X, Xt, y: np.ndarray, config: ModelSection, w0, b0) -> _Fit:
     """Working-set outer loop: full gradient and KKT stop, then Newton on the set."""
     lam = config.l1_lambda
     n, d = X.shape
-    Xt = X.T.tocsr()
     w = np.zeros(d) if w0 is None else np.array(w0, dtype=float)
     b = _initial_bias(y) if b0 is None else float(b0)
     iterations = 0
     while True:
         s = np.asarray(X @ w).ravel() + b
-        r = (_sigmoid(s) - y) / n
+        r = (_sigmoids(s)[0] - y) / n
         pg = _pseudo_gradient(w, np.asarray(Xt @ r).ravel(), lam)
         kkt_rel = _kkt_rel(pg, float(r.sum()), lam)
         if kkt_rel <= config.tolerance or iterations >= config.max_iters:
@@ -284,18 +286,22 @@ def _newton(
 ) -> tuple[np.ndarray, float, int]:
     """Orthant-wise Newton on the columns held as the rows of ``A``, plus the bias.
 
-    Each step solves the damped Newton system on the free weights (off zero,
-    or at zero with a nonzero pseudo-gradient).  A weight at zero may only leave
-    it against its pseudo-gradient, and no weight may cross zero within a
-    step: the step is projected onto the orthant it starts in.  The step is
-    halved until the objective falls by the Armijo fraction of the predicted
-    decrease.  Returns (w, b, steps taken).
+    Each step takes one exponential of the scores s: p = sigmoid(s), the
+    mirrored q = sigmoid(-|s|) and the Hessian weights q(1 - q) = p(1 - p) all
+    come from it, and every line-search evaluation reuses q.  The step solves the damped
+    Newton system on the free weights (off zero, or at zero with a nonzero
+    pseudo-gradient) by ``_solve_damped``: a factorisation, with least squares
+    as the fallback.  A weight at zero may only leave it against its
+    pseudo-gradient, and no weight may cross zero within a step: the step is
+    projected onto the orthant it starts in.  The step is halved until the
+    objective falls by the Armijo fraction of the predicted decrease.  Returns
+    (w, b, steps taken).
     """
     n = len(y)
     s = w @ A + b
     steps = 0
     while steps < budget:
-        p = _sigmoid(s)
+        p, q = _sigmoids(s)
         r = (p - y) / n
         pg = _pseudo_gradient(w, A @ r, lam)
         gb = float(r.sum())
@@ -304,16 +310,15 @@ def _newton(
             break
         free = np.flatnonzero((w != 0) | (pg != 0))
         F = A[free]
-        Fc = F * (p * (1.0 - p) / n)
+        curvature = q * (1.0 - q) / n  # p(1 - p), from the side where it keeps its precision
+        Fc = F * curvature
         m = len(free)
         H = np.empty((m + 1, m + 1))
         H[:m, :m] = Fc @ F.T
         H[:m, m] = H[m, :m] = Fc.sum(axis=1)
-        H[m, m] = float(np.sum(p * (1.0 - p))) / n
+        H[m, m] = float(np.sum(curvature))
         H[np.diag_indices(m + 1)] += _DAMPING * kkt_rel * (lam if lam > 0 else 1.0)
-        # least squares: duplicate columns make H singular, and the gradient has
-        # no component along such a flat direction, so the step takes none
-        step = np.linalg.lstsq(H, -np.append(pg[free], gb), rcond=_RCOND)[0]
+        step = _solve_damped(H, -np.append(pg[free], gb))
         dw = np.zeros_like(w)
         dw[free] = step[:m]
         db = float(step[m])
@@ -328,7 +333,7 @@ def _newton(
             moved = w_new - w
             h = moved @ A + t * db
             # per-weight differences: the difference of two sums of |w| would drown tiny changes
-            change = _logistic_change(s, h, y) + lam * float(np.sum(np.abs(w_new) - np.abs(w)))
+            change = _logistic_change(s, h, y, q) + lam * float(np.sum(np.abs(w_new) - np.abs(w)))
             if change <= _ARMIJO * (float(pg @ moved) + gb * t * db):
                 break
             t *= 0.5
@@ -339,7 +344,24 @@ def _newton(
     return w, b, steps
 
 
-def _fit_hinge(X, y: np.ndarray, config: ModelSection) -> _Fit:
+def _solve_damped(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The Newton step H^-1 rhs, by an LU factorisation.
+
+    The damping keeps H positive definite while a fit runs, but duplicate
+    columns leave it singular up to the damping.  Should rounding make the
+    solve raise or return non-finite values, least squares drops directions
+    below ``_RCOND`` of the largest, along which the gradient has no component.
+    """
+    try:
+        step = np.linalg.solve(H, rhs)
+        if np.all(np.isfinite(step)):
+            return step
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(H, rhs, rcond=_RCOND)[0]
+
+
+def _fit_hinge(X, Xt, y: np.ndarray, config: ModelSection) -> _Fit:
     """The exact L1-SVM as a linear program (Zhu et al. 2003), solved by HiGHS.
 
     Variables [u, v, b, xi] with w = u - v: minimise lam * sum(u + v) + mean(xi)
@@ -363,7 +385,7 @@ def _fit_hinge(X, y: np.ndarray, config: ModelSection) -> _Fit:
     w = res.x[:d] - res.x[d : 2 * d]
     b = float(res.x[2 * d])
     alpha = -res.ineqlin.marginals
-    g = -np.asarray(X.T @ (alpha * ysign)).ravel()
+    g = -np.asarray(Xt @ (alpha * ysign)).ravel()
     # HiGHS can leave round-off (~1e-14) in a weight its duals price out, one
     # whose gradient does not sit at -lam*sign(w): such a weight is zero
     w[(w != 0) & (np.abs(g + lam * np.sign(w)) > config.tolerance * (lam if lam > 0 else 1.0))] = 0.0
@@ -406,7 +428,8 @@ def cross_validate(
     tolerance.  Ties in mean AUC resolve toward the lower mean held-out loss:
     on well-separated data several lambdas rank every held-out fold perfectly,
     and the loss still tells them apart.  Remaining ties go to the larger
-    lambda (the sparser model).
+    lambda (the sparser model).  A choice at either end of a grid of two or
+    more points is kept with a warning: the grid does not bracket it.
     """
     _check_config(config)
     X, y, _ = _design(matrix, config.standardize)
@@ -443,11 +466,12 @@ def cross_validate(
             warnings.append(f"fold {fold_i}: training part has a single class; fold skipped")
             continue
         X_tr, X_ho = X[train_arr], X[held_arr]
+        Xt_tr = X_tr.T.tocsr()  # every fit down this fold's path shares it
         w_prev: np.ndarray | None = None
         b_prev: float | None = None
         for gi, lam in enumerate(grid):
             cfg = replace(config, l1_lambda=lam)
-            fit = _fit(X_tr, y_tr, cfg, w_prev, b_prev)
+            fit = _fit(X_tr, Xt_tr, y_tr, cfg, w_prev, b_prev)
             w_prev, b_prev = fit.w, fit.b  # warm start down the path
             if not fit.converged:
                 warnings.append(
@@ -457,6 +481,7 @@ def cross_validate(
             scores = np.asarray(X_ho @ fit.w).ravel() + fit.b
             fold_auc[gi, fold_i] = roc_curve(scores, y_ho).auc
             fold_loss[gi, fold_i] = loss_value(config.loss, scores, y[held_arr])
+        del X_tr, X_ho, Xt_tr  # free this fold's copies before the next fold builds its own
     mean_auc, mean_loss = (
         np.array([np.nan if np.all(np.isnan(row)) else float(np.nanmean(row)) for row in folds])
         for folds in (fold_auc, fold_loss)
@@ -465,6 +490,11 @@ def cross_validate(
         raise ValidationError("no fold produced a defined AUC; cannot select lambda")
     tied = np.flatnonzero(mean_auc == np.nanmax(mean_auc))
     best_idx = int(tied[np.argmin(mean_loss[tied])])  # first min in descending grid = larger lambda
+    if len(grid) >= 2 and best_idx in (0, len(grid) - 1):
+        edge = "largest" if best_idx == 0 else "smallest"
+        warnings.append(
+            f"best lambda {grid[best_idx]!r} is the {edge} grid point; the optimum may lie beyond the grid"
+        )
     return CvResult(grid, fold_auc, mean_auc, mean_loss, float(grid[best_idx]), warnings)
 
 
@@ -498,19 +528,22 @@ def encode_model(model: LinearModel) -> artifacts.Encoded:
 
 
 def load_model(path: Path | str) -> tuple[LinearModel, dict[str, str]]:
+    """Read a model file; one without the certificate lines is refused, not completed."""
     lines, header = artifacts.read(path)
     meta: dict[str, str] = {}
     weights: list[tuple[int, float]] = []
-    for line in lines:
-        parts = line.split(" ")
-        if parts[0] == "w":
-            weights.append((int(parts[1]), float(parts[2])))
-        elif line:
-            meta[parts[0]] = parts[1]
     try:
+        for line in lines:
+            parts = line.split(" ")
+            if parts[0] == "w":
+                weights.append((int(parts[1]), float(parts[2])))
+            elif line:
+                meta[parts[0]] = parts[1]
         dims = int(meta["dims"])
         w = np.zeros(dims)
         for col, val in weights:
+            if not 0 <= col < dims:
+                raise IndexError(col)
             w[col] = val
         model = LinearModel(
             weights=w,
@@ -521,12 +554,15 @@ def load_model(path: Path | str) -> tuple[LinearModel, dict[str, str]]:
                 iterations=int(meta["iterations"]),
                 objective=float(meta["objective"]),
                 seed=int(meta["seed"]),
-                standardized=bool(int(meta.get("standardized", "0"))),
-                # files written before the solver certified its fits lack these
-                kkt_rel=float(meta.get("kkt_rel", "nan")),
-                converged=bool(int(meta.get("converged", "0"))),
+                standardized=bool(int(meta["standardized"])),
+                kkt_rel=float(meta["kkt_rel"]),
+                converged=bool(int(meta["converged"])),
             ),
         )
     except (KeyError, ValueError, IndexError) as exc:
+        if isinstance(exc, KeyError) and exc.args[0] in ("standardized", "kkt_rel", "converged"):
+            raise ValidationError(
+                f"{path}: model file without a {exc.args[0]} line, from an older version; rerun train"
+            ) from exc
         raise ValidationError(f"{path}: malformed model file") from exc
     return model, header

@@ -1,5 +1,7 @@
 import random
+import re
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from ddimine.features import FeatureMatrix
 from ddimine.learn import (
     LinearModel,
     TrainingMeta,
+    _logistic_change,
     cross_validate,
     default_lambda_grid,
     encode_model,
@@ -61,6 +64,48 @@ def test_logistic_kkt_and_objective_match_reference(kind, fraction):
     value = l1_objective("logistic", matrix.X, matrix.y, model.weights, model.bias, lam)
     assert value == pytest.approx(model.meta.objective, rel=1e-12)
     assert value == pytest.approx(best, rel=1e-9)
+
+
+def test_factorisation_failure_falls_back_to_least_squares(monkeypatch):
+    matrix = count_matrix(3)  # both duplicate columns enter the model at this lambda
+    lam = 0.01 * lambda_max(matrix)
+    _, _, best = l1_logistic_reference(matrix.X, matrix.y, lam)
+    calls = []
+
+    def singular(H, rhs):
+        calls.append(len(rhs))
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    config = ModelSection(l1_lambda=lam, tolerance=1e-8)
+    model = train(matrix, config, seed=0)
+    monkeypatch.undo()
+    assert len(calls) >= model.meta.iterations > 0  # one solve per Newton step tried
+    assert model.weights[4] != 0 and model.weights[5] != 0
+    assert model.meta.converged and model.meta.kkt_rel <= config.tolerance
+    value = l1_objective("logistic", matrix.X, matrix.y, model.weights, model.bias, lam)
+    assert value == pytest.approx(best, rel=1e-9)
+
+
+def change_oracle(s: float, h: float, y: int) -> float:
+    """Logistic loss log(1 + e^z) - y*z at s + h minus that at s, to 50 digits."""
+    def loss(z: Decimal) -> Decimal:
+        return (1 + z.exp()).ln() - y * z
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float(loss(Decimal(s) + Decimal(h)) - loss(Decimal(s)))
+
+
+@pytest.mark.parametrize("y", [0, 1])
+@pytest.mark.parametrize("s", [0.0, 1e-3, -1e-3, 5.0, -5.0, 30.0, -30.0])
+def test_logistic_change_keeps_relative_precision(s, y):
+    q = np.exp(-abs(s)) / (1.0 + np.exp(-abs(s)))
+    for h in (1e-12, 1e-9, 1e-6, 1e-3, 0.5, 3.0):
+        for signed in (h, -h):
+            got = _logistic_change(np.array([s]), np.array([signed]), np.array([float(y)]), np.array([q]))
+            want = change_oracle(s, signed, y)
+            assert abs(got - want) <= 1e-12 * abs(want), (s, signed, y, got, want)
 
 
 @pytest.mark.parametrize("standardize", [False, True])
@@ -159,6 +204,12 @@ def test_bad_config_rejected():
         loss_gradient("hinge", matrix.X, matrix.y, np.zeros(matrix.n_rows))
 
 
+MODEL_FILE = (
+    "# linear-model\nloss hinge\nlambda 0.5\ndims 3\nbias -0.25\nseed 7\nobjective 0.75\n"
+    "iterations 40\nstandardized 0\nkkt_rel 3e-07\nconverged 1\nw 1 0.5\n"
+)
+
+
 class TestModelFile:
     def test_roundtrip_with_numpy_scalars(self, tmp_path):
         meta = TrainingMeta(12, np.float64(0.25), 3, False, np.float64(2.5e-9), True)
@@ -181,20 +232,28 @@ class TestModelFile:
         assert loaded.weights.tobytes() == model.weights.tobytes()
         assert loaded.bias == model.bias and loaded.meta == model.meta
 
-    def test_file_without_certificate_lines_loads(self, tmp_path):
+    @pytest.mark.parametrize("missing", ["standardized", "kkt_rel", "converged"])
+    def test_file_without_certificate_lines_refused(self, tmp_path, missing):
         path = tmp_path / "model.txt"
         path.write_text(
-            "# linear-model\nloss hinge\nlambda 0.5\ndims 3\nbias -0.25\nseed 7\n"
-            "objective 0.75\niterations 40\nstandardized 0\nw 1 0.5\n",
+            "\n".join(line for line in MODEL_FILE.splitlines() if not line.startswith(missing)) + "\n",
             encoding="utf-8",
         )
-        loaded, _ = load_model(path)
-        assert loaded.weights.tolist() == [0.0, 0.5, 0.0]
-        assert np.isnan(loaded.meta.kkt_rel) and not loaded.meta.converged
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: .* {missing} line.*rerun train$"):
+            load_model(path)
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("# linear-model\nloss logistic\nlambda np.float64(0.5)\ndims 3\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="malformed model file"):
+            load_model(path)
+
+    @pytest.mark.parametrize("old,new", [
+        ("bias -0.25\n", ""), ("w 1 0.5", "w 1"), ("w 1 0.5", "w 3 0.5"), ("w 1 0.5", "w -1 0.5"),
+    ])
+    def test_missing_field_or_bad_weight_line_rejected(self, tmp_path, old, new):
+        path = tmp_path / "model.txt"
+        path.write_text(MODEL_FILE.replace(old, new), encoding="utf-8")
         with pytest.raises(ValidationError, match="malformed model file"):
             load_model(path)
 
@@ -216,3 +275,18 @@ def test_cv_auc_ties_broken_by_held_out_loss():
     best = tied[np.argmin(cv.mean_loss[tied])]
     assert cv.best_lambda == cv.lambda_grid[best] != cv.lambda_grid[tied[0]]
     assert np.all(np.diff(cv.mean_loss[tied]) < 0)  # a looser penalty fits held-out rows better here
+    assert cv.best_lambda == cv.lambda_grid[-1]
+    assert cv.warnings == [
+        f"best lambda {cv.best_lambda!r} is the smallest grid point; the optimum may lie beyond the grid"
+    ]
+
+
+def test_cv_warns_when_the_largest_lambda_wins():
+    matrix = count_matrix(10)
+    lmax = lambda_max(matrix)
+    # every weight is zero at both points, so AUC and loss tie and the larger lambda wins
+    cv = cross_validate(matrix, [2.0 * lmax, 4.0 * lmax], 3, ModelSection(), seed=0)
+    assert cv.best_lambda == 4.0 * lmax
+    assert cv.warnings == [
+        f"best lambda {4.0 * lmax!r} is the largest grid point; the optimum may lie beyond the grid"
+    ]
