@@ -3,9 +3,8 @@
 Every artifact starts with a header block::
 
     # ddimine <kind>
-    # config_digest: <sha256 of the configuration>
-    # seed: <seed>
-    # <key>: <value>        (per-file fields, e.g. ratios or skipped_records)
+    # digest: <sha256 of what the producing stage read: see ddimine.pipeline>
+    # <key>: <value>        (per-file fields, e.g. seed and ratios, or skipped_records)
 
 The header is the first line, when it starts with ``#``, and the run of
 ``# key: value`` lines (the key an identifier) after it; the body starts at
@@ -85,14 +84,14 @@ def _read(path: Path | str) -> Iterator:
             line = fh.readline()
 
 
-def check_digest(path: Path | str, expected: str) -> None:
-    """Refuse an artifact written under another configuration, or with no header.
+def check_digest(path: Path | str, expected: str, producer: str) -> None:
+    """Refuse an artifact whose digest is not ``expected``, the one ``producer`` would write now.
 
     Reads the header alone, so a stale body is never decoded.
     """
-    found = read(path)[1].get("config_digest")
+    found = read(path)[1].get("digest")
     if found != expected:
         raise ArtifactMismatchError(
-            f"{path} was written under config digest {found!r}, current is {expected!r}; "
-            "rerun the producing stage"
+            f"{path} is stale: its digest is {found!r}, its inputs now give {expected!r}; "
+            f"rerun the {producer!r} stage"
         )

@@ -9,7 +9,7 @@ from . import artifacts
 from .config import load_config
 from .errors import PipelineError
 from .pipeline import STAGES, run_all, run_stage
-from .synth import SynthParams, write_dataset
+from .synth import SynthParams, planted_params, write_dataset
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,12 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gen-synthetic":
-            if args.preset == "planted":
-                from .synth import planted_params
-
-                params = planted_params(args.seed)
-            else:
-                params = SynthParams(seed=args.seed)
+            params = planted_params(args.seed) if args.preset == "planted" else SynthParams(seed=args.seed)
             paths = write_dataset(params, args.output)
             print(f"wrote synthetic dataset under {args.output}")
             print(f"config: {paths['config']}")

@@ -4,18 +4,17 @@ Each setting is declared once, as a dataclass field made by ``_setting``: its
 default, its JSON key, its validity test and the phrase that completes
 "``<dotted key>`` must be ...".  ``build_config`` reads every declared field
 of ``PipelineConfig`` and of its sections (``model``, ``cv``, ``alerts``) the
-same way, then adds the ``paths`` block and the two rules that span fields.
-``config_digest`` hashes every field but ``output``, so a setting is covered
-by the digest as soon as it is declared.
+same way, then adds the ``paths`` block and the rules that span fields.  A
+config dataclass runs the same tests when built, so a bad section is refused
+where it is made.  ``pipeline.STAGES`` declares which fields each stage reads.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -26,6 +25,8 @@ from .mar_alerts import WINDOW_HOURS_RANGE, valid_window_hours
 FEATURE_KINDS = ("counts", "embeddings")
 VOCAB_STOPWORD_MODES = ("keep", "drop")
 LOSS_KINDS = ("logistic", "hinge")
+# (JSON key, value) -> the paths that setting needs, checked at load; unset, a stage never reads them
+PATH_RULES = {("features", "embeddings"): ("embeddings", "stopwords"), ("vocab_stopwords", "drop"): ("stopwords",)}
 
 
 def _is_int(value: Any) -> bool:
@@ -58,8 +59,21 @@ def _setting(
     return field(default_factory=lambda: copy.deepcopy(default), metadata=meta)
 
 
+def _violation(f, value: Any, prefix: str = "") -> str:
+    return f"{prefix}{f.metadata['key'] or f.name} must be {f.metadata['must']}, got {value!r}"
+
+
+class _Checked:
+    """A config dataclass whose construction runs each declared setting's test."""
+
+    def __post_init__(self) -> None:
+        values = [(f, getattr(self, f.name)) for f in fields(self) if f.metadata]
+        if violations := [_violation(f, value) for f, value in values if not f.metadata["test"](value)]:
+            raise ConfigError(violations)
+
+
 @dataclass
-class ModelSection:
+class ModelSection(_Checked):
     """The classifier and its solver.
 
     ``tolerance`` bounds the certified KKT residual of every fit, relative to
@@ -78,7 +92,7 @@ class ModelSection:
 
 
 @dataclass
-class CvSection:
+class CvSection(_Checked):
     # None: on for logistic, off for hinge
     enabled: bool | None = _setting(None, _or_null(_is_bool), "true, false or null")
     # None: log-spaced from lambda_max
@@ -89,7 +103,7 @@ class CvSection:
 
 
 @dataclass
-class AlertSection:
+class AlertSection(_Checked):
     window_hours: float = _setting(24.0, _is_window, f"a number of hours {WINDOW_HOURS_RANGE}", float)
     # null reads as no per-drug windows
     per_drug_hours: dict[str, float] = _setting(
@@ -99,7 +113,7 @@ class AlertSection:
 
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(_Checked):
     corpus: Path
     lexicon: Path
     catalog: Path
@@ -129,6 +143,10 @@ class PipelineConfig:
         return self.cv.enabled
 
 
+# the fields set from the ``paths`` block, ``output`` included
+PATHS = tuple(f.name for f in fields(PipelineConfig) if not (f.metadata or is_dataclass(f.default_factory)))
+
+
 def load_config(path: Path | str, overrides: dict[str, Any] | None = None) -> PipelineConfig:
     """Parse and validate; raises ConfigError listing every violation at once."""
     try:
@@ -147,25 +165,24 @@ def build_config(raw: dict[str, Any], overrides: dict[str, Any] | None = None) -
 
     violations: list[str] = []
     located: dict[str, Path] = {}
-    for f in fields(PipelineConfig):
-        if f.metadata or is_dataclass(f.default_factory):
-            continue  # a setting or a section, read by _read
-        val = overrides.get(f.name) or paths.get(f.name)
+    for name in PATHS:
+        val = overrides.get(name) or paths.get(name)
         if val is None or val == "":
-            if f.default is MISSING:
-                violations.append(f"paths.{f.name} is required")
+            if PipelineConfig.__dataclass_fields__[name].default is MISSING:
+                violations.append(f"paths.{name} is required")
         elif not isinstance(val, str):
-            violations.append(f"paths.{f.name} must be a string, got {val!r}")
+            violations.append(f"paths.{name} must be a string, got {val!r}")
         else:
-            located[f.name] = Path(val)
-    settings = _read(PipelineConfig, {**raw, **overrides}, violations)
+            located[name] = Path(val)
+    raw = {**raw, **overrides}
+    settings = _read(PipelineConfig, raw, violations)
 
     ratios = settings.get("ratios")
     if ratios is not None and abs(sum(ratios) - 1.0) > 1e-9:
         violations.append(f"ratios must sum to 1, got {sum(ratios)!r}")
-    if settings.get("feature_kind") == "embeddings":
-        violations += [f"features=embeddings requires paths.{key}"
-                       for key in ("embeddings", "stopwords") if key not in located]
+    for (key, value), needed in PATH_RULES.items():
+        if raw.get(key) == value:
+            violations += [f"{key}={value} requires paths.{name}" for name in needed if name not in located]
 
     if violations:
         raise ConfigError(violations)
@@ -189,7 +206,7 @@ def _read(cls: type, raw: dict[str, Any], violations: list[str], prefix: str = "
             if f.metadata["test"](value):
                 values[f.name] = f.metadata["cast"](value)
             else:
-                violations.append(f"{prefix}{key} must be {f.metadata['must']}, got {value!r}")
+                violations.append(_violation(f, value, prefix))
     return values
 
 
@@ -203,16 +220,3 @@ def _section(raw: dict[str, Any], key: str, violations: list[str]) -> dict[str, 
         return {}
     return section
 
-
-def config_digest(cfg: PipelineConfig) -> str:
-    """SHA-256 over every field of the configuration but ``output``.
-
-    The output directory is excluded: it does not change what any artifact
-    contains, and reruns into a different directory must still verify as the
-    same experiment.  ``feature_kind`` is hashed under its JSON key.
-    """
-    payload = asdict(cfg)
-    del payload["output"]
-    payload["features"] = payload.pop("feature_kind")
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -226,6 +226,11 @@ def _byte_offset(data: bytes, line: int, col: int) -> int:
     return sum(len(l) + 1 for l in lines[: line - 1]) + col
 
 
+def corpus_members(path: Path) -> list[Path]:
+    """The files of a directory corpus that :func:`load_corpus` reads, in its order; hidden files are skipped."""
+    return sorted(p for p in path.iterdir() if p.is_file() and not p.name.startswith("."))
+
+
 def load_corpus(path: Path | str, fmt: str) -> tuple[list[Abstract], int]:
     """Load abstracts from a file, a directory of files, or a tar archive.
 
@@ -236,7 +241,7 @@ def load_corpus(path: Path | str, fmt: str) -> tuple[list[Abstract], int]:
     abstracts: list[Abstract] = []
     skipped = 0
     if path.is_dir():
-        members = sorted(p for p in path.iterdir() if p.is_file() and not p.name.startswith("."))
+        members = corpus_members(path)
         if not members:
             raise ValidationError(f"{path}: directory contains no corpus files")
         for member in members:

@@ -44,4 +44,4 @@ class MissingArtifactError(PipelineError):
 
 
 class ArtifactMismatchError(PipelineError):
-    """An artifact on disk was produced under a different configuration."""
+    """An artifact on disk is stale: its digest is not the one its producer would write now."""

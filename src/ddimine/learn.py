@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import artifacts
-from .config import LOSS_KINDS, ModelSection
+from .config import ModelSection
 from .errors import ValidationError
 from .features import FeatureMatrix
 from .metrics import roc_curve
@@ -120,12 +120,8 @@ def _hinge_value(s: np.ndarray, y: np.ndarray) -> float:
 
 
 def loss_value(loss: str, s: np.ndarray, y: np.ndarray) -> float:
-    """Mean unpenalized loss at scores ``s``."""
-    if loss == "logistic":
-        return _logistic_value(s, y)
-    if loss == "hinge":
-        return _hinge_value(s, y)
-    raise ValidationError(f"unknown loss kind {loss!r}; expected one of {LOSS_KINDS}")
+    """Mean unpenalized loss at scores ``s``; ``loss`` is ``"logistic"`` or ``"hinge"``."""
+    return _logistic_value(s, y) if loss == "logistic" else _hinge_value(s, y)
 
 
 def loss_gradient(loss: str, X, y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
@@ -186,13 +182,6 @@ def _design(matrix: FeatureMatrix, standardize: bool) -> tuple:
     return _apply_scale(X, scale), y, scale
 
 
-def _check_config(config: ModelSection) -> None:
-    if config.l1_lambda < 0:
-        raise ValidationError(f"l1_lambda must be nonnegative, got {config.l1_lambda}")
-    if config.loss not in LOSS_KINDS:
-        raise ValidationError(f"unknown loss kind {config.loss!r}; expected one of {LOSS_KINDS}")
-
-
 def lambda_max(matrix: FeatureMatrix, standardize: bool = False) -> float:
     """Smallest L1 penalty at which the all-zero weight vector is optimal.
 
@@ -211,7 +200,6 @@ def lambda_max(matrix: FeatureMatrix, standardize: bool = False) -> float:
 
 def train(matrix: FeatureMatrix, config: ModelSection, seed: int) -> LinearModel:
     """Fit a linear model to a certified optimum (see the module docstring); ``seed`` is only recorded."""
-    _check_config(config)
     X, y, scale = _design(matrix, config.standardize)
     fit = _fit(X, X.T.tocsr(), y, config)
     w = fit.w if scale is None else fit.w / scale
@@ -423,6 +411,9 @@ def cross_validate(
 ) -> CvResult:
     """Stratified k-fold AUC sweep over an L1 grid; folds cut within this matrix.
 
+    ``grid`` and ``k`` are as :class:`~ddimine.config.CvSection` checks them:
+    positive lambdas, and at least 2 folds.
+
     A held-out fold with a single class has no AUC; it is excluded from that
     lambda's mean with a warning, and so is a fit that stops short of the
     tolerance.  Ties in mean AUC resolve toward the lower mean held-out loss:
@@ -431,14 +422,9 @@ def cross_validate(
     lambda (the sparser model).  A choice at either end of a grid of two or
     more points is kept with a warning: the grid does not bracket it.
     """
-    _check_config(config)
     X, y, _ = _design(matrix, config.standardize)
-    if k < 2:
-        raise ValidationError(f"cross-validation needs k >= 2, got {k}")
     if matrix.n_rows < k:
         raise ValidationError(f"cannot cut {k} folds from {matrix.n_rows} rows")
-    if not grid or any(g <= 0 for g in grid):
-        raise ValidationError("lambda grid must be non-empty and positive")
     grid = tuple(sorted(set(float(g) for g in grid), reverse=True))
 
     rng = Rng(seed).derive(_CV_STREAM)

@@ -1,30 +1,37 @@
 """Stage orchestration: the stage table, artifacts on disk, manifests, digests.
 
-Each stage is declared once, in :data:`STAGES`: its function, the config keys
-of the external files it reads, the artifacts it reads (in argument order) and
-the artifacts it writes.  ``STAGE_ORDER`` and ``ARTIFACTS`` are derived from it.
+Each stage is declared once, in :data:`STAGES`: its function, the config
+fields it reads (paths included), the artifacts it reads (in argument order)
+and the artifacts it writes.  ``STAGE_ORDER`` and ``ARTIFACTS`` follow from it.
+
+Freshness has one rule.  Each artifact is headed by its stage's digest: a
+SHA-256 over the stage name, the values of the fields it declares (a path by
+its file's content), and the digests of the artifacts it reads.  An input is
+fresh when its digest is the one its producer would write now, worked out by
+walking up the table; so a setting or file stales only its readers' artifacts
+and those downstream.
 
 :func:`run_stage` does every artifact read and write.  Before a stage runs, a
 missing input names the stage that produces it (:class:`MissingArtifactError`),
-and one written under a different configuration or with no header is refused
+and a stale one, or one with no header, names the stage to rerun
 (:class:`ArtifactMismatchError`); then each input is decoded and passed to the
 stage function.  The stage returns its artifacts, name -> (kind, header fields,
 body), and reads and writes none; ``run_stage`` writes them after it returns,
 atomically and under the header of :mod:`ddimine.artifacts`.  So a stage that
 fails writes nothing: split's leakage check, for one, raises before any
-``leakage_report.txt`` is written.  Stage manifests (timing; content digests of
-the external files and artifacts read and of the artifacts written) live under
-``manifests/`` and are metadata, not artifacts: reruns are byte-identical in
-everything outside that directory.
+``leakage_report.txt`` is written.  Stage manifests (each output's content
+digest, and the time taken) live under ``manifests/`` and are metadata, not
+artifacts: reruns are byte-identical in everything outside that directory.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -36,7 +43,7 @@ from . import learn as learn_mod
 from . import mar_alerts as mar_mod
 from . import metrics as metrics_mod
 from . import splitting as splitting_mod
-from .config import PipelineConfig, config_digest
+from .config import PATH_RULES, PATHS, PipelineConfig
 from .errors import ConfigError, MissingArtifactError, ValidationError
 
 Outputs = dict[str, artifacts.Encoded]
@@ -46,7 +53,7 @@ class Stage(NamedTuple):
     """One stage, declared once: what it runs, reads and writes."""
 
     run: Callable[..., Outputs]  # (cfg, *decoded reads) -> its artifacts; reads and writes no artifact
-    paths: tuple[str, ...]  # config keys of the external files it reads; featurize's are in _stage_inputs
+    config: tuple[str, ...]  # the config fields it reads, path fields included
     reads: tuple[str, ...]  # the artifacts it reads, in argument order
     writes: tuple[str, ...]  # the artifacts it returns
 
@@ -55,23 +62,40 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _stage_inputs(cfg: PipelineConfig, stage: str) -> tuple[str, ...]:
-    """The config keys of the external inputs ``stage`` reads under ``cfg``."""
-    if stage == "featurize" and cfg.feature_kind == "embeddings":
-        return ("embeddings", "stopwords")
-    if stage == "featurize" and cfg.vocab_stopwords == "drop":
-        return ("stopwords",)
-    return STAGES[stage].paths
+def _content_digest(path: Path | None) -> str | None:
+    """A file's digest, or for a directory corpus one over each member's name and digest; None for no file."""
+    if path is None or not path.exists():
+        return None
+    if path.is_dir():
+        members = {member.name: file_digest(member) for member in corpus_mod.corpus_members(path)}
+        return hashlib.sha256(json.dumps(members, sort_keys=True).encode("utf-8")).hexdigest()
+    return file_digest(path)
+
+
+def stage_digests(cfg: PipelineConfig) -> Callable[[str], str]:
+    """stage -> the digest it writes under ``cfg`` now; memoized, so each file is hashed once."""
+    content = functools.cache(_content_digest)
+
+    @functools.cache
+    def digest(stage: str) -> str:
+        spec = STAGES[stage]
+        values = {key: content(getattr(cfg, key)) if key in PATHS else getattr(cfg, key) for key in spec.config}
+        upstream = {name: digest(ARTIFACTS[name]) for name in spec.reads}
+        payload = json.dumps([stage, values, upstream], sort_keys=True, default=asdict)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    return digest
 
 
 def check_stage_paths(cfg: PipelineConfig, stage: str) -> None:
-    """Verify the input paths a stage reads exist; reports all missing at once."""
+    """Verify the declared paths: each set one exists, and each that no setting makes optional is set."""
+    optional = {key for keys in PATH_RULES.values() for key in keys}
     missing = []
-    for key in _stage_inputs(cfg, stage):
+    for key in (key for key in STAGES[stage].config if key in PATHS):
         val = getattr(cfg, key)
-        if val is None:
+        if val is None and key not in optional:
             missing.append(f"paths.{key} is required by the {stage!r} stage")
-        elif not Path(val).exists():
+        elif val is not None and not val.exists():
             missing.append(f"paths.{key} does not exist: {val}")
     if missing:
         raise ConfigError(missing)
@@ -146,9 +170,7 @@ def stage_filter(cfg: PipelineConfig, tokenized) -> Outputs:
     kept = corpus_mod.filter_cardiac(tokenized, lexicon)
     retention = len(kept) / len(tokenized) if tokenized else 0.0
     stats = corpus_mod.corpus_stats(kept)
-    seen_cardiac = set()
-    for ab in kept:
-        seen_cardiac |= ab.drug_mentions & lexicon.cardiac
+    seen_cardiac = set().union(*(ab.drug_mentions & lexicon.cardiac for ab in kept))
     body = corpus_mod.render_stats(stats)
     body += f"retention_ratio\t{retention!r}\n"
     body += f"cardiac_drugs_in_lexicon\t{len(lexicon.cardiac)}\n"
@@ -337,23 +359,26 @@ def stage_diagnose_split(cfg: PipelineConfig, tokenized, assignment, assigned, s
 
 # the stage table; diagnose-split reports on the split and is not a link of the chain
 STAGES: dict[str, Stage] = {
-    "ingest": Stage(stage_ingest, ("corpus", "lexicon"), (), ("tokenized.jsonl",)),
+    "ingest": Stage(stage_ingest, ("corpus", "corpus_format", "lexicon"), (), ("tokenized.jsonl",)),
     "filter": Stage(stage_filter, ("lexicon",), ("tokenized.jsonl",), ("cardiac.jsonl", "corpus_stats.txt")),
     "label": Stage(stage_label, ("catalog", "lexicon"), (), ("samples.tsv", "templates.tsv", "label_report.txt")),
     "split": Stage(
-        stage_split, (), ("cardiac.jsonl", "samples.tsv"),
+        stage_split, ("ratios", "seed"), ("cardiac.jsonl", "samples.tsv"),
         ("assignment.tsv", "assigned_samples.tsv", "leakage_report.txt"),
     ),
     "featurize": Stage(
-        stage_featurize, (), ("cardiac.jsonl", "assignment.tsv", "assigned_samples.tsv"),
+        stage_featurize,
+        ("embeddings", "stopwords", "feature_kind", "vocab_stopwords", "top_k", "drop_empty_samples",
+         "undersample_train", "seed"),
+        ("cardiac.jsonl", "assignment.tsv", "assigned_samples.tsv"),
         ("vocab.tsv", "features_train.txt", "features_dev.txt", "features_test.txt", "featurize_report.txt"),
     ),
-    "train": Stage(stage_train, (), ("features_train.txt",), ("model.txt", "cv_results.tsv")),
+    "train": Stage(stage_train, ("model", "cv", "seed"), ("features_train.txt",), ("model.txt", "cv_results.tsv")),
     "evaluate": Stage(
-        stage_evaluate, (), ("model.txt", "features_dev.txt", "features_test.txt"),
+        stage_evaluate, ("threshold",), ("model.txt", "features_dev.txt", "features_test.txt"),
         ("metrics_dev.txt", "metrics_test.txt", "curve_dev.tsv", "curve_test.tsv"),
     ),
-    "alerts": Stage(stage_alerts, ("catalog", "mar"), (), ("alerts.tsv", "alert_report.txt")),
+    "alerts": Stage(stage_alerts, ("catalog", "mar", "alerts"), (), ("alerts.tsv", "alert_report.txt")),
     "diagnose-split": Stage(
         stage_diagnose_split, (), ("cardiac.jsonl", "assignment.tsv", "assigned_samples.tsv", "samples.tsv"),
         ("diagnose_split.txt",),
@@ -374,45 +399,30 @@ def run_stage(cfg: PipelineConfig, stage: str) -> None:
     spec = STAGES[stage]
     check_stage_paths(cfg, stage)
     cfg.output.mkdir(parents=True, exist_ok=True)
-    digest = config_digest(cfg)
+    digest = stage_digests(cfg)
     for name in spec.reads:
         if not (cfg.output / name).exists():
             raise MissingArtifactError(name, ARTIFACTS[name])
-        artifacts.check_digest(cfg.output / name, digest)
-    input_digests = {
-        key: file_digest(getattr(cfg, key))
-        for key in _stage_inputs(cfg, stage)
-        if Path(getattr(cfg, key)).is_file()  # a corpus may be a directory
-    }
-    read_digests = {name: file_digest(cfg.output / name) for name in spec.reads}
+        artifacts.check_digest(cfg.output / name, digest(ARTIFACTS[name]), ARTIFACTS[name])
+    header = {"digest": digest(stage)}
     started = time.perf_counter()
     inputs = [_DECODERS[name](cfg.output / name) for name in spec.reads]
     outputs = STAGE_FUNCS[stage](cfg, *inputs)
     del inputs  # what the outputs still need, they hold; the rest goes before the writes
-    header = {"config_digest": digest, "seed": str(cfg.seed)}
     for name, (kind, fields, body) in outputs.items():
         artifacts.write(cfg.output / name, kind, {**header, **fields}, body)
     elapsed = time.perf_counter() - started
     manifest_dir = cfg.output / "manifests"
     manifest_dir.mkdir(exist_ok=True)
-    manifest = {
-        "stage": stage,
-        "config_digest": digest,
-        "inputs": input_digests,
-        "reads": read_digests,
-        "outputs": {name: file_digest(cfg.output / name) for name in outputs},
-        "elapsed_s": elapsed,
-    }
+    manifest = {"stage": stage, "outputs": {name: file_digest(cfg.output / name) for name in outputs},
+                "elapsed_s": elapsed}
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     artifacts.write_atomic(manifest_dir / f"{stage}.json", [text])
 
 
 def run_all(cfg: PipelineConfig) -> list[str]:
     """Run the full chain; the alerts stage runs only when a MAR path is set."""
-    ran = []
-    for stage in STAGE_ORDER:
-        if stage == "alerts" and cfg.mar is None:
-            continue
+    ran = [stage for stage in STAGE_ORDER if stage != "alerts" or cfg.mar is not None]
+    for stage in ran:
         run_stage(cfg, stage)
-        ran.append(stage)
     return ran

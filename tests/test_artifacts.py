@@ -38,8 +38,8 @@ def test_stage_table_declares_every_read():
 
 def foreign_digest(path: Path) -> None:
     lines = path.read_text(encoding="utf-8").split("\n")
-    i = next(i for i, line in enumerate(lines) if line.startswith("# config_digest: "))
-    lines[i] = "# config_digest: " + "0" * 64
+    i = next(i for i, line in enumerate(lines) if line.startswith("# digest: "))
+    lines[i] = "# digest: " + "0" * 64
     path.write_text("\n".join(lines), encoding="utf-8")
 
 
@@ -74,8 +74,9 @@ def test_damaged_input_refused(chain, tmp_path, capsys, damage, name, producer, 
             run_stage(cfg, stage)
         assert (info.value.artifact, info.value.producing_stage) == (name, producer)
     else:
-        with pytest.raises(ArtifactMismatchError, match=name):
+        with pytest.raises(ArtifactMismatchError, match=name) as info:
             run_stage(cfg, stage)
+        assert f"rerun the {producer!r} stage" in str(info.value)
     capsys.readouterr()
     assert main([stage, "--config", str(config), "--output", str(cfg.output)]) == 2
     err = capsys.readouterr().err
@@ -84,17 +85,17 @@ def test_damaged_input_refused(chain, tmp_path, capsys, damage, name, producer, 
 
 def test_header_block_then_body(tmp_path):
     path = tmp_path / "cv_results.tsv"
-    fields = {"config_digest": "abc", "seed": 7, "ratios": "0.5 0.5"}
+    fields = {"digest": "abc", "seed": 7, "ratios": "0.5 0.5"}
     body = "# lambda\tmean_auc\n0.1\t0.9\n# best_lambda: 0.1\n"
     artifacts.write(path, "cv-results", fields, body)
-    header = "# ddimine cv-results\n# config_digest: abc\n# seed: 7\n# ratios: 0.5 0.5\n"
+    header = "# ddimine cv-results\n# digest: abc\n# seed: 7\n# ratios: 0.5 0.5\n"
     assert path.read_text(encoding="utf-8") == header + body
     body, fields = artifacts.read(path)
-    assert fields == {"config_digest": "abc", "seed": "7", "ratios": "0.5 0.5"}
+    assert fields == {"digest": "abc", "seed": "7", "ratios": "0.5 0.5"}
     assert list(body) == ["# lambda\tmean_auc", "0.1\t0.9", "# best_lambda: 0.1"]
-    artifacts.check_digest(path, "abc")
-    with pytest.raises(ArtifactMismatchError):
-        artifacts.check_digest(path, "abd")
+    artifacts.check_digest(path, "abc", "train")
+    with pytest.raises(ArtifactMismatchError, match="rerun the 'train' stage"):
+        artifacts.check_digest(path, "abd", "train")
 
 
 def test_every_output_file_written_atomically(tmp_path, monkeypatch):
@@ -142,7 +143,7 @@ def failing_body():
 @pytest.mark.parametrize("failure", ["write", "replace", "body"])
 def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch, failure):
     path = tmp_path / "features_train.txt"
-    save(path, encode_matrix(dense_matrix([[1.0, 2.0]], [1])), {"config_digest": "old"})
+    save(path, encode_matrix(dense_matrix([[1.0, 2.0]], [1])), {"digest": "old"})
     before = path.read_bytes()
     if failure == "write":
         monkeypatch.setattr(artifacts, "open", lambda *a, **k: HalfWriter(open(*a, **k)), raising=False)
@@ -150,8 +151,8 @@ def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch, failure):
         monkeypatch.setattr(artifacts.os, "replace", fail_replace)
     with pytest.raises(OSError):
         if failure == "body":
-            artifacts.write(path, "feature-matrix", {"config_digest": "new"}, failing_body())
+            artifacts.write(path, "feature-matrix", {"digest": "new"}, failing_body())
         else:
-            save(path, encode_matrix(dense_matrix([[3.0, 4.0], [5.0, 6.0]], [0, 1])), {"config_digest": "new"})
+            save(path, encode_matrix(dense_matrix([[3.0, 4.0], [5.0, 6.0]], [0, 1])), {"digest": "new"})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left

@@ -93,6 +93,23 @@ def test_bad_field_rejected(tmp_path, case):
     assert expected in info.value.violations[0]
 
 
+def test_paths_a_setting_needs_are_required_at_load(tmp_path, capsys):
+    path = write_config(tmp_path, None, features="embeddings", vocab_stopwords="drop", seed=True)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert info.value.violations == [
+        "seed must be an integer, got True",
+        "features=embeddings requires paths.embeddings",
+        "features=embeddings requires paths.stopwords",
+        "vocab_stopwords=drop requires paths.stopwords",
+    ]
+    assert main(["ingest", "--config", path]) == 2  # before any stage runs
+    assert "vocab_stopwords=drop requires paths.stopwords" in capsys.readouterr().err
+    cfg = load_config(write_config(tmp_path, None, vocab_stopwords="drop",
+                                   paths={**PATHS, "stopwords": "stop.txt"}))
+    assert (cfg.vocab_stopwords, cfg.stopwords.name) == ("drop", "stop.txt")
+
+
 def test_window_bounds_hold_at_the_extreme_mar_times(tmp_path):
     alerts = {"window_hours": 1e7, "per_drug_hours": {"d1": 1e-9}}
     cfg = load_config(write_config(tmp_path, None, alerts=alerts))

@@ -315,9 +315,9 @@ class TestMatrixPersistence:
         abstracts = {"a1": toka("a1", ["dose", "dose", "response"])}
         vocab = build_vocab(list(abstracts.values()))
         m = build_count_matrix([sample_with(["a1"], label=1), sample_with([], o="o2")], abstracts, vocab)
-        save(tmp_path / "m.txt", encode_matrix(m), {"config_digest": "abc"})
+        save(tmp_path / "m.txt", encode_matrix(m), {"digest": "abc"})
         loaded, header = load_matrix(tmp_path / "m.txt")
-        assert header["config_digest"] == "abc"
+        assert header["digest"] == "abc"
         assert loaded.keys == m.keys
         assert loaded.kind == "counts"
         assert (loaded.X != m.X).nnz == 0
@@ -360,10 +360,10 @@ class TestMatrixPersistence:
         for m in (FeatureMatrix(keys, X, y, kind), FeatureMatrix(keys, X, y, kind, A)):
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp) / "m.txt"
-                save(path, encode_matrix(m), {"config_digest": "abc"})
+                save(path, encode_matrix(m), {"digest": "abc"})
                 got, header = load_matrix(path)
                 want = load_matrix_oracle(path)
-            assert header["config_digest"] == "abc"
+            assert header["digest"] == "abc"
             assert (got.keys, got.kind, got.y.tolist()) == (want.keys, want.kind, want.y.tolist())
             for a, b in ((getattr(got.X, name), getattr(want.X, name)) for name in ("data", "indices", "indptr")):
                 assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
@@ -397,7 +397,7 @@ class TestMatrixPersistence:
     )
     def test_inconsistent_file_rejected(self, tmp_path, body, message):
         path = tmp_path / "features_train.txt"
-        save(path, ("feature-matrix", {}, body), {"config_digest": "abc"})
+        save(path, ("feature-matrix", {}, body), {"digest": "abc"})
         with pytest.raises(ValidationError, match=message) as err:
             load_matrix(path)
         assert str(path) in str(err.value)
@@ -423,7 +423,7 @@ class TestMatrixPersistence:
             rows = [full.keys.index(key) for key in kept.keys]
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp) / "m.txt"
-                save(path, encode_matrix(kept), {"config_digest": "abc"})
+                save(path, encode_matrix(kept), {"digest": "abc"})
                 loaded, _ = load_matrix(path)
             # what the file gives, the product in memory, and the rows of the product before undersampling
             for X in (kept.X, full.X[rows]):

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from ddimine.config import ModelSection
-from ddimine.errors import ValidationError
+from ddimine.errors import ConfigError, ValidationError
 from ddimine.features import FeatureMatrix
 from ddimine.learn import (
     LinearModel,
@@ -196,10 +196,14 @@ def test_cv_and_grid_see_the_standardized_design():
 
 def test_bad_config_rejected():
     matrix = count_matrix(1)
-    with pytest.raises(ValidationError):
-        train(matrix, ModelSection(loss="squared"), seed=0)
-    with pytest.raises(ValidationError):
-        cross_validate(matrix, [0.1], 3, ModelSection(l1_lambda=-1.0), seed=0)
+    with pytest.raises(ConfigError) as info:  # where the section is built, before any fit
+        ModelSection(loss="squared", l1_lambda=-1.0)
+    assert info.value.violations == [
+        "loss must be 'logistic' or 'hinge', got 'squared'",
+        "l1_lambda must be a finite nonnegative number, got -1.0",
+    ]
+    with pytest.raises(ConfigError):
+        replace(ModelSection(), max_iters=0)
     with pytest.raises(ValidationError, match="logistic"):
         loss_gradient("hinge", matrix.X, matrix.y, np.zeros(matrix.n_rows))
 
@@ -216,10 +220,10 @@ class TestModelFile:
         model = LinearModel(np.array([0.0, -1.5, 0.0, 2.0]), np.float64(0.3125), "logistic",
                             np.float64(0.01), meta)
         path = tmp_path / "model.txt"
-        save(path, encode_model(model), {"config_digest": "abc"})
+        save(path, encode_model(model), {"digest": "abc"})
         assert "np.float64" not in path.read_text(encoding="utf-8")
         loaded, header = load_model(path)
-        assert header == {"config_digest": "abc"}
+        assert header == {"digest": "abc"}
         assert loaded.weights.tolist() == model.weights.tolist()
         assert (loaded.bias, loaded.l1_lambda, loaded.loss_kind) == (0.3125, 0.01, "logistic")
         assert loaded.meta == TrainingMeta(12, 0.25, 3, False, 2.5e-9, True)

@@ -1,16 +1,18 @@
 import json
-import shutil
 
 import pytest
 
 from ddimine import artifacts
 from ddimine.cli import _build_parser, main
-from ddimine.config import config_digest, load_config
+from ddimine.config import load_config
 from ddimine.corpus import DrugLexicon, TokenizedAbstract
+from ddimine.errors import ArtifactMismatchError
 from ddimine.features import load_matrix
 from ddimine.labeling import InteractionCatalog, InteractionSample
 from ddimine.learn import load_model
-from ddimine.pipeline import ARTIFACTS, STAGE_FUNCS, STAGE_ORDER, STAGES, file_digest, run_all, run_stage
+from ddimine.pipeline import (
+    ARTIFACTS, STAGE_FUNCS, STAGE_ORDER, STAGES, file_digest, run_all, run_stage, stage_digests,
+)
 from ddimine.synth import SynthParams, write_dataset
 from helpers import artifact_digests, count_vector, load_matrix_oracle, load_vocab, save, templateize_oracle
 
@@ -168,9 +170,7 @@ def test_stages_return_their_artifacts_and_run_stage_writes_them(mini, tmp_path,
         assert manifest(cfg.output, stage)["outputs"] == {
             name: file_digest(cfg.output / name) for name in produced_by(stage)
         }
-        assert manifest(cfg.output, stage)["reads"] == {
-            name: file_digest(cfg.output / name) for name in STAGES[stage].reads
-        }
+        assert sorted(manifest(cfg.output, stage)) == ["elapsed_s", "outputs", "stage"]
 
 
 @pytest.mark.parametrize("stage", ["split", "train", "evaluate"])
@@ -181,36 +181,35 @@ def test_stage_runs_on_in_memory_inputs(mini, tmp_path, stage):
     outputs = STAGES[stage].run(cfg, *inputs)
     assert not cfg.output.exists()
     assert sorted(outputs) == produced_by(stage)
-    header = {"config_digest": config_digest(cfg), "seed": str(cfg.seed)}
+    header = {"digest": stage_digests(cfg)(stage)}
     for name, encoded in outputs.items():
         save(tmp_path / name, encoded, header)
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
 
-def test_featurize_manifest_digests_the_inputs_it_read(mini):
-    paths, outputs = mini
-    assert manifest(outputs["counts"][0], "featurize")["inputs"] == {}
-    assert manifest(outputs["embeddings"][0], "featurize")["inputs"] == {
-        key: file_digest(paths[key]) for key in ("embeddings", "stopwords")
-    }
-
-
 def test_ingest_reads_a_directory_corpus(tmp_path):
     paths = write_dataset(SynthParams(seed=7), tmp_path)
     run_stage(load_config(paths["config"]), "ingest")
-    (tmp_path / "corpus_dir").mkdir()
-    shutil.copy(paths["corpus"], tmp_path / "corpus_dir" / "part1.txt")
+    members = tmp_path / "corpus_dir"
+    members.mkdir()
+    lines = paths["corpus"].read_text(encoding="utf-8").splitlines(keepends=True)
+    (members / "part1.txt").write_text("".join(lines[:5]), encoding="utf-8")
+    (members / "part2.txt").write_text("".join(lines[5:]), encoding="utf-8")
     raw = json.loads(paths["config"].read_text(encoding="utf-8"))
-    raw["paths"] = {**raw["paths"], "corpus": str(tmp_path / "corpus_dir"), "output": str(tmp_path / "out_dir")}
+    raw["paths"] = {**raw["paths"], "corpus": str(members), "output": str(tmp_path / "out_dir")}
     config = tmp_path / "config_dir.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
     cfg = load_config(config)
     run_stage(cfg, "ingest")
     body, header = artifacts.read(cfg.output / "tokenized.jsonl")
     assert list(body) == list(artifacts.read(tmp_path / "out" / "tokenized.jsonl")[0])
-    assert header["config_digest"] == config_digest(cfg)
-    # a directory has no content digest of its own; the lexicon file does
-    assert manifest(cfg.output, "ingest")["inputs"] == {"lexicon": file_digest(paths["lexicon"])}
+    assert header["digest"] == stage_digests(cfg)("ingest")
+    (members / ".notes").write_text("not read by ingest\n", encoding="utf-8")
+    run_stage(cfg, "filter")  # a hidden file is no member: tokenized.jsonl stays fresh
+    with open(members / "part2.txt", "a", encoding="utf-8") as fh:
+        fh.write(lines[0].replace("\t", "x\t", 1))
+    with pytest.raises(ArtifactMismatchError, match="tokenized.jsonl.*rerun the 'ingest' stage"):
+        run_stage(cfg, "filter")
 
 
 def test_failed_featurize_writes_nothing(tmp_path, capsys):
@@ -316,8 +315,6 @@ def test_diagnose_split_cli(tmp_path, capsys):
     cfg = load_config(config)
     body, header = artifacts.read(cfg.output / "diagnose_split.txt")
     assert list(body) == printed.splitlines()
-    assert header == {"config_digest": config_digest(cfg), "seed": "7"}
-    reads = ("cardiac.jsonl", "assignment.tsv", "assigned_samples.tsv", "samples.tsv")
-    digests = {name: file_digest(cfg.output / name) for name in (*reads, "diagnose_split.txt")}
-    assert manifest(cfg.output, "diagnose-split")["reads"] == {name: digests[name] for name in reads}
-    assert manifest(cfg.output, "diagnose-split")["outputs"] == {"diagnose_split.txt": digests["diagnose_split.txt"]}
+    assert header == {"digest": stage_digests(cfg)("diagnose-split")}
+    digest = file_digest(cfg.output / "diagnose_split.txt")
+    assert manifest(cfg.output, "diagnose-split")["outputs"] == {"diagnose_split.txt": digest}
