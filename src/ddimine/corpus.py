@@ -6,7 +6,7 @@ import io
 import re
 import tarfile
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping
 
@@ -78,18 +78,15 @@ class DrugLexicon:
         unknown = self.cardiac - self.phrases.keys()
         if unknown:
             raise ValidationError(f"cardiac drugs missing from lexicon: {sorted(unknown)}")
-        # phrase lookup bucketed by first token
-        self._first_token: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+        # first token -> the (phrase, drug id) pairs whose phrase starts with it
+        self.first_tokens: dict[str, list[tuple[tuple[str, ...], str]]] = {}
         for drug_id, phrases in self.phrases.items():
             for phrase in phrases:
-                self._first_token.setdefault(phrase[0], []).append((phrase, drug_id))
+                self.first_tokens.setdefault(phrase[0], []).append((phrase, drug_id))
 
     @property
     def drug_ids(self) -> set[str]:
         return set(self.phrases)
-
-    def candidates(self, first_token: str) -> list[tuple[tuple[str, ...], str]]:
-        return self._first_token.get(first_token, [])
 
     @classmethod
     def load(cls, path: Path | str) -> "DrugLexicon":
@@ -278,16 +275,15 @@ def match_drugs(tokens: list[str] | tuple[str, ...], lexicon: DrugLexicon) -> se
     """Drug ids whose phrases occur as contiguous token subsequences.
 
     Every matching drug is returned; no longest-phrase preference between drugs.
+    Phrases are tried only at the abstract's tokens that start one.
     """
+    starts = lexicon.first_tokens.keys() & set(tokens)
     found: set[str] = set()
-    n = len(tokens)
     for i, tok in enumerate(tokens):
-        for phrase, drug_id in lexicon.candidates(tok):
-            if drug_id in found:
-                continue
-            end = i + len(phrase)
-            if end <= n and tuple(tokens[i:end]) == phrase:
-                found.add(drug_id)
+        if tok in starts:
+            for phrase, drug_id in lexicon.first_tokens[tok]:
+                if drug_id not in found and tuple(tokens[i : i + len(phrase)]) == phrase:
+                    found.add(drug_id)
     return found
 
 
@@ -343,16 +339,7 @@ def corpus_stats(abstracts: list[TokenizedAbstract]) -> CorpusStats:
 
 def render_stats(stats: CorpusStats) -> str:
     """Key/value text document for the stats fields, plus reference context."""
-    lines = [
-        f"n_abstracts\t{stats.n_abstracts}",
-        f"avg_drugs_per_abstract\t{stats.avg_drugs_per_abstract!r}",
-        f"max_drugs_per_abstract\t{stats.max_drugs_per_abstract}",
-        f"avg_words_per_abstract\t{stats.avg_words_per_abstract!r}",
-        f"avg_count_per_word\t{stats.avg_count_per_word!r}",
-        f"n_distinct_words\t{stats.n_distinct_words}",
-        "#",
-        "# Reference full-scale corpus figures (documented, not asserted):",
-    ]
-    for key, val in REFERENCE_FIGURES.items():
-        lines.append(f"# {key}\t{val}")
+    lines = [f"{f.name}\t{getattr(stats, f.name)!r}" for f in fields(stats)]  # an int's repr is its str
+    lines += ["#", "# Reference full-scale corpus figures (documented, not asserted):"]
+    lines += [f"# {key}\t{val}" for key, val in REFERENCE_FIGURES.items()]
     return "\n".join(lines) + "\n"

@@ -191,8 +191,7 @@ def stage_label(cfg: PipelineConfig) -> Outputs:
     samples = labeling_mod.annotate_template_ids(samples, table)
 
     lines = ["# template_id\ttext\tsupport"]
-    for tpl in table.templates:
-        lines.append(f"{tpl.template_id}\t{tpl.text}\t{table.support.get(tpl.template_id, 0)}")
+    lines += [f"{tpl.template_id}\t{tpl.text}\t{table.support.get(tpl.template_id, 0)}" for tpl in table.templates]
 
     tallies = labeling_mod.positive_tallies(samples)
     body_lines = [
@@ -298,8 +297,7 @@ def stage_train(cfg: PipelineConfig, matrix) -> Outputs:
                 f"{lam!r}\t{fmt_number(result.mean_auc[gi])}\t{fmt_number(result.mean_loss[gi])}\t{folds}"
             )
         cv_lines.append(f"# best_lambda: {result.best_lambda!r}")
-        for warning in result.warnings:
-            cv_lines.append(f"# warning: {warning}")
+        cv_lines += [f"# warning: {warning}" for warning in result.warnings]
         model_cfg = replace(model_cfg, l1_lambda=result.best_lambda)
     else:
         cv_lines.append("# cross-validation disabled")
@@ -338,21 +336,16 @@ def stage_alerts(cfg: PipelineConfig) -> Outputs:
     catalog = labeling_mod.InteractionCatalog.load(cfg.catalog)
     events = mar_mod.parse_mar(cfg.mar)
     windows = mar_mod.build_exposures(events, cfg.alerts.window_hours, cfg.alerts.per_drug_hours)
-    alerts = mar_mod.detect_overlaps(windows, catalog)
-    return mar_mod.encode_alerts(alerts)
+    return mar_mod.encode_alerts(mar_mod.detect_overlaps(windows, catalog))
 
 
 def stage_diagnose_split(cfg: PipelineConfig, tokenized, assignment, assigned, samples) -> Outputs:
     """Side-by-side leakage counts: the split-isolated assignment vs the naive one."""
     isolated = splitting_mod.leakage_report(assignment, assigned)
-    naive = splitting_mod.leakage_report(
-        assignment, splitting_mod.assign_abstracts_naive(tokenized, samples)
-    )
+    naive = splitting_mod.leakage_report(assignment, splitting_mod.assign_abstracts_naive(tokenized, samples))
     lines = ["pair\tisolated\tnaive"]
-    for key in sorted(isolated.cross_split_shared):
-        lines.append(
-            f"{key[0]}/{key[1]}\t{isolated.cross_split_shared[key]}\t{naive.cross_split_shared[key]}"
-        )
+    for (a, b), count in sorted(isolated.cross_split_shared.items()):
+        lines.append(f"{a}/{b}\t{count}\t{naive.cross_split_shared[a, b]}")
     lines.append(f"total\t{isolated.total_cross_split}\t{naive.total_cross_split}")
     return {"diagnose_split.txt": ("split-diagnosis", {}, "\n".join(lines) + "\n")}
 
@@ -392,14 +385,14 @@ ARTIFACTS: dict[str, str] = {name: stage for stage, spec in STAGES.items() for n
 STAGE_FUNCS: dict[str, Callable[..., Outputs]] = {stage: spec.run for stage, spec in STAGES.items()}
 
 
-def run_stage(cfg: PipelineConfig, stage: str) -> None:
+def run_stage(cfg: PipelineConfig, stage: str, digest: Callable[[str], str] | None = None) -> None:
     """Check and decode the stage's inputs, run it, then write its artifacts and its manifest."""
     if stage not in STAGES:
         raise ValidationError(f"unknown stage {stage!r}; expected one of {tuple(STAGES)}")
     spec = STAGES[stage]
     check_stage_paths(cfg, stage)
     cfg.output.mkdir(parents=True, exist_ok=True)
-    digest = stage_digests(cfg)
+    digest = digest or stage_digests(cfg)  # a chain shares one, so that each file is hashed once
     for name in spec.reads:
         if not (cfg.output / name).exists():
             raise MissingArtifactError(name, ARTIFACTS[name])
@@ -423,6 +416,7 @@ def run_stage(cfg: PipelineConfig, stage: str) -> None:
 def run_all(cfg: PipelineConfig) -> list[str]:
     """Run the full chain; the alerts stage runs only when a MAR path is set."""
     ran = [stage for stage in STAGE_ORDER if stage != "alerts" or cfg.mar is not None]
+    digest = stage_digests(cfg)
     for stage in ran:
-        run_stage(cfg, stage)
+        run_stage(cfg, stage, digest)
     return ran

@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,6 +22,7 @@ from ddimine.errors import ValidationError
 from ddimine.features import FeatureMatrix, Vocabulary, embed_abstract
 from ddimine.labeling import PLACEHOLDER
 from ddimine.learn import loss_gradient, loss_value
+from ddimine.mar_alerts import Administrations, Alerts
 from ddimine.pipeline import file_digest
 
 
@@ -87,6 +89,83 @@ def alg1_assign_oracle(assignment, abstracts, samples) -> list[set[str]]:
                 ids.add(ab.id)
         out.append(ids)
     return out
+
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+MICROSECOND = timedelta(microseconds=1)
+
+
+def micros(t: datetime) -> int:
+    """An aware ``datetime`` as microseconds since the epoch."""
+    return (t - EPOCH) // MICROSECOND
+
+
+def utc(us: int) -> datetime:
+    return EPOCH + us * MICROSECOND
+
+
+def administrations(events) -> Administrations:
+    """``parse_mar`` output for (patient, drug, aware datetime) rows, built without reading a file."""
+    patients, drugs = sorted({ev[0] for ev in events}), sorted({ev[1] for ev in events})
+    return Administrations(
+        patients, drugs,
+        np.array([patients.index(ev[0]) for ev in events], dtype=np.int64),
+        np.array([drugs.index(ev[1]) for ev in events], dtype=np.int64),
+        np.array([micros(ev[2]) for ev in events], dtype=np.int64),
+    )
+
+
+def make_alerts(rows) -> Alerts:
+    """``detect_overlaps`` output for (drug_a, drug_b, start, end, effect, patient) rows, times aware."""
+    drug_a, drug_b, start, end, effect, patient = (list(column) for column in zip(*rows)) if rows else [[]] * 6
+    return Alerts(patient, drug_a, drug_b, effect, np.array([micros(t) for t in start], dtype=np.int64),
+                  np.array([micros(t) for t in end], dtype=np.int64))
+
+
+class AlertRow(NamedTuple):
+    drug_a: str
+    drug_b: str
+    start: datetime
+    end: datetime
+    effect: str
+    patient_id: str
+
+
+def alert_rows(alerts: Alerts) -> list[AlertRow]:
+    """One row per alert, times as UTC ``datetime``s."""
+    columns = (alerts.drug_a, alerts.drug_b, map(utc, alerts.start.tolist()), map(utc, alerts.end.tolist()),
+               alerts.effect, alerts.patient_id)
+    return list(map(AlertRow, *columns))
+
+
+def exact_alert_oracle(events, default_hours: float, per_drug_hours, pairs) -> dict[tuple, list]:
+    """Per patient and interacting pair, the union of the intersections of each administration's own window.
+
+    ``events`` are (patient, drug, aware datetime); each opens ``[t, t + W)``,
+    with ``W = timedelta(hours=...)`` for its drug.  ``pairs`` holds the
+    interacting pairs, each sorted.  The union is given as sorted [start, end)
+    intervals, with touching ones joined.
+    """
+    result = {}
+    for i, (patient, a, ta) in enumerate(events):
+        for patient_b, b, tb in events[i + 1:]:
+            pair = tuple(sorted((a, b)))
+            if patient_b != patient or pair not in pairs:
+                continue
+            start = max(ta, tb)
+            end = min(ta + timedelta(hours=per_drug_hours.get(a, default_hours)),
+                      tb + timedelta(hours=per_drug_hours.get(b, default_hours)))
+            if start < end:
+                result.setdefault((patient, pair), []).append((start, end))
+    for key, parts in result.items():
+        union = []
+        for start, end in sorted(parts):
+            if union and start <= union[-1][1]:
+                union[-1] = (union[-1][0], max(union[-1][1], end))
+            else:
+                union.append((start, end))
+        result[key] = union
+    return result
 
 
 def hourly_alert_oracle(exposures, catalog) -> dict[tuple[str, tuple[str, str]], set]:

@@ -6,7 +6,8 @@ import pytest
 from ddimine.cli import main
 from ddimine.config import load_config
 from ddimine.errors import ConfigError
-from ddimine.mar_alerts import AdminEvent, build_exposures, parse_timestamp
+from ddimine.mar_alerts import build_exposures, parse_timestamp
+from helpers import administrations, utc
 
 PATHS = {"corpus": "corpus.tsv", "lexicon": "lexicon.tsv", "catalog": "catalog.tsv", "output": "out"}
 
@@ -114,10 +115,13 @@ def test_window_bounds_hold_at_the_extreme_mar_times(tmp_path):
     alerts = {"window_hours": 1e7, "per_drug_hours": {"d1": 1e-9}}
     cfg = load_config(write_config(tmp_path, None, alerts=alerts))
     latest = parse_timestamp("2099-12-31T23:59:59.999999Z")
-    events = [AdminEvent("p", "d0", latest), AdminEvent("p", "d1", latest)]
-    windows = build_exposures(events, cfg.alerts.window_hours, cfg.alerts.per_drug_hours)["p"]
-    assert windows["d0"] == [(latest, latest + timedelta(hours=1e7))]
-    assert windows["d1"] == [(latest, latest + timedelta(microseconds=4))]  # 3.6 µs, rounded
+    events = administrations([("p", "d0", latest), ("p", "d1", latest)])
+    windows = build_exposures(events, cfg.alerts.window_hours, cfg.alerts.per_drug_hours)
+    assert [windows.drugs[d] for d in windows.drug] == ["d0", "d1"]
+    assert [utc(t) for t in windows.start.tolist()] == [latest, latest]
+    assert [utc(t) for t in windows.end.tolist()] == [
+        latest + timedelta(hours=1e7), latest + timedelta(microseconds=4)  # 3.6 µs, rounded
+    ]
 
 
 def test_every_field_violation_listed_and_exit_code_2(tmp_path, capsys):

@@ -254,6 +254,17 @@ class TestMatchDrugs:
     def test_matches_brute_force_scan(self, tokens):
         assert match_drugs(tokens, _LEXICON) == match_oracle(tokens, _LEXICON)
 
+    # few words, so that phrases of one to three tokens often share a first token or sit inside each other
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_scan_on_random_lexicons(self, data):
+        words = st.sampled_from(["a", "b", "c", "d", "e"])
+        phrases = st.lists(st.lists(words, min_size=1, max_size=3).map(tuple), min_size=1, max_size=3)
+        entries = data.draw(st.dictionaries(st.sampled_from([f"drug{i}" for i in range(6)]), phrases, min_size=1))
+        lexicon = DrugLexicon(entries, cardiac=[])
+        tokens = data.draw(st.lists(words, max_size=60))
+        assert match_drugs(tokens, lexicon) == match_oracle(tokens, lexicon)
+
 
 class TestFilterCardiac:
     def _toka(self, aid, mentions):

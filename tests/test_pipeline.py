@@ -1,8 +1,10 @@
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from ddimine import artifacts
+from ddimine import artifacts, pipeline
 from ddimine.cli import _build_parser, main
 from ddimine.config import load_config
 from ddimine.corpus import DrugLexicon, TokenizedAbstract
@@ -185,6 +187,22 @@ def test_stage_runs_on_in_memory_inputs(mini, tmp_path, stage):
     for name, encoded in outputs.items():
         save(tmp_path / name, encoded, header)
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_run_all_hashes_each_file_once(tmp_path, monkeypatch):
+    paths = write_dataset(SynthParams(seed=7), tmp_path)
+    hashed: Counter = Counter()
+    digest = pipeline.file_digest
+
+    def counting(path):
+        hashed[Path(path).resolve()] += 1
+        return digest(path)
+
+    monkeypatch.setattr(pipeline, "file_digest", counting)
+    run_all(load_config(paths["config"]))
+    inputs = {paths[key].resolve() for key in ("corpus", "lexicon", "catalog", "mar", "embeddings", "stopwords")}
+    assert inputs <= hashed.keys()  # declared by some stage, so hashed, though counts featurize reads neither
+    assert set(hashed.values()) == {1}
 
 
 def test_ingest_reads_a_directory_corpus(tmp_path):
