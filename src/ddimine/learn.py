@@ -17,8 +17,13 @@ lambda = 0).  A fit is ``converged`` when that residual is at most
   with an Armijo line search on the true objective solves the problem
   restricted to those columns, held as a dense block, plus the bias.  A Newton
   step takes one exponential of the scores and solves its damped system by LU,
-  with least squares as the fallback.  Each CV fold, and the final fit,
-  transposes its design once for all the fits on it.
+  with least squares as the fallback.  A zero weight that the step would move
+  along its pseudo-gradient is dropped and the system solved again without it
+  (the reduced free set of projected Newton methods, Bertsekas 1982), so each
+  step is the Newton step on the face it keeps and the line search seldom
+  halves it.  Each CV fold, and the final fit, transposes its design once for
+  all the fits on it.  After CV the final fit starts from the mean of the fold
+  fits at the chosen lambda, a few steps from its optimum.
 * Hinge loss is the exact L1-SVM linear program (Zhu et al. 2003), solved by
   HiGHS; the residual is read off the program's duals.
 
@@ -198,10 +203,16 @@ def lambda_max(matrix: FeatureMatrix, standardize: bool = False) -> float:
     return float(np.max(np.abs(gw)))
 
 
-def train(matrix: FeatureMatrix, config: ModelSection, seed: int) -> LinearModel:
-    """Fit a linear model to a certified optimum (see the module docstring); ``seed`` is only recorded."""
+def train(
+    matrix: FeatureMatrix, config: ModelSection, seed: int, w0: np.ndarray | None = None, b0: float | None = None
+) -> LinearModel:
+    """Fit a linear model to a certified optimum (see the module docstring); ``seed`` is only recorded.
+
+    A logistic fit starts from (w0, b0) when given, with w0 on the design's
+    (standardized, when set) columns, as ``CvResult.w_start`` is.
+    """
     X, y, scale = _design(matrix, config.standardize)
-    fit = _fit(X, X.T.tocsr(), y, config)
+    fit = _fit(X, X.T.tocsr(), y, config, w0, b0)
     w = fit.w if scale is None else fit.w / scale
     meta = TrainingMeta(
         fit.iterations, fit.objective, seed, config.standardize, fit.kkt_rel, fit.converged
@@ -280,10 +291,13 @@ def _newton(
     Newton system on the free weights (off zero, or at zero with a nonzero
     pseudo-gradient) by ``_solve_damped``: a factorisation, with least squares
     as the fallback.  A weight at zero may only leave it against its
-    pseudo-gradient, and no weight may cross zero within a step: the step is
-    projected onto the orthant it starts in.  The step is halved until the
-    objective falls by the Armijo fraction of the predicted decrease.  Returns
-    (w, b, steps taken).
+    pseudo-gradient: those the step would push the other way are dropped, and
+    the system is solved again on the sub-block of the damped H that is left,
+    until no such weight remains.  That block is positive definite, so the step
+    is a descent direction; most steps drop nothing and solve once.  No weight
+    may cross zero within a step: the step is projected onto the orthant it
+    starts in.  The step is halved until the objective falls by the Armijo
+    fraction of the predicted decrease.  Returns (w, b, steps taken).
     """
     n = len(y)
     s = w @ A + b
@@ -306,12 +320,19 @@ def _newton(
         H[:m, m] = H[m, :m] = Fc.sum(axis=1)
         H[m, m] = float(np.sum(curvature))
         H[np.diag_indices(m + 1)] += _DAMPING * kkt_rel * (lam if lam > 0 else 1.0)
-        step = _solve_damped(H, -np.append(pg[free], gb))
+        rhs = -np.append(pg[free], gb)
+        step = _solve_damped(H, rhs)
+        # re-solve without the zero weights the step would move along their pseudo-gradient
+        wrong = (w[free] == 0) & (step[:-1] * pg[free] > 0)
+        while wrong.any():
+            keep = np.append(~wrong, True)
+            free, H, rhs = free[~wrong], H[np.ix_(keep, keep)], rhs[keep]
+            step = _solve_damped(H, rhs)
+            wrong = (w[free] == 0) & (step[:-1] * pg[free] > 0)
         dw = np.zeros_like(w)
-        dw[free] = step[:m]
-        db = float(step[m])
-        dw[(w == 0) & (dw * pg > 0)] = 0.0  # a weight leaves zero only against its pseudo-gradient
-        if not float(pg @ dw) + gb * db < 0:  # no descent left after alignment
+        dw[free] = step[:-1]
+        db = float(step[-1])
+        if not float(pg @ dw) + gb * db < 0:  # rounding, or the least-squares fallback, left no descent
             dw, db = -pg, -gb
         orthant = np.where(w != 0, np.sign(w), -np.sign(pg))
         t = 1.0
@@ -399,6 +420,8 @@ class CvResult:
     mean_auc: np.ndarray
     mean_loss: np.ndarray  # held-out mean loss over the folds with a defined AUC
     best_lambda: float
+    w_start: np.ndarray  # mean of the fold fits at best_lambda, on the design's columns
+    b_start: float  # and of their biases: where the final fit starts
     warnings: list[str] = field(default_factory=list)
 
 
@@ -414,13 +437,16 @@ def cross_validate(
     ``grid`` and ``k`` are as :class:`~ddimine.config.CvSection` checks them:
     positive lambdas, and at least 2 folds.
 
-    A held-out fold with a single class has no AUC; it is excluded from that
-    lambda's mean with a warning, and so is a fit that stops short of the
-    tolerance.  Ties in mean AUC resolve toward the lower mean held-out loss:
-    on well-separated data several lambdas rank every held-out fold perfectly,
-    and the loss still tells them apart.  Remaining ties go to the larger
+    A held-out fold with a single class has no AUC; it is excluded from every
+    lambda's mean with a warning.  A fit that stops short of the tolerance is
+    scored all the same, with a warning.  Ties in mean AUC resolve toward the
+    lower mean held-out loss: on well-separated data several lambdas rank
+    every held-out fold perfectly, and the loss still tells them apart.  Remaining ties go to the larger
     lambda (the sparser model).  A choice at either end of a grid of two or
     more points is kept with a warning: the grid does not bracket it.
+
+    The fold fits at the chosen lambda are averaged into ``w_start`` and
+    ``b_start``, a start near the full-data optimum for the final fit.
     """
     X, y, _ = _design(matrix, config.standardize)
     if matrix.n_rows < k:
@@ -441,6 +467,7 @@ def cross_validate(
     fold_auc = np.full((len(grid), k), np.nan)
     fold_loss = np.full((len(grid), k), np.nan)
     warnings: list[str] = []
+    w_sum, b_sum, fitted = np.zeros((len(grid), X.shape[1])), np.zeros(len(grid)), 0
     for fold_i, held in enumerate(folds):
         held_arr = np.sort(np.array(held, dtype=np.int64))
         train_arr = np.setdiff1d(np.arange(matrix.n_rows, dtype=np.int64), held_arr)
@@ -453,12 +480,15 @@ def cross_validate(
             continue
         X_tr, X_ho = X[train_arr], X[held_arr]
         Xt_tr = X_tr.T.tocsr()  # every fit down this fold's path shares it
+        fitted += 1
         w_prev: np.ndarray | None = None
         b_prev: float | None = None
         for gi, lam in enumerate(grid):
             cfg = replace(config, l1_lambda=lam)
             fit = _fit(X_tr, Xt_tr, y_tr, cfg, w_prev, b_prev)
             w_prev, b_prev = fit.w, fit.b  # warm start down the path
+            w_sum[gi] += fit.w
+            b_sum[gi] += fit.b
             if not fit.converged:
                 warnings.append(
                     f"fold {fold_i}, lambda {lam!r}: fit stopped after {fit.iterations} "
@@ -469,8 +499,8 @@ def cross_validate(
             fold_loss[gi, fold_i] = loss_value(config.loss, scores, y[held_arr])
         del X_tr, X_ho, Xt_tr  # free this fold's copies before the next fold builds its own
     mean_auc, mean_loss = (
-        np.array([np.nan if np.all(np.isnan(row)) else float(np.nanmean(row)) for row in folds])
-        for folds in (fold_auc, fold_loss)
+        np.array([np.nan if np.all(np.isnan(row)) else float(np.nanmean(row)) for row in table])
+        for table in (fold_auc, fold_loss)
     )
     if np.all(np.isnan(mean_auc)):
         raise ValidationError("no fold produced a defined AUC; cannot select lambda")
@@ -481,7 +511,10 @@ def cross_validate(
         warnings.append(
             f"best lambda {grid[best_idx]!r} is the {edge} grid point; the optimum may lie beyond the grid"
         )
-    return CvResult(grid, fold_auc, mean_auc, mean_loss, float(grid[best_idx]), warnings)
+    return CvResult(
+        grid, fold_auc, mean_auc, mean_loss, float(grid[best_idx]),
+        w_sum[best_idx] / fitted, float(b_sum[best_idx]) / fitted, warnings,
+    )
 
 
 def default_lambda_grid(

@@ -281,8 +281,9 @@ def stage_featurize(cfg: PipelineConfig, tokenized, assignment, assigned) -> Out
 
 
 def stage_train(cfg: PipelineConfig, matrix) -> Outputs:
-    """Cross-validate the L1 penalty by held-out AUC, then fit the final model."""
+    """Cross-validate the L1 penalty by held-out AUC, then fit the final model from the CV fits."""
     model_cfg = cfg.model
+    w0 = b0 = None
 
     def fmt_number(value: float) -> str:
         return "N/A" if math.isnan(value) else repr(float(value))
@@ -299,9 +300,10 @@ def stage_train(cfg: PipelineConfig, matrix) -> Outputs:
         cv_lines.append(f"# best_lambda: {result.best_lambda!r}")
         cv_lines += [f"# warning: {warning}" for warning in result.warnings]
         model_cfg = replace(model_cfg, l1_lambda=result.best_lambda)
+        w0, b0 = result.w_start, result.b_start
     else:
         cv_lines.append("# cross-validation disabled")
-    model = learn_mod.train(matrix, model_cfg, cfg.seed)
+    model = learn_mod.train(matrix, model_cfg, cfg.seed, w0, b0)
     return {
         "cv_results.tsv": ("cv-results", {}, "\n".join(cv_lines) + "\n"),
         "model.txt": learn_mod.encode_model(model),

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ddimine.config import ModelSection
+from ddimine import learn, pipeline
+from ddimine.config import ModelSection, load_config
 from ddimine.errors import ConfigError, ValidationError
-from ddimine.features import FeatureMatrix
+from ddimine.features import FeatureMatrix, load_matrix
 from ddimine.learn import (
     LinearModel,
     TrainingMeta,
@@ -22,6 +23,7 @@ from ddimine.learn import (
     loss_gradient,
     train,
 )
+from ddimine.synth import SynthParams, write_dataset
 from helpers import (
     dense_matrix,
     gradient_check,
@@ -52,7 +54,7 @@ MATRICES = {
 
 
 @pytest.mark.parametrize("kind", sorted(MATRICES))
-@pytest.mark.parametrize("fraction", [0.5, 0.1, 0.01])
+@pytest.mark.parametrize("fraction", [0.5, 0.1, 0.01, 0.001])
 def test_logistic_kkt_and_objective_match_reference(kind, fraction):
     matrix = MATRICES[kind]()
     lam = fraction * lambda_max(matrix)
@@ -80,11 +82,93 @@ def test_factorisation_failure_falls_back_to_least_squares(monkeypatch):
     config = ModelSection(l1_lambda=lam, tolerance=1e-8)
     model = train(matrix, config, seed=0)
     monkeypatch.undo()
-    assert len(calls) >= model.meta.iterations > 0  # one solve per Newton step tried
+    assert len(calls) >= model.meta.iterations > 0  # at least one solve per Newton step tried
     assert model.weights[4] != 0 and model.weights[5] != 0
     assert model.meta.converged and model.meta.kkt_rel <= config.tolerance
     value = l1_objective("logistic", matrix.X, matrix.y, model.weights, model.bias, lam)
     assert value == pytest.approx(best, rel=1e-9)
+
+
+def pooled_counts(seed: int, n: int = 120, d: int = 40, k: int = 5) -> FeatureMatrix:
+    """Rows pool the word counts of 5 to 40 abstracts; the first k words also come with the positives.
+
+    At seed 1 the classes are nearly separable: CV AUC reaches 1.0 at small lambda.
+    """
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n) < 0.5).astype(np.int64)
+    pooled = rng.integers(5, 40, size=n)[:, None]  # abstracts per row
+    counts = rng.poisson(pooled * 2.0 / np.arange(1, d + 1) ** 0.8).astype(float)
+    counts[:, :k] += rng.poisson(pooled, size=(n, k)) * y[:, None]
+    return FeatureMatrix([f"s{i}" for i in range(n)], sp.csr_matrix(counts), y, "counts")
+
+
+def test_newton_steps_rarely_need_halving(monkeypatch):
+    # a step that moves a zero weight along its pseudo-gradient is re-solved
+    # without it, not cut short: the step is a Newton step on the face it keeps
+    matrix = pooled_counts(1)
+    evaluations, steps = [], []
+    change, fit = learn._logistic_change, learn._fit
+
+    def counting_change(*args):
+        evaluations.append(1)
+        return change(*args)
+
+    def counting_fit(*args, **kwargs):
+        result = fit(*args, **kwargs)
+        steps.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(learn, "_logistic_change", counting_change)
+    monkeypatch.setattr(learn, "_fit", counting_fit)
+    cv = cross_validate(matrix, default_lambda_grid(matrix), 3, ModelSection(), seed=0)
+    assert cv.mean_auc[-1] == 1.0  # nearly separable
+    assert len(steps) == 21 and sum(steps) > 0
+    assert len(evaluations) <= 1.5 * sum(steps)
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_warm_start_from_cv_fits_reaches_the_cold_optimum(standardize):
+    matrix = pooled_counts(1)
+    config = ModelSection(tolerance=1e-8, standardize=standardize)
+    cv = cross_validate(matrix, default_lambda_grid(matrix, standardize=standardize), 3, config, seed=0)
+    config = replace(config, l1_lambda=cv.best_lambda)
+    cold = train(matrix, config, seed=0)
+    warm = train(matrix, config, seed=0, w0=cv.w_start, b0=cv.b_start)
+    assert cold.meta.converged and warm.meta.converged
+    assert warm.meta.kkt_rel <= config.tolerance
+    assert warm.meta.objective == pytest.approx(cold.meta.objective, rel=1e-12)
+    assert warm.meta.iterations < cold.meta.iterations
+
+
+@pytest.fixture(scope="module")
+def featurized(tmp_path_factory):
+    """The ``mini`` preset run up to the train stage."""
+    paths = write_dataset(SynthParams(seed=7), tmp_path_factory.mktemp("mini"))
+    cfg = load_config(paths["config"])
+    for stage in pipeline.STAGE_ORDER[: pipeline.STAGE_ORDER.index("train")]:
+        pipeline.run_stage(cfg, stage)
+    return cfg
+
+
+def test_train_stage_starts_from_the_cv_fits_and_reruns_identically(featurized):
+    cfg = featurized
+    pipeline.run_stage(cfg, "train")
+    first = (cfg.output / "model.txt").read_bytes()
+    pipeline.run_stage(cfg, "train")
+    assert (cfg.output / "model.txt").read_bytes() == first
+    model, _ = load_model(cfg.output / "model.txt")
+    matrix = load_matrix(cfg.output / "features_train.txt")[0]
+    cold = train(matrix, replace(cfg.model, l1_lambda=model.l1_lambda), cfg.seed)
+    assert model.meta.converged and cold.meta.converged
+    assert model.meta.iterations < cold.meta.iterations
+
+
+def test_train_stage_without_cv_starts_cold(featurized):
+    matrix = load_matrix(featurized.output / "features_train.txt")[0]
+    model = replace(featurized.model, l1_lambda=0.05 * lambda_max(matrix))
+    cfg = replace(featurized, cv=replace(featurized.cv, enabled=False), model=model)
+    outputs = pipeline.STAGES["train"].run(cfg, matrix)
+    assert outputs["model.txt"] == encode_model(train(matrix, model, cfg.seed))
 
 
 def change_oracle(s: float, h: float, y: int) -> float:
