@@ -2,11 +2,15 @@
 
 A sample's row is the sum of its abstracts' rows, so both feature kinds are one
 product X = A @ P of the binary sample x abstract incidence matrix A and the
-part rows P: C, each abstract's vocabulary counts, or E, each abstract's
-embedding.  A's columns are the abstracts the samples reference, in sorted-id
-order; as the split gives each abstract to one split, each abstract's row is
-built once per stage.  Counts are integers, so A @ C is exact, and the column
-order makes A @ E add a sample's abstract vectors in sorted-id order.
+part rows P: C, each abstract's token counts over the vocabulary, or
+E = C' @ V, its counts C' over the embedding table's words in sorted order
+times their vectors V.  C' is canonical, so E adds each distinct token's tf * v
+in sorted-token order, bit for bit as a loop over the sorted tokens would (see
+:func:`build_count_matrix`, the one builder of both).  A's columns are the
+abstracts the samples reference, in sorted-id order; as the split gives each
+abstract to one split, each abstract's row is built once per stage.  Counts are
+integers, so A @ C is exact, and the column order makes A @ E add a sample's
+abstract vectors in sorted-id order.
 
 :class:`FeatureMatrix` holds the factors; X is formed only when read.  A
 feature file holds them too: each part row once, as ``col:value`` pairs, then
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,10 +41,9 @@ _UNDERSAMPLE_STREAM = 21
 
 @dataclass
 class Vocabulary:
-    """Tokens ordered by corpus frequency (descending, ties lexicographic).
-
-    Must be built from train-split abstracts only; the split contract depends
-    on it.
+    """Tokens and their columns: by train-corpus frequency (descending, ties
+    lexicographic) from :func:`build_vocab`, which must see train-split
+    abstracts only; sorted, frequency 0, from :meth:`EmbeddingTable.columns`.
     """
 
     words: list[tuple[str, int]]
@@ -82,8 +85,11 @@ class EmbeddingTable:
         self.dim = dims.pop()
         self.vectors = {tok: np.asarray(v, dtype=float) for tok, v in vectors.items()}
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
+    def columns(self, stopwords: Collection[str]) -> tuple[Vocabulary, np.ndarray]:
+        """The non-stopword words in sorted order as a column index, and V, their vectors in that order."""
+        words = sorted(tok for tok in self.vectors if tok not in stopwords)
+        V = np.array([self.vectors[tok] for tok in words]).reshape(len(words), self.dim)
+        return Vocabulary([(tok, 0) for tok in words], {tok: j for j, tok in enumerate(words)}), V
 
     @classmethod
     def load(cls, path: Path | str) -> "EmbeddingTable":
@@ -98,49 +104,29 @@ class EmbeddingTable:
                 if tok in vectors:
                     raise ValidationError(f"{path}:{lineno}: duplicate token {tok!r}")
                 try:
-                    vectors[tok] = np.array([float(x) for x in parts[1:]], dtype=float)
+                    vec = vectors[tok] = np.array([float(x) for x in parts[1:]], dtype=float)
                 except ValueError as exc:
                     raise ValidationError(f"{path}:{lineno}: bad vector component") from exc
-                if vectors[tok].size == 0:
+                if vec.size == 0:
                     raise ValidationError(f"{path}:{lineno}: token {tok!r} has no components")
+                width = len(next(iter(vectors.values())))  # the first token's
+                if vec.size != width:
+                    raise ValidationError(f"{path}:{lineno}: token {tok!r} has {vec.size} components, expected {width}")
+                if not np.isfinite(vec).all():
+                    raise ValidationError(f"{path}:{lineno}: token {tok!r} has a non-finite component")
         return cls(vectors)
 
 
 def load_stopwords(path: Path | str) -> frozenset[str]:
-    words = set()
+    """One word per line, lowercased; blank lines and ``#`` lines are skipped."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word and not word.startswith("#"):
-                words.add(word.lower())
-    return frozenset(words)
+        return frozenset(word.lower() for word in map(str.strip, fh) if word and not word.startswith("#"))
 
 
 def default_stopwords() -> frozenset[str]:
     """The English stopword list shipped with the package."""
-    text = resources.files("ddimine").joinpath("data/stopwords.txt").read_text("utf-8")
-    return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
-
-
-def embed_abstract(
-    ab: TokenizedAbstract, table: EmbeddingTable, stopwords: frozenset[str] | set[str]
-) -> tuple[np.ndarray, int]:
-    """Term-frequency weighted sum of embeddings over non-stopword tokens.
-
-    Returns (vector, misses) where misses counts the distinct tokens absent
-    from the table.  Tokens are accumulated in sorted order so the float sum
-    is independent of token order in the abstract.
-    """
-    vec = np.zeros(table.dim, dtype=float)
-    misses = 0
-    tf = Counter(tok for tok in ab.tokens if tok not in stopwords)
-    for tok in sorted(tf):
-        v = table.vectors.get(tok)
-        if v is None:
-            misses += 1
-        else:
-            vec += tf[tok] * v
-    return vec, misses
+    with resources.as_file(resources.files("ddimine").joinpath("data/stopwords.txt")) as path:
+        return load_stopwords(path)
 
 
 @dataclass
@@ -209,43 +195,38 @@ def build_count_matrix(
     abstracts_by_id: Mapping[str, TokenizedAbstract],
     vocab: Vocabulary,
     drop_empty: bool = False,
-) -> FeatureMatrix:
-    """Count features for every sample, rows in sample order."""
+    V: np.ndarray | None = None,
+    stopwords: Collection[str] = frozenset(),
+) -> tuple[FeatureMatrix, int]:
+    """Count each referenced abstract's tokens over ``vocab``'s columns into C, and with ``V`` make E = C @ V.
+
+    Returns the matrix, rows in sample order, and with ``V`` the miss count:
+    each (sample, abstract) pair's distinct tokens outside ``vocab`` and
+    ``stopwords``.  C's duplicates are summed and its columns sorted first, as
+    scipy's product adds a row's tf * v terms in column order: so E adds them
+    in sorted-token order, as a loop over the sorted tokens would, bit for bit
+    (unsummed, v + v + v is not 3 * v in general).
+    """
     if drop_empty:
         samples = [s for s in samples if s.abstract_ids]
     A, abstracts = _incidence(samples, abstracts_by_id)
     index = vocab.index
     indices: list[int] = []
     indptr = [0]
+    missed: list[int] = []
     for ab in abstracts:
         indices += [index[tok] for tok in ab.tokens if tok in index]
         indptr.append(len(indices))
+        if V is not None:
+            missed.append(sum(tok not in index and tok not in stopwords for tok in set(ab.tokens)))
     C = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(abstracts), len(vocab)))
+    C.sum_duplicates()
+    misses = 0
+    if V is not None:
+        C = sp.csr_matrix(C @ V)
+        misses = int(np.bincount(A.indices, minlength=len(abstracts)) @ np.array(missed, dtype=np.int64))
     y = np.array([s.label for s in samples], dtype=np.int64)
-    return FeatureMatrix([s.key for s in samples], C, y, "counts", A)
-
-
-def build_embedding_matrix(
-    samples: Sequence[InteractionSample],
-    abstracts_by_id: Mapping[str, TokenizedAbstract],
-    table: EmbeddingTable,
-    stopwords: frozenset[str] | set[str],
-    drop_empty: bool = False,
-) -> tuple[FeatureMatrix, int]:
-    """Embedding features; returns the matrix and the total miss count.
-
-    Misses are counted per (sample, abstract) pair, as distinct out-of-table
-    tokens of each abstract.
-    """
-    if drop_empty:
-        samples = [s for s in samples if s.abstract_ids]
-    A, abstracts = _incidence(samples, abstracts_by_id)
-    embedded = [embed_abstract(ab, table, stopwords) for ab in abstracts]
-    E = np.array([vec for vec, _ in embedded], dtype=float).reshape(len(abstracts), table.dim)
-    misses = np.array([m for _, m in embedded], dtype=np.int64)
-    total_misses = int(np.bincount(A.indices, minlength=len(abstracts)) @ misses)
-    y = np.array([s.label for s in samples], dtype=np.int64)
-    return FeatureMatrix([s.key for s in samples], sp.csr_matrix(E), y, "embeddings", A), total_misses
+    return FeatureMatrix([s.key for s in samples], C, y, "counts" if V is None else "embeddings", A), misses
 
 
 def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:

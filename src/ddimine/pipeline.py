@@ -239,33 +239,25 @@ def stage_featurize(cfg: PipelineConfig, tokenized, assignment, assigned) -> Out
         by_split[assignment.sample_split[s.key]].append(s)
     train_abstracts = [ab for ab in tokenized if assignment.abstract_split[ab.id] == "train"]
 
-    if cfg.vocab_stopwords == "drop":
+    stop: frozenset[str] = frozenset()
+    if cfg.vocab_stopwords == "drop" or cfg.feature_kind == "embeddings":
         stop = features_mod.load_stopwords(cfg.stopwords)
-        vocab_source = [
-            replace(ab, tokens=tuple(t for t in ab.tokens if t not in stop)) for ab in train_abstracts
-        ]
-    else:
-        vocab_source = train_abstracts
+    vocab_source = train_abstracts
+    if cfg.vocab_stopwords == "drop":
+        vocab_source = [replace(ab, tokens=tuple(t for t in ab.tokens if t not in stop)) for ab in train_abstracts]
     vocab = features_mod.build_vocab(vocab_source, cfg.top_k)
     outputs = {"vocab.tsv": features_mod.encode_vocab(vocab)}
     report_lines = [f"vocab_size\t{len(vocab)}"]
 
-    if cfg.feature_kind == "counts":
-        matrices = {
-            split: features_mod.build_count_matrix(
-                by_split[split], abstracts_by_id, vocab, cfg.drop_empty_samples
-            )
-            for split in splitting_mod.SPLITS
-        }
-    else:
-        table = features_mod.EmbeddingTable.load(cfg.embeddings)
-        stopwords = features_mod.load_stopwords(cfg.stopwords)
-        matrices = {}
-        for split in splitting_mod.SPLITS:
-            matrix, misses = features_mod.build_embedding_matrix(
-                by_split[split], abstracts_by_id, table, stopwords, cfg.drop_empty_samples
-            )
-            matrices[split] = matrix
+    columns, V = vocab, None
+    if cfg.feature_kind == "embeddings":
+        columns, V = features_mod.EmbeddingTable.load(cfg.embeddings).columns(stop)
+    matrices = {}
+    for split in splitting_mod.SPLITS:
+        matrices[split], misses = features_mod.build_count_matrix(
+            by_split[split], abstracts_by_id, columns, cfg.drop_empty_samples, V, stop
+        )
+        if V is not None:
             report_lines.append(f"embedding_misses_{split}\t{misses}")
 
     if cfg.undersample_train:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -19,7 +20,7 @@ import scipy.sparse as sp
 
 from ddimine import artifacts
 from ddimine.errors import ValidationError
-from ddimine.features import FeatureMatrix, Vocabulary, embed_abstract
+from ddimine.features import FeatureMatrix, Vocabulary
 from ddimine.labeling import PLACEHOLDER
 from ddimine.learn import loss_gradient, loss_value
 from ddimine.mar_alerts import Administrations, Alerts
@@ -418,6 +419,25 @@ def count_vector(sample, abstracts_by_id, vocab) -> SparseVector:
             if col is not None:
                 entries[col] = entries.get(col, 0) + 1
     return SparseVector(len(vocab), entries)
+
+
+def embed_abstract(ab, table, stopwords) -> tuple[np.ndarray, int]:
+    """Term-frequency weighted sum of embeddings over non-stopword tokens.
+
+    Returns (vector, misses) where misses counts the distinct tokens absent
+    from the table.  Tokens are accumulated in sorted order so the float sum
+    is independent of token order in the abstract.
+    """
+    vec = np.zeros(table.dim, dtype=float)
+    misses = 0
+    tf = Counter(tok for tok in ab.tokens if tok not in stopwords)
+    for tok in sorted(tf):
+        v = table.vectors.get(tok)
+        if v is None:
+            misses += 1
+        else:
+            vec += tf[tok] * v
+    return vec, misses
 
 
 def embed_sample(sample, abstracts_by_id, table, stopwords) -> tuple[np.ndarray, int]:

@@ -1,6 +1,7 @@
 import random
 import re
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,8 @@ from ddimine.features import (
     EmbeddingTable,
     FeatureMatrix,
     build_count_matrix,
-    build_embedding_matrix,
     build_vocab,
     default_stopwords,
-    embed_abstract,
     encode_matrix,
     encode_vocab,
     load_matrix,
@@ -26,7 +25,7 @@ from ddimine.features import (
     undersample,
 )
 from ddimine.labeling import InteractionSample
-from helpers import count_vector, dense_matrix, embed_sample, load_matrix_oracle, load_vocab, save
+from helpers import count_vector, dense_matrix, embed_abstract, embed_sample, load_matrix_oracle, load_vocab, save
 
 
 def toka(aid, tokens, mentions=()):
@@ -128,9 +127,14 @@ class TestEmbeddings:
         path.write_text("x 1.0 0.0\ny 0.0 2.0\n")
         table = EmbeddingTable.load(path)
         assert table.dim == 2
-        path.write_text("x 1.0 0.0\ny 0.0\n")
-        with pytest.raises(ValidationError):
-            EmbeddingTable.load(path)
+        for body, message in [
+            ("x 1.0 0.0\ny 0.0\n", ":2: token 'y' has 1 components, expected 2"),
+            ("x 1.0 0.0\n\ny 0.0 nan\n", ":3: token 'y' has a non-finite component"),
+            ("x 1.0 -inf\n", ":1: token 'x' has a non-finite component"),
+        ]:
+            path.write_text(body)
+            with pytest.raises(ValidationError, match=re.escape(f"{path}{message}")):
+                EmbeddingTable.load(path)
 
     def test_stopword_only_abstract(self):
         vec, misses = embed_abstract(toka("1", ["the", "and"]), self.table(), {"the", "and"})
@@ -204,7 +208,8 @@ class TestMatrixBuilders:
             sample_with(["a2"], c="c1", o="o2", label=0),
             sample_with([], c="c1", o="o3", label=0),
         ]
-        m = build_count_matrix(samples, abstracts, vocab)
+        m, misses = build_count_matrix(samples, abstracts, vocab)
+        assert misses == 0
         assert m.keys == ["c1|o1", "c1|o2", "c1|o3"]
         assert m.X.toarray().tolist() == [[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
         assert m.y.tolist() == [1, 0, 0]
@@ -213,7 +218,7 @@ class TestMatrixBuilders:
         abstracts = {"a1": toka("a1", ["dose"])}
         vocab = build_vocab(list(abstracts.values()))
         samples = [sample_with(["a1"]), sample_with([], o="o2")]
-        m = build_count_matrix(samples, abstracts, vocab, drop_empty=True)
+        m, _ = build_count_matrix(samples, abstracts, vocab, drop_empty=True)
         assert m.n_rows == 1
 
     @given(data=st.data())
@@ -235,8 +240,9 @@ class TestMatrixBuilders:
         drop_empty = data.draw(st.booleans())
         kept = [s for s in samples if s.abstract_ids or not drop_empty]
 
-        counts = build_count_matrix(samples, abstracts, vocab, drop_empty)
-        embedded, misses = build_embedding_matrix(samples, abstracts, table, stop, drop_empty)
+        counts, _ = build_count_matrix(samples, abstracts, vocab, drop_empty)
+        columns, V = table.columns(stop)
+        embedded, misses = build_count_matrix(samples, abstracts, columns, drop_empty, V, stop)
         for m in (counts, embedded):
             assert m.keys == [s.key for s in kept]
             assert m.y.tolist() == [s.label for s in kept]
@@ -256,18 +262,20 @@ class TestMatrixBuilders:
         message = re.escape("'c1|oz' references unknown abstract 'ghost'")
         for build in (
             lambda: build_count_matrix(ghost, abstracts, vocab, drop_empty),
-            lambda: build_embedding_matrix(ghost, abstracts, table, stop, drop_empty),
+            lambda: build_count_matrix(ghost, abstracts, columns, drop_empty, V, stop),
         ):
             with pytest.raises(ValidationError, match=message):
                 build()
 
     def test_embedding_matrix(self):
-        table = EmbeddingTable({"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0])})
-        abstracts = {"a1": toka("a1", ["x", "y", "gone"])}
+        table = EmbeddingTable({"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0]), "the": np.ones(2)})
+        abstracts = {"a1": toka("a1", ["x", "y", "gone", "the", "and"])}
         samples = [sample_with(["a1"], label=1)]
-        m, misses = build_embedding_matrix(samples, abstracts, table, set())
+        columns, V = table.columns({"the", "and"})
+        m, misses = build_count_matrix(samples, abstracts, columns, V=V, stopwords={"the", "and"})
+        assert m.kind == "embeddings" and columns.index == {"x": 0, "y": 1}
         assert m.X.toarray().tolist() == [[1.0, 1.0]]
-        assert misses == 1
+        assert misses == 1  # "gone"; a stopword is no miss
 
 
 class TestUndersample:
@@ -314,7 +322,7 @@ class TestMatrixPersistence:
     def test_sparse_roundtrip(self, tmp_path):
         abstracts = {"a1": toka("a1", ["dose", "dose", "response"])}
         vocab = build_vocab(list(abstracts.values()))
-        m = build_count_matrix([sample_with(["a1"], label=1), sample_with([], o="o2")], abstracts, vocab)
+        m, _ = build_count_matrix([sample_with(["a1"], label=1), sample_with([], o="o2")], abstracts, vocab)
         save(tmp_path / "m.txt", encode_matrix(m), {"digest": "abc"})
         loaded, header = load_matrix(tmp_path / "m.txt")
         assert header["digest"] == "abc"
@@ -414,9 +422,10 @@ class TestMatrixPersistence:
             sample_with(rng.sample(sorted(abstracts), rng.randint(0, 4)), o=f"o{j}", label=int(j % 3 == 0))
             for j in range(data.draw(st.integers(2, 14)))
         ]
+        columns, V = table.columns(set())
         for full in (
-            build_count_matrix(samples, abstracts, vocab),
-            build_embedding_matrix(samples, abstracts, table, set())[0],
+            build_count_matrix(samples, abstracts, vocab)[0],
+            build_count_matrix(samples, abstracts, columns, False, V)[0],
         ):
             kept = undersample(full, seed=rng.randint(0, 99))
             assert kept.parts.shape[0] == len(np.unique(kept.A.indices))  # no part left unreferenced
@@ -435,6 +444,8 @@ class TestMatrixPersistence:
 def test_stopword_files(tmp_path):
     words = default_stopwords()
     assert "the" in words and "and" in words
+    text = resources.files("ddimine").joinpath("data/stopwords.txt").read_text("utf-8")
+    assert words == frozenset(w.strip().lower() for w in text.splitlines() if w.strip())  # no "#" lines in it
     assert all(w == w.lower() for w in words)
     path = tmp_path / "stop.txt"
     path.write_text("The\nof\n\n# comment\n")

@@ -1,22 +1,25 @@
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ddimine import artifacts, pipeline
+from ddimine import artifacts, features, pipeline
 from ddimine.cli import _build_parser, main
-from ddimine.config import load_config
+from ddimine.config import build_config, load_config
 from ddimine.corpus import DrugLexicon, TokenizedAbstract
 from ddimine.errors import ArtifactMismatchError
-from ddimine.features import load_matrix
+from ddimine.features import EmbeddingTable, load_matrix, load_stopwords
 from ddimine.labeling import InteractionCatalog, InteractionSample
 from ddimine.learn import load_model
 from ddimine.pipeline import (
     ARTIFACTS, STAGE_FUNCS, STAGE_ORDER, STAGES, file_digest, run_all, run_stage, stage_digests,
 )
 from ddimine.synth import SynthParams, write_dataset
-from helpers import artifact_digests, count_vector, load_matrix_oracle, load_vocab, save, templateize_oracle
+from helpers import (
+    artifact_digests, count_vector, embed_sample, load_matrix_oracle, load_vocab, save, templateize_oracle,
+)
 
 
 def data_lines(path) -> list[str]:
@@ -121,6 +124,36 @@ def test_train_rows_match_count_vector_oracle(mini):
         assert train.y[i] == s.label
         assert train.X[i].indices.tolist() == sorted(entries)
         assert train.X[i].data.tolist() == [float(entries[col]) for col in sorted(entries)]
+
+
+def test_embedding_train_rows_and_misses_match_embed_sample_oracle(mini):
+    paths, outputs = mini
+    out = outputs["embeddings"][0]
+    table, stop = EmbeddingTable.load(paths["embeddings"]), load_stopwords(paths["stopwords"])
+    abstracts = {ab.id: ab for ab in read_abstracts(out / "cardiac.jsonl")}
+    samples = {s.key: s for s in read_samples(out / "assigned_samples.tsv")}
+    train = load_matrix_oracle(out / "features_train.txt")
+    assert train.keys and train.kind == "embeddings"
+    for i, key in enumerate(train.keys):
+        vec, _ = embed_sample(samples[key], abstracts, table, stop)
+        assert train.y[i] == samples[key].label
+        assert train.X[i].toarray().ravel().tobytes() == vec.tobytes()  # bit for bit
+    # the report counts misses before the train rows are undersampled
+    rows = (line.split("\t") for line in data_lines(out / "assignment.tsv"))
+    split = {key: name for kind, key, name in rows if kind == "sample"}
+    misses = sum(embed_sample(s, abstracts, table, stop)[1] for key, s in samples.items() if split[key] == "train")
+    report = dict(line.split("\t") for line in data_lines(out / "featurize_report.txt"))
+    assert misses > 0 and int(report["embedding_misses_train"]) == misses
+
+
+def test_featurize_reads_the_stopword_file_once(mini, tmp_path, monkeypatch):
+    shutil.copytree(mini[1]["embeddings"][0], tmp_path / "out")
+    raw = json.loads((mini[0]["config"].parent / "config_embeddings.json").read_text(encoding="utf-8"))
+    cfg = build_config({**raw, "vocab_stopwords": "drop"}, {"output": str(tmp_path / "out")})
+    read, load_stopwords = [], features.load_stopwords
+    monkeypatch.setattr(features, "load_stopwords", lambda path: read.append(path) or load_stopwords(path))
+    run_stage(cfg, "featurize")
+    assert read == [cfg.stopwords]
 
 
 def test_label_stage_with_catalog_drugs_missing_from_lexicon(tmp_path):
