@@ -19,7 +19,7 @@ import os
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ArtifactMismatchError
+from .errors import ArtifactMismatchError, ValidationError
 
 # an artifact before it is written: (kind, per-file header fields, body);
 # the body is newline-terminated text or its chunks, as :func:`write` takes it
@@ -63,6 +63,16 @@ def read(path: Path | str) -> tuple[Iterator[str], dict[str, str]]:
     """
     lines = _read(path)
     return lines, next(lines)
+
+
+def read_rows(path: Path | str, width: int) -> Iterator[tuple[int, list[str]]]:
+    """Each body line's number and tab-separated fields; one without ``width`` fields is refused as ``path:line``."""
+    lines, header = read(path)
+    for lineno, line in enumerate(lines, start=2 + len(header)):  # after the kind line and the fields
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ValidationError(f"{path}:{lineno}: expected {width} tab-separated fields, found {len(fields)}")
+        yield lineno, fields
 
 
 def _read(path: Path | str) -> Iterator:

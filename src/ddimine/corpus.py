@@ -1,15 +1,22 @@
-"""Abstract ingestion: parsing, tokenization, lexicon matching, filtering, stats."""
+"""Abstract ingestion: parsing, tokenization, lexicon matching, filtering, stats.
+
+The corpus files ``tokenized.tsv`` and ``cardiac.tsv`` (the kept abstracts) hold
+:class:`AbstractColumns`: a column line, then one ``id TAB mentions TAB tokens``
+line per abstract.  A stage splits only the columns it reads.
+"""
 
 from __future__ import annotations
 
 import io
+import itertools
 import re
 import tarfile
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Iterable, Mapping
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
+from . import artifacts
 from .errors import CorpusParseError, ValidationError
 
 # Tokens are maximal runs of letters/digits, optionally joined by single
@@ -50,6 +57,39 @@ class TokenizedAbstract:
     drug_mentions: frozenset[str]
 
 
+@dataclass(frozen=True)
+class AbstractColumns:
+    """Tokenized abstracts as columns: abstract i's id, sorted drug ids and tokens, each list space-joined; drug
+    ids and tokens hold no whitespace, and ids no tab or line break, so ``.split()`` gives a list back."""
+
+    ids: list[str]
+    mentions: list[str]
+    tokens: list[str]
+
+    @classmethod
+    def of(cls, abstracts: Sequence[TokenizedAbstract]) -> "AbstractColumns":
+        return cls([ab.id for ab in abstracts], [" ".join(sorted(ab.drug_mentions)) for ab in abstracts],
+                   [" ".join(ab.tokens) for ab in abstracts])
+
+
+_COLUMN_LINE = ["# id", "mentions", "tokens"]  # a body line: it keeps an id like "# a: b" out of the header
+
+
+def encode_abstracts(corpus: AbstractColumns, **fields) -> artifacts.Encoded:
+    """The corpus file: the column line, then each abstract's line, streamed."""
+    lines = map("{}\t{}\t{}\n".format, corpus.ids, corpus.mentions, corpus.tokens)
+    return "tokenized-abstracts", fields, itertools.chain(["\t".join(_COLUMN_LINE) + "\n"], lines)
+
+
+def load_abstracts(path: Path | str) -> AbstractColumns:
+    """Inverse of :func:`encode_abstracts`; a line without its three fields is refused as ``path:line``."""
+    rows = artifacts.read_rows(path, 3)
+    if next(rows, (0, None))[1] != _COLUMN_LINE:
+        raise ValidationError(f"{path}: the body does not start with the column line {chr(9).join(_COLUMN_LINE)!r}")
+    columns = [list(column) for column in zip(*(fields for _, fields in rows))]
+    return AbstractColumns(*columns or ([], [], []))
+
+
 def check_drug_id(drug_id: str) -> None:
     """Refuse an id that is empty or holds whitespace or '|'.
 
@@ -83,10 +123,6 @@ class DrugLexicon:
         for drug_id, phrases in self.phrases.items():
             for phrase in phrases:
                 self.first_tokens.setdefault(phrase[0], []).append((phrase, drug_id))
-
-    @property
-    def drug_ids(self) -> set[str]:
-        return set(self.phrases)
 
     @classmethod
     def load(cls, path: Path | str) -> "DrugLexicon":
@@ -151,7 +187,7 @@ def parse_abstracts(source: BinaryIO, fmt: str) -> tuple[list[Abstract], int]:
 
 
 def _check_ids(abstracts: list[Abstract]) -> None:
-    """Ids are unique and fit the tab-separated ``abstract_ids`` column, which joins them with "," ("-": none)."""
+    """Ids are unique and fit the tab-separated files and ``assigned_samples.tsv``'s ","-joined list ("-": none)."""
     seen: set[str] = set()
     for ab in abstracts:
         if ab.id == "-" or any(c in ab.id for c in ",\t\r\n"):
@@ -287,19 +323,16 @@ def match_drugs(tokens: list[str] | tuple[str, ...], lexicon: DrugLexicon) -> se
     return found
 
 
-def tokenize_abstract(abstract: Abstract, lexicon: DrugLexicon) -> TokenizedAbstract:
-    tokens = tuple(tokenize(abstract.text))
-    return TokenizedAbstract(abstract.id, tokens, frozenset(match_drugs(tokens, lexicon)))
-
-
 def tokenize_abstracts(abstracts: Iterable[Abstract], lexicon: DrugLexicon) -> list[TokenizedAbstract]:
-    return [tokenize_abstract(ab, lexicon) for ab in abstracts]
+    tokenized = ((ab.id, tuple(tokenize(ab.text))) for ab in abstracts)
+    return [TokenizedAbstract(aid, tokens, frozenset(match_drugs(tokens, lexicon))) for aid, tokens in tokenized]
 
 
-def filter_cardiac(abstracts: list[TokenizedAbstract], lexicon: DrugLexicon) -> list[TokenizedAbstract]:
+def filter_cardiac(corpus: AbstractColumns, lexicon: DrugLexicon) -> AbstractColumns:
     """Abstracts mentioning at least one lexicon drug, in input order."""
-    drug_ids = lexicon.drug_ids
-    return [ab for ab in abstracts if ab.drug_mentions & drug_ids]
+    drug_ids = lexicon.phrases.keys()
+    kept = [i for i, mentions in enumerate(corpus.mentions) if not drug_ids.isdisjoint(mentions.split())]
+    return AbstractColumns(*([column[i] for i in kept] for column in (corpus.ids, corpus.mentions, corpus.tokens)))
 
 
 @dataclass(frozen=True)
@@ -312,25 +345,28 @@ class CorpusStats:
     n_distinct_words: int
 
 
-def corpus_stats(abstracts: list[TokenizedAbstract]) -> CorpusStats:
+def corpus_stats(corpus: AbstractColumns) -> CorpusStats:
     """Corpus summary; averages over an empty corpus are defined as zero.
 
     ``avg_count_per_word`` is total token occurrences divided by the summed
     per-abstract distinct word counts (how often a word repeats within an
     abstract that uses it).
     """
-    n = len(abstracts)
+    n = len(corpus.ids)
     if n == 0:
         return CorpusStats(0, 0.0, 0, 0.0, 0.0, 0)
-    total_tokens = sum(len(ab.tokens) for ab in abstracts)
-    distinct_per_abstract = sum(len(set(ab.tokens)) for ab in abstracts)
-    vocab: set[str] = set()
-    for ab in abstracts:
-        vocab.update(ab.tokens)
+    total_tokens, distinct_per_abstract, vocab = 0, 0, set()
+    for text in corpus.tokens:
+        tokens = text.split()
+        distinct = set(tokens)
+        total_tokens += len(tokens)
+        distinct_per_abstract += len(distinct)
+        vocab |= distinct
+    drugs = [len(mentions.split()) for mentions in corpus.mentions]
     return CorpusStats(
         n_abstracts=n,
-        avg_drugs_per_abstract=sum(len(ab.drug_mentions) for ab in abstracts) / n,
-        max_drugs_per_abstract=max(len(ab.drug_mentions) for ab in abstracts),
+        avg_drugs_per_abstract=sum(drugs) / n,
+        max_drugs_per_abstract=max(drugs),
         avg_words_per_abstract=total_tokens / n,
         avg_count_per_word=(total_tokens / distinct_per_abstract) if distinct_per_abstract else 0.0,
         n_distinct_words=len(vocab),

@@ -1,11 +1,12 @@
 """Per-sample features: summed word counts and tf-weighted embedding sums.
 
 A sample's row is the sum of its abstracts' rows, so both feature kinds are one
-product X = A @ P of the binary sample x abstract incidence matrix A and the
-part rows P: C, each abstract's token counts over the vocabulary, or
-E = C' @ V, its counts C' over the embedding table's words in sorted order
-times their vectors V.  C' is canonical, so E adds each distinct token's tf * v
-in sorted-token order, bit for bit as a loop over the sorted tokens would (see
+product X = A @ P of the binary sample x abstract incidence matrix A (made by
+:func:`ddimine.splitting.incidence`) and the part rows P: C, each abstract's
+token counts over the vocabulary, or E = C' @ V, its counts C' over the
+embedding table's words in sorted order times their vectors V.  C' is
+canonical, so E adds each distinct token's tf * v in sorted-token order, bit
+for bit as a loop over the sorted tokens would (see
 :func:`build_count_matrix`, the one builder of both).  A's columns are the
 abstracts the samples reference, in sorted-id order; as the split gives each
 abstract to one split, each abstract's row is built once per stage.  Counts are
@@ -25,13 +26,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import artifacts
-from .corpus import TokenizedAbstract
 from .errors import ValidationError
 from .labeling import InteractionSample
 from .rng import Rng
@@ -53,16 +53,16 @@ class Vocabulary:
         return len(self.words)
 
 
-def build_vocab(train_abstracts: Sequence[TokenizedAbstract], top_k: int | None = None) -> Vocabulary:
-    """Count token occurrences over the train abstracts and keep the top k.
+def build_vocab(train_abstracts: Iterable[Sequence[str]], top_k: int | None = None) -> Vocabulary:
+    """Count token occurrences over the train abstracts' tokens and keep the top k.
 
     ``top_k=None`` keeps everything; ``top_k=0`` gives an empty vocabulary.
     """
     if top_k is not None and top_k < 0:
         raise ValidationError(f"top_k must be nonnegative, got {top_k}")
     counts: Counter[str] = Counter()
-    for ab in train_abstracts:
-        counts.update(ab.tokens)
+    for tokens in train_abstracts:
+        counts.update(tokens)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     if top_k is not None:
         ordered = ordered[:top_k]
@@ -172,59 +172,50 @@ class FeatureMatrix:
         return self.parts.shape[1]
 
 
-def _incidence(
-    samples: Sequence[InteractionSample], abstracts_by_id: Mapping[str, TokenizedAbstract]
-) -> tuple[sp.csr_matrix, list[TokenizedAbstract]]:
-    """The incidence matrix A and the abstracts behind its columns, in sorted-id order."""
-    ids = sorted({aid for s in samples for aid in s.abstract_ids})
-    column = {aid: j for j, aid in enumerate(ids)}
-    indices: list[int] = []
-    indptr = [0]
-    for s in samples:
-        for aid in sorted(s.abstract_ids):
-            if aid not in abstracts_by_id:
-                raise ValidationError(f"sample {s.key!r} references unknown abstract {aid!r}")
-            indices.append(column[aid])
-        indptr.append(len(indices))
-    A = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(samples), len(ids)))
-    return A, [abstracts_by_id[aid] for aid in ids]
+def _referenced(A: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """A on the columns some row references, and those columns, ascending: so each row keeps its order."""
+    used = np.unique(A.indices)
+    return sp.csr_matrix((A.data, np.searchsorted(used, A.indices), A.indptr), shape=(A.shape[0], len(used))), used
 
 
 def build_count_matrix(
     samples: Sequence[InteractionSample],
-    abstracts_by_id: Mapping[str, TokenizedAbstract],
+    A: sp.csr_matrix,
+    abstracts: Sequence[Sequence[str]],
     vocab: Vocabulary,
     drop_empty: bool = False,
     V: np.ndarray | None = None,
     stopwords: Collection[str] = frozenset(),
 ) -> tuple[FeatureMatrix, int]:
-    """Count each referenced abstract's tokens over ``vocab``'s columns into C, and with ``V`` make E = C @ V.
+    """Count the tokens of each abstract a row of ``A`` uses over ``vocab``'s columns into C; with ``V``, E = C @ V.
 
-    Returns the matrix, rows in sample order, and with ``V`` the miss count:
-    each (sample, abstract) pair's distinct tokens outside ``vocab`` and
-    ``stopwords``.  C's duplicates are summed and its columns sorted first, as
-    scipy's product adds a row's tf * v terms in column order: so E adds them
-    in sorted-token order, as a loop over the sorted tokens would, bit for bit
+    ``A`` is the samples' incidence and ``abstracts[j]`` the tokens behind its
+    column j.  Returns the matrix, rows in sample order, and with ``V`` the
+    miss count: each (sample, abstract) pair's distinct tokens outside
+    ``vocab`` and ``stopwords``.  C is summed and sorted first, as scipy's
+    product adds a row's tf * v terms in column order: so E adds them in
+    sorted-token order, as a loop over the sorted tokens would, bit for bit
     (unsummed, v + v + v is not 3 * v in general).
     """
     if drop_empty:
-        samples = [s for s in samples if s.abstract_ids]
-    A, abstracts = _incidence(samples, abstracts_by_id)
+        rows = np.flatnonzero(np.diff(A.indptr))
+        samples, A = [samples[i] for i in rows], A[rows]
+    A, used = _referenced(A)
     index = vocab.index
     indices: list[int] = []
     indptr = [0]
     missed: list[int] = []
-    for ab in abstracts:
-        indices += [index[tok] for tok in ab.tokens if tok in index]
+    for tokens in map(abstracts.__getitem__, used.tolist()):
+        indices += [index[tok] for tok in tokens if tok in index]
         indptr.append(len(indices))
         if V is not None:
-            missed.append(sum(tok not in index and tok not in stopwords for tok in set(ab.tokens)))
-    C = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(abstracts), len(vocab)))
+            missed.append(sum(tok not in index and tok not in stopwords for tok in set(tokens)))
+    C = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(used), len(vocab)))
     C.sum_duplicates()
     misses = 0
     if V is not None:
         C = sp.csr_matrix(C @ V)
-        misses = int(np.bincount(A.indices, minlength=len(abstracts)) @ np.array(missed, dtype=np.int64))
+        misses = int(np.bincount(A.indices, minlength=len(used)) @ np.array(missed, dtype=np.int64))
     y = np.array([s.label for s in samples], dtype=np.int64)
     return FeatureMatrix([s.key for s in samples], C, y, "counts" if V is None else "embeddings", A), misses
 
@@ -248,9 +239,7 @@ def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
     rng = Rng(seed).derive(_UNDERSAMPLE_STREAM)
     chosen = rng.sample_indices(len(majority), len(minority))
     keep = np.sort(np.concatenate([minority, majority[np.array(chosen, dtype=np.int64)]]))
-    A = matrix.A[keep]
-    used = np.unique(A.indices)  # ascending, so each row keeps its part order
-    A = sp.csr_matrix((A.data, np.searchsorted(used, A.indices), A.indptr), shape=(len(keep), len(used)))
+    A, used = _referenced(matrix.A[keep])
     return FeatureMatrix([matrix.keys[i] for i in keep], matrix.parts[used], y[keep], matrix.kind, A)
 
 

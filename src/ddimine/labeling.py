@@ -2,11 +2,14 @@
 
 A template is a catalog description with both drugs' name phrases replaced by
 a placeholder.  Each drug's phrases compile to one regex, once per catalog, and
-a description is scanned with its two drugs' patterns side by side.
+a description is scanned with its two drugs' patterns side by side.  The word
+boundaries around a name are checked on the characters themselves, not by
+lookarounds in each pattern, which cost most of the compile time.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,9 +36,10 @@ class InteractionCatalog:
     def __init__(self, rows: Iterable[tuple[str, str, str]]):
         self._records: dict[tuple[str, str], tuple[tuple[str, str], str]] = {}
         self.n_duplicate_rows = 0
+        check = functools.cache(check_drug_id)  # each distinct id once, at its first row
         for a, b, description in rows:
-            check_drug_id(a)
-            check_drug_id(b)
+            check(a)
+            check(b)
             if a == b:
                 raise ValidationError(f"catalog contains self-pair ({a!r}, {b!r})")
             key = pair_key(a, b)
@@ -94,7 +98,6 @@ class InteractionSample:
     other_drug: str
     label: int
     template_id: int | None = None
-    abstract_ids: frozenset[str] = frozenset()
 
     @property
     def key(self) -> str:
@@ -148,16 +151,32 @@ def _priority(phrase: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
     return (-len(" ".join(phrase)), phrase)
 
 
-def _drug_pattern(phrases: Iterable[tuple[str, ...]]) -> tuple[re.Pattern[str], list]:
-    """One drug's phrases as a single regex, one capture group per phrase in priority order.
+# what ``[0-9A-Za-z]`` matches under re.IGNORECASE: the class, and four letters whose case folds into it
+_WORD_CHARS = frozenset("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz\u0130\u0131\u017f\u212a")
 
-    Returns the pattern and the priority of each group.  With no phrases the
-    pattern never matches.
-    """
+
+def _drug_pattern(phrases: Iterable[tuple[str, ...]]) -> tuple[re.Pattern[str], list, list]:
+    """One drug's phrases in priority order: their alternation (a group each), each one's pattern, its priority."""
     ordered = sorted(phrases, key=_priority)
-    groups = "|".join("(" + r"[\s\-]+".join(map(re.escape, p)) + ")" for p in ordered) or "(?!)"
-    pattern = re.compile(rf"(?<![0-9A-Za-z])(?:{groups})(?![0-9A-Za-z])", re.IGNORECASE)
-    return pattern, [_priority(p) for p in ordered]
+    texts = [r"[\s\-]+".join(map(re.escape, p)) for p in ordered]
+    pattern = re.compile("|".join(f"({text})" for text in texts) or "(?!)", re.IGNORECASE)
+    return pattern, texts, [_priority(p) for p in ordered]
+
+
+def _first_match(drug: tuple[re.Pattern[str], list, list], text: str, pos: int) -> tuple[int, tuple, int] | None:
+    """(start, priority, end) of the first match at or after ``pos`` of ``(?<![0-9A-Za-z])(?:phrases)(?![0-9A-Za-z])``:
+    at each start the alternation finds, its phrase, then each later one in turn (compiled only then), is tried."""
+    pattern, texts, priorities = drug
+    m = pattern.search(text, pos)
+    while m:
+        start = m.start()
+        if text[start - 1 : start] not in _WORD_CHARS:  # "" at the text's start
+            for k in range(m.lastindex - 1, len(texts)):
+                hit = m if k == m.lastindex - 1 else re.compile(texts[k], re.IGNORECASE).match(text, start)
+                if hit and text[hit.end() : hit.end() + 1] not in _WORD_CHARS:
+                    return start, priorities[k], hit.end()
+        m = pattern.search(text, start + 1)
+    return None
 
 
 def templateize(
@@ -165,7 +184,7 @@ def templateize(
     drug_a: str,
     drug_b: str,
     lexicon: DrugLexicon,
-    patterns: dict[str, tuple[re.Pattern[str], list]] | None = None,
+    patterns: dict[str, tuple[re.Pattern[str], list, list]] | None = None,
 ) -> tuple[str, int]:
     """Replace both drugs' name phrases in ``description`` with the placeholder.
 
@@ -184,29 +203,21 @@ def templateize(
     for drug in (drug_a, drug_b):
         if drug not in patterns:
             patterns[drug] = _drug_pattern(lexicon.phrases.get(drug, ()))
-    (pat_a, prio_a), (pat_b, prio_b) = patterns[drug_a], patterns[drug_b]
-    m_a, m_b = pat_a.search(description), pat_b.search(description)
+    pat_a, pat_b = patterns[drug_a], patterns[drug_b]
+    m_a, m_b = _first_match(pat_a, description, 0), _first_match(pat_b, description, 0)
     pieces: list[str] = []
-    pos = n_replaced = 0
+    pos = 0
     while m_a or m_b:
-        if m_b is None or (
-            m_a is not None
-            and (m_a.start(), prio_a[m_a.lastindex - 1]) <= (m_b.start(), prio_b[m_b.lastindex - 1])
-        ):
-            m = m_a
-        else:
-            m = m_b
-        pieces += (description[pos : m.start()], PLACEHOLDER)
-        pos = m.end()
-        n_replaced += 1
-        # a scan whose next match starts before pos resumes from pos; lookbehind
-        # still sees the text before it
-        if m_a is not None and m_a.start() < pos:
-            m_a = pat_a.search(description, pos)
-        if m_b is not None and m_b.start() < pos:
-            m_b = pat_b.search(description, pos)
+        m = m_a if m_b is None or (m_a is not None and m_a[:2] <= m_b[:2]) else m_b
+        pieces += (description[pos : m[0]], PLACEHOLDER)
+        pos = m[2]
+        # a scan whose next match starts before pos resumes from pos, still seeing the text before it
+        if m_a is not None and m_a[0] < pos:
+            m_a = _first_match(pat_a, description, pos)
+        if m_b is not None and m_b[0] < pos:
+            m_b = _first_match(pat_b, description, pos)
     pieces.append(description[pos:])
-    return "".join(pieces), n_replaced
+    return "".join(pieces), len(pieces) // 2
 
 
 @dataclass
@@ -228,7 +239,7 @@ def extract_templates(catalog: InteractionCatalog, lexicon: DrugLexicon) -> Temp
     by_pair: dict[tuple[str, str], int] = {}
     support: dict[int, int] = {}
     warnings = 0
-    patterns: dict[str, tuple[re.Pattern[str], list]] = {}
+    patterns: dict[str, tuple[re.Pattern[str], list, list]] = {}
     for a, b in catalog.pairs():
         text, n_replaced = templateize(catalog.description(a, b), a, b, lexicon, patterns)
         if n_replaced == 0:
@@ -251,7 +262,7 @@ def annotate_template_ids(
     for s in samples:
         tid = table.by_pair.get(pair_key(s.cardiac_drug, s.other_drug))
         if s.label == 1 and tid is not None:
-            s = InteractionSample(s.cardiac_drug, s.other_drug, s.label, tid, s.abstract_ids)
+            s = InteractionSample(s.cardiac_drug, s.other_drug, s.label, tid)
         out.append(s)
     return out
 

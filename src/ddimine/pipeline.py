@@ -11,6 +11,11 @@ fresh when its digest is the one its producer would write now, worked out by
 walking up the table; so a setting or file stales only its readers' artifacts
 and those downstream.
 
+The front passes plain columns: the corpus files are tab-separated
+(:class:`ddimine.corpus.AbstractColumns`), and split and featurize each compute
+the sample x abstract incidence from them, the samples and the assignment
+(:func:`ddimine.splitting.incidence`); no stage reads ``assigned_samples.tsv``.
+
 :func:`run_stage` does every artifact read and write.  Before a stage runs, a
 missing input names the stage that produces it (:class:`MissingArtifactError`),
 and a stale one, or one with no header, names the stage to rerun
@@ -33,7 +38,7 @@ import math
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import artifacts
 from . import corpus as corpus_mod
@@ -101,54 +106,34 @@ def check_stage_paths(cfg: PipelineConfig, stage: str) -> None:
         raise ConfigError(missing)
 
 
-def _encode_tokenized(abstracts, **fields) -> artifacts.Encoded:
-    rows = (dict(id=ab.id, tokens=list(ab.tokens), mentions=sorted(ab.drug_mentions)) for ab in abstracts)
-    body = (json.dumps(row, sort_keys=True) + "\n" for row in rows)  # streamed, never one string
-    return "tokenized-abstracts", fields, body
-
-
-def _decode_tokenized(path: Path) -> list[corpus_mod.TokenizedAbstract]:
-    return [
-        corpus_mod.TokenizedAbstract(rec["id"], tuple(rec["tokens"]), frozenset(rec["mentions"]))
-        for rec in map(json.loads, artifacts.read(path)[0])
-    ]
-
-
-def _encode_samples(samples, with_ids: bool) -> artifacts.Encoded:
-    lines = []
-    for s in samples:
-        tid = "-" if s.template_id is None else str(s.template_id)
-        row = f"{s.cardiac_drug}\t{s.other_drug}\t{s.label}\t{tid}"
-        if with_ids:
-            row += "\t" + (",".join(sorted(s.abstract_ids)) if s.abstract_ids else "-")
-        lines.append(f"{row}\n")
-    cols = "cardiac\tother\tlabel\ttemplate_id" + ("\tabstract_ids" if with_ids else "")
-    return "samples", {"columns": cols}, "".join(lines)
+def _encode_samples(samples, attached: Sequence[str] | None = None) -> artifacts.Encoded:
+    """One row per sample; ``attached`` gives each its abstract ids, ","-joined or "-", as a fifth column."""
+    rows = [f"{s.cardiac_drug}\t{s.other_drug}\t{s.label}\t{'-' if s.template_id is None else s.template_id}"
+            for s in samples]
+    cols = "cardiac\tother\tlabel\ttemplate_id"
+    if attached is not None:
+        rows, cols = list(map("{}\t{}".format, rows, attached)), cols + "\tabstract_ids"
+    return "samples", {"columns": cols}, "".join(f"{row}\n" for row in rows)
 
 
 def _decode_samples(path: Path) -> list[labeling_mod.InteractionSample]:
-    """Inverse of :func:`_encode_samples`; a fifth column, when there is one, holds the abstract ids."""
+    """Inverse of :func:`_encode_samples` without ``attached``; a malformed row is refused as ``path:line``."""
     samples = []
-    for line in artifacts.read(path)[0]:
-        parts = line.split("\t")
-        tid = None if parts[3] == "-" else int(parts[3])
-        ids = frozenset(parts[4].split(",")) if len(parts) > 4 and parts[4] != "-" else frozenset()
-        samples.append(labeling_mod.InteractionSample(parts[0], parts[1], int(parts[2]), tid, ids))
+    for lineno, (cardiac, other, label, tid) in artifacts.read_rows(path, 4):
+        if label not in ("0", "1") or not (tid == "-" or tid.isascii() and tid.isdecimal()):
+            raise ValidationError(f"{path}:{lineno}: bad label {label!r} or template id {tid!r}")
+        samples.append(labeling_mod.InteractionSample(cardiac, other, int(label), None if tid == "-" else int(tid)))
     return samples
 
 
 # artifact -> its decoder.  The module loaders are looked up at each call, so a
 # wrapper installed on them later (a tracer, say) sees the read.
 _DECODERS: dict[str, Callable[[Path], object]] = {
-    "tokenized.jsonl": _decode_tokenized,
-    "cardiac.jsonl": _decode_tokenized,
+    **dict.fromkeys(("tokenized.tsv", "cardiac.tsv"), lambda path: corpus_mod.load_abstracts(path)),
     "samples.tsv": _decode_samples,
-    "assigned_samples.tsv": _decode_samples,
     "assignment.tsv": lambda path: splitting_mod.load_assignment(path)[0],
     "model.txt": lambda path: learn_mod.load_model(path)[0],
-    "features_train.txt": lambda path: features_mod.load_matrix(path)[0],
-    "features_dev.txt": lambda path: features_mod.load_matrix(path)[0],
-    "features_test.txt": lambda path: features_mod.load_matrix(path)[0],
+    **{f"features_{split}.txt": lambda path: features_mod.load_matrix(path)[0] for split in splitting_mod.SPLITS},
 }
 
 
@@ -161,22 +146,24 @@ def stage_ingest(cfg: PipelineConfig) -> Outputs:
     lexicon = corpus_mod.DrugLexicon.load(cfg.lexicon)
     abstracts, skipped = corpus_mod.load_corpus(cfg.corpus, cfg.corpus_format)
     tokenized = corpus_mod.tokenize_abstracts(abstracts, lexicon)
-    return {"tokenized.jsonl": _encode_tokenized(tokenized, skipped_records=skipped)}
+    del abstracts  # the texts go before the columns are joined
+    tokenized = corpus_mod.AbstractColumns.of(tokenized)
+    return {"tokenized.tsv": corpus_mod.encode_abstracts(tokenized, skipped_records=skipped)}
 
 
 def stage_filter(cfg: PipelineConfig, tokenized) -> Outputs:
     """Keep abstracts mentioning a lexicon drug, with corpus statistics."""
     lexicon = corpus_mod.DrugLexicon.load(cfg.lexicon)
     kept = corpus_mod.filter_cardiac(tokenized, lexicon)
-    retention = len(kept) / len(tokenized) if tokenized else 0.0
+    retention = len(kept.ids) / len(tokenized.ids) if tokenized.ids else 0.0
     stats = corpus_mod.corpus_stats(kept)
-    seen_cardiac = set().union(*(ab.drug_mentions & lexicon.cardiac for ab in kept))
+    seen_cardiac = lexicon.cardiac.intersection(" ".join(kept.mentions).split())
     body = corpus_mod.render_stats(stats)
     body += f"retention_ratio\t{retention!r}\n"
     body += f"cardiac_drugs_in_lexicon\t{len(lexicon.cardiac)}\n"
     body += f"cardiac_drugs_in_abstracts\t{len(seen_cardiac)}\n"
     return {
-        "cardiac.jsonl": _encode_tokenized(kept, retention=retention, before=len(tokenized)),
+        "cardiac.tsv": corpus_mod.encode_abstracts(kept, retention=retention, before=len(tokenized.ids)),
         "corpus_stats.txt": ("corpus-stats", {}, body),
     }
 
@@ -211,51 +198,53 @@ def stage_label(cfg: PipelineConfig) -> Outputs:
         "# cardiac-cardiac positives 218; interaction types 53.",
     ]
     return {
-        "samples.tsv": _encode_samples(samples, with_ids=False),
+        "samples.tsv": _encode_samples(samples),
         "templates.tsv": ("templates", {}, "\n".join(lines) + "\n"),
         "label_report.txt": ("label-report", {}, "\n".join(body_lines) + "\n"),
     }
 
 
-def stage_split(cfg: PipelineConfig, tokenized, samples) -> Outputs:
+def stage_split(cfg: PipelineConfig, kept, samples) -> Outputs:
     """Split abstracts and samples independently, then attach same-split abstracts."""
-    assignment = splitting_mod.split_corpus(tokenized, samples, cfg.ratios, cfg.seed)
-    assigned = splitting_mod.assign_abstracts(assignment, tokenized, samples)
-    report = splitting_mod.leakage_report(assignment, assigned)
+    assignment = splitting_mod.split_corpus(kept.ids, samples, cfg.ratios, cfg.seed)
+    A, order = splitting_mod.incidence(kept, samples, assignment)
+    report = splitting_mod.leakage_report(assignment, samples, A)
     if report.total_cross_split != 0:
         raise ValidationError("split postcondition violated: cross-split abstract sharing detected")
+    names, ends = [kept.ids[order[j]] for j in A.indices.tolist()], A.indptr.tolist()
+    attached = [",".join(names[a:b]) or "-" for a, b in zip(ends, ends[1:])]
     return {
         "assignment.tsv": splitting_mod.encode_assignment(assignment),
-        "assigned_samples.tsv": _encode_samples(assigned, with_ids=True),
+        "assigned_samples.tsv": _encode_samples(samples, attached),
         "leakage_report.txt": ("leakage-report", {}, report.render()),
     }
 
 
-def stage_featurize(cfg: PipelineConfig, tokenized, assignment, assigned) -> Outputs:
+def stage_featurize(cfg: PipelineConfig, kept, assignment, samples) -> Outputs:
     """Build the train vocabulary and per-split feature matrices."""
-    abstracts_by_id = {ab.id: ab for ab in tokenized}
-    by_split: dict[str, list] = {split: [] for split in splitting_mod.SPLITS}
-    for s in assigned:
-        by_split[assignment.sample_split[s.key]].append(s)
-    train_abstracts = [ab for ab in tokenized if assignment.abstract_split[ab.id] == "train"]
+    A, order = splitting_mod.incidence(kept, samples, assignment)
+    tokens = [text.split() for text in kept.tokens]
+    train_abstracts = [tokens[i] for i, aid in enumerate(kept.ids) if assignment.abstract_split[aid] == "train"]
 
     stop: frozenset[str] = frozenset()
     if cfg.vocab_stopwords == "drop" or cfg.feature_kind == "embeddings":
         stop = features_mod.load_stopwords(cfg.stopwords)
-    vocab_source = train_abstracts
     if cfg.vocab_stopwords == "drop":
-        vocab_source = [replace(ab, tokens=tuple(t for t in ab.tokens if t not in stop)) for ab in train_abstracts]
-    vocab = features_mod.build_vocab(vocab_source, cfg.top_k)
+        train_abstracts = [[t for t in abstract if t not in stop] for abstract in train_abstracts]
+    vocab = features_mod.build_vocab(train_abstracts, cfg.top_k)
     outputs = {"vocab.tsv": features_mod.encode_vocab(vocab)}
     report_lines = [f"vocab_size\t{len(vocab)}"]
 
     columns, V = vocab, None
     if cfg.feature_kind == "embeddings":
         columns, V = features_mod.EmbeddingTable.load(cfg.embeddings).columns(stop)
+    by_column = [tokens[i] for i in order]
+    sample_split = [assignment.sample_split[s.key] for s in samples]
     matrices = {}
     for split in splitting_mod.SPLITS:
+        rows = [i for i, name in enumerate(sample_split) if name == split]
         matrices[split], misses = features_mod.build_count_matrix(
-            by_split[split], abstracts_by_id, columns, cfg.drop_empty_samples, V, stop
+            [samples[i] for i in rows], A[rows], by_column, columns, cfg.drop_empty_samples, V, stop
         )
         if V is not None:
             report_lines.append(f"embedding_misses_{split}\t{misses}")
@@ -333,10 +322,10 @@ def stage_alerts(cfg: PipelineConfig) -> Outputs:
     return mar_mod.encode_alerts(mar_mod.detect_overlaps(windows, catalog))
 
 
-def stage_diagnose_split(cfg: PipelineConfig, tokenized, assignment, assigned, samples) -> Outputs:
+def stage_diagnose_split(cfg: PipelineConfig, kept, assignment, samples) -> Outputs:
     """Side-by-side leakage counts: the split-isolated assignment vs the naive one."""
-    isolated = splitting_mod.leakage_report(assignment, assigned)
-    naive = splitting_mod.leakage_report(assignment, splitting_mod.assign_abstracts_naive(tokenized, samples))
+    isolated = splitting_mod.leakage_report(assignment, samples, splitting_mod.incidence(kept, samples, assignment)[0])
+    naive = splitting_mod.leakage_report(assignment, samples, splitting_mod.incidence(kept, samples)[0])
     lines = ["pair\tisolated\tnaive"]
     for (a, b), count in sorted(isolated.cross_split_shared.items()):
         lines.append(f"{a}/{b}\t{count}\t{naive.cross_split_shared[a, b]}")
@@ -346,18 +335,18 @@ def stage_diagnose_split(cfg: PipelineConfig, tokenized, assignment, assigned, s
 
 # the stage table; diagnose-split reports on the split and is not a link of the chain
 STAGES: dict[str, Stage] = {
-    "ingest": Stage(stage_ingest, ("corpus", "corpus_format", "lexicon"), (), ("tokenized.jsonl",)),
-    "filter": Stage(stage_filter, ("lexicon",), ("tokenized.jsonl",), ("cardiac.jsonl", "corpus_stats.txt")),
+    "ingest": Stage(stage_ingest, ("corpus", "corpus_format", "lexicon"), (), ("tokenized.tsv",)),
+    "filter": Stage(stage_filter, ("lexicon",), ("tokenized.tsv",), ("cardiac.tsv", "corpus_stats.txt")),
     "label": Stage(stage_label, ("catalog", "lexicon"), (), ("samples.tsv", "templates.tsv", "label_report.txt")),
     "split": Stage(
-        stage_split, ("ratios", "seed"), ("cardiac.jsonl", "samples.tsv"),
+        stage_split, ("ratios", "seed"), ("cardiac.tsv", "samples.tsv"),
         ("assignment.tsv", "assigned_samples.tsv", "leakage_report.txt"),
     ),
     "featurize": Stage(
         stage_featurize,
         ("embeddings", "stopwords", "feature_kind", "vocab_stopwords", "top_k", "drop_empty_samples",
          "undersample_train", "seed"),
-        ("cardiac.jsonl", "assignment.tsv", "assigned_samples.tsv"),
+        ("cardiac.tsv", "assignment.tsv", "samples.tsv"),
         ("vocab.tsv", "features_train.txt", "features_dev.txt", "features_test.txt", "featurize_report.txt"),
     ),
     "train": Stage(stage_train, ("model", "cv", "seed"), ("features_train.txt",), ("model.txt", "cv_results.tsv")),
@@ -367,8 +356,7 @@ STAGES: dict[str, Stage] = {
     ),
     "alerts": Stage(stage_alerts, ("catalog", "mar", "alerts"), (), ("alerts.tsv", "alert_report.txt")),
     "diagnose-split": Stage(
-        stage_diagnose_split, (), ("cardiac.jsonl", "assignment.tsv", "assigned_samples.tsv", "samples.tsv"),
-        ("diagnose_split.txt",),
+        stage_diagnose_split, (), ("cardiac.tsv", "assignment.tsv", "samples.tsv"), ("diagnose_split.txt",),
     ),
 }
 STAGE_ORDER = tuple(stage for stage in STAGES if stage != "diagnose-split")

@@ -4,17 +4,27 @@ Abstracts and interaction samples are partitioned independently; abstracts are
 then attached to samples only within the same split, so no abstract can inform
 both a training-side and a test-side sample.  Within a split an abstract may
 serve many samples.
+
+The attachment is :func:`incidence`, the binary sample x abstract matrix: a
+function of the kept abstracts' mentions and the two partitions alone, so
+featurize and ``diagnose-split`` compute it rather than read it.  Split writes
+it to ``assigned_samples.tsv`` and counts leakage on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+import scipy.sparse as sp
+
 from . import artifacts
-from .corpus import TokenizedAbstract
+from .corpus import AbstractColumns
 from .errors import ValidationError
 from .labeling import InteractionSample
 from .rng import Rng
@@ -51,84 +61,59 @@ def _partition(keys: list[str], ratios: tuple[float, float, float], rng: Rng) ->
     # train takes the ceiling of its share first, then dev; test gets the rest
     n_train = min(n, math.ceil(ratios[0] * n - 1e-9))
     n_dev = min(n - n_train, math.ceil(ratios[1] * n - 1e-9))
-    out = {}
-    for i, key in enumerate(order):
-        if i < n_train:
-            out[key] = "train"
-        elif i < n_train + n_dev:
-            out[key] = "dev"
-        else:
-            out[key] = "test"
-    return out
+    train, dev, test = order[:n_train], order[n_train : n_train + n_dev], order[n_train + n_dev :]
+    return {**dict.fromkeys(train, "train"), **dict.fromkeys(dev, "dev"), **dict.fromkeys(test, "test")}
 
 
 def split_corpus(
-    abstracts: Sequence[TokenizedAbstract],
+    abstract_ids: Sequence[str],
     samples: Sequence[InteractionSample],
     ratios: Sequence[float] = DEFAULT_RATIOS,
     seed: int = 0,
 ) -> SplitAssignment:
-    """Independent seeded partitions of abstracts and samples."""
+    """Independent seeded partitions of abstracts (by id) and samples."""
     ratios = _check_ratios(ratios)
-    if not abstracts:
+    if not abstract_ids:
         raise ValidationError("cannot split an empty abstract list")
     if not samples:
         raise ValidationError("cannot split an empty sample list")
     root = Rng(seed)
-    abstract_split = _partition([ab.id for ab in abstracts], ratios, root.derive(_ABSTRACT_STREAM))
+    abstract_split = _partition(list(abstract_ids), ratios, root.derive(_ABSTRACT_STREAM))
     sample_split = _partition([s.key for s in samples], ratios, root.derive(_SAMPLE_STREAM))
     return SplitAssignment(abstract_split, sample_split, seed, ratios)
 
 
-def assign_abstracts(
-    assignment: SplitAssignment,
-    abstracts: Sequence[TokenizedAbstract],
-    samples: Sequence[InteractionSample],
-) -> list[InteractionSample]:
-    """Attach same-split abstracts to each sample (mention of either drug).
+def incidence(
+    corpus: AbstractColumns, samples: Sequence[InteractionSample], assignment: SplitAssignment | None = None
+) -> tuple[sp.csr_matrix, list[int]]:
+    """The binary sample x abstract incidence A, and the corpus row of the abstract behind each column.
 
-    Samples whose drugs are mentioned by no same-split abstract keep an empty
-    abstract set; they are not dropped here.
+    A[i, j] is 1 when abstract j mentions a drug of sample i and, given an ``assignment``, lies in its split (else
+    the naive incidence); columns in sorted-id order.  A is one product, made binary: the samples' two-hot rows over
+    (drug, split) pairs times the (drug, split) x abstract mentions.  A drug no abstract mentions has no pair.
     """
-    index: dict[str, dict[str, set[str]]] = {split: {} for split in SPLITS}
-    for ab in abstracts:
+    splits = None if assignment is None else {"abstract": assignment.abstract_split, "sample": assignment.sample_split}
+
+    def split_of(kind: str, key: str) -> str:
         try:
-            split = assignment.abstract_split[ab.id]
+            return "" if splits is None else splits[kind][key]
         except KeyError:
-            raise ValidationError(f"abstract {ab.id!r} missing from the split assignment") from None
-        bucket = index[split]
-        for drug in ab.drug_mentions:
-            bucket.setdefault(drug, set()).add(ab.id)
-    out = []
-    empty: set[str] = set()
-    for s in samples:
-        try:
-            split = assignment.sample_split[s.key]
-        except KeyError:
-            raise ValidationError(f"sample {s.key!r} missing from the split assignment") from None
-        bucket = index[split]
-        ids = bucket.get(s.cardiac_drug, empty) | bucket.get(s.other_drug, empty)
-        out.append(replace(s, abstract_ids=frozenset(ids)))
-    return out
+            raise ValidationError(f"{kind} {key!r} missing from the split assignment") from None
+
+    order = sorted(range(len(corpus.ids)), key=corpus.ids.__getitem__)
+    row_of: dict[tuple[str, str], int] = {}  # (drug, split) -> its row
+    mentions = [(row_of.setdefault((drug, split), len(row_of)), j) for j, i in enumerate(order)
+                for split in [split_of("abstract", corpus.ids[i])] for drug in corpus.mentions[i].split()]
+    uses = [(i, row_of[drug, split]) for i, s in enumerate(samples) for split in [split_of("sample", s.key)]
+            for drug in (s.cardiac_drug, s.other_drug) if (drug, split) in row_of]
+    A = sp.csr_matrix(_binary(uses, (len(samples), len(row_of))) @ _binary(mentions, (len(row_of), len(order))))
+    A.data[:] = 1.0  # an abstract mentioning both drugs counts 2
+    A.sort_indices()
+    return A, order
 
 
-def assign_abstracts_naive(
-    abstracts: Sequence[TokenizedAbstract], samples: Sequence[InteractionSample]
-) -> list[InteractionSample]:
-    """Diagnostic baseline: attach every mentioning abstract, ignoring splits.
-
-    This is the assignment rule a random per-sample split implies; it leaks
-    abstracts across split boundaries and exists to demonstrate that.
-    """
-    index: dict[str, set[str]] = {}
-    for ab in abstracts:
-        for drug in ab.drug_mentions:
-            index.setdefault(drug, set()).add(ab.id)
-    empty: set[str] = set()
-    return [
-        replace(s, abstract_ids=frozenset(index.get(s.cardiac_drug, empty) | index.get(s.other_drug, empty)))
-        for s in samples
-    ]
+def _binary(cells: list[tuple[int, int]], shape: tuple[int, int]) -> sp.csr_matrix:
+    return sp.csr_matrix((np.ones(len(cells)), tuple(zip(*cells)) or ((), ())), shape=shape)
 
 
 @dataclass
@@ -144,45 +129,29 @@ class LeakageReport:
 
     def render(self) -> str:
         lines = ["cross-split shared abstracts:"]
-        for (a, b), count in sorted(self.cross_split_shared.items()):
-            lines.append(f"  {a}/{b}\t{count}")
+        lines += [f"  {a}/{b}\t{count}" for (a, b), count in sorted(self.cross_split_shared.items())]
         lines.append("samples per split (with empty abstract sets):")
-        for split in SPLITS:
-            lines.append(
-                f"  {split}\t{self.sample_counts.get(split, 0)}\t{self.empty_samples.get(split, 0)}"
-            )
+        lines += [f"  {split}\t{self.sample_counts[split]}\t{self.empty_samples[split]}" for split in SPLITS]
         lines.append("abstracts per split:")
-        for split in SPLITS:
-            lines.append(f"  {split}\t{self.abstract_counts.get(split, 0)}")
+        lines += [f"  {split}\t{self.abstract_counts[split]}" for split in SPLITS]
         return "\n".join(lines) + "\n"
 
 
 def leakage_report(
-    assignment: SplitAssignment, samples: Sequence[InteractionSample]
+    assignment: SplitAssignment, samples: Sequence[InteractionSample], A: sp.csr_matrix
 ) -> LeakageReport:
-    """Count abstracts serving samples in more than one split.
-
-    The count is zero by construction for :func:`assign_abstracts` output and
-    positive for the naive baseline whenever an abstract's drugs span splits.
-    """
-    used_in: dict[str, set[str]] = {}
-    empty = {split: 0 for split in SPLITS}
-    sample_counts = {split: 0 for split in SPLITS}
-    for s in samples:
-        split = assignment.sample_split[s.key]
-        sample_counts[split] += 1
-        if not s.abstract_ids:
-            empty[split] += 1
-        for aid in s.abstract_ids:
-            used_in.setdefault(aid, set()).add(split)
-    shared: dict[tuple[str, str], int] = {}
-    for i, a in enumerate(SPLITS):
-        for b in SPLITS[i + 1 :]:
-            shared[(a, b)] = sum(1 for splits in used_in.values() if a in splits and b in splits)
-    abstract_counts = {split: 0 for split in SPLITS}
-    for split in assignment.abstract_split.values():
-        abstract_counts[split] += 1
-    return LeakageReport(shared, empty, sample_counts, abstract_counts)
+    """Count abstracts serving samples of more than one split, on the incidence ``A`` of :func:`incidence`."""
+    code = np.array([SPLITS.index(assignment.sample_split[s.key]) for s in samples], dtype=np.int64)
+    attached = np.diff(A.indptr)
+    used = np.zeros((len(SPLITS), A.shape[1]), dtype=np.int64)  # split x abstract: 1 if a sample of it uses it
+    used[np.repeat(code, attached), A.indices] = 1
+    shared, abstracts = used @ used.T, Counter(assignment.abstract_split.values())
+    return LeakageReport(
+        {(a, b): int(shared[i, j]) for (i, a), (j, b) in itertools.combinations(enumerate(SPLITS), 2)},
+        dict(zip(SPLITS, np.bincount(code[attached == 0], minlength=len(SPLITS)).tolist())),
+        dict(zip(SPLITS, np.bincount(code, minlength=len(SPLITS)).tolist())),
+        {split: abstracts[split] for split in SPLITS},
+    )
 
 
 def encode_assignment(assignment: SplitAssignment) -> artifacts.Encoded:
@@ -195,18 +164,15 @@ def encode_assignment(assignment: SplitAssignment) -> artifacts.Encoded:
 
 def load_assignment(path: Path | str) -> tuple[SplitAssignment, dict[str, str]]:
     """Read an assignment file; returns the assignment and its header fields."""
-    lines, header = artifacts.read(path)
-    abstract_split: dict[str, str] = {}
-    sample_split: dict[str, str] = {}
-    for line in lines:
-        parts = line.split("\t")
-        if len(parts) != 3 or parts[0] not in ("abstract", "sample") or parts[2] not in SPLITS:
-            raise ValidationError(f"{path}: bad assignment row {line!r}")
-        target = abstract_split if parts[0] == "abstract" else sample_split
-        target[parts[1]] = parts[2]
+    header = artifacts.read(path)[1]
+    splits: dict[str, dict[str, str]] = {"abstract": {}, "sample": {}}
+    for lineno, (kind, key, split) in artifacts.read_rows(path, 3):
+        if kind not in splits or split not in SPLITS:
+            raise ValidationError(f"{path}:{lineno}: bad assignment row {chr(9).join((kind, key, split))!r}")
+        splits[kind][key] = split
     try:
         seed = int(header["seed"])
         ratios = tuple(float(r) for r in header["ratios"].split())
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"{path}: missing or bad seed/ratios header") from exc
-    return SplitAssignment(abstract_split, sample_split, seed, _check_ratios(ratios)), header
+    return SplitAssignment(splits["abstract"], splits["sample"], seed, _check_ratios(ratios)), header

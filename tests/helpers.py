@@ -21,10 +21,11 @@ import scipy.sparse as sp
 from ddimine import artifacts
 from ddimine.errors import ValidationError
 from ddimine.features import FeatureMatrix, Vocabulary
-from ddimine.labeling import PLACEHOLDER
+from ddimine.labeling import PLACEHOLDER, InteractionSample
 from ddimine.learn import loss_gradient, loss_value
 from ddimine.mar_alerts import Administrations, Alerts
 from ddimine.pipeline import file_digest
+from ddimine.splitting import SPLITS, LeakageReport
 
 
 def save(path, encoded: artifacts.Encoded, header: dict[str, str] | None = None) -> None:
@@ -90,6 +91,51 @@ def alg1_assign_oracle(assignment, abstracts, samples) -> list[set[str]]:
                 ids.add(ab.id)
         out.append(ids)
     return out
+
+
+@dataclass(frozen=True)
+class AttachedSample(InteractionSample):
+    """A sample with the ids of its abstracts, as ``assigned_samples.tsv`` lists them."""
+
+    abstract_ids: frozenset[str] = frozenset()
+
+
+def incidence_of(samples, abstracts_by_id) -> tuple[sp.csr_matrix, list[tuple[str, ...]]]:
+    """The incidence of :class:`AttachedSample` rows, and the tokens behind its columns: their ids, sorted."""
+    ids = sorted({aid for s in samples for aid in s.abstract_ids})
+    column = {aid: j for j, aid in enumerate(ids)}
+    indices: list[int] = []
+    indptr = [0]
+    for s in samples:
+        for aid in sorted(s.abstract_ids):
+            if aid not in abstracts_by_id:
+                raise ValidationError(f"sample {s.key!r} references unknown abstract {aid!r}")
+            indices.append(column[aid])
+        indptr.append(len(indices))
+    A = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(samples), len(ids)))
+    return A, [abstracts_by_id[aid].tokens for aid in ids]
+
+
+def leakage_oracle(assignment, samples, attached) -> LeakageReport:
+    """Leakage counts by loops over each sample's set of abstract ids (``attached``, aligned with ``samples``)."""
+    used_in: dict[str, set[str]] = {}
+    empty = {split: 0 for split in SPLITS}
+    sample_counts = {split: 0 for split in SPLITS}
+    for s, ids in zip(samples, attached):
+        split = assignment.sample_split[s.key]
+        sample_counts[split] += 1
+        if not ids:
+            empty[split] += 1
+        for aid in ids:
+            used_in.setdefault(aid, set()).add(split)
+    shared = {}
+    for i, a in enumerate(SPLITS):
+        for b in SPLITS[i + 1 :]:
+            shared[(a, b)] = sum(1 for splits in used_in.values() if a in splits and b in splits)
+    abstract_counts = {split: 0 for split in SPLITS}
+    for split in assignment.abstract_split.values():
+        abstract_counts[split] += 1
+    return LeakageReport(shared, empty, sample_counts, abstract_counts)
 
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)

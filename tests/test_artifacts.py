@@ -16,12 +16,12 @@ from helpers import dense_matrix, save
 
 # every artifact a later stage reads: (artifact, producing stage, a reading stage)
 READS = [
-    ("tokenized.jsonl", "ingest", "filter"),
-    ("cardiac.jsonl", "filter", "split"),
-    ("cardiac.jsonl", "filter", "featurize"),
+    ("tokenized.tsv", "ingest", "filter"),
+    ("cardiac.tsv", "filter", "split"),
+    ("cardiac.tsv", "filter", "featurize"),
     ("samples.tsv", "label", "split"),
+    ("samples.tsv", "label", "featurize"),
     ("assignment.tsv", "split", "featurize"),
-    ("assigned_samples.tsv", "split", "featurize"),
     ("features_train.txt", "featurize", "train"),
     ("features_dev.txt", "featurize", "evaluate"),
     ("features_test.txt", "featurize", "evaluate"),
@@ -31,7 +31,7 @@ READS = [
 
 def test_stage_table_declares_every_read():
     declared = {(name, stage) for stage, spec in STAGES.items() for name in spec.reads}
-    diagnosis = ("cardiac.jsonl", "assignment.tsv", "assigned_samples.tsv", "samples.tsv")
+    diagnosis = ("cardiac.tsv", "assignment.tsv", "samples.tsv")
     expected = {(name, stage) for name, _, stage in READS} | {(name, "diagnose-split") for name in diagnosis}
     assert declared == expected
 

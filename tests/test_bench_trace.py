@@ -1,0 +1,40 @@
+"""The benchmark's tracer on the chain: the shapes its counters read still hold.
+
+``bench/spans.py`` counts tokens off the items that ``corpus.tokenize_abstracts``
+returns (their ``.tokens``) and nonzeros off ``result[0].X`` of
+``features.build_count_matrix``.  The tracer rebinds functions throughout the
+package, so it runs in a child interpreter, not in the test process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from spans import Tracer
+tracer = Tracer()
+tracer.install()
+from ddimine.config import load_config
+from ddimine.pipeline import run_all
+from ddimine.synth import SynthParams, write_dataset
+run_all(load_config(write_dataset(SynthParams(seed=7), sys.argv[2])["config"]))
+print(json.dumps(tracer.summary()["counts"]))
+"""
+
+
+def test_tracer_counts_tokens_and_nonzeros_on_mini(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ROOT / "bench"), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    counts = json.loads(child.stdout.splitlines()[-1])
+    assert counts["corpus.tokens"] > 0 and counts["features.nnz"] > 0
+    assert counts["features.rows_built"] > 0

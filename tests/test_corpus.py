@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from ddimine.corpus import (
     Abstract,
+    AbstractColumns,
     CorpusStats,
     DrugLexicon,
     TokenizedAbstract,
     corpus_stats,
+    encode_abstracts,
     filter_cardiac,
+    load_abstracts,
     load_corpus,
     match_drugs,
     parse_abstracts,
@@ -21,7 +24,7 @@ from ddimine.corpus import (
     tokenize_abstracts,
 )
 from ddimine.errors import CorpusParseError, ValidationError
-from helpers import match_oracle
+from helpers import match_oracle, save
 
 FIG1_SENTENCE = "Bumetanide and furosemide in heart failure."
 
@@ -273,18 +276,18 @@ class TestFilterCardiac:
     def test_mentioning_retained_and_empty_dropped(self, small_lexicon):
         keep = self._toka("K", {"furosemide"})
         drop = self._toka("D", set())
-        assert filter_cardiac([keep, drop], small_lexicon) == [keep]
+        assert filter_cardiac(AbstractColumns.of([keep, drop]), small_lexicon) == AbstractColumns.of([keep])
 
     def test_subset_and_idempotent(self, small_lexicon):
-        abstracts = [self._toka(f"A{i}", {"digoxin"} if i % 2 else set()) for i in range(10)]
+        abstracts = AbstractColumns.of([self._toka(f"A{i}", {"digoxin"} if i % 2 else set()) for i in range(10)])
         once = filter_cardiac(abstracts, small_lexicon)
-        assert set(a.id for a in once) <= set(a.id for a in abstracts)
+        assert set(once.ids) <= set(abstracts.ids) and len(once.ids) == 5
         assert filter_cardiac(once, small_lexicon) == once
 
 
 class TestCorpusStats:
     def test_empty(self):
-        assert corpus_stats([]) == CorpusStats(0, 0.0, 0, 0.0, 0.0, 0)
+        assert corpus_stats(AbstractColumns([], [], [])) == CorpusStats(0, 0.0, 0, 0.0, 0.0, 0)
 
     def test_hand_example(self):
         # multisets {a,a,b} and {b,c}: 5 tokens, 3 distinct overall,
@@ -293,7 +296,7 @@ class TestCorpusStats:
             TokenizedAbstract("1", ("a", "a", "b"), frozenset()),
             TokenizedAbstract("2", ("b", "c"), frozenset({"d1"})),
         ]
-        stats = corpus_stats(abstracts)
+        stats = corpus_stats(AbstractColumns.of(abstracts))
         assert stats.avg_words_per_abstract == 2.5
         assert stats.n_distinct_words == 3
         assert stats.avg_count_per_word == 5 / 4
@@ -301,7 +304,7 @@ class TestCorpusStats:
         assert stats.max_drugs_per_abstract == 1
 
     def test_render_mentions_reference_figures(self):
-        text = render_stats(corpus_stats([]))
+        text = render_stats(corpus_stats(AbstractColumns([], [], [])))
         assert "n_abstracts\t0" in text
         assert "# avg_words_per_abstract\t149.5" in text  # documented, not asserted
 
@@ -358,3 +361,49 @@ def test_tokenize_abstracts_deterministic(small_lexicon):
     assert first == second
     assert first[0].drug_mentions == {"furosemide", "bumetanide"}
     assert first[1].drug_mentions == {"digoxin"}
+
+
+class TestCorpusFile:
+    ABSTRACTS = [
+        TokenizedAbstract("id with spaces", ("dose", "x-ray"), frozenset({"digoxin", "aspirin"})),
+        TokenizedAbstract("# a: b", ("ünïcödé", "ω", "名前"), frozenset({"furosemide"})),
+        TokenizedAbstract("no mentions", ("plain", "words"), frozenset()),
+        TokenizedAbstract("no tokens", (), frozenset()),
+        TokenizedAbstract("12", ("1", "twelve"), frozenset({"bumetanide"})),
+    ]
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "cardiac.tsv"
+        corpus = AbstractColumns.of(self.ABSTRACTS)
+        assert corpus.mentions[0] == "aspirin digoxin"  # sorted
+        save(path, encode_abstracts(corpus, before=7), {"digest": "abc"})
+        body = path.read_text(encoding="utf-8").split("\n")
+        assert body[:4] == ["# ddimine tokenized-abstracts", "# digest: abc", "# before: 7", "# id\tmentions\ttokens"]
+        assert body[5] == "# a: b\tfurosemide\tünïcödé ω 名前"
+        assert load_abstracts(path) == corpus
+        split = [
+            TokenizedAbstract(aid, tuple(tokens.split()), frozenset(mentions.split()))
+            for aid, mentions, tokens in zip(corpus.ids, corpus.mentions, corpus.tokens)
+        ]
+        assert split == self.ABSTRACTS
+
+    def test_empty_corpus_round_trip(self, tmp_path):
+        save(tmp_path / "c.tsv", encode_abstracts(AbstractColumns([], [], [])), {"digest": "abc"})
+        assert load_abstracts(tmp_path / "c.tsv") == AbstractColumns([], [], [])
+
+    @pytest.mark.parametrize(
+        "body, lineno, message",
+        [
+            ("# id\tmentions\ttokens\na\tdigoxin\tx\nb\tdigoxin\n", 5, "expected 3 tab-separated fields, found 2"),
+            ("# id\tmentions\ttokens\na\t\tx\ty\n", 4, "expected 3 tab-separated fields, found 4"),
+            ("a\tdigoxin\tx\n", None, "the body does not start with the column line"),
+            ("", None, "the body does not start with the column line"),
+        ],
+        ids=["truncated", "extra-field", "no-column-line", "empty"],
+    )
+    def test_malformed_line_named(self, tmp_path, body, lineno, message):
+        path = tmp_path / "cardiac.tsv"
+        save(path, ("tokenized-abstracts", {}, body), {"digest": "abc"})
+        where = f"{path}:{lineno}" if lineno else str(path)
+        with pytest.raises(ValidationError, match=re.escape(f"{where}: {message}")):
+            load_abstracts(path)

@@ -24,8 +24,10 @@ from ddimine.features import (
     load_stopwords,
     undersample,
 )
-from ddimine.labeling import InteractionSample
-from helpers import count_vector, dense_matrix, embed_abstract, embed_sample, load_matrix_oracle, load_vocab, save
+from helpers import (
+    AttachedSample, count_vector, dense_matrix, embed_abstract, embed_sample, incidence_of, load_matrix_oracle,
+    load_vocab, save,
+)
 
 
 def toka(aid, tokens, mentions=()):
@@ -33,24 +35,26 @@ def toka(aid, tokens, mentions=()):
 
 
 def sample_with(ids, c="c1", o="o1", label=0):
-    return InteractionSample(c, o, label, None, frozenset(ids))
+    return AttachedSample(c, o, label, None, frozenset(ids))
+
+
+def tokens_of(abstracts):
+    return [ab.tokens for ab in abstracts]
 
 
 class TestBuildVocab:
     def test_tie_rule(self):
         # frequencies a:2 b:2 c:1; ties lexicographic -> ["a", "b"]
-        abstracts = [toka("1", ["a", "a", "b"]), toka("2", ["b", "c"])]
-        vocab = build_vocab(abstracts, top_k=2)
+        vocab = build_vocab([["a", "a", "b"], ("b", "c")], top_k=2)
         assert vocab.words == [("a", 2), ("b", 2)]
         assert vocab.index == {"a": 0, "b": 1}
 
     def test_top_k_zero(self):
-        vocab = build_vocab([toka("1", ["a"])], top_k=0)
+        vocab = build_vocab([["a"]], top_k=0)
         assert len(vocab) == 0
 
     def test_unlimited(self):
-        abstracts = [toka("1", ["z", "y", "y"])]
-        vocab = build_vocab(abstracts, top_k=None)
+        vocab = build_vocab([["z", "y", "y"]], top_k=None)
         assert vocab.words == [("y", 2), ("z", 1)]
 
     def test_empty_corpus(self):
@@ -61,7 +65,7 @@ class TestBuildVocab:
             build_vocab([], top_k=-1)
 
     def test_roundtrip(self, tmp_path):
-        vocab = build_vocab([toka("1", ["b", "a", "b"])])
+        vocab = build_vocab([["b", "a", "b"]])
         save(tmp_path / "v.tsv", encode_vocab(vocab))
         loaded = load_vocab(tmp_path / "v.tsv")
         assert loaded.words == vocab.words
@@ -70,24 +74,24 @@ class TestBuildVocab:
 
 class TestCountVector:
     def test_empty_abstract_set_zero_vector(self):
-        vocab = build_vocab([toka("1", ["dose"])])
+        vocab = build_vocab([["dose"]])
         vec = count_vector(sample_with([]), {}, vocab)
         assert vec.entries == {} and vec.dims == 1
 
     def test_direct_count(self):
         abstracts = {"a1": toka("a1", ["dose", "dose", "response"])}
-        vocab = build_vocab(abstracts.values())
+        vocab = build_vocab(tokens_of(abstracts.values()))
         vec = count_vector(sample_with(["a1"]), abstracts, vocab)
         assert vec.entries == {vocab.index["dose"]: 2, vocab.index["response"]: 1}
 
     def test_out_of_vocab_ignored(self):
         abstracts = {"a1": toka("a1", ["dose", "rare"])}
-        vocab = build_vocab([toka("t", ["dose"])])
+        vocab = build_vocab([["dose"]])
         vec = count_vector(sample_with(["a1"]), abstracts, vocab)
         assert vec.entries == {0: 1}
 
     def test_dangling_abstract_id(self):
-        vocab = build_vocab([toka("1", ["dose"])])
+        vocab = build_vocab([["dose"]])
         with pytest.raises(ValidationError, match="unknown abstract"):
             count_vector(sample_with(["ghost"]), {}, vocab)
 
@@ -99,7 +103,7 @@ class TestCountVector:
                 aid: toka(aid, [rng.choice(words) for _ in range(rng.randint(0, 40))])
                 for aid in ("a1", "a2")
             }
-            vocab = build_vocab(list(abstracts.values()), top_k=20)
+            vocab = build_vocab(tokens_of(abstracts.values()), top_k=20)
             both = count_vector(sample_with(["a1", "a2"]), abstracts, vocab)
             first = count_vector(sample_with(["a1"]), abstracts, vocab)
             second = count_vector(sample_with(["a2"]), abstracts, vocab)
@@ -202,13 +206,13 @@ class TestEmbeddings:
 class TestMatrixBuilders:
     def test_count_matrix_rows_in_sample_order(self):
         abstracts = {"a1": toka("a1", ["dose", "dose"]), "a2": toka("a2", ["response"])}
-        vocab = build_vocab(list(abstracts.values()))
+        vocab = build_vocab(tokens_of(abstracts.values()))
         samples = [
             sample_with(["a1"], c="c1", o="o1", label=1),
             sample_with(["a2"], c="c1", o="o2", label=0),
             sample_with([], c="c1", o="o3", label=0),
         ]
-        m, misses = build_count_matrix(samples, abstracts, vocab)
+        m, misses = build_count_matrix(samples, *incidence_of(samples, abstracts), vocab)
         assert misses == 0
         assert m.keys == ["c1|o1", "c1|o2", "c1|o3"]
         assert m.X.toarray().tolist() == [[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
@@ -216,9 +220,9 @@ class TestMatrixBuilders:
 
     def test_drop_empty(self):
         abstracts = {"a1": toka("a1", ["dose"])}
-        vocab = build_vocab(list(abstracts.values()))
+        vocab = build_vocab(tokens_of(abstracts.values()))
         samples = [sample_with(["a1"]), sample_with([], o="o2")]
-        m, _ = build_count_matrix(samples, abstracts, vocab, drop_empty=True)
+        m, _ = build_count_matrix(samples, *incidence_of(samples, abstracts), vocab, drop_empty=True)
         assert m.n_rows == 1
 
     @given(data=st.data())
@@ -230,7 +234,7 @@ class TestMatrixBuilders:
             f"a{i}": toka(f"a{i}", rng.choices(words, k=rng.randint(0, 25)))
             for i in range(data.draw(st.integers(0, 8)))
         }
-        vocab = build_vocab(list(abstracts.values()), data.draw(st.none() | st.integers(0, 12)))
+        vocab = build_vocab(tokens_of(abstracts.values()), data.draw(st.none() | st.integers(0, 12)))
         table = EmbeddingTable({w: np.array([rng.gauss(0, 1) for _ in range(3)]) for w in words[:11]})
         stop = set(rng.sample(words, 3))
         samples = [
@@ -240,9 +244,9 @@ class TestMatrixBuilders:
         drop_empty = data.draw(st.booleans())
         kept = [s for s in samples if s.abstract_ids or not drop_empty]
 
-        counts, _ = build_count_matrix(samples, abstracts, vocab, drop_empty)
+        counts, _ = build_count_matrix(samples, *incidence_of(samples, abstracts), vocab, drop_empty)
         columns, V = table.columns(stop)
-        embedded, misses = build_count_matrix(samples, abstracts, columns, drop_empty, V, stop)
+        embedded, misses = build_count_matrix(samples, *incidence_of(samples, abstracts), columns, drop_empty, V, stop)
         for m in (counts, embedded):
             assert m.keys == [s.key for s in kept]
             assert m.y.tolist() == [s.label for s in kept]
@@ -258,21 +262,27 @@ class TestMatrixBuilders:
             expected_misses += m
         assert misses == expected_misses
 
-        ghost = samples + [sample_with(sorted(abstracts)[:1] + ["ghost"], o="oz")]
-        message = re.escape("'c1|oz' references unknown abstract 'ghost'")
-        for build in (
-            lambda: build_count_matrix(ghost, abstracts, vocab, drop_empty),
-            lambda: build_count_matrix(ghost, abstracts, columns, drop_empty, V, stop),
-        ):
-            with pytest.raises(ValidationError, match=message):
-                build()
+        # a column no row references is dropped, and its tokens are never read
+        A, tokens = incidence_of(samples, abstracts)
+        padded = sp.csr_matrix((A.data, 2 * A.indices + 1, A.indptr), shape=(A.shape[0], 2 * A.shape[1] + 1))
+        unread = [None] * (2 * len(tokens) + 1)
+        unread[1::2] = tokens
+        again = (
+            build_count_matrix(samples, padded, unread, vocab, drop_empty)[0],
+            build_count_matrix(samples, padded, unread, columns, drop_empty, V, stop)[0],
+        )
+        for m, other in zip((counts, embedded), again):
+            for a, b in ((m.A, other.A), (m.parts, other.parts)):
+                assert a.shape == b.shape and (a != b).nnz == 0
 
     def test_embedding_matrix(self):
         table = EmbeddingTable({"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0]), "the": np.ones(2)})
         abstracts = {"a1": toka("a1", ["x", "y", "gone", "the", "and"])}
         samples = [sample_with(["a1"], label=1)]
         columns, V = table.columns({"the", "and"})
-        m, misses = build_count_matrix(samples, abstracts, columns, V=V, stopwords={"the", "and"})
+        m, misses = build_count_matrix(
+            samples, *incidence_of(samples, abstracts), columns, V=V, stopwords={"the", "and"}
+        )
         assert m.kind == "embeddings" and columns.index == {"x": 0, "y": 1}
         assert m.X.toarray().tolist() == [[1.0, 1.0]]
         assert misses == 1  # "gone"; a stopword is no miss
@@ -321,8 +331,9 @@ class TestUndersample:
 class TestMatrixPersistence:
     def test_sparse_roundtrip(self, tmp_path):
         abstracts = {"a1": toka("a1", ["dose", "dose", "response"])}
-        vocab = build_vocab(list(abstracts.values()))
-        m, _ = build_count_matrix([sample_with(["a1"], label=1), sample_with([], o="o2")], abstracts, vocab)
+        vocab = build_vocab(tokens_of(abstracts.values()))
+        samples = [sample_with(["a1"], label=1), sample_with([], o="o2")]
+        m, _ = build_count_matrix(samples, *incidence_of(samples, abstracts), vocab)
         save(tmp_path / "m.txt", encode_matrix(m), {"digest": "abc"})
         loaded, header = load_matrix(tmp_path / "m.txt")
         assert header["digest"] == "abc"
@@ -416,7 +427,7 @@ class TestMatrixPersistence:
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         words = [f"w{i}" for i in range(15)]
         abstracts = {f"a {i}": toka(f"a {i}", rng.choices(words, k=rng.randint(0, 25))) for i in range(10)}
-        vocab = build_vocab(list(abstracts.values()), 12)
+        vocab = build_vocab(tokens_of(abstracts.values()), 12)
         table = EmbeddingTable({w: np.array([rng.gauss(0, 1) for _ in range(3)]) for w in words[:11]})
         samples = [
             sample_with(rng.sample(sorted(abstracts), rng.randint(0, 4)), o=f"o{j}", label=int(j % 3 == 0))
@@ -424,8 +435,8 @@ class TestMatrixPersistence:
         ]
         columns, V = table.columns(set())
         for full in (
-            build_count_matrix(samples, abstracts, vocab)[0],
-            build_count_matrix(samples, abstracts, columns, False, V)[0],
+            build_count_matrix(samples, *incidence_of(samples, abstracts), vocab)[0],
+            build_count_matrix(samples, *incidence_of(samples, abstracts), columns, False, V)[0],
         ):
             kept = undersample(full, seed=rng.randint(0, 99))
             assert kept.parts.shape[0] == len(np.unique(kept.A.indices))  # no part left unreferenced

@@ -121,9 +121,9 @@ def test_edited_corpus_makes_featurize_refuse_its_input(mini, tmp_path, capsys):
     capsys.readouterr()
     assert main(["featurize", "--config", config]) == 2
     err = capsys.readouterr().err
-    assert "cardiac.jsonl is stale" in err and "rerun the 'filter' stage" in err
+    assert "cardiac.tsv is stale" in err and "rerun the 'filter' stage" in err
     assert main(["filter", "--config", config]) == 2
-    assert "tokenized.jsonl is stale" in capsys.readouterr().err
+    assert "tokenized.tsv is stale" in capsys.readouterr().err
     assert main(["all", "--config", config]) == 0
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,15 @@ class TestTemplateize:
         assert text == "(~drug~)-like but not aspirins."
         assert n == 1
 
+    def test_a_later_phrase_when_the_first_ends_inside_a_word(self):
+        lexicon = DrugLexicon({"d0": [("ab", "c"), ("ab",)], "d1": [("x",)]}, cardiac=())
+        assert templateize("AB cd, ab-c x", "d0", "d1", lexicon) == ("(~drug~) cd, (~drug~) (~drug~)", 3)
+        assert templateize("xab c", "d0", "d1", lexicon) == ("xab c", 0)
+
+    def test_word_chars_are_what_the_class_matches_ignoring_case(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert frozenset(re.findall("[0-9A-Za-z]", every, re.IGNORECASE)) == labeling._WORD_CHARS
+
     def test_idempotent_on_own_output(self):
         first, _ = templateize(
             "Digoxin raises Quinidine levels.", "digoxin", "quinidine", LEXICON
@@ -229,7 +239,7 @@ class TestTemplateize:
     @settings(max_examples=300, deadline=None)
     def test_per_drug_scan_equals_per_pair_alternation(self, data):
         # overlapping, multi-word, hyphenated phrases, some shared between drugs
-        tokens = st.sampled_from(["ab", "abc", "b", "bc", "c1", "x-y", "y"])
+        tokens = st.sampled_from(["ab", "abc", "b", "bc", "c1", "x-y", "y", "k", "s-t", "i"])
         phrase = st.lists(tokens, min_size=1, max_size=3).map(tuple)
         phrase_lists = data.draw(st.lists(st.lists(phrase, min_size=1, max_size=3), min_size=2, max_size=4))
         lexicon = DrugLexicon({f"d{i}": ps for i, ps in enumerate(phrase_lists)}, cardiac=())
@@ -241,7 +251,10 @@ class TestTemplateize:
             return st.tuples(seps, case).map(lambda t: t[1](p[0] + "".join(map(str.__add__, t[0], p[1:]))))
 
         mention = st.sampled_from([p for ps in phrase_lists for p in ps]).flatmap(rendered)
-        filler = st.sampled_from([" ", "-", ", ", "x", "9", "Ab", ".", " and ", "_"])
+        # with the letters that case-fold into [0-9A-Za-z]: Kelvin sign, long s, dotted and dotless i
+        filler = st.sampled_from(
+            [" ", "-", ", ", "x", "9", "Ab", ".", " and ", "_", "k", "K", "\u212a", "\u017f", "\u0130", "\u0131", "é"]
+        )
         description = "".join(data.draw(st.lists(st.one_of(mention, filler), min_size=1, max_size=12)))
         # catalog drugs missing from the lexicon contribute no phrases
         absent = [f"absent{i}" for i in range(data.draw(st.integers(0, 2)))]

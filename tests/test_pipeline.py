@@ -5,20 +5,21 @@ from pathlib import Path
 
 import pytest
 
-from ddimine import artifacts, features, pipeline
+from ddimine import artifacts, features, pipeline, splitting
 from ddimine.cli import _build_parser, main
 from ddimine.config import build_config, load_config
-from ddimine.corpus import DrugLexicon, TokenizedAbstract
+from ddimine.corpus import AbstractColumns, DrugLexicon, TokenizedAbstract
 from ddimine.errors import ArtifactMismatchError
 from ddimine.features import EmbeddingTable, load_matrix, load_stopwords
-from ddimine.labeling import InteractionCatalog, InteractionSample
+from ddimine.labeling import InteractionCatalog
 from ddimine.learn import load_model
 from ddimine.pipeline import (
     ARTIFACTS, STAGE_FUNCS, STAGE_ORDER, STAGES, file_digest, run_all, run_stage, stage_digests,
 )
 from ddimine.synth import SynthParams, write_dataset
 from helpers import (
-    artifact_digests, count_vector, embed_sample, load_matrix_oracle, load_vocab, save, templateize_oracle,
+    AttachedSample, artifact_digests, count_vector, embed_sample, load_matrix_oracle, load_vocab, save,
+    templateize_oracle,
 )
 
 
@@ -36,22 +37,24 @@ def produced_by(stage: str) -> list[str]:
 
 
 def read_abstracts(path) -> list[TokenizedAbstract]:
-    recs = map(json.loads, data_lines(path))
-    return [TokenizedAbstract(r["id"], tuple(r["tokens"]), frozenset(r["mentions"])) for r in recs]
+    """The lines after the column line of a corpus file, each ``id TAB mentions TAB tokens``."""
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    rows = (line.split("\t") for line in lines[lines.index("# id\tmentions\ttokens") + 1 :])
+    return [TokenizedAbstract(aid, tuple(tokens.split()), frozenset(drugs.split())) for aid, drugs, tokens in rows]
 
 
-def read_samples(path) -> list[InteractionSample]:
+def read_samples(path) -> list[AttachedSample]:
     samples = []
     for line in data_lines(path):
         cardiac, other, label, tid, *ids = line.split("\t")
         ids = frozenset() if ids in ([], ["-"]) else frozenset(ids[0].split(","))
-        samples.append(InteractionSample(cardiac, other, int(label), None if tid == "-" else int(tid), ids))
+        samples.append(AttachedSample(cardiac, other, int(label), None if tid == "-" else int(tid), ids))
     return samples
 
 
 # artifact -> an independent decoder, for calling stage functions on in-memory inputs
 DECODE = {
-    "cardiac.jsonl": read_abstracts,
+    "cardiac.tsv": lambda path: AbstractColumns.of(read_abstracts(path)),
     "samples.tsv": read_samples,
     "features_train.txt": lambda path: load_matrix(path)[0],
     "features_dev.txt": lambda path: load_matrix(path)[0],
@@ -114,7 +117,7 @@ def test_templates_match_per_pair_oracle(mini):
 def test_train_rows_match_count_vector_oracle(mini):
     out = mini[1]["counts"][0]
     vocab = load_vocab(out / "vocab.tsv")
-    abstracts = {ab.id: ab for ab in read_abstracts(out / "cardiac.jsonl")}
+    abstracts = {ab.id: ab for ab in read_abstracts(out / "cardiac.tsv")}
     samples = {s.key: s for s in read_samples(out / "assigned_samples.tsv")}
     train = load_matrix_oracle(out / "features_train.txt")
     assert train.keys
@@ -130,7 +133,7 @@ def test_embedding_train_rows_and_misses_match_embed_sample_oracle(mini):
     paths, outputs = mini
     out = outputs["embeddings"][0]
     table, stop = EmbeddingTable.load(paths["embeddings"]), load_stopwords(paths["stopwords"])
-    abstracts = {ab.id: ab for ab in read_abstracts(out / "cardiac.jsonl")}
+    abstracts = {ab.id: ab for ab in read_abstracts(out / "cardiac.tsv")}
     samples = {s.key: s for s in read_samples(out / "assigned_samples.tsv")}
     train = load_matrix_oracle(out / "features_train.txt")
     assert train.keys and train.kind == "embeddings"
@@ -252,14 +255,14 @@ def test_ingest_reads_a_directory_corpus(tmp_path):
     config.write_text(json.dumps(raw), encoding="utf-8")
     cfg = load_config(config)
     run_stage(cfg, "ingest")
-    body, header = artifacts.read(cfg.output / "tokenized.jsonl")
-    assert list(body) == list(artifacts.read(tmp_path / "out" / "tokenized.jsonl")[0])
+    body, header = artifacts.read(cfg.output / "tokenized.tsv")
+    assert list(body) == list(artifacts.read(tmp_path / "out" / "tokenized.tsv")[0])
     assert header["digest"] == stage_digests(cfg)("ingest")
     (members / ".notes").write_text("not read by ingest\n", encoding="utf-8")
-    run_stage(cfg, "filter")  # a hidden file is no member: tokenized.jsonl stays fresh
+    run_stage(cfg, "filter")  # a hidden file is no member: tokenized.tsv stays fresh
     with open(members / "part2.txt", "a", encoding="utf-8") as fh:
         fh.write(lines[0].replace("\t", "x\t", 1))
-    with pytest.raises(ArtifactMismatchError, match="tokenized.jsonl.*rerun the 'ingest' stage"):
+    with pytest.raises(ArtifactMismatchError, match="tokenized.tsv.*rerun the 'ingest' stage"):
         run_stage(cfg, "filter")
 
 
@@ -281,6 +284,60 @@ def test_failed_featurize_writes_nothing(tmp_path, capsys):
     assert [name for name in produced_by("featurize") if (out / name).exists()] == []
     assert not (out / "manifests" / "featurize.json").exists()
     assert not list(out.glob(".*"))  # no temp file either
+
+
+def copy_counts_run(mini, tmp_path) -> tuple[str, Path]:
+    """The ``mini`` counts run's config and a copy of its outputs."""
+    shutil.copytree(mini[1]["counts"][0], tmp_path / "out")
+    return str(mini[0]["config"].parent / "config_counts.json"), tmp_path / "out"
+
+
+def test_leftover_json_corpus_files_are_never_read(mini, tmp_path):
+    config, out = copy_counts_run(mini, tmp_path)
+    for name in ("tokenized.jsonl", "cardiac.jsonl"):  # the corpus files' former names and format
+        (out / name).write_text("# ddimine tokenized-abstracts\n{not json\n", encoding="utf-8")
+    for stage in ("filter", "split", "featurize", "diagnose-split"):
+        assert main([stage, "--config", config, "--output", str(out)]) == 0
+    for name in ("tokenized.jsonl", "cardiac.jsonl"):
+        (out / name).unlink()
+    digests = artifact_digests(out)
+    assert digests.pop("diagnose_split.txt") and digests == artifact_digests(mini[1]["counts"][0])
+
+
+def test_a_planted_cross_split_abstract_makes_split_exit_2_and_write_nothing(mini, tmp_path, capsys, monkeypatch):
+    config, out = copy_counts_run(mini, tmp_path)
+    for name in [*produced_by("split"), "manifests/split.json"]:
+        (out / name).unlink()
+    isolated = splitting.incidence
+    # an incidence blind to the split attaches abstracts across it
+    monkeypatch.setattr(splitting, "incidence", lambda kept, samples, assignment=None: isolated(kept, samples))
+    capsys.readouterr()
+    assert main(["split", "--config", config, "--output", str(out)]) == 2
+    assert "cross-split abstract sharing detected" in capsys.readouterr().err
+    assert [name for name in [*produced_by("split"), "manifests/split.json"] if (out / name).exists()] == []
+    assert not list(out.glob(".*"))  # no temp file either
+
+
+@pytest.mark.parametrize(
+    "name, field, value, message",
+    [
+        ("samples.tsv", 2, "x", "bad label 'x' or template id"),
+        ("samples.tsv", 3, "1.5", "bad label"),
+        ("samples.tsv", 3, None, "expected 4 tab-separated fields, found 3"),
+        ("cardiac.tsv", 2, None, "expected 3 tab-separated fields, found 2"),
+    ],
+    ids=["label", "template-id", "samples-truncated", "corpus-truncated"],
+)
+def test_a_malformed_row_exits_2_naming_its_line(mini, tmp_path, capsys, name, field, value, message):
+    config, out = copy_counts_run(mini, tmp_path)
+    lines = (out / name).read_text(encoding="utf-8").split("\n")
+    fields = lines[-2].split("\t")  # the last row: its field set to value, or it and those after dropped
+    lines[-2] = "\t".join(fields[:field] if value is None else [*fields[:field], value, *fields[field + 1 :]])
+    (out / name).write_text("\n".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["split", "--config", config, "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{out / name}:{len(lines) - 1}: {message}" in err[0]
 
 
 def test_ingest_rejects_an_id_the_samples_column_cannot_hold(tmp_path, capsys):
@@ -353,7 +410,7 @@ def test_diagnose_split_cli(tmp_path, capsys):
     capsys.readouterr()
     assert main(["diagnose-split", "--config", config]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "missing artifact 'cardiac.jsonl'" in err[0]
+    assert len(err) == 1 and "missing artifact 'cardiac.tsv'" in err[0]
 
     for stage in ("filter", "label", "split"):
         assert main([stage, "--config", config]) == 0
