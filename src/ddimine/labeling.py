@@ -128,12 +128,14 @@ def label_pair(d_cardiac: str, d_other: str, catalog: InteractionCatalog) -> int
 
 
 def enumerate_samples(
-    cardiac: set[str], universe: set[str], catalog: InteractionCatalog
+    cardiac: set[str], universe: set[str], catalog: InteractionCatalog, by_pair: dict[tuple[str, str], int]
 ) -> list[InteractionSample]:
-    """One sample per (cardiac, other) pair over the universe.
+    """One sample per (cardiac, other) pair over the universe, with its template id from ``by_pair``.
 
-    A pair of two cardiac drugs appears once, with the lexicographically
-    smaller drug in the cardiac slot.  Output order is sorted and stable.
+    ``by_pair`` maps canonical catalog pairs to template ids
+    (``TemplateTable.by_pair``), so only a positive sample can carry one.  A
+    pair of two cardiac drugs appears once, with the lexicographically smaller
+    drug in the cardiac slot.  Output order is sorted and stable.
     """
     samples = []
     for d_c in sorted(cardiac):
@@ -142,7 +144,7 @@ def enumerate_samples(
                 continue
             if d_o in cardiac and not d_c < d_o:
                 continue  # cardiac-cardiac pair already emitted from the other side
-            samples.append(InteractionSample(d_c, d_o, label_pair(d_c, d_o, catalog)))
+            samples.append(InteractionSample(d_c, d_o, label_pair(d_c, d_o, catalog), by_pair.get(pair_key(d_c, d_o))))
     return samples
 
 
@@ -252,19 +254,6 @@ def extract_templates(catalog: InteractionCatalog, lexicon: DrugLexicon) -> Temp
         support[tid] = support.get(tid, 0) + 1
     templates = [InteractionTemplate(tid, text) for text, tid in ids.items()]
     return TemplateTable(templates, by_pair, support, warnings)
-
-
-def annotate_template_ids(
-    samples: list[InteractionSample], table: TemplateTable
-) -> list[InteractionSample]:
-    """Fill template_id on positive samples whose pair has a template."""
-    out = []
-    for s in samples:
-        tid = table.by_pair.get(pair_key(s.cardiac_drug, s.other_drug))
-        if s.label == 1 and tid is not None:
-            s = InteractionSample(s.cardiac_drug, s.other_drug, s.label, tid)
-        out.append(s)
-    return out
 
 
 def positive_tallies(samples: list[InteractionSample]) -> dict[str, int]:

@@ -10,6 +10,10 @@ conditions over the weights and the bias, divided by lambda (absolute at
 lambda = 0).  A fit is ``converged`` when that residual is at most
 ``ModelSection.tolerance``; both figures are kept in ``TrainingMeta``.
 
+A train stage builds its design once (:func:`design`): the matrix is checked,
+and its columns standardized when set, there and nowhere else.  The lambda
+grid, every CV fold and the final fit all read that one design.
+
 * Logistic loss uses a working-set solver.  Each outer step computes the full
   gradient and stops once the residual meets the tolerance.  Otherwise the
   working set becomes the support plus the worst violators, at most
@@ -21,9 +25,10 @@ lambda = 0).  A fit is ``converged`` when that residual is at most
   along its pseudo-gradient is dropped and the system solved again without it
   (the reduced free set of projected Newton methods, Bertsekas 1982), so each
   step is the Newton step on the face it keeps and the line search seldom
-  halves it.  Each CV fold, and the final fit, transposes its design once for
-  all the fits on it.  After CV the final fit starts from the mean of the fold
-  fits at the chosen lambda, a few steps from its optimum.
+  halves it.  Each CV fold transposes its rows of the design once for all the
+  fits on it, and the final fit the whole design.  After CV the final fit
+  starts from the mean of the fold fits at the chosen lambda, a few steps from
+  its optimum.
 * Hinge loss is the exact L1-SVM linear program (Zhu et al. 2003), solved by
   HiGHS; the residual is read off the program's duals.
 
@@ -163,61 +168,33 @@ def _initial_bias(y: np.ndarray) -> float:
     return float(np.log(ybar) - np.log1p(-ybar))
 
 
-def _check_matrix(matrix: FeatureMatrix) -> tuple:
-    X, y = matrix.X, np.asarray(matrix.y, dtype=float)
+class Design(NamedTuple):
+    """The training design: X, its columns divided by ``scale`` when standardizing, and y as float."""
+
+    X: sp.csr_matrix
+    y: np.ndarray
+    scale: np.ndarray | None
+
+
+def design(matrix: FeatureMatrix, standardize: bool) -> Design:
+    """Check the training matrix and build its design, once per train stage.
+
+    A matrix with no columns, a single class or a non-finite value is refused.
+    The scale comes from the whole matrix, so the lambda grid, every CV fold
+    and the final fit all see the same columns.
+    """
+    X = matrix.X
     if matrix.dims < 1:
         raise ValidationError("feature matrix has no columns")
     if len(np.unique(matrix.y)) < 2:
         raise ValidationError("training data contains a single class")
     if not np.all(np.isfinite(X.data)):
         raise ValidationError("feature matrix contains non-finite values")
-    return X, y
-
-
-def _design(matrix: FeatureMatrix, standardize: bool) -> tuple:
-    """(X, y, scale): the checked design, columns divided by ``scale`` when standardizing.
-
-    The scale comes from the whole matrix, so the lambda grid, every CV fold
-    and the final fit all see the same columns.
-    """
-    X, y = _check_matrix(matrix)
+    y = np.asarray(matrix.y, dtype=float)
     if not standardize:
-        return X, y, None
+        return Design(X, y, None)
     scale = _column_scale(X)
-    return _apply_scale(X, scale), y, scale
-
-
-def lambda_max(matrix: FeatureMatrix, standardize: bool = False) -> float:
-    """Smallest L1 penalty at which the all-zero weight vector is optimal.
-
-    For logistic loss with the bias at its zero-weights optimum logit(mean(y)),
-    this is max_j |(1/n) sum_i x_ij (y_i - mean(y))|, on the standardized
-    columns when ``standardize`` is set.  Training at ``lam >= lambda_max``
-    yields exactly zero weights.
-    """
-    X, y, _ = _design(matrix, standardize)
-    b0 = _initial_bias(y)
-    s = np.full(len(y), b0, dtype=float)
-    gw, _ = loss_gradient("logistic", X, y, s)
-    gw = np.asarray(gw).ravel()
-    return float(np.max(np.abs(gw)))
-
-
-def train(
-    matrix: FeatureMatrix, config: ModelSection, seed: int, w0: np.ndarray | None = None, b0: float | None = None
-) -> LinearModel:
-    """Fit a linear model to a certified optimum (see the module docstring); ``seed`` is only recorded.
-
-    A logistic fit starts from (w0, b0) when given, with w0 on the design's
-    (standardized, when set) columns, as ``CvResult.w_start`` is.
-    """
-    X, y, scale = _design(matrix, config.standardize)
-    fit = _fit(X, X.T.tocsr(), y, config, w0, b0)
-    w = fit.w if scale is None else fit.w / scale
-    meta = TrainingMeta(
-        fit.iterations, fit.objective, seed, config.standardize, fit.kkt_rel, fit.converged
-    )
-    return LinearModel(w, fit.b, config.loss, config.l1_lambda, meta)
+    return Design((X @ sp.diags(1.0 / scale)).tocsr(), y, scale)
 
 
 def _column_scale(X: sp.csr_matrix) -> np.ndarray:
@@ -228,8 +205,32 @@ def _column_scale(X: sp.csr_matrix) -> np.ndarray:
     std[std == 0.0] = 1.0
     return std
 
-def _apply_scale(X: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
-    return (X @ sp.diags(1.0 / scale)).tocsr()
+
+def lambda_max(d: Design) -> float:
+    """Smallest L1 penalty at which the all-zero weight vector is optimal.
+
+    For logistic loss with the bias at its zero-weights optimum logit(mean(y)),
+    this is max_j |(1/n) sum_i x_ij (y_i - mean(y))| on the design's columns.
+    Training at ``lam >= lambda_max`` yields exactly zero weights.
+    """
+    s = np.full(len(d.y), _initial_bias(d.y), dtype=float)
+    gw, _ = loss_gradient("logistic", d.X, d.y, s)
+    return float(np.max(np.abs(np.asarray(gw).ravel())))
+
+
+def train(
+    d: Design, config: ModelSection, seed: int, w0: np.ndarray | None = None, b0: float | None = None
+) -> LinearModel:
+    """Fit a linear model on the design, to a certified optimum (module docstring); ``seed`` is only recorded.
+
+    A logistic fit starts from (w0, b0) when given, with w0 on the design's
+    columns, as ``CvResult.w_start`` is.  The weights are returned on the
+    matrix's own columns.
+    """
+    fit = _fit(d.X, d.X.T.tocsr(), d.y, config, w0, b0)
+    w = fit.w if d.scale is None else fit.w / d.scale
+    meta = TrainingMeta(fit.iterations, fit.objective, seed, d.scale is not None, fit.kkt_rel, fit.converged)
+    return LinearModel(w, fit.b, config.loss, config.l1_lambda, meta)
 
 
 def _fit(
@@ -426,13 +427,13 @@ class CvResult:
 
 
 def cross_validate(
-    matrix: FeatureMatrix,
+    d: Design,
     grid: Sequence[float],
     k: int,
     config: ModelSection,
     seed: int,
 ) -> CvResult:
-    """Stratified k-fold AUC sweep over an L1 grid; folds cut within this matrix.
+    """Stratified k-fold AUC sweep over an L1 grid; folds cut within the design's rows.
 
     ``grid`` and ``k`` are as :class:`~ddimine.config.CvSection` checks them:
     positive lambdas, and at least 2 folds.
@@ -446,16 +447,17 @@ def cross_validate(
     more points is kept with a warning: the grid does not bracket it.
 
     The fold fits at the chosen lambda are averaged into ``w_start`` and
-    ``b_start``, a start near the full-data optimum for the final fit.
+    ``b_start``, on the design's columns: a start near the full-data optimum
+    for the final fit on the same design.
     """
-    X, y, _ = _design(matrix, config.standardize)
-    if matrix.n_rows < k:
-        raise ValidationError(f"cannot cut {k} folds from {matrix.n_rows} rows")
+    X, y = d.X, d.y
+    if len(y) < k:
+        raise ValidationError(f"cannot cut {k} folds from {len(y)} rows")
     grid = tuple(sorted(set(float(g) for g in grid), reverse=True))
 
     rng = Rng(seed).derive(_CV_STREAM)
-    pos = [int(i) for i in np.flatnonzero(matrix.y == 1)]
-    neg = [int(i) for i in np.flatnonzero(matrix.y == 0)]
+    pos = [int(i) for i in np.flatnonzero(y == 1)]
+    neg = [int(i) for i in np.flatnonzero(y == 0)]
     rng.shuffle(pos)
     rng.shuffle(neg)
     folds: list[list[int]] = [[] for _ in range(k)]
@@ -470,8 +472,8 @@ def cross_validate(
     w_sum, b_sum, fitted = np.zeros((len(grid), X.shape[1])), np.zeros(len(grid)), 0
     for fold_i, held in enumerate(folds):
         held_arr = np.sort(np.array(held, dtype=np.int64))
-        train_arr = np.setdiff1d(np.arange(matrix.n_rows, dtype=np.int64), held_arr)
-        y_tr, y_ho = y[train_arr], matrix.y[held_arr]
+        train_arr = np.setdiff1d(np.arange(len(y), dtype=np.int64), held_arr)
+        y_tr, y_ho = y[train_arr], y[held_arr]
         if len(np.unique(y_ho)) < 2:
             warnings.append(f"fold {fold_i}: held-out part has a single class; AUC undefined")
             continue
@@ -496,7 +498,7 @@ def cross_validate(
                 )
             scores = np.asarray(X_ho @ fit.w).ravel() + fit.b
             fold_auc[gi, fold_i] = roc_curve(scores, y_ho).auc
-            fold_loss[gi, fold_i] = loss_value(config.loss, scores, y[held_arr])
+            fold_loss[gi, fold_i] = loss_value(config.loss, scores, y_ho)
         del X_tr, X_ho, Xt_tr  # free this fold's copies before the next fold builds its own
     mean_auc, mean_loss = (
         np.array([np.nan if np.all(np.isnan(row)) else float(np.nanmean(row)) for row in table])
@@ -517,11 +519,9 @@ def cross_validate(
     )
 
 
-def default_lambda_grid(
-    matrix: FeatureMatrix, n_points: int = 7, decades: float = 3.0, standardize: bool = False
-) -> list[float]:
+def default_lambda_grid(d: Design, n_points: int = 7, decades: float = 3.0) -> list[float]:
     """Log-spaced grid from lambda_max down, the usual L1 path."""
-    lmax = lambda_max(matrix, standardize)
+    lmax = lambda_max(d)
     if lmax <= 0:
         raise ValidationError("lambda_max is zero; features carry no label signal")
     return [float(lmax * 10 ** (-decades * i / (n_points - 1))) for i in range(n_points)]

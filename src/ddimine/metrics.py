@@ -92,16 +92,14 @@ def roc_curve(scores, labels) -> RocCurve:
     cum_tp = np.cumsum(pos_sorted)
     cum_fp = np.cumsum(1 - pos_sorted)
     # last index of each tied-score group
-    boundary = np.flatnonzero(np.diff(s_sorted) != 0.0)
-    group_ends = np.concatenate([boundary, [len(s_sorted) - 1]])
-    thresholds = [math.inf]
-    points = [(0.0, 0.0)]
-    for idx in group_ends:
-        thresholds.append(float(s_sorted[idx]))
-        points.append((float(cum_fp[idx]) / n_neg, float(cum_tp[idx]) / n_pos))
-    auc = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        auc += (x1 - x0) * (y0 + y1) / 2.0
+    group_ends = np.append(np.flatnonzero(np.diff(s_sorted) != 0.0), len(s_sorted) - 1)
+    fpr = np.append(0.0, cum_fp[group_ends] / n_neg)
+    tpr = np.append(0.0, cum_tp[group_ends] / n_pos)
+    # summed in order, as a loop over the points would: np.sum's pairwise order would change the last bits
+    auc = float(np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1])
+    # lists of Python floats, whose repr the curve files print
+    thresholds = [math.inf] + s_sorted[group_ends].tolist()
+    points = list(zip(fpr.tolist(), tpr.tolist()))
     return RocCurve(thresholds, points, auc)
 
 

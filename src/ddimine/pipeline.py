@@ -173,9 +173,8 @@ def stage_label(cfg: PipelineConfig) -> Outputs:
     lexicon = corpus_mod.DrugLexicon.load(cfg.lexicon)
     catalog = labeling_mod.InteractionCatalog.load(cfg.catalog)
     universe = labeling_mod.build_universe(set(lexicon.cardiac), catalog)
-    samples = labeling_mod.enumerate_samples(set(lexicon.cardiac), universe, catalog)
     table = labeling_mod.extract_templates(catalog, lexicon)
-    samples = labeling_mod.annotate_template_ids(samples, table)
+    samples = labeling_mod.enumerate_samples(set(lexicon.cardiac), universe, catalog, table.by_pair)
 
     lines = ["# template_id\ttext\tsupport"]
     lines += [f"{tpl.template_id}\t{tpl.text}\t{table.support.get(tpl.template_id, 0)}" for tpl in table.templates]
@@ -265,14 +264,15 @@ def stage_train(cfg: PipelineConfig, matrix) -> Outputs:
     """Cross-validate the L1 penalty by held-out AUC, then fit the final model from the CV fits."""
     model_cfg = cfg.model
     w0 = b0 = None
+    design = learn_mod.design(matrix, model_cfg.standardize)  # the grid, every CV fold and the final fit share it
 
     def fmt_number(value: float) -> str:
         return "N/A" if math.isnan(value) else repr(float(value))
 
     cv_lines = ["# lambda\tmean_auc\tmean_loss\t" + "\t".join(f"fold{i}" for i in range(cfg.cv.k))]
     if cfg.cv_enabled():
-        grid = cfg.cv.grid or learn_mod.default_lambda_grid(matrix, standardize=cfg.model.standardize)
-        result = learn_mod.cross_validate(matrix, grid, cfg.cv.k, model_cfg, cfg.seed)
+        grid = cfg.cv.grid or learn_mod.default_lambda_grid(design)
+        result = learn_mod.cross_validate(design, grid, cfg.cv.k, model_cfg, cfg.seed)
         for gi, lam in enumerate(result.lambda_grid):
             folds = "\t".join(fmt_number(result.fold_auc[gi, i]) for i in range(result.fold_auc.shape[1]))
             cv_lines.append(
@@ -284,7 +284,7 @@ def stage_train(cfg: PipelineConfig, matrix) -> Outputs:
         w0, b0 = result.w_start, result.b_start
     else:
         cv_lines.append("# cross-validation disabled")
-    model = learn_mod.train(matrix, model_cfg, cfg.seed, w0, b0)
+    model = learn_mod.train(design, model_cfg, cfg.seed, w0, b0)
     return {
         "cv_results.tsv": ("cv-results", {}, "\n".join(cv_lines) + "\n"),
         "model.txt": learn_mod.encode_model(model),

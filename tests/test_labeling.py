@@ -120,15 +120,24 @@ class TestLabelPair:
 class TestEnumerateSamples:
     def test_single_cardiac(self):
         cat = catalog_of(("A", "B"))
-        samples = enumerate_samples({"A"}, {"A", "B", "C"}, cat)
+        samples = enumerate_samples({"A"}, {"A", "B", "C"}, cat, {})
         assert [(s.cardiac_drug, s.other_drug, s.label) for s in samples] == [
             ("A", "B", 1),
             ("A", "C", 0),
         ]
 
+    def test_template_ids_come_from_the_table_by_canonical_pair(self):
+        cat = InteractionCatalog([("B", "A", "B with A"), ("A", "C", "A with C")])
+        samples = enumerate_samples({"A"}, {"A", "B", "C", "D"}, cat, {("A", "B"): 3})
+        assert [(s.other_drug, s.label, s.template_id) for s in samples] == [
+            ("B", 1, 3),  # the catalog lists (B, A); the table keys it as (A, B)
+            ("C", 1, None),  # its description kept no template
+            ("D", 0, None),
+        ]
+
     def test_cardiac_cardiac_pair_once(self):
         cat = catalog_of(("A", "B"))
-        samples = enumerate_samples({"A", "B"}, {"A", "B"}, cat)
+        samples = enumerate_samples({"A", "B"}, {"A", "B"}, cat, {})
         assert len(samples) == 1
         assert (samples[0].cardiac_drug, samples[0].other_drug) == ("A", "B")
 
@@ -144,7 +153,7 @@ class TestEnumerateSamples:
                     pairs.add((a, b))
             cat = catalog_of(*pairs)
             universe = build_universe(cardiac, cat)
-            samples = enumerate_samples(cardiac, universe, cat)
+            samples = enumerate_samples(cardiac, universe, cat, {})
 
             # brute-force: distinct pairs {c, o} with c cardiac, o in universe
             expected_pairs = set()
@@ -165,7 +174,7 @@ class TestEnumerateSamples:
 
     def test_positive_tallies(self):
         cat = catalog_of(("A", "B"), ("A", "C"))
-        samples = enumerate_samples({"A", "B"}, build_universe({"A", "B"}, cat), cat)
+        samples = enumerate_samples({"A", "B"}, build_universe({"A", "B"}, cat), cat, {})
         tallies = positive_tallies(samples)
         assert tallies["positives_unordered"] == 2
         assert tallies["cardiac_cardiac_positives"] == 1

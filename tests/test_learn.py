@@ -17,6 +17,7 @@ from ddimine.learn import (
     _logistic_change,
     cross_validate,
     default_lambda_grid,
+    design,
     encode_model,
     lambda_max,
     load_model,
@@ -57,8 +58,9 @@ MATRICES = {
 @pytest.mark.parametrize("fraction", [0.5, 0.1, 0.01, 0.001])
 def test_logistic_kkt_and_objective_match_reference(kind, fraction):
     matrix = MATRICES[kind]()
-    lam = fraction * lambda_max(matrix)
-    model = train(matrix, ModelSection(l1_lambda=lam, tolerance=1e-8), seed=0)
+    d = design(matrix, False)
+    lam = fraction * lambda_max(d)
+    model = train(d, ModelSection(l1_lambda=lam, tolerance=1e-8), seed=0)
     assert model.meta.converged
     assert model.meta.kkt_rel <= 1e-8
     assert l1_kkt_residual(matrix.X, matrix.y, model.weights, model.bias, lam) <= 1e-8 * lam
@@ -70,7 +72,8 @@ def test_logistic_kkt_and_objective_match_reference(kind, fraction):
 
 def test_factorisation_failure_falls_back_to_least_squares(monkeypatch):
     matrix = count_matrix(3)  # both duplicate columns enter the model at this lambda
-    lam = 0.01 * lambda_max(matrix)
+    d = design(matrix, False)
+    lam = 0.01 * lambda_max(d)
     _, _, best = l1_logistic_reference(matrix.X, matrix.y, lam)
     calls = []
 
@@ -80,7 +83,7 @@ def test_factorisation_failure_falls_back_to_least_squares(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     config = ModelSection(l1_lambda=lam, tolerance=1e-8)
-    model = train(matrix, config, seed=0)
+    model = train(d, config, seed=0)
     monkeypatch.undo()
     assert len(calls) >= model.meta.iterations > 0  # at least one solve per Newton step tried
     assert model.weights[4] != 0 and model.weights[5] != 0
@@ -105,7 +108,7 @@ def pooled_counts(seed: int, n: int = 120, d: int = 40, k: int = 5) -> FeatureMa
 def test_newton_steps_rarely_need_halving(monkeypatch):
     # a step that moves a zero weight along its pseudo-gradient is re-solved
     # without it, not cut short: the step is a Newton step on the face it keeps
-    matrix = pooled_counts(1)
+    d = design(pooled_counts(1), False)
     evaluations, steps = [], []
     change, fit = learn._logistic_change, learn._fit
 
@@ -120,7 +123,7 @@ def test_newton_steps_rarely_need_halving(monkeypatch):
 
     monkeypatch.setattr(learn, "_logistic_change", counting_change)
     monkeypatch.setattr(learn, "_fit", counting_fit)
-    cv = cross_validate(matrix, default_lambda_grid(matrix), 3, ModelSection(), seed=0)
+    cv = cross_validate(d, default_lambda_grid(d), 3, ModelSection(), seed=0)
     assert cv.mean_auc[-1] == 1.0  # nearly separable
     assert len(steps) == 21 and sum(steps) > 0
     assert len(evaluations) <= 1.5 * sum(steps)
@@ -128,12 +131,12 @@ def test_newton_steps_rarely_need_halving(monkeypatch):
 
 @pytest.mark.parametrize("standardize", [False, True])
 def test_warm_start_from_cv_fits_reaches_the_cold_optimum(standardize):
-    matrix = pooled_counts(1)
+    d = design(pooled_counts(1), standardize)
     config = ModelSection(tolerance=1e-8, standardize=standardize)
-    cv = cross_validate(matrix, default_lambda_grid(matrix, standardize=standardize), 3, config, seed=0)
+    cv = cross_validate(d, default_lambda_grid(d), 3, config, seed=0)
     config = replace(config, l1_lambda=cv.best_lambda)
-    cold = train(matrix, config, seed=0)
-    warm = train(matrix, config, seed=0, w0=cv.w_start, b0=cv.b_start)
+    cold = train(d, config, seed=0)
+    warm = train(d, config, seed=0, w0=cv.w_start, b0=cv.b_start)
     assert cold.meta.converged and warm.meta.converged
     assert warm.meta.kkt_rel <= config.tolerance
     assert warm.meta.objective == pytest.approx(cold.meta.objective, rel=1e-12)
@@ -157,18 +160,30 @@ def test_train_stage_starts_from_the_cv_fits_and_reruns_identically(featurized):
     pipeline.run_stage(cfg, "train")
     assert (cfg.output / "model.txt").read_bytes() == first
     model, _ = load_model(cfg.output / "model.txt")
-    matrix = load_matrix(cfg.output / "features_train.txt")[0]
-    cold = train(matrix, replace(cfg.model, l1_lambda=model.l1_lambda), cfg.seed)
+    d = design(load_matrix(cfg.output / "features_train.txt")[0], cfg.model.standardize)
+    cold = train(d, replace(cfg.model, l1_lambda=model.l1_lambda), cfg.seed)
     assert model.meta.converged and cold.meta.converged
     assert model.meta.iterations < cold.meta.iterations
 
 
 def test_train_stage_without_cv_starts_cold(featurized):
     matrix = load_matrix(featurized.output / "features_train.txt")[0]
-    model = replace(featurized.model, l1_lambda=0.05 * lambda_max(matrix))
+    d = design(matrix, featurized.model.standardize)
+    model = replace(featurized.model, l1_lambda=0.05 * lambda_max(d))
     cfg = replace(featurized, cv=replace(featurized.cv, enabled=False), model=model)
     outputs = pipeline.STAGES["train"].run(cfg, matrix)
-    assert outputs["model.txt"] == encode_model(train(matrix, model, cfg.seed))
+    assert outputs["model.txt"] == encode_model(train(d, model, cfg.seed))
+
+
+def test_standardized_train_stage_scales_the_columns_once(featurized, monkeypatch):
+    calls = []
+    column_scale = learn._column_scale
+    monkeypatch.setattr(learn, "_column_scale", lambda X: calls.append(X.shape) or column_scale(X))
+    cfg = replace(featurized, model=replace(featurized.model, standardize=True))
+    assert cfg.cv_enabled()  # the grid, the CV folds and the final fit all read the design
+    pipeline.run_stage(cfg, "train")
+    assert len(calls) == 1
+    assert load_model(cfg.output / "model.txt")[0].meta.standardized
 
 
 def change_oracle(s: float, h: float, y: int) -> float:
@@ -194,13 +209,13 @@ def test_logistic_change_keeps_relative_precision(s, y):
 
 @pytest.mark.parametrize("standardize", [False, True])
 def test_lambda_max_gives_zero_weights(standardize):
-    matrix = count_matrix(4)
-    lmax = lambda_max(matrix, standardize)
+    d = design(count_matrix(4), standardize)
+    lmax = lambda_max(d)
     for lam in (lmax, 2.0 * lmax):
-        model = train(matrix, ModelSection(l1_lambda=lam, standardize=standardize), seed=0)
+        model = train(d, ModelSection(l1_lambda=lam, standardize=standardize), seed=0)
         assert np.count_nonzero(model.weights) == 0
         assert model.meta.converged
-    below = train(matrix, ModelSection(l1_lambda=0.9 * lmax, standardize=standardize), seed=0)
+    below = train(d, ModelSection(l1_lambda=0.9 * lmax, standardize=standardize), seed=0)
     assert np.count_nonzero(below.weights) > 0
 
 
@@ -217,8 +232,9 @@ def shifted_counts(seed: int = 35) -> FeatureMatrix:
 @pytest.mark.parametrize("kind,fraction", [("counts", 0.3), ("counts", 0.05), ("shifted", 0.3)])
 def test_hinge_objective_equals_linear_program(kind, fraction):
     matrix = count_matrix(6, n=80, d=25) if kind == "counts" else shifted_counts()
-    lam = fraction * lambda_max(matrix)
-    model = train(matrix, ModelSection(loss="hinge", l1_lambda=lam), seed=0)
+    d = design(matrix, False)
+    lam = fraction * lambda_max(d)
+    model = train(d, ModelSection(loss="hinge", l1_lambda=lam), seed=0)
     assert model.meta.converged
     value = l1_objective("hinge", matrix.X, matrix.y, model.weights, model.bias, lam)
     assert value == pytest.approx(model.meta.objective, rel=1e-12)
@@ -227,14 +243,14 @@ def test_hinge_objective_equals_linear_program(kind, fraction):
 
 @pytest.mark.parametrize("loss", ["logistic", "hinge"])
 def test_refits_bit_identical(loss):
-    matrix = count_matrix(7)
-    config = ModelSection(loss=loss, l1_lambda=0.05 * lambda_max(matrix))
-    first, second = train(matrix, config, seed=0), train(matrix, config, seed=0)
+    d = design(count_matrix(7), False)
+    config = ModelSection(loss=loss, l1_lambda=0.05 * lambda_max(d))
+    first, second = train(d, config, seed=0), train(d, config, seed=0)
     assert first.weights.tobytes() == second.weights.tobytes()
     assert first.bias == second.bias and first.meta == second.meta
-    grid = default_lambda_grid(matrix, n_points=4)
-    cv1 = cross_validate(matrix, grid, 3, config, seed=2)
-    cv2 = cross_validate(matrix, grid, 3, config, seed=2)
+    grid = default_lambda_grid(d, n_points=4)
+    cv1 = cross_validate(d, grid, 3, config, seed=2)
+    cv2 = cross_validate(d, grid, 3, config, seed=2)
     assert cv1.fold_auc.tobytes() == cv2.fold_auc.tobytes()
 
 
@@ -247,15 +263,15 @@ def test_gradient_check_on_random_dense(loss):
 
 
 def test_max_iters_cut_reports_not_converged():
-    matrix = count_matrix(8)
-    config = ModelSection(l1_lambda=0.01 * lambda_max(matrix), max_iters=1)
-    model = train(matrix, config, seed=0)
+    d = design(count_matrix(8), False)
+    config = ModelSection(l1_lambda=0.01 * lambda_max(d), max_iters=1)
+    model = train(d, config, seed=0)
     assert model.meta.iterations == 1
     assert not model.meta.converged
     assert model.meta.kkt_rel > config.tolerance
-    full = train(matrix, replace(config, max_iters=10_000), seed=0)
+    full = train(d, replace(config, max_iters=10_000), seed=0)
     assert full.meta.converged and full.meta.iterations > 1
-    cv = cross_validate(matrix, [config.l1_lambda], 3, config, seed=0)
+    cv = cross_validate(d, [config.l1_lambda], 3, config, seed=0)
     assert len(cv.warnings) == 3 and all("not converged" in w for w in cv.warnings)
 
 
@@ -265,16 +281,17 @@ def test_cv_and_grid_see_the_standardized_design():
     std = X.std(axis=0)
     std[std == 0] = 1.0
     scaled = FeatureMatrix(matrix.keys, sp.csr_matrix(X / std), matrix.y, matrix.kind)
-    grid = default_lambda_grid(matrix, n_points=5, standardize=True)
-    assert grid == pytest.approx(default_lambda_grid(scaled, n_points=5), rel=1e-12)
+    d, d_scaled = design(matrix, True), design(scaled, False)
+    grid = default_lambda_grid(d, n_points=5)
+    assert grid == pytest.approx(default_lambda_grid(d_scaled, n_points=5), rel=1e-12)
     config = ModelSection(tolerance=1e-8)
-    on_scaled = cross_validate(scaled, grid, 3, config, seed=1)
-    standardized = cross_validate(matrix, grid, 3, replace(config, standardize=True), seed=1)
+    on_scaled = cross_validate(d_scaled, grid, 3, config, seed=1)
+    standardized = cross_validate(d, grid, 3, replace(config, standardize=True), seed=1)
     np.testing.assert_allclose(standardized.fold_auc, on_scaled.fold_auc, rtol=0, atol=1e-12)
     assert standardized.best_lambda == on_scaled.best_lambda
     assert standardized.warnings == on_scaled.warnings == []
-    model = train(matrix, replace(config, l1_lambda=standardized.best_lambda, standardize=True), seed=0)
-    reference = train(scaled, replace(config, l1_lambda=standardized.best_lambda), seed=0)
+    model = train(d, replace(config, l1_lambda=standardized.best_lambda, standardize=True), seed=0)
+    reference = train(d_scaled, replace(config, l1_lambda=standardized.best_lambda), seed=0)
     np.testing.assert_allclose(model.weights * std, reference.weights, rtol=1e-6, atol=1e-9)
 
 
@@ -313,8 +330,8 @@ class TestModelFile:
         assert loaded.meta == TrainingMeta(12, 0.25, 3, False, 2.5e-9, True)
 
     def test_trained_model_roundtrip(self, tmp_path):
-        matrix = count_matrix(2)
-        model = train(matrix, ModelSection(l1_lambda=0.1 * lambda_max(matrix)), seed=0)
+        d = design(count_matrix(2), False)
+        model = train(d, ModelSection(l1_lambda=0.1 * lambda_max(d)), seed=0)
         save(tmp_path / "model.txt", encode_model(model))
         loaded, _ = load_model(tmp_path / "model.txt")
         assert loaded.weights.tobytes() == model.weights.tobytes()
@@ -348,7 +365,15 @@ class TestModelFile:
 
 def test_single_class_rejected():
     with pytest.raises(ValidationError, match="single class"):
-        train(dense_matrix([[1.0], [2.0]], [1, 1]), ModelSection(), seed=0)
+        design(dense_matrix([[1.0], [2.0]], [1, 1]), False)
+
+
+@pytest.mark.parametrize("X,message", [
+    (np.zeros((2, 0)), "no columns"), ([[1.0], [np.nan]], "non-finite"), ([[np.inf], [1.0]], "non-finite"),
+])
+def test_design_refuses_a_matrix_without_columns_or_with_non_finite_values(X, message):
+    with pytest.raises(ValidationError, match=message):
+        design(dense_matrix(X, [0, 1]), True)
 
 
 def test_cv_auc_ties_broken_by_held_out_loss():
@@ -356,8 +381,8 @@ def test_cv_auc_ties_broken_by_held_out_loss():
     rng = np.random.default_rng(12)
     y = np.repeat([0, 1], 30)
     X = rng.normal(size=(60, 4)) + 3.0 * y[:, None]
-    matrix = dense_matrix(X, y)
-    cv = cross_validate(matrix, default_lambda_grid(matrix, n_points=5), 3, ModelSection(), seed=0)
+    d = design(dense_matrix(X, y), False)
+    cv = cross_validate(d, default_lambda_grid(d, n_points=5), 3, ModelSection(), seed=0)
     tied = np.flatnonzero(cv.mean_auc == 1.0)
     assert len(tied) >= 2
     best = tied[np.argmin(cv.mean_loss[tied])]
@@ -370,10 +395,10 @@ def test_cv_auc_ties_broken_by_held_out_loss():
 
 
 def test_cv_warns_when_the_largest_lambda_wins():
-    matrix = count_matrix(10)
-    lmax = lambda_max(matrix)
+    d = design(count_matrix(10), False)
+    lmax = lambda_max(d)
     # every weight is zero at both points, so AUC and loss tie and the larger lambda wins
-    cv = cross_validate(matrix, [2.0 * lmax, 4.0 * lmax], 3, ModelSection(), seed=0)
+    cv = cross_validate(d, [2.0 * lmax, 4.0 * lmax], 3, ModelSection(), seed=0)
     assert cv.best_lambda == 4.0 * lmax
     assert cv.warnings == [
         f"best lambda {4.0 * lmax!r} is the largest grid point; the optimum may lie beyond the grid"
