@@ -1,4 +1,4 @@
-"""Abstract ingestion: parsing, tokenization, lexicon matching, filtering, stats.
+"""Abstract ingestion: parsing, tokenization, lexicon matching, filtering, stats, stopwords.
 
 The corpus files ``tokenized.tsv`` and ``cardiac.tsv`` (the kept abstracts) hold
 :class:`AbstractColumns`: a column line, then one ``id TAB mentions TAB tokens``
@@ -13,6 +13,7 @@ import re
 import tarfile
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
+from importlib import resources
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, Sequence
 
@@ -168,6 +169,18 @@ def _lexicon_row(line: str) -> tuple[str, tuple[str, ...], bool]:
 def tokenize(text: str) -> list[str]:
     """Lowercase tokens: alphanumeric runs joined by internal hyphens."""
     return _TOKEN_RE.findall(text.lower())
+
+
+def load_stopwords(path: Path | str) -> frozenset[str]:
+    """One word per line, lowercased; blank lines and ``#`` lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        return frozenset(word.lower() for word in map(str.strip, fh) if word and not word.startswith("#"))
+
+
+def default_stopwords() -> frozenset[str]:
+    """The English stopword list shipped with the package."""
+    with resources.as_file(resources.files("ddimine").joinpath("data/stopwords.txt")) as path:
+        return load_stopwords(path)
 
 
 def parse_abstracts(source: BinaryIO, fmt: str) -> tuple[list[Abstract], int]:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -115,18 +114,6 @@ class EmbeddingTable:
                 if not np.isfinite(vec).all():
                     raise ValidationError(f"{path}:{lineno}: token {tok!r} has a non-finite component")
         return cls(vectors)
-
-
-def load_stopwords(path: Path | str) -> frozenset[str]:
-    """One word per line, lowercased; blank lines and ``#`` lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(word.lower() for word in map(str.strip, fh) if word and not word.startswith("#"))
-
-
-def default_stopwords() -> frozenset[str]:
-    """The English stopword list shipped with the package."""
-    with resources.as_file(resources.files("ddimine").joinpath("data/stopwords.txt")) as path:
-        return load_stopwords(path)
 
 
 @dataclass

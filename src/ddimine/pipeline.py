@@ -227,7 +227,7 @@ def stage_featurize(cfg: PipelineConfig, kept, assignment, samples) -> Outputs:
 
     stop: frozenset[str] = frozenset()
     if cfg.vocab_stopwords == "drop" or cfg.feature_kind == "embeddings":
-        stop = features_mod.load_stopwords(cfg.stopwords)
+        stop = corpus_mod.load_stopwords(cfg.stopwords)
     if cfg.vocab_stopwords == "drop":
         train_abstracts = [[t for t in abstract if t not in stop] for abstract in train_abstracts]
     vocab = features_mod.build_vocab(train_abstracts, cfg.top_k)

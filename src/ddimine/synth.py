@@ -7,16 +7,22 @@ interactor, and abstracts about interactor drugs have a fixed set of signal
 words injected.  Because every sample containing an interactor drug is
 positive, signal-bearing abstracts are assigned only to positive samples, so
 a sparse linear model on word counts can recover the signal words.
+
+Two draws are bulk reads: each abstract's background words come from one
+slice of uniforms, and all embedding components from one ``normals`` call.
+Every other draw reads one value at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .corpus import Abstract, DrugLexicon
+import numpy as np
+
+from .corpus import Abstract, DrugLexicon, default_stopwords
 from .labeling import InteractionCatalog
 from .rng import Rng
 
@@ -107,21 +113,6 @@ def _make_names(rng: Rng, count: int, taken: set[str]) -> list[str]:
     return names
 
 
-def _zipf_sampler(rng: Rng, n_types: int):
-    weights = [1.0 / (i + 1) ** 1.05 for i in range(n_types)]
-    cumulative = []
-    total = 0.0
-    for w in weights:
-        total += w
-        cumulative.append(total)
-    import bisect
-
-    def draw() -> int:
-        return bisect.bisect_left(cumulative, rng.random() * total)
-
-    return draw
-
-
 def generate_dataset(params: SynthParams) -> SynthDataset:
     if not (0 <= params.n_cardiac_high <= params.n_cardiac and 0 <= params.n_other_high <= params.n_other):
         raise ValueError("high-drug counts exceed drug counts")
@@ -164,7 +155,10 @@ def generate_dataset(params: SynthParams) -> SynthDataset:
     # of the 20 words is necessary to cover all positives: a sparse model
     # cannot rank positives perfectly without keeping the full set.
     ab_rng = root.derive(3)
-    draw_word = _zipf_sampler(ab_rng, params.background_vocab)
+    # background words are Zipf-distributed; the running sums are Python float additions in rank order
+    zipf = list(itertools.accumulate(1.0 / (i + 1) ** 1.05 for i in range(params.background_vocab)))
+    cumulative, total = np.array(zipf), zipf[-1]
+    vocab_tokens = [f"w{i:04d}" for i in range(params.background_vocab)]
     same_class = {True: [d for d in cardiac + others if d in high],
                   False: [d for d in cardiac + others if d not in high]}
     primary_word = {d: SIGNAL_WORDS[i % len(SIGNAL_WORDS)] for i, d in enumerate(sorted(high))}
@@ -177,7 +171,8 @@ def generate_dataset(params: SynthParams) -> SynthDataset:
                 max(5, int(params.words_per_abstract * 0.8)),
                 int(params.words_per_abstract * 1.2),
             )
-            tokens = [f"w{draw_word():04d}" for _ in range(n_words)]
+            ranks = np.searchsorted(cumulative, ab_rng.uniforms(n_words) * total, side="left")
+            tokens = [vocab_tokens[r] for r in ranks.tolist()]
             if drug in high:
                 if ab_rng.random() < params.signal_prob:
                     for _ in range(ab_rng.randint(1, params.signal_copies_max)):
@@ -199,36 +194,32 @@ def generate_dataset(params: SynthParams) -> SynthDataset:
 
     # MAR: co-administrations drawn from catalog pairs, plus a lone drug each
     mar_rng = root.derive(4)
-    mar_rows: list[tuple[str, str, str]] = []
-    base = datetime(2015, 7, 1, 8, 0, tzinfo=timezone.utc)
     pair_pool = [catalog.display(a, b) for a, b in catalog.pairs()]
     all_drugs = cardiac + others
-    for p in range(1, params.n_patients + 1):
-        patient = f"P{p:02d}"
+    mar_drugs: list[str] = []
+    hours: list[int] = []  # after the base time
+    for _ in range(params.n_patients):
         drugs: list[str] = []
         for _ in range(2):
             a, b = pair_pool[mar_rng.below(len(pair_pool))]
             drugs.extend([a, b])
         drugs.append(all_drugs[mar_rng.below(len(all_drugs))])
-        start = base + timedelta(days=mar_rng.below(60))
+        start = 24 * mar_rng.below(60)
         for _ in range(params.events_per_patient):
-            drug = drugs[mar_rng.below(len(drugs))]
-            when = start + timedelta(hours=mar_rng.below(24 * 10))
-            mar_rows.append((patient, drug, when.isoformat().replace("+00:00", "Z")))
-    mar_rows.sort()
+            mar_drugs.append(drugs[mar_rng.below(len(drugs))])
+            hours.append(start + mar_rng.below(24 * 10))
+    times = np.datetime64("2015-07-01T08:00") + np.array(hours, dtype="timedelta64[h]")
+    patients = [f"P{p:02d}" for p in range(1, params.n_patients + 1) for _ in range(params.events_per_patient)]
+    mar_rows = sorted(zip(patients, mar_drugs, np.datetime_as_string(times, unit="s", timezone="UTC").tolist()))
 
     # embeddings for most tokens; every k-th is deliberately missing
-    emb_rng = root.derive(5)
-    embedding_lines: list[str] = []
-    vocab_tokens = [f"w{i:04d}" for i in range(params.background_vocab)]
-    vocab_tokens += list(SIGNAL_WORDS) + [d for d in cardiac + others]
-    for i, tok in enumerate(vocab_tokens):
-        values = [emb_rng.normal() for _ in range(params.embedding_dim)]
-        if i % params.embedding_skip == params.embedding_skip - 1:
-            continue
-        embedding_lines.append(tok + " " + " ".join(f"{v:.6f}" for v in values))
-
-    from .features import default_stopwords
+    emb_tokens = vocab_tokens + list(SIGNAL_WORDS) + cardiac + others
+    dim, skip = params.embedding_dim, params.embedding_skip
+    values = root.derive(5).normals(len(emb_tokens) * dim).reshape(len(emb_tokens), dim).tolist()
+    row = " ".join(["%.6f"] * dim)
+    embedding_lines = [
+        f"{tok} {row % tuple(v)}" for i, (tok, v) in enumerate(zip(emb_tokens, values)) if i % skip != skip - 1
+    ]
 
     stopword_text = "\n".join(sorted(default_stopwords())) + "\n"
     return SynthDataset(

@@ -10,18 +10,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddimine.corpus import TokenizedAbstract
+from ddimine.corpus import TokenizedAbstract, default_stopwords, load_stopwords
 from ddimine.errors import ValidationError
 from ddimine.features import (
     EmbeddingTable,
     FeatureMatrix,
     build_count_matrix,
     build_vocab,
-    default_stopwords,
     encode_matrix,
     encode_vocab,
     load_matrix,
-    load_stopwords,
     undersample,
 )
 from helpers import (

@@ -5,12 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from ddimine import artifacts, features, pipeline, splitting
+from ddimine import artifacts, corpus, pipeline, splitting
 from ddimine.cli import _build_parser, main
 from ddimine.config import build_config, load_config
-from ddimine.corpus import AbstractColumns, DrugLexicon, TokenizedAbstract
+from ddimine.corpus import AbstractColumns, DrugLexicon, TokenizedAbstract, load_stopwords
 from ddimine.errors import ArtifactMismatchError
-from ddimine.features import EmbeddingTable, load_matrix, load_stopwords
+from ddimine.features import EmbeddingTable, load_matrix
 from ddimine.labeling import InteractionCatalog
 from ddimine.learn import load_model
 from ddimine.pipeline import (
@@ -153,8 +153,8 @@ def test_featurize_reads_the_stopword_file_once(mini, tmp_path, monkeypatch):
     shutil.copytree(mini[1]["embeddings"][0], tmp_path / "out")
     raw = json.loads((mini[0]["config"].parent / "config_embeddings.json").read_text(encoding="utf-8"))
     cfg = build_config({**raw, "vocab_stopwords": "drop"}, {"output": str(tmp_path / "out")})
-    read, load_stopwords = [], features.load_stopwords
-    monkeypatch.setattr(features, "load_stopwords", lambda path: read.append(path) or load_stopwords(path))
+    read, load_stopwords = [], corpus.load_stopwords
+    monkeypatch.setattr(corpus, "load_stopwords", lambda path: read.append(path) or load_stopwords(path))
     run_stage(cfg, "featurize")
     assert read == [cfg.stopwords]
 
