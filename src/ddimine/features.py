@@ -13,10 +13,11 @@ abstract to one split, each abstract's row is built once per stage.  Counts are
 integers, so A @ C is exact, and the column order makes A @ E add a sample's
 abstract vectors in sorted-id order.
 
-:class:`FeatureMatrix` holds the factors; X is formed only when read.  A
-feature file holds them too: each part row once, as ``col:value`` pairs, then
-one line per sample with the indices of its part rows, so no sample x word
-matrix is ever written.  Indices, not abstract ids, because ids may hold spaces.
+:class:`FeatureMatrix` holds the factors; X is formed only when read, as CSC,
+straight from them with no intermediate of its size.  A feature file holds the
+factors too: each part row once, as ``col:value`` pairs, then one line per
+sample with the indices of its part rows, so no sample x word matrix is ever
+written.  Indices, not abstract ids, because ids may hold spaces.
 """
 
 from __future__ import annotations
@@ -122,31 +123,30 @@ class FeatureMatrix:
 
     ``parts`` holds the part rows P (an abstract's counts or embedding) as
     float CSR, duplicate cells summed, and ``A`` the binary sample x part
-    incidence, so a sample's row is the sum of its parts in the order of its
-    row of ``A``; ``A=None``, as for rows given in full, means the identity.
-    ``X = A @ P``, float CSR with sorted column indices, is formed on first
-    read and kept.
+    incidence, so a sample's row is the sum of its parts, added in ascending
+    part order.  ``X = A @ P`` is formed on first read and kept, as float CSC
+    with sorted row indices: the transpose of the CSR product P' @ A', which
+    writes X's arrays once, with no intermediate of X's size.  The solver
+    reads X, its transpose (a CSR view) and its row selections from it alone.
     """
 
     keys: list[str]
     parts: sp.csr_matrix
     y: np.ndarray
     kind: str  # "counts" | "embeddings"
-    A: sp.csr_matrix | None = None
+    A: sp.csr_matrix
 
     def __post_init__(self) -> None:
         self.parts = sp.csr_matrix(self.parts, dtype=float)
         self.parts.sum_duplicates()
-        if self.A is None:
-            self.A = sp.identity(self.parts.shape[0], format="csr")
         if self.A.shape != (len(self.keys), self.parts.shape[0]):
             raise ValidationError(
                 f"incidence is {self.A.shape}, expected {len(self.keys)} rows x {self.parts.shape[0]} parts"
             )
 
     @cached_property
-    def X(self) -> sp.csr_matrix:
-        X = self.A @ self.parts
+    def X(self) -> sp.csc_matrix:
+        X = (self.parts.T.tocsr() @ self.A.T.tocsr()).T
         X.sort_indices()
         return X
 

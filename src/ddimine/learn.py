@@ -12,7 +12,9 @@ lambda = 0).  A fit is ``converged`` when that residual is at most
 
 A train stage builds its design once (:func:`design`): the matrix is checked,
 and its columns standardized when set, there and nowhere else.  The lambda
-grid, every CV fold and the final fit all read that one design.
+grid, every CV fold and the final fit all read that one design, the
+matrix's own CSC X: X @ w, X' @ r through its CSR view, a working set's
+columns and a fold's training rows all come from it, with no transposed copy.
 
 * Logistic loss uses a working-set solver.  Each outer step computes the full
   gradient and stops once the residual meets the tolerance.  Otherwise the
@@ -25,10 +27,8 @@ grid, every CV fold and the final fit all read that one design.
   along its pseudo-gradient is dropped and the system solved again without it
   (the reduced free set of projected Newton methods, Bertsekas 1982), so each
   step is the Newton step on the face it keeps and the line search seldom
-  halves it.  Each CV fold transposes its rows of the design once for all the
-  fits on it, and the final fit the whole design.  After CV the final fit
-  starts from the mean of the fold fits at the chosen lambda, a few steps from
-  its optimum.
+  halves it.  After CV the final fit starts from the mean of the fold fits at
+  the chosen lambda, a few steps from its optimum.
 * Hinge loss is the exact L1-SVM linear program (Zhu et al. 2003), solved by
   HiGHS; the residual is read off the program's duals.
 
@@ -169,9 +169,9 @@ def _initial_bias(y: np.ndarray) -> float:
 
 
 class Design(NamedTuple):
-    """The training design: X, its columns divided by ``scale`` when standardizing, and y as float."""
+    """The training design: X (CSC), its columns divided by ``scale`` when standardizing, and y as float."""
 
-    X: sp.csr_matrix
+    X: sp.csc_matrix
     y: np.ndarray
     scale: np.ndarray | None
 
@@ -181,7 +181,9 @@ def design(matrix: FeatureMatrix, standardize: bool) -> Design:
 
     A matrix with no columns, a single class or a non-finite value is refused.
     The scale comes from the whole matrix, so the lambda grid, every CV fold
-    and the final fit all see the same columns.
+    and the final fit all see the same columns.  Unstandardized, the design
+    holds the matrix's X itself; standardized, X's structure with each stored
+    value x_ij times 1/scale_j, the product X @ diags(1/scale) makes.
     """
     X = matrix.X
     if matrix.dims < 1:
@@ -194,10 +196,11 @@ def design(matrix: FeatureMatrix, standardize: bool) -> Design:
     if not standardize:
         return Design(X, y, None)
     scale = _column_scale(X)
-    return Design((X @ sp.diags(1.0 / scale)).tocsr(), y, scale)
+    data = X.data * np.repeat(1.0 / scale, np.diff(X.indptr))
+    return Design(sp.csc_matrix((data, X.indices, X.indptr), shape=X.shape), y, scale)
 
 
-def _column_scale(X: sp.csr_matrix) -> np.ndarray:
+def _column_scale(X: sp.csc_matrix) -> np.ndarray:
     mean = np.asarray(X.mean(axis=0)).ravel()
     mean_sq = np.asarray(X.multiply(X).mean(axis=0)).ravel()
     var = np.maximum(mean_sq - mean * mean, 0.0)
@@ -227,31 +230,26 @@ def train(
     columns, as ``CvResult.w_start`` is.  The weights are returned on the
     matrix's own columns.
     """
-    fit = _fit(d.X, d.X.T.tocsr(), d.y, config, w0, b0)
+    fit = _fit(d.X, d.y, config, w0, b0)
     w = fit.w if d.scale is None else fit.w / d.scale
     meta = TrainingMeta(fit.iterations, fit.objective, seed, d.scale is not None, fit.kkt_rel, fit.converged)
     return LinearModel(w, fit.b, config.loss, config.l1_lambda, meta)
 
 
 def _fit(
-    X,
-    Xt: sp.csr_matrix,
-    y: np.ndarray,
-    config: ModelSection,
-    w0: np.ndarray | None = None,
-    b0: float | None = None,
+    X: sp.csc_matrix, y: np.ndarray, config: ModelSection, w0: np.ndarray | None = None, b0: float | None = None
 ) -> _Fit:
-    """Solve at ``config.l1_lambda`` on X and its CSR transpose; logistic fits start from (w0, b0) when given."""
+    """Solve at ``config.l1_lambda`` on X; logistic fits start from (w0, b0) when given."""
     if config.loss == "hinge":
-        fit = _fit_hinge(X, Xt, y, config)
+        fit = _fit_hinge(X, y, config)
     else:
-        fit = _fit_logistic(X, Xt, y, config, w0, b0)
+        fit = _fit_logistic(X, y, config, w0, b0)
     if not np.isfinite(fit.objective):
         raise ValidationError("training diverged to a non-finite objective")
     return fit
 
 
-def _fit_logistic(X, Xt, y: np.ndarray, config: ModelSection, w0, b0) -> _Fit:
+def _fit_logistic(X, y: np.ndarray, config: ModelSection, w0, b0) -> _Fit:
     """Working-set outer loop: full gradient and KKT stop, then Newton on the set."""
     lam = config.l1_lambda
     n, d = X.shape
@@ -261,7 +259,7 @@ def _fit_logistic(X, Xt, y: np.ndarray, config: ModelSection, w0, b0) -> _Fit:
     while True:
         s = np.asarray(X @ w).ravel() + b
         r = (_sigmoids(s)[0] - y) / n
-        pg = _pseudo_gradient(w, np.asarray(Xt @ r).ravel(), lam)
+        pg = _pseudo_gradient(w, np.asarray(X.T @ r).ravel(), lam)
         kkt_rel = _kkt_rel(pg, float(r.sum()), lam)
         if kkt_rel <= config.tolerance or iterations >= config.max_iters:
             break
@@ -270,7 +268,7 @@ def _fit_logistic(X, Xt, y: np.ndarray, config: ModelSection, w0, b0) -> _Fit:
         priority[support] = np.inf
         ranked = np.argsort(-priority, kind="stable")[: max(_MIN_WORKING_SET, 2 * len(support))]
         ws = np.sort(ranked[priority[ranked] > 0])
-        block = Xt[ws].toarray()
+        block = X[:, ws].T.toarray()
         w_ws, b, steps = _newton(block, y, lam, w[ws], b, config.tolerance, config.max_iters - iterations)
         iterations += steps
         w = np.zeros(d)
@@ -371,7 +369,7 @@ def _solve_damped(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(H, rhs, rcond=_RCOND)[0]
 
 
-def _fit_hinge(X, Xt, y: np.ndarray, config: ModelSection) -> _Fit:
+def _fit_hinge(X, y: np.ndarray, config: ModelSection) -> _Fit:
     """The exact L1-SVM as a linear program (Zhu et al. 2003), solved by HiGHS.
 
     Variables [u, v, b, xi] with w = u - v: minimise lam * sum(u + v) + mean(xi)
@@ -395,7 +393,7 @@ def _fit_hinge(X, Xt, y: np.ndarray, config: ModelSection) -> _Fit:
     w = res.x[:d] - res.x[d : 2 * d]
     b = float(res.x[2 * d])
     alpha = -res.ineqlin.marginals
-    g = -np.asarray(Xt @ (alpha * ysign)).ravel()
+    g = -np.asarray(X.T @ (alpha * ysign)).ravel()
     # HiGHS can leave round-off (~1e-14) in a weight its duals price out, one
     # whose gradient does not sit at -lam*sign(w): such a weight is zero
     w[(w != 0) & (np.abs(g + lam * np.sign(w)) > config.tolerance * (lam if lam > 0 else 1.0))] = 0.0
@@ -436,7 +434,8 @@ def cross_validate(
     """Stratified k-fold AUC sweep over an L1 grid; folds cut within the design's rows.
 
     ``grid`` and ``k`` are as :class:`~ddimine.config.CvSection` checks them:
-    positive lambdas, and at least 2 folds.
+    positive lambdas, and at least 2 folds.  Fold f holds out every k-th of the
+    shuffled positives and of the shuffled negatives, from the f-th on.
 
     A held-out fold with a single class has no AUC; it is excluded from every
     lambda's mean with a warning.  A fit that stops short of the tolerance is
@@ -460,18 +459,12 @@ def cross_validate(
     neg = [int(i) for i in np.flatnonzero(y == 0)]
     rng.shuffle(pos)
     rng.shuffle(neg)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for i, idx in enumerate(pos):
-        folds[i % k].append(idx)
-    for i, idx in enumerate(neg):
-        folds[i % k].append(idx)
-
     fold_auc = np.full((len(grid), k), np.nan)
     fold_loss = np.full((len(grid), k), np.nan)
     warnings: list[str] = []
     w_sum, b_sum, fitted = np.zeros((len(grid), X.shape[1])), np.zeros(len(grid)), 0
-    for fold_i, held in enumerate(folds):
-        held_arr = np.sort(np.array(held, dtype=np.int64))
+    for fold_i in range(k):
+        held_arr = np.sort(np.array(pos[fold_i::k] + neg[fold_i::k], dtype=np.int64))
         train_arr = np.setdiff1d(np.arange(len(y), dtype=np.int64), held_arr)
         y_tr, y_ho = y[train_arr], y[held_arr]
         if len(np.unique(y_ho)) < 2:
@@ -480,14 +473,13 @@ def cross_validate(
         if len(np.unique(y_tr)) < 2:
             warnings.append(f"fold {fold_i}: training part has a single class; fold skipped")
             continue
-        X_tr, X_ho = X[train_arr], X[held_arr]
-        Xt_tr = X_tr.T.tocsr()  # every fit down this fold's path shares it
+        X_tr = X[train_arr]
         fitted += 1
         w_prev: np.ndarray | None = None
         b_prev: float | None = None
         for gi, lam in enumerate(grid):
             cfg = replace(config, l1_lambda=lam)
-            fit = _fit(X_tr, Xt_tr, y_tr, cfg, w_prev, b_prev)
+            fit = _fit(X_tr, y_tr, cfg, w_prev, b_prev)
             w_prev, b_prev = fit.w, fit.b  # warm start down the path
             w_sum[gi] += fit.w
             b_sum[gi] += fit.b
@@ -496,10 +488,12 @@ def cross_validate(
                     f"fold {fold_i}, lambda {lam!r}: fit stopped after {fit.iterations} "
                     f"iterations with KKT residual {fit.kkt_rel!r} (not converged)"
                 )
-            scores = np.asarray(X_ho @ fit.w).ravel() + fit.b
+            # the held-out rows' scores, from the support's columns: a zero weight adds only a signed zero
+            support = np.flatnonzero(fit.w)
+            scores = np.asarray(X[:, support] @ fit.w[support]).ravel()[held_arr] + fit.b
             fold_auc[gi, fold_i] = roc_curve(scores, y_ho).auc
             fold_loss[gi, fold_i] = loss_value(config.loss, scores, y_ho)
-        del X_tr, X_ho, Xt_tr  # free this fold's copies before the next fold builds its own
+        del X_tr  # free this fold's rows before the next fold selects its own
     mean_auc, mean_loss = (
         np.array([np.nan if np.all(np.isnan(row)) else float(np.nanmean(row)) for row in table])
         for table in (fold_auc, fold_loss)

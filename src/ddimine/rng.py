@@ -140,10 +140,6 @@ class Rng:
         """``n`` calls of ``random`` as one float64 array."""
         return (self.u64s(n) >> 11).astype(np.float64) * (2.0**-53)
 
-    def normal(self) -> float:
-        """Standard normal deviate via Box-Muller (one value per call)."""
-        return float(self.normals(1)[0])
-
     def normals(self, n: int) -> np.ndarray:
         """``n`` deviates math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2), u1 and u2
         the next two ``random`` values, u1 drawn again while 0.0; log and cos are libm's, not numpy's."""

@@ -291,12 +291,15 @@ def alert_files_oracle(alerts) -> dict[str, str]:
     return {"alerts.tsv": "".join(tsv), "alert_report.txt": "".join(report)}
 
 
+def full_rows(keys, X, y, kind: str = "counts") -> FeatureMatrix:
+    """A feature matrix from rows given in full: the rows are its parts, and A is the identity."""
+    A = sp.identity(len(keys), format="csr")
+    return FeatureMatrix(list(keys), X, np.asarray(y, dtype=np.int64), kind, A)
+
+
 def dense_matrix(X, y, kind: str = "counts") -> FeatureMatrix:
-    """A feature matrix from rows given in full: the rows are its CSR parts, and A is the identity."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    keys = [f"s{i:04d}" for i in range(X.shape[0])]
-    return FeatureMatrix(keys, X, y, kind)
+    return full_rows([f"s{i:04d}" for i in range(X.shape[0])], X, y, kind)
 
 
 def random_dense_matrix(rng: random.Random, n: int, d: int) -> FeatureMatrix:
@@ -537,4 +540,4 @@ def load_matrix_oracle(path) -> FeatureMatrix:
         (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
         shape=(len(keys), int(meta["dims"])),
     )
-    return FeatureMatrix(keys, X, np.array(labels, dtype=np.int64), meta["kind"])
+    return full_rows(keys, X, labels, meta["kind"])

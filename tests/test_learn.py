@@ -22,11 +22,15 @@ from ddimine.learn import (
     lambda_max,
     load_model,
     loss_gradient,
+    loss_value,
     train,
 )
+from ddimine.metrics import roc_curve
+from ddimine.rng import Rng
 from ddimine.synth import SynthParams, write_dataset
 from helpers import (
     dense_matrix,
+    full_rows,
     gradient_check,
     l1_kkt_residual,
     l1_logistic_reference,
@@ -45,7 +49,7 @@ def count_matrix(seed: int, n: int = 120, d: int = 40) -> FeatureMatrix:
     counts[:, :3] += rng.poisson(1.5, size=(n, 3)) * y[:, None]
     counts[:, 5] = counts[:, 4]  # identical columns: a singular Newton block if both enter
     keys = [f"s{i:04d}" for i in range(n)]
-    return FeatureMatrix(keys, sp.csr_matrix(counts), y, "counts")
+    return full_rows(keys, sp.csr_matrix(counts), y)
 
 
 MATRICES = {
@@ -102,7 +106,7 @@ def pooled_counts(seed: int, n: int = 120, d: int = 40, k: int = 5) -> FeatureMa
     pooled = rng.integers(5, 40, size=n)[:, None]  # abstracts per row
     counts = rng.poisson(pooled * 2.0 / np.arange(1, d + 1) ** 0.8).astype(float)
     counts[:, :k] += rng.poisson(pooled, size=(n, k)) * y[:, None]
-    return FeatureMatrix([f"s{i}" for i in range(n)], sp.csr_matrix(counts), y, "counts")
+    return full_rows([f"s{i}" for i in range(n)], sp.csr_matrix(counts), y)
 
 
 def test_newton_steps_rarely_need_halving(monkeypatch):
@@ -226,7 +230,7 @@ def shifted_counts(seed: int = 35) -> FeatureMatrix:
     y = (rng.random(n) < 0.5).astype(np.int64)
     y[:2] = (0, 1)
     X = rng.poisson(0.5, size=(n, d)) + y[:, None] * rng.poisson(0.3, size=(n, d))
-    return FeatureMatrix([f"s{i}" for i in range(n)], sp.csr_matrix(X.astype(float)), y, "counts")
+    return full_rows([f"s{i}" for i in range(n)], sp.csr_matrix(X.astype(float)), y)
 
 
 @pytest.mark.parametrize("kind,fraction", [("counts", 0.3), ("counts", 0.05), ("shifted", 0.3)])
@@ -280,7 +284,7 @@ def test_cv_and_grid_see_the_standardized_design():
     X = matrix.X.toarray()
     std = X.std(axis=0)
     std[std == 0] = 1.0
-    scaled = FeatureMatrix(matrix.keys, sp.csr_matrix(X / std), matrix.y, matrix.kind)
+    scaled = full_rows(matrix.keys, sp.csr_matrix(X / std), matrix.y, matrix.kind)
     d, d_scaled = design(matrix, True), design(scaled, False)
     grid = default_lambda_grid(d, n_points=5)
     assert grid == pytest.approx(default_lambda_grid(d_scaled, n_points=5), rel=1e-12)
@@ -293,6 +297,82 @@ def test_cv_and_grid_see_the_standardized_design():
     model = train(d, replace(config, l1_lambda=standardized.best_lambda, standardize=True), seed=0)
     reference = train(d_scaled, replace(config, l1_lambda=standardized.best_lambda), seed=0)
     np.testing.assert_allclose(model.weights * std, reference.weights, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("matrix", [count_matrix(4), random_dense_matrix(random.Random(2), 50, 7)],
+                         ids=["counts", "dense"])
+def test_design_reads_the_matrix_own_csc_x(matrix):
+    d = design(matrix, False)
+    assert d.X is matrix.X and d.scale is None
+    assert d.X.format == "csc" and d.X.has_sorted_indices
+    assert np.array_equal(d.X.toarray(), matrix.A.toarray() @ matrix.parts.toarray())
+
+
+@pytest.mark.parametrize("matrix", [count_matrix(4), random_dense_matrix(random.Random(2), 50, 7)],
+                         ids=["counts", "dense"])
+def test_standardized_design_keeps_the_structure_and_scales_each_value(matrix):
+    X, d = matrix.X, design(matrix, True)
+    assert d.X.format == "csc"
+    assert d.X.indices.tobytes() == X.indices.tobytes() and d.X.indptr.tobytes() == X.indptr.tobytes()
+    columns = np.repeat(np.arange(X.shape[1]), np.diff(X.indptr))
+    want = [x * (1.0 / d.scale[j]) for x, j in zip(X.data.tolist(), columns.tolist())]
+    assert d.X.data.tobytes() == np.array(want).tobytes()
+    product = (X.tocsr() @ sp.diags(1.0 / d.scale)).toarray()  # the same values as the sparse product
+    assert d.X.toarray().tobytes() == product.tobytes()
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_logistic_cv_and_train_make_no_format_conversion(standardize, monkeypatch):
+    d = design(count_matrix(5), standardize)
+    conversions = []
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            if self.format != name[2:]:  # toarray calls tocsr on a CSR matrix, which returns it as is
+                conversions.append((self.format, name))
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        for name in ("tocsr", "tocsc", "tocoo"):
+            counted(cls, name)
+    config = ModelSection(standardize=standardize)
+    cv = cross_validate(d, default_lambda_grid(d, n_points=4), 3, config, seed=1)
+    train(d, replace(config, l1_lambda=cv.best_lambda), seed=0, w0=cv.w_start, b0=cv.b_start)
+    assert conversions == []
+    train(d, replace(config, loss="hinge", l1_lambda=cv.best_lambda), seed=0)
+    assert conversions  # the hinge LP builds its own CSR constraint matrix, and the wrapper sees it
+
+
+def test_cv_deals_the_shuffled_classes_round_robin_and_scores_held_out_rows_alone():
+    matrix, k, seed = count_matrix(6), 3, 4
+    d = design(matrix, False)
+    grid = default_lambda_grid(d, n_points=3)
+    config = ModelSection()
+    cv = cross_validate(d, grid, k, config, seed)
+    rng = Rng(seed).derive(learn._CV_STREAM)
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for label in (1, 0):  # positives first, each class dealt out in shuffled order
+        members = np.flatnonzero(matrix.y == label).tolist()
+        rng.shuffle(members)
+        for i, row in enumerate(members):
+            folds[i % k].append(row)
+    X = matrix.X.tocsr()
+    losses = np.zeros((len(grid), k))
+    for f, held in enumerate(map(sorted, folds)):
+        rest = [i for i in range(matrix.n_rows) if i not in held]
+        fold = design(full_rows([matrix.keys[i] for i in rest], X[rest], matrix.y[rest]), False)
+        w = b = None
+        for gi, lam in enumerate(grid):  # warm started down the path, as CV fits
+            model = train(fold, replace(config, l1_lambda=lam), 0, w, b)
+            w, b = model.weights, model.bias
+            scores = X[held] @ w + b  # the held-out rows on their own
+            assert cv.fold_auc[gi, f] == roc_curve(scores, d.y[held]).auc
+            losses[gi, f] = loss_value("logistic", scores, d.y[held])
+    assert cv.mean_loss.tobytes() == losses.mean(axis=1).tobytes()
 
 
 def test_bad_config_rejected():

@@ -125,8 +125,9 @@ def test_train_rows_match_count_vector_oracle(mini):
         s = samples[key]
         entries = count_vector(s, abstracts, vocab).entries
         assert train.y[i] == s.label
-        assert train.X[i].indices.tolist() == sorted(entries)
-        assert train.X[i].data.tolist() == [float(entries[col]) for col in sorted(entries)]
+        row = train.X[i].tocsr()
+        assert row.indices.tolist() == sorted(entries)
+        assert row.data.tolist() == [float(entries[col]) for col in sorted(entries)]
 
 
 def test_embedding_train_rows_and_misses_match_embed_sample_oracle(mini):

@@ -113,7 +113,7 @@ def test_bulk_and_scalar_reads_interleave_as_one_scalar_stream(seed):
     pick = random.Random(seed)
     calls = []
     for _ in range(1500):
-        op = pick.choice(["next_u64", "below", "below_big", "randint", "random", "normal", "shuffle", "choice",
+        op = pick.choice(["next_u64", "below", "below_big", "randint", "random", "shuffle", "choice",
                           "sample_indices", "u64s", "uniforms", "normals"])
         if op == "below_big":  # about half of all draws are rejected at this n
             calls.append(("below", ((1 << 63) + pick.randrange(1, 1 << 20),)))
@@ -167,6 +167,6 @@ def test_a_zero_uniform_is_drawn_again_for_u1_by_scalar_and_bulk_normal_alike(in
     model = ScalarModel(values)
     want = model.normals(n)
     assert model.pos == 2 * n + (index % 2 == 0)  # a zero is drawn again at a u1 position, and kept at a u2
-    assert [scalar.normal() for _ in range(n)] == want
+    assert [scalar.normals(1).item() for _ in range(n)] == want
     assert bulk.normals(n).tolist() == want
     assert scalar.next_u64() == bulk.next_u64() == model.next_u64()
