@@ -7,7 +7,6 @@ line per abstract.  A stage splits only the columns it reads.
 
 from __future__ import annotations
 
-import io
 import itertools
 import re
 import tarfile
@@ -23,6 +22,8 @@ from .errors import CorpusParseError, ValidationError
 # Tokens are maximal runs of letters/digits, optionally joined by single
 # internal hyphens; a hyphen without a run on both sides is a separator.
 _TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*", re.UNICODE)
+# every ASCII character that is neither alphanumeric nor '-' is a separator
+_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum() and c != "-"})
 
 CORPUS_FORMATS = ("lines", "pubmed-xml")
 
@@ -167,8 +168,18 @@ def _lexicon_row(line: str) -> tuple[str, tuple[str, ...], bool]:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase tokens: alphanumeric runs joined by internal hyphens."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase tokens: alphanumeric runs joined by internal hyphens, as ``_TOKEN_RE.findall(text.lower())``.
+
+    Fast path: ASCII separators become spaces and the text is split at whitespace, which no token crosses; an
+    all-alphanumeric piece is one token, and only the others (a hyphen or a non-ASCII separator) meet the regex.
+    """
+    tokens: list[str] = []
+    for piece in text.lower().translate(_ASCII_SEPARATORS).split():
+        if piece.isalnum():  # the regex's [^\W_] is exactly str.isalnum()
+            tokens.append(piece)
+        else:
+            tokens += _TOKEN_RE.findall(piece)
+    return tokens
 
 
 def load_stopwords(path: Path | str) -> frozenset[str]:
@@ -219,9 +230,12 @@ def _parse_lines(data: bytes) -> tuple[list[Abstract], int]:
     except UnicodeDecodeError as exc:
         lineno = len(re.findall(r"\r\n|\r|\n", data[: exc.start].decode("utf-8"))) + 1
         raise CorpusParseError(f"line {lineno}: not valid UTF-8", exc.start) from None
+    # not str.splitlines, which also ends a line at \x0b, \x0c, \x1c-\x1e, \x85, U+2028 and U+2029
+    lines = decoded.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    del decoded
     abstracts: list[Abstract] = []
     skipped = 0
-    for lineno, raw in enumerate(io.StringIO(decoded, newline=None), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         rec_id, sep, text = raw.partition("\t")
@@ -324,20 +338,28 @@ def match_drugs(tokens: list[str] | tuple[str, ...], lexicon: DrugLexicon) -> se
     """Drug ids whose phrases occur as contiguous token subsequences.
 
     Every matching drug is returned; no longest-phrase preference between drugs.
-    Phrases are tried only at the abstract's tokens that start one.
+    Each distinct word that starts a phrase is looked up once: a one-token
+    phrase matches as its word is present, and a longer one is tried only
+    where its first token occurs.
     """
-    starts = lexicon.first_tokens.keys() & set(tokens)
     found: set[str] = set()
-    for i, tok in enumerate(tokens):
-        if tok in starts:
-            for phrase, drug_id in lexicon.first_tokens[tok]:
-                if drug_id not in found and tuple(tokens[i : i + len(phrase)]) == phrase:
-                    found.add(drug_id)
+    for first in lexicon.first_tokens.keys() & set(tokens):
+        for phrase, drug_id in lexicon.first_tokens[first]:
+            if drug_id not in found and (len(phrase) == 1 or _occurs(phrase, tokens)):
+                found.add(drug_id)
     return found
 
 
+def _occurs(phrase: tuple[str, ...], tokens: list[str] | tuple[str, ...]) -> bool:
+    """Whether ``phrase`` is a contiguous subsequence of ``tokens``, tried only where its first token occurs."""
+    return any(tuple(tokens[i : i + len(phrase)]) == phrase for i, tok in enumerate(tokens) if tok == phrase[0])
+
+
 def tokenize_abstracts(abstracts: Iterable[Abstract], lexicon: DrugLexicon) -> list[TokenizedAbstract]:
-    tokenized = ((ab.id, tuple(tokenize(ab.text))) for ab in abstracts)
+    """Each abstract's tokens and matched drugs; all tokens of one word are one ``str``, shared through a dict."""
+    words: dict[str, str] = {}
+    split = ((ab.id, tokenize(ab.text)) for ab in abstracts)
+    tokenized = ((aid, tuple(map(words.setdefault, tokens, tokens))) for aid, tokens in split)
     return [TokenizedAbstract(aid, tokens, frozenset(match_drugs(tokens, lexicon))) for aid, tokens in tokenized]
 
 

@@ -4,7 +4,9 @@ A sample's row is the sum of its abstracts' rows, so both feature kinds are one
 product X = A @ P of the binary sample x abstract incidence matrix A (made by
 :func:`ddimine.splitting.incidence`) and the part rows P: C, each abstract's
 token counts over the vocabulary, or E = C' @ V, its counts C' over the
-embedding table's words in sorted order times their vectors V.  C' is
+embedding table's words in sorted order times their vectors V.  Each row of C
+is built from its abstract's token string, split only then and summed per
+abstract, so no stage holds a list of every token.  C' is
 canonical, so E adds each distinct token's tf * v in sorted-token order, bit
 for bit as a loop over the sorted tokens would (see
 :func:`build_count_matrix`, the one builder of both).  A's columns are the
@@ -56,7 +58,8 @@ class Vocabulary:
 def build_vocab(train_abstracts: Iterable[Sequence[str]], top_k: int | None = None) -> Vocabulary:
     """Count token occurrences over the train abstracts' tokens and keep the top k.
 
-    ``top_k=None`` keeps everything; ``top_k=0`` gives an empty vocabulary.
+    Counted one abstract at a time, so a generator of them is never held
+    whole.  ``top_k=None`` keeps everything; ``top_k=0`` gives no words.
     """
     if top_k is not None and top_k < 0:
         raise ValidationError(f"top_k must be nonnegative, got {top_k}")
@@ -168,7 +171,7 @@ def _referenced(A: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
 def build_count_matrix(
     samples: Sequence[InteractionSample],
     A: sp.csr_matrix,
-    abstracts: Sequence[Sequence[str]],
+    abstracts: Sequence[str],
     vocab: Vocabulary,
     drop_empty: bool = False,
     V: np.ndarray | None = None,
@@ -176,10 +179,11 @@ def build_count_matrix(
 ) -> tuple[FeatureMatrix, int]:
     """Count the tokens of each abstract a row of ``A`` uses over ``vocab``'s columns into C; with ``V``, E = C @ V.
 
-    ``A`` is the samples' incidence and ``abstracts[j]`` the tokens behind its
-    column j.  Returns the matrix, rows in sample order, and with ``V`` the
-    miss count: each (sample, abstract) pair's distinct tokens outside
-    ``vocab`` and ``stopwords``.  C is summed and sorted first, as scipy's
+    ``A`` is the samples' incidence and ``abstracts[j]`` the space-joined
+    tokens behind its column j, split only while its row is built.  Returns the
+    matrix, rows in sample order, and with ``V`` the miss count: each (sample,
+    abstract) pair's distinct tokens outside ``vocab`` and ``stopwords``.  A row
+    of C holds one cell per distinct word, its count, and is sorted, as scipy's
     product adds a row's tf * v terms in column order: so E adds them in
     sorted-token order, as a loop over the sorted tokens would, bit for bit
     (unsummed, v + v + v is not 3 * v in general).
@@ -190,15 +194,20 @@ def build_count_matrix(
     A, used = _referenced(A)
     index = vocab.index
     indices: list[int] = []
+    counts: list[int] = []
     indptr = [0]
     missed: list[int] = []
-    for tokens in map(abstracts.__getitem__, used.tolist()):
-        indices += [index[tok] for tok in tokens if tok in index]
+    for text in map(abstracts.__getitem__, used.tolist()):
+        tokens = text.split()
+        row = Counter(map(index.get, tokens))  # column -> count; None counts the tokens outside the vocabulary
+        row.pop(None, None)
+        indices += row
+        counts += row.values()
         indptr.append(len(indices))
         if V is not None:
             missed.append(sum(tok not in index and tok not in stopwords for tok in set(tokens)))
-    C = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(used), len(vocab)))
-    C.sum_duplicates()
+    C = sp.csr_matrix((np.array(counts, dtype=float), indices, indptr), shape=(len(used), len(vocab)))
+    C.sort_indices()
     misses = 0
     if V is not None:
         C = sp.csr_matrix(C @ V)
@@ -241,9 +250,10 @@ def encode_matrix(matrix: FeatureMatrix) -> artifacts.Encoded:
 def _matrix_lines(matrix: FeatureMatrix) -> Iterator[str]:
     P, A = matrix.parts, matrix.A
     yield f"rows {matrix.n_rows}\nparts {P.shape[0]}\ndims {matrix.dims}\nkind {matrix.kind}\n"
-    indptr, cols, vals = P.indptr.tolist(), P.indices.tolist(), P.data.tolist()
-    for start, end in zip(indptr, indptr[1:]):
-        yield " ".join(["part", *map("{}:{!r}".format, cols[start:end], vals[start:end])]) + "\n"
+    indptr = P.indptr.tolist()
+    for start, end in zip(indptr, indptr[1:]):  # each row from its own slices: no list of every cell
+        cells = map("{}:{!r}".format, P.indices[start:end].tolist(), P.data[start:end].tolist())
+        yield " ".join(["part", *cells]) + "\n"
     indptr, refs = A.indptr.tolist(), A.indices.tolist()
     for key, label, start, end in zip(matrix.keys, matrix.y.tolist(), indptr, indptr[1:]):
         yield " ".join(["row", key, str(label), *map(str, refs[start:end])]) + "\n"

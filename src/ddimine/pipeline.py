@@ -64,7 +64,12 @@ class Stage(NamedTuple):
 
 
 def file_digest(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of a file's bytes, read in 1 MiB blocks: no copy of the whole file is held."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _content_digest(path: Path | None) -> str | None:
@@ -222,14 +227,15 @@ def stage_split(cfg: PipelineConfig, kept, samples) -> Outputs:
 def stage_featurize(cfg: PipelineConfig, kept, assignment, samples) -> Outputs:
     """Build the train vocabulary and per-split feature matrices."""
     A, order = splitting_mod.incidence(kept, samples, assignment)
-    tokens = [text.split() for text in kept.tokens]
-    train_abstracts = [tokens[i] for i, aid in enumerate(kept.ids) if assignment.abstract_split[aid] == "train"]
+    # each abstract's token string is split only while it is counted: no list of every token exists
+    train_abstracts = (text.split() for aid, text in zip(kept.ids, kept.tokens)
+                       if assignment.abstract_split[aid] == "train")
 
     stop: frozenset[str] = frozenset()
     if cfg.vocab_stopwords == "drop" or cfg.feature_kind == "embeddings":
         stop = corpus_mod.load_stopwords(cfg.stopwords)
     if cfg.vocab_stopwords == "drop":
-        train_abstracts = [[t for t in abstract if t not in stop] for abstract in train_abstracts]
+        train_abstracts = ([t for t in abstract if t not in stop] for abstract in train_abstracts)
     vocab = features_mod.build_vocab(train_abstracts, cfg.top_k)
     outputs = {"vocab.tsv": features_mod.encode_vocab(vocab)}
     report_lines = [f"vocab_size\t{len(vocab)}"]
@@ -237,7 +243,7 @@ def stage_featurize(cfg: PipelineConfig, kept, assignment, samples) -> Outputs:
     columns, V = vocab, None
     if cfg.feature_kind == "embeddings":
         columns, V = features_mod.EmbeddingTable.load(cfg.embeddings).columns(stop)
-    by_column = [tokens[i] for i in order]
+    by_column = [kept.tokens[i] for i in order]
     sample_split = [assignment.sample_split[s.key] for s in samples]
     matrices = {}
     for split in splitting_mod.SPLITS:

@@ -100,8 +100,9 @@ class AttachedSample(InteractionSample):
     abstract_ids: frozenset[str] = frozenset()
 
 
-def incidence_of(samples, abstracts_by_id) -> tuple[sp.csr_matrix, list[tuple[str, ...]]]:
-    """The incidence of :class:`AttachedSample` rows, and the tokens behind its columns: their ids, sorted."""
+def incidence_of(samples, abstracts_by_id) -> tuple[sp.csr_matrix, list[str]]:
+    """The incidence of :class:`AttachedSample` rows, and the space-joined tokens behind its columns: their ids,
+    sorted."""
     ids = sorted({aid for s in samples for aid in s.abstract_ids})
     column = {aid: j for j, aid in enumerate(ids)}
     indices: list[int] = []
@@ -113,7 +114,7 @@ def incidence_of(samples, abstracts_by_id) -> tuple[sp.csr_matrix, list[tuple[st
             indices.append(column[aid])
         indptr.append(len(indices))
     A = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(samples), len(ids)))
-    return A, [abstracts_by_id[aid].tokens for aid in ids]
+    return A, [" ".join(abstracts_by_id[aid].tokens) for aid in ids]
 
 
 def leakage_oracle(assignment, samples, attached) -> LeakageReport:

@@ -1,12 +1,14 @@
 import io
 import re
 import tarfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddimine.corpus import (
+    _TOKEN_RE,
     Abstract,
     AbstractColumns,
     CorpusStats,
@@ -20,10 +22,12 @@ from ddimine.corpus import (
     match_drugs,
     parse_abstracts,
     render_stats,
+    _parse_lines,
     tokenize,
     tokenize_abstracts,
 )
 from ddimine.errors import CorpusParseError, ValidationError
+from ddimine.synth import SynthParams, write_dataset
 from helpers import match_oracle, save
 
 FIG1_SENTENCE = "Bumetanide and furosemide in heart failure."
@@ -66,6 +70,17 @@ class TestTokenize:
         text = "Bumetanide (1.0 and 2.0 mg) -- “Dose”-response!"
         assert tokenize(text) == tokenize(text)
 
+    # characters where a fast path could part from the regex: non-ASCII letters, digits and
+    # combining marks, '_', hyphen runs, Unicode spaces and line breaks, and letters whose
+    # lowercase is ASCII (KELVIN SIGN) or two characters long (I WITH DOT ABOVE)
+    TRICKY = list("aZ9-_ .,;\t\n\x0b\x1c") + ["\u00e9", "\u0301", "\u0663", "\u540d", "\u00a0", "\u2028", "\x85",
+                                              "\u212a", "\u0130", "\u00df", "\u01c5", "\u2012", "\uff3f", "\u00b2"]
+
+    @given(st.text(st.sampled_from(TRICKY) | st.characters(), max_size=200))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_regex_on_any_text(self, text):
+        assert tokenize(text) == _TOKEN_RE.findall(text.lower())
+
     @given(st.text(max_size=200))
     @settings(max_examples=200)
     def test_tokens_are_fixed_points(self, text):
@@ -101,6 +116,31 @@ class TestParseLines:
             ("1", "First abstract."), ("2", "Second\x0cabstract\x1ctext\u2028more."), ("3", "Third\x85one.")
         ]
         assert skipped == 0
+
+    @pytest.mark.parametrize("inner", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                             ids=lambda c: f"U+{ord(c):04X}")
+    @pytest.mark.parametrize("endings", [("\n", "\n"), ("\r\n", "\r\n"), ("\r", "\r"), ("\r", "\r\n"), ("\r\n", "\n")],
+                             ids=["lf", "crlf", "cr", "cr-crlf", "crlf-lf"])
+    def test_only_lf_crlf_and_cr_end_a_line(self, endings, inner):
+        # str.splitlines would also end a line at ``inner``
+        first, second = endings
+        data = f"1\tone{inner}text{first}2\ttwo{second}{second}3\tthree{inner}end".encode()
+        abstracts, skipped = _parse_lines(data)
+        expected = [("1", f"one{inner}text"), ("2", "two"), ("3", f"three{inner}end")]
+        assert [(a.id, a.text) for a in abstracts] == expected
+        assert skipped == 0
+        with pytest.raises(CorpusParseError, match="^line 4: record has no id$"):  # the blank line counts
+            _parse_lines(data.replace(b"3\tthree", b"\tthree"))
+
+    def test_parse_peak_is_under_four_times_the_input(self, tmp_path):
+        data = write_dataset(SynthParams(words_per_abstract=150), tmp_path)["corpus"].read_bytes()
+        tracemalloc.start()
+        try:
+            abstracts, _ = _parse_lines(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(abstracts) > 200 and peak < 4 * len(data)
 
     def test_duplicate_id_rejected(self):
         data = b"A\tone\nA\ttwo\n"
@@ -269,6 +309,23 @@ class TestMatchDrugs:
         assert match_drugs(tokens, lexicon) == match_oracle(tokens, lexicon)
 
 
+    # every phrase starts with "a", and "a" recurs in the tokens, often where no phrase follows
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_phrases_sharing_a_first_token_with_repeated_starts(self, data):
+        words = st.sampled_from(["a", "b", "c"])
+        phrases = st.lists(st.lists(words, max_size=3).map(lambda rest: ("a", *rest)), min_size=1, max_size=4)
+        entries = data.draw(st.dictionaries(st.sampled_from([f"drug{i}" for i in range(5)]), phrases, min_size=1))
+        lexicon = DrugLexicon(entries, cardiac=[])
+        tokens = data.draw(st.lists(words, max_size=40))
+        for seq in (tokens, tuple(tokens)):
+            assert match_drugs(seq, lexicon) == match_oracle(seq, lexicon)
+
+    def test_longer_phrase_found_after_a_failed_start(self, small_lexicon):
+        tokens = ("acetyl", "x", "acetyl", "salicylic", "x", "acetyl", "salicylic", "acid")
+        assert match_drugs(tokens, small_lexicon) == match_oracle(tokens, small_lexicon) == {"aspirin"}
+
+
 class TestFilterCardiac:
     def _toka(self, aid, mentions):
         return TokenizedAbstract(aid, ("x",), frozenset(mentions))
@@ -361,6 +418,13 @@ def test_tokenize_abstracts_deterministic(small_lexicon):
     assert first == second
     assert first[0].drug_mentions == {"furosemide", "bumetanide"}
     assert first[1].drug_mentions == {"digoxin"}
+
+
+def test_tokenize_abstracts_holds_one_str_per_distinct_word(small_lexicon):
+    abstracts = [Abstract("X1", FIG1_SENTENCE + " Heart failure, heart."), Abstract("X2", "HEART failure and digoxin.")]
+    tokens = [tok for ab in tokenize_abstracts(abstracts, small_lexicon) for tok in ab.tokens]
+    assert tokens.count("heart") == 4
+    assert len({id(tok) for tok in tokens}) == len(set(tokens))
 
 
 class TestCorpusFile:

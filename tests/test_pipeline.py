@@ -1,5 +1,8 @@
+import hashlib
 import json
+import random
 import shutil
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -224,6 +227,36 @@ def test_stage_runs_on_in_memory_inputs(mini, tmp_path, stage):
     for name, encoded in outputs.items():
         save(tmp_path / name, encoded, header)
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
+
+def featurize_peak(cfg, kept, assignment, samples) -> int:
+    """tracemalloc's peak over featurize and the writing of its outputs' bodies."""
+    tracemalloc.start()
+    try:
+        for _, _, body in pipeline.stage_featurize(cfg, kept, assignment, samples).values():
+            for _ in [body] if isinstance(body, str) else body:
+                pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_featurize_peak_follows_the_words_not_the_tokens(mini):
+    out = mini[1]["counts"][0]
+    cfg = load_config(mini[0]["config"].parent / "config_counts.json", {"output": str(out)})
+    kept = corpus.load_abstracts(out / "cardiac.tsv")
+    inputs = splitting.load_assignment(out / "assignment.tsv")[0], pipeline._decode_samples(out / "samples.tsv")
+    longer = AbstractColumns(kept.ids, kept.mentions, [" ".join([text] * 4) for text in kept.tokens])
+    featurize_peak(cfg, kept, *inputs)  # one-time allocations, such as lazy imports, go first
+    assert featurize_peak(cfg, longer, *inputs) < 1.5 * featurize_peak(cfg, kept, *inputs)
+
+
+def test_file_digest_is_the_sha256_of_the_bytes(tmp_path):
+    data = random.Random(3).randbytes(5 << 19)  # 2.5 MiB: whole blocks and a part
+    (tmp_path / "f").write_bytes(data)
+    (tmp_path / "empty").write_bytes(b"")
+    assert file_digest(tmp_path / "f") == hashlib.sha256(data).hexdigest()
+    assert file_digest(tmp_path / "empty") == hashlib.sha256(b"").hexdigest()
 
 
 def test_run_all_hashes_each_file_once(tmp_path, monkeypatch):

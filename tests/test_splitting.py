@@ -165,7 +165,8 @@ class TestAssignAbstracts:
             assert assign(None, abstracts, samples) == alg1_assign_oracle(everyone, abstracts, samples)
             # drop_empty keeps exactly the samples the oracle attaches some abstract to
             tokens = [ab.tokens for ab in abstracts]
-            m, _ = build_count_matrix(samples, A, [tokens[i] for i in order], build_vocab(tokens), drop_empty=True)
+            vocab = build_vocab(tokens)
+            m, _ = build_count_matrix(samples, A, [corpus.tokens[i] for i in order], vocab, drop_empty=True)
             assert m.keys == [s.key for s, found in zip(samples, expected) if found]
 
     def test_samples_may_share_abstract_within_split(self):
