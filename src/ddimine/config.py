@@ -2,11 +2,12 @@
 
 Each setting is declared once, as a dataclass field made by ``_setting``: its
 default, its JSON key, its validity test and the phrase that completes
-"``<dotted key>`` must be ...".  ``build_config`` reads every declared field
-of ``PipelineConfig`` and of its sections (``model``, ``cv``, ``alerts``) the
-same way, then adds the ``paths`` block and the rules that span fields.  A
-config dataclass runs the same tests when built, so a bad section is refused
-where it is made.  ``pipeline.STAGES`` declares which fields each stage reads.
+"``<dotted key>`` must be ...".  A config dataclass tests each declared
+setting when built and stores it cast, so a bad section is refused where it is
+made.  ``build_config`` maps the JSON keys of ``PipelineConfig`` and of its
+sections (``model``, ``cv``, ``alerts``) to fields, builds each, and collects
+every violation; it adds the ``paths`` block and the rules that span fields.
+``pipeline.STAGES`` declares which fields each stage reads.
 """
 
 from __future__ import annotations
@@ -59,16 +60,29 @@ def _setting(
     return field(default_factory=lambda: copy.deepcopy(default), metadata=meta)
 
 
-def _violation(f, value: Any, prefix: str = "") -> str:
-    return f"{prefix}{f.metadata['key'] or f.name} must be {f.metadata['must']}, got {value!r}"
+def _ratios(value: Any) -> tuple[float, ...]:
+    """The split ratios as floats; refused unless they sum to 1."""
+    if abs(sum(ratios := tuple(map(float, value))) - 1.0) > 1e-9:
+        raise ValueError(f"sum to 1, got {sum(ratios)!r}")
+    return ratios
 
 
 class _Checked:
-    """A config dataclass whose construction runs each declared setting's test."""
+    """A config dataclass whose construction tests each declared setting and stores it cast; a cast may refuse
+    a value that passed the test with a ``ValueError`` that completes "<key> must ..."."""
 
     def __post_init__(self) -> None:
-        values = [(f, getattr(self, f.name)) for f in fields(self) if f.metadata]
-        if violations := [_violation(f, value) for f, value in values if not f.metadata["test"](value)]:
+        violations = []
+        for f in (f for f in fields(self) if f.metadata):
+            key, value = f.metadata["key"] or f.name, getattr(self, f.name)
+            if not f.metadata["test"](value):
+                violations.append(f"{key} must be {f.metadata['must']}, got {value!r}")
+                continue
+            try:
+                setattr(self, f.name, f.metadata["cast"](value))
+            except ValueError as exc:
+                violations.append(f"{key} must {exc}")
+        if violations:
             raise ConfigError(violations)
 
 
@@ -126,7 +140,7 @@ class PipelineConfig(_Checked):
     ratios: tuple[float, float, float] = _setting(
         (0.64, 0.16, 0.2),
         lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(_is_number(r) and r >= 0 for r in v),
-        "3 nonnegative numbers", lambda v: tuple(float(r) for r in v))
+        "3 nonnegative numbers", _ratios)
     top_k: int | None = _setting(None, _or_null(lambda v: _is_int(v) and v >= 0), "a nonnegative integer or null")
     feature_kind: str = _setting("counts", lambda v: v in FEATURE_KINDS, f"one of {FEATURE_KINDS}", key="features")
     vocab_stopwords: str = _setting("keep", lambda v: v in VOCAB_STOPWORD_MODES, f"one of {VOCAB_STOPWORD_MODES}")
@@ -150,7 +164,7 @@ PATHS = tuple(f.name for f in fields(PipelineConfig) if not (f.metadata or is_da
 def load_config(path: Path | str, overrides: dict[str, Any] | None = None) -> PipelineConfig:
     """Parse and validate; raises ConfigError listing every violation at once."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
     return build_config(raw, overrides)
@@ -164,7 +178,7 @@ def build_config(raw: dict[str, Any], overrides: dict[str, Any] | None = None) -
         raise ConfigError(["config must carry a 'paths' object"])
 
     violations: list[str] = []
-    located: dict[str, Path] = {}
+    located: dict[str, Path | None] = dict.fromkeys(PATHS)
     for name in PATHS:
         val = overrides.get(name) or paths.get(name)
         if val is None or val == "":
@@ -175,39 +189,26 @@ def build_config(raw: dict[str, Any], overrides: dict[str, Any] | None = None) -
         else:
             located[name] = Path(val)
     raw = {**raw, **overrides}
-    settings = _read(PipelineConfig, raw, violations)
-
-    ratios = settings.get("ratios")
-    if ratios is not None and abs(sum(ratios) - 1.0) > 1e-9:
-        violations.append(f"ratios must sum to 1, got {sum(ratios)!r}")
+    sections = {f.name: _build(f.default_factory, _section(raw, f.name, violations), violations, f"{f.name}.")
+                for f in fields(PipelineConfig) if is_dataclass(f.default_factory)}
+    config = _build(PipelineConfig, raw, violations, **located, **sections)
     for (key, value), needed in PATH_RULES.items():
         if raw.get(key) == value:
-            violations += [f"{key}={value} requires paths.{name}" for name in needed if name not in located]
-
+            violations += [f"{key}={value} requires paths.{name}" for name in needed if located[name] is None]
     if violations:
         raise ConfigError(violations)
-    return PipelineConfig(**located, **settings)
+    return config
 
 
-def _read(cls: type, raw: dict[str, Any], violations: list[str], prefix: str = "") -> dict[str, Any]:
-    """The declared settings and sections of ``cls`` from ``raw``, by field name.
-
-    An absent key takes the default; a value that fails its test is left out and
-    reported.  Fields without a declaration (the paths) are left to the caller.
-    """
-    values: dict[str, Any] = {}
-    for f in fields(cls):
-        if is_dataclass(f.default_factory):
-            section = _read(f.default_factory, _section(raw, f.name, violations), violations, f"{f.name}.")
-            values[f.name] = f.default_factory(**section)
-        elif f.metadata:
-            key = f.metadata["key"] or f.name
-            value = raw.get(key, f.default_factory())
-            if f.metadata["test"](value):
-                values[f.name] = f.metadata["cast"](value)
-            else:
-                violations.append(_violation(f, value, prefix))
-    return values
+def _build(cls: type, raw: dict[str, Any], violations: list[str], prefix: str = "", **given: Any) -> Any:
+    """``cls`` built from ``given`` and the declared settings that ``raw`` holds by JSON key (an absent one keeps
+    its default); if it is refused, None, with each violation added under ``prefix``."""
+    settings = {f.name: raw[key] for f in fields(cls) if f.metadata and (key := f.metadata["key"] or f.name) in raw}
+    try:
+        return cls(**settings, **given)
+    except ConfigError as exc:
+        violations += [prefix + violation for violation in exc.violations]
+        return None
 
 
 def _section(raw: dict[str, Any], key: str, violations: list[str]) -> dict[str, Any]:
@@ -219,4 +220,3 @@ def _section(raw: dict[str, Any], key: str, violations: list[str]) -> dict[str, 
         violations.append(f"{key} must be an object, got {section!r}")
         return {}
     return section
-

@@ -7,6 +7,7 @@ line per abstract.  A stage splits only the columns it reads.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import re
 import tarfile
@@ -14,7 +15,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import BinaryIO, Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from . import artifacts
 from .errors import CorpusParseError, ValidationError
@@ -132,7 +133,7 @@ class DrugLexicon:
         entries: dict[str, list[tuple[str, ...]]] = {}
         cardiac: set[str] = set()
         flags: dict[str, bool] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line.strip() or line.lstrip().startswith("#"):
@@ -184,7 +185,7 @@ def tokenize(text: str) -> list[str]:
 
 def load_stopwords(path: Path | str) -> frozenset[str]:
     """One word per line, lowercased; blank lines and ``#`` lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return frozenset(word.lower() for word in map(str.strip, fh) if word and not word.startswith("#"))
 
 
@@ -194,11 +195,12 @@ def default_stopwords() -> frozenset[str]:
         return load_stopwords(path)
 
 
-def parse_abstracts(source: BinaryIO, fmt: str) -> tuple[list[Abstract], int]:
+def parse_abstracts(source: BinaryIO, fmt: str, seen: set[str] | None = None) -> tuple[list[Abstract], int]:
     """Parse one byte stream of abstracts.
 
     Returns (abstracts, skipped) where ``skipped`` counts records that lack an
-    abstract body.  Input order is preserved.  Duplicate ids raise.
+    abstract body.  Input order is preserved.  Duplicate ids raise, within the
+    stream and against ``seen``, the ids read so far, which it extends.
     """
     if fmt == "pubmed-xml":
         abstracts, skipped = _parse_pubmed_xml(source.read())
@@ -206,13 +208,12 @@ def parse_abstracts(source: BinaryIO, fmt: str) -> tuple[list[Abstract], int]:
         abstracts, skipped = _parse_lines(source.read())
     else:
         raise ValidationError(f"unknown corpus format {fmt!r}; expected one of {CORPUS_FORMATS}")
-    _check_ids(abstracts)
+    _check_ids(abstracts, set() if seen is None else seen)
     return abstracts, skipped
 
 
-def _check_ids(abstracts: list[Abstract]) -> None:
+def _check_ids(abstracts: list[Abstract], seen: set[str]) -> None:
     """Ids are unique and fit the tab-separated files and ``assigned_samples.tsv``'s ","-joined list ("-": none)."""
-    seen: set[str] = set()
     for ab in abstracts:
         if ab.id == "-" or any(c in ab.id for c in ",\t\r\n"):
             raise ValidationError(
@@ -233,6 +234,7 @@ def _parse_lines(data: bytes) -> tuple[list[Abstract], int]:
     # not str.splitlines, which also ends a line at \x0b, \x0c, \x1c-\x1e, \x85, U+2028 and U+2029
     lines = decoded.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     del decoded
+    lines[0] = lines[0].removeprefix("\ufeff")  # a UTF-8 byte-order mark
     abstracts: list[Abstract] = []
     skipped = 0
     for lineno, raw in enumerate(lines, start=1):
@@ -282,8 +284,13 @@ def _parse_pubmed_xml(data: bytes) -> tuple[list[Abstract], int]:
 
 
 def _byte_offset(data: bytes, line: int, col: int) -> int:
-    lines = data.split(b"\n")
-    return sum(len(l) + 1 for l in lines[: line - 1]) + col
+    """Where expat's (line, column) falls in ``data``: lines end at LF, CR LF or CR, and the column counts
+    UTF-8 characters, an undecodable byte as one."""
+    start = 0
+    for end in itertools.islice(re.finditer(rb"\r\n|\r|\n", data), line - 1):
+        start = end.end()
+    chars = data[start : start + 4 * col].decode("utf-8", "surrogateescape")[:col]  # 4 bytes hold any character
+    return start + len(chars.encode("utf-8", "surrogateescape"))
 
 
 def corpus_members(path: Path) -> list[Path]:
@@ -291,47 +298,42 @@ def corpus_members(path: Path) -> list[Path]:
     return sorted(p for p in path.iterdir() if p.is_file() and not p.name.startswith("."))
 
 
-def load_corpus(path: Path | str, fmt: str) -> tuple[list[Abstract], int]:
-    """Load abstracts from a file, a directory of files, or a tar archive.
-
-    Directory and archive members are processed in sorted name order; ids must
-    be unique across the whole corpus.  A parse error names the file or member.
-    """
-    path = Path(path)
-    abstracts: list[Abstract] = []
-    skipped = 0
+def _sources(path: Path) -> Iterator[tuple[str, BinaryIO]]:
+    """Each file of the corpus at ``path`` (a file, a directory, or a tar archive) in sorted name order: its name,
+    as a parse error gives it, and its open byte stream."""
     if path.is_dir():
-        members = corpus_members(path)
-        if not members:
+        if not (members := corpus_members(path)):
             raise ValidationError(f"{path}: directory contains no corpus files")
         for member in members:
             with open(member, "rb") as fh:
-                part, skip = _parse_named(fh, fmt, str(member))
-            abstracts.extend(part)
-            skipped += skip
+                yield str(member), fh
     elif tarfile.is_tarfile(path):
         with tarfile.open(path) as tar:
-            names = sorted(m.name for m in tar.getmembers() if m.isfile())
-            for name in names:
-                fh = tar.extractfile(name)
-                assert fh is not None
-                part, skip = _parse_named(fh, fmt, f"{path}:{name}")
-                abstracts.extend(part)
-                skipped += skip
+            for name in sorted(m.name for m in tar.getmembers() if m.isfile()):
+                yield f"{path}:{name}", tar.extractfile(name)
     else:
         with open(path, "rb") as fh:
-            return _parse_named(fh, fmt, str(path))
-    _check_ids(abstracts)
+            yield str(path), fh
+
+
+def load_corpus(path: Path | str, fmt: str) -> tuple[list[Abstract], int]:
+    """Load abstracts from a file, a directory of files, or a tar archive.
+
+    Each file is parsed in turn (see :func:`_sources`); ids must be unique
+    across the whole corpus.  A parse error names the file or member.
+    """
+    abstracts: list[Abstract] = []
+    skipped, seen = 0, set()
+    with contextlib.closing(_sources(Path(path))) as sources:  # on an error too, the open file is closed now
+        for name, source in sources:
+            try:
+                part, skip = parse_abstracts(source, fmt, seen)
+            except CorpusParseError as exc:
+                exc.args = (f"{name}: {exc}",)
+                raise
+            abstracts += part
+            skipped += skip
     return abstracts, skipped
-
-
-def _parse_named(source: BinaryIO, fmt: str, name: str) -> tuple[list[Abstract], int]:
-    """:func:`parse_abstracts`, with ``name`` put before the message of a parse error."""
-    try:
-        return parse_abstracts(source, fmt)
-    except CorpusParseError as exc:
-        exc.args = (f"{name}: {exc}",)
-        raise
 
 
 def match_drugs(tokens: list[str] | tuple[str, ...], lexicon: DrugLexicon) -> set[str]:

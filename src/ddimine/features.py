@@ -98,7 +98,7 @@ class EmbeddingTable:
     def load(cls, path: Path | str) -> "EmbeddingTable":
         """Read the plain-text vector format: ``token v1 v2 ... vd`` per line."""
         vectors: dict[str, np.ndarray] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split()
                 if not parts:

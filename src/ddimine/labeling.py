@@ -74,7 +74,7 @@ class InteractionCatalog:
 
         def rows() -> Iterator[list[str]]:
             nonlocal lineno
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 for lineno, line in enumerate(fh, start=1):
                     line = line.rstrip("\n")
                     if not line.strip() or line.lstrip().startswith("#"):
@@ -102,12 +102,6 @@ class InteractionSample:
     @property
     def key(self) -> str:
         return f"{self.cardiac_drug}|{self.other_drug}"
-
-
-@dataclass(frozen=True)
-class InteractionTemplate:
-    template_id: int
-    text: str
 
 
 def build_universe(cardiac: set[str], catalog: InteractionCatalog) -> set[str]:
@@ -224,9 +218,11 @@ def templateize(
 
 @dataclass
 class TemplateTable:
-    templates: list[InteractionTemplate]
-    by_pair: dict[tuple[str, str], int]  # canonical pair -> template_id
-    support: dict[int, int]
+    """The distinct template texts, a template's id being its index, and the catalog pairs they came from."""
+
+    templates: list[str]
+    by_pair: dict[tuple[str, str], int]  # canonical pair -> template id
+    support: dict[int, int]  # template id -> its catalog pairs
     n_warnings: int  # descriptions where neither drug name was found
 
 
@@ -252,8 +248,7 @@ def extract_templates(catalog: InteractionCatalog, lexicon: DrugLexicon) -> Temp
         tid = ids[text]
         by_pair[(a, b)] = tid
         support[tid] = support.get(tid, 0) + 1
-    templates = [InteractionTemplate(tid, text) for text, tid in ids.items()]
-    return TemplateTable(templates, by_pair, support, warnings)
+    return TemplateTable(list(ids), by_pair, support, warnings)
 
 
 def positive_tallies(samples: list[InteractionSample]) -> dict[str, int]:

@@ -101,7 +101,7 @@ def parse_mar(path: Path | str) -> Administrations:
     patients, drugs = {}, {}  # id -> code, first seen first
     patient_codes, drug_codes, times = [], [], []
     parsed: dict[str, int] = {}  # raw timestamp text -> its time; bad text never enters
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().rstrip("\n")
         if [c.strip().lower() for c in header.split("\t")] != ["patient_id", "drug", "timestamp"]:
             raise ValidationError(f"{path}: missing MAR header 'patient_id<TAB>drug<TAB>timestamp'")

@@ -1,8 +1,12 @@
-"""Confusion-matrix metrics, ROC curves and AUC with explicit tie handling."""
+"""Confusion counts at a threshold and their report, ROC curves and AUC with explicit tie handling.
+
+A curve is held as numpy arrays; the evaluate stage turns them into Python
+floats only where it writes the curve file, and cross-validation reads only
+the AUC.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,20 +20,6 @@ class ConfusionCounts:
     fp: int
     tn: int
     fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass(frozen=True)
-class BinaryMetrics:
-    """The four ratios; ``None`` marks an undefined 0/0, rendered as N/A."""
-
-    sensitivity: float | None
-    specificity: float | None
-    ppv: float | None
-    npv: float | None
 
 
 def confusion(scores, labels, threshold: float) -> ConfusionCounts:
@@ -50,25 +40,14 @@ def confusion(scores, labels, threshold: float) -> ConfusionCounts:
     )
 
 
-def _ratio(num: int, denom: int) -> float | None:
-    return None if denom == 0 else num / denom
-
-
-def binary_metrics(c: ConfusionCounts) -> BinaryMetrics:
-    return BinaryMetrics(
-        sensitivity=_ratio(c.tp, c.tp + c.fn),
-        specificity=_ratio(c.tn, c.tn + c.fp),
-        ppv=_ratio(c.tp, c.tp + c.fp),
-        npv=_ratio(c.tn, c.tn + c.fn),
-    )
-
-
 @dataclass
 class RocCurve:
-    """Threshold sweep; points run (0,0) .. (1,1), both coordinates non-decreasing."""
+    """Threshold sweep: thresholds fall from +inf, and the points (fpr[i], tpr[i]) they realize run from (0, 0)
+    to (1, 1), both coordinates non-decreasing."""
 
-    thresholds: list[float]  # thresholds[i] realizes points[i]; first is +inf
-    points: list[tuple[float, float]]  # (false positive rate, sensitivity)
+    thresholds: np.ndarray
+    fpr: np.ndarray  # false positive rate
+    tpr: np.ndarray  # sensitivity
     auc: float
 
 
@@ -97,36 +76,14 @@ def roc_curve(scores, labels) -> RocCurve:
     tpr = np.append(0.0, cum_tp[group_ends] / n_pos)
     # summed in order, as a loop over the points would: np.sum's pairwise order would change the last bits
     auc = float(np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1])
-    # lists of Python floats, whose repr the curve files print
-    thresholds = [math.inf] + s_sorted[group_ends].tolist()
-    points = list(zip(fpr.tolist(), tpr.tolist()))
-    return RocCurve(thresholds, points, auc)
+    return RocCurve(np.append(np.inf, s_sorted[group_ends]), fpr, tpr, auc)
 
 
-def curve_rows(curve: RocCurve) -> list[tuple[float, float, float, float]]:
-    """(threshold, sensitivity, specificity, fpr) per curve point, for export."""
-    return [(thr, tpr, 1.0 - fpr, fpr) for thr, (fpr, tpr) in zip(curve.thresholds, curve.points)]
-
-
-def _fmt(value: float | None) -> str:
-    return "N/A" if value is None else repr(value)
-
-
-def render_metrics_report(
-    counts: ConfusionCounts, m: BinaryMetrics, threshold: float, extra: dict[str, str] | None = None
-) -> str:
-    """Structured text with the four ratios (N/A when undefined) and counts."""
-    lines = [
-        f"threshold\t{threshold!r}",
-        f"tp\t{counts.tp}",
-        f"fp\t{counts.fp}",
-        f"tn\t{counts.tn}",
-        f"fn\t{counts.fn}",
-        f"sensitivity\t{_fmt(m.sensitivity)}",
-        f"specificity\t{_fmt(m.specificity)}",
-        f"ppv\t{_fmt(m.ppv)}",
-        f"npv\t{_fmt(m.npv)}",
-    ]
-    for key, val in (extra or {}).items():
-        lines.append(f"{key}\t{val}")
+def render_metrics_report(counts: ConfusionCounts, threshold: float, extra: dict[str, str] | None = None) -> str:
+    """Structured text: the threshold, the counts, the four ratios (N/A for an undefined 0/0), then ``extra``."""
+    tp, fp, tn, fn = counts.tp, counts.fp, counts.tn, counts.fn
+    ratios = {"sensitivity": (tp, tp + fn), "specificity": (tn, tn + fp), "ppv": (tp, tp + fp), "npv": (tn, tn + fn)}
+    lines = [f"threshold\t{threshold!r}", f"tp\t{tp}", f"fp\t{fp}", f"tn\t{tn}", f"fn\t{fn}"]
+    lines += [f"{name}\t{'N/A' if d == 0 else repr(n / d)}" for name, (n, d) in ratios.items()]
+    lines += [f"{key}\t{val}" for key, val in (extra or {}).items()]
     return "\n".join(lines) + "\n"

@@ -182,7 +182,7 @@ def stage_label(cfg: PipelineConfig) -> Outputs:
     samples = labeling_mod.enumerate_samples(set(lexicon.cardiac), universe, catalog, table.by_pair)
 
     lines = ["# template_id\ttext\tsupport"]
-    lines += [f"{tpl.template_id}\t{tpl.text}\t{table.support.get(tpl.template_id, 0)}" for tpl in table.templates]
+    lines += [f"{tid}\t{text}\t{table.support[tid]}" for tid, text in enumerate(table.templates)]
 
     tallies = labeling_mod.positive_tallies(samples)
     body_lines = [
@@ -303,18 +303,17 @@ def stage_evaluate(cfg: PipelineConfig, model, dev, test) -> Outputs:
     for split, matrix in (("dev", dev), ("test", test)):
         scores = learn_mod.predict_scores(model, matrix)
         counts = metrics_mod.confusion(scores, matrix.y, cfg.threshold)
-        m = metrics_mod.binary_metrics(counts)
-        single_class = len(set(matrix.y.tolist())) < 2
         extra = {}
         curve_lines = ["# threshold\tsensitivity\tspecificity\tfpr"]
-        if single_class:
+        if len(set(matrix.y.tolist())) < 2:
             extra["auc"] = "N/A (single-class split)"
         else:
             curve = metrics_mod.roc_curve(scores, matrix.y)
             extra["auc"] = repr(curve.auc)
-            for thr, sens, spec, fpr in metrics_mod.curve_rows(curve):
-                curve_lines.append(f"{thr!r}\t{sens!r}\t{spec!r}\t{fpr!r}")
-        body = metrics_mod.render_metrics_report(counts, m, cfg.threshold, extra)
+            columns = (curve.thresholds, curve.tpr, 1.0 - curve.fpr, curve.fpr)
+            # tolist() gives Python floats, whose repr the file prints
+            curve_lines += map("{!r}\t{!r}\t{!r}\t{!r}".format, *(column.tolist() for column in columns))
+        body = metrics_mod.render_metrics_report(counts, cfg.threshold, extra)
         outputs[f"metrics_{split}.txt"] = ("metrics", {}, body)
         outputs[f"curve_{split}.tsv"] = ("roc-curve", {}, "\n".join(curve_lines) + "\n")
     return outputs

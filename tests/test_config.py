@@ -1,10 +1,11 @@
 import json
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 
 from ddimine.cli import main
-from ddimine.config import load_config
+from ddimine.config import PipelineConfig, load_config
 from ddimine.errors import ConfigError
 from ddimine.mar_alerts import build_exposures, parse_timestamp
 from helpers import administrations, utc
@@ -109,6 +110,22 @@ def test_paths_a_setting_needs_are_required_at_load(tmp_path, capsys):
     cfg = load_config(write_config(tmp_path, None, vocab_stopwords="drop",
                                    paths={**PATHS, "stopwords": "stop.txt"}))
     assert (cfg.vocab_stopwords, cfg.stopwords.name) == ("drop", "stop.txt")
+
+
+def test_ratio_sum_is_reported_with_every_other_violation(tmp_path):
+    path = write_config(tmp_path, {"max_iters": 0}, ratios=[0.5, 0.5, 0.5], seed=True)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert sorted(info.value.violations) == [
+        "model.max_iters must be an integer of at least 1, got 0",
+        "ratios must sum to 1, got 1.5",
+        "seed must be an integer, got True",
+    ]
+    paths = {key: Path(val) for key, val in PATHS.items()}
+    with pytest.raises(ConfigError) as info:  # where the config is built, as for every setting
+        PipelineConfig(**paths, ratios=(0.5, 0.25, 0.5))
+    assert info.value.violations == ["ratios must sum to 1, got 1.25"]
+    assert PipelineConfig(**paths, ratios=[1, 0, 0]).ratios == (1.0, 0.0, 0.0)
 
 
 def test_window_bounds_hold_at_the_extreme_mar_times(tmp_path):

@@ -199,6 +199,21 @@ class TestParsePubmedXml:
             parse_abstracts(io.BytesIO(b"<a><b></a>"), "pubmed-xml")
         assert err.value.byte_offset is not None
 
+    @pytest.mark.parametrize("doc", [
+        b"<a>\n<b>\n</a>", b"<a>\r\n<b>\r\n</a>", b"<a>\r<b>\r</a>", b"<a>\n\r\n\r<b>\r</a>",
+        "<a>é漢<b></a>".encode(), "<a>\r\né<b>\r漢</a>".encode(), "\ufeff<a>\r<b>é</a>".encode(),
+    ], ids=["lf", "crlf", "cr", "mixed", "multibyte", "multibyte-after-endings", "byte-order-mark"])
+    def test_invalid_xml_byte_offset_is_where_the_error_is(self, doc):
+        with pytest.raises(CorpusParseError) as err:
+            parse_abstracts(io.BytesIO(doc), "pubmed-xml")
+        assert err.value.byte_offset == doc.rindex(b"a>")  # expat stops at the mismatched end tag's name
+
+    def test_invalid_byte_offset_counts_the_multibyte_characters_before_it(self):
+        doc = "<a>\r\né漢 ".encode() + b"\xff</a>"
+        with pytest.raises(CorpusParseError, match="invalid XML") as err:
+            parse_abstracts(io.BytesIO(doc), "pubmed-xml")
+        assert err.value.byte_offset == doc.index(b"\xff")
+
     def test_duplicate_pmid_rejected(self):
         doc = PUBMED_DOC.replace(b"<PMID>103</PMID>", b"<PMID>101</PMID>")
         with pytest.raises(ValidationError, match="duplicate"):

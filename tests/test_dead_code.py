@@ -1,10 +1,16 @@
-"""No dead code: every public module-level function of the package, and every
-public method of its public classes, is used by the package or the benchmark.
+"""No dead code and no unused import in the package.
 
-A function or method that only the tests call belongs in ``tests/helpers.py``.
-A use is a name or an attribute access in a ``.py`` file under ``src/`` or
-``bench/``; the function's own ``def``, strings and comments do not count.
-Dunder methods are called by the language, not by name, and are not checked.
+Every public module-level function of the package, and every public method of
+its public classes, is used by the package or the benchmark.  A function or
+method that only the tests call belongs in ``tests/helpers.py``.  A use of a
+function is a name or an attribute access in a ``.py`` file under ``src/`` or
+``bench/``; a use of a method is an attribute access, since a method is only
+reached through its object or class.  The function's own ``def``, strings and
+comments do not count.  Dunder methods are called by the language, not by
+name, and are not checked.  The scan goes by name only, so an attribute of
+the same name on another type still hides an unused method.
+
+Every name a package module imports at module level is used in that module.
 """
 
 import ast
@@ -25,17 +31,38 @@ def _public_defs(body):
 
 
 def test_every_public_function_is_used_outside_its_def():
-    used: Counter = Counter()
+    names: Counter = Counter()  # names and attribute accesses: what a function is used by
+    attributes: Counter = Counter()  # attribute accesses alone: what a method is used by
     for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
-                used[node.id] += 1
+                names[node.id] += 1
             elif isinstance(node, ast.Attribute):
-                used[node.attr] += 1
+                names[node.attr] += 1
+                attributes[node.attr] += 1
     public = [
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name in _public_defs(ast.parse(path.read_text(encoding="utf-8")).body)
     ]
     assert len(public) > 90  # the scan sees the package, methods included
-    assert [name for name in public if not used[name.rsplit(".", 1)[-1]]] == []
+    # a method is named module.Class.method, a function module.function
+    unused = [name for name in public if not (attributes if name.count(".") == 2 else names)[name.split(".")[-1]]]
+    assert unused == []
+
+
+def _imported(body):
+    """(the name bound, its line) for each import statement of a module body."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in _imported(tree.body) if name not in used]
+    assert unused == []

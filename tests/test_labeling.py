@@ -286,7 +286,11 @@ class TestExtractTemplates:
         table = extract_templates(cat, LEXICON)
         assert table.by_pair[pair_key("digoxin", "quinidine")] == table.by_pair[pair_key("digoxin", "warfarin")]
         assert table.by_pair[pair_key("digoxin", "aspirin")] != table.by_pair[pair_key("digoxin", "quinidine")]
-        assert [t.template_id for t in table.templates] == [0, 1]
+        assert table.templates == [
+            "The serum concentration of (~drug~) can be increased when it is combined with (~drug~).",
+            "(~drug~) potentiates (~drug~).",
+        ]  # ids are list positions, in order of first appearance
+        assert table.by_pair[pair_key("digoxin", "aspirin")] == 1
         assert table.support[0] == 2
         assert table.n_warnings == 0
 
@@ -312,4 +316,4 @@ class TestExtractTemplates:
             [("digoxin", "quinidine", "Digoxin levels rise."), ("digoxin", "aspirin", "nothing here")]
         )
         table = extract_templates(cat, LEXICON)
-        assert all("(~drug~)" in t.text for t in table.templates)
+        assert all("(~drug~)" in text for text in table.templates)

@@ -102,6 +102,30 @@ def test_reruns_byte_identical(mini, variant):
     assert "converged 1" in data_lines(first / "model.txt")
 
 
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_evaluate_files_print_python_floats_and_curves_run_corner_to_corner(mini, variant):
+    out = mini[1][variant][0]
+    curves = 0
+    for split in ("dev", "test"):
+        metrics = dict(line.split("\t", 1) for line in data_lines(out / f"metrics_{split}.txt"))
+        rows = [line.split("\t") for line in data_lines(out / f"curve_{split}.tsv")]
+        assert all(metrics.pop(count).isdecimal() for count in ("tp", "fp", "tn", "fn"))
+        cells = [cell for cell in metrics.values() if not cell.startswith("N/A")]
+        cells += [cell for row in rows for cell in row]
+        assert [cell for cell in cells if repr(float(cell)) != cell] == []
+        texts = [(out / name).read_text(encoding="utf-8") for name in (f"metrics_{split}.txt", f"curve_{split}.tsv")]
+        assert not any("float64" in text for text in texts)
+        if not rows:  # a single-class split has no curve
+            continue
+        curves += 1
+        thresholds, tpr, specificity, fpr = (list(map(float, column)) for column in zip(*rows))
+        assert thresholds[0] == float("inf") and all(a > b for a, b in zip(thresholds, thresholds[1:]))
+        assert tpr == sorted(tpr) and fpr == sorted(fpr)
+        assert (fpr[0], tpr[0], fpr[-1], tpr[-1]) == (0.0, 0.0, 1.0, 1.0)
+        assert specificity == [1.0 - x for x in fpr]
+    assert curves > 0
+
+
 def test_templates_match_per_pair_oracle(mini):
     paths, outputs = mini
     catalog = InteractionCatalog.load(paths["catalog"])
