@@ -1,8 +1,8 @@
-"""Abstract ingestion: parsing, tokenization, lexicon matching, filtering, stats, stopwords.
+"""Abstract ingestion: parsing, tokenization, lexicon matching, stats, stopwords.
 
-The corpus files ``tokenized.tsv`` and ``cardiac.tsv`` (the kept abstracts) hold
-:class:`AbstractColumns`: a column line, then one ``id TAB mentions TAB tokens``
-line per abstract.  A stage splits only the columns it reads.
+The kept corpus ``cardiac.tsv``, the abstracts that mention a lexicon drug,
+holds :class:`AbstractColumns`: a column line, then one ``id TAB mentions TAB
+tokens`` line per abstract.  A stage splits only the columns it reads.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import itertools
 import re
 import tarfile
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
@@ -68,6 +68,7 @@ class AbstractColumns:
     ids: list[str]
     mentions: list[str]
     tokens: list[str]
+    header: dict[str, str] = field(default_factory=dict, compare=False)  # the file's header fields, when read
 
     @classmethod
     def of(cls, abstracts: Sequence[TokenizedAbstract]) -> "AbstractColumns":
@@ -85,12 +86,12 @@ def encode_abstracts(corpus: AbstractColumns, **fields) -> artifacts.Encoded:
 
 
 def load_abstracts(path: Path | str) -> AbstractColumns:
-    """Inverse of :func:`encode_abstracts`; a line without its three fields is refused as ``path:line``."""
+    """Inverse of :func:`encode_abstracts`, header included; a line without three fields is refused as ``path:line``."""
     rows = artifacts.read_rows(path, 3)
     if next(rows, (0, None))[1] != _COLUMN_LINE:
         raise ValidationError(f"{path}: the body does not start with the column line {chr(9).join(_COLUMN_LINE)!r}")
     columns = [list(column) for column in zip(*(fields for _, fields in rows))]
-    return AbstractColumns(*columns or ([], [], []))
+    return AbstractColumns(*columns or ([], [], []), header=artifacts.read(path)[1])
 
 
 def check_drug_id(drug_id: str) -> None:
@@ -363,13 +364,6 @@ def tokenize_abstracts(abstracts: Iterable[Abstract], lexicon: DrugLexicon) -> l
     split = ((ab.id, tokenize(ab.text)) for ab in abstracts)
     tokenized = ((aid, tuple(map(words.setdefault, tokens, tokens))) for aid, tokens in split)
     return [TokenizedAbstract(aid, tokens, frozenset(match_drugs(tokens, lexicon))) for aid, tokens in tokenized]
-
-
-def filter_cardiac(corpus: AbstractColumns, lexicon: DrugLexicon) -> AbstractColumns:
-    """Abstracts mentioning at least one lexicon drug, in input order."""
-    drug_ids = lexicon.phrases.keys()
-    kept = [i for i, mentions in enumerate(corpus.mentions) if not drug_ids.isdisjoint(mentions.split())]
-    return AbstractColumns(*([column[i] for i in kept] for column in (corpus.ids, corpus.mentions, corpus.tokens)))
 
 
 @dataclass(frozen=True)

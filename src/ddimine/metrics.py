@@ -28,8 +28,6 @@ def confusion(scores, labels, threshold: float) -> ConfusionCounts:
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise ValidationError(f"scores and labels differ in length: {scores.shape} vs {labels.shape}")
-    if scores.size == 0:
-        raise ValidationError("confusion over empty vectors")
     pred = scores >= threshold
     pos = labels == 1
     return ConfusionCounts(

@@ -11,10 +11,13 @@ fresh when its digest is the one its producer would write now, worked out by
 walking up the table; so a setting or file stales only its readers' artifacts
 and those downstream.
 
-The front passes plain columns: the corpus files are tab-separated
-(:class:`ddimine.corpus.AbstractColumns`), and split and featurize each compute
-the sample x abstract incidence from them, the samples and the assignment
-(:func:`ddimine.splitting.incidence`); no stage reads ``assigned_samples.tsv``.
+The front passes plain columns.  Ingest keeps the abstracts that mention a
+lexicon drug and writes them to ``cardiac.tsv``, tab-separated
+(:class:`ddimine.corpus.AbstractColumns`); filter reads it and writes only the
+corpus statistics, and no stage waits on filter.  Split and featurize each
+compute the sample x abstract incidence from the kept corpus, the samples and
+the assignment (:func:`ddimine.splitting.incidence`); no stage reads
+``assigned_samples.tsv``.
 
 :func:`run_stage` does every artifact read and write.  Before a stage runs, a
 missing input names the stage that produces it (:class:`MissingArtifactError`),
@@ -134,7 +137,7 @@ def _decode_samples(path: Path) -> list[labeling_mod.InteractionSample]:
 # artifact -> its decoder.  The module loaders are looked up at each call, so a
 # wrapper installed on them later (a tracer, say) sees the read.
 _DECODERS: dict[str, Callable[[Path], object]] = {
-    **dict.fromkeys(("tokenized.tsv", "cardiac.tsv"), lambda path: corpus_mod.load_abstracts(path)),
+    "cardiac.tsv": lambda path: corpus_mod.load_abstracts(path),
     "samples.tsv": _decode_samples,
     "assignment.tsv": lambda path: splitting_mod.load_assignment(path)[0],
     "model.txt": lambda path: learn_mod.load_model(path)[0],
@@ -147,30 +150,28 @@ _DECODERS: dict[str, Callable[[Path], object]] = {
 # ---------------------------------------------------------------------------
 
 def stage_ingest(cfg: PipelineConfig) -> Outputs:
-    """Parse the corpus, tokenize, and match the drug lexicon."""
+    """Parse the corpus, tokenize, match the drug lexicon, and keep the abstracts that mention a drug."""
     lexicon = corpus_mod.DrugLexicon.load(cfg.lexicon)
     abstracts, skipped = corpus_mod.load_corpus(cfg.corpus, cfg.corpus_format)
     tokenized = corpus_mod.tokenize_abstracts(abstracts, lexicon)
     del abstracts  # the texts go before the columns are joined
-    tokenized = corpus_mod.AbstractColumns.of(tokenized)
-    return {"tokenized.tsv": corpus_mod.encode_abstracts(tokenized, skipped_records=skipped)}
+    kept = corpus_mod.AbstractColumns.of([ab for ab in tokenized if ab.drug_mentions])  # matches are lexicon ids
+    retention = len(kept.ids) / len(tokenized) if tokenized else 0.0
+    fields = {"skipped_records": skipped, "retention": retention, "before": len(tokenized)}
+    return {"cardiac.tsv": corpus_mod.encode_abstracts(kept, **fields)}
 
 
-def stage_filter(cfg: PipelineConfig, tokenized) -> Outputs:
-    """Keep abstracts mentioning a lexicon drug, with corpus statistics."""
+def stage_filter(cfg: PipelineConfig, kept) -> Outputs:
+    """Corpus statistics of the kept abstracts."""
+    if "retention" not in kept.header:
+        raise ValidationError("cardiac.tsv has no retention in its header; rerun the 'ingest' stage")
     lexicon = corpus_mod.DrugLexicon.load(cfg.lexicon)
-    kept = corpus_mod.filter_cardiac(tokenized, lexicon)
-    retention = len(kept.ids) / len(tokenized.ids) if tokenized.ids else 0.0
-    stats = corpus_mod.corpus_stats(kept)
     seen_cardiac = lexicon.cardiac.intersection(" ".join(kept.mentions).split())
-    body = corpus_mod.render_stats(stats)
-    body += f"retention_ratio\t{retention!r}\n"
+    body = corpus_mod.render_stats(corpus_mod.corpus_stats(kept))
+    body += f"retention_ratio\t{kept.header['retention']}\n"  # a float's str, as ingest wrote it, is its repr
     body += f"cardiac_drugs_in_lexicon\t{len(lexicon.cardiac)}\n"
     body += f"cardiac_drugs_in_abstracts\t{len(seen_cardiac)}\n"
-    return {
-        "cardiac.tsv": corpus_mod.encode_abstracts(kept, retention=retention, before=len(tokenized.ids)),
-        "corpus_stats.txt": ("corpus-stats", {}, body),
-    }
+    return {"corpus_stats.txt": ("corpus-stats", {}, body)}
 
 
 def stage_label(cfg: PipelineConfig) -> Outputs:
@@ -305,8 +306,8 @@ def stage_evaluate(cfg: PipelineConfig, model, dev, test) -> Outputs:
         counts = metrics_mod.confusion(scores, matrix.y, cfg.threshold)
         extra = {}
         curve_lines = ["# threshold\tsensitivity\tspecificity\tfpr"]
-        if len(set(matrix.y.tolist())) < 2:
-            extra["auc"] = "N/A (single-class split)"
+        if (classes := len(set(matrix.y.tolist()))) < 2:
+            extra["auc"] = f"N/A ({'single-class' if classes else 'empty'} split)"
         else:
             curve = metrics_mod.roc_curve(scores, matrix.y)
             extra["auc"] = repr(curve.auc)
@@ -340,8 +341,8 @@ def stage_diagnose_split(cfg: PipelineConfig, kept, assignment, samples) -> Outp
 
 # the stage table; diagnose-split reports on the split and is not a link of the chain
 STAGES: dict[str, Stage] = {
-    "ingest": Stage(stage_ingest, ("corpus", "corpus_format", "lexicon"), (), ("tokenized.tsv",)),
-    "filter": Stage(stage_filter, ("lexicon",), ("tokenized.tsv",), ("cardiac.tsv", "corpus_stats.txt")),
+    "ingest": Stage(stage_ingest, ("corpus", "corpus_format", "lexicon"), (), ("cardiac.tsv",)),
+    "filter": Stage(stage_filter, ("lexicon",), ("cardiac.tsv",), ("corpus_stats.txt",)),
     "label": Stage(stage_label, ("catalog", "lexicon"), (), ("samples.tsv", "templates.tsv", "label_report.txt")),
     "split": Stage(
         stage_split, ("ratios", "seed"), ("cardiac.tsv", "samples.tsv"),

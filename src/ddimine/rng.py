@@ -84,10 +84,6 @@ class Rng:
         self._block: list[int] = []  # values made, read up to _pos
         self._pos = 0
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def derive(self, stream: int) -> "Rng":
         """Independent child stream; derivation depends only on (seed, stream)."""
         return Rng(mix64(self._seed) ^ mix64(stream + 1))

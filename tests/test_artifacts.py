@@ -16,9 +16,9 @@ from helpers import dense_matrix, save
 
 # every artifact a later stage reads: (artifact, producing stage, a reading stage)
 READS = [
-    ("tokenized.tsv", "ingest", "filter"),
-    ("cardiac.tsv", "filter", "split"),
-    ("cardiac.tsv", "filter", "featurize"),
+    ("cardiac.tsv", "ingest", "filter"),
+    ("cardiac.tsv", "ingest", "split"),
+    ("cardiac.tsv", "ingest", "featurize"),
     ("samples.tsv", "label", "split"),
     ("samples.tsv", "label", "featurize"),
     ("assignment.tsv", "split", "featurize"),
@@ -107,7 +107,7 @@ def test_every_output_file_written_atomically(tmp_path, monkeypatch):
     cfg = load_config(write_dataset(SynthParams(seed=7), tmp_path)["config"])
     run_all(cfg)
     files = sorted(p for p in Path(cfg.output).rglob("*") if p.is_file())
-    assert len(files) == 22 + 8  # artifacts plus one manifest per stage
+    assert len(files) == 21 + 8  # artifacts plus one manifest per stage
     assert sorted(written) == files
 
 

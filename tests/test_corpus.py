@@ -2,6 +2,7 @@ import io
 import re
 import tarfile
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from ddimine.corpus import (
     TokenizedAbstract,
     corpus_stats,
     encode_abstracts,
-    filter_cardiac,
     load_abstracts,
     load_corpus,
     match_drugs,
@@ -27,6 +27,7 @@ from ddimine.corpus import (
     tokenize_abstracts,
 )
 from ddimine.errors import CorpusParseError, ValidationError
+from ddimine.pipeline import stage_ingest
 from ddimine.synth import SynthParams, write_dataset
 from helpers import match_oracle, save
 
@@ -342,19 +343,32 @@ class TestMatchDrugs:
 
 
 class TestFilterCardiac:
-    def _toka(self, aid, mentions):
-        return TokenizedAbstract(aid, ("x",), frozenset(mentions))
+    """Ingest keeps an abstract iff it mentions a lexicon drug: the paper's filter, applied as the corpus is read."""
 
-    def test_mentioning_retained_and_empty_dropped(self, small_lexicon):
-        keep = self._toka("K", {"furosemide"})
-        drop = self._toka("D", set())
-        assert filter_cardiac(AbstractColumns.of([keep, drop]), small_lexicon) == AbstractColumns.of([keep])
+    LEXICON = "furosemide\tfurosemide\t1\ndigoxin\tdigoxin\t0\naspirin\tacetyl salicylic acid\t0\n"
 
-    def test_subset_and_idempotent(self, small_lexicon):
-        abstracts = AbstractColumns.of([self._toka(f"A{i}", {"digoxin"} if i % 2 else set()) for i in range(10)])
-        once = filter_cardiac(abstracts, small_lexicon)
-        assert set(once.ids) <= set(abstracts.ids) and len(once.ids) == 5
-        assert filter_cardiac(once, small_lexicon) == once
+    def _ingest(self, tmp_path, texts: dict[str, str]) -> AbstractColumns:
+        """The kept corpus that the ingest stage returns for ``texts``, id -> text, as a file would decode it."""
+        (tmp_path / "lexicon.tsv").write_text(self.LEXICON, encoding="utf-8")
+        (tmp_path / "corpus.tsv").write_text("".join(map("{}\t{}\n".format, *zip(*texts.items()))), encoding="utf-8")
+        cfg = SimpleNamespace(corpus=tmp_path / "corpus.tsv", corpus_format="lines", lexicon=tmp_path / "lexicon.tsv")
+        outputs = stage_ingest(cfg)
+        assert list(outputs) == ["cardiac.tsv"]
+        save(tmp_path / "cardiac.tsv", outputs["cardiac.tsv"])
+        return load_abstracts(tmp_path / "cardiac.tsv")
+
+    def test_mentioning_retained_and_empty_dropped(self, tmp_path):
+        # "aspirin" is a drug id, not a phrase of the lexicon: D names no drug
+        kept = self._ingest(tmp_path, {"K": "Furosemide, then acetyl salicylic acid.", "D": "Aspirin was not given."})
+        assert kept == AbstractColumns(["K"], ["aspirin furosemide"], ["furosemide then acetyl salicylic acid"])
+        assert kept.header == {"skipped_records": "0", "retention": "0.5", "before": "2"}
+
+    def test_subset_and_idempotent(self, tmp_path):
+        texts = {f"A{i}": "digoxin daily" if i % 2 else "rest daily" for i in range(10)}
+        once = self._ingest(tmp_path, texts)
+        assert set(once.ids) <= texts.keys() and len(once.ids) == 5
+        again = self._ingest(tmp_path, {aid: texts[aid] for aid in once.ids})
+        assert again == once and again.header["retention"] == "1.0"
 
 
 class TestCorpusStats:

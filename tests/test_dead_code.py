@@ -8,7 +8,10 @@ function is a name or an attribute access in a ``.py`` file under ``src/`` or
 reached through its object or class.  The function's own ``def``, strings and
 comments do not count.  Dunder methods are called by the language, not by
 name, and are not checked.  The scan goes by name only, so an attribute of
-the same name on another type still hides an unused method.
+the same name on another type still hides an unused method: numpy's
+``Generator.normal`` hid an unused ``Rng.normal``, and ``cfg.seed``,
+``params.seed`` and the like hid an unused ``Rng.seed``.  Both were deleted
+by hand.
 
 Every name a package module imports at module level is used in that module.
 """

@@ -121,9 +121,13 @@ def test_edited_corpus_makes_featurize_refuse_its_input(mini, tmp_path, capsys):
     capsys.readouterr()
     assert main(["featurize", "--config", config]) == 2
     err = capsys.readouterr().err
-    assert "cardiac.tsv is stale" in err and "rerun the 'filter' stage" in err
+    assert "cardiac.tsv is stale" in err and "rerun the 'ingest' stage" in err
     assert main(["filter", "--config", config]) == 2
-    assert "tokenized.tsv is stale" in capsys.readouterr().err
+    assert "cardiac.tsv is stale" in capsys.readouterr().err
+    for stage in ("ingest", "split"):  # split waits on ingest, not on filter
+        assert main([stage, "--config", config]) == 0
+    cfg = load_config(config)
+    assert artifacts.read(cfg.output / "corpus_stats.txt")[1]["digest"] != stage_digests(cfg)("filter")
     assert main(["all", "--config", config]) == 0
 
 

@@ -97,7 +97,7 @@ def mini(tmp_path_factory):
 def test_reruns_byte_identical(mini, variant):
     first, second = mini[1][variant]
     digests = artifact_digests(first)
-    assert len(digests) == 22  # every artifact of every stage, alerts included
+    assert len(digests) == 21  # every artifact of every stage, alerts included
     assert artifact_digests(second) == digests
     assert "converged 1" in data_lines(first / "model.txt")
 
@@ -124,6 +124,21 @@ def test_evaluate_files_print_python_floats_and_curves_run_corner_to_corner(mini
         assert (fpr[0], tpr[0], fpr[-1], tpr[-1]) == (0.0, 0.0, 1.0, 1.0)
         assert specificity == [1.0 - x for x in fpr]
     assert curves > 0
+
+
+@pytest.mark.parametrize("ratios", [(0.9, 0.1, 0.0), (0.8, 0.0, 0.2)])
+def test_an_empty_split_is_evaluated_like_a_single_class_one(tmp_path, ratios):
+    paths = write_dataset(SynthParams(seed=7), tmp_path)
+    raw = json.loads(paths["config"].read_text(encoding="utf-8"))
+    paths["config"].write_text(json.dumps({**raw, "ratios": ratios}), encoding="utf-8")
+    assert main(["all", "--config", str(paths["config"])]) == 0
+    out, empty = load_config(paths["config"]).output, "dev" if ratios[1] == 0 else "test"
+    assert "rows 0" in data_lines(out / f"features_{empty}.txt")
+    metrics = dict(line.split("\t") for line in data_lines(out / f"metrics_{empty}.txt"))
+    assert metrics == {"threshold": "0.0", **dict.fromkeys(("tp", "fp", "tn", "fn"), "0"),
+                       **dict.fromkeys(("sensitivity", "specificity", "ppv", "npv"), "N/A"),
+                       "auc": "N/A (empty split)"}
+    assert list(artifacts.read(out / f"curve_{empty}.tsv")[0]) == ["# threshold\tsensitivity\tspecificity\tfpr"]
 
 
 def test_templates_match_per_pair_oracle(mini):
@@ -313,15 +328,30 @@ def test_ingest_reads_a_directory_corpus(tmp_path):
     config.write_text(json.dumps(raw), encoding="utf-8")
     cfg = load_config(config)
     run_stage(cfg, "ingest")
-    body, header = artifacts.read(cfg.output / "tokenized.tsv")
-    assert list(body) == list(artifacts.read(tmp_path / "out" / "tokenized.tsv")[0])
+    body, header = artifacts.read(cfg.output / "cardiac.tsv")
+    assert list(body) == list(artifacts.read(tmp_path / "out" / "cardiac.tsv")[0])
     assert header["digest"] == stage_digests(cfg)("ingest")
     (members / ".notes").write_text("not read by ingest\n", encoding="utf-8")
-    run_stage(cfg, "filter")  # a hidden file is no member: tokenized.tsv stays fresh
+    run_stage(cfg, "filter")  # a hidden file is no member: cardiac.tsv stays fresh
     with open(members / "part2.txt", "a", encoding="utf-8") as fh:
         fh.write(lines[0].replace("\t", "x\t", 1))
-    with pytest.raises(ArtifactMismatchError, match="tokenized.tsv.*rerun the 'ingest' stage"):
+    with pytest.raises(ArtifactMismatchError, match="cardiac.tsv.*rerun the 'ingest' stage"):
         run_stage(cfg, "filter")
+
+
+def test_ingest_keeps_the_abstracts_naming_a_drug_and_filter_reports_the_retention(tmp_path):
+    paths = write_dataset(SynthParams(seed=7), tmp_path)
+    synthetic = len(paths["corpus"].read_text(encoding="utf-8").splitlines())  # each names a drug
+    with open(paths["corpus"], "a", encoding="utf-8") as fh:
+        fh.write("no-drug\tA sentence that names no drug.\nno-text\t \n")
+    cfg = load_config(paths["config"])
+    for stage in ("ingest", "filter"):
+        run_stage(cfg, stage)
+    kept = corpus.load_abstracts(cfg.output / "cardiac.tsv")
+    assert "no-drug" not in kept.ids and len(kept.ids) == synthetic
+    assert kept.header["before"] == str(synthetic + 1) and kept.header["skipped_records"] == "1"
+    stats = dict(line.split("\t") for line in data_lines(cfg.output / "corpus_stats.txt"))
+    assert stats["n_abstracts"] == str(synthetic) and stats["retention_ratio"] == repr(synthetic / (synthetic + 1))
 
 
 def test_failed_featurize_writes_nothing(tmp_path, capsys):
@@ -398,6 +428,17 @@ def test_a_malformed_row_exits_2_naming_its_line(mini, tmp_path, capsys, name, f
     assert len(err) == 1 and f"{out / name}:{len(lines) - 1}: {message}" in err[0]
 
 
+def test_filter_refuses_a_kept_corpus_whose_header_lost_its_retention(mini, tmp_path, capsys):
+    config, out = copy_counts_run(mini, tmp_path)
+    lines = (out / "cardiac.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    (out / "cardiac.tsv").write_text("".join(line for line in lines if not line.startswith("# retention: ")),
+                                     encoding="utf-8")
+    capsys.readouterr()
+    assert main(["filter", "--config", config, "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "no retention in its header; rerun the 'ingest' stage" in err[0]
+
+
 def test_ingest_rejects_an_id_the_samples_column_cannot_hold(tmp_path, capsys):
     paths = write_dataset(SynthParams(seed=7), tmp_path)
     lexicon = DrugLexicon.load(paths["lexicon"])
@@ -464,14 +505,12 @@ def test_label_rejects_a_catalog_id_feature_rows_cannot_hold(tmp_path, capsys, b
 def test_diagnose_split_cli(tmp_path, capsys):
     paths = write_dataset(SynthParams(seed=7), tmp_path)
     config = str(paths["config"])
-    assert main(["ingest", "--config", config]) == 0
-    capsys.readouterr()
-    assert main(["diagnose-split", "--config", config]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "missing artifact 'cardiac.tsv'" in err[0]
-
-    for stage in ("filter", "label", "split"):
-        assert main([stage, "--config", config]) == 0
+    for missing, stages in (("cardiac.tsv", ("ingest",)), ("assignment.tsv", ("label", "split"))):  # filter never runs
+        assert main(["diagnose-split", "--config", config]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"missing artifact {missing!r}" in err[0]
+        for stage in stages:
+            assert main([stage, "--config", config]) == 0
     capsys.readouterr()
     assert main(["diagnose-split", "--config", config]) == 0
     printed = capsys.readouterr().out

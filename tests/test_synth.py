@@ -61,6 +61,12 @@ def test_datasets_are_byte_for_byte_the_pinned_ones(tmp_path, preset, seed):
 
 
 def test_importing_synth_leaves_scipy_out():
+    """The benchmark's ``setup_s`` is the wall time of a whole ``bench/chain.py setup`` child, imports included.
+
+    ``import scipy.sparse`` alone takes 0.29-0.35 s on a 2-vCPU machine, about the whole ``setup_s`` of the
+    ``planted_lasso`` workload (0.27-0.41 s).  ``synth`` imports ``corpus``, ``labeling`` and ``rng``, so a scipy
+    import added to any of them would show up there as a setup slowdown, not as a failing check.
+    """
     code = "import sys, ddimine.synth; print('scipy' in sys.modules)"
     child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
