@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from typing import Iterator
 
 from . import artifacts
 from .config import load_config
 from .errors import PipelineError
+from .features import FeatureMatrix, load_matrix
 from .pipeline import STAGES, run_all, run_stage
 from .synth import SynthParams, planted_params, write_dataset
 
@@ -31,6 +34,10 @@ def _build_parser() -> argparse.ArgumentParser:
         add_stage(stage, spec.run.__doc__.partition("\n")[0])
     add_stage("all", "run every stage in order")
 
+    show = sub.add_parser("show", help="print a feature file as text: its header, each part row's col:value cells, "
+                          "then each sample's key, label and part indices")
+    show.add_argument("file", help="a features_{train,dev,test}.txt file")
+
     gen = sub.add_parser("gen-synthetic", help="write a synthetic dataset plus a ready config")
     gen.add_argument("--output", required=True, help="directory for the generated files")
     gen.add_argument("--seed", type=int, default=7)
@@ -38,9 +45,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _matrix_lines(matrix: FeatureMatrix) -> Iterator[str]:
+    """A feature file's body as text: the sizes and kind, each part row as ``col:value`` pairs, then one row record
+    per sample with its part indices."""
+    P, A = matrix.parts, matrix.A
+    yield f"rows {matrix.n_rows}\nparts {P.shape[0]}\ndims {matrix.dims}\nkind {matrix.kind}\n"
+    indptr = P.indptr.tolist()
+    for start, end in zip(indptr, indptr[1:]):  # each row from its own slices: no list of every cell
+        cells = map("{}:{!r}".format, P.indices[start:end].tolist(), P.data[start:end].tolist())
+        yield " ".join(["part", *cells]) + "\n"
+    indptr, refs = A.indptr.tolist(), A.indices.tolist()
+    for key, label, start, end in zip(matrix.keys, matrix.y.tolist(), indptr, indptr[1:]):
+        yield " ".join(["row", key, str(label), *map(str, refs[start:end])]) + "\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "show":
+            matrix, header = load_matrix(args.file)
+            try:
+                sys.stdout.write(artifacts.header_text("feature-matrix", header))
+                sys.stdout.writelines(_matrix_lines(matrix))
+                sys.stdout.flush()
+            except BrokenPipeError:  # the reader, such as `head`, has all it wants; no flush at exit either
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
         if args.command == "gen-synthetic":
             params = planted_params(args.seed) if args.preset == "planted" else SynthParams(seed=args.seed)
             paths = write_dataset(params, args.output)

@@ -17,18 +17,26 @@ abstract vectors in sorted-id order.
 
 :class:`FeatureMatrix` holds the factors; X is formed only when read, as CSC,
 straight from them with no intermediate of its size.  A feature file holds the
-factors too: each part row once, as ``col:value`` pairs, then one line per
-sample with the indices of its part rows, so no sample x word matrix is ever
-written.  Indices, not abstract ids, because ids may hold spaces.
+factors too, so no sample x word matrix is ever written.  Its text header
+carries ``rows``, ``parts``, ``dims``, ``kind`` and ``body: npy``; the body is
+seven ``npy`` records (``numpy.lib.format``), in :data:`_RECORDS` order: P's
+indptr, columns and values, A's indptr and part indices, the labels, and the
+sample keys as one ``"\n"``-joined UTF-8 ``uint8`` blob.  Each index record is
+the smallest unsigned type that holds its bound, and the values are too when
+that type widens back to every float bit for bit (counts); else they stay
+float64, so -0.0, NaN payloads and fractions are kept.  ``ddimine show``
+prints a file as text.
 """
 
 from __future__ import annotations
 
+import io
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from tokenize import TokenError
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +47,9 @@ from .labeling import InteractionSample
 from .rng import Rng
 
 _UNDERSAMPLE_STREAM = 21
+_KINDS = ("counts", "embeddings")
+# a feature file's body, in order; every record but the values holds unsigned integers
+_RECORDS = ("part indptr", "part columns", "part values", "row indptr", "row part indices", "labels", "keys")
 
 
 @dataclass
@@ -131,12 +142,15 @@ class FeatureMatrix:
     with sorted row indices: the transpose of the CSR product P' @ A', which
     writes X's arrays once, with no intermediate of X's size.  The solver
     reads X, its transpose (a CSR view) and its row selections from it alone.
+    A feature file stores the CSR arrays of P and A (not A's data, all ones),
+    ``y`` and ``keys`` as its body's records, narrowed, and ``kind`` in its
+    header; :func:`load_matrix` widens them back to these types.
     """
 
     keys: list[str]
     parts: sp.csr_matrix
     y: np.ndarray
-    kind: str  # "counts" | "embeddings"
+    kind: str  # one of _KINDS
     A: sp.csr_matrix
 
     def __post_init__(self) -> None:
@@ -240,83 +254,78 @@ def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
 
 
 def encode_matrix(matrix: FeatureMatrix) -> artifacts.Encoded:
-    """Each part row as ``col:value`` pairs, then one row record per sample with its part indices.
-
-    The body is a generator: no text exists until the artifact is written.
-    """
-    return "feature-matrix", {}, _matrix_lines(matrix)
-
-
-def _matrix_lines(matrix: FeatureMatrix) -> Iterator[str]:
+    """The sizes and kind as header fields, then the factors as narrowed ``npy`` records (see the module docstring)."""
     P, A = matrix.parts, matrix.A
-    yield f"rows {matrix.n_rows}\nparts {P.shape[0]}\ndims {matrix.dims}\nkind {matrix.kind}\n"
-    indptr = P.indptr.tolist()
-    for start, end in zip(indptr, indptr[1:]):  # each row from its own slices: no list of every cell
-        cells = map("{}:{!r}".format, P.indices[start:end].tolist(), P.data[start:end].tolist())
-        yield " ".join(["part", *cells]) + "\n"
-    indptr, refs = A.indptr.tolist(), A.indices.tolist()
-    for key, label, start, end in zip(matrix.keys, matrix.y.tolist(), indptr, indptr[1:]):
-        yield " ".join(["row", key, str(label), *map(str, refs[start:end])]) + "\n"
+    fields = {"rows": matrix.n_rows, "parts": P.shape[0], "dims": matrix.dims, "kind": matrix.kind, "body": "npy"}
+    records = (
+        _narrowed(P.indptr, P.nnz), _narrowed(P.indices, matrix.dims), _narrowed_values(P.data),
+        _narrowed(A.indptr, A.nnz), _narrowed(A.indices, P.shape[0]), _narrowed(matrix.y, 1),
+        np.frombuffer("\n".join(matrix.keys).encode(), dtype=np.uint8),
+    )
+    body = io.BytesIO()
+    for record in records:
+        np.lib.format.write_array(body, record, allow_pickle=False)
+    return "feature-matrix", fields, body.getvalue()
+
+
+def _narrowed(a: np.ndarray, bound: int) -> np.ndarray:
+    return a.astype(np.min_scalar_type(bound))
+
+
+def _narrowed_values(values: np.ndarray) -> np.ndarray:
+    """``values`` as the smallest unsigned type that widens back to every one bit for bit, else as they are."""
+    if values.size and 0 <= values.min() and values.max() < 2.0**64:  # NaN fails both tests
+        narrow = _narrowed(values, int(values.max()))
+        if np.array_equal(narrow.astype(np.float64).view(np.int64), values.view(np.int64)):  # no fraction or -0.0
+            return narrow
+    return values
 
 
 def load_matrix(path: Path | str) -> tuple[FeatureMatrix, dict[str, str]]:
-    """Inverse of :func:`encode_matrix`; returns the matrix and header fields.
+    """Inverse of :func:`encode_matrix`; returns the matrix and the header's other fields (the digest).
 
-    The cells of every part row, and the part indices of every sample row, are
-    each parsed in one numpy conversion.  A file from before the factored
-    format, with no ``parts`` line, is refused.
+    Each record is read with ``allow_pickle=False`` and widened.  A body that
+    does not hold exactly the seven records, with the sizes, bounds, labels in
+    {0, 1} and kind the header and format promise, is refused with the path, as
+    is a text body from before this format.
     """
-    lines, header = artifacts.read(path)
-    meta: dict[str, str] = {}
-    cells: list[str] = []
-    keys: list[str] = []
-    labels: list[int] = []
-    refs: list[str] = []
-    for line in lines:
-        fields = line.split(" ", 3)
-        if fields[0] == "part":
-            cells.append(line[5:])
-        elif fields[0] == "row" and len(fields) >= 3:
-            keys.append(fields[1])
-            labels.append(int(fields[2]))
-            refs.append(fields[3] if len(fields) == 4 else "")
-        elif fields[0] in ("rows", "parts", "dims", "kind") and len(fields) == 2:
-            meta[fields[0]] = fields[1]
-        elif line:
-            raise ValidationError(f"{path}: unexpected line {line!r}")
-    if "parts" not in meta:
-        raise ValidationError(f"{path}: sample x word feature file from an older version; rerun featurize")
-    try:
-        n_rows, n_parts, dims, kind = int(meta["rows"]), int(meta["parts"]), int(meta["dims"]), meta["kind"]
-    except KeyError as exc:
-        raise ValidationError(f"{path}: incomplete matrix header") from exc
-    if len(keys) != n_rows:
-        raise ValidationError(f"{path}: header says {n_rows} rows, found {len(keys)}")
-    if len(cells) != n_parts:
-        raise ValidationError(f"{path}: header says {n_parts} parts, found {len(cells)}")
-    values, indptr = _numbers(path, cells, [c.count(":") for c in cells], 2, "cells")
-    cols = values[0::2].astype(np.int64)
-    if not np.array_equal(cols, values[0::2]) or cols.size and not 0 <= cols.min() <= cols.max() < dims:
-        raise ValidationError(f"{path}: a cell's column is not an integer in [0, {dims})")
-    parts = sp.csr_matrix((np.ascontiguousarray(values[1::2]), cols, indptr), shape=(n_parts, dims))
-    values, indptr = _numbers(path, refs, [r.count(" ") + 1 if r else 0 for r in refs], 1, "part indices")
-    idx = values.astype(np.int64)
-    if not np.array_equal(idx, values) or idx.size and not 0 <= idx.min() <= idx.max() < n_parts:
-        raise ValidationError(f"{path}: a part index is not an integer in [0, {n_parts})")
-    A = sp.csr_matrix((np.ones(idx.size), idx, indptr), shape=(n_rows, n_parts))
-    return FeatureMatrix(keys, parts, np.array(labels, dtype=np.int64), kind, A), header
+    with artifacts.opened(path) as (fh, header):
+        if header.pop("body", None) != "npy":
+            raise ValidationError(f"{path}: not a feature file with an npy body (a text one is older); rerun featurize")
+        try:
+            n_rows, n_parts, dims = sizes = [int(header.pop(name)) for name in ("rows", "parts", "dims")]
+            kind = header.pop("kind")
+            if min(sizes) < 0:
+                raise ValueError(f"negative size in {sizes}")
+            records = [np.lib.format.read_array(fh, allow_pickle=False) for _ in _RECORDS]
+            if fh.read(1):
+                raise ValueError("bytes after the last record")
+            for name, a in zip(_RECORDS, records):
+                if a.ndim != 1 or a.dtype.kind != "u" and not (name == "part values" and a.dtype == np.float64):
+                    raise ValueError(f"the {name} record is {a.dtype} of shape {a.shape}")
+            part_ptr, cols, values, row_ptr, refs, labels, keys = records
+            text = keys.tobytes().decode("utf-8")
+        # numpy's parse of a damaged npy header can raise a ValueError, TypeError, SyntaxError or TokenError, and
+        # MemoryError for a shape past what can be allocated; a missing header field is a KeyError
+        except (KeyError, ValueError, TypeError, SyntaxError, TokenError, MemoryError) as exc:
+            raise ValidationError(f"{path}: damaged feature file: {exc}") from exc
+    _check_csr(path, part_ptr, cols, n_parts, dims, "part", "column")
+    _check_csr(path, row_ptr, refs, n_rows, n_parts, "row", "part index")
+    keys = text.split("\n") if text or n_rows else []
+    if len(keys) != n_rows or len(labels) != n_rows:
+        raise ValidationError(f"{path}: header says {n_rows} rows, found {len(keys)} keys and {len(labels)} labels")
+    if labels.size and labels.max() > 1:
+        raise ValidationError(f"{path}: a label is not 0 or 1")
+    if kind not in _KINDS:
+        raise ValidationError(f"{path}: kind {kind!r} is not one of {_KINDS}")
+    parts = sp.csr_matrix((values.astype(np.float64, copy=False), cols, part_ptr), shape=(n_parts, dims))
+    A = sp.csr_matrix((np.ones(refs.size), refs, row_ptr), shape=(n_rows, n_parts))
+    return FeatureMatrix(keys, parts, labels.astype(np.int64), kind, A), header
 
 
-def _numbers(path, texts: list[str], counts: list[int], width: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every number in ``texts``, read as floats in one conversion, and the indptr of their entries.
-
-    Text i holds ``counts[i]`` entries of ``width`` numbers each, split by spaces
-    (and by ``:`` within a ``col:value`` cell).
-    """
-    # fromstring reads a blank string as [-1.0]
-    values = np.fromstring(" ".join(filter(None, texts)).replace(":", " "), sep=" ")
-    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    if values.size != width * indptr[-1]:
-        raise ValidationError(f"{path}: malformed {what}")
-    return values, indptr
+def _check_csr(path, indptr: np.ndarray, indices: np.ndarray, n: int, bound: int, row: str, index: str) -> None:
+    """Refuse an indptr other than n + 1 ascending offsets from 0 to the indices' end, or an index from ``bound`` up."""
+    if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or (indptr[:-1] > indptr[1:]).any():
+        raise ValidationError(f"{path}: the {row} indptr is not {n + 1} ascending offsets from 0 to {len(indices)}")
+    if indices.size and indices.max() >= bound:
+        raise ValidationError(f"{path}: a {row}'s {index} is not in [0, {bound})")

@@ -7,6 +7,7 @@ path it checks.
 
 from __future__ import annotations
 
+import io
 import random
 import re
 from collections import Counter
@@ -505,27 +506,28 @@ def embed_sample(sample, abstracts_by_id, table, stopwords) -> tuple[np.ndarray,
 
 
 def load_matrix_oracle(path) -> FeatureMatrix:
-    """A feature file parsed in Python, ``#`` lines skipped: each row sums its parts cell by cell, in part order.
+    """A feature file decoded here: the ``#`` lines as the header, then its seven ``npy`` records read one by one.
 
-    A column whose sum is zero is not stored; the rows come back in full (A = identity).
+    Each row sums its parts cell by cell, in part order.  A column whose sum is
+    zero is not stored; the rows come back in full (A = identity).
     """
+    raw = Path(path).read_bytes()
     meta: dict[str, str] = {}
-    parts, keys, labels, row_refs = [], [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(" ")
-            if fields[0] == "part":
-                parts.append([(int(col), float(val)) for col, _, val in (c.partition(":") for c in fields[1:])])
-            elif fields[0] == "row":
-                keys.append(fields[1])
-                labels.append(int(fields[2]))
-                row_refs.append([int(i) for i in fields[3:]])
-            else:
-                meta[fields[0]] = fields[1]
-    assert len(parts) == int(meta["parts"]) and len(keys) == int(meta["rows"])
+    while raw.startswith(b"#"):
+        line, _, raw = raw.partition(b"\n")
+        key, sep, val = line.decode("utf-8")[2:].partition(": ")
+        if sep:
+            meta[key] = val
+    assert meta["body"] == "npy"
+    body = io.BytesIO(raw)
+    part_ptr, cols, values, row_ptr, refs, labels, keys = (
+        np.lib.format.read_array(body, allow_pickle=False).tolist() for _ in range(7)
+    )
+    assert body.read() == b""
+    parts = [[(cols[j], float(values[j])) for j in range(start, end)] for start, end in zip(part_ptr, part_ptr[1:])]
+    row_refs = [refs[start:end] for start, end in zip(row_ptr, row_ptr[1:])]
+    keys = bytes(keys).decode("utf-8").split("\n") if keys or meta["rows"] != "0" else []
+    assert len(parts) == int(meta["parts"]) and len(keys) == len(labels) == len(row_refs) == int(meta["rows"])
     indptr, indices, data = [0], [], []
     for refs in row_refs:
         sums: dict[int, float] = {}

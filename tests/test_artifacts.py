@@ -8,7 +8,8 @@ import pytest
 from ddimine import artifacts
 from ddimine.cli import main
 from ddimine.config import load_config
-from ddimine.errors import ArtifactMismatchError, MissingArtifactError
+from ddimine.corpus import AbstractColumns, encode_abstracts, load_abstracts
+from ddimine.errors import ArtifactMismatchError, MissingArtifactError, ValidationError
 from ddimine.features import encode_matrix
 from ddimine.pipeline import STAGES, run_all, run_stage
 from ddimine.synth import SynthParams, write_dataset
@@ -36,18 +37,19 @@ def test_stage_table_declares_every_read():
     assert declared == expected
 
 
+# as bytes: a feature file's body is binary
 def foreign_digest(path: Path) -> None:
-    lines = path.read_text(encoding="utf-8").split("\n")
-    i = next(i for i, line in enumerate(lines) if line.startswith("# digest: "))
-    lines[i] = "# digest: " + "0" * 64
-    path.write_text("\n".join(lines), encoding="utf-8")
+    lines = path.read_bytes().split(b"\n")
+    i = next(i for i, line in enumerate(lines) if line.startswith(b"# digest: "))
+    lines[i] = b"# digest: " + b"0" * 64
+    path.write_bytes(b"\n".join(lines))
 
 
 def strip_header(path: Path) -> None:
-    lines = path.read_text(encoding="utf-8").split("\n")
-    while lines[0].startswith("#"):
+    lines = path.read_bytes().split(b"\n")
+    while lines[0].startswith(b"#"):
         lines.pop(0)
-    path.write_text("\n".join(lines), encoding="utf-8")
+    path.write_bytes(b"\n".join(lines))
 
 
 DAMAGE = {"missing": Path.unlink, "foreign_digest": foreign_digest, "stripped_header": strip_header}
@@ -123,9 +125,9 @@ class HalfWriter:
     def __exit__(self, *exc):
         self.fh.close()
 
-    def writelines(self, texts):
-        text = "".join(texts)
-        self.fh.write(text[: len(text) // 2])
+    def writelines(self, chunks):
+        data = b"".join(chunks)
+        self.fh.write(data[: len(data) // 2])
         self.fh.flush()
         raise OSError("no space left on device")
 
@@ -156,3 +158,34 @@ def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch, failure):
             save(path, encode_matrix(dense_matrix([[3.0, 4.0], [5.0, 6.0]], [0, 1])), {"digest": "new"})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
+
+
+def test_a_text_feature_file_under_a_current_digest_is_refused(chain, tmp_path, capsys):
+    """A feature file with the older text body passes the digest check, which covers inputs, not the format."""
+    config, out = chain
+    shutil.copytree(out, tmp_path / "out")
+    path = tmp_path / "out" / "features_train.txt"
+    assert main(["show", str(path)]) == 0
+    path.write_text(capsys.readouterr().out, encoding="utf-8")  # the text the older format wrote
+    assert path.read_bytes().startswith(b"# ddimine feature-matrix\n# digest: ") and b"\nrow " in path.read_bytes()
+    cfg = load_config(config, {"output": str(tmp_path / "out")})
+    with pytest.raises(ValidationError, match="rerun featurize") as info:
+        run_stage(cfg, "train")
+    assert str(path) in str(info.value)
+    assert main(["train", "--config", str(config), "--output", str(cfg.output)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "rerun featurize" in err
+
+
+def test_a_multibyte_text_artifact_reads_the_same_through_the_binary_header_reader(tmp_path):
+    path = tmp_path / "cardiac.tsv"
+    ids = ["abstract-é", "抄録 7", "á𝛼"]  # two-, three- and four-byte characters
+    corpus = AbstractColumns(ids, ["d1", "d1 d2", ""], ["é ü", "ß", "x 𝛼 y"])
+    save(path, encode_abstracts(corpus, note="ünïcode"), {"digest": "abc"})
+    body, fields = artifacts.read(path)
+    assert fields == {"digest": "abc", "note": "ünïcode"}
+    assert list(body) == ["# id\tmentions\ttokens", *map("\t".join, zip(ids, corpus.mentions, corpus.tokens))]
+    assert load_abstracts(path) == corpus and load_abstracts(path).header == fields
+    artifacts.check_digest(path, "abc", "ingest")
+    with pytest.raises(ArtifactMismatchError):
+        artifacts.check_digest(path, "abd", "ingest")

@@ -1,5 +1,9 @@
+import io
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -10,6 +14,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddimine import artifacts
+from ddimine.cli import main
 from ddimine.corpus import TokenizedAbstract, default_stopwords, load_stopwords
 from ddimine.errors import ValidationError
 from ddimine.features import (
@@ -327,6 +333,10 @@ class TestUndersample:
             assert [m.keys.index(k) for k in a.keys] == sorted(m.keys.index(k) for k in a.keys)
 
 
+def u8(*values) -> np.ndarray:
+    return np.array(values, dtype=np.uint8)
+
+
 class TestMatrixPersistence:
     def test_sparse_roundtrip(self, tmp_path):
         abstracts = {"a1": toka("a1", ["dose", "dose", "response"])}
@@ -351,13 +361,13 @@ class TestMatrixPersistence:
         assert loaded.kind == "embeddings"
 
     def test_storage_line_rejected(self, tmp_path):
+        # a text body from the dense-storage era, under a current header, is refused unread
         path = tmp_path / "m.txt"
-        path.write_text(
-            "rows 1\nparts 1\ndims 2\nstorage dense\nkind embeddings\npart 0:0.5 1:2.0\nrow s0 1 0\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(ValidationError, match="storage"):
+        body = "rows 1\nparts 1\ndims 2\nstorage dense\nkind embeddings\npart 0:0.5 1:2.0\nrow s0 1 0\n"
+        save(path, ("feature-matrix", {}, body), {"digest": "abc"})
+        with pytest.raises(ValidationError, match="rerun featurize") as err:
             load_matrix(path)
+        assert str(path) in str(err.value)
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -413,33 +423,196 @@ class TestMatrixPersistence:
          "part 3", "part 3:1.0 4", "part 3.5:1.0", "part x:1.0", "part 5:1.0"],
     )
     def test_malformed_sparse_cells_rejected(self, tmp_path, line):
-        # each text is malformed both as a sample row's part indices and as a part row's cells
+        # a text body is refused as older, not parsed: malformed cells give the same error as well-formed ones
         part, row = (line, "row s0 1 0") if line.startswith("part") else ("part 0:1.0", line)
         path = tmp_path / "m.txt"
-        path.write_text(f"rows 1\nparts 1\ndims 5\nkind counts\n{part}\n{row}\n", encoding="utf-8")
-        with pytest.raises(ValueError):  # ValidationError is a ValueError
+        save(path, ("feature-matrix", {}, f"rows 1\nparts 1\ndims 5\nkind counts\n{part}\n{row}\n"), {"digest": "abc"})
+        with pytest.raises(ValidationError, match="rerun featurize") as err:
             load_matrix(path)
+        assert str(path) in str(err.value)
 
-    @pytest.mark.parametrize(
-        "body, message",
-        [
-            ("rows 1\nparts 1\ndims 2\nkind counts\npart 0:1.0\nrow s0 1 1\n", r"part index .* \[0, 1\)"),
-            ("rows 1\nparts 1\ndims 2\nkind counts\npart 0:1.0\nrow s0 1 -1\n", r"part index .* \[0, 1\)"),
-            ("rows 1\nparts 1\ndims 2\nkind counts\npart 0:1.0\nrow s0 1 0.5\n", r"part index .* \[0, 1\)"),
-            ("rows 1\nparts 1\ndims 2\nkind counts\npart 0:1.0\nrow s0 1 0:1.0\n", "malformed part indices"),
-            ("rows 1\nparts 2\ndims 2\nkind counts\npart 0:1.0\nrow s0 1 0\n", "says 2 parts, found 1"),
-            ("rows 2\nparts 1\ndims 2\nkind counts\npart 0:1.0\nrow s0 1 0\n", "says 2 rows, found 1"),
-            ("rows 1\ndims 2\nkind counts\nrow s0 1 0:1.0 1:2.0\n", "rerun featurize"),
-        ],
-        ids=["index-past-end", "index-negative", "index-fraction", "index-cell", "part-count", "row-count",
-             "old-format"],
-    )
-    def test_inconsistent_file_rejected(self, tmp_path, body, message):
+    @staticmethod
+    def write_records(path, fields: dict, records: dict) -> None:
+        """A feature file with a current header and the given ``npy`` records, in order; a None field or record is
+        left out."""
+        body = io.BytesIO()
+        for record in filter(lambda r: r is not None, records.values()):
+            np.lib.format.write_array(body, record, allow_pickle=False)
+        header = {"digest": "abc", "rows": 1, "parts": 1, "dims": 2, "kind": "counts", "body": "npy", **fields}
+        header = {key: val for key, val in header.items() if val is not None}
+        artifacts.write(path, "feature-matrix", header, body.getvalue())
+
+    # one sample summing one part of width 2: each case changes header fields or records of it
+    VALID = {
+        "part indptr": u8(0, 1), "part columns": u8(1), "part values": u8(3), "row indptr": u8(0, 1),
+        "row part indices": u8(0), "labels": u8(1), "keys": np.frombuffer(b"a|b", np.uint8),
+    }
+    DAMAGED = {
+        # (header fields, records replaced, message)
+        "index-past-end": ({}, {"row part indices": u8(1)}, r"row's part index is not in \[0, 1\)"),
+        "index-negative": ({}, {"row part indices": np.array([-1], np.int8)}, "row part indices record is int8"),
+        "index-fraction": ({}, {"row part indices": np.array([0.5])}, "row part indices record is float64"),
+        "index-cell": ({}, {"part columns": u8(2)}, r"part's column is not in \[0, 2\)"),
+        "part-count": ({"parts": 2}, {}, "part indptr is not 3 ascending offsets"),
+        "row-count": ({"rows": 2}, {"row indptr": u8(0, 1, 1)}, "says 2 rows, found 1 keys"),
+        "old-format": ({"body": "text"}, {}, "rerun featurize"),
+        "columns-past-dims": ({"dims": 1}, {}, r"part's column is not in \[0, 1\)"),
+        "part-index-past-parts": (
+            {"parts": 0}, {"part indptr": u8(0), "part columns": u8(), "part values": u8()},
+            r"part index is not in \[0, 0\)",
+        ),
+        "part-indptr-not-monotone": ({"parts": 2}, {"part indptr": u8(0, 2, 1), "part columns": u8(0)}, "not 3 asc"),
+        "part-indptr-short-of-the-end": (
+            {}, {"part columns": u8(0, 1), "part values": u8(1, 2)}, "ascending offsets from 0 to 2",
+        ),
+        "row-indptr-past-the-end": ({}, {"row indptr": u8(0, 2)}, "ascending offsets from 0 to 1"),
+        "row-indptr-from-one": ({}, {"row indptr": u8(1, 1)}, "ascending offsets from 0"),
+        "more-keys-than-rows": ({}, {"keys": np.frombuffer(b"a|b\nc|d", np.uint8)}, "found 2 keys"),
+        "no-keys-for-a-row": (
+            {"rows": 0}, {"row indptr": u8(0), "row part indices": u8(), "labels": u8()}, "says 0 rows, found 1 keys",
+        ),
+        "keys-not-utf8": ({}, {"keys": u8(0xFF)}, "damaged feature file"),
+        "label-two": ({}, {"labels": u8(2)}, "label is not 0 or 1"),
+        "label-minus-one": ({}, {"labels": np.array([-1], np.int64)}, "labels record is int64"),
+        "values-as-float32": ({}, {"part values": np.array([3], np.float32)}, "part values record is float32"),
+        "values-as-a-matrix": ({}, {"part values": np.array([[3]], np.uint8)}, r"shape \(1, 1\)"),
+        "kind-bogus": ({"kind": "bogus"}, {}, "kind 'bogus' is not one of"),
+        "rows-missing": ({"rows": None}, {}, "damaged feature file"),
+        "dims-negative": ({"dims": -1}, {}, "negative size"),
+        "a-record-missing": ({}, {"keys": None}, "damaged feature file: EOF"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DAMAGED))
+    def test_inconsistent_file_rejected(self, tmp_path, case):
+        fields, replaced, message = self.DAMAGED[case]
         path = tmp_path / "features_train.txt"
-        save(path, ("feature-matrix", {}, body), {"digest": "abc"})
+        self.write_records(path, fields, {**self.VALID, **replaced})
         with pytest.raises(ValidationError, match=message) as err:
             load_matrix(path)
         assert str(path) in str(err.value)
+
+    def test_written_labels_outside_zero_one_are_refused(self, tmp_path):
+        path = tmp_path / "features_train.txt"
+        save(path, encode_matrix(dense_matrix([[1.0], [2.0]], [2, -1])), {"digest": "abc"})
+        with pytest.raises(ValidationError, match="label is not 0 or 1") as err:
+            load_matrix(path)
+        assert str(path) in str(err.value)
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        """A valid feature file, its bytes and where its body starts."""
+        path = tmp_path / "features_train.txt"
+        save(path, encode_matrix(dense_matrix([[0.5, -0.0], [3.0, 0.0], [np.nan, 7.0]], [1, 0, 1])), {"digest": "abc"})
+        data = path.read_bytes()
+        return path, data, data.index(b"\x93NUMPY")
+
+    def test_truncated_body_rejected(self, written):
+        path, data, start = written
+        for cut in sorted({start, start + 1, start + 9, start + 100, start + 128, start + 130, len(data) // 2,
+                           data.rindex(b"\x93NUMPY"), len(data) - 4, len(data) - 1}):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValidationError, match="damaged feature file") as err:
+                load_matrix(path)
+            assert str(path) in str(err.value), cut
+
+    def test_trailing_bytes_rejected(self, written):
+        path, data, _ = written
+        for tail in (b"\n", b"\x00", data[-200:]):
+            path.write_bytes(data + tail)
+            with pytest.raises(ValidationError, match="bytes after the last record") as err:
+                load_matrix(path)
+            assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("descr", b"'|O'", "allow_pickle"), ("shape", b"(1099511627776,)", "damaged feature file"),
+         ("shape", b"((4,)", "damaged feature file")],
+        ids=["object-dtype", "shape-past-the-file", "unbalanced"],
+    )
+    def test_rewritten_npy_header_rejected(self, written, field, value, message):
+        path, data, start = written
+        at = data.index(b"'%s': " % field.encode(), start) + len(field) + 4  # in the first record's header
+        old = data[at : data.index(b")", at) + 1] if field == "shape" else data[at : data.index(b",", at)]
+        end = data.index(b"\n", at)  # the header's padding ends there: take the new value's length from it
+        path.write_bytes(data[:at] + value + data[at + len(old) : end - len(value) + len(old)] + data[end:])
+        with pytest.raises(ValidationError, match=message) as err:
+            load_matrix(path)
+        assert str(path) in str(err.value)
+
+    @given(edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(-1, 255)), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_edited_bytes_load_or_are_refused_with_the_path(self, edits):
+        """Bytes overwritten (or, at -1, deleted) anywhere in a file: no error escapes but ValidationError."""
+        m = dense_matrix([[0.5, -0.0, 3.0], [3.0, 0.0, 1.0], [np.nan, 7.0, 2.0]], [1, 0, 1])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "features_train.txt"
+            save(path, encode_matrix(m), {"digest": "abc"})
+            data = bytearray(path.read_bytes())
+            for at, byte in edits:
+                at %= len(data)
+                if byte < 0:
+                    del data[at]
+                else:
+                    data[at] = byte
+            path.write_bytes(data)
+            try:
+                load_matrix(path)
+            except ValidationError as err:
+                assert str(path) in str(err)
+
+    def test_counts_narrowed_and_embeddings_kept_exact(self, tmp_path):
+        """Integer counts go to the smallest unsigned type; -0.0, NaN payloads and fractions stay float64."""
+        nan1 = np.uint64(0x7FF8000000000001).view(np.float64)
+        cases = [([1.0, 300.0], np.uint16), ([-0.0, 1.0], np.float64), ([nan1, 1.0], np.float64),
+                 ([0.5, 1.0], np.float64), ([2.0**64, 1.0], np.float64), ([-1.0, 1.0], np.float64)]
+        for values, dtype in cases:
+            stored = sp.csr_matrix((values, [0, 1], [0, 2]), shape=(1, 2))  # -0.0 kept as a cell
+            path = tmp_path / "m.txt"
+            save(path, encode_matrix(full_rows(["s"], stored, [1])), {"digest": "abc"})
+            body = io.BytesIO(path.read_bytes().partition(b"# body: npy\n")[2])
+            assert [np.lib.format.read_array(body).dtype for _ in range(3)][2] == dtype
+            loaded, _ = load_matrix(path)
+            assert loaded.parts.data.dtype == np.float64
+            assert loaded.parts.data.tobytes() == np.array(values).tobytes()
+
+    def test_show_prints_the_text_form(self, tmp_path, capsys):
+        # the text the text-body format wrote for this matrix, header included
+        golden = (
+            "# ddimine feature-matrix\n# digest: abc\nrows 3\nparts 3\ndims 4\nkind embeddings\n"
+            "part 0:2.0 2:1.0\npart 0:0.5 1:-0.0 2:nan\npart 1:inf 2:1e-300\n"
+            "row a|b 1 0 2\nrow c|d 0\nrow e|f 1 1 2\n"
+        )
+        nan1 = np.uint64(0x7FF8000000000001).view(np.float64)
+        parts = sp.csr_matrix(
+            (np.array([2.0, 1.0, 0.5, -0.0, nan1, np.inf, 1e-300]), [0, 2, 0, 1, 2, 1, 2], [0, 2, 5, 7]), shape=(3, 4)
+        )
+        A = sp.csr_matrix((np.ones(4), [0, 2, 1, 2], [0, 2, 2, 4]), shape=(3, 3))
+        path = tmp_path / "features_train.txt"
+        save(path, encode_matrix(FeatureMatrix(["a|b", "c|d", "e|f"], parts, np.array([1, 0, 1]), "embeddings", A)),
+             {"digest": "abc"})
+        assert main(["show", str(path)]) == 0
+        assert capsys.readouterr().out == golden
+
+    def test_show_into_a_reader_that_stops_early_ends_quietly(self, tmp_path):
+        path = tmp_path / "features_train.txt"
+        save(path, encode_matrix(dense_matrix(np.arange(40_000.0).reshape(2000, 20) / 7, [0, 1] * 1000)),
+             {"digest": "abc"})
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        show = subprocess.Popen([sys.executable, "-m", "ddimine.cli", "show", str(path)], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert show.stdout.read(100).startswith(b"# ddimine feature-matrix\n")  # the text is far longer than a pipe
+        show.stdout.close()
+        assert show.wait(timeout=60) == 0 and show.stderr.read() == b""
+
+    def test_show_refuses_a_text_artifact_and_a_corrupt_file(self, tmp_path, written, capsys):
+        path, data, _ = written
+        vocab = tmp_path / "vocab.tsv"
+        save(vocab, encode_vocab(build_vocab([["dose", "dose"]])), {"digest": "abc"})
+        path.write_bytes(data[:-3])
+        for target in (vocab, path):
+            assert main(["show", str(target)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and str(target) in err
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)

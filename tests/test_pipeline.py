@@ -133,7 +133,7 @@ def test_an_empty_split_is_evaluated_like_a_single_class_one(tmp_path, ratios):
     paths["config"].write_text(json.dumps({**raw, "ratios": ratios}), encoding="utf-8")
     assert main(["all", "--config", str(paths["config"])]) == 0
     out, empty = load_config(paths["config"]).output, "dev" if ratios[1] == 0 else "test"
-    assert "rows 0" in data_lines(out / f"features_{empty}.txt")
+    assert artifacts.read(out / f"features_{empty}.txt")[1]["rows"] == "0"
     metrics = dict(line.split("\t") for line in data_lines(out / f"metrics_{empty}.txt"))
     assert metrics == {"threshold": "0.0", **dict.fromkeys(("tp", "fp", "tn", "fn"), "0"),
                        **dict.fromkeys(("sensitivity", "specificity", "ppv", "npv"), "N/A"),
