@@ -10,8 +10,18 @@ The header is the first line, when it starts with ``#``, and the run of
 ``# key: value`` lines (the key an identifier) after it; the body starts at
 the first other line.  Column lines such as ``# template_id<TAB>text`` and
 the ``# best_lambda:`` notes after the CV rows are therefore body.  The
-header is read as bytes, so a body may be text or binary (a feature file's
-``npy`` records, see :mod:`ddimine.features`).
+header is read as bytes, so a body may be text or binary.
+
+A binary body is the record codec's: the header carries ``body: npy``, and the
+body is a fixed sequence of named ``npy`` records (``numpy.lib.format``, no
+pickles), each a 1-D array.  An index record is the smallest unsigned type that
+holds its bound (:func:`narrowed`); a values record is too when that type
+widens back to every float bit for bit, else float64 (:func:`narrowed_values`);
+a strings record is one ``"\n"``-joined UTF-8 ``uint8`` blob.  The feature
+files (:mod:`ddimine.features`) and the kept corpus (:mod:`ddimine.corpus`)
+are written by :func:`encode_records` and read by :func:`read_records` and
+:func:`check_csr`, which refuse any damage with a :class:`ValidationError`
+that names the path.
 """
 
 from __future__ import annotations
@@ -21,46 +31,46 @@ import itertools
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping
+from tokenize import TokenError
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ArtifactMismatchError, ValidationError
 
+Bytes = bytes | memoryview
 # an artifact before it is written: (kind, per-file header fields, body);
-# the body is newline-terminated text or its chunks, or bytes, as :func:`write` takes it
-Encoded = tuple[str, Mapping[str, object], str | bytes | Iterable[str]]
+# the body is newline-terminated text or bytes, or their chunks, as :func:`write` takes it
+Encoded = tuple[str, Mapping[str, object], str | Bytes | Iterable[str] | Iterable[Bytes]]
 
 
 def header_text(kind: str, fields: Mapping[str, object]) -> str:
     return f"# ddimine {kind}\n" + "".join(f"# {key}: {val}\n" for key, val in fields.items())
 
 
-def write_atomic(path: Path | str, chunks: Iterable[str] | bytes) -> None:
+def write_atomic(path: Path | str, chunks: Iterable[str | Bytes]) -> None:
     """Replace ``path`` with ``chunks``, concatenated text or bytes, through a temp file in the same directory.
 
-    Text is written as UTF-8, and its chunks as they come, so a generator streams.  A reader, or
+    Text is written as UTF-8; chunks are written as they come, so a generator streams.  A reader, or
     a stage killed mid-write, or a chunk source that raises, leaves the old file
     or the new one, never a part.  No fsync: this guards against partial files,
     not power loss.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    binary = isinstance(chunks, bytes)
     try:
-        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
-            fh.writelines([chunks] if binary else chunks)
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunk.encode() if isinstance(chunk, str) else chunk for chunk in chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def write(path: Path | str, kind: str, fields: Mapping[str, object], body: str | bytes | Iterable[str]) -> None:
-    """Write one artifact: the header, then ``body``, newline-terminated text or its chunks, or bytes."""
-    header = header_text(kind, fields)
-    if isinstance(body, bytes):
-        write_atomic(path, header.encode() + body)
-    else:
-        write_atomic(path, itertools.chain([header], [body] if isinstance(body, str) else body))
+def write(path: Path | str, kind: str, fields: Mapping[str, object], body: str | Bytes | Iterable[str | Bytes]) -> None:
+    """Write one artifact: the header, then ``body``, newline-terminated text or bytes, or their chunks."""
+    whole = isinstance(body, (str, bytes, memoryview))
+    write_atomic(path, itertools.chain([header_text(kind, fields)], [body] if whole else body))
 
 
 def read(path: Path | str) -> tuple[Iterator[str], dict[str, str]]:
@@ -105,12 +115,112 @@ def opened(path: Path | str) -> Iterator[tuple[BinaryIO, dict[str, str]]]:
 
 
 def _read(path: Path | str) -> Iterator:
-    """The header fields, then each body line: the file is open from the first ``next`` to the last."""
+    """The header fields, then each body line: the file is open from the first ``next`` to the last.
+
+    A byte that is not UTF-8 decodes to a lone surrogate, which no valid line holds: its line is refused.
+    """
     with opened(path) as (fh, fields):
         yield fields
-        with io.TextIOWrapper(fh, encoding="utf-8") as text:
-            for line in text:
+        with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape") as text:
+            for lineno, line in enumerate(text, start=2 + len(fields)):  # after the kind line and the fields
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
                 yield line.rstrip("\n")
+
+
+def kind_of(path: Path | str) -> str:
+    """The kind the first line names, or "" when it names none."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+    return line[10:].rstrip(b"\r\n").decode("utf-8", "replace") if line.startswith(b"# ddimine ") else ""
+
+
+# the forms of a record: unsigned integers; unsigned integers or float64; strings
+INTEGERS, NUMBERS, STRINGS = "integers", "numbers", "strings"
+
+
+def narrowed(a: np.ndarray, bound: int) -> np.ndarray:
+    """``a``, whose values lie in [0, bound], as the smallest unsigned type that holds ``bound``."""
+    return a.astype(np.min_scalar_type(bound), copy=False)
+
+
+def narrowed_values(values: np.ndarray) -> np.ndarray:
+    """``values`` as the smallest unsigned type that widens back to every one bit for bit, else as they are."""
+    if values.size and 0 <= values.min() and values.max() < 2.0**64:  # NaN fails both tests
+        narrow = narrowed(values, int(values.max()))
+        if np.array_equal(narrow.astype(np.float64).view(np.int64), values.view(np.int64)):  # no fraction or -0.0
+            return narrow
+    return values
+
+
+def encode_records(kind: str, fields: Mapping[str, object], records: Iterable[np.ndarray | Sequence[str]]) -> Encoded:
+    """An artifact of ``fields`` and ``body: npy``, then each record in order: an array as it is, strings as a blob.
+
+    The body is encoded as it is written, one record at a time.
+    """
+    return kind, {**fields, "body": "npy"}, map(_npy, records)
+
+
+def _npy(record: np.ndarray | Sequence[str]) -> memoryview:
+    if not isinstance(record, np.ndarray):
+        record = np.frombuffer("\n".join(record).encode(), dtype=np.uint8)
+    body = io.BytesIO()
+    np.lib.format.write_array(body, record, allow_pickle=False)
+    return body.getbuffer()
+
+
+def read_records(
+    path: Path | str, records: Mapping[str, str], what: str, producer: str
+) -> tuple[dict[str, np.ndarray | list[str]], dict[str, str]]:
+    """The named records of ``path``'s body, each checked against its form, and the header's other fields.
+
+    ``records`` maps each name, in body order, to its form.  A strings record
+    comes back as its list of strings (none for an empty blob).  A body other
+    than exactly these records is refused, naming the path; one that is not
+    ``npy`` (an older text body) is refused with "rerun ``producer``".
+    """
+    with opened(path) as (fh, header):
+        if header.pop("body", None) != "npy":
+            raise ValidationError(f"{path}: not a {what} with an npy body (a text one is older); rerun {producer}")
+        try:
+            arrays = [np.lib.format.read_array(fh, allow_pickle=False) for _ in records]
+            if fh.read(1):
+                raise ValueError("bytes after the last record")
+        # numpy's parse of a damaged npy header can raise a ValueError, TypeError, SyntaxError or TokenError, and
+        # MemoryError for a shape past what can be allocated
+        except (ValueError, TypeError, SyntaxError, TokenError, MemoryError) as exc:
+            raise ValidationError(f"{path}: damaged {what}: {exc}") from exc
+    out: dict[str, np.ndarray | list[str]] = {}
+    for (name, form), a in zip(records.items(), arrays):
+        unsigned = a.dtype == np.uint8 if form == STRINGS else a.dtype.kind == "u"
+        if a.ndim != 1 or not (unsigned or form == NUMBERS and a.dtype == np.float64):
+            raise ValidationError(f"{path}: damaged {what}: the {name} record is {a.dtype} of shape {a.shape}")
+        if form == STRINGS:
+            try:
+                text = a.tobytes().decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValidationError(f"{path}: damaged {what}: the {name} record is not valid UTF-8") from None
+            out[name] = text.split("\n") if text else []
+        else:
+            out[name] = a
+    return out, header
+
+
+def check_csr(path, indptr: np.ndarray, indices: np.ndarray, n: int, bound: int, row: str, index: str) -> None:
+    """Refuse an indptr other than n + 1 ascending offsets from 0 to the indices' end, or a row whose indices do not
+    ascend strictly in [0, bound)."""
+    if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or (indptr[:-1] > indptr[1:]).any():
+        raise ValidationError(f"{path}: the {row} indptr is not {n + 1} ascending offsets from 0 to {len(indices)}")
+    if indices.size and indices.max() >= bound:
+        raise ValidationError(f"{path}: a {row}'s {index} is not in [0, {bound})")
+    ascends = indices[1:] > indices[:-1]
+    starts = indptr[1:-1]
+    ascends[starts[(0 < starts) & (starts < len(indices))].astype(np.int64) - 1] = True  # a row's first index
+    if not ascends.all():
+        raise ValidationError(f"{path}: a {row}'s {index}es do not ascend")
 
 
 def check_digest(path: Path | str, expected: str, producer: str) -> None:

@@ -9,7 +9,8 @@ from typing import Iterator
 
 from . import artifacts
 from .config import load_config
-from .errors import PipelineError
+from .corpus import AbstractColumns, load_abstracts
+from .errors import PipelineError, ValidationError
 from .features import FeatureMatrix, load_matrix
 from .pipeline import STAGES, run_all, run_stage
 from .synth import SynthParams, planted_params, write_dataset
@@ -34,9 +35,10 @@ def _build_parser() -> argparse.ArgumentParser:
         add_stage(stage, spec.run.__doc__.partition("\n")[0])
     add_stage("all", "run every stage in order")
 
-    show = sub.add_parser("show", help="print a feature file as text: its header, each part row's col:value cells, "
-                          "then each sample's key, label and part indices")
-    show.add_argument("file", help="a features_{train,dev,test}.txt file")
+    show = sub.add_parser("show", help="print a feature file or the kept corpus as text, header first: a feature "
+                          "file's part rows as col:value cells, then each sample's key, label and part indices; the "
+                          "kept corpus as one id TAB mentions TAB word:count line per abstract, words sorted")
+    show.add_argument("file", help="a features_{train,dev,test}.txt file or cardiac.tsv")
 
     gen = sub.add_parser("gen-synthetic", help="write a synthetic dataset plus a ready config")
     gen.add_argument("--output", required=True, help="directory for the generated files")
@@ -59,14 +61,37 @@ def _matrix_lines(matrix: FeatureMatrix) -> Iterator[str]:
         yield " ".join(["row", key, str(label), *map(str, refs[start:end])]) + "\n"
 
 
+def _corpus_lines(kept: AbstractColumns) -> Iterator[str]:
+    """The kept corpus as text: ``id TAB mentions TAB word:count ...`` per abstract, drugs and words sorted."""
+    M, C = kept.mentions, kept.counts
+    for i, aid in enumerate(kept.ids):
+        drugs = " ".join(kept.drugs[j] for j in M.indices[M.indptr[i] : M.indptr[i + 1]].tolist())
+        start, end = C.indptr[i], C.indptr[i + 1]
+        words = map(kept.words.__getitem__, C.indices[start:end].tolist())
+        cells = map("{}:{}".format, words, C.data[start:end].tolist())
+        yield f"{aid}\t{drugs}\t{' '.join(cells)}\n"
+
+
+def _show(path: str) -> tuple[str, dict[str, str], Iterator[str]]:
+    """(kind, header fields, body lines) of a feature file or the kept corpus, as text."""
+    kind = artifacts.kind_of(path)
+    if kind == "kept-corpus":
+        kept = load_abstracts(path)
+        return kind, kept.header, _corpus_lines(kept)
+    if kind == "feature-matrix":
+        matrix, header = load_matrix(path)
+        return kind, header, _matrix_lines(matrix)
+    raise ValidationError(f"{path}: kind {kind!r} has no text form; show prints a feature file or the kept corpus")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "show":
-            matrix, header = load_matrix(args.file)
+            kind, header, lines = _show(args.file)
             try:
-                sys.stdout.write(artifacts.header_text("feature-matrix", header))
-                sys.stdout.writelines(_matrix_lines(matrix))
+                sys.stdout.write(artifacts.header_text(kind, header))
+                sys.stdout.writelines(lines)
                 sys.stdout.flush()
             except BrokenPipeError:  # the reader, such as `head`, has all it wants; no flush at exit either
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -1,8 +1,12 @@
 """Abstract ingestion: parsing, tokenization, lexicon matching, stats, stopwords.
 
 The kept corpus ``cardiac.tsv``, the abstracts that mention a lexicon drug,
-holds :class:`AbstractColumns`: a column line, then one ``id TAB mentions TAB
-tokens`` line per abstract.  A stage splits only the columns it reads.
+holds :class:`AbstractColumns` as records of the codec in
+:mod:`ddimine.artifacts`: the ids; the mentions, a CSR over the sorted drug ids
+with that list; and the word counts, a CSR over the sorted words with that
+list.  Ingest builds the counts from the interned tokens (:func:`bag`); no
+later stage reads a token, so filter's statistics are row and column sums and
+featurize's vocabulary a column sum.  ``ddimine show`` prints the file as text.
 """
 
 from __future__ import annotations
@@ -15,10 +19,15 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Collection, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from . import artifacts
 from .errors import CorpusParseError, ValidationError
+
+if TYPE_CHECKING:  # scipy.sparse loads in 0.2 s; it is imported where a matrix is built, not by synth's import
+    import scipy.sparse as sp
 
 # Tokens are maximal runs of letters/digits, optionally joined by single
 # internal hyphens; a hyphen without a run on both sides is a separator.
@@ -27,6 +36,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*", re.UNICODE)
 _ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum() and c != "-"})
 
 CORPUS_FORMATS = ("lines", "pubmed-xml")
+_BLOCK = 4096  # rows per block of :func:`bag`
 
 # Full-scale figures for the reference corpus this pipeline was designed
 # against (663,597 abstracts filtered to 69,713).  They are documented in
@@ -60,38 +70,90 @@ class TokenizedAbstract:
     drug_mentions: frozenset[str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbstractColumns:
-    """Tokenized abstracts as columns: abstract i's id, sorted drug ids and tokens, each list space-joined; drug
-    ids and tokens hold no whitespace, and ids no tab or line break, so ``.split()`` gives a list back."""
+    """The kept corpus as columns: abstract i's id, row i of ``mentions`` (abstract x drug, 1 where it mentions the
+    drug) over the sorted ``drugs``, and row i of ``counts`` (abstract x word, how often it holds the word) over the
+    sorted ``words``; each row's columns ascend.  Token order is not kept: no stage reads it."""
 
     ids: list[str]
-    mentions: list[str]
-    tokens: list[str]
-    header: dict[str, str] = field(default_factory=dict, compare=False)  # the file's header fields, when read
+    drugs: list[str]
+    mentions: sp.csr_matrix
+    words: list[str]
+    counts: sp.csr_matrix
+    header: dict[str, str] = field(default_factory=dict)  # the file's header fields, when read
 
     @classmethod
     def of(cls, abstracts: Sequence[TokenizedAbstract]) -> "AbstractColumns":
-        return cls([ab.id for ab in abstracts], [" ".join(sorted(ab.drug_mentions)) for ab in abstracts],
-                   [" ".join(ab.tokens) for ab in abstracts])
+        drugs, mentions = bag([ab.drug_mentions for ab in abstracts])
+        words, counts = bag([ab.tokens for ab in abstracts])
+        return cls([ab.id for ab in abstracts], drugs, mentions, words, counts)
 
 
-_COLUMN_LINE = ["# id", "mentions", "tokens"]  # a body line: it keeps an id like "# a: b" out of the header
+def bag(rows: Sequence[Collection[str]]) -> tuple[list[str], sp.csr_matrix]:
+    """The sorted distinct strings of ``rows``, and how often each row holds each: a canonical CSR over them.
+
+    Built :data:`_BLOCK` rows at a time, so only one block's strings are held as one integer each; the counts are
+    the smallest unsigned type that holds them.
+    """
+    import scipy.sparse as sp
+
+    labels = sorted(set().union(*rows))
+    column = dict(zip(labels, range(len(labels))))
+    parts = []
+    for start in range(0, max(len(rows), 1), _BLOCK):
+        part = rows[start : start + _BLOCK]
+        indptr = np.zeros(len(part) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, part), dtype=np.int64, count=len(part)), out=indptr[1:])
+        cells = np.fromiter(map(column.__getitem__, itertools.chain.from_iterable(part)), np.int32, int(indptr[-1]))
+        counts = sp.csr_matrix((np.ones(len(cells), dtype=np.int32), cells, indptr), shape=(len(part), len(labels)))
+        counts.sum_duplicates()  # sorts each row's columns, then adds a repeated one's ones
+        counts.data = artifacts.narrowed(counts.data, int(counts.data.max(initial=0)))
+        parts.append(counts)
+    return labels, sp.vstack(parts, format="csr")
+
+
+# the kept corpus's body, in order, and each record's form
+_RECORDS = {
+    "ids": artifacts.STRINGS, "drugs": artifacts.STRINGS, "mention indptr": artifacts.INTEGERS,
+    "mention columns": artifacts.INTEGERS, "words": artifacts.STRINGS, "word indptr": artifacts.INTEGERS,
+    "word columns": artifacts.INTEGERS, "word counts": artifacts.INTEGERS,
+}
 
 
 def encode_abstracts(corpus: AbstractColumns, **fields) -> artifacts.Encoded:
-    """The corpus file: the column line, then each abstract's line, streamed."""
-    lines = map("{}\t{}\t{}\n".format, corpus.ids, corpus.mentions, corpus.tokens)
-    return "tokenized-abstracts", fields, itertools.chain(["\t".join(_COLUMN_LINE) + "\n"], lines)
+    """The corpus file: ``fields`` in the header, then the ids, the mentions and the word counts as records."""
+    M, C = corpus.mentions, corpus.counts
+    return artifacts.encode_records("kept-corpus", fields, (
+        corpus.ids, corpus.drugs, artifacts.narrowed(M.indptr, M.nnz), artifacts.narrowed(M.indices, len(corpus.drugs)),
+        corpus.words, artifacts.narrowed(C.indptr, C.nnz), artifacts.narrowed(C.indices, len(corpus.words)),
+        artifacts.narrowed(C.data, int(C.data.max(initial=0))),
+    ))
 
 
 def load_abstracts(path: Path | str) -> AbstractColumns:
-    """Inverse of :func:`encode_abstracts`, header included; a line without three fields is refused as ``path:line``."""
-    rows = artifacts.read_rows(path, 3)
-    if next(rows, (0, None))[1] != _COLUMN_LINE:
-        raise ValidationError(f"{path}: the body does not start with the column line {chr(9).join(_COLUMN_LINE)!r}")
-    columns = [list(column) for column in zip(*(fields for _, fields in rows))]
-    return AbstractColumns(*columns or ([], [], []), header=artifacts.read(path)[1])
+    """Inverse of :func:`encode_abstracts`, header included, read once.
+
+    Besides what :func:`ddimine.artifacts.read_records` refuses, an id given
+    twice, a drug or word list that does not ascend strictly, and a count of 0
+    are refused with the path.
+    """
+    import scipy.sparse as sp
+
+    records, header = artifacts.read_records(path, _RECORDS, "kept corpus", "ingest")
+    ids, drugs, mention_ptr, mention_cols, words, word_ptr, word_cols, counts = records.values()
+    n = len(ids)
+    artifacts.check_csr(path, mention_ptr, mention_cols, n, len(drugs), "abstract", "drug column")
+    artifacts.check_csr(path, word_ptr, word_cols, n, len(words), "abstract", "word column")
+    if len(set(ids)) != n or any(a >= b for names in (drugs, words) for a, b in zip(names, names[1:])):
+        raise ValidationError(f"{path}: damaged kept corpus: an id is repeated, or the drugs or words do not ascend")
+    if len(counts) != len(word_cols) or counts.size and counts.min() == 0:
+        raise ValidationError(f"{path}: damaged kept corpus: {len(counts)} word counts for {len(word_cols)} cells, "
+                              "or a count of 0")
+    mentions = sp.csr_matrix((np.ones(len(mention_cols), dtype=np.uint8), mention_cols, mention_ptr),
+                             shape=(n, len(drugs)))
+    return AbstractColumns(ids, drugs, mentions, words, sp.csr_matrix((counts, word_cols, word_ptr),
+                                                                      shape=(n, len(words))), header)
 
 
 def check_drug_id(drug_id: str) -> None:
@@ -377,30 +439,26 @@ class CorpusStats:
 
 
 def corpus_stats(corpus: AbstractColumns) -> CorpusStats:
-    """Corpus summary; averages over an empty corpus are defined as zero.
+    """Corpus summary from row and column sums; averages over an empty corpus are defined as zero.
 
     ``avg_count_per_word`` is total token occurrences divided by the summed
     per-abstract distinct word counts (how often a word repeats within an
-    abstract that uses it).
+    abstract that uses it).  Sums are Python ints, so each ratio is the one a
+    count over the tokens gives.
     """
     n = len(corpus.ids)
     if n == 0:
         return CorpusStats(0, 0.0, 0, 0.0, 0.0, 0)
-    total_tokens, distinct_per_abstract, vocab = 0, 0, set()
-    for text in corpus.tokens:
-        tokens = text.split()
-        distinct = set(tokens)
-        total_tokens += len(tokens)
-        distinct_per_abstract += len(distinct)
-        vocab |= distinct
-    drugs = [len(mentions.split()) for mentions in corpus.mentions]
+    C = corpus.counts
+    total_tokens, distinct_per_abstract = int(C.data.sum(dtype=np.int64)), C.nnz
+    drugs = np.diff(corpus.mentions.indptr)
     return CorpusStats(
         n_abstracts=n,
-        avg_drugs_per_abstract=sum(drugs) / n,
-        max_drugs_per_abstract=max(drugs),
+        avg_drugs_per_abstract=int(drugs.sum()) / n,
+        max_drugs_per_abstract=int(drugs.max()),
         avg_words_per_abstract=total_tokens / n,
         avg_count_per_word=(total_tokens / distinct_per_abstract) if distinct_per_abstract else 0.0,
-        n_distinct_words=len(vocab),
+        n_distinct_words=int(np.count_nonzero(np.bincount(C.indices, minlength=C.shape[1]))),
     )
 
 

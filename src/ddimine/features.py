@@ -3,40 +3,37 @@
 A sample's row is the sum of its abstracts' rows, so both feature kinds are one
 product X = A @ P of the binary sample x abstract incidence matrix A (made by
 :func:`ddimine.splitting.incidence`) and the part rows P: C, each abstract's
-token counts over the vocabulary, or E = C' @ V, its counts C' over the
-embedding table's words in sorted order times their vectors V.  Each row of C
-is built from its abstract's token string, split only then and summed per
-abstract, so no stage holds a list of every token.  C' is
-canonical, so E adds each distinct token's tf * v in sorted-token order, bit
-for bit as a loop over the sorted tokens would (see
-:func:`build_count_matrix`, the one builder of both).  A's columns are the
-abstracts the samples reference, in sorted-id order; as the split gives each
-abstract to one split, each abstract's row is built once per stage.  Counts are
-integers, so A @ C is exact, and the column order makes A @ E add a sample's
-abstract vectors in sorted-id order.
+word counts over the vocabulary, or E = C' @ V, its counts C' over the
+embedding table's words in sorted order times their vectors V.  The kept
+corpus holds each abstract's word counts over its sorted word list
+(:class:`ddimine.corpus.AbstractColumns`), so the vocabulary is a column sum
+(:func:`build_vocab`) and C is a row selection with its columns remapped onto
+the vocabulary's: no token is read again.  The table's columns are sorted too,
+so C' keeps each row's words in sorted order, and E adds each distinct token's
+tf * v in sorted-token order, bit for bit as a loop over the sorted tokens
+would (see :func:`build_count_matrix`, the one builder of both).  A's columns
+are the abstracts the samples reference, in sorted-id order; as the split
+gives each abstract to one split, each abstract's row is built once per stage.
+Counts are integers, so A @ C is exact, and the column order makes A @ E add a
+sample's abstract vectors in sorted-id order.
 
 :class:`FeatureMatrix` holds the factors; X is formed only when read, as CSC,
 straight from them with no intermediate of its size.  A feature file holds the
 factors too, so no sample x word matrix is ever written.  Its text header
-carries ``rows``, ``parts``, ``dims``, ``kind`` and ``body: npy``; the body is
-seven ``npy`` records (``numpy.lib.format``), in :data:`_RECORDS` order: P's
-indptr, columns and values, A's indptr and part indices, the labels, and the
-sample keys as one ``"\n"``-joined UTF-8 ``uint8`` blob.  Each index record is
-the smallest unsigned type that holds its bound, and the values are too when
-that type widens back to every float bit for bit (counts); else they stay
+carries ``rows``, ``parts``, ``dims`` and ``kind``; the body is seven records of
+the codec in :mod:`ddimine.artifacts`, in :data:`_RECORDS` order: P's indptr,
+columns and values, A's indptr and part indices, the labels, and the sample
+keys.  Counts are stored as the smallest unsigned type; other values stay
 float64, so -0.0, NaN payloads and fractions are kept.  ``ddimine show``
 prints a file as text.
 """
 
 from __future__ import annotations
 
-import io
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from tokenize import TokenError
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,8 +45,12 @@ from .rng import Rng
 
 _UNDERSAMPLE_STREAM = 21
 _KINDS = ("counts", "embeddings")
-# a feature file's body, in order; every record but the values holds unsigned integers
-_RECORDS = ("part indptr", "part columns", "part values", "row indptr", "row part indices", "labels", "keys")
+# a feature file's body, in order, and each record's form
+_RECORDS = {
+    "part indptr": artifacts.INTEGERS, "part columns": artifacts.INTEGERS, "part values": artifacts.NUMBERS,
+    "row indptr": artifacts.INTEGERS, "row part indices": artifacts.INTEGERS, "labels": artifacts.INTEGERS,
+    "keys": artifacts.STRINGS,
+}
 
 
 @dataclass
@@ -66,21 +67,26 @@ class Vocabulary:
         return len(self.words)
 
 
-def build_vocab(train_abstracts: Iterable[Sequence[str]], top_k: int | None = None) -> Vocabulary:
-    """Count token occurrences over the train abstracts' tokens and keep the top k.
+def build_vocab(
+    counts: sp.csr_matrix, words: Sequence[str], top_k: int | None = None, stopwords: Collection[str] = frozenset()
+) -> Vocabulary:
+    """Sum the train abstracts' word counts (rows of ``counts``, over the sorted ``words``) and keep the top k.
 
-    Counted one abstract at a time, so a generator of them is never held
-    whole.  ``top_k=None`` keeps everything; ``top_k=0`` gives no words.
+    A column sum is a word's frequency; ties keep column order, which is
+    lexicographic.  Unused words and ``stopwords`` are left out.
+    ``top_k=None`` keeps everything; ``top_k=0`` gives no words.
     """
     if top_k is not None and top_k < 0:
         raise ValidationError(f"top_k must be nonnegative, got {top_k}")
-    counts: Counter[str] = Counter()
-    for tokens in train_abstracts:
-        counts.update(tokens)
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if top_k is not None:
-        ordered = ordered[:top_k]
+    freq = np.bincount(counts.indices, weights=counts.data, minlength=len(words))  # exact: float64 holds 2**53
+    freq[_mask(words, stopwords)] = 0
+    order = np.argsort(-freq, kind="stable")[: np.count_nonzero(freq)][:top_k]
+    ordered = [(words[j], int(freq[j])) for j in order.tolist()]
     return Vocabulary(ordered, {tok: col for col, (tok, _) in enumerate(ordered)})
+
+
+def _mask(words: Sequence[str], chosen: Collection[str]) -> np.ndarray:
+    return np.fromiter((word in chosen for word in words), dtype=bool, count=len(words))
 
 
 def encode_vocab(vocab: Vocabulary) -> artifacts.Encoded:
@@ -185,47 +191,41 @@ def _referenced(A: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
 def build_count_matrix(
     samples: Sequence[InteractionSample],
     A: sp.csr_matrix,
-    abstracts: Sequence[str],
+    counts: sp.csr_matrix,
+    words: Sequence[str],
     vocab: Vocabulary,
     drop_empty: bool = False,
     V: np.ndarray | None = None,
     stopwords: Collection[str] = frozenset(),
 ) -> tuple[FeatureMatrix, int]:
-    """Count the tokens of each abstract a row of ``A`` uses over ``vocab``'s columns into C; with ``V``, E = C @ V.
+    """Remap the counts of each abstract a row of ``A`` uses onto ``vocab``'s columns, as C; with ``V``, E = C @ V.
 
-    ``A`` is the samples' incidence and ``abstracts[j]`` the space-joined
-    tokens behind its column j, split only while its row is built.  Returns the
-    matrix, rows in sample order, and with ``V`` the miss count: each (sample,
-    abstract) pair's distinct tokens outside ``vocab`` and ``stopwords``.  A row
-    of C holds one cell per distinct word, its count, and is sorted, as scipy's
-    product adds a row's tf * v terms in column order: so E adds them in
-    sorted-token order, as a loop over the sorted tokens would, bit for bit
-    (unsummed, v + v + v is not 3 * v in general).
+    ``A`` is the samples' incidence, and row j of ``counts`` holds the word
+    counts of the abstract behind its column j, over the sorted ``words``.
+    Returns the matrix, rows in sample order, and with ``V`` the miss count:
+    each (sample, abstract) pair's distinct words outside ``vocab`` and
+    ``stopwords``.  A row of C holds one cell per distinct word, its count, and
+    is sorted, as scipy's product adds a row's tf * v terms in column order:
+    the table's columns are its sorted words, so E adds them in sorted-token
+    order, as a loop over the sorted tokens would, bit for bit (unsummed,
+    v + v + v is not 3 * v in general).
     """
     if drop_empty:
         rows = np.flatnonzero(np.diff(A.indptr))
         samples, A = [samples[i] for i in rows], A[rows]
     A, used = _referenced(A)
-    index = vocab.index
-    indices: list[int] = []
-    counts: list[int] = []
-    indptr = [0]
-    missed: list[int] = []
-    for text in map(abstracts.__getitem__, used.tolist()):
-        tokens = text.split()
-        row = Counter(map(index.get, tokens))  # column -> count; None counts the tokens outside the vocabulary
-        row.pop(None, None)
-        indices += row
-        counts += row.values()
-        indptr.append(len(indices))
-        if V is not None:
-            missed.append(sum(tok not in index and tok not in stopwords for tok in set(tokens)))
-    C = sp.csr_matrix((np.array(counts, dtype=float), indices, indptr), shape=(len(used), len(vocab)))
+    counts = counts[used]
+    column = np.array([vocab.index.get(word, -1) for word in words], dtype=np.int64)
+    known = np.flatnonzero(column >= 0)
+    remap = sp.csr_matrix((np.ones(len(known)), (known, column[known])), shape=(len(words), len(vocab)))
+    C = sp.csr_matrix(counts @ remap)  # each known word's count moved to its vocabulary column
     C.sort_indices()
     misses = 0
     if V is not None:
         C = sp.csr_matrix(C @ V)
-        misses = int(np.bincount(A.indices, minlength=len(used)) @ np.array(missed, dtype=np.int64))
+        outside = (column < 0) & ~_mask(words, stopwords)
+        missed = sp.csr_matrix((outside[counts.indices], counts.indices, counts.indptr), shape=counts.shape)
+        misses = int(np.bincount(A.indices, minlength=len(used)) @ np.asarray(missed.sum(axis=1)).ravel())
     y = np.array([s.label for s in samples], dtype=np.int64)
     return FeatureMatrix([s.key for s in samples], C, y, "counts" if V is None else "embeddings", A), misses
 
@@ -256,62 +256,32 @@ def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
 def encode_matrix(matrix: FeatureMatrix) -> artifacts.Encoded:
     """The sizes and kind as header fields, then the factors as narrowed ``npy`` records (see the module docstring)."""
     P, A = matrix.parts, matrix.A
-    fields = {"rows": matrix.n_rows, "parts": P.shape[0], "dims": matrix.dims, "kind": matrix.kind, "body": "npy"}
-    records = (
-        _narrowed(P.indptr, P.nnz), _narrowed(P.indices, matrix.dims), _narrowed_values(P.data),
-        _narrowed(A.indptr, A.nnz), _narrowed(A.indices, P.shape[0]), _narrowed(matrix.y, 1),
-        np.frombuffer("\n".join(matrix.keys).encode(), dtype=np.uint8),
-    )
-    body = io.BytesIO()
-    for record in records:
-        np.lib.format.write_array(body, record, allow_pickle=False)
-    return "feature-matrix", fields, body.getvalue()
-
-
-def _narrowed(a: np.ndarray, bound: int) -> np.ndarray:
-    return a.astype(np.min_scalar_type(bound))
-
-
-def _narrowed_values(values: np.ndarray) -> np.ndarray:
-    """``values`` as the smallest unsigned type that widens back to every one bit for bit, else as they are."""
-    if values.size and 0 <= values.min() and values.max() < 2.0**64:  # NaN fails both tests
-        narrow = _narrowed(values, int(values.max()))
-        if np.array_equal(narrow.astype(np.float64).view(np.int64), values.view(np.int64)):  # no fraction or -0.0
-            return narrow
-    return values
+    fields = {"rows": matrix.n_rows, "parts": P.shape[0], "dims": matrix.dims, "kind": matrix.kind}
+    return artifacts.encode_records("feature-matrix", fields, (
+        artifacts.narrowed(P.indptr, P.nnz), artifacts.narrowed(P.indices, matrix.dims),
+        artifacts.narrowed_values(P.data), artifacts.narrowed(A.indptr, A.nnz),
+        artifacts.narrowed(A.indices, P.shape[0]), artifacts.narrowed(matrix.y, 1), matrix.keys,
+    ))
 
 
 def load_matrix(path: Path | str) -> tuple[FeatureMatrix, dict[str, str]]:
     """Inverse of :func:`encode_matrix`; returns the matrix and the header's other fields (the digest).
 
-    Each record is read with ``allow_pickle=False`` and widened.  A body that
-    does not hold exactly the seven records, with the sizes, bounds, labels in
-    {0, 1} and kind the header and format promise, is refused with the path, as
-    is a text body from before this format.
+    The records are read and checked by :func:`ddimine.artifacts.read_records`
+    and widened.  Sizes, bounds, labels in {0, 1} and a kind other than the
+    header and format promise are refused with the path.
     """
-    with artifacts.opened(path) as (fh, header):
-        if header.pop("body", None) != "npy":
-            raise ValidationError(f"{path}: not a feature file with an npy body (a text one is older); rerun featurize")
-        try:
-            n_rows, n_parts, dims = sizes = [int(header.pop(name)) for name in ("rows", "parts", "dims")]
-            kind = header.pop("kind")
-            if min(sizes) < 0:
-                raise ValueError(f"negative size in {sizes}")
-            records = [np.lib.format.read_array(fh, allow_pickle=False) for _ in _RECORDS]
-            if fh.read(1):
-                raise ValueError("bytes after the last record")
-            for name, a in zip(_RECORDS, records):
-                if a.ndim != 1 or a.dtype.kind != "u" and not (name == "part values" and a.dtype == np.float64):
-                    raise ValueError(f"the {name} record is {a.dtype} of shape {a.shape}")
-            part_ptr, cols, values, row_ptr, refs, labels, keys = records
-            text = keys.tobytes().decode("utf-8")
-        # numpy's parse of a damaged npy header can raise a ValueError, TypeError, SyntaxError or TokenError, and
-        # MemoryError for a shape past what can be allocated; a missing header field is a KeyError
-        except (KeyError, ValueError, TypeError, SyntaxError, TokenError, MemoryError) as exc:
-            raise ValidationError(f"{path}: damaged feature file: {exc}") from exc
-    _check_csr(path, part_ptr, cols, n_parts, dims, "part", "column")
-    _check_csr(path, row_ptr, refs, n_rows, n_parts, "row", "part index")
-    keys = text.split("\n") if text or n_rows else []
+    records, header = artifacts.read_records(path, _RECORDS, "feature file", "featurize")
+    try:
+        n_rows, n_parts, dims = sizes = [int(header.pop(name)) for name in ("rows", "parts", "dims")]
+        kind = header.pop("kind")
+    except (KeyError, ValueError) as exc:
+        raise ValidationError(f"{path}: damaged feature file: a missing or bad header field: {exc}") from exc
+    if min(sizes) < 0:
+        raise ValidationError(f"{path}: damaged feature file: negative size in {sizes}")
+    part_ptr, cols, values, row_ptr, refs, labels, keys = records.values()
+    artifacts.check_csr(path, part_ptr, cols, n_parts, dims, "part", "column")
+    artifacts.check_csr(path, row_ptr, refs, n_rows, n_parts, "row", "part index")
     if len(keys) != n_rows or len(labels) != n_rows:
         raise ValidationError(f"{path}: header says {n_rows} rows, found {len(keys)} keys and {len(labels)} labels")
     if labels.size and labels.max() > 1:
@@ -321,11 +291,3 @@ def load_matrix(path: Path | str) -> tuple[FeatureMatrix, dict[str, str]]:
     parts = sp.csr_matrix((values.astype(np.float64, copy=False), cols, part_ptr), shape=(n_parts, dims))
     A = sp.csr_matrix((np.ones(refs.size), refs, row_ptr), shape=(n_rows, n_parts))
     return FeatureMatrix(keys, parts, labels.astype(np.int64), kind, A), header
-
-
-def _check_csr(path, indptr: np.ndarray, indices: np.ndarray, n: int, bound: int, row: str, index: str) -> None:
-    """Refuse an indptr other than n + 1 ascending offsets from 0 to the indices' end, or an index from ``bound`` up."""
-    if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or (indptr[:-1] > indptr[1:]).any():
-        raise ValidationError(f"{path}: the {row} indptr is not {n + 1} ascending offsets from 0 to {len(indices)}")
-    if indices.size and indices.max() >= bound:
-        raise ValidationError(f"{path}: a {row}'s {index} is not in [0, {bound})")

@@ -572,6 +572,8 @@ def load_model(path: Path | str) -> tuple[LinearModel, dict[str, str]]:
                 converged=bool(int(meta["converged"])),
             ),
         )
+    except ValidationError:  # a line that is not UTF-8, named by artifacts.read
+        raise
     except (KeyError, ValueError, IndexError) as exc:
         if isinstance(exc, KeyError) and exc.args[0] in ("standardized", "kkt_rel", "converged"):
             raise ValidationError(

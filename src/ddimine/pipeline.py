@@ -11,13 +11,13 @@ fresh when its digest is the one its producer would write now, worked out by
 walking up the table; so a setting or file stales only its readers' artifacts
 and those downstream.
 
-The front passes plain columns.  Ingest keeps the abstracts that mention a
-lexicon drug and writes them to ``cardiac.tsv``, tab-separated
-(:class:`ddimine.corpus.AbstractColumns`); filter reads it and writes only the
-corpus statistics, and no stage waits on filter.  Split and featurize each
-compute the sample x abstract incidence from the kept corpus, the samples and
-the assignment (:func:`ddimine.splitting.incidence`); no stage reads
-``assigned_samples.tsv``.
+The front passes columns.  Ingest keeps the abstracts that mention a lexicon
+drug and writes them to ``cardiac.tsv`` as records: the ids, the mentions and
+the word counts (:class:`ddimine.corpus.AbstractColumns`); filter reads it and
+writes only the corpus statistics, row and column sums, and no stage waits on
+filter.  Split and featurize each compute the sample x abstract incidence from
+the kept corpus's mention columns, the samples and the assignment
+(:func:`ddimine.splitting.incidence`); no stage reads ``assigned_samples.tsv``.
 
 :func:`run_stage` does every artifact read and write.  Before a stage runs, a
 missing input names the stage that produces it (:class:`MissingArtifactError`),
@@ -42,6 +42,8 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from . import artifacts
 from . import corpus as corpus_mod
@@ -166,7 +168,7 @@ def stage_filter(cfg: PipelineConfig, kept) -> Outputs:
     if "retention" not in kept.header:
         raise ValidationError("cardiac.tsv has no retention in its header; rerun the 'ingest' stage")
     lexicon = corpus_mod.DrugLexicon.load(cfg.lexicon)
-    seen_cardiac = lexicon.cardiac.intersection(" ".join(kept.mentions).split())
+    seen_cardiac = lexicon.cardiac.intersection(map(kept.drugs.__getitem__, set(kept.mentions.indices.tolist())))
     body = corpus_mod.render_stats(corpus_mod.corpus_stats(kept))
     body += f"retention_ratio\t{kept.header['retention']}\n"  # a float's str, as ingest wrote it, is its repr
     body += f"cardiac_drugs_in_lexicon\t{len(lexicon.cardiac)}\n"
@@ -228,29 +230,26 @@ def stage_split(cfg: PipelineConfig, kept, samples) -> Outputs:
 def stage_featurize(cfg: PipelineConfig, kept, assignment, samples) -> Outputs:
     """Build the train vocabulary and per-split feature matrices."""
     A, order = splitting_mod.incidence(kept, samples, assignment)
-    # each abstract's token string is split only while it is counted: no list of every token exists
-    train_abstracts = (text.split() for aid, text in zip(kept.ids, kept.tokens)
-                       if assignment.abstract_split[aid] == "train")
-
     stop: frozenset[str] = frozenset()
     if cfg.vocab_stopwords == "drop" or cfg.feature_kind == "embeddings":
         stop = corpus_mod.load_stopwords(cfg.stopwords)
-    if cfg.vocab_stopwords == "drop":
-        train_abstracts = ([t for t in abstract if t not in stop] for abstract in train_abstracts)
-    vocab = features_mod.build_vocab(train_abstracts, cfg.top_k)
+    abstract_split = splitting_mod.split_codes(assignment.abstract_split, kept.ids, "abstract")
+    train = abstract_split == splitting_mod.SPLITS.index("train")
+    dropped = stop if cfg.vocab_stopwords == "drop" else frozenset()
+    vocab = features_mod.build_vocab(kept.counts[train], kept.words, cfg.top_k, dropped)
     outputs = {"vocab.tsv": features_mod.encode_vocab(vocab)}
     report_lines = [f"vocab_size\t{len(vocab)}"]
 
     columns, V = vocab, None
     if cfg.feature_kind == "embeddings":
         columns, V = features_mod.EmbeddingTable.load(cfg.embeddings).columns(stop)
-    by_column = [kept.tokens[i] for i in order]
-    sample_split = [assignment.sample_split[s.key] for s in samples]
+    by_column = kept.counts[order]
+    sample_split = splitting_mod.split_codes(assignment.sample_split, (s.key for s in samples), "sample")
     matrices = {}
-    for split in splitting_mod.SPLITS:
-        rows = [i for i, name in enumerate(sample_split) if name == split]
+    for code, split in enumerate(splitting_mod.SPLITS):
+        rows = np.flatnonzero(sample_split == code)
         matrices[split], misses = features_mod.build_count_matrix(
-            [samples[i] for i in rows], A[rows], by_column, columns, cfg.drop_empty_samples, V, stop
+            [samples[i] for i in rows], A[rows], by_column, kept.words, columns, cfg.drop_empty_samples, V, stop
         )
         if V is not None:
             report_lines.append(f"embedding_misses_{split}\t{misses}")

@@ -6,8 +6,9 @@ both a training-side and a test-side sample.  Within a split an abstract may
 serve many samples.
 
 The attachment is :func:`incidence`, the binary sample x abstract matrix: a
-function of the kept abstracts' mentions and the two partitions alone, so
-featurize and ``diagnose-split`` compute it rather than read it.  Split writes
+function of the kept abstracts' integer mention columns and the two
+partitions, as split codes aligned with the rows (:func:`split_codes`), alone;
+so featurize and ``diagnose-split`` compute it rather than read it.  Split writes
 it to ``assigned_samples.tsv`` and counts leakage on it.
 """
 
@@ -18,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,6 +84,15 @@ def split_corpus(
     return SplitAssignment(abstract_split, sample_split, seed, ratios)
 
 
+def split_codes(split: Mapping[str, str], keys: Iterable[str], kind: str) -> np.ndarray:
+    """Each key's split as its index in :data:`SPLITS`; a key missing from ``split`` is refused."""
+    code = {name: i for i, name in enumerate(SPLITS)}
+    try:
+        return np.array([code[split[key]] for key in keys], dtype=np.int64)
+    except KeyError as exc:
+        raise ValidationError(f"{kind} {exc.args[0]!r} missing from the split assignment") from None
+
+
 def incidence(
     corpus: AbstractColumns, samples: Sequence[InteractionSample], assignment: SplitAssignment | None = None
 ) -> tuple[sp.csr_matrix, list[int]]:
@@ -90,30 +100,28 @@ def incidence(
 
     A[i, j] is 1 when abstract j mentions a drug of sample i and, given an ``assignment``, lies in its split (else
     the naive incidence); columns in sorted-id order.  A is one product, made binary: the samples' two-hot rows over
-    (drug, split) pairs times the (drug, split) x abstract mentions.  A drug no abstract mentions has no pair.
+    (drug, split) codes, drug * len(SPLITS) + split, times the (drug, split) x abstract mentions, both from the corpus's
+    integer mention columns.  A drug no abstract mentions has no code.
     """
-    splits = None if assignment is None else {"abstract": assignment.abstract_split, "sample": assignment.sample_split}
-
-    def split_of(kind: str, key: str) -> str:
-        try:
-            return "" if splits is None else splits[kind][key]
-        except KeyError:
-            raise ValidationError(f"{kind} {key!r} missing from the split assignment") from None
-
     order = sorted(range(len(corpus.ids)), key=corpus.ids.__getitem__)
-    row_of: dict[tuple[str, str], int] = {}  # (drug, split) -> its row
-    mentions = [(row_of.setdefault((drug, split), len(row_of)), j) for j, i in enumerate(order)
-                for split in [split_of("abstract", corpus.ids[i])] for drug in corpus.mentions[i].split()]
-    uses = [(i, row_of[drug, split]) for i, s in enumerate(samples) for split in [split_of("sample", s.key)]
-            for drug in (s.cardiac_drug, s.other_drug) if (drug, split) in row_of]
-    A = sp.csr_matrix(_binary(uses, (len(samples), len(row_of))) @ _binary(mentions, (len(row_of), len(order))))
+    M = corpus.mentions[order]
+    abstract_split, sample_split = np.zeros(len(order), dtype=np.int64), np.zeros(len(samples), dtype=np.int64)
+    if assignment is not None:
+        abstract_split = split_codes(assignment.abstract_split, (corpus.ids[i] for i in order), "abstract")
+        sample_split = split_codes(assignment.sample_split, (s.key for s in samples), "sample")
+    n_codes = len(SPLITS) * len(corpus.drugs)
+    mentioned = len(SPLITS) * M.indices + np.repeat(abstract_split, np.diff(M.indptr))
+    mentions = sp.csc_matrix((np.ones(M.nnz), mentioned, M.indptr), shape=(n_codes, len(order)))
+    column = {drug: j for j, drug in enumerate(corpus.drugs)}
+    drugs = np.array([(column.get(s.cardiac_drug, -1), column.get(s.other_drug, -1)) for s in samples],
+                     dtype=np.int64).reshape(len(samples), 2)
+    rows, which = np.nonzero(drugs >= 0)
+    used = len(SPLITS) * drugs[rows, which] + sample_split[rows]
+    uses = sp.csr_matrix((np.ones(len(rows)), (rows, used)), shape=(len(samples), n_codes))
+    A = sp.csr_matrix(uses @ mentions)
     A.data[:] = 1.0  # an abstract mentioning both drugs counts 2
     A.sort_indices()
     return A, order
-
-
-def _binary(cells: list[tuple[int, int]], shape: tuple[int, int]) -> sp.csr_matrix:
-    return sp.csr_matrix((np.ones(len(cells)), tuple(zip(*cells)) or ((), ())), shape=shape)
 
 
 @dataclass
@@ -141,7 +149,7 @@ def leakage_report(
     assignment: SplitAssignment, samples: Sequence[InteractionSample], A: sp.csr_matrix
 ) -> LeakageReport:
     """Count abstracts serving samples of more than one split, on the incidence ``A`` of :func:`incidence`."""
-    code = np.array([SPLITS.index(assignment.sample_split[s.key]) for s in samples], dtype=np.int64)
+    code = split_codes(assignment.sample_split, (s.key for s in samples), "sample")
     attached = np.diff(A.indptr)
     used = np.zeros((len(SPLITS), A.shape[1]), dtype=np.int64)  # split x abstract: 1 if a sample of it uses it
     used[np.repeat(code, attached), A.indices] = 1

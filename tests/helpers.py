@@ -20,8 +20,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ddimine import artifacts
+from ddimine.corpus import AbstractColumns, CorpusStats, TokenizedAbstract, bag
 from ddimine.errors import ValidationError
-from ddimine.features import FeatureMatrix, Vocabulary
+from ddimine.features import FeatureMatrix, Vocabulary, build_vocab
 from ddimine.labeling import PLACEHOLDER, InteractionSample
 from ddimine.learn import loss_gradient, loss_value
 from ddimine.mar_alerts import Administrations, Alerts
@@ -101,9 +102,9 @@ class AttachedSample(InteractionSample):
     abstract_ids: frozenset[str] = frozenset()
 
 
-def incidence_of(samples, abstracts_by_id) -> tuple[sp.csr_matrix, list[str]]:
-    """The incidence of :class:`AttachedSample` rows, and the space-joined tokens behind its columns: their ids,
-    sorted."""
+def incidence_of(samples, abstracts_by_id) -> tuple[sp.csr_matrix, sp.csr_matrix, list[str]]:
+    """The incidence of :class:`AttachedSample` rows, and the word counts behind its columns, their ids sorted, over
+    the sorted words: ``build_count_matrix``'s A, counts and words."""
     ids = sorted({aid for s in samples for aid in s.abstract_ids})
     column = {aid: j for j, aid in enumerate(ids)}
     indices: list[int] = []
@@ -115,7 +116,81 @@ def incidence_of(samples, abstracts_by_id) -> tuple[sp.csr_matrix, list[str]]:
             indices.append(column[aid])
         indptr.append(len(indices))
     A = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(samples), len(ids)))
-    return A, [" ".join(abstracts_by_id[aid].tokens) for aid in ids]
+    words, counts = bag([abstracts_by_id[aid].tokens for aid in ids])
+    return A, counts, words
+
+
+def vocab_of(token_lists, top_k: int | None = None, stopwords=frozenset()) -> Vocabulary:
+    """``build_vocab`` over the word counts of ``token_lists``."""
+    words, counts = bag(list(token_lists))
+    return build_vocab(counts, words, top_k, stopwords)
+
+
+def vocab_oracle(token_lists, top_k: int | None = None, stopwords=frozenset()) -> Vocabulary:
+    """Token occurrences counted one by one; by count, descending, ties lexicographic; the top k."""
+    counts: Counter[str] = Counter()
+    for tokens in token_lists:
+        counts.update(tok for tok in tokens if tok not in stopwords)
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    return Vocabulary(ordered, {tok: col for col, (tok, _) in enumerate(ordered)})
+
+
+def corpus_stats_oracle(abstracts) -> CorpusStats:
+    """The statistics of tokenized abstracts by a loop over each one's token list and mention set."""
+    n = len(abstracts)
+    if n == 0:
+        return CorpusStats(0, 0.0, 0, 0.0, 0.0, 0)
+    total_tokens, distinct_per_abstract, vocab = 0, 0, set()
+    for ab in abstracts:
+        distinct = set(ab.tokens)
+        total_tokens += len(ab.tokens)
+        distinct_per_abstract += len(distinct)
+        vocab |= distinct
+    drugs = [len(ab.drug_mentions) for ab in abstracts]
+    return CorpusStats(
+        n_abstracts=n,
+        avg_drugs_per_abstract=sum(drugs) / n,
+        max_drugs_per_abstract=max(drugs),
+        avg_words_per_abstract=total_tokens / n,
+        avg_count_per_word=(total_tokens / distinct_per_abstract) if distinct_per_abstract else 0.0,
+        n_distinct_words=len(vocab),
+    )
+
+
+def same_corpus(a: AbstractColumns, b: AbstractColumns) -> bool:
+    """Equal ids, drug and word lists, and equal mention and count cells, in the same order."""
+    return (a.ids, a.drugs, a.words) == (b.ids, b.drugs, b.words) and all(
+        x.shape == y.shape and np.array_equal(x.indptr, y.indptr) and np.array_equal(x.indices, y.indices)
+        and np.array_equal(x.data, y.data) for x, y in ((a.mentions, b.mentions), (a.counts, b.counts))
+    )
+
+
+def load_corpus_oracle(path) -> tuple[list[TokenizedAbstract], dict[str, str]]:
+    """A kept corpus decoded here: the ``#`` lines as the header, then its eight ``npy`` records read one by one.
+
+    Each abstract comes back with its words in sorted order, each repeated as often as it counts.
+    """
+    raw = Path(path).read_bytes()
+    meta: dict[str, str] = {}
+    raw = raw.partition(b"\n")[2]  # the kind line
+    while raw.startswith(b"# "):
+        line, _, raw = raw.partition(b"\n")
+        key, _, val = line.decode("utf-8")[2:].partition(": ")
+        meta[key] = val
+    assert meta.pop("body") == "npy"
+    body = io.BytesIO(raw)
+    ids, drugs, mention_ptr, mention_cols, words, word_ptr, word_cols, counts = (
+        np.lib.format.read_array(body, allow_pickle=False).tolist() for _ in range(8)
+    )
+    assert body.read() == b""
+    ids, drugs, words = (bytes(blob).decode("utf-8").split("\n") if blob else [] for blob in (ids, drugs, words))
+    abstracts = []
+    for i, aid in enumerate(ids):
+        mentions = frozenset(drugs[j] for j in mention_cols[mention_ptr[i] : mention_ptr[i + 1]])
+        cells = range(word_ptr[i], word_ptr[i + 1])
+        abstracts.append(TokenizedAbstract(aid, tuple(words[word_cols[k]] for k in cells for _ in range(counts[k])),
+                                           mentions))
+    return abstracts, meta
 
 
 def leakage_oracle(assignment, samples, attached) -> LeakageReport:

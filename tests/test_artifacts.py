@@ -1,19 +1,23 @@
 """The artifact codec: header format, digest checks, missing inputs and atomic writes."""
 
+import io
+import random
 import shutil
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ddimine import artifacts
 from ddimine.cli import main
 from ddimine.config import load_config
-from ddimine.corpus import AbstractColumns, encode_abstracts, load_abstracts
+from ddimine.corpus import AbstractColumns, TokenizedAbstract, encode_abstracts, load_abstracts
 from ddimine.errors import ArtifactMismatchError, MissingArtifactError, ValidationError
 from ddimine.features import encode_matrix
 from ddimine.pipeline import STAGES, run_all, run_stage
 from ddimine.synth import SynthParams, write_dataset
-from helpers import dense_matrix, save
+from helpers import dense_matrix, load_corpus_oracle, same_corpus, save
 
 # every artifact a later stage reads: (artifact, producing stage, a reading stage)
 READS = [
@@ -178,14 +182,160 @@ def test_a_text_feature_file_under_a_current_digest_is_refused(chain, tmp_path, 
 
 
 def test_a_multibyte_text_artifact_reads_the_same_through_the_binary_header_reader(tmp_path):
-    path = tmp_path / "cardiac.tsv"
-    ids = ["abstract-é", "抄録 7", "á𝛼"]  # two-, three- and four-byte characters
-    corpus = AbstractColumns(ids, ["d1", "d1 d2", ""], ["é ü", "ß", "x 𝛼 y"])
-    save(path, encode_abstracts(corpus, note="ünïcode"), {"digest": "abc"})
+    path = tmp_path / "samples.tsv"
+    rows = ["abstract-é\td1", "抄録 7\td1 d2", "á𝛼\t"]  # two-, three- and four-byte characters
+    artifacts.write(path, "samples", {"digest": "abc", "note": "ünïcode"}, "".join(f"{row}\n" for row in rows))
     body, fields = artifacts.read(path)
     assert fields == {"digest": "abc", "note": "ünïcode"}
-    assert list(body) == ["# id\tmentions\ttokens", *map("\t".join, zip(ids, corpus.mentions, corpus.tokens))]
-    assert load_abstracts(path) == corpus and load_abstracts(path).header == fields
-    artifacts.check_digest(path, "abc", "ingest")
+    assert list(body) == rows
+    assert [fields for _, fields in artifacts.read_rows(path, 2)] == [row.split("\t") for row in rows]
+    artifacts.check_digest(path, "abc", "label")
     with pytest.raises(ArtifactMismatchError):
-        artifacts.check_digest(path, "abd", "ingest")
+        artifacts.check_digest(path, "abd", "label")
+    # and the same strings as a kept corpus's records
+    path = tmp_path / "cardiac.tsv"
+    words = ("é", "ü", "𝛼", "é")
+    corpus = AbstractColumns.of([TokenizedAbstract(row.partition("\t")[0], words, frozenset({"d1"})) for row in rows])
+    save(path, encode_abstracts(corpus, note="ünïcode"), {"digest": "abc"})
+    assert same_corpus(load_abstracts(path), corpus) and load_abstracts(path).header == fields
+
+
+# a body line, as (artifact, the stage that reads it)
+NOT_UTF8 = [("samples.tsv", "split"), ("assignment.tsv", "featurize"), ("model.txt", "evaluate")]
+
+
+@pytest.mark.parametrize("name, stage", NOT_UTF8)
+def test_a_body_line_that_is_not_utf8_exits_2_naming_its_line(chain, tmp_path, capsys, name, stage):
+    config, out = chain
+    shutil.copytree(out, tmp_path / "out")
+    path = tmp_path / "out" / name
+    data = path.read_bytes()
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1  # the last line, whose number is the count of line ends
+    lineno = data.count(b"\n")
+    path.write_bytes(data[:last] + b"\xff" + data[last:])
+    capsys.readouterr()
+    assert main([stage, "--config", str(config), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{path}:{lineno}: not valid UTF-8" in err[0]
+
+
+def test_a_text_kept_corpus_under_a_current_digest_is_refused(chain, tmp_path, capsys):
+    """A kept corpus with the older text body passes the digest check, which covers inputs, not the format."""
+    config, out = chain
+    shutil.copytree(out, tmp_path / "out")
+    path = tmp_path / "out" / "cardiac.tsv"
+    abstracts, header = load_corpus_oracle(path)
+    lines = [f"{ab.id}\t{' '.join(sorted(ab.drug_mentions))}\t{' '.join(ab.tokens)}\n" for ab in abstracts]
+    # the text the older format wrote, under the same header
+    artifacts.write(path, "tokenized-abstracts", header, "".join(["# id\tmentions\ttokens\n", *lines]))
+    for stage in ("filter", "split"):
+        capsys.readouterr()
+        assert main([stage, "--config", str(config), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "rerun ingest" in err and len(err.splitlines()) == 1
+
+
+def npy_records(path: Path) -> tuple[bytes, list[np.ndarray]]:
+    """The header's bytes and the body's records of a record file."""
+    data = path.read_bytes()
+    head, sep, body = data.partition(b"# body: npy\n")
+    stream, records = io.BytesIO(body), []
+    while stream.tell() < len(body):
+        records.append(np.lib.format.read_array(stream))
+    return head + sep, records
+
+
+def write_npy_records(path: Path, head: bytes, records: list[np.ndarray]) -> None:
+    body = io.BytesIO()
+    for record in records:
+        np.lib.format.write_array(body, record, allow_pickle=True)
+    path.write_bytes(head + body.getvalue())
+
+
+def swap_first_rise(indptr: np.ndarray) -> np.ndarray:
+    """The indptr with its first rise after the start undone: offsets no longer ascend."""
+    i = next(i for i in range(1, len(indptr) - 1) if indptr[i] < indptr[i + 1])
+    out = indptr.copy()
+    out[i], out[i + 1] = indptr[i + 1], indptr[i]
+    return out
+
+
+# record file -> (the stage that reads it; its columns record, indptr record and a record whose count must match the
+# rows, by position; and its columns' bound, read off the records and the header)
+RECORD_FILES = {
+    "cardiac.tsv": ("filter", 6, 5, 0, lambda records, head: len(records[4].tobytes().split(b"\n"))),
+    "features_train.txt": ("train", 1, 0, 5, lambda records, head: int(head.split(b"# dims: ")[1].split(b"\n")[0])),
+}
+
+
+def damaged(case: str, name: str, data: bytes, head: bytes, records: list[np.ndarray]) -> bytes | list[np.ndarray]:
+    """The file's bytes, or its records, with one damage of ``case``."""
+    _, columns, indptr, counted, bound = RECORD_FILES[name]
+    records = list(records)
+    if case == "truncated":
+        return data[:-3]
+    if case == "trailing-bytes":
+        return data + b"\x00"
+    if case == "object-dtype":
+        records[columns] = records[columns].astype(object)
+    elif case == "index-at-its-bound":
+        records[columns] = records[columns].astype(np.uint64)
+        records[columns][-1] = bound(records, head)
+    elif case == "indptr-not-monotone":
+        records[indptr] = swap_first_rise(records[indptr])
+    elif case == "count-not-the-rows":
+        records[counted] = records[counted][: records[counted].tobytes().rindex(b"\n") if name == "cardiac.tsv" else -1]
+    return records
+
+
+@pytest.mark.parametrize(
+    "case", ["truncated", "trailing-bytes", "object-dtype", "index-at-its-bound", "indptr-not-monotone",
+             "count-not-the-rows"],
+)
+@pytest.mark.parametrize("name", sorted(RECORD_FILES))
+def test_damaged_records_refused_through_the_cli(chain, tmp_path, capsys, name, case):
+    config, out = chain
+    shutil.copytree(out, tmp_path / "out")
+    path = tmp_path / "out" / name
+    head, records = npy_records(path)
+    result = damaged(case, name, path.read_bytes(), head, records)
+    if isinstance(result, bytes):
+        path.write_bytes(result)
+    else:
+        write_npy_records(path, head, result)
+    capsys.readouterr()
+    assert main([RECORD_FILES[name][0], "--config", str(config), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and len(err.splitlines()) == 1
+
+
+def test_random_byte_edits_load_or_are_refused_with_the_path(chain, tmp_path, capsys):
+    """1 to 4 random bytes overwritten, deleted or inserted anywhere in a record file: through the CLI, each case
+    exits 0, or 2 naming the file."""
+    config, out = chain
+    shutil.copytree(out, tmp_path / "out")
+    rng = random.Random(26)
+    outcomes = Counter()
+    for name, commands in (("cardiac.tsv", (["filter"], ["show"])), ("features_train.txt", (["show"],))):
+        path = tmp_path / "out" / name
+        original = path.read_bytes()
+        for _ in range(40):
+            data = bytearray(original)
+            for _ in range(rng.randint(1, 4)):
+                at, edit = rng.randrange(len(data)), rng.choice(("overwrite", "delete", "insert"))
+                if edit == "overwrite":
+                    data[at] = rng.randrange(256)
+                elif edit == "delete":
+                    del data[at]
+                else:
+                    data.insert(at, rng.randrange(256))
+            path.write_bytes(data)
+            for command in commands:
+                args = [*command, str(path)] if command == ["show"] else [*command, "--config", str(config),
+                                                                         "--output", str(tmp_path / "out")]
+                code = main(args)
+                err = capsys.readouterr().err
+                assert code == 0 or code == 2 and str(path) in err, (name, command, err)
+                outcomes[code] += 1
+        path.write_bytes(original)
+    assert outcomes[2] > outcomes[0] > 0  # most edits are refused; some, such as a count raised, load

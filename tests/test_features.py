@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 
 from ddimine import artifacts
 from ddimine.cli import main
-from ddimine.corpus import TokenizedAbstract, default_stopwords, load_stopwords
+from ddimine.corpus import (
+    AbstractColumns, TokenizedAbstract, corpus_stats, default_stopwords, encode_abstracts, load_abstracts,
+    load_stopwords,
+)
 from ddimine.errors import ValidationError
 from ddimine.features import (
     EmbeddingTable,
@@ -29,8 +32,8 @@ from ddimine.features import (
     undersample,
 )
 from helpers import (
-    AttachedSample, count_vector, dense_matrix, embed_abstract, embed_sample, full_rows, incidence_of,
-    load_matrix_oracle, load_vocab, save,
+    AttachedSample, corpus_stats_oracle, count_vector, dense_matrix, embed_abstract, embed_sample, full_rows,
+    incidence_of, load_corpus_oracle, load_matrix_oracle, load_vocab, same_corpus, save, vocab_of, vocab_oracle,
 )
 
 
@@ -49,27 +52,27 @@ def tokens_of(abstracts):
 class TestBuildVocab:
     def test_tie_rule(self):
         # frequencies a:2 b:2 c:1; ties lexicographic -> ["a", "b"]
-        vocab = build_vocab([["a", "a", "b"], ("b", "c")], top_k=2)
+        vocab = vocab_of([["a", "a", "b"], ("b", "c")], top_k=2)
         assert vocab.words == [("a", 2), ("b", 2)]
         assert vocab.index == {"a": 0, "b": 1}
 
     def test_top_k_zero(self):
-        vocab = build_vocab([["a"]], top_k=0)
+        vocab = vocab_of([["a"]], top_k=0)
         assert len(vocab) == 0
 
     def test_unlimited(self):
-        vocab = build_vocab([["z", "y", "y"]], top_k=None)
+        vocab = vocab_of([["z", "y", "y"]], top_k=None)
         assert vocab.words == [("y", 2), ("z", 1)]
 
     def test_empty_corpus(self):
-        assert len(build_vocab([], top_k=5)) == 0
+        assert len(vocab_of([], top_k=5)) == 0
 
     def test_negative_top_k_rejected(self):
         with pytest.raises(ValidationError):
-            build_vocab([], top_k=-1)
+            vocab_of([], top_k=-1)
 
     def test_roundtrip(self, tmp_path):
-        vocab = build_vocab([["b", "a", "b"]])
+        vocab = vocab_of([["b", "a", "b"]])
         save(tmp_path / "v.tsv", encode_vocab(vocab))
         loaded = load_vocab(tmp_path / "v.tsv")
         assert loaded.words == vocab.words
@@ -78,24 +81,24 @@ class TestBuildVocab:
 
 class TestCountVector:
     def test_empty_abstract_set_zero_vector(self):
-        vocab = build_vocab([["dose"]])
+        vocab = vocab_of([["dose"]])
         vec = count_vector(sample_with([]), {}, vocab)
         assert vec.entries == {} and vec.dims == 1
 
     def test_direct_count(self):
         abstracts = {"a1": toka("a1", ["dose", "dose", "response"])}
-        vocab = build_vocab(tokens_of(abstracts.values()))
+        vocab = vocab_of(tokens_of(abstracts.values()))
         vec = count_vector(sample_with(["a1"]), abstracts, vocab)
         assert vec.entries == {vocab.index["dose"]: 2, vocab.index["response"]: 1}
 
     def test_out_of_vocab_ignored(self):
         abstracts = {"a1": toka("a1", ["dose", "rare"])}
-        vocab = build_vocab([["dose"]])
+        vocab = vocab_of([["dose"]])
         vec = count_vector(sample_with(["a1"]), abstracts, vocab)
         assert vec.entries == {0: 1}
 
     def test_dangling_abstract_id(self):
-        vocab = build_vocab([["dose"]])
+        vocab = vocab_of([["dose"]])
         with pytest.raises(ValidationError, match="unknown abstract"):
             count_vector(sample_with(["ghost"]), {}, vocab)
 
@@ -107,7 +110,7 @@ class TestCountVector:
                 aid: toka(aid, [rng.choice(words) for _ in range(rng.randint(0, 40))])
                 for aid in ("a1", "a2")
             }
-            vocab = build_vocab(tokens_of(abstracts.values()), top_k=20)
+            vocab = vocab_of(tokens_of(abstracts.values()), top_k=20)
             both = count_vector(sample_with(["a1", "a2"]), abstracts, vocab)
             first = count_vector(sample_with(["a1"]), abstracts, vocab)
             second = count_vector(sample_with(["a2"]), abstracts, vocab)
@@ -210,7 +213,7 @@ class TestEmbeddings:
 class TestMatrixBuilders:
     def test_count_matrix_rows_in_sample_order(self):
         abstracts = {"a1": toka("a1", ["dose", "dose"]), "a2": toka("a2", ["response"])}
-        vocab = build_vocab(tokens_of(abstracts.values()))
+        vocab = vocab_of(tokens_of(abstracts.values()))
         samples = [
             sample_with(["a1"], c="c1", o="o1", label=1),
             sample_with(["a2"], c="c1", o="o2", label=0),
@@ -224,7 +227,7 @@ class TestMatrixBuilders:
 
     def test_drop_empty(self):
         abstracts = {"a1": toka("a1", ["dose"])}
-        vocab = build_vocab(tokens_of(abstracts.values()))
+        vocab = vocab_of(tokens_of(abstracts.values()))
         samples = [sample_with(["a1"]), sample_with([], o="o2")]
         m, _ = build_count_matrix(samples, *incidence_of(samples, abstracts), vocab, drop_empty=True)
         assert m.n_rows == 1
@@ -238,7 +241,7 @@ class TestMatrixBuilders:
             f"a{i}": toka(f"a{i}", rng.choices(words, k=rng.randint(0, 25)))
             for i in range(data.draw(st.integers(0, 8)))
         }
-        vocab = build_vocab(tokens_of(abstracts.values()), data.draw(st.none() | st.integers(0, 12)))
+        vocab = vocab_of(tokens_of(abstracts.values()), data.draw(st.none() | st.integers(0, 12)))
         table = EmbeddingTable({w: np.array([rng.gauss(0, 1) for _ in range(3)]) for w in words[:11]})
         stop = set(rng.sample(words, 3))
         samples = [
@@ -267,14 +270,14 @@ class TestMatrixBuilders:
             expected_misses += m
         assert misses == expected_misses
 
-        # a column no row references is dropped, and its tokens are never read
-        A, tokens = incidence_of(samples, abstracts)
+        # a column no row references is dropped, and its counts are never read
+        A, bags, words = incidence_of(samples, abstracts)
         padded = sp.csr_matrix((A.data, 2 * A.indices + 1, A.indptr), shape=(A.shape[0], 2 * A.shape[1] + 1))
-        unread = [None] * (2 * len(tokens) + 1)
-        unread[1::2] = tokens
+        unread = sp.vstack([bags, sp.csr_matrix(np.full((A.shape[1] + 1, len(words)), 9))]).tocsr()
+        unread = unread[np.argsort(np.r_[2 * np.arange(A.shape[1]) + 1, 2 * np.arange(A.shape[1] + 1)])]
         again = (
-            build_count_matrix(samples, padded, unread, vocab, drop_empty)[0],
-            build_count_matrix(samples, padded, unread, columns, drop_empty, V, stop)[0],
+            build_count_matrix(samples, padded, unread, words, vocab, drop_empty)[0],
+            build_count_matrix(samples, padded, unread, words, columns, drop_empty, V, stop)[0],
         )
         for m, other in zip((counts, embedded), again):
             for a, b in ((m.A, other.A), (m.parts, other.parts)):
@@ -291,6 +294,63 @@ class TestMatrixBuilders:
         assert m.kind == "embeddings" and columns.index == {"x": 0, "y": 1}
         assert m.X.toarray().tolist() == [[1.0, 1.0]]
         assert misses == 1  # "gone"; a stopword is no miss
+
+
+# words as tokenize gives them: non-ASCII letters and inner hyphens too
+CORPUS_WORDS = ["dose", "x-ray", "ünïcödé", "ω", "名前", "b-12", "heart", "a", "z", "ß"]
+
+
+class TestKeptCorpusOracles:
+    """The kept corpus as word-count records gives what its token lists give."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_statistics_vocabulary_and_rows_equal_the_token_oracles(self, data):
+        n = data.draw(st.one_of(st.just(0), st.just(1), st.integers(2, 8)))  # empty, one abstract, several
+        abstracts = [
+            TokenizedAbstract(f"a {i}", tuple(data.draw(st.lists(st.sampled_from(CORPUS_WORDS), max_size=20))),
+                              frozenset(data.draw(st.sets(st.sampled_from(["d1", "d2", "d3"]), min_size=1))))
+            for i in range(n)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cardiac.tsv"
+            save(path, encode_abstracts(AbstractColumns.of(abstracts)), {"digest": "abc"})
+            kept = load_abstracts(path)
+            assert load_corpus_oracle(path)[0] == [
+                TokenizedAbstract(ab.id, tuple(sorted(ab.tokens)), ab.drug_mentions) for ab in abstracts
+            ]
+        assert same_corpus(kept, AbstractColumns.of(abstracts))
+        assert corpus_stats(kept) == corpus_stats_oracle(abstracts)
+
+        tokens = [ab.tokens for ab in abstracts]
+        ordered = vocab_oracle(tokens).words
+        ties = [k for k in range(1, len(ordered)) if ordered[k - 1][1] == ordered[k][1]]  # a k that cuts a tie
+        stop = data.draw(st.sets(st.sampled_from(CORPUS_WORDS), max_size=3))
+        for top_k in (None, 0, ties[0] if ties else 1):
+            for dropped in (frozenset(), stop):
+                got, want = build_vocab(kept.counts, kept.words, top_k, dropped), vocab_oracle(tokens, top_k, dropped)
+                assert (got.words, got.index) == (want.words, want.index)
+
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        by_id = {ab.id: ab for ab in abstracts}
+        samples = [
+            sample_with(rng.sample(sorted(by_id), rng.randint(0, n)), o=f"o{j}") for j in range(rng.randint(0, 6))
+        ]
+        A = incidence_of(samples, by_id)[0]
+        behind = sorted({aid for s in samples for aid in s.abstract_ids})  # A's columns
+        counts = kept.counts[[kept.ids.index(aid) for aid in behind]]
+        table = EmbeddingTable({w: np.array([rng.gauss(0, 1) for _ in range(3)]) for w in rng.sample(CORPUS_WORDS, 6)})
+        vocab = build_vocab(kept.counts, kept.words, ties[0] if ties else None)
+        columns, V = table.columns(stop)
+        matrix, _ = build_count_matrix(samples, A, counts, kept.words, vocab)
+        embedded, misses = build_count_matrix(samples, A, counts, kept.words, columns, False, V, stop)
+        for i, s in enumerate(samples):
+            entries = count_vector(s, by_id, vocab).entries
+            row = matrix.X[i].tocsr()
+            assert row.indices.tolist() == sorted(entries)
+            assert row.data.tolist() == [float(entries[c]) for c in sorted(entries)]
+            assert embedded.X[i].toarray().ravel().tobytes() == embed_sample(s, by_id, table, stop)[0].tobytes()
+        assert misses == sum(embed_sample(s, by_id, table, stop)[1] for s in samples)
 
 
 class TestUndersample:
@@ -340,7 +400,7 @@ def u8(*values) -> np.ndarray:
 class TestMatrixPersistence:
     def test_sparse_roundtrip(self, tmp_path):
         abstracts = {"a1": toka("a1", ["dose", "dose", "response"])}
-        vocab = build_vocab(tokens_of(abstracts.values()))
+        vocab = vocab_of(tokens_of(abstracts.values()))
         samples = [sample_with(["a1"], label=1), sample_with([], o="o2")]
         m, _ = build_count_matrix(samples, *incidence_of(samples, abstracts), vocab)
         save(tmp_path / "m.txt", encode_matrix(m), {"digest": "abc"})
@@ -607,7 +667,7 @@ class TestMatrixPersistence:
     def test_show_refuses_a_text_artifact_and_a_corrupt_file(self, tmp_path, written, capsys):
         path, data, _ = written
         vocab = tmp_path / "vocab.tsv"
-        save(vocab, encode_vocab(build_vocab([["dose", "dose"]])), {"digest": "abc"})
+        save(vocab, encode_vocab(vocab_of([["dose", "dose"]])), {"digest": "abc"})
         path.write_bytes(data[:-3])
         for target in (vocab, path):
             assert main(["show", str(target)]) == 2
@@ -620,7 +680,7 @@ class TestMatrixPersistence:
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         words = [f"w{i}" for i in range(15)]
         abstracts = {f"a {i}": toka(f"a {i}", rng.choices(words, k=rng.randint(0, 25))) for i in range(10)}
-        vocab = build_vocab(tokens_of(abstracts.values()), 12)
+        vocab = vocab_of(tokens_of(abstracts.values()), 12)
         table = EmbeddingTable({w: np.array([rng.gauss(0, 1) for _ in range(3)]) for w in words[:11]})
         samples = [
             sample_with(rng.sample(sorted(abstracts), rng.randint(0, 4)), o=f"o{j}", label=int(j % 3 == 0))

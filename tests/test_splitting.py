@@ -5,7 +5,7 @@ import pytest
 
 from ddimine.corpus import AbstractColumns, TokenizedAbstract
 from ddimine.errors import ValidationError
-from ddimine.features import build_count_matrix, build_vocab
+from ddimine.features import build_count_matrix
 from ddimine.labeling import InteractionSample
 from ddimine.splitting import (
     SPLITS,
@@ -15,7 +15,7 @@ from ddimine.splitting import (
     load_assignment,
     split_corpus,
 )
-from helpers import alg1_assign_oracle, leakage_oracle, save
+from helpers import alg1_assign_oracle, leakage_oracle, save, vocab_of
 
 
 def make_abstract(aid, mentions):
@@ -164,9 +164,8 @@ class TestAssignAbstracts:
             everyone = split_corpus(ids(abstracts), samples, (1.0, 0.0, 0.0), seed=trial)
             assert assign(None, abstracts, samples) == alg1_assign_oracle(everyone, abstracts, samples)
             # drop_empty keeps exactly the samples the oracle attaches some abstract to
-            tokens = [ab.tokens for ab in abstracts]
-            vocab = build_vocab(tokens)
-            m, _ = build_count_matrix(samples, A, [corpus.tokens[i] for i in order], vocab, drop_empty=True)
+            vocab = vocab_of(ab.tokens for ab in abstracts)
+            m, _ = build_count_matrix(samples, A, corpus.counts[order], corpus.words, vocab, drop_empty=True)
             assert m.keys == [s.key for s, found in zip(samples, expected) if found]
 
     def test_samples_may_share_abstract_within_split(self):
