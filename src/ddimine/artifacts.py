@@ -117,18 +117,30 @@ def opened(path: Path | str) -> Iterator[tuple[BinaryIO, dict[str, str]]]:
 def _read(path: Path | str) -> Iterator:
     """The header fields, then each body line: the file is open from the first ``next`` to the last.
 
-    A byte that is not UTF-8 decodes to a lone surrogate, which no valid line holds: its line is refused.
+    A line that is not UTF-8 is refused (:func:`utf8`).
     """
     with opened(path) as (fh, fields):
         yield fields
         with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape") as text:
             for lineno, line in enumerate(text, start=2 + len(fields)):  # after the kind line and the fields
-                if not line.isascii():
-                    try:
-                        line.encode("utf-8")
-                    except UnicodeEncodeError:
-                        raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
+                try:
+                    line = utf8(line)
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
                 yield line.rstrip("\n")
+
+
+def utf8(line: str) -> str:
+    """``line``, read with ``errors="surrogateescape"``, unless it held a byte that is not UTF-8.
+
+    Such a byte reads as a lone surrogate, which no UTF-8 text holds.  The error leaves the path and line to the caller.
+    """
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError("not valid UTF-8") from None
+    return line
 
 
 def kind_of(path: Path | str) -> str:

@@ -196,13 +196,13 @@ class DrugLexicon:
         entries: dict[str, list[tuple[str, ...]]] = {}
         cardiac: set[str] = set()
         flags: dict[str, bool] = {}
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line.strip() or line.lstrip().startswith("#"):
                     continue
                 try:
-                    drug_id, phrase, flag = _lexicon_row(line)
+                    drug_id, phrase, flag = _lexicon_row(artifacts.utf8(line))
                     if flags.setdefault(drug_id, flag) != flag:
                         raise ValidationError(f"conflicting cardiac flag for {drug_id!r}")
                 except ValidationError as exc:

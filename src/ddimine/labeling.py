@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import artifacts
 from .corpus import DrugLexicon, check_drug_id
 from .errors import ValidationError
 
@@ -74,12 +75,12 @@ class InteractionCatalog:
 
         def rows() -> Iterator[list[str]]:
             nonlocal lineno
-            with open(path, encoding="utf-8-sig") as fh:
+            with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
                 for lineno, line in enumerate(fh, start=1):
                     line = line.rstrip("\n")
                     if not line.strip() or line.lstrip().startswith("#"):
                         continue
-                    parts = line.split("\t")
+                    parts = artifacts.utf8(line).split("\t")
                     if len(parts) != 3:
                         raise ValidationError("expected 3 tab-separated fields")
                     yield parts

@@ -8,17 +8,19 @@ claim: a fixed window stands in for each drug's exposure, whatever its dose,
 route or half-life.
 
 Time is int64 microseconds since the epoch, in UTC, from :func:`parse_mar` to
-the files, which are always written in UTC.  Administrations and windows are
-numpy columns, with patients and drugs as codes into sorted name lists, so
-codes order as names do; windows are merged after one sort and joined on
-sorted starts.  The files are formatted a column at a time, block by block.
-A window's end date is that of its last microsecond, ``end - 1``.
+the files, which are always written in UTC.  Administrations, windows and
+alerts are numpy columns, with patients and drugs as codes into sorted name
+lists, so codes order as names do, and an alert's pair as a row of the
+catalog's pairs among the MAR's drugs; windows are merged after one sort and
+joined on sorted starts.  Each fact is written once: ``alerts.tsv`` holds one
+row per alert, and ``alert_report.txt`` each pair's count and catalog
+description.  Text is made only as the files are written, a column at a time,
+block by block.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import artifacts
 from .errors import ValidationError
-from .labeling import InteractionCatalog, pair_key
+from .labeling import InteractionCatalog
 
 _MIN_TIME = datetime(1900, 1, 1, tzinfo=timezone.utc)
 _MAX_TIME = datetime(2100, 1, 1, tzinfo=timezone.utc)
@@ -62,12 +64,14 @@ class Windows(NamedTuple):
 
 @dataclass(frozen=True)
 class Alerts:
-    """Alert windows [start, end) as columns, in report order: by (patient, start, drug_a, drug_b)."""
+    """Alert windows [start, end) as codes, in report order: by (patient, start, drug_a, drug_b)."""
 
-    patient_id: list[str]
-    drug_a: list[str]  # display order from the catalog
-    drug_b: list[str]
-    effect: list[str]
+    patients: list[str]  # sorted; ``patient`` codes into it
+    drugs: list[str]
+    pairs: np.ndarray  # (pairs, 2): the catalog's pairs among ``drugs``, as codes in display order, by sorted names
+    effects: list[str]  # each pair's catalog description
+    patient: np.ndarray
+    pair: np.ndarray  # a row of ``pairs``
     start: np.ndarray
     end: np.ndarray
 
@@ -101,23 +105,23 @@ def parse_mar(path: Path | str) -> Administrations:
     patients, drugs = {}, {}  # id -> code, first seen first
     patient_codes, drug_codes, times = [], [], []
     parsed: dict[str, int] = {}  # raw timestamp text -> its time; bad text never enters
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n")
         if [c.strip().lower() for c in header.split("\t")] != ["patient_id", "drug", "timestamp"]:
             raise ValidationError(f"{path}: missing MAR header 'patient_id<TAB>drug<TAB>timestamp'")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3 or not (patient := parts[0].strip()) or not (drug := parts[1].strip()):
-                raise ValidationError(f"{path}:{lineno}: expected patient_id, drug, timestamp")
-            if (time := parsed.get(parts[2])) is None:
-                if len(parsed) == _MAX_PARSED:  # full: start over
-                    parsed.clear()
-                try:
+            try:
+                parts = artifacts.utf8(line).rstrip("\n").split("\t")
+                if len(parts) != 3 or not (patient := parts[0].strip()) or not (drug := parts[1].strip()):
+                    raise ValidationError("expected patient_id, drug, timestamp")
+                if (time := parsed.get(parts[2])) is None:
+                    if len(parsed) == _MAX_PARSED:  # full: start over
+                        parsed.clear()
                     time = parsed[parts[2]] = (parse_timestamp(parts[2]) - _EPOCH) // _TICK
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
             patient_codes.append(patients.setdefault(patient, len(patients)))
             drug_codes.append(drugs.setdefault(drug, len(drugs)))
             times.append(time)
@@ -180,56 +184,48 @@ def detect_overlaps(windows: Windows, catalog: InteractionCatalog) -> Alerts:
     i, j, row = i[hit], j[hit], row[hit]
     alert_start, alert_end = start[j], np.minimum(end[i], end[j])
     rank = np.lexsort((shown[row, 1], shown[row, 0], alert_start, patient[i]))
-    i, row, names = i[rank], row[rank], np.array(windows.drugs, dtype=object)
-    patients = np.array(windows.patients, dtype=object)[patient[i]].tolist()
-    return Alerts(patients, names[shown[row, 0]].tolist(), names[shown[row, 1]].tolist(),
-                  [table[r][3] for r in row.tolist()], alert_start[rank], alert_end[rank])
+    return Alerts(windows.patients, windows.drugs, shown, [r[3] for r in table],
+                  patient[i][rank], row[rank], alert_start[rank], alert_end[rank])
 
 
 def encode_alerts(alerts: Alerts) -> dict[str, artifacts.Encoded]:
     """``alerts.tsv`` and ``alert_report.txt``, streamed; ``alerts`` in :func:`detect_overlaps` order.
 
-    The TSV holds date-granularity windows plus full-precision timestamps; the
-    report lists each patient's alerts as coded tuples, then per-pair totals.
+    The TSV holds one row per alert: the patient, the pair in the catalog's
+    display order, and the window [start, end) as UTC instants.  The report
+    gives each pair with alerts, by sorted names, its count and its catalog
+    description, then the total.
     """
-    return {"alerts.tsv": ("ddi-alerts", {}, _tsv_lines(alerts)),
+    return {"alerts.tsv": ("ddi-alerts", {}, _tsv_blocks(alerts)),
             "alert_report.txt": ("alert-report", {}, _report_lines(alerts))}
 
 
-def _blocks(alerts: Alerts) -> Iterator[list]:
-    """The alerts' columns a block at a time: each is formatted at once, and only a block's text is held."""
-    for lo in range(0, len(alerts), _BLOCK):
-        yield [getattr(alerts, f.name)[lo : lo + _BLOCK] for f in fields(alerts)]
-
-
-def _dates(times: np.ndarray) -> list[str]:
-    days, at = np.unique(times // 86_400_000_000, return_inverse=True)  # µs a day; each day formatted once
-    return np.datetime_as_string(days.astype("M8[D]"))[at].tolist()
-
-
 def _isoformat(times: np.ndarray) -> list[str]:
-    """Each instant as ``datetime.isoformat`` writes it, less the zone: ``.ffffff`` only where nonzero."""
-    text = np.datetime_as_string(times.astype("M8[us]"), unit="us")
-    return np.where(times % 1_000_000 == 0, text.astype("U19"), text).tolist()
+    """Each instant as ``datetime.isoformat`` writes it, less the zone: ``.ffffff`` only where nonzero.
+
+    Each distinct instant is formatted once: an hourly chart repeats a few thousand of them.
+    """
+    instants, at = np.unique(times, return_inverse=True)
+    text = np.datetime_as_string(instants.astype("M8[us]"), unit="us")
+    return np.where(instants % 1_000_000 == 0, text.astype("U19"), text).astype(object)[at].tolist()
 
 
-def _tsv_lines(alerts: Alerts) -> Iterator[str]:
-    yield "patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso\n"
-    for patient, drug_a, drug_b, effect, start, end in _blocks(alerts):
-        for p, a, b, s, last, e, text in zip(patient, drug_a, drug_b, _isoformat(start), _dates(end - 1),
-                                              _isoformat(end), effect):
-            yield f"{p}\t{a}\t{b}\t{s[:10]}\t{last}\t{text}\t{s}+00:00\t{e}+00:00\n"
+def _tsv_blocks(alerts: Alerts) -> Iterator[str]:
+    """The column line, then the rows a block at a time: each column of a block is formatted at once."""
+    yield "patient_id\tdrug_a\tdrug_b\tstart_iso\tend_iso\n"
+    patients = np.array(alerts.patients, dtype=object)
+    pairs = np.array([f"{alerts.drugs[a]}\t{alerts.drugs[b]}" for a, b in alerts.pairs.tolist()], dtype=object)
+    for lo in range(0, len(alerts), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        columns = (patients[alerts.patient[block]].tolist(), pairs[alerts.pair[block]].tolist(),
+                   _isoformat(alerts.start[block]), _isoformat(alerts.end[block]))
+        yield "".join(map("{}\t{}\t{}+00:00\t{}+00:00\n".format, *columns))
 
 
 def _report_lines(alerts: Alerts) -> Iterator[str]:
-    previous = None
-    for patient, drug_a, drug_b, effect, start, end in _blocks(alerts):
-        for p, a, b, first, last, text in zip(patient, drug_a, drug_b, _dates(start), _dates(end - 1), effect):
-            if p != previous:
-                previous = p
-                yield f"patient {p}:\n"
-            yield f'  (({a}, {b}), ("{first}", "{last}"), "{text}")\n'
     yield "pair totals:\n"
-    for (a, b), count in sorted(Counter(map(pair_key, alerts.drug_a, alerts.drug_b)).items()):
-        yield f"  {a}/{b}\t{count}\n"
+    count = np.bincount(alerts.pair, minlength=len(alerts.effects))
+    for row in np.flatnonzero(count).tolist():  # pairs sort by codes, which order as names do
+        a, b = (alerts.drugs[c] for c in sorted(alerts.pairs[row].tolist()))
+        yield f"  {a}/{b}\t{count[row]}\t{alerts.effects[row]}\n"
     yield f"total alerts\t{len(alerts)}\n"

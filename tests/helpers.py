@@ -23,7 +23,7 @@ from ddimine import artifacts
 from ddimine.corpus import AbstractColumns, CorpusStats, TokenizedAbstract, bag
 from ddimine.errors import ValidationError
 from ddimine.features import FeatureMatrix, Vocabulary, build_vocab
-from ddimine.labeling import PLACEHOLDER, InteractionSample
+from ddimine.labeling import PLACEHOLDER, InteractionSample, pair_key
 from ddimine.learn import loss_gradient, loss_value
 from ddimine.mar_alerts import Administrations, Alerts
 from ddimine.pipeline import file_digest
@@ -240,9 +240,20 @@ def administrations(events) -> Administrations:
 
 
 def make_alerts(rows) -> Alerts:
-    """``detect_overlaps`` output for (drug_a, drug_b, start, end, effect, patient) rows, times aware."""
+    """``detect_overlaps`` output for (drug_a, drug_b, start, end, effect, patient) rows, times aware.
+
+    As in a catalog, each pair has one display order and one effect.
+    """
     drug_a, drug_b, start, end, effect, patient = (list(column) for column in zip(*rows)) if rows else [[]] * 6
-    return Alerts(patient, drug_a, drug_b, effect, np.array([micros(t) for t in start], dtype=np.int64),
+    shown = {pair_key(a, b): (a, b, e) for a, b, e in zip(drug_a, drug_b, effect)}
+    assert len(shown) == len(set(zip(drug_a, drug_b, effect))), "a pair shown two ways"
+    table = sorted(shown)  # by sorted names, as the codes of sorted names order
+    patients, drugs = sorted(set(patient)), sorted({*drug_a, *drug_b})
+    codes = [[drugs.index(shown[pair][0]), drugs.index(shown[pair][1])] for pair in table]
+    return Alerts(patients, drugs, np.array(codes, dtype=np.int64).reshape(-1, 2), [shown[pair][2] for pair in table],
+                  np.array([patients.index(p) for p in patient], dtype=np.int64),
+                  np.array([table.index(pair_key(a, b)) for a, b in zip(drug_a, drug_b)], dtype=np.int64),
+                  np.array([micros(t) for t in start], dtype=np.int64),
                   np.array([micros(t) for t in end], dtype=np.int64))
 
 
@@ -257,8 +268,11 @@ class AlertRow(NamedTuple):
 
 def alert_rows(alerts: Alerts) -> list[AlertRow]:
     """One row per alert, times as UTC ``datetime``s."""
-    columns = (alerts.drug_a, alerts.drug_b, map(utc, alerts.start.tolist()), map(utc, alerts.end.tolist()),
-               alerts.effect, alerts.patient_id)
+    shown = alerts.pairs[alerts.pair].tolist()
+    columns = ([alerts.drugs[a] for a, _ in shown], [alerts.drugs[b] for _, b in shown],
+               map(utc, alerts.start.tolist()), map(utc, alerts.end.tolist()),
+               [alerts.effects[row] for row in alerts.pair.tolist()],
+               [alerts.patients[p] for p in alerts.patient.tolist()])
     return list(map(AlertRow, *columns))
 
 
@@ -323,8 +337,6 @@ def hourly_alert_oracle(exposures, catalog) -> dict[tuple[str, tuple[str, str]],
 
 def alert_hours(alerts) -> dict[tuple[str, tuple[str, str]], set]:
     """Hours covered by alert windows, keyed like the hourly oracle."""
-    from ddimine.labeling import pair_key
-
     result: dict[tuple[str, tuple[str, str]], set] = {}
     for al in alerts:
         key = (al.patient_id, pair_key(al.drug_a, al.drug_b))
@@ -340,8 +352,8 @@ def alert_files_oracle(alerts) -> dict[str, str]:
     """``alerts.tsv`` and ``alert_report.txt`` bodies, each alert formatted on its own.
 
     ``alerts`` are in report order, with aware times, each written in its own
-    zone.  A window's dates run from its start's date to the date of the last
-    microsecond it covers.
+    zone.  The report counts each pair's alerts, by sorted names, and gives
+    the pair's effect.
     """
 
     def iso(t):
@@ -350,20 +362,13 @@ def alert_files_oracle(alerts) -> dict[str, str]:
         sign = "-" if minutes < 0 else "+"
         return f"{t:%Y-%m-%dT%H:%M:%S}{fraction}{sign}{abs(minutes) // 60:02d}:{abs(minutes) % 60:02d}"
 
-    tsv = ["patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso\n"]
-    report: list[str] = []
-    totals: dict[tuple[str, str], int] = {}
-    for i, al in enumerate(alerts):
-        first, last = f"{al.start:%Y-%m-%d}", f"{al.end - timedelta(microseconds=1):%Y-%m-%d}"
-        fields = [al.patient_id, al.drug_a, al.drug_b, first, last, al.effect, iso(al.start), iso(al.end)]
-        tsv.append("\t".join(fields) + "\n")
-        if i == 0 or alerts[i - 1].patient_id != al.patient_id:
-            report.append(f"patient {al.patient_id}:\n")
-        report.append(f'  (({al.drug_a}, {al.drug_b}), ("{first}", "{last}"), "{al.effect}")\n')
-        pair = tuple(sorted((al.drug_a, al.drug_b)))
-        totals[pair] = totals.get(pair, 0) + 1
-    report.append("pair totals:\n")
-    report += [f"  {a}/{b}\t{count}\n" for (a, b), count in sorted(totals.items())]
+    tsv = ["patient_id\tdrug_a\tdrug_b\tstart_iso\tend_iso\n"]
+    totals: dict[tuple[str, str], list] = {}
+    for al in alerts:
+        tsv.append("\t".join([al.patient_id, al.drug_a, al.drug_b, iso(al.start), iso(al.end)]) + "\n")
+        totals.setdefault(tuple(sorted((al.drug_a, al.drug_b))), [0, al.effect])[0] += 1
+    report = ["pair totals:\n"]
+    report += [f"  {a}/{b}\t{count}\t{effect}\n" for (a, b), (count, effect) in sorted(totals.items())]
     report.append(f"total alerts\t{len(alerts)}\n")
     return {"alerts.tsv": "".join(tsv), "alert_report.txt": "".join(report)}
 

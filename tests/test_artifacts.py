@@ -1,6 +1,7 @@
 """The artifact codec: header format, digest checks, missing inputs and atomic writes."""
 
 import io
+import json
 import random
 import shutil
 from collections import Counter
@@ -320,16 +321,7 @@ def test_random_byte_edits_load_or_are_refused_with_the_path(chain, tmp_path, ca
         path = tmp_path / "out" / name
         original = path.read_bytes()
         for _ in range(40):
-            data = bytearray(original)
-            for _ in range(rng.randint(1, 4)):
-                at, edit = rng.randrange(len(data)), rng.choice(("overwrite", "delete", "insert"))
-                if edit == "overwrite":
-                    data[at] = rng.randrange(256)
-                elif edit == "delete":
-                    del data[at]
-                else:
-                    data.insert(at, rng.randrange(256))
-            path.write_bytes(data)
+            path.write_bytes(byte_edited(rng, original))
             for command in commands:
                 args = [*command, str(path)] if command == ["show"] else [*command, "--config", str(config),
                                                                          "--output", str(tmp_path / "out")]
@@ -339,3 +331,69 @@ def test_random_byte_edits_load_or_are_refused_with_the_path(chain, tmp_path, ca
                 outcomes[code] += 1
         path.write_bytes(original)
     assert outcomes[2] > outcomes[0] > 0  # most edits are refused; some, such as a count raised, load
+
+
+def byte_edited(rng: random.Random, original: bytes) -> bytes:
+    """``original`` with 1 to 4 random bytes overwritten, deleted or inserted."""
+    data = bytearray(original)
+    for _ in range(rng.randint(1, 4)):
+        at, edit = rng.randrange(len(data)), rng.choice(("overwrite", "delete", "insert"))
+        if edit == "overwrite":
+            data[at] = rng.randrange(256)
+        elif edit == "delete":
+            del data[at]
+        else:
+            data.insert(at, rng.randrange(256))
+    return bytes(data)
+
+
+def with_input(config: Path, root: Path, name: str, data: bytes) -> tuple[Path, Path]:
+    """(a copy of ``config`` whose input ``name``, such as ``mar``, holds ``data``; that input), both in ``root``."""
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    path = root / Path(raw["paths"][name]).name
+    path.write_bytes(data)
+    raw["paths"][name] = str(path)
+    (root / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    return root / "config.json", path
+
+
+def input_bytes(config: Path, name: str) -> bytes:
+    return Path(json.loads(config.read_text(encoding="utf-8"))["paths"][name]).read_bytes()
+
+
+def test_random_byte_edits_of_the_alerts_inputs_run_or_are_refused_with_the_path(chain, tmp_path, capsys):
+    """The same edits of ``mar.tsv`` and ``catalog.tsv`` through ``alerts``, and of ``catalog.tsv`` through
+    ``label``: each case exits 0, or 2 naming the file."""
+    config, out = chain
+    shutil.copytree(out, tmp_path / "out")
+    rng = random.Random(28)
+    outcomes = Counter()
+    for name, stages, edits in (("mar", ("alerts",), 30), ("catalog", ("alerts", "label"), 12)):
+        original = input_bytes(config, name)
+        for _ in range(edits):
+            damaged, path = with_input(config, tmp_path, name, byte_edited(rng, original))
+            for stage in stages:
+                code = main([stage, "--config", str(damaged), "--output", str(tmp_path / "out")])
+                err = capsys.readouterr().err
+                assert code == 0 or code == 2 and str(path) in err, (name, stage, err)
+                outcomes[name, code] += 1
+    assert all(outcomes[name, code] for name in ("mar", "catalog") for code in (0, 2))
+
+
+# an input, and a stage that reads it
+INPUT_READERS = [("mar", "alerts"), ("catalog", "label"), ("catalog", "alerts"), ("lexicon", "ingest"),
+                 ("lexicon", "label")]
+
+
+@pytest.mark.parametrize("name, stage", INPUT_READERS)
+def test_an_input_line_that_is_not_utf8_exits_2_naming_its_line(chain, tmp_path, capsys, name, stage):
+    config, out = chain
+    shutil.copytree(out, tmp_path / "out")
+    data = input_bytes(config, name)
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1  # the last line, whose number is the count of line ends
+    lineno = data.count(b"\n")
+    damaged, path = with_input(config, tmp_path, name, data[:last] + b"\xff" + data[last:])
+    capsys.readouterr()
+    assert main([stage, "--config", str(damaged), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{path}:{lineno}: not valid UTF-8" in err[0]

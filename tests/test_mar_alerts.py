@@ -6,6 +6,8 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -194,24 +196,7 @@ def test_bad_mar_row_names_its_line(tmp_path):
         parse_mar(path)
 
 
-def test_window_ending_at_midnight_ends_the_day_before():
-    alerts = make_alerts([("a", "b", T0 + timedelta(hours=6), T0 + timedelta(days=1), "effect", "p1")])
-    _, _, body = encode_alerts(alerts)["alerts.tsv"]
-    row = "".join(body).splitlines()[1].split("\t")
-    assert row[3:5] == ["2024-03-01", "2024-03-01"]
-    assert row[7] == "2024-03-02T00:00:00+00:00"
-
-
-@pytest.mark.parametrize("after_midnight", [timedelta(microseconds=1), timedelta(milliseconds=500)])
-def test_window_ending_just_after_midnight_ends_that_day(after_midnight):
-    end = T0 + timedelta(days=1) + after_midnight
-    encoded = encode_alerts(make_alerts([("a", "b", T0 + timedelta(hours=6), end, "effect", "p1")]))
-    row = "".join(encoded["alerts.tsv"][2]).splitlines()[1].split("\t")
-    assert row[3:5] == ["2024-03-01", "2024-03-02"]
-    assert '("2024-03-01", "2024-03-02")' in "".join(encoded["alert_report.txt"][2])
-
-
-# instants around midnight, where the end date turns, plus any microsecond of three days;
+# instants around midnight, a microsecond and half a second off it, plus any microsecond of three days;
 # drawn in UTC or two other zones, and handed to the encoder as UTC microseconds
 ZONES = [timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-5))]
 MIDNIGHTS = [datetime(2024, 3, d, tzinfo=zone) for d in (2, 3) for zone in ZONES]
@@ -226,10 +211,11 @@ INSTANTS = st.one_of(
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_alert_files_equal_the_one_by_one_encoder(data):
-    rows = []
+    rows, shown = [], {}  # each pair in the display order it is first drawn in, as a catalog row gives it
     for _ in range(data.draw(st.integers(0, 12))):
         start, end = sorted(data.draw(st.lists(INSTANTS, min_size=2, max_size=2, unique=True)))
         drug_a, drug_b = data.draw(st.lists(st.sampled_from(DRUGS), min_size=2, max_size=2, unique=True))
+        drug_a, drug_b = shown.setdefault(pair_key(drug_a, drug_b), (drug_a, drug_b))
         patient = data.draw(st.sampled_from(["p0", "p1", "p2"]))
         rows.append((drug_a, drug_b, start.astimezone(timezone.utc), end.astimezone(timezone.utc),
                      f"{drug_a} with {drug_b}", patient))
@@ -254,14 +240,12 @@ def test_alert_files_alike_in_blocks_of_any_size(monkeypatch, block):
 def test_report_totals_per_pair_and_overall():
     window = (T0, T0 + timedelta(hours=1))
     alerts = make_alerts([
-        ("b", "a", *window, "e", "p1"),
-        ("c", "d", *window, "e", "p1"),
-        ("a", "b", *window, "e", "p2"),
+        ("b", "a", *window, "b with a", "p1"),
+        ("c", "d", *window, "c with d", "p1"),
+        ("b", "a", *window, "b with a", "p2"),
     ])
     lines = "".join(encode_alerts(alerts)["alert_report.txt"][2]).splitlines()
-    totals = lines[lines.index("pair totals:") + 1:]
-    assert totals == ["  a/b\t2", "  c/d\t1", "total alerts\t3"]
-    assert lines[0] == "patient p1:" and "patient p2:" in lines
+    assert lines == ["pair totals:", "  a/b\t2\tb with a", "  c/d\t1\tc with d", "total alerts\t3"]
 
 
 def test_alert_files_stream_and_report_no_alerts():
@@ -290,7 +274,8 @@ def test_mar_rows_break_only_at_line_ends(tmp_path):
     assert [utc(t).hour for t in events.time.tolist()] == [0, 1, 2]
 
 
-# Edge cases of the alerts stage, against the files the one-alert-at-a-time encoder wrote for them.
+# Edge cases of the alerts stage, against the files the one-alert-at-a-time encoder of the eight-column format
+# wrote for them, with the dates and effects dropped from each row and each pair's effect folded into the report.
 # Two catalog rows list their pair out of sorted order, so the display order shows in the files.
 CATALOG = "zeta\talpha\tzeta with alpha\nbeta\talpha\tbeta with alpha\ngamma\tzeta\tgamma with zeta\n"
 HEADER = "patient_id\tdrug\ttimestamp\n"
@@ -327,7 +312,7 @@ MAR_CASES = {
 FROZEN = {
     'header_only': (
         [
-            'patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso',
+            'patient_id\tdrug_a\tdrug_b\tstart_iso\tend_iso',
         ],
         [
             'pair totals:',
@@ -336,7 +321,7 @@ FROZEN = {
     ),
     'single_row': (
         [
-            'patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso',
+            'patient_id\tdrug_a\tdrug_b\tstart_iso\tend_iso',
         ],
         [
             'pair totals:',
@@ -345,96 +330,125 @@ FROZEN = {
     ),
     'one_drug_many_times': (
         [
-            'patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso',
-            'p1\tbeta\talpha\t2024-03-02\t2024-03-02\tbeta with alpha\t2024-03-02T06:00:00+00:00\t2024-03-02T12:00:00+00:00',
-            'p1\tbeta\talpha\t2024-03-03\t2024-03-03\tbeta with alpha\t2024-03-03T12:00:00+00:00\t2024-03-03T18:00:00+00:00',
-            'p1\tbeta\talpha\t2024-03-05\t2024-03-05\tbeta with alpha\t2024-03-05T00:00:00+00:00\t2024-03-05T09:00:00+00:00',
+            'patient_id\tdrug_a\tdrug_b\tstart_iso\tend_iso',
+            'p1\tbeta\talpha\t2024-03-02T06:00:00+00:00\t2024-03-02T12:00:00+00:00',
+            'p1\tbeta\talpha\t2024-03-03T12:00:00+00:00\t2024-03-03T18:00:00+00:00',
+            'p1\tbeta\talpha\t2024-03-05T00:00:00+00:00\t2024-03-05T09:00:00+00:00',
         ],
         [
-            'patient p1:',
-            '  ((beta, alpha), ("2024-03-02", "2024-03-02"), "beta with alpha")',
-            '  ((beta, alpha), ("2024-03-03", "2024-03-03"), "beta with alpha")',
-            '  ((beta, alpha), ("2024-03-05", "2024-03-05"), "beta with alpha")',
             'pair totals:',
-            '  alpha/beta\t3',
+            '  alpha/beta\t3\tbeta with alpha',
             'total alerts\t3',
         ],
     ),
     'out_of_sorted_order': (
         [
-            'patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso',
-            'p1\tzeta\talpha\t2024-03-01\t2024-03-02\tzeta with alpha\t2024-03-01T23:00:00+00:00\t2024-03-02T22:00:00+00:00',
-            'p1\tbeta\talpha\t2024-03-02\t2024-03-02\tbeta with alpha\t2024-03-02T00:00:00+00:00\t2024-03-02T23:00:00+00:00',
-            'p10\tgamma\tzeta\t2024-03-01\t2024-03-02\tgamma with zeta\t2024-03-01T09:00:00+00:00\t2024-03-02T08:00:00+00:00',
-            'p2\tbeta\talpha\t2024-03-01\t2024-03-02\tbeta with alpha\t2024-03-01T12:00:00+00:00\t2024-03-02T11:00:00+00:00',
-            'p2\tzeta\talpha\t2024-03-01\t2024-03-02\tzeta with alpha\t2024-03-01T12:00:00+00:00\t2024-03-02T10:00:00+00:00',
+            'patient_id\tdrug_a\tdrug_b\tstart_iso\tend_iso',
+            'p1\tzeta\talpha\t2024-03-01T23:00:00+00:00\t2024-03-02T22:00:00+00:00',
+            'p1\tbeta\talpha\t2024-03-02T00:00:00+00:00\t2024-03-02T23:00:00+00:00',
+            'p10\tgamma\tzeta\t2024-03-01T09:00:00+00:00\t2024-03-02T08:00:00+00:00',
+            'p2\tbeta\talpha\t2024-03-01T12:00:00+00:00\t2024-03-02T11:00:00+00:00',
+            'p2\tzeta\talpha\t2024-03-01T12:00:00+00:00\t2024-03-02T10:00:00+00:00',
         ],
         [
-            'patient p1:',
-            '  ((zeta, alpha), ("2024-03-01", "2024-03-02"), "zeta with alpha")',
-            '  ((beta, alpha), ("2024-03-02", "2024-03-02"), "beta with alpha")',
-            'patient p10:',
-            '  ((gamma, zeta), ("2024-03-01", "2024-03-02"), "gamma with zeta")',
-            'patient p2:',
-            '  ((beta, alpha), ("2024-03-01", "2024-03-02"), "beta with alpha")',
-            '  ((zeta, alpha), ("2024-03-01", "2024-03-02"), "zeta with alpha")',
             'pair totals:',
-            '  alpha/beta\t2',
-            '  alpha/zeta\t2',
-            '  gamma/zeta\t1',
+            '  alpha/beta\t2\tbeta with alpha',
+            '  alpha/zeta\t2\tzeta with alpha',
+            '  gamma/zeta\t1\tgamma with zeta',
             'total alerts\t5',
         ],
     ),
     'ends_just_after_midnight': (
         [
-            'patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso',
-            'p1\tbeta\talpha\t2024-02-29\t2024-03-01\tbeta with alpha\t2024-02-29T06:00:00+00:00\t2024-03-01T00:00:00.000001+00:00',
-            'p2\tbeta\talpha\t2024-02-29\t2024-02-29\tbeta with alpha\t2024-02-29T06:00:00+00:00\t2024-03-01T00:00:00+00:00',
+            'patient_id\tdrug_a\tdrug_b\tstart_iso\tend_iso',
+            'p1\tbeta\talpha\t2024-02-29T06:00:00+00:00\t2024-03-01T00:00:00.000001+00:00',
+            'p2\tbeta\talpha\t2024-02-29T06:00:00+00:00\t2024-03-01T00:00:00+00:00',
         ],
         [
-            'patient p1:',
-            '  ((beta, alpha), ("2024-02-29", "2024-03-01"), "beta with alpha")',
-            'patient p2:',
-            '  ((beta, alpha), ("2024-02-29", "2024-02-29"), "beta with alpha")',
             'pair totals:',
-            '  alpha/beta\t2',
+            '  alpha/beta\t2\tbeta with alpha',
             'total alerts\t2',
         ],
     ),
     'one_instant_three_ways': (
         [
-            'patient_id\tdrug_a\tdrug_b\twindow_start\twindow_end\teffect\tstart_iso\tend_iso',
-            'p1\tbeta\talpha\t2024-03-01\t2024-03-01\tbeta with alpha\t2024-03-01T08:00:00+00:00\t2024-03-01T10:30:00+00:00',
-            'p1\tzeta\talpha\t2024-03-01\t2024-03-01\tzeta with alpha\t2024-03-01T08:00:00+00:00\t2024-03-01T10:30:00+00:00',
-            'p2\tgamma\tzeta\t2024-03-01\t2024-03-01\tgamma with zeta\t2024-03-01T08:00:00.250000+00:00\t2024-03-01T10:30:00.250000+00:00',
+            'patient_id\tdrug_a\tdrug_b\tstart_iso\tend_iso',
+            'p1\tbeta\talpha\t2024-03-01T08:00:00+00:00\t2024-03-01T10:30:00+00:00',
+            'p1\tzeta\talpha\t2024-03-01T08:00:00+00:00\t2024-03-01T10:30:00+00:00',
+            'p2\tgamma\tzeta\t2024-03-01T08:00:00.250000+00:00\t2024-03-01T10:30:00.250000+00:00',
         ],
         [
-            'patient p1:',
-            '  ((beta, alpha), ("2024-03-01", "2024-03-01"), "beta with alpha")',
-            '  ((zeta, alpha), ("2024-03-01", "2024-03-01"), "zeta with alpha")',
-            'patient p2:',
-            '  ((gamma, zeta), ("2024-03-01", "2024-03-01"), "gamma with zeta")',
             'pair totals:',
-            '  alpha/beta\t1',
-            '  alpha/zeta\t1',
-            '  gamma/zeta\t1',
+            '  alpha/beta\t1\tbeta with alpha',
+            '  alpha/zeta\t1\tzeta with alpha',
+            '  gamma/zeta\t1\tgamma with zeta',
             'total alerts\t3',
         ],
     ),
 }
 
 
+
 @pytest.mark.parametrize("case", list(MAR_CASES))
 def test_alert_files_equal_the_frozen_ones(tmp_path, case):
     rows, alerts = MAR_CASES[case]
-    (tmp_path / "catalog.tsv").write_text(CATALOG, encoding="utf-8")
-    (tmp_path / "mar.tsv").write_text(HEADER + "".join(f"{row}\n" for row in rows), encoding="utf-8")
-    paths = {name: str(tmp_path / f"{name}.tsv") for name in ("catalog", "mar", "corpus", "lexicon")}
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"paths": {**paths, "output": str(tmp_path / "out")}, "alerts": alerts}))
+    assert stage_files(tmp_path, CATALOG, rows, alerts) == FROZEN[case]
+
+
+def stage_files(root: Path, catalog: str, mar_rows: list[str], alerts: dict) -> tuple[list[str], list[str]]:
+    """The body lines of ``alerts.tsv`` and ``alert_report.txt`` as the ``alerts`` stage writes them in ``root``."""
+    (root / "catalog.tsv").write_text(catalog, encoding="utf-8")
+    (root / "mar.tsv").write_text(HEADER + "".join(f"{row}\n" for row in mar_rows), encoding="utf-8")
+    paths = {name: str(root / f"{name}.tsv") for name in ("catalog", "mar", "corpus", "lexicon")}
+    config = root / "config.json"
+    config.write_text(json.dumps({"paths": {**paths, "output": str(root / "out")}, "alerts": alerts}))
     run_stage(load_config(config), "alerts")
-    files = [list(artifacts.read(tmp_path / "out" / name)[0]) for name in ("alerts.tsv", "alert_report.txt")]
-    assert tuple(files) == FROZEN[case]
+    return tuple(list(artifacts.read(root / "out" / name)[0]) for name in ("alerts.tsv", "alert_report.txt"))
+
+
+def check_written_files(root: Path, events, catalog_rows, default_hours: float, per_drug_hours) -> None:
+    """The files the stage writes for ``events``, each time written in its own zone, read back against the
+    oracles: the rows against the exact intervals, the report against the rows and the catalog."""
+    mar_rows = [f"{patient}\t{drug}\t{time.isoformat()}" for patient, drug, time in events]
+    catalog = InteractionCatalog(catalog_rows)
+    tsv, report = stage_files(root, "".join(map("{}\t{}\t{}\n".format, *zip(*catalog_rows))) if catalog_rows else "",
+                              mar_rows, {"window_hours": default_hours, "per_drug_hours": per_drug_hours})
+    assert tsv[0] == "patient_id\tdrug_a\tdrug_b\tstart_iso\tend_iso"
+    rows = [line.split("\t") for line in tsv[1:]]
+    found: dict[tuple, list] = {}
+    for patient, drug_a, drug_b, start, end in rows:
+        assert (drug_a, drug_b) == catalog.display(drug_a, drug_b)
+        assert start.endswith("+00:00") and end.endswith("+00:00")
+        found.setdefault((patient, pair_key(drug_a, drug_b)), []).append(
+            (datetime.fromisoformat(start), datetime.fromisoformat(end)))
+    pairs = {pair_key(a, b) for a, b in catalog.pairs()}
+    assert found == exact_alert_oracle(events, default_hours, per_drug_hours, pairs)
+    order = [(patient, datetime.fromisoformat(start), a, b) for patient, a, b, start, _ in rows]
+    assert order == sorted(order)
+    counts = Counter(pair_key(a, b) for _, a, b, _, _ in rows)
+    assert report == ["pair totals:", *(f"  {a}/{b}\t{n}\t{catalog.description(a, b)}" for (a, b), n in
+                                        sorted(counts.items())), f"total alerts\t{len(rows)}"]
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_written_files_read_back_equal_the_exact_oracle(seed):
+    rng = random.Random(seed)
+    default_hours = rng.choice(LENGTHS)
+    per_drug_hours = {d: rng.choice(LENGTHS) for d in rng.sample(DRUGS, rng.randint(0, 3))}
+    events = []
+    for _ in range(rng.randint(0, 30)):
+        offset = rng.choice([timedelta(minutes=rng.randint(0, 59)), timedelta(microseconds=rng.randrange(10**10))])
+        base = rng.choice(events)[2] if events and rng.random() < 0.3 else T0 + timedelta(hours=rng.randint(0, 12))
+        events.append((f"p{rng.randint(0, 2)}", rng.choice(DRUGS), (base + offset).astimezone(rng.choice(ZONES))))
+    catalog_rows = [(a, b, f"{a} with {b}") if rng.random() < 0.5 else (b, a, f"{b} with {a}")
+                    for a, b in rng.sample(PAIRS, rng.randint(0, len(PAIRS)))]
+    with tempfile.TemporaryDirectory() as root:
+        check_written_files(Path(root), events, catalog_rows, default_hours, per_drug_hours)
+
+
+def test_written_files_of_an_empty_mar_read_back_equal_the_oracle(tmp_path):
+    check_written_files(tmp_path, [], [("d0", "d1", "d0 with d1")], 24.0, {})
 
 
 def test_traced_alerts_record_each_layer_and_count_every_alert(tmp_path):
