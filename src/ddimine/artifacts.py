@@ -22,6 +22,15 @@ files (:mod:`ddimine.features`) and the kept corpus (:mod:`ddimine.corpus`)
 are written by :func:`encode_records` and read by :func:`read_records` and
 :func:`check_csr`, which refuse any damage with a :class:`ValidationError`
 that names the path.
+
+The line-format inputs (lexicon, catalog, MAR, stopwords, embeddings) and the
+text artifact bodies are read by one line reader.  :func:`input_lines` opens an
+input, a byte-order mark read as absent, and skips blank lines, and ``#`` lines
+in the formats with comments; :func:`body_lines` reads a body after the header.
+A line ends at LF, CR LF or CR, comes without its end, and is refused unless it
+is UTF-8.  A :class:`ValidationError` raised while the lines are read, by the
+reader or its caller, is raised again as ``path:line: message``, naming the
+last line read.
 """
 
 from __future__ import annotations
@@ -74,23 +83,18 @@ def write(path: Path | str, kind: str, fields: Mapping[str, object], body: str |
 
 
 def read(path: Path | str) -> tuple[Iterator[str], dict[str, str]]:
-    """(body lines, header fields) of one artifact; the kind line is not a field.
+    """(body lines, header fields) of a text artifact, as :func:`body_lines` gives them; the kind line is not a field.
 
-    The body is an iterator that reads the file as it goes, so no list of every
-    line exists; the file closes when the iterator is exhausted or dropped.
+    The lines are read as they are taken, so no list of them exists; the file closes when they end or are dropped.
     """
     lines = _read(path)
     return lines, next(lines)
 
 
-def read_rows(path: Path | str, width: int) -> Iterator[tuple[int, list[str]]]:
-    """Each body line's number and tab-separated fields; one without ``width`` fields is refused as ``path:line``."""
-    lines, header = read(path)
-    for lineno, line in enumerate(lines, start=2 + len(header)):  # after the kind line and the fields
-        fields = line.split("\t")
-        if len(fields) != width:
-            raise ValidationError(f"{path}:{lineno}: expected {width} tab-separated fields, found {len(fields)}")
-        yield lineno, fields
+def _read(path: Path | str) -> Iterator:
+    with body_lines(path) as (lines, fields):
+        yield fields
+        yield from lines
 
 
 @contextmanager
@@ -114,33 +118,58 @@ def opened(path: Path | str) -> Iterator[tuple[BinaryIO, dict[str, str]]]:
         yield fh, fields
 
 
-def _read(path: Path | str) -> Iterator:
-    """The header fields, then each body line: the file is open from the first ``next`` to the last.
+@contextmanager
+def body_lines(path: Path | str, width: int | None = None) -> Iterator[tuple[Iterator, dict[str, str]]]:
+    """A text artifact's body lines, numbered from the first after the header, and its header fields.
 
-    A line that is not UTF-8 is refused (:func:`utf8`).
+    With ``width``, each line comes as its tab-separated fields, refused unless there are ``width``.
     """
-    with opened(path) as (fh, fields):
+    with opened(path) as (fh, fields), io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape") as text:
+        with _numbered(path, text, 2 + len(fields)) as lines:  # after the kind line and the fields
+            yield (lines if width is None else _rows(lines, width)), fields
+
+
+def _rows(lines: Iterator[str], width: int) -> Iterator[list[str]]:
+    for line in lines:
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ValidationError(f"expected {width} tab-separated fields, found {len(fields)}")
         yield fields
-        with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape") as text:
-            for lineno, line in enumerate(text, start=2 + len(fields)):  # after the kind line and the fields
-                try:
-                    line = utf8(line)
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
-                yield line.rstrip("\n")
 
 
-def utf8(line: str) -> str:
-    """``line``, read with ``errors="surrogateescape"``, unless it held a byte that is not UTF-8.
+@contextmanager
+def input_lines(path: Path | str, comments: bool = False) -> Iterator[Iterator[str]]:
+    """An input file's lines, numbered from 1, but blank ones, and with ``comments`` those that start with ``#``."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as text:
+        with _numbered(path, text, 1, "#" if comments else "") as lines:
+            yield lines
 
-    Such a byte reads as a lone surrogate, which no UTF-8 text holds.  The error leaves the path and line to the caller.
+
+@contextmanager
+def _numbered(path: Path | str, text: Iterable[str], first: int, skip: str | None = None) -> Iterator[Iterator[str]]:
+    """The lines of ``text``, the first numbered ``first``: the core of :func:`body_lines` and :func:`input_lines`.
+
+    With ``skip`` set, blank lines are passed over, and so are those that start with ``skip`` after any blanks.
     """
-    if not line.isascii():
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValidationError("not valid UTF-8") from None
-    return line
+    lineno = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal lineno
+        for lineno, line in enumerate(text, first):
+            line = line.rstrip("\n")
+            if skip is not None and (not line.strip() or skip and line.lstrip().startswith(skip)):
+                continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")  # a byte that is not UTF-8 was read as a lone surrogate, which fails here
+                except UnicodeEncodeError:
+                    raise ValidationError("not valid UTF-8") from None
+            yield line
+
+    try:
+        yield lines()
+    except ValidationError as exc:
+        raise ValidationError(f"{path}:{lineno}: {exc}" if lineno else f"{path}: {exc}") from None
 
 
 def kind_of(path: Path | str) -> str:
@@ -240,7 +269,8 @@ def check_digest(path: Path | str, expected: str, producer: str) -> None:
 
     Reads the header alone, so a stale body is never decoded.
     """
-    found = read(path)[1].get("digest")
+    with opened(path) as (_, fields):
+        found = fields.get("digest")
     if found != expected:
         raise ArtifactMismatchError(
             f"{path} is stale: its digest is {found!r}, its inputs now give {expected!r}; "

@@ -165,7 +165,7 @@ def load_config(path: Path | str, overrides: dict[str, Any] | None = None) -> Pi
     """Parse and validate; raises ConfigError listing every violation at once."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a JSON or UTF-8 decode error
         raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
     return build_config(raw, overrides)
 

@@ -194,41 +194,31 @@ class DrugLexicon:
     def load(cls, path: Path | str) -> "DrugLexicon":
         """Read rows ``drug_id TAB phrase TAB cardiac_flag``; '#' lines are comments."""
         entries: dict[str, list[tuple[str, ...]]] = {}
-        cardiac: set[str] = set()
         flags: dict[str, bool] = {}
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                try:
-                    drug_id, phrase, flag = _lexicon_row(artifacts.utf8(line))
-                    if flags.setdefault(drug_id, flag) != flag:
-                        raise ValidationError(f"conflicting cardiac flag for {drug_id!r}")
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
-                if flag:
-                    cardiac.add(drug_id)
+        with artifacts.input_lines(path, comments=True) as lines:
+            for drug_id, phrase_text, flag_text in map(three_fields, lines):
+                check_drug_id(drug_id)
+                phrase = tuple(tokenize(phrase_text))
+                if not phrase:
+                    raise ValidationError("phrase tokenizes to nothing")
+                flag = flag_text.strip().lower()
+                if flag not in ("1", "true", "yes", "0", "false", "no"):
+                    raise ValidationError(f"bad cardiac flag {flag_text!r}")
+                cardiac = flag in ("1", "true", "yes")
+                if flags.setdefault(drug_id, cardiac) != cardiac:
+                    raise ValidationError(f"conflicting cardiac flag for {drug_id!r}")
                 entries.setdefault(drug_id, []).append(phrase)
         if not entries:
             raise ValidationError(f"{path}: lexicon is empty")
-        return cls(entries, cardiac)
+        return cls(entries, [drug_id for drug_id, flag in flags.items() if flag])
 
 
-def _lexicon_row(line: str) -> tuple[str, tuple[str, ...], bool]:
-    """(drug id, phrase tokens, cardiac flag) of one lexicon row."""
+def three_fields(line: str) -> list[str]:
+    """The tab-separated fields of a lexicon or catalog row, refused unless there are three."""
     parts = line.split("\t")
     if len(parts) != 3:
         raise ValidationError("expected 3 tab-separated fields")
-    drug_id, phrase_text, flag_text = parts
-    check_drug_id(drug_id)
-    phrase = tuple(tokenize(phrase_text))
-    if not phrase:
-        raise ValidationError("phrase tokenizes to nothing")
-    flag = flag_text.strip().lower()
-    if flag not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValidationError(f"bad cardiac flag {flag_text!r}")
-    return drug_id, phrase, flag in ("1", "true", "yes")
+    return parts
 
 
 def tokenize(text: str) -> list[str]:
@@ -248,8 +238,8 @@ def tokenize(text: str) -> list[str]:
 
 def load_stopwords(path: Path | str) -> frozenset[str]:
     """One word per line, lowercased; blank lines and ``#`` lines are skipped."""
-    with open(path, encoding="utf-8-sig") as fh:
-        return frozenset(word.lower() for word in map(str.strip, fh) if word and not word.startswith("#"))
+    with artifacts.input_lines(path, comments=True) as lines:
+        return frozenset(line.strip().lower() for line in lines)
 
 
 def default_stopwords() -> frozenset[str]:

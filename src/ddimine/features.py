@@ -115,25 +115,25 @@ class EmbeddingTable:
     def load(cls, path: Path | str) -> "EmbeddingTable":
         """Read the plain-text vector format: ``token v1 v2 ... vd`` per line."""
         vectors: dict[str, np.ndarray] = {}
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
+        with artifacts.input_lines(path) as lines:
+            for line in lines:
                 parts = line.split()
-                if not parts:
-                    continue
                 tok = parts[0]
                 if tok in vectors:
-                    raise ValidationError(f"{path}:{lineno}: duplicate token {tok!r}")
+                    raise ValidationError(f"duplicate token {tok!r}")
                 try:
                     vec = vectors[tok] = np.array([float(x) for x in parts[1:]], dtype=float)
                 except ValueError as exc:
-                    raise ValidationError(f"{path}:{lineno}: bad vector component") from exc
+                    raise ValidationError("bad vector component") from exc
                 if vec.size == 0:
-                    raise ValidationError(f"{path}:{lineno}: token {tok!r} has no components")
+                    raise ValidationError(f"token {tok!r} has no components")
                 width = len(next(iter(vectors.values())))  # the first token's
                 if vec.size != width:
-                    raise ValidationError(f"{path}:{lineno}: token {tok!r} has {vec.size} components, expected {width}")
+                    raise ValidationError(f"token {tok!r} has {vec.size} components, expected {width}")
                 if not np.isfinite(vec).all():
-                    raise ValidationError(f"{path}:{lineno}: token {tok!r} has a non-finite component")
+                    raise ValidationError(f"token {tok!r} has a non-finite component")
+        if not vectors:
+            raise ValidationError(f"{path}: embedding table is empty")
         return cls(vectors)
 
 

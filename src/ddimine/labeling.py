@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import artifacts
-from .corpus import DrugLexicon, check_drug_id
+from .corpus import DrugLexicon, check_drug_id, three_fields
 from .errors import ValidationError
 
 PLACEHOLDER = "(~drug~)"
@@ -71,24 +71,8 @@ class InteractionCatalog:
 
         Rows reach the constructor one at a time, so an error names the last row read, as ``path:line``.
         """
-        lineno = 0
-
-        def rows() -> Iterator[list[str]]:
-            nonlocal lineno
-            with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.rstrip("\n")
-                    if not line.strip() or line.lstrip().startswith("#"):
-                        continue
-                    parts = artifacts.utf8(line).split("\t")
-                    if len(parts) != 3:
-                        raise ValidationError("expected 3 tab-separated fields")
-                    yield parts
-
-        try:
-            return cls(rows())
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        with artifacts.input_lines(path, comments=True) as lines:
+            return cls(map(three_fields, lines))
 
 
 @dataclass(frozen=True)

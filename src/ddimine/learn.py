@@ -542,16 +542,11 @@ def encode_model(model: LinearModel) -> artifacts.Encoded:
 
 def load_model(path: Path | str) -> tuple[LinearModel, dict[str, str]]:
     """Read a model file; one without the certificate lines is refused, not completed."""
-    lines, header = artifacts.read(path)
-    meta: dict[str, str] = {}
-    weights: list[tuple[int, float]] = []
+    with artifacts.body_lines(path) as (lines, header):
+        rows = [line.split(" ") for line in lines if line]
     try:
-        for line in lines:
-            parts = line.split(" ")
-            if parts[0] == "w":
-                weights.append((int(parts[1]), float(parts[2])))
-            elif line:
-                meta[parts[0]] = parts[1]
+        meta = {parts[0]: parts[1] for parts in rows if parts[0] != "w"}
+        weights = [(int(parts[1]), float(parts[2])) for parts in rows if parts[0] == "w"]
         dims = int(meta["dims"])
         w = np.zeros(dims)
         for col, val in weights:
@@ -572,8 +567,6 @@ def load_model(path: Path | str) -> tuple[LinearModel, dict[str, str]]:
                 converged=bool(int(meta["converged"])),
             ),
         )
-    except ValidationError:  # a line that is not UTF-8, named by artifacts.read
-        raise
     except (KeyError, ValueError, IndexError) as exc:
         if isinstance(exc, KeyError) and exc.args[0] in ("standardized", "kkt_rel", "converged"):
             raise ValidationError(

@@ -101,27 +101,21 @@ def valid_window_hours(hours: float) -> bool:
 
 
 def parse_mar(path: Path | str) -> Administrations:
-    """Read ``patient_id TAB drug TAB timestamp`` rows, ending at LF, CR LF or CR, after the header."""
+    """Read ``patient_id TAB drug TAB timestamp`` rows after the header, the first non-blank line."""
     patients, drugs = {}, {}  # id -> code, first seen first
     patient_codes, drug_codes, times = [], [], []
     parsed: dict[str, int] = {}  # raw timestamp text -> its time; bad text never enters
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        header = fh.readline().rstrip("\n")
-        if [c.strip().lower() for c in header.split("\t")] != ["patient_id", "drug", "timestamp"]:
-            raise ValidationError(f"{path}: missing MAR header 'patient_id<TAB>drug<TAB>timestamp'")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                parts = artifacts.utf8(line).rstrip("\n").split("\t")
-                if len(parts) != 3 or not (patient := parts[0].strip()) or not (drug := parts[1].strip()):
-                    raise ValidationError("expected patient_id, drug, timestamp")
-                if (time := parsed.get(parts[2])) is None:
-                    if len(parsed) == _MAX_PARSED:  # full: start over
-                        parsed.clear()
-                    time = parsed[parts[2]] = (parse_timestamp(parts[2]) - _EPOCH) // _TICK
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    with artifacts.input_lines(path) as lines:
+        if [c.strip().lower() for c in next(lines, "").split("\t")] != ["patient_id", "drug", "timestamp"]:
+            raise ValidationError("missing MAR header 'patient_id<TAB>drug<TAB>timestamp'")
+        for line in lines:
+            parts = line.split("\t")
+            if len(parts) != 3 or not (patient := parts[0].strip()) or not (drug := parts[1].strip()):
+                raise ValidationError("expected patient_id, drug, timestamp")
+            if (time := parsed.get(parts[2])) is None:
+                if len(parsed) == _MAX_PARSED:  # full: start over
+                    parsed.clear()
+                time = parsed[parts[2]] = (parse_timestamp(parts[2]) - _EPOCH) // _TICK
             patient_codes.append(patients.setdefault(patient, len(patients)))
             drug_codes.append(drugs.setdefault(drug, len(drugs)))
             times.append(time)

@@ -129,10 +129,11 @@ def _encode_samples(samples, attached: Sequence[str] | None = None) -> artifacts
 def _decode_samples(path: Path) -> list[labeling_mod.InteractionSample]:
     """Inverse of :func:`_encode_samples` without ``attached``; a malformed row is refused as ``path:line``."""
     samples = []
-    for lineno, (cardiac, other, label, tid) in artifacts.read_rows(path, 4):
-        if label not in ("0", "1") or not (tid == "-" or tid.isascii() and tid.isdecimal()):
-            raise ValidationError(f"{path}:{lineno}: bad label {label!r} or template id {tid!r}")
-        samples.append(labeling_mod.InteractionSample(cardiac, other, int(label), None if tid == "-" else int(tid)))
+    with artifacts.body_lines(path, width=4) as (rows, _):
+        for cardiac, other, label, tid in rows:
+            if label not in ("0", "1") or not (tid == "-" or tid.isascii() and tid.isdecimal()):
+                raise ValidationError(f"bad label {label!r} or template id {tid!r}")
+            samples.append(labeling_mod.InteractionSample(cardiac, other, int(label), None if tid == "-" else int(tid)))
     return samples
 
 
@@ -179,6 +180,8 @@ def stage_filter(cfg: PipelineConfig, kept) -> Outputs:
 def stage_label(cfg: PipelineConfig) -> Outputs:
     """Enumerate (cardiac, other) samples with labels and type templates."""
     lexicon = corpus_mod.DrugLexicon.load(cfg.lexicon)
+    if not lexicon.cardiac:
+        raise ValidationError(f"{cfg.lexicon}: cardiac drug set is empty: no drug is flagged cardiac")
     catalog = labeling_mod.InteractionCatalog.load(cfg.catalog)
     universe = labeling_mod.build_universe(set(lexicon.cardiac), catalog)
     table = labeling_mod.extract_templates(catalog, lexicon)

@@ -172,12 +172,12 @@ def encode_assignment(assignment: SplitAssignment) -> artifacts.Encoded:
 
 def load_assignment(path: Path | str) -> tuple[SplitAssignment, dict[str, str]]:
     """Read an assignment file; returns the assignment and its header fields."""
-    header = artifacts.read(path)[1]
     splits: dict[str, dict[str, str]] = {"abstract": {}, "sample": {}}
-    for lineno, (kind, key, split) in artifacts.read_rows(path, 3):
-        if kind not in splits or split not in SPLITS:
-            raise ValidationError(f"{path}:{lineno}: bad assignment row {chr(9).join((kind, key, split))!r}")
-        splits[kind][key] = split
+    with artifacts.body_lines(path, width=3) as (rows, header):
+        for kind, key, split in rows:
+            if kind not in splits or split not in SPLITS:
+                raise ValidationError(f"bad assignment row {chr(9).join((kind, key, split))!r}")
+            splits[kind][key] = split
     try:
         seed = int(header["seed"])
         ratios = tuple(float(r) for r in header["ratios"].split())

@@ -1,8 +1,10 @@
 """The artifact codec: header format, digest checks, missing inputs and atomic writes."""
 
 import io
+import itertools
 import json
 import random
+import re
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -13,9 +15,13 @@ import pytest
 from ddimine import artifacts
 from ddimine.cli import main
 from ddimine.config import load_config
-from ddimine.corpus import AbstractColumns, TokenizedAbstract, encode_abstracts, load_abstracts
+from ddimine.corpus import (
+    AbstractColumns, DrugLexicon, TokenizedAbstract, encode_abstracts, load_abstracts, load_stopwords,
+)
 from ddimine.errors import ArtifactMismatchError, MissingArtifactError, ValidationError
-from ddimine.features import encode_matrix
+from ddimine.features import EmbeddingTable, encode_matrix
+from ddimine.labeling import InteractionCatalog
+from ddimine.mar_alerts import parse_mar
 from ddimine.pipeline import STAGES, run_all, run_stage
 from ddimine.synth import SynthParams, write_dataset
 from helpers import dense_matrix, load_corpus_oracle, same_corpus, save
@@ -189,7 +195,8 @@ def test_a_multibyte_text_artifact_reads_the_same_through_the_binary_header_read
     body, fields = artifacts.read(path)
     assert fields == {"digest": "abc", "note": "ünïcode"}
     assert list(body) == rows
-    assert [fields for _, fields in artifacts.read_rows(path, 2)] == [row.split("\t") for row in rows]
+    with artifacts.body_lines(path, width=2) as (body, _):
+        assert list(body) == [row.split("\t") for row in rows]
     artifacts.check_digest(path, "abc", "label")
     with pytest.raises(ArtifactMismatchError):
         artifacts.check_digest(path, "abd", "label")
@@ -347,12 +354,18 @@ def byte_edited(rng: random.Random, original: bytes) -> bytes:
     return bytes(data)
 
 
+# the settings under which a stage reads an input that it reads only under some settings
+READ_WITH = {"stopwords": {"vocab_stopwords": "drop"}, "embeddings": {"features": "embeddings"}}
+
+
 def with_input(config: Path, root: Path, name: str, data: bytes) -> tuple[Path, Path]:
-    """(a copy of ``config`` whose input ``name``, such as ``mar``, holds ``data``; that input), both in ``root``."""
+    """(a copy of ``config`` whose input ``name``, such as ``mar``, holds ``data``, with the settings its reading
+    stage needs; that input), both in ``root``."""
     raw = json.loads(config.read_text(encoding="utf-8"))
     path = root / Path(raw["paths"][name]).name
     path.write_bytes(data)
     raw["paths"][name] = str(path)
+    raw.update(READ_WITH.get(name, {}))
     (root / "config.json").write_text(json.dumps(raw), encoding="utf-8")
     return root / "config.json", path
 
@@ -361,28 +374,47 @@ def input_bytes(config: Path, name: str) -> bytes:
     return Path(json.loads(config.read_text(encoding="utf-8"))["paths"][name]).read_bytes()
 
 
-def test_random_byte_edits_of_the_alerts_inputs_run_or_are_refused_with_the_path(chain, tmp_path, capsys):
-    """The same edits of ``mar.tsv`` and ``catalog.tsv`` through ``alerts``, and of ``catalog.tsv`` through
-    ``label``: each case exits 0, or 2 naming the file."""
+def sweep(chain, tmp_path, capsys, rng: random.Random, inputs) -> Counter:
+    """Each (input, reading stages, number of edits) of ``inputs``, edited as above and run through the CLI, each
+    input on its own copy of the outputs: the (input, exit code) counts, once each case exits 0, or 2 naming the
+    file."""
     config, out = chain
-    shutil.copytree(out, tmp_path / "out")
-    rng = random.Random(28)
     outcomes = Counter()
-    for name, stages, edits in (("mar", ("alerts",), 30), ("catalog", ("alerts", "label"), 12)):
+    for name, stages, edits in inputs:
+        shutil.copytree(out, tmp_path / name / "out")
         original = input_bytes(config, name)
         for _ in range(edits):
             damaged, path = with_input(config, tmp_path, name, byte_edited(rng, original))
             for stage in stages:
-                code = main([stage, "--config", str(damaged), "--output", str(tmp_path / "out")])
+                code = main([stage, "--config", str(damaged), "--output", str(tmp_path / name / "out")])
                 err = capsys.readouterr().err
                 assert code == 0 or code == 2 and str(path) in err, (name, stage, err)
                 outcomes[name, code] += 1
+    return outcomes
+
+
+def test_random_byte_edits_of_the_alerts_inputs_run_or_are_refused_with_the_path(chain, tmp_path, capsys):
+    """The same edits of ``mar.tsv`` and ``catalog.tsv`` through ``alerts``, and of ``catalog.tsv`` through
+    ``label``: each case exits 0, or 2 naming the file."""
+    outcomes = sweep(chain, tmp_path, capsys, random.Random(28), [("mar", ("alerts",), 30),
+                                                                 ("catalog", ("alerts", "label"), 12)])
     assert all(outcomes[name, code] for name in ("mar", "catalog") for code in (0, 2))
+
+
+def test_random_byte_edits_of_the_lexicon_stopwords_and_embeddings_run_or_are_refused_with_the_path(
+    chain, tmp_path, capsys
+):
+    """The same edits of ``lexicon.tsv`` through ``ingest`` and ``label``, and of the stopword list and the
+    embeddings through ``featurize``: each case exits 0, or 2 naming the file."""
+    inputs = [("lexicon", ("ingest", "label"), 16), ("stopwords", ("featurize",), 12),
+              ("embeddings", ("featurize",), 20)]
+    outcomes = sweep(chain, tmp_path, capsys, random.Random(29), inputs)
+    assert all(outcomes[name, code] for name, _, _ in inputs for code in (0, 2))
 
 
 # an input, and a stage that reads it
 INPUT_READERS = [("mar", "alerts"), ("catalog", "label"), ("catalog", "alerts"), ("lexicon", "ingest"),
-                 ("lexicon", "label")]
+                 ("lexicon", "label"), ("stopwords", "featurize"), ("embeddings", "featurize")]
 
 
 @pytest.mark.parametrize("name, stage", INPUT_READERS)
@@ -397,3 +429,53 @@ def test_an_input_line_that_is_not_utf8_exits_2_naming_its_line(chain, tmp_path,
     assert main([stage, "--config", str(damaged), "--output", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"{path}:{lineno}: not valid UTF-8" in err[0]
+
+
+# an input refused as a whole: (input, the stage that reads it, the input's edit, the refusal)
+WHOLE_INPUT_REFUSALS = [
+    ("embeddings", "featurize", lambda data: b"\n \n", "embedding table is empty"),
+    ("lexicon", "label", lambda data: data.replace(b"\t1\n", b"\t0\n"), "cardiac drug set is empty"),
+]
+
+
+@pytest.mark.parametrize("name, stage, edit, message", WHOLE_INPUT_REFUSALS, ids=["no-vectors", "no-cardiac-drug"])
+def test_an_input_refused_as_a_whole_exits_2_naming_the_file_and_no_line(chain, tmp_path, capsys, name, stage, edit,
+                                                                         message):
+    config, out = chain
+    shutil.copytree(out, tmp_path / "out")
+    damaged, path = with_input(config, tmp_path, name, edit(input_bytes(config, name)))
+    capsys.readouterr()
+    assert main([stage, "--config", str(damaged), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: {message}")
+
+
+# each line-format input: its reader, its good lines ('#' lines among them in the formats with comments), and a line
+# its format refuses (None: any UTF-8 line is a stopword)
+LINE_FORMATS = {
+    "lexicon": (DrugLexicon.load, ["# drug_id\tphrase\tflag", "d1\taspirin\t1", "d2\twarfarin sodium\t0"],
+                "d3\theparin"),
+    "catalog": (InteractionCatalog.load, ["# a\tb\teffect", "d1\td2\tAspirin raises warfarin."], "d1\td3"),
+    "mar": (parse_mar, ["patient_id\tdrug\ttimestamp", "p1\td1\t2024-03-01T00:00:00Z"], "p1\td2\tnoon"),
+    "stopwords": (load_stopwords, ["# English", "the", "of"], None),
+    "embeddings": (EmbeddingTable.load, ["x 1.0 0.0", "y 0.0 1.0"], "z 1.0 zero"),
+}
+BAD_LINES = [(name, bad) for name, (_, _, malformed) in LINE_FORMATS.items()
+             for bad in ("not-utf8", "malformed")[: 1 + (malformed is not None)]]
+
+
+@pytest.mark.parametrize("name, bad", BAD_LINES)
+def test_an_input_refusal_names_its_line_under_a_byte_order_mark_and_every_line_end(tmp_path, name, bad):
+    """LF, CR LF and lone CR each end a line, a byte-order mark adds none, and blank and '#' lines count."""
+    reader, good, malformed = LINE_FORMATS[name]
+    comment = ["  # a comment"] if good[0].startswith("#") else []
+    before = [*good, "", " \t", *comment, ""]
+    text = "".join(line + end for line, end in zip(before, itertools.cycle(["\r\n", "\r", "\n"])))
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    reader(path)  # loads
+    line = good[-1].encode() + b"\xff" if bad == "not-utf8" else malformed.encode()
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode() + line + b"\r\n")
+    lineno = len(re.findall(r"\r\n|\r|\n", text)) + 1  # the line ends before the bad line, each of the three kinds
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:{lineno}: ')}"):
+        reader(path)

@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import timedelta
 from pathlib import Path
 
@@ -179,3 +180,13 @@ def test_valid_fields_and_retired_jobs_key(tmp_path):
     assert (cfg.drop_empty_samples, cfg.undersample_train) == (True, False)
     # "jobs" configured the removed thread pool; like any unknown key it is ignored
     assert load_config(write_config(tmp_path, None, **fields, jobs=4)) == cfg
+
+
+def test_a_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    path = Path(write_config(tmp_path, None))
+    data = path.read_bytes()
+    path.write_bytes(data[:1] + b"\xff" + data[1:])
+    with pytest.raises(ConfigError, match=f"cannot read config {re.escape(str(path))}: 'utf-8' codec can't decode"):
+        load_config(path)
+    assert main(["alerts", "--config", str(path)]) == 2
+    assert f"cannot read config {path}" in capsys.readouterr().err

@@ -184,6 +184,15 @@ def test_mar_without_header_rejected(tmp_path):
         parse_mar(path)
 
 
+def test_the_mar_header_is_the_first_non_blank_line(tmp_path):
+    path = tmp_path / "mar.tsv"
+    path.write_text("\n \npatient_id\tdrug\ttimestamp\np1\td1\t2024-03-01T00:00:00Z\n", encoding="utf-8")
+    assert (parse_mar(path).patients, parse_mar(path).drugs) == (["p1"], ["d1"])
+    path.write_text("\n \n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: missing MAR header"):
+        parse_mar(path)
+
+
 def test_bad_mar_row_names_its_line(tmp_path):
     path = tmp_path / "mar.tsv"
     path.write_text("patient_id\tdrug\ttimestamp\np1\td1\t2024-03-01T00:00:00Z\n\np1\td2\tnoon\n",
