@@ -120,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
             run_stage(cfg, args.command)
             print(f"stage {args.command} complete")
         return 0
-    except PipelineError as exc:
+    except (PipelineError, OSError) as exc:  # an OSError names the path the system refused
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

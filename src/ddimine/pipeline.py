@@ -15,9 +15,12 @@ The front passes columns.  Ingest keeps the abstracts that mention a lexicon
 drug and writes them to ``cardiac.tsv`` as records: the ids, the mentions and
 the word counts (:class:`ddimine.corpus.AbstractColumns`); filter reads it and
 writes only the corpus statistics, row and column sums, and no stage waits on
-filter.  Split and featurize each compute the sample x abstract incidence from
-the kept corpus's mention columns, the samples and the assignment
-(:func:`ddimine.splitting.incidence`); no stage reads ``assigned_samples.tsv``.
+filter.  Split draws each kept abstract's and each sample's split as a code
+aligned with its row; featurize and diagnose-split get those codes back as
+``assignment.tsv`` is decoded (:func:`ddimine.splitting.row_codes`).  Each
+computes the sample x abstract incidence from the kept corpus's mention columns
+and the codes (:func:`ddimine.splitting.incidence`); no stage reads
+``assigned_samples.tsv``.
 
 :func:`run_stage` does every artifact read and write.  Before a stage runs, a
 missing input names the stage that produces it (:class:`MissingArtifactError`),
@@ -142,7 +145,9 @@ def _decode_samples(path: Path) -> list[labeling_mod.InteractionSample]:
 _DECODERS: dict[str, Callable[[Path], object]] = {
     "cardiac.tsv": lambda path: corpus_mod.load_abstracts(path),
     "samples.tsv": _decode_samples,
-    "assignment.tsv": lambda path: splitting_mod.load_assignment(path)[0],
+    # (kept ids, samples) -> their split codes; a row missing from the file is refused with its path
+    "assignment.tsv": lambda path: functools.partial(splitting_mod.row_codes, splitting_mod.load_assignment(path)[0],
+                                                     path=path),
     "model.txt": lambda path: learn_mod.load_model(path)[0],
     **{f"features_{split}.txt": lambda path: features_mod.load_matrix(path)[0] for split in splitting_mod.SPLITS},
 }
@@ -216,15 +221,15 @@ def stage_label(cfg: PipelineConfig) -> Outputs:
 
 def stage_split(cfg: PipelineConfig, kept, samples) -> Outputs:
     """Split abstracts and samples independently, then attach same-split abstracts."""
-    assignment = splitting_mod.split_corpus(kept.ids, samples, cfg.ratios, cfg.seed)
-    A, order = splitting_mod.incidence(kept, samples, assignment)
-    report = splitting_mod.leakage_report(assignment, samples, A)
+    split = splitting_mod.split_corpus(len(kept.ids), len(samples), cfg.ratios, cfg.seed)
+    A, order = splitting_mod.incidence(kept, samples, split)
+    report = splitting_mod.leakage_report(split, A)
     if report.total_cross_split != 0:
         raise ValidationError("split postcondition violated: cross-split abstract sharing detected")
     names, ends = [kept.ids[order[j]] for j in A.indices.tolist()], A.indptr.tolist()
     attached = [",".join(names[a:b]) or "-" for a, b in zip(ends, ends[1:])]
     return {
-        "assignment.tsv": splitting_mod.encode_assignment(assignment),
+        "assignment.tsv": splitting_mod.encode_assignment(split, kept.ids, samples, cfg.seed, cfg.ratios),
         "assigned_samples.tsv": _encode_samples(samples, attached),
         "leakage_report.txt": ("leakage-report", {}, report.render()),
     }
@@ -232,12 +237,12 @@ def stage_split(cfg: PipelineConfig, kept, samples) -> Outputs:
 
 def stage_featurize(cfg: PipelineConfig, kept, assignment, samples) -> Outputs:
     """Build the train vocabulary and per-split feature matrices."""
-    A, order = splitting_mod.incidence(kept, samples, assignment)
+    split = assignment(kept.ids, samples)  # each kept abstract's split code, and each sample's
+    A, order = splitting_mod.incidence(kept, samples, split)
     stop: frozenset[str] = frozenset()
     if cfg.vocab_stopwords == "drop" or cfg.feature_kind == "embeddings":
         stop = corpus_mod.load_stopwords(cfg.stopwords)
-    abstract_split = splitting_mod.split_codes(assignment.abstract_split, kept.ids, "abstract")
-    train = abstract_split == splitting_mod.SPLITS.index("train")
+    train = split[0] == splitting_mod.SPLITS.index("train")
     dropped = stop if cfg.vocab_stopwords == "drop" else frozenset()
     vocab = features_mod.build_vocab(kept.counts[train], kept.words, cfg.top_k, dropped)
     outputs = {"vocab.tsv": features_mod.encode_vocab(vocab)}
@@ -247,15 +252,14 @@ def stage_featurize(cfg: PipelineConfig, kept, assignment, samples) -> Outputs:
     if cfg.feature_kind == "embeddings":
         columns, V = features_mod.EmbeddingTable.load(cfg.embeddings).columns(stop)
     by_column = kept.counts[order]
-    sample_split = splitting_mod.split_codes(assignment.sample_split, (s.key for s in samples), "sample")
     matrices = {}
-    for code, split in enumerate(splitting_mod.SPLITS):
-        rows = np.flatnonzero(sample_split == code)
-        matrices[split], misses = features_mod.build_count_matrix(
+    for code, name in enumerate(splitting_mod.SPLITS):
+        rows = np.flatnonzero(split[1] == code)
+        matrices[name], misses = features_mod.build_count_matrix(
             [samples[i] for i in rows], A[rows], by_column, kept.words, columns, cfg.drop_empty_samples, V, stop
         )
         if V is not None:
-            report_lines.append(f"embedding_misses_{split}\t{misses}")
+            report_lines.append(f"embedding_misses_{name}\t{misses}")
 
     if cfg.undersample_train:
         before = matrices["train"].n_rows
@@ -332,8 +336,9 @@ def stage_alerts(cfg: PipelineConfig) -> Outputs:
 
 def stage_diagnose_split(cfg: PipelineConfig, kept, assignment, samples) -> Outputs:
     """Side-by-side leakage counts: the split-isolated assignment vs the naive one."""
-    isolated = splitting_mod.leakage_report(assignment, samples, splitting_mod.incidence(kept, samples, assignment)[0])
-    naive = splitting_mod.leakage_report(assignment, samples, splitting_mod.incidence(kept, samples)[0])
+    split = assignment(kept.ids, samples)
+    isolated = splitting_mod.leakage_report(split, splitting_mod.incidence(kept, samples, split)[0])
+    naive = splitting_mod.leakage_report(split, splitting_mod.incidence(kept, samples)[0])
     lines = ["pair\tisolated\tnaive"]
     for (a, b), count in sorted(isolated.cross_split_shared.items()):
         lines.append(f"{a}/{b}\t{count}\t{naive.cross_split_shared[a, b]}")

@@ -8,6 +8,7 @@ path it checks.
 from __future__ import annotations
 
 import io
+import math
 import random
 import re
 from collections import Counter
@@ -27,6 +28,7 @@ from ddimine.labeling import PLACEHOLDER, InteractionSample, pair_key
 from ddimine.learn import loss_gradient, loss_value
 from ddimine.mar_alerts import Administrations, Alerts
 from ddimine.pipeline import file_digest
+from ddimine.rng import Rng
 from ddimine.splitting import SPLITS, LeakageReport
 
 
@@ -79,6 +81,45 @@ def match_oracle(tokens, lexicon) -> set[str]:
                     found.add(drug_id)
                     break
     return found
+
+
+class NamedSplit(NamedTuple):
+    """A split by name: abstract id -> split name, sample key -> split name."""
+
+    abstract_split: dict[str, str]
+    sample_split: dict[str, str]
+
+
+def named(split, abstract_ids, samples) -> NamedSplit:
+    """Row codes (``splitting.split_corpus``'s pair) as a :class:`NamedSplit`, for the name-based oracles."""
+    return NamedSplit({aid: SPLITS[code] for aid, code in zip(abstract_ids, split[0].tolist(), strict=True)},
+                      {s.key: SPLITS[code] for s, code in zip(samples, split[1].tolist(), strict=True)})
+
+
+def partition_oracle(keys, ratios, rng: Rng) -> dict[str, str]:
+    """Key -> split name: the keys themselves shuffled, train taking the ceiling of its share, then dev, test the
+    rest."""
+    order = list(keys)
+    rng.shuffle(order)
+    n = len(order)
+    n_train = min(n, math.ceil(ratios[0] * n - 1e-9))
+    n_dev = min(n - n_train, math.ceil(ratios[1] * n - 1e-9))
+    train, dev, test = order[:n_train], order[n_train : n_train + n_dev], order[n_train + n_dev :]
+    return {**dict.fromkeys(train, "train"), **dict.fromkeys(dev, "dev"), **dict.fromkeys(test, "test")}
+
+
+def split_oracle(abstract_ids, sample_keys, ratios, seed: int) -> NamedSplit:
+    """The split keyed by name: the abstracts on stream 11 of the seed's generator, the samples on stream 12."""
+    root = Rng(seed)
+    return NamedSplit(partition_oracle(abstract_ids, ratios, root.derive(11)),
+                      partition_oracle(sample_keys, ratios, root.derive(12)))
+
+
+def assignment_oracle(split: NamedSplit, seed: int, ratios) -> artifacts.Encoded:
+    """``assignment.tsv`` from a split keyed by name: each kind's keys sorted, with their split names."""
+    kinds = (("abstract", split.abstract_split), ("sample", split.sample_split))
+    body = "".join(f"{kind}\t{key}\t{names[key]}\n" for kind, names in kinds for key in sorted(names))
+    return "split-assignment", {"seed": seed, "ratios": " ".join(map(repr, ratios))}, body
 
 
 def alg1_assign_oracle(assignment, abstracts, samples) -> list[set[str]]:

@@ -479,3 +479,57 @@ def test_an_input_refusal_names_its_line_under_a_byte_order_mark_and_every_line_
     lineno = len(re.findall(r"\r\n|\r|\n", text)) + 1  # the line ends before the bad line, each of the three kinds
     with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:{lineno}: ')}"):
         reader(path)
+
+
+@pytest.mark.parametrize("stage", ["featurize", "diagnose-split"])
+@pytest.mark.parametrize("kind", ["abstract", "sample"])
+def test_a_row_missing_from_the_assignment_exits_2_naming_the_file(chain, tmp_path, capsys, kind, stage):
+    """A row deleted from ``assignment.tsv`` under its intact header is refused with the file's path."""
+    config, out = chain
+    shutil.copytree(out, tmp_path / "out")
+    path = tmp_path / "out" / "assignment.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"{kind}\t"))
+    key = lines[i].split("\t")[1]
+    path.write_text("".join(lines[:i] + lines[i + 1 :]), encoding="utf-8")
+    capsys.readouterr()
+    assert main([stage, "--config", str(config), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {kind} {key!r} missing from the split assignment"]
+
+
+def directory_input(name: str, stage: str):
+    """A case of :data:`OS_REFUSALS`: ``stage`` run with the input ``name`` an empty directory."""
+
+    def case(config: Path, root: Path) -> tuple[list[str], Path]:
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        (root / name).mkdir()
+        raw["paths"][name] = str(root / name)
+        (root / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+        return [stage, "--config", str(root / "config.json"), "--output", str(root / "out")], root / name
+
+    return case
+
+
+# a path the system refuses: case -> (config, a directory holding the file "f") -> (the CLI arguments, the path)
+OS_REFUSALS = {
+    "show-missing": lambda config, root: (["show", str(root / "absent")], root / "absent"),
+    "show-directory": lambda config, root: (["show", str(root)], root),
+    "output-is-a-file": lambda config, root: (["label", "--config", str(config), "--output", str(root / "f")],
+                                              root / "f"),
+    "output-under-a-file": lambda config, root: (["label", "--config", str(config), "--output", str(root / "f" / "o")],
+                                                 root / "f" / "o"),
+    "lexicon-directory-ingest": directory_input("lexicon", "ingest"),
+    "catalog-directory-label": directory_input("catalog", "label"),
+    "mar-directory-alerts": directory_input("mar", "alerts"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OS_REFUSALS))
+def test_a_path_the_system_refuses_exits_2_naming_it(chain, tmp_path, capsys, case):
+    config, _ = chain
+    (tmp_path / "f").write_text("a file\n", encoding="utf-8")
+    argv, path = OS_REFUSALS[case](config, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err and len(err.splitlines()) == 1

@@ -278,7 +278,7 @@ def test_featurize_peak_follows_the_words_not_the_tokens(mini):
     out = mini[1]["counts"][0]
     cfg = load_config(mini[0]["config"].parent / "config_counts.json", {"output": str(out)})
     kept = corpus.load_abstracts(out / "cardiac.tsv")
-    inputs = splitting.load_assignment(out / "assignment.tsv")[0], pipeline._decode_samples(out / "samples.tsv")
+    inputs = pipeline._DECODERS["assignment.tsv"](out / "assignment.tsv"), pipeline._decode_samples(out / "samples.tsv")
     longer = replace(kept, counts=kept.counts * 4)  # each abstract's tokens four times over
     featurize_peak(cfg, kept, *inputs)  # one-time allocations, such as lazy imports, go first
     assert featurize_peak(cfg, longer, *inputs) < 1.5 * featurize_peak(cfg, kept, *inputs)
