@@ -4,13 +4,14 @@ The kept corpus ``cardiac.tsv``, the abstracts that mention a lexicon drug,
 holds :class:`AbstractColumns` as records of the codec in
 :mod:`ddimine.artifacts`: the ids; the mentions, a CSR over the sorted drug ids
 with that list; and the word counts, a CSR over the sorted words with that
-list.  Ingest builds the counts from the interned tokens (:func:`bag`); no
-later stage reads a token, so filter's statistics are row and column sums and
+list.  Ingest builds the counts from the word codes (:meth:`AbstractColumns.mentioning`);
+no later stage reads a token, so filter's statistics are row and column sums and
 featurize's vocabulary a column sum.  ``ddimine show`` prints the file as text.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import re
@@ -19,7 +20,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +37,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*", re.UNICODE)
 _ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum() and c != "-"})
 
 CORPUS_FORMATS = ("lines", "pubmed-xml")
-_BLOCK = 4096  # rows per block of :func:`bag`
+_BLOCK = 4096  # rows per block of :meth:`AbstractColumns.mentioning`
 
 # Full-scale figures for the reference corpus this pipeline was designed
 # against (663,597 abstracts filtered to 69,713).  They are documented in
@@ -63,11 +64,9 @@ class Abstract:
     text: str
 
 
-@dataclass(frozen=True)
-class TokenizedAbstract:
+class TokenizedAbstract(NamedTuple):
     id: str
-    tokens: tuple[str, ...]
-    drug_mentions: frozenset[str]
+    tokens: np.ndarray  # its tokens' word codes, in text order (see :func:`tokenize_abstracts`)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,33 +83,61 @@ class AbstractColumns:
     header: dict[str, str] = field(default_factory=dict)  # the file's header fields, when read
 
     @classmethod
-    def of(cls, abstracts: Sequence[TokenizedAbstract]) -> "AbstractColumns":
-        drugs, mentions = bag([ab.drug_mentions for ab in abstracts])
-        words, counts = bag([ab.tokens for ab in abstracts])
-        return cls([ab.id for ab in abstracts], drugs, mentions, words, counts)
+    def mentioning(cls, abstracts: Sequence[TokenizedAbstract], codes: Mapping[str, int],
+                   lexicon: DrugLexicon) -> "AbstractColumns":
+        """The abstracts that mention a lexicon drug, in order, over the drugs and words they hold.
+
+        ``codes`` maps each word to its code.  Row j of Q (phrases x words) counts phrase j's words, so a row of the
+        counts C holds them all where (C > 0) @ Qᵀ is the phrase's length: a mention, if the phrase is one word or
+        occurs in order.  C is built :data:`_BLOCK` rows at a time, each block keeping its rows with a mention.
+        """
+        import scipy.sparse as sp
+
+        words = sorted(codes)
+        order = np.fromiter(map(codes.__getitem__, words), np.int32, len(words))  # column -> code
+        rank = np.argsort(order).astype(np.int32)  # code -> column, int32 as the counts' indices
+        drugs = sorted(lexicon.phrases)
+        pairs = [(rank[[codes[w] for w in p]], d) for d, drug in enumerate(drugs) for p in lexicon.phrases[drug]
+                 if all(w in codes for w in p)]  # each phrase whose words all occur, as columns, and its drug
+        phrases, drug_of = [p for p, _ in pairs], np.array([d for _, d in pairs], dtype=np.int64)
+        lengths = np.array(list(map(len, phrases)), dtype=np.int64)  # a repeated word is counted twice, as in Q
+        Q = sp.csr_matrix((np.ones(lengths.sum(), np.int32), np.concatenate([np.zeros(0, np.int32), *phrases]),
+                           np.concatenate([[0], np.cumsum(lengths)])), shape=(len(phrases), len(words)))
+        ids, mentions, counts = [], [], []
+        for start in range(0, max(len(abstracts), 1), _BLOCK):
+            part = abstracts[start : start + _BLOCK]
+            cells = rank[np.concatenate([np.zeros(0, np.int32), *(ab.tokens for ab in part)])]
+            indptr = np.cumsum([0, *(len(ab.tokens) for ab in part)])
+            C = sp.csr_matrix((np.ones(len(cells), dtype=np.int32), cells, indptr), shape=(len(part), len(words)))
+            C.sum_duplicates()  # sorts each row's columns, then adds a repeated one's ones
+            C.data = artifacts.narrowed(C.data, int(C.data.max(initial=0)))
+            H = ((C > 0) @ Q.T).tocoo()
+            whole = H.data == lengths[H.col]  # the row holds all the phrase's words
+            row, phrase = H.row[whole], H.col[whole]
+            found = lengths[phrase] == 1
+            for k in np.flatnonzero(~found).tolist():  # a longer phrase is tried by position
+                p, tokens = phrases[phrase[k]], rank[part[row[k]].tokens]
+                found[k] = any(np.array_equal(tokens[i : i + len(p)], p) for i in np.flatnonzero(tokens == p[0]))
+            mention = (row[found], drug_of[phrase[found]])  # a drug two phrases name is one cell: True + True is True
+            M = sp.csr_matrix((np.ones(len(mention[0]), bool), mention), shape=(len(part), len(drugs)))
+            keep = np.flatnonzero(np.diff(M.indptr))
+            ids += [part[i].id for i in keep.tolist()]
+            mentions.append(M[keep])
+            counts.append(C[keep])
+        M, drug_columns = referenced(sp.vstack(mentions, format="csr"))
+        C, word_columns = referenced(sp.vstack(counts, format="csr"))
+        return cls(ids, [drugs[j] for j in drug_columns.tolist()], M, [words[j] for j in word_columns.tolist()], C)
 
 
-def bag(rows: Sequence[Collection[str]]) -> tuple[list[str], sp.csr_matrix]:
-    """The sorted distinct strings of ``rows``, and how often each row holds each: a canonical CSR over them.
-
-    Built :data:`_BLOCK` rows at a time, so only one block's strings are held as one integer each; the counts are
-    the smallest unsigned type that holds them.
-    """
+def referenced(M: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """M on the columns some row references, and those columns, ascending: so each row keeps its order."""
     import scipy.sparse as sp
 
-    labels = sorted(set().union(*rows))
-    column = dict(zip(labels, range(len(labels))))
-    parts = []
-    for start in range(0, max(len(rows), 1), _BLOCK):
-        part = rows[start : start + _BLOCK]
-        indptr = np.zeros(len(part) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, part), dtype=np.int64, count=len(part)), out=indptr[1:])
-        cells = np.fromiter(map(column.__getitem__, itertools.chain.from_iterable(part)), np.int32, int(indptr[-1]))
-        counts = sp.csr_matrix((np.ones(len(cells), dtype=np.int32), cells, indptr), shape=(len(part), len(labels)))
-        counts.sum_duplicates()  # sorts each row's columns, then adds a repeated one's ones
-        counts.data = artifacts.narrowed(counts.data, int(counts.data.max(initial=0)))
-        parts.append(counts)
-    return labels, sp.vstack(parts, format="csr")
+    column = np.zeros(M.shape[1], dtype=M.indices.dtype)
+    column[M.indices] = 1
+    used = np.flatnonzero(column)
+    column[used] = np.arange(len(used))  # a used column's place among the used ones
+    return sp.csr_matrix((M.data, column[M.indices], M.indptr), shape=(M.shape[0], len(used))), used
 
 
 # the kept corpus's body, in order, and each record's form
@@ -184,11 +211,6 @@ class DrugLexicon:
         unknown = self.cardiac - self.phrases.keys()
         if unknown:
             raise ValidationError(f"cardiac drugs missing from lexicon: {sorted(unknown)}")
-        # first token -> the (phrase, drug id) pairs whose phrase starts with it
-        self.first_tokens: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-        for drug_id, phrases in self.phrases.items():
-            for phrase in phrases:
-                self.first_tokens.setdefault(phrase[0], []).append((phrase, drug_id))
 
     @classmethod
     def load(cls, path: Path | str) -> "DrugLexicon":
@@ -389,33 +411,14 @@ def load_corpus(path: Path | str, fmt: str) -> tuple[list[Abstract], int]:
     return abstracts, skipped
 
 
-def match_drugs(tokens: list[str] | tuple[str, ...], lexicon: DrugLexicon) -> set[str]:
-    """Drug ids whose phrases occur as contiguous token subsequences.
-
-    Every matching drug is returned; no longest-phrase preference between drugs.
-    Each distinct word that starts a phrase is looked up once: a one-token
-    phrase matches as its word is present, and a longer one is tried only
-    where its first token occurs.
-    """
-    found: set[str] = set()
-    for first in lexicon.first_tokens.keys() & set(tokens):
-        for phrase, drug_id in lexicon.first_tokens[first]:
-            if drug_id not in found and (len(phrase) == 1 or _occurs(phrase, tokens)):
-                found.add(drug_id)
-    return found
-
-
-def _occurs(phrase: tuple[str, ...], tokens: list[str] | tuple[str, ...]) -> bool:
-    """Whether ``phrase`` is a contiguous subsequence of ``tokens``, tried only where its first token occurs."""
-    return any(tuple(tokens[i : i + len(phrase)]) == phrase for i, tok in enumerate(tokens) if tok == phrase[0])
-
-
-def tokenize_abstracts(abstracts: Iterable[Abstract], lexicon: DrugLexicon) -> list[TokenizedAbstract]:
-    """Each abstract's tokens and matched drugs; all tokens of one word are one ``str``, shared through a dict."""
-    words: dict[str, str] = {}
-    split = ((ab.id, tokenize(ab.text)) for ab in abstracts)
-    tokenized = ((aid, tuple(map(words.setdefault, tokens, tokens))) for aid, tokens in split)
-    return [TokenizedAbstract(aid, tokens, frozenset(match_drugs(tokens, lexicon))) for aid, tokens in tokenized]
+def tokenize_abstracts(abstracts: Iterable[Abstract], codes: dict[str, int]) -> list[TokenizedAbstract]:
+    """Each abstract's tokens as word codes, each token looked up once; ``codes``, word -> code, gains each word it
+    lacks with the next code, so equal words share one code."""
+    code = collections.defaultdict(lambda: len(code), codes)
+    tokenized = [TokenizedAbstract(ab.id, np.fromiter(map(code.__getitem__, tokenize(ab.text)), np.int32))
+                 for ab in abstracts]
+    codes.update(code)
+    return tokenized
 
 
 @dataclass(frozen=True)

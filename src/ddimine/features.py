@@ -39,6 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import artifacts
+from .corpus import referenced
 from .errors import ValidationError
 from .labeling import InteractionSample
 from .rng import Rng
@@ -182,12 +183,6 @@ class FeatureMatrix:
         return self.parts.shape[1]
 
 
-def _referenced(A: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
-    """A on the columns some row references, and those columns, ascending: so each row keeps its order."""
-    used = np.unique(A.indices)
-    return sp.csr_matrix((A.data, np.searchsorted(used, A.indices), A.indptr), shape=(A.shape[0], len(used))), used
-
-
 def build_count_matrix(
     samples: Sequence[InteractionSample],
     A: sp.csr_matrix,
@@ -213,7 +208,7 @@ def build_count_matrix(
     if drop_empty:
         rows = np.flatnonzero(np.diff(A.indptr))
         samples, A = [samples[i] for i in rows], A[rows]
-    A, used = _referenced(A)
+    A, used = referenced(A)
     counts = counts[used]
     column = np.array([vocab.index.get(word, -1) for word in words], dtype=np.int64)
     known = np.flatnonzero(column >= 0)
@@ -249,7 +244,7 @@ def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
     rng = Rng(seed).derive(_UNDERSAMPLE_STREAM)
     chosen = rng.sample_indices(len(majority), len(minority))
     keep = np.sort(np.concatenate([minority, majority[np.array(chosen, dtype=np.int64)]]))
-    A, used = _referenced(matrix.A[keep])
+    A, used = referenced(matrix.A[keep])
     return FeatureMatrix([matrix.keys[i] for i in keep], matrix.parts[used], y[keep], matrix.kind, A)
 
 

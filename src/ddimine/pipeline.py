@@ -161,9 +161,10 @@ def stage_ingest(cfg: PipelineConfig) -> Outputs:
     """Parse the corpus, tokenize, match the drug lexicon, and keep the abstracts that mention a drug."""
     lexicon = corpus_mod.DrugLexicon.load(cfg.lexicon)
     abstracts, skipped = corpus_mod.load_corpus(cfg.corpus, cfg.corpus_format)
-    tokenized = corpus_mod.tokenize_abstracts(abstracts, lexicon)
-    del abstracts  # the texts go before the columns are joined
-    kept = corpus_mod.AbstractColumns.of([ab for ab in tokenized if ab.drug_mentions])  # matches are lexicon ids
+    codes: dict[str, int] = {}  # word -> code, as tokenizing meets them
+    tokenized = corpus_mod.tokenize_abstracts(abstracts, codes)
+    del abstracts  # the texts go before the columns are built
+    kept = corpus_mod.AbstractColumns.mentioning(tokenized, codes, lexicon)
     retention = len(kept.ids) / len(tokenized) if tokenized else 0.0
     fields = {"skipped_records": skipped, "retention": retention, "before": len(tokenized)}
     return {"cardiac.tsv": corpus_mod.encode_abstracts(kept, **fields)}

@@ -15,13 +15,13 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import NamedTuple
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from ddimine import artifacts
-from ddimine.corpus import AbstractColumns, CorpusStats, TokenizedAbstract, bag
+from ddimine.corpus import AbstractColumns, CorpusStats
 from ddimine.errors import ValidationError
 from ddimine.features import FeatureMatrix, Vocabulary, build_vocab
 from ddimine.labeling import PLACEHOLDER, InteractionSample, pair_key
@@ -30,6 +30,32 @@ from ddimine.mar_alerts import Administrations, Alerts
 from ddimine.pipeline import file_digest
 from ddimine.rng import Rng
 from ddimine.splitting import SPLITS, LeakageReport
+
+
+class KeptAbstract(NamedTuple):
+    """An abstract as a test states it: its id, its tokens, and the drugs it mentions."""
+
+    id: str
+    tokens: tuple[str, ...]
+    drug_mentions: frozenset[str]
+
+
+def bag(rows: Sequence[Collection[str]]) -> tuple[list[str], sp.csr_matrix]:
+    """The sorted distinct strings of ``rows``, and how often each row holds each: a canonical CSR over them."""
+    labels = sorted(set().union(*rows))
+    column = {label: j for j, label in enumerate(labels)}
+    cells = np.array([column[label] for row in rows for label in row], dtype=np.int64)
+    indptr = np.cumsum([0, *map(len, rows)])
+    counts = sp.csr_matrix((np.ones(len(cells), dtype=np.int64), cells, indptr), shape=(len(rows), len(labels)))
+    counts.sum_duplicates()
+    return labels, counts
+
+
+def corpus_of(abstracts: Sequence[KeptAbstract]) -> AbstractColumns:
+    """The kept corpus of ``abstracts`` as stated, in order: the one builder of a corpus with chosen mentions."""
+    drugs, mentions = bag([ab.drug_mentions for ab in abstracts])
+    words, counts = bag([ab.tokens for ab in abstracts])
+    return AbstractColumns([ab.id for ab in abstracts], drugs, mentions, words, counts)
 
 
 def save(path, encoded: artifacts.Encoded, header: dict[str, str] | None = None) -> None:
@@ -206,7 +232,7 @@ def same_corpus(a: AbstractColumns, b: AbstractColumns) -> bool:
     )
 
 
-def load_corpus_oracle(path) -> tuple[list[TokenizedAbstract], dict[str, str]]:
+def load_corpus_oracle(path) -> tuple[list[KeptAbstract], dict[str, str]]:
     """A kept corpus decoded here: the ``#`` lines as the header, then its eight ``npy`` records read one by one.
 
     Each abstract comes back with its words in sorted order, each repeated as often as it counts.
@@ -229,8 +255,8 @@ def load_corpus_oracle(path) -> tuple[list[TokenizedAbstract], dict[str, str]]:
     for i, aid in enumerate(ids):
         mentions = frozenset(drugs[j] for j in mention_cols[mention_ptr[i] : mention_ptr[i + 1]])
         cells = range(word_ptr[i], word_ptr[i + 1])
-        abstracts.append(TokenizedAbstract(aid, tuple(words[word_cols[k]] for k in cells for _ in range(counts[k])),
-                                           mentions))
+        abstracts.append(KeptAbstract(aid, tuple(words[word_cols[k]] for k in cells for _ in range(counts[k])),
+                                      mentions))
     return abstracts, meta
 
 

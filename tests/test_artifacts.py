@@ -16,7 +16,7 @@ from ddimine import artifacts
 from ddimine.cli import main
 from ddimine.config import load_config
 from ddimine.corpus import (
-    AbstractColumns, DrugLexicon, TokenizedAbstract, encode_abstracts, load_abstracts, load_stopwords,
+    DrugLexicon, encode_abstracts, load_abstracts, load_stopwords,
 )
 from ddimine.errors import ArtifactMismatchError, MissingArtifactError, ValidationError
 from ddimine.features import EmbeddingTable, encode_matrix
@@ -24,7 +24,7 @@ from ddimine.labeling import InteractionCatalog
 from ddimine.mar_alerts import parse_mar
 from ddimine.pipeline import STAGES, run_all, run_stage
 from ddimine.synth import SynthParams, write_dataset
-from helpers import dense_matrix, load_corpus_oracle, same_corpus, save
+from helpers import KeptAbstract, corpus_of, dense_matrix, load_corpus_oracle, same_corpus, save
 
 # every artifact a later stage reads: (artifact, producing stage, a reading stage)
 READS = [
@@ -203,7 +203,7 @@ def test_a_multibyte_text_artifact_reads_the_same_through_the_binary_header_read
     # and the same strings as a kept corpus's records
     path = tmp_path / "cardiac.tsv"
     words = ("é", "ü", "𝛼", "é")
-    corpus = AbstractColumns.of([TokenizedAbstract(row.partition("\t")[0], words, frozenset({"d1"})) for row in rows])
+    corpus = corpus_of([KeptAbstract(row.partition("\t")[0], words, frozenset({"d1"})) for row in rows])
     save(path, encode_abstracts(corpus, note="ünïcode"), {"digest": "abc"})
     assert same_corpus(load_abstracts(path), corpus) and load_abstracts(path).header == fields
 

@@ -3,23 +3,23 @@ import re
 import tarfile
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddimine import corpus
 from ddimine.corpus import (
     _TOKEN_RE,
     Abstract,
     AbstractColumns,
     CorpusStats,
     DrugLexicon,
-    TokenizedAbstract,
     corpus_stats,
     encode_abstracts,
     load_abstracts,
     load_corpus,
-    match_drugs,
     parse_abstracts,
     render_stats,
     _parse_lines,
@@ -30,7 +30,7 @@ from ddimine.cli import main
 from ddimine.errors import CorpusParseError, ValidationError
 from ddimine.pipeline import stage_ingest
 from ddimine.synth import SynthParams, write_dataset
-from helpers import load_corpus_oracle, match_oracle, same_corpus, save
+from helpers import KeptAbstract, corpus_of, load_corpus_oracle, match_oracle, same_corpus, save
 
 FIG1_SENTENCE = "Bumetanide and furosemide in heart failure."
 
@@ -48,6 +48,28 @@ _LEXICON = DrugLexicon(
 @pytest.fixture
 def small_lexicon():
     return _LEXICON
+
+
+def ingested(texts, lexicon) -> AbstractColumns:
+    """The kept corpus of ``texts`` (ids "0", "1", ...) through ``tokenize_abstracts`` and the column builder."""
+    codes: dict[str, int] = {}
+    tokenized = tokenize_abstracts([Abstract(str(i), text) for i, text in enumerate(texts)], codes)
+    return AbstractColumns.mentioning(tokenized, codes, lexicon)
+
+
+def matches_oracle(token_lists, lexicon) -> bool:
+    """Whether ingest keeps of abstracts that hold ``token_lists`` what ``match_oracle`` finds a drug in, with
+    those drugs and the words each abstract holds."""
+    rows = [KeptAbstract(str(i), tuple(tokens), frozenset(match_oracle(tokens, lexicon)))
+            for i, tokens in enumerate(token_lists)]
+    expected = corpus_of([ab for ab in rows if ab.drug_mentions])
+    return same_corpus(ingested(map(" ".join, token_lists), lexicon), expected)
+
+
+def mentions(text: str, lexicon) -> set[str]:
+    """The drugs ingest finds in one abstract."""
+    kept = ingested([text], lexicon)
+    return {kept.drugs[j] for j in kept.mentions.indices.tolist()}
 
 
 class TestTokenize:
@@ -287,34 +309,37 @@ class TestLoadCorpus:
 
 
 class TestMatchDrugs:
+    """Ingest's mentions, from the word counts and the phrases' positions, against a scan of every phrase."""
+
     def test_fig1_mentions(self, small_lexicon):
-        tokens = tokenize(FIG1_SENTENCE)
-        assert match_drugs(tokens, small_lexicon) == {"furosemide", "bumetanide"}
+        assert mentions(FIG1_SENTENCE, small_lexicon) == {"furosemide", "bumetanide"}
+        assert matches_oracle([tokenize(FIG1_SENTENCE)], small_lexicon)
 
     def test_empty_tokens(self, small_lexicon):
-        assert match_drugs([], small_lexicon) == set()
+        assert mentions("", small_lexicon) == set()
+        assert matches_oracle([[], []], small_lexicon) and ingested([], small_lexicon).ids == []
 
     def test_multi_token_phrase(self, small_lexicon):
         tokens = ["took", "acetyl", "salicylic", "acid", "daily"]
         assert match_oracle(tokens, small_lexicon) == {"aspirin"}
-        assert match_drugs(tokens, small_lexicon) == {"aspirin"}
+        assert mentions(" ".join(tokens), small_lexicon) == {"aspirin"}
 
     def test_partial_phrase_no_match(self, small_lexicon):
-        assert match_drugs(["acetyl", "salicylic"], small_lexicon) == set()
+        assert mentions("acetyl salicylic", small_lexicon) == set()
 
     @given(
-        tokens=st.lists(
-            st.sampled_from(
-                ["acetyl", "salicylic", "acid", "furosemide", "bumetanide", "and", "mg", "x"]
-            ),
-            max_size=200,
+        token_lists=st.lists(
+            st.lists(st.sampled_from(["acetyl", "salicylic", "acid", "furosemide", "bumetanide", "and", "mg", "x"]),
+                     max_size=200),
+            max_size=4,
         )
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_brute_force_scan(self, tokens):
-        assert match_drugs(tokens, _LEXICON) == match_oracle(tokens, _LEXICON)
+    def test_matches_brute_force_scan(self, token_lists):
+        assert matches_oracle(token_lists, _LEXICON)
 
-    # few words, so that phrases of one to three tokens often share a first token or sit inside each other
+    # few words, so that phrases of one to three tokens often share a first token or sit inside each other; blocks
+    # of three abstracts, so that a corpus spans several
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force_scan_on_random_lexicons(self, data):
@@ -322,9 +347,9 @@ class TestMatchDrugs:
         phrases = st.lists(st.lists(words, min_size=1, max_size=3).map(tuple), min_size=1, max_size=3)
         entries = data.draw(st.dictionaries(st.sampled_from([f"drug{i}" for i in range(6)]), phrases, min_size=1))
         lexicon = DrugLexicon(entries, cardiac=[])
-        tokens = data.draw(st.lists(words, max_size=60))
-        assert match_drugs(tokens, lexicon) == match_oracle(tokens, lexicon)
-
+        token_lists = data.draw(st.lists(st.lists(words, max_size=60), max_size=8))
+        with mock.patch.object(corpus, "_BLOCK", 3):
+            assert matches_oracle(token_lists, lexicon)
 
     # every phrase starts with "a", and "a" recurs in the tokens, often where no phrase follows
     @given(data=st.data())
@@ -334,13 +359,27 @@ class TestMatchDrugs:
         phrases = st.lists(st.lists(words, max_size=3).map(lambda rest: ("a", *rest)), min_size=1, max_size=4)
         entries = data.draw(st.dictionaries(st.sampled_from([f"drug{i}" for i in range(5)]), phrases, min_size=1))
         lexicon = DrugLexicon(entries, cardiac=[])
-        tokens = data.draw(st.lists(words, max_size=40))
-        for seq in (tokens, tuple(tokens)):
-            assert match_drugs(seq, lexicon) == match_oracle(seq, lexicon)
+        assert matches_oracle(data.draw(st.lists(st.lists(words, max_size=40), max_size=4)), lexicon)
 
     def test_longer_phrase_found_after_a_failed_start(self, small_lexicon):
-        tokens = ("acetyl", "x", "acetyl", "salicylic", "x", "acetyl", "salicylic", "acid")
-        assert match_drugs(tokens, small_lexicon) == match_oracle(tokens, small_lexicon) == {"aspirin"}
+        tokens = ["acetyl", "x", "acetyl", "salicylic", "x", "acetyl", "salicylic", "acid"]
+        assert mentions(" ".join(tokens), small_lexicon) == match_oracle(tokens, small_lexicon) == {"aspirin"}
+
+    def test_a_phrase_that_is_a_whole_abstract(self, small_lexicon):
+        assert mentions("Acetyl salicylic acid", small_lexicon) == {"aspirin"}
+        assert matches_oracle([["acetyl", "salicylic", "acid"], ["acid", "salicylic", "acetyl"]], small_lexicon)
+
+    def test_a_phrase_whose_words_occur_apart_but_never_in_order(self, small_lexicon):
+        tokens = ["acid", "acetyl", "x", "salicylic", "acetyl", "acid", "salicylic", "acetyl"]
+        assert mentions(" ".join(tokens), small_lexicon) == match_oracle(tokens, small_lexicon) == set()
+        assert matches_oracle([tokens, ["furosemide", *tokens]], small_lexicon)
+
+    def test_a_phrase_with_a_repeated_word(self):
+        lexicon = DrugLexicon({"d1": [("a", "a")], "d2": [("b", "a", "b")]}, cardiac=[])
+        token_lists = [["a"], ["a", "b", "a"], ["b", "a", "a"], ["a", "a"], ["b", "a", "b"], ["b", "a"], ["a", "b"]]
+        assert [mentions(" ".join(tokens), lexicon) for tokens in token_lists] == [
+            set(), set(), {"d1"}, {"d1"}, {"d2"}, set(), set()]
+        assert matches_oracle(token_lists, lexicon)
 
 
 class TestFilterCardiac:
@@ -362,8 +401,7 @@ class TestFilterCardiac:
         # "aspirin" is a drug id, not a phrase of the lexicon: D names no drug
         kept = self._ingest(tmp_path, {"K": "Furosemide, then acetyl salicylic acid.", "D": "Aspirin was not given."})
         tokens = ("furosemide", "then", "acetyl", "salicylic", "acid")
-        mentions = frozenset({"aspirin", "furosemide"})
-        assert same_corpus(kept, AbstractColumns.of([TokenizedAbstract("K", tokens, mentions)]))
+        assert same_corpus(kept, corpus_of([KeptAbstract("K", tokens, frozenset({"aspirin", "furosemide"}))]))
         assert (kept.drugs, kept.words) == (["aspirin", "furosemide"], sorted(tokens))
         assert kept.header == {"skipped_records": "0", "retention": "0.5", "before": "2"}
 
@@ -377,16 +415,16 @@ class TestFilterCardiac:
 
 class TestCorpusStats:
     def test_empty(self):
-        assert corpus_stats(AbstractColumns.of([])) == CorpusStats(0, 0.0, 0, 0.0, 0.0, 0)
+        assert corpus_stats(corpus_of([])) == CorpusStats(0, 0.0, 0, 0.0, 0.0, 0)
 
     def test_hand_example(self):
         # multisets {a,a,b} and {b,c}: 5 tokens, 3 distinct overall,
         # 4 per-abstract distinct -> avg count per word 5/4
         abstracts = [
-            TokenizedAbstract("1", ("a", "a", "b"), frozenset()),
-            TokenizedAbstract("2", ("b", "c"), frozenset({"d1"})),
+            KeptAbstract("1", ("a", "a", "b"), frozenset()),
+            KeptAbstract("2", ("b", "c"), frozenset({"d1"})),
         ]
-        stats = corpus_stats(AbstractColumns.of(abstracts))
+        stats = corpus_stats(corpus_of(abstracts))
         assert stats.avg_words_per_abstract == 2.5
         assert stats.n_distinct_words == 3
         assert stats.avg_count_per_word == 5 / 4
@@ -394,7 +432,7 @@ class TestCorpusStats:
         assert stats.max_drugs_per_abstract == 1
 
     def test_render_mentions_reference_figures(self):
-        text = render_stats(corpus_stats(AbstractColumns.of([])))
+        text = render_stats(corpus_stats(corpus_of([])))
         assert "n_abstracts\t0" in text
         assert "# avg_words_per_abstract\t149.5" in text  # documented, not asserted
 
@@ -446,32 +484,38 @@ class TestLexicon:
 
 def test_tokenize_abstracts_deterministic(small_lexicon):
     abstracts = [Abstract("X1", FIG1_SENTENCE), Abstract("X2", "Digoxin toxicity case.")]
-    first = tokenize_abstracts(abstracts, small_lexicon)
-    second = tokenize_abstracts(abstracts, small_lexicon)
-    assert first == second
-    assert first[0].drug_mentions == {"furosemide", "bumetanide"}
-    assert first[1].drug_mentions == {"digoxin"}
+    runs = []
+    for _ in range(2):
+        codes: dict[str, int] = {}
+        runs.append(([(ab.id, ab.tokens.tolist()) for ab in tokenize_abstracts(abstracts, codes)], dict(codes)))
+    assert runs[0] == runs[1]
+    kept = ingested([FIG1_SENTENCE, "Digoxin toxicity case."], small_lexicon)
+    assert kept.ids == ["0", "1"] and kept.drugs == ["bumetanide", "digoxin", "furosemide"]
+    assert [row.indices.tolist() for row in kept.mentions] == [[0, 2], [1]]
 
 
-def test_tokenize_abstracts_holds_one_str_per_distinct_word(small_lexicon):
-    abstracts = [Abstract("X1", FIG1_SENTENCE + " Heart failure, heart."), Abstract("X2", "HEART failure and digoxin.")]
-    tokens = [tok for ab in tokenize_abstracts(abstracts, small_lexicon) for tok in ab.tokens]
-    assert tokens.count("heart") == 4
-    assert len({id(tok) for tok in tokens}) == len(set(tokens))
+def test_tokenize_abstracts_gives_equal_words_one_code():
+    texts = [FIG1_SENTENCE + " Heart failure, heart.", "HEART failure and digoxin."]
+    codes: dict[str, int] = {}
+    tokenized = tokenize_abstracts([Abstract(str(i), text) for i, text in enumerate(texts)], codes)
+    word = dict(map(reversed, codes.items()))
+    assert sorted(word) == list(range(len(codes)))  # one code per distinct word, from 0
+    assert [[word[c] for c in ab.tokens.tolist()] for ab in tokenized] == list(map(tokenize, texts))
+    assert [c for ab in tokenized for c in ab.tokens.tolist()].count(codes["heart"]) == 4
 
 
 class TestCorpusFile:
     ABSTRACTS = [
-        TokenizedAbstract("id with spaces", ("dose", "x-ray"), frozenset({"digoxin", "aspirin"})),
-        TokenizedAbstract("# a: b", ("ünïcödé", "ω", "名前"), frozenset({"furosemide"})),
-        TokenizedAbstract("no mentions", ("plain", "words"), frozenset()),
-        TokenizedAbstract("no tokens", (), frozenset()),
-        TokenizedAbstract("12", ("1", "twelve"), frozenset({"bumetanide"})),
+        KeptAbstract("id with spaces", ("dose", "x-ray"), frozenset({"digoxin", "aspirin"})),
+        KeptAbstract("# a: b", ("ünïcödé", "ω", "名前"), frozenset({"furosemide"})),
+        KeptAbstract("no mentions", ("plain", "words"), frozenset()),
+        KeptAbstract("no tokens", (), frozenset()),
+        KeptAbstract("12", ("1", "twelve"), frozenset({"bumetanide"})),
     ]
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "cardiac.tsv"
-        corpus = AbstractColumns.of(self.ABSTRACTS)
+        corpus = corpus_of(self.ABSTRACTS)
         assert corpus.drugs == ["aspirin", "bumetanide", "digoxin", "furosemide"]  # sorted
         assert corpus.mentions[0].indices.tolist() == [0, 2] and corpus.counts[3].nnz == 0
         save(path, encode_abstracts(corpus, before=7), {"digest": "abc"})
@@ -481,18 +525,18 @@ class TestCorpusFile:
         assert same_corpus(loaded, corpus) and loaded.header == {"digest": "abc", "before": "7"}
         decoded, header = load_corpus_oracle(path)
         assert header == {"digest": "abc", "before": "7"}
-        assert decoded == [TokenizedAbstract(ab.id, tuple(sorted(ab.tokens)), ab.drug_mentions)
+        assert decoded == [KeptAbstract(ab.id, tuple(sorted(ab.tokens)), ab.drug_mentions)
                            for ab in self.ABSTRACTS]
 
     def test_empty_corpus_round_trip(self, tmp_path):
-        save(tmp_path / "c.tsv", encode_abstracts(AbstractColumns.of([])), {"digest": "abc"})
-        assert same_corpus(load_abstracts(tmp_path / "c.tsv"), AbstractColumns.of([]))
+        save(tmp_path / "c.tsv", encode_abstracts(corpus_of([])), {"digest": "abc"})
+        assert same_corpus(load_abstracts(tmp_path / "c.tsv"), corpus_of([]))
 
     def test_show_prints_each_abstract_with_its_sorted_words_and_counts(self, tmp_path, capsys):
         path = tmp_path / "cardiac.tsv"
-        corpus = AbstractColumns.of([
-            TokenizedAbstract("b 2", ("x-ray", "dose", "x-ray", "ω"), frozenset({"furosemide", "digoxin"})),
-            TokenizedAbstract("a1", ("名前", "dose"), frozenset({"digoxin"})),
+        corpus = corpus_of([
+            KeptAbstract("b 2", ("x-ray", "dose", "x-ray", "ω"), frozenset({"furosemide", "digoxin"})),
+            KeptAbstract("a1", ("名前", "dose"), frozenset({"digoxin"})),
         ])
         save(path, encode_abstracts(corpus, skipped_records=0, retention=1.0, before=2), {"digest": "abc"})
         assert main(["show", str(path)]) == 0

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from ddimine import artifacts
 from ddimine.cli import main
 from ddimine.corpus import (
-    AbstractColumns, TokenizedAbstract, corpus_stats, default_stopwords, encode_abstracts, load_abstracts,
-    load_stopwords,
+    corpus_stats, default_stopwords, encode_abstracts, load_abstracts, load_stopwords,
 )
 from ddimine.errors import ValidationError
 from ddimine.features import (
@@ -32,13 +31,14 @@ from ddimine.features import (
     undersample,
 )
 from helpers import (
-    AttachedSample, corpus_stats_oracle, count_vector, dense_matrix, embed_abstract, embed_sample, full_rows,
-    incidence_of, load_corpus_oracle, load_matrix_oracle, load_vocab, same_corpus, save, vocab_of, vocab_oracle,
+    AttachedSample, KeptAbstract, corpus_of, corpus_stats_oracle, count_vector, dense_matrix, embed_abstract,
+    embed_sample, full_rows, incidence_of, load_corpus_oracle, load_matrix_oracle, load_vocab, same_corpus, save,
+    vocab_of, vocab_oracle,
 )
 
 
 def toka(aid, tokens, mentions=()):
-    return TokenizedAbstract(aid, tuple(tokens), frozenset(mentions))
+    return KeptAbstract(aid, tuple(tokens), frozenset(mentions))
 
 
 def sample_with(ids, c="c1", o="o1", label=0):
@@ -308,18 +308,18 @@ class TestKeptCorpusOracles:
     def test_statistics_vocabulary_and_rows_equal_the_token_oracles(self, data):
         n = data.draw(st.one_of(st.just(0), st.just(1), st.integers(2, 8)))  # empty, one abstract, several
         abstracts = [
-            TokenizedAbstract(f"a {i}", tuple(data.draw(st.lists(st.sampled_from(CORPUS_WORDS), max_size=20))),
+            KeptAbstract(f"a {i}", tuple(data.draw(st.lists(st.sampled_from(CORPUS_WORDS), max_size=20))),
                               frozenset(data.draw(st.sets(st.sampled_from(["d1", "d2", "d3"]), min_size=1))))
             for i in range(n)
         ]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cardiac.tsv"
-            save(path, encode_abstracts(AbstractColumns.of(abstracts)), {"digest": "abc"})
+            save(path, encode_abstracts(corpus_of(abstracts)), {"digest": "abc"})
             kept = load_abstracts(path)
             assert load_corpus_oracle(path)[0] == [
-                TokenizedAbstract(ab.id, tuple(sorted(ab.tokens)), ab.drug_mentions) for ab in abstracts
+                KeptAbstract(ab.id, tuple(sorted(ab.tokens)), ab.drug_mentions) for ab in abstracts
             ]
-        assert same_corpus(kept, AbstractColumns.of(abstracts))
+        assert same_corpus(kept, corpus_of(abstracts))
         assert corpus_stats(kept) == corpus_stats_oracle(abstracts)
 
         tokens = [ab.tokens for ab in abstracts]

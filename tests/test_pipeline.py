@@ -12,7 +12,7 @@ import pytest
 from ddimine import artifacts, corpus, pipeline, splitting
 from ddimine.cli import _build_parser, main
 from ddimine.config import build_config, load_config
-from ddimine.corpus import AbstractColumns, DrugLexicon, load_stopwords
+from ddimine.corpus import DrugLexicon, load_stopwords
 from ddimine.errors import ArtifactMismatchError
 from ddimine.features import EmbeddingTable, load_matrix
 from ddimine.labeling import InteractionCatalog
@@ -22,8 +22,8 @@ from ddimine.pipeline import (
 )
 from ddimine.synth import SynthParams, write_dataset
 from helpers import (
-    AttachedSample, artifact_digests, count_vector, embed_sample, load_corpus_oracle, load_matrix_oracle, load_vocab,
-    save, templateize_oracle,
+    AttachedSample, artifact_digests, corpus_of, count_vector, embed_sample, load_corpus_oracle, load_matrix_oracle,
+    load_vocab, save, templateize_oracle,
 )
 
 
@@ -51,7 +51,7 @@ def read_samples(path) -> list[AttachedSample]:
 
 # artifact -> an independent decoder, for calling stage functions on in-memory inputs
 DECODE = {
-    "cardiac.tsv": lambda path: AbstractColumns.of(load_corpus_oracle(path)[0]),
+    "cardiac.tsv": lambda path: corpus_of(load_corpus_oracle(path)[0]),
     "samples.tsv": read_samples,
     "features_train.txt": lambda path: load_matrix(path)[0],
     "features_dev.txt": lambda path: load_matrix(path)[0],

@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from ddimine.corpus import AbstractColumns, TokenizedAbstract
 from ddimine.errors import ValidationError
 from ddimine.features import build_count_matrix
 from ddimine.labeling import InteractionSample
@@ -18,11 +17,13 @@ from ddimine.splitting import (
     row_codes,
     split_corpus,
 )
-from helpers import alg1_assign_oracle, assignment_oracle, leakage_oracle, named, save, split_oracle, vocab_of
+from helpers import (
+    KeptAbstract, alg1_assign_oracle, assignment_oracle, corpus_of, leakage_oracle, named, save, split_oracle, vocab_of,
+)
 
 
 def make_abstract(aid, mentions):
-    return TokenizedAbstract(aid, ("tok",), frozenset(mentions))
+    return KeptAbstract(aid, ("tok",), frozenset(mentions))
 
 
 def make_sample(c, o, label=0):
@@ -39,13 +40,13 @@ def split_of(abstracts, samples, ratios=DEFAULT_RATIOS, seed=0):
 
 def assign(split, abstracts, samples):
     """Each sample's abstract ids, read off the incidence (``split=None``: the naive one)."""
-    corpus = AbstractColumns.of(abstracts)
+    corpus = corpus_of(abstracts)
     A, order = incidence(corpus, samples, split)
     return [{corpus.ids[order[j]] for j in A[i].indices} for i in range(len(samples))]
 
 
 def report(split, abstracts, samples, isolated=True):
-    A, _ = incidence(AbstractColumns.of(abstracts), samples, split if isolated else None)
+    A, _ = incidence(corpus_of(abstracts), samples, split if isolated else None)
     return leakage_report(split, A)
 
 
@@ -153,7 +154,7 @@ class TestAssignAbstracts:
         samples = [make_sample("furosemide", "bumetanide", label=1)]
         split = split_of(abstracts, samples, (1.0, 0.0, 0.0))
         assert assign(split, abstracts, samples) == [{"fig1"}]
-        A, _ = incidence(AbstractColumns.of(abstracts), samples, split)
+        A, _ = incidence(corpus_of(abstracts), samples, split)
         assert A.data.tolist() == [1.0]  # binary, though the abstract mentions both drugs
 
     def test_cross_split_mention_not_assigned(self):
@@ -183,7 +184,7 @@ class TestAssignAbstracts:
             pairs = {(rng.choice(drugs[:4]), rng.choice(drugs[4:16])) for _ in range(rng.randint(1, 40))}
             samples = [make_sample(c, o) for c, o in sorted(pairs)]
             split = split_of(abstracts, samples, seed=trial)
-            corpus = AbstractColumns.of(abstracts)
+            corpus = corpus_of(abstracts)
             A, order = incidence(corpus, samples, split)
             columns = [corpus.ids[i] for i in order]
             assert columns == sorted(corpus.ids) and A.has_sorted_indices and set(A.data) <= {1.0}
