@@ -38,6 +38,7 @@ from __future__ import annotations
 import io
 import itertools
 import os
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from tokenize import TokenError
@@ -227,12 +228,14 @@ def read_records(
         if header.pop("body", None) != "npy":
             raise ValidationError(f"{path}: not a {what} with an npy body (a text one is older); rerun {producer}")
         try:
-            arrays = [np.lib.format.read_array(fh, allow_pickle=False) for _ in records]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning about a damaged header, such as an invalid escape, refuses it
+                arrays = [np.lib.format.read_array(fh, allow_pickle=False) for _ in records]
             if fh.read(1):
                 raise ValueError("bytes after the last record")
-        # numpy's parse of a damaged npy header can raise a ValueError, TypeError, SyntaxError or TokenError, and
-        # MemoryError for a shape past what can be allocated
-        except (ValueError, TypeError, SyntaxError, TokenError, MemoryError) as exc:
+        # numpy's parse of a damaged npy header can raise a ValueError, TypeError, SyntaxError, TokenError or a
+        # warning, and MemoryError for a shape past what can be allocated
+        except (ValueError, TypeError, SyntaxError, TokenError, MemoryError, Warning) as exc:
             raise ValidationError(f"{path}: damaged {what}: {exc}") from exc
     out: dict[str, np.ndarray | list[str]] = {}
     for (name, form), a in zip(records.items(), arrays):

@@ -4,9 +4,13 @@ The kept corpus ``cardiac.tsv``, the abstracts that mention a lexicon drug,
 holds :class:`AbstractColumns` as records of the codec in
 :mod:`ddimine.artifacts`: the ids; the mentions, a CSR over the sorted drug ids
 with that list; and the word counts, a CSR over the sorted words with that
-list.  Ingest builds the counts from the word codes (:meth:`AbstractColumns.mentioning`);
-no later stage reads a token, so filter's statistics are row and column sums and
-featurize's vocabulary a column sum.  ``ddimine show`` prints the file as text.
+list.  Ingest holds an abstract as word codes from tokenizing on: each token is
+looked up once, in one dict (:func:`tokenize_abstracts`).  The word counts are
+built from the codes, and the mentions are their product with the lexicon's
+phrases, a phrase of several words tried by position only in the rows that
+hold all its words (:meth:`AbstractColumns.mentioning`).  No later stage reads
+a token, so filter's statistics are row and column sums and featurize's
+vocabulary a column sum.  ``ddimine show`` prints the file as text.
 """
 
 from __future__ import annotations

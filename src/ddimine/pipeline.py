@@ -11,12 +11,15 @@ fresh when its digest is the one its producer would write now, worked out by
 walking up the table; so a setting or file stales only its readers' artifacts
 and those downstream.
 
-The front passes columns.  Ingest keeps the abstracts that mention a lexicon
-drug and writes them to ``cardiac.tsv`` as records: the ids, the mentions and
-the word counts (:class:`ddimine.corpus.AbstractColumns`); filter reads it and
-writes only the corpus statistics, row and column sums, and no stage waits on
-filter.  Split draws each kept abstract's and each sample's split as a code
-aligned with its row; featurize and diagnose-split get those codes back as
+The front passes columns.  Ingest tokenizes each abstract to word codes, builds
+the word counts from them, finds the lexicon's mentions as a product of the
+counts and the phrases, and writes the abstracts that mention a drug to
+``cardiac.tsv`` as records: the ids, the mentions and the word counts
+(:class:`ddimine.corpus.AbstractColumns`); filter reads it and writes only the
+corpus statistics, row and column sums, and no stage waits on filter.  Each
+stage that reads ``samples.tsv`` refuses a malformed or repeated row as
+``path:line``.  Split draws each kept abstract's and each sample's split as a
+code aligned with its row; featurize and diagnose-split get those codes back as
 ``assignment.tsv`` is decoded (:func:`ddimine.splitting.row_codes`).  Each
 computes the sample x abstract incidence from the kept corpus's mention columns
 and the codes (:func:`ddimine.splitting.incidence`); no stage reads
@@ -130,12 +133,16 @@ def _encode_samples(samples, attached: Sequence[str] | None = None) -> artifacts
 
 
 def _decode_samples(path: Path) -> list[labeling_mod.InteractionSample]:
-    """Inverse of :func:`_encode_samples` without ``attached``; a malformed row is refused as ``path:line``."""
-    samples = []
+    """Inverse of :func:`_encode_samples` without ``attached``; a malformed or repeated row is refused as
+    ``path:line``."""
+    samples, seen = [], set()
     with artifacts.body_lines(path, width=4) as (rows, _):
         for cardiac, other, label, tid in rows:
             if label not in ("0", "1") or not (tid == "-" or tid.isascii() and tid.isdecimal()):
                 raise ValidationError(f"bad label {label!r} or template id {tid!r}")
+            if (cardiac, other) in seen:  # split would draw each copy its own split, and featurize build it twice
+                raise ValidationError(f"repeated sample {cardiac}|{other}")
+            seen.add((cardiac, other))
             samples.append(labeling_mod.InteractionSample(cardiac, other, int(label), None if tid == "-" else int(tid)))
     return samples
 

@@ -497,6 +497,21 @@ def test_a_row_missing_from_the_assignment_exits_2_naming_the_file(chain, tmp_pa
     assert capsys.readouterr().err.splitlines() == [f"error: {path}: {kind} {key!r} missing from the split assignment"]
 
 
+@pytest.mark.parametrize("stage", ["split", "featurize", "diagnose-split"])
+def test_a_repeated_sample_exits_2_naming_its_line(chain, tmp_path, capsys, stage):
+    """A ``samples.tsv`` that holds one (cardiac, other) row twice, under its intact header, is refused at the copy."""
+    config, out = chain
+    shutil.copytree(out, tmp_path / "out")
+    path = tmp_path / "out" / "samples.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    path.write_text("".join(lines[: i + 4] + lines[i : i + 1] + lines[i + 4 :]), encoding="utf-8")  # at line i + 5
+    capsys.readouterr()
+    assert main([stage, "--config", str(config), "--output", str(tmp_path / "out")]) == 2
+    cardiac, other = lines[i].split("\t")[:2]
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:{i + 5}: repeated sample {cardiac}|{other}"]
+
+
 def directory_input(name: str, stage: str):
     """A case of :data:`OS_REFUSALS`: ``stage`` run with the input ``name`` an empty directory."""
 

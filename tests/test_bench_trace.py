@@ -1,10 +1,11 @@
 """The benchmark's tracer on the chain: the shapes its counters read still hold.
 
 ``bench/spans.py`` counts tokens off the items that ``corpus.tokenize_abstracts``
-returns (their ``.tokens``), nonzeros off ``result[0].X`` of
-``features.build_count_matrix``, samples off the list ``labeling.enumerate_samples``
-returns, and fits off the calls of ``learn._fit``.  The tracer rebinds functions throughout the
-package, so it runs in a child interpreter, not in the test process.
+returns (the length of each one's ``.tokens``, its word codes), nonzeros off
+``result[0].X`` of ``features.build_count_matrix``, samples off the list
+``labeling.enumerate_samples`` returns, and fits off the calls of ``learn._fit``.  The
+tracer rebinds functions throughout the package, so it runs in a child interpreter, not
+in the test process.
 """
 
 import json

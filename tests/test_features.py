@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -309,7 +310,7 @@ class TestKeptCorpusOracles:
         n = data.draw(st.one_of(st.just(0), st.just(1), st.integers(2, 8)))  # empty, one abstract, several
         abstracts = [
             KeptAbstract(f"a {i}", tuple(data.draw(st.lists(st.sampled_from(CORPUS_WORDS), max_size=20))),
-                              frozenset(data.draw(st.sets(st.sampled_from(["d1", "d2", "d3"]), min_size=1))))
+                         frozenset(data.draw(st.sets(st.sampled_from(["d1", "d2", "d3"]), min_size=1))))
             for i in range(n)
         ]
         with tempfile.TemporaryDirectory() as tmp:
@@ -619,6 +620,23 @@ class TestMatrixPersistence:
                 load_matrix(path)
             except ValidationError as err:
                 assert str(path) in str(err)
+
+    def test_a_header_numpy_warns_about_is_refused_with_the_path_and_no_warning(self, tmp_path):
+        """A 'descr' edited to start with an invalid escape: numpy's header parse warns; the read refuses it."""
+        path = tmp_path / "features_train.txt"
+        save(path, encode_matrix(dense_matrix([[1.0, 0.0], [0.0, 2.0]], [1, 0])), {"digest": "abc"})
+        data = path.read_bytes()
+        assert data.count(b"'descr': '|u1'") >= 1
+        path.write_bytes(data.replace(b"'descr': '|u1'", b"'descr': '\\o1'", 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=re.escape(str(path))):
+                load_matrix(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match=re.escape(str(path))):
+                load_matrix(path)
+        assert caught == []
 
     def test_counts_narrowed_and_embeddings_kept_exact(self, tmp_path):
         """Integer counts go to the smallest unsigned type; -0.0, NaN payloads and fractions stay float64."""
