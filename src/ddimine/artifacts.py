@@ -83,21 +83,6 @@ def write(path: Path | str, kind: str, fields: Mapping[str, object], body: str |
     write_atomic(path, itertools.chain([header_text(kind, fields)], [body] if whole else body))
 
 
-def read(path: Path | str) -> tuple[Iterator[str], dict[str, str]]:
-    """(body lines, header fields) of a text artifact, as :func:`body_lines` gives them; the kind line is not a field.
-
-    The lines are read as they are taken, so no list of them exists; the file closes when they end or are dropped.
-    """
-    lines = _read(path)
-    return lines, next(lines)
-
-
-def _read(path: Path | str) -> Iterator:
-    with body_lines(path) as (lines, fields):
-        yield fields
-        yield from lines
-
-
 @contextmanager
 def opened(path: Path | str) -> Iterator[tuple[BinaryIO, dict[str, str]]]:
     """The file, open in binary at its body's first byte, and its header fields."""

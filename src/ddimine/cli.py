@@ -115,7 +115,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"completed stages: {', '.join(ran)}")
         elif args.command == "diagnose-split":
             run_stage(cfg, "diagnose-split")
-            print(*artifacts.read(cfg.output / "diagnose_split.txt")[0], sep="\n")
+            with artifacts.body_lines(cfg.output / "diagnose_split.txt") as (lines, _):
+                print(*lines, sep="\n")
         else:
             run_stage(cfg, args.command)
             print(f"stage {args.command} complete")

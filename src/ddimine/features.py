@@ -2,20 +2,18 @@
 
 A sample's row is the sum of its abstracts' rows, so both feature kinds are one
 product X = A @ P of the binary sample x abstract incidence matrix A (made by
-:func:`ddimine.splitting.incidence`) and the part rows P: C, each abstract's
-word counts over the vocabulary, or E = C' @ V, its counts C' over the
-embedding table's words in sorted order times their vectors V.  The kept
-corpus holds each abstract's word counts over its sorted word list
+:func:`ddimine.splitting.incidence`) and the part rows P.  A's columns are the
+abstracts the samples reference, in sorted-id order; as the split gives each
+abstract to one split, each abstract's row is built once per stage.  The kept
+corpus holds each abstract's word counts C over its sorted word list
 (:class:`ddimine.corpus.AbstractColumns`), so the vocabulary is a column sum
-(:func:`build_vocab`) and C is a row selection with its columns remapped onto
-the vocabulary's: no token is read again.  The table's columns are sorted too,
-so C' keeps each row's words in sorted order, and E adds each distinct token's
-tf * v in sorted-token order, bit for bit as a loop over the sorted tokens
-would (see :func:`build_count_matrix`, the one builder of both).  A's columns
-are the abstracts the samples reference, in sorted-id order; as the split
-gives each abstract to one split, each abstract's row is built once per stage.
-Counts are integers, so A @ C is exact, and the column order makes A @ E add a
-sample's abstract vectors in sorted-id order.
+(:func:`build_vocab`, a ``(word, frequency)`` list).  One 0/1 map M, words x
+columns (:func:`column_map`), sends each word to its column: the vocabulary's,
+or the embedding table's sorted non-stopword words (:func:`load_embeddings`,
+which gives their vectors V too).  P is C @ M for counts and C @ (M @ V) for
+embeddings (:func:`build_count_matrix`): integer sums for counts, exact; for
+embeddings, each word's tf * v added in sorted-word order, and a sample's
+abstract vectors in sorted-id order.
 
 :class:`FeatureMatrix` holds the factors; X is formed only when read, as CSC,
 straight from them with no intermediate of its size.  A feature file holds the
@@ -33,19 +31,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import artifacts
+from .config import FEATURE_KINDS
 from .corpus import referenced
 from .errors import ValidationError
 from .labeling import InteractionSample
 from .rng import Rng
 
 _UNDERSAMPLE_STREAM = 21
-_KINDS = ("counts", "embeddings")
 # a feature file's body, in order, and each record's form
 _RECORDS = {
     "part indptr": artifacts.INTEGERS, "part columns": artifacts.INTEGERS, "part values": artifacts.NUMBERS,
@@ -54,88 +52,64 @@ _RECORDS = {
 }
 
 
-@dataclass
-class Vocabulary:
-    """Tokens and their columns: by train-corpus frequency (descending, ties
-    lexicographic) from :func:`build_vocab`, which must see train-split
-    abstracts only; sorted, frequency 0, from :meth:`EmbeddingTable.columns`.
-    """
-
-    words: list[tuple[str, int]]
-    index: dict[str, int]
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
 def build_vocab(
-    counts: sp.csr_matrix, words: Sequence[str], top_k: int | None = None, stopwords: Collection[str] = frozenset()
-) -> Vocabulary:
+    counts: sp.csr_matrix, words: Sequence[str], top_k: int | None = None, dropped: np.ndarray | bool = False
+) -> list[tuple[str, int]]:
     """Sum the train abstracts' word counts (rows of ``counts``, over the sorted ``words``) and keep the top k.
 
-    A column sum is a word's frequency; ties keep column order, which is
-    lexicographic.  Unused words and ``stopwords`` are left out.
+    Returns ``(word, frequency)`` by frequency, descending, ties in column
+    order, which is lexicographic.  It must see train-split abstracts only.
+    Unused words and the ``dropped`` ones (a mask) are left out.
     ``top_k=None`` keeps everything; ``top_k=0`` gives no words.
     """
     if top_k is not None and top_k < 0:
         raise ValidationError(f"top_k must be nonnegative, got {top_k}")
     freq = np.bincount(counts.indices, weights=counts.data, minlength=len(words))  # exact: float64 holds 2**53
-    freq[_mask(words, stopwords)] = 0
+    freq[dropped] = 0
     order = np.argsort(-freq, kind="stable")[: np.count_nonzero(freq)][:top_k]
-    ordered = [(words[j], int(freq[j])) for j in order.tolist()]
-    return Vocabulary(ordered, {tok: col for col, (tok, _) in enumerate(ordered)})
+    return [(words[j], int(freq[j])) for j in order.tolist()]
 
 
-def _mask(words: Sequence[str], chosen: Collection[str]) -> np.ndarray:
-    return np.fromiter((word in chosen for word in words), dtype=bool, count=len(words))
+def encode_vocab(vocab: Sequence[tuple[str, int]]) -> artifacts.Encoded:
+    return "vocabulary", {}, "".join(f"{tok}\t{freq}\n" for tok, freq in vocab)
 
 
-def encode_vocab(vocab: Vocabulary) -> artifacts.Encoded:
-    return "vocabulary", {}, "".join(f"{tok}\t{freq}\n" for tok, freq in vocab.words)
+def load_embeddings(path: Path | str, stopwords: Collection[str]) -> tuple[list[str], np.ndarray]:
+    """Read the plain-text vector format, ``token v1 v2 ... vd`` per line, all of one width.
+
+    Returns the non-stopword tokens in sorted order, and V, their vectors in
+    that order.  A repeated token, a bad, missing or non-finite component, a
+    width unlike the first line's, and an empty table are refused.
+    """
+    vectors: dict[str, np.ndarray] = {}
+    with artifacts.input_lines(path) as lines:
+        for line in lines:
+            tok, *parts = line.split()
+            if tok in vectors:
+                raise ValidationError(f"duplicate token {tok!r}")
+            try:
+                vec = vectors[tok] = np.array([float(x) for x in parts], dtype=float)
+            except ValueError as exc:
+                raise ValidationError("bad vector component") from exc
+            if vec.size == 0:
+                raise ValidationError(f"token {tok!r} has no components")
+            width = len(next(iter(vectors.values())))  # the first token's
+            if vec.size != width:
+                raise ValidationError(f"token {tok!r} has {vec.size} components, expected {width}")
+            if not np.isfinite(vec).all():
+                raise ValidationError(f"token {tok!r} has a non-finite component")
+    if not vectors:
+        raise ValidationError(f"{path}: embedding table is empty")
+    words = sorted(tok for tok in vectors if tok not in stopwords)
+    return words, np.array([vectors[tok] for tok in words]).reshape(len(words), width)
 
 
-class EmbeddingTable:
-    """token -> dense vector, all of the same width."""
-
-    def __init__(self, vectors: Mapping[str, np.ndarray]):
-        if not vectors:
-            raise ValidationError("embedding table is empty")
-        dims = {len(v) for v in vectors.values()}
-        if len(dims) != 1:
-            raise ValidationError(f"inconsistent embedding widths: {sorted(dims)}")
-        self.dim = dims.pop()
-        self.vectors = {tok: np.asarray(v, dtype=float) for tok, v in vectors.items()}
-
-    def columns(self, stopwords: Collection[str]) -> tuple[Vocabulary, np.ndarray]:
-        """The non-stopword words in sorted order as a column index, and V, their vectors in that order."""
-        words = sorted(tok for tok in self.vectors if tok not in stopwords)
-        V = np.array([self.vectors[tok] for tok in words]).reshape(len(words), self.dim)
-        return Vocabulary([(tok, 0) for tok in words], {tok: j for j, tok in enumerate(words)}), V
-
-    @classmethod
-    def load(cls, path: Path | str) -> "EmbeddingTable":
-        """Read the plain-text vector format: ``token v1 v2 ... vd`` per line."""
-        vectors: dict[str, np.ndarray] = {}
-        with artifacts.input_lines(path) as lines:
-            for line in lines:
-                parts = line.split()
-                tok = parts[0]
-                if tok in vectors:
-                    raise ValidationError(f"duplicate token {tok!r}")
-                try:
-                    vec = vectors[tok] = np.array([float(x) for x in parts[1:]], dtype=float)
-                except ValueError as exc:
-                    raise ValidationError("bad vector component") from exc
-                if vec.size == 0:
-                    raise ValidationError(f"token {tok!r} has no components")
-                width = len(next(iter(vectors.values())))  # the first token's
-                if vec.size != width:
-                    raise ValidationError(f"token {tok!r} has {vec.size} components, expected {width}")
-                if not np.isfinite(vec).all():
-                    raise ValidationError(f"token {tok!r} has a non-finite component")
-        if not vectors:
-            raise ValidationError(f"{path}: embedding table is empty")
-        return cls(vectors)
+def column_map(words: Sequence[str], columns: Sequence[str]) -> sp.csr_matrix:
+    """M, the 0/1 ``words`` x ``columns`` map: row i holds a 1 in the column of ``words[i]``, if it is a column."""
+    index = {word: j for j, word in enumerate(columns)}
+    column = np.array([index.get(word, -1) for word in words], dtype=np.int64)
+    known = np.flatnonzero(column >= 0)
+    return sp.csr_matrix((np.ones(len(known)), (known, column[known])), shape=(len(words), len(columns)))
 
 
 @dataclass
@@ -157,7 +131,7 @@ class FeatureMatrix:
     keys: list[str]
     parts: sp.csr_matrix
     y: np.ndarray
-    kind: str  # one of _KINDS
+    kind: str  # one of FEATURE_KINDS
     A: sp.csr_matrix
 
     def __post_init__(self) -> None:
@@ -182,47 +156,44 @@ class FeatureMatrix:
     def dims(self) -> int:
         return self.parts.shape[1]
 
+    def select(self, rows: np.ndarray) -> FeatureMatrix:
+        """These rows, in this order, and only the parts they use."""
+        A, used = referenced(self.A[rows])
+        return FeatureMatrix([self.keys[i] for i in rows], self.parts[used], self.y[rows], self.kind, A)
+
 
 def build_count_matrix(
     samples: Sequence[InteractionSample],
     A: sp.csr_matrix,
     counts: sp.csr_matrix,
-    words: Sequence[str],
-    vocab: Vocabulary,
+    M: sp.csr_matrix,
     drop_empty: bool = False,
     V: np.ndarray | None = None,
-    stopwords: Collection[str] = frozenset(),
+    missable: np.ndarray | bool = True,
 ) -> tuple[FeatureMatrix, int]:
-    """Remap the counts of each abstract a row of ``A`` uses onto ``vocab``'s columns, as C; with ``V``, E = C @ V.
+    """Each abstract a row of ``A`` uses, as its word counts C times the map ``M``: C @ M, or with ``V``, C @ (M @ V).
 
-    ``A`` is the samples' incidence, and row j of ``counts`` holds the word
-    counts of the abstract behind its column j, over the sorted ``words``.
+    Row j of ``counts`` holds the word counts of the abstract behind column j
+    of ``A``, and ``M`` sends the words to the columns (:func:`column_map`).
     Returns the matrix, rows in sample order, and with ``V`` the miss count:
-    each (sample, abstract) pair's distinct words outside ``vocab`` and
-    ``stopwords``.  A row of C holds one cell per distinct word, its count, and
-    is sorted, as scipy's product adds a row's tf * v terms in column order:
-    the table's columns are its sorted words, so E adds them in sorted-token
-    order, as a loop over the sorted tokens would, bit for bit (unsummed,
-    v + v + v is not 3 * v in general).
+    each (sample, abstract) pair's distinct ``missable`` words (a mask) that
+    ``M`` sends nowhere.  C's rows are sorted, and scipy's product adds a row's
+    tf * v terms in that order, as a loop over the sorted tokens would, bit for
+    bit (unsummed, v + v + v is not 3 * v in general); a word sent nowhere
+    adds a zero, which leaves the sum as it is.
     """
-    if drop_empty:
-        rows = np.flatnonzero(np.diff(A.indptr))
-        samples, A = [samples[i] for i in rows], A[rows]
     A, used = referenced(A)
     counts = counts[used]
-    column = np.array([vocab.index.get(word, -1) for word in words], dtype=np.int64)
-    known = np.flatnonzero(column >= 0)
-    remap = sp.csr_matrix((np.ones(len(known)), (known, column[known])), shape=(len(words), len(vocab)))
-    C = sp.csr_matrix(counts @ remap)  # each known word's count moved to its vocabulary column
-    C.sort_indices()
+    keys, y = [s.key for s in samples], np.array([s.label for s in samples], dtype=np.int64)
     misses = 0
     if V is not None:
-        C = sp.csr_matrix(C @ V)
-        outside = (column < 0) & ~_mask(words, stopwords)
-        missed = sp.csr_matrix((outside[counts.indices], counts.indices, counts.indptr), shape=counts.shape)
-        misses = int(np.bincount(A.indices, minlength=len(used)) @ np.asarray(missed.sum(axis=1)).ravel())
-    y = np.array([s.label for s in samples], dtype=np.int64)
-    return FeatureMatrix([s.key for s in samples], C, y, "counts" if V is None else "embeddings", A), misses
+        outside = (np.diff(M.indptr) == 0) & missable
+        misses = int(np.bincount(A.indices, minlength=len(used)) @ (counts != 0) @ outside)
+        M = M @ V  # words x dims: each word's vector, or zeros
+    matrix = FeatureMatrix(keys, counts @ M, y, "counts" if V is None else "embeddings", A)
+    if drop_empty:
+        matrix = matrix.select(np.flatnonzero(np.diff(A.indptr)))
+    return matrix, misses
 
 
 def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
@@ -244,8 +215,7 @@ def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
     rng = Rng(seed).derive(_UNDERSAMPLE_STREAM)
     chosen = rng.sample_indices(len(majority), len(minority))
     keep = np.sort(np.concatenate([minority, majority[np.array(chosen, dtype=np.int64)]]))
-    A, used = referenced(matrix.A[keep])
-    return FeatureMatrix([matrix.keys[i] for i in keep], matrix.parts[used], y[keep], matrix.kind, A)
+    return matrix.select(keep)
 
 
 def encode_matrix(matrix: FeatureMatrix) -> artifacts.Encoded:
@@ -281,8 +251,8 @@ def load_matrix(path: Path | str) -> tuple[FeatureMatrix, dict[str, str]]:
         raise ValidationError(f"{path}: header says {n_rows} rows, found {len(keys)} keys and {len(labels)} labels")
     if labels.size and labels.max() > 1:
         raise ValidationError(f"{path}: a label is not 0 or 1")
-    if kind not in _KINDS:
-        raise ValidationError(f"{path}: kind {kind!r} is not one of {_KINDS}")
+    if kind not in FEATURE_KINDS:
+        raise ValidationError(f"{path}: kind {kind!r} is not one of {FEATURE_KINDS}")
     parts = sp.csr_matrix((values.astype(np.float64, copy=False), cols, part_ptr), shape=(n_parts, dims))
     A = sp.csr_matrix((np.ones(refs.size), refs, row_ptr), shape=(n_rows, n_parts))
     return FeatureMatrix(keys, parts, labels.astype(np.int64), kind, A), header

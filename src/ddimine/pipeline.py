@@ -23,7 +23,8 @@ code aligned with its row; featurize and diagnose-split get those codes back as
 ``assignment.tsv`` is decoded (:func:`ddimine.splitting.row_codes`).  Each
 computes the sample x abstract incidence from the kept corpus's mention columns
 and the codes (:func:`ddimine.splitting.incidence`); no stage reads
-``assigned_samples.tsv``.
+``assigned_samples.tsv``.  Featurize builds one words -> columns map, to the
+vocabulary or the embedding table, for the part rows of every split.
 
 :func:`run_stage` does every artifact read and write.  Before a stage runs, a
 missing input names the stage that produces it (:class:`MissingArtifactError`),
@@ -152,9 +153,10 @@ def _decode_samples(path: Path) -> list[labeling_mod.InteractionSample]:
 _DECODERS: dict[str, Callable[[Path], object]] = {
     "cardiac.tsv": lambda path: corpus_mod.load_abstracts(path),
     "samples.tsv": _decode_samples,
-    # (kept ids, samples) -> their split codes; a row missing from the file is refused with its path
-    "assignment.tsv": lambda path: functools.partial(splitting_mod.row_codes, splitting_mod.load_assignment(path)[0],
-                                                     path=path),
+    # (kept ids, samples) -> their split codes; a row missing from the file is refused with its path and the row's
+    "assignment.tsv": lambda path: functools.partial(
+        splitting_mod.row_codes, splitting_mod.load_assignment(path)[0], path=path,
+        files={"abstract": path.with_name("cardiac.tsv"), "sample": path.with_name("samples.tsv")}),
     "model.txt": lambda path: learn_mod.load_model(path)[0],
     **{f"features_{split}.txt": lambda path: features_mod.load_matrix(path)[0] for split in splitting_mod.SPLITS},
 }
@@ -244,27 +246,29 @@ def stage_split(cfg: PipelineConfig, kept, samples) -> Outputs:
 
 
 def stage_featurize(cfg: PipelineConfig, kept, assignment, samples) -> Outputs:
-    """Build the train vocabulary and per-split feature matrices."""
+    """Build the train vocabulary, one words -> columns map, and per-split feature matrices through it."""
     split = assignment(kept.ids, samples)  # each kept abstract's split code, and each sample's
     A, order = splitting_mod.incidence(kept, samples, split)
     stop: frozenset[str] = frozenset()
     if cfg.vocab_stopwords == "drop" or cfg.feature_kind == "embeddings":
         stop = corpus_mod.load_stopwords(cfg.stopwords)
+    stopped = np.fromiter((word in stop for word in kept.words), dtype=bool, count=len(kept.words))
     train = split[0] == splitting_mod.SPLITS.index("train")
-    dropped = stop if cfg.vocab_stopwords == "drop" else frozenset()
+    dropped = stopped if cfg.vocab_stopwords == "drop" else False
     vocab = features_mod.build_vocab(kept.counts[train], kept.words, cfg.top_k, dropped)
     outputs = {"vocab.tsv": features_mod.encode_vocab(vocab)}
     report_lines = [f"vocab_size\t{len(vocab)}"]
 
-    columns, V = vocab, None
+    columns, V = [word for word, _ in vocab], None
     if cfg.feature_kind == "embeddings":
-        columns, V = features_mod.EmbeddingTable.load(cfg.embeddings).columns(stop)
+        columns, V = features_mod.load_embeddings(cfg.embeddings, stop)
+    M = features_mod.column_map(kept.words, columns)
     by_column = kept.counts[order]
     matrices = {}
     for code, name in enumerate(splitting_mod.SPLITS):
         rows = np.flatnonzero(split[1] == code)
         matrices[name], misses = features_mod.build_count_matrix(
-            [samples[i] for i in rows], A[rows], by_column, kept.words, columns, cfg.drop_empty_samples, V, stop
+            [samples[i] for i in rows], A[rows], by_column, M, cfg.drop_empty_samples, V, ~stopped
         )
         if V is not None:
             report_lines.append(f"embedding_misses_{name}\t{misses}")
@@ -273,10 +277,9 @@ def stage_featurize(cfg: PipelineConfig, kept, assignment, samples) -> Outputs:
         before = matrices["train"].n_rows
         matrices["train"] = features_mod.undersample(matrices["train"], cfg.seed)
         report_lines.append(f"undersample_train\t{before} -> {matrices['train'].n_rows}")
-    for split in splitting_mod.SPLITS:
-        m = matrices[split]
-        report_lines.append(f"rows_{split}\t{m.n_rows}")
-        outputs[f"features_{split}.txt"] = features_mod.encode_matrix(m)
+    for name, m in matrices.items():
+        report_lines.append(f"rows_{name}\t{m.n_rows}")
+        outputs[f"features_{name}.txt"] = features_mod.encode_matrix(m)
     outputs["featurize_report.txt"] = ("featurize-report", {}, "\n".join(report_lines) + "\n")
     return outputs
 

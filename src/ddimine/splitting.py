@@ -163,14 +163,15 @@ def load_assignment(path: Path | str) -> tuple[dict[str, dict[str, int]], dict[s
     return splits, header
 
 
-def row_codes(assignment: Mapping[str, Mapping[str, int]], ids: Iterable[str],
-              samples: Sequence[InteractionSample], path: Path | str) -> Split:
+def row_codes(assignment: Mapping[str, Mapping[str, int]], ids: Iterable[str], samples: Sequence[InteractionSample],
+              path: Path | str, files: Mapping[str, Path | str]) -> Split:
     """Each kept abstract's (by ``ids``) and each sample's split code under a loaded assignment, in row order; a row
-    missing from the assignment at ``path`` is refused."""
+    missing from the assignment at ``path`` is refused, naming that file and the row's own, ``files[kind]``, as
+    either may be the damaged one."""
     codes = []
     for kind, keys in (("abstract", ids), ("sample", (s.key for s in samples))):
         try:
             codes.append(np.array(list(map(assignment[kind].__getitem__, keys)), dtype=np.int64))
         except KeyError as exc:
-            raise ValidationError(f"{path}: {kind} {exc.args[0]!r} missing from the split assignment") from None
+            raise ValidationError(f"{path}: {kind} {exc} of {files[kind]} missing from the split assignment") from None
     return codes[0], codes[1]

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from ddimine import artifacts
 from ddimine.corpus import AbstractColumns, CorpusStats
 from ddimine.errors import ValidationError
-from ddimine.features import FeatureMatrix, Vocabulary, build_vocab
+from ddimine.features import FeatureMatrix, build_count_matrix, build_vocab, column_map
 from ddimine.labeling import PLACEHOLDER, InteractionSample, pair_key
 from ddimine.learn import loss_gradient, loss_value
 from ddimine.mar_alerts import Administrations, Alerts
@@ -64,11 +64,33 @@ def save(path, encoded: artifacts.Encoded, header: dict[str, str] | None = None)
     artifacts.write(path, kind, {**(header or {}), **fields}, body)
 
 
-def load_vocab(path) -> Vocabulary:
+def load_vocab(path) -> list[tuple[str, int]]:
     """Inverse of ``features.encode_vocab``; no stage reads ``vocab.tsv``."""
-    lines, _ = artifacts.read(path)
-    words = [(tok, int(freq)) for tok, _, freq in (line.partition("\t") for line in lines)]
-    return Vocabulary(words, {tok: col for col, (tok, _) in enumerate(words)})
+    with artifacts.body_lines(path) as (lines, _):
+        return [(tok, int(freq)) for tok, _, freq in (line.partition("\t") for line in lines)]
+
+
+def read_body(path) -> tuple[list[str], dict[str, str]]:
+    """A text artifact's body lines and header fields, read through ``artifacts.body_lines``."""
+    with artifacts.body_lines(path) as (lines, fields):
+        return list(lines), fields
+
+
+def header_of(path) -> dict[str, str]:
+    """An artifact's header fields alone, its body text or binary."""
+    with artifacts.opened(path) as (_, fields):
+        return fields
+
+
+def read_table(path) -> dict[str, np.ndarray]:
+    """An embedding file, token -> vector, split line by line here."""
+    rows = (line.split() for line in Path(path).read_text(encoding="utf-8-sig").splitlines() if line.strip())
+    return {tok: np.array([float(x) for x in vec]) for tok, *vec in rows}
+
+
+def column_of(vocab) -> dict[str, int]:
+    """Each word of a ``(word, frequency)`` list, to its column."""
+    return {tok: col for col, (tok, _) in enumerate(vocab)}
 
 
 def artifact_digests(output_dir) -> dict[str, str]:
@@ -187,19 +209,41 @@ def incidence_of(samples, abstracts_by_id) -> tuple[sp.csr_matrix, sp.csr_matrix
     return A, counts, words
 
 
-def vocab_of(token_lists, top_k: int | None = None, stopwords=frozenset()) -> Vocabulary:
+def vocab_of(token_lists, top_k: int | None = None, stopwords=frozenset()) -> list[tuple[str, int]]:
     """``build_vocab`` over the word counts of ``token_lists``."""
     words, counts = bag(list(token_lists))
-    return build_vocab(counts, words, top_k, stopwords)
+    return build_vocab(counts, words, top_k, mask_of(words, stopwords))
 
 
-def vocab_oracle(token_lists, top_k: int | None = None, stopwords=frozenset()) -> Vocabulary:
+def vocab_oracle(token_lists, top_k: int | None = None, stopwords=frozenset()) -> list[tuple[str, int]]:
     """Token occurrences counted one by one; by count, descending, ties lexicographic; the top k."""
     counts: Counter[str] = Counter()
     for tokens in token_lists:
         counts.update(tok for tok in tokens if tok not in stopwords)
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-    return Vocabulary(ordered, {tok: col for col, (tok, _) in enumerate(ordered)})
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+
+
+def mask_of(words, chosen) -> np.ndarray:
+    """Which of ``words`` are ``chosen``."""
+    return np.array([word in chosen for word in words], dtype=bool)
+
+
+def build_matrix(samples, A, counts, words, columns, drop_empty=False, V=None, stopwords=frozenset()):
+    """``build_count_matrix`` over ``words``, its map and miss mask made as ``stage_featurize`` makes them: the
+    columns are a ``(word, frequency)`` vocabulary, or with ``V`` an embedding table's words."""
+    columns = [word for word, _ in columns] if V is None else columns
+    return build_count_matrix(samples, A, counts, column_map(words, columns), drop_empty, V, ~mask_of(words, stopwords))
+
+
+def table_columns(table: dict, stopwords=frozenset()) -> tuple[list[str], np.ndarray]:
+    """An embedding table, token -> vector, as ``features.load_embeddings`` gives it: the non-stopword tokens sorted,
+    and their vectors in that order."""
+    words = sorted(tok for tok in table if tok not in stopwords)
+    return words, np.array([table[tok] for tok in words], dtype=float).reshape(len(words), table_width(table))
+
+
+def table_width(table: dict) -> int:
+    return len(next(iter(table.values())))
 
 
 def corpus_stats_oracle(abstracts) -> CorpusStats:
@@ -606,14 +650,14 @@ class SparseVector:
 
 
 def count_vector(sample, abstracts_by_id, vocab) -> SparseVector:
-    """Word counts summed over one sample's abstracts, token by token."""
-    entries: dict[int, float] = {}
+    """Word counts summed over one sample's abstracts, token by token, over a ``(word, frequency)`` list."""
+    column, entries = column_of(vocab), {}
     for aid in sorted(sample.abstract_ids):
         ab = abstracts_by_id.get(aid)
         if ab is None:
             raise ValidationError(f"sample {sample.key!r} references unknown abstract {aid!r}")
         for tok in ab.tokens:
-            col = vocab.index.get(tok)
+            col = column.get(tok)
             if col is not None:
                 entries[col] = entries.get(col, 0) + 1
     return SparseVector(len(vocab), entries)
@@ -626,11 +670,11 @@ def embed_abstract(ab, table, stopwords) -> tuple[np.ndarray, int]:
     from the table.  Tokens are accumulated in sorted order so the float sum
     is independent of token order in the abstract.
     """
-    vec = np.zeros(table.dim, dtype=float)
+    vec = np.zeros(table_width(table), dtype=float)
     misses = 0
     tf = Counter(tok for tok in ab.tokens if tok not in stopwords)
     for tok in sorted(tf):
-        v = table.vectors.get(tok)
+        v = table.get(tok)
         if v is None:
             misses += 1
         else:
@@ -640,7 +684,7 @@ def embed_abstract(ab, table, stopwords) -> tuple[np.ndarray, int]:
 
 def embed_sample(sample, abstracts_by_id, table, stopwords) -> tuple[np.ndarray, int]:
     """Sum of abstract embeddings over one sample's abstracts, in sorted-id order."""
-    vec = np.zeros(table.dim, dtype=float)
+    vec = np.zeros(table_width(table), dtype=float)
     misses = 0
     for aid in sorted(sample.abstract_ids):
         ab = abstracts_by_id.get(aid)

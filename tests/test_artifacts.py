@@ -1,5 +1,6 @@
 """The artifact codec: header format, digest checks, missing inputs and atomic writes."""
 
+import functools
 import io
 import itertools
 import json
@@ -19,12 +20,12 @@ from ddimine.corpus import (
     DrugLexicon, encode_abstracts, load_abstracts, load_stopwords,
 )
 from ddimine.errors import ArtifactMismatchError, MissingArtifactError, ValidationError
-from ddimine.features import EmbeddingTable, encode_matrix
+from ddimine.features import encode_matrix, load_embeddings
 from ddimine.labeling import InteractionCatalog
 from ddimine.mar_alerts import parse_mar
 from ddimine.pipeline import STAGES, run_all, run_stage
 from ddimine.synth import SynthParams, write_dataset
-from helpers import KeptAbstract, corpus_of, dense_matrix, load_corpus_oracle, same_corpus, save
+from helpers import KeptAbstract, corpus_of, dense_matrix, load_corpus_oracle, read_body, same_corpus, save
 
 # every artifact a later stage reads: (artifact, producing stage, a reading stage)
 READS = [
@@ -103,7 +104,7 @@ def test_header_block_then_body(tmp_path):
     artifacts.write(path, "cv-results", fields, body)
     header = "# ddimine cv-results\n# digest: abc\n# seed: 7\n# ratios: 0.5 0.5\n"
     assert path.read_text(encoding="utf-8") == header + body
-    body, fields = artifacts.read(path)
+    body, fields = read_body(path)
     assert fields == {"digest": "abc", "seed": "7", "ratios": "0.5 0.5"}
     assert list(body) == ["# lambda\tmean_auc", "0.1\t0.9", "# best_lambda: 0.1"]
     artifacts.check_digest(path, "abc", "train")
@@ -192,7 +193,7 @@ def test_a_multibyte_text_artifact_reads_the_same_through_the_binary_header_read
     path = tmp_path / "samples.tsv"
     rows = ["abstract-é\td1", "抄録 7\td1 d2", "á𝛼\t"]  # two-, three- and four-byte characters
     artifacts.write(path, "samples", {"digest": "abc", "note": "ünïcode"}, "".join(f"{row}\n" for row in rows))
-    body, fields = artifacts.read(path)
+    body, fields = read_body(path)
     assert fields == {"digest": "abc", "note": "ünïcode"}
     assert list(body) == rows
     with artifacts.body_lines(path, width=2) as (body, _):
@@ -317,27 +318,39 @@ def test_damaged_records_refused_through_the_cli(chain, tmp_path, capsys, name, 
     assert err.startswith("error: ") and str(path) in err and len(err.splitlines()) == 1
 
 
+# each artifact the byte-edit sweep damages, and the commands it runs the damaged file through
+SWEPT = {
+    "cardiac.tsv": ("filter", "show"), "features_train.txt": ("show",), "model.txt": ("evaluate",),
+    "samples.tsv": ("split", "featurize", "diagnose-split"), "assignment.tsv": ("featurize", "diagnose-split"),
+}
+
+
 def test_random_byte_edits_load_or_are_refused_with_the_path(chain, tmp_path, capsys):
-    """1 to 4 random bytes overwritten, deleted or inserted anywhere in a record file: through the CLI, each case
-    exits 0, or 2 naming the file."""
+    """1 to 4 random bytes overwritten, deleted or inserted anywhere in an artifact: through the CLI, each case
+    exits 0, or 2 naming the file.  Each stage reads fresh copies of its other inputs, as a stage that loads a
+    damaged file writes over the outputs: split rewrites ``assignment.tsv`` under the same digest."""
     config, out = chain
-    shutil.copytree(out, tmp_path / "out")
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
     rng = random.Random(26)
     outcomes = Counter()
-    for name, commands in (("cardiac.tsv", (["filter"], ["show"])), ("features_train.txt", (["show"],))):
-        path = tmp_path / "out" / name
-        original = path.read_bytes()
+    for name, commands in SWEPT.items():
+        original = (out / name).read_bytes()
         for _ in range(40):
-            path.write_bytes(byte_edited(rng, original))
+            data = byte_edited(rng, original)
             for command in commands:
-                args = [*command, str(path)] if command == ["show"] else [*command, "--config", str(config),
-                                                                         "--output", str(tmp_path / "out")]
+                for read in () if command == "show" else STAGES[command].reads:
+                    shutil.copyfile(out / read, work / read)
+                (work / name).write_bytes(data)
+                args = ["show", str(work / name)] if command == "show" else [command, "--config", str(config),
+                                                                             "--output", str(work)]
                 code = main(args)
                 err = capsys.readouterr().err
-                assert code == 0 or code == 2 and str(path) in err, (name, command, err)
-                outcomes[code] += 1
-        path.write_bytes(original)
-    assert outcomes[2] > outcomes[0] > 0  # most edits are refused; some, such as a count raised, load
+                assert code == 0 or code == 2 and str(work / name) in err, (name, command, err)
+                outcomes[name, code] += 1
+    for name in SWEPT:  # most edits are refused; some, such as a count raised, load
+        assert outcomes[name, 2] > outcomes[name, 0], name
+    assert outcomes["cardiac.tsv", 0] and outcomes["model.txt", 0] and outcomes["samples.tsv", 0]
 
 
 def byte_edited(rng: random.Random, original: bytes) -> bytes:
@@ -458,7 +471,7 @@ LINE_FORMATS = {
     "catalog": (InteractionCatalog.load, ["# a\tb\teffect", "d1\td2\tAspirin raises warfarin."], "d1\td3"),
     "mar": (parse_mar, ["patient_id\tdrug\ttimestamp", "p1\td1\t2024-03-01T00:00:00Z"], "p1\td2\tnoon"),
     "stopwords": (load_stopwords, ["# English", "the", "of"], None),
-    "embeddings": (EmbeddingTable.load, ["x 1.0 0.0", "y 0.0 1.0"], "z 1.0 zero"),
+    "embeddings": (functools.partial(load_embeddings, stopwords=()), ["x 1.0 0.0", "y 0.0 1.0"], "z 1.0 zero"),
 }
 BAD_LINES = [(name, bad) for name, (_, _, malformed) in LINE_FORMATS.items()
              for bad in ("not-utf8", "malformed")[: 1 + (malformed is not None)]]
@@ -484,7 +497,8 @@ def test_an_input_refusal_names_its_line_under_a_byte_order_mark_and_every_line_
 @pytest.mark.parametrize("stage", ["featurize", "diagnose-split"])
 @pytest.mark.parametrize("kind", ["abstract", "sample"])
 def test_a_row_missing_from_the_assignment_exits_2_naming_the_file(chain, tmp_path, capsys, kind, stage):
-    """A row deleted from ``assignment.tsv`` under its intact header is refused with the file's path."""
+    """A row deleted from ``assignment.tsv`` under its intact header is refused with the file's path, and the path of
+    the file the row's key comes from."""
     config, out = chain
     shutil.copytree(out, tmp_path / "out")
     path = tmp_path / "out" / "assignment.tsv"
@@ -494,7 +508,9 @@ def test_a_row_missing_from_the_assignment_exits_2_naming_the_file(chain, tmp_pa
     path.write_text("".join(lines[:i] + lines[i + 1 :]), encoding="utf-8")
     capsys.readouterr()
     assert main([stage, "--config", str(config), "--output", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {kind} {key!r} missing from the split assignment"]
+    source = path.with_name("cardiac.tsv" if kind == "abstract" else "samples.tsv")
+    message = f"error: {path}: {kind} {key!r} of {source} missing from the split assignment"
+    assert capsys.readouterr().err.splitlines() == [message]
 
 
 @pytest.mark.parametrize("stage", ["split", "featurize", "diagnose-split"])

@@ -14,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ddimine import artifacts
+from helpers import read_body
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,7 +44,7 @@ def test_tracer_counts_tokens_and_nonzeros_on_mini(tmp_path):
     assert counts["corpus.tokens"] > 0 and counts["features.nnz"] > 0
     assert counts["features.rows_built"] > 0
     # one fit per fold and lambda with a defined AUC, and the final fit
-    cv_rows = [line.split("\t") for line in artifacts.read(Path(output) / "cv_results.tsv")[0] if line[:1] != "#"]
+    cv_rows = [line.split("\t") for line in read_body(Path(output) / "cv_results.tsv")[0] if line[:1] != "#"]
     assert counts["learn.fits"] == 1 + sum(cell != "N/A" for row in cv_rows for cell in row[3:])
     assert len(cv_rows) > 1
-    assert counts["labeling.samples"] == len(list(artifacts.read(Path(output) / "samples.tsv")[0]))
+    assert counts["labeling.samples"] == len(read_body(Path(output) / "samples.tsv")[0])

@@ -5,7 +5,7 @@ import pytest
 
 from ddimine.config import load_config
 from ddimine.corpus import DrugLexicon, load_corpus, load_stopwords
-from ddimine.features import EmbeddingTable
+from ddimine.features import load_embeddings
 from ddimine.labeling import InteractionCatalog
 from ddimine.mar_alerts import parse_mar
 from ddimine.synth import SynthParams, write_dataset
@@ -40,7 +40,7 @@ READERS = {
     "catalog": catalog,
     "mar": lambda path: plain(parse_mar(path)),
     "stopwords": load_stopwords,
-    "embeddings": lambda path: plain(EmbeddingTable.load(path).vectors),
+    "embeddings": lambda path: plain(load_embeddings(path, ())),
     "corpus": lambda path: load_corpus(path, "lines"),
     "config": load_config,
 }

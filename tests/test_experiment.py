@@ -14,12 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ddimine import artifacts
 from ddimine.config import load_config
 from ddimine.learn import load_model
 from ddimine.pipeline import run_all
 from ddimine.synth import SIGNAL_WORDS, planted_params, write_dataset
-from helpers import load_vocab
+from helpers import load_vocab, read_body
 
 
 @dataclass
@@ -39,10 +38,10 @@ def planted_signal_experiment(seed: int) -> PlantedResult:
         out = Path(cfg.output)
         model, _ = load_model(out / "model.txt")
         vocab = load_vocab(out / "vocab.tsv")
-        metrics, _ = artifacts.read(out / "metrics_dev.txt")
+        metrics, _ = read_body(out / "metrics_dev.txt")
     dev_auc = float(dict(line.split("\t", 1) for line in metrics)["auc"])
     top20 = np.argsort(-np.abs(model.weights), kind="stable")[:20]
-    signal_cols = {vocab.index[w] for w in SIGNAL_WORDS if w in vocab.index}
+    signal_cols = {col for col, (word, _) in enumerate(vocab) if word in SIGNAL_WORDS}
     return PlantedResult(
         seed=seed,
         vocab_size=len(vocab),

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from ddimine import artifacts
 from ddimine.cli import main
 from ddimine.config import PATHS, PipelineConfig, load_config
 from ddimine.errors import ConfigError
@@ -15,7 +14,7 @@ from ddimine.pipeline import (
     ARTIFACTS, STAGE_FUNCS, STAGE_ORDER, STAGES, check_stage_paths, run_all, run_stage, stage_digests,
 )
 from ddimine.synth import SynthParams, write_dataset
-from helpers import artifact_digests
+from helpers import artifact_digests, header_of, read_body
 
 ALL_STAGES = (*STAGE_ORDER, "diagnose-split")
 
@@ -127,7 +126,7 @@ def test_edited_corpus_makes_featurize_refuse_its_input(mini, tmp_path, capsys):
     for stage in ("ingest", "split"):  # split waits on ingest, not on filter
         assert main([stage, "--config", config]) == 0
     cfg = load_config(config)
-    assert artifacts.read(cfg.output / "corpus_stats.txt")[1]["digest"] != stage_digests(cfg)("filter")
+    assert header_of(cfg.output / "corpus_stats.txt")["digest"] != stage_digests(cfg)("filter")
     assert main(["all", "--config", config]) == 0
 
 
@@ -144,7 +143,7 @@ def test_new_top_k_reruns_featurize_onward_only(mini, tmp_path, capsys):
     assert main(["train", "--config", config]) == 0
     assert main(["evaluate", "--config", config]) == 0
     assert front == {name: (out / name).read_bytes() for name in front}
-    assert len(list(artifacts.read(out / "vocab.tsv")[0])) == 50
+    assert len(read_body(out / "vocab.tsv")[0]) == 50
 
 
 def test_moved_inputs_leave_every_stage_fresh(mini, tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddimine
-from ddimine import artifacts, mar_alerts
+from ddimine import mar_alerts
 from ddimine.config import load_config
 from ddimine.errors import ValidationError
 from ddimine.labeling import InteractionCatalog, pair_key
@@ -26,7 +26,7 @@ from ddimine.pipeline import run_stage
 from ddimine.synth import SynthParams, write_dataset
 from helpers import (
     administrations, alert_files_oracle, alert_hours, alert_rows, exact_alert_oracle, hourly_alert_oracle,
-    make_alerts, micros, utc,
+    make_alerts, micros, read_body, utc,
 )
 
 T0 = datetime(2024, 3, 1, tzinfo=timezone.utc)
@@ -412,7 +412,7 @@ def stage_files(root: Path, catalog: str, mar_rows: list[str], alerts: dict) -> 
     config = root / "config.json"
     config.write_text(json.dumps({"paths": {**paths, "output": str(root / "out")}, "alerts": alerts}))
     run_stage(load_config(config), "alerts")
-    return tuple(list(artifacts.read(root / "out" / name)[0]) for name in ("alerts.tsv", "alert_report.txt"))
+    return tuple(read_body(root / "out" / name)[0] for name in ("alerts.tsv", "alert_report.txt"))
 
 
 def check_written_files(root: Path, events, catalog_rows, default_hours: float, per_drug_hours) -> None:
@@ -476,5 +476,5 @@ def test_traced_alerts_record_each_layer_and_count_every_alert(tmp_path):
     summary = json.loads(done.stdout)
     for layer in ("parse_mar", "build_exposures", "detect_overlaps"):
         assert summary["stats"][f"mar_alerts.{layer}"]["calls"] == 1
-    body = list(artifacts.read(load_config(paths["config"]).output / "alerts.tsv")[0])
+    body = read_body(load_config(paths["config"]).output / "alerts.tsv")[0]
     assert summary["counts"]["mar_alerts.alerts"] == len(body) - 1 > 0  # less the column line

@@ -14,7 +14,7 @@ from ddimine.cli import _build_parser, main
 from ddimine.config import build_config, load_config
 from ddimine.corpus import DrugLexicon, load_stopwords
 from ddimine.errors import ArtifactMismatchError
-from ddimine.features import EmbeddingTable, load_matrix
+from ddimine.features import load_matrix
 from ddimine.labeling import InteractionCatalog
 from ddimine.learn import load_model
 from ddimine.pipeline import (
@@ -22,8 +22,8 @@ from ddimine.pipeline import (
 )
 from ddimine.synth import SynthParams, write_dataset
 from helpers import (
-    AttachedSample, artifact_digests, corpus_of, count_vector, embed_sample, load_corpus_oracle, load_matrix_oracle,
-    load_vocab, save, templateize_oracle,
+    AttachedSample, artifact_digests, corpus_of, count_vector, embed_sample, header_of, load_corpus_oracle,
+    load_matrix_oracle, load_vocab, read_body, read_table, save, templateize_oracle,
 )
 
 
@@ -127,12 +127,12 @@ def test_an_empty_split_is_evaluated_like_a_single_class_one(tmp_path, ratios):
     paths["config"].write_text(json.dumps({**raw, "ratios": ratios}), encoding="utf-8")
     assert main(["all", "--config", str(paths["config"])]) == 0
     out, empty = load_config(paths["config"]).output, "dev" if ratios[1] == 0 else "test"
-    assert artifacts.read(out / f"features_{empty}.txt")[1]["rows"] == "0"
+    assert header_of(out / f"features_{empty}.txt")["rows"] == "0"
     metrics = dict(line.split("\t") for line in data_lines(out / f"metrics_{empty}.txt"))
     assert metrics == {"threshold": "0.0", **dict.fromkeys(("tp", "fp", "tn", "fn"), "0"),
                        **dict.fromkeys(("sensitivity", "specificity", "ppv", "npv"), "N/A"),
                        "auc": "N/A (empty split)"}
-    assert list(artifacts.read(out / f"curve_{empty}.tsv")[0]) == ["# threshold\tsensitivity\tspecificity\tfpr"]
+    assert read_body(out / f"curve_{empty}.tsv")[0] == ["# threshold\tsensitivity\tspecificity\tfpr"]
 
 
 def test_templates_match_per_pair_oracle(mini):
@@ -169,7 +169,7 @@ def test_train_rows_match_count_vector_oracle(mini):
 def test_embedding_train_rows_and_misses_match_embed_sample_oracle(mini):
     paths, outputs = mini
     out = outputs["embeddings"][0]
-    table, stop = EmbeddingTable.load(paths["embeddings"]), load_stopwords(paths["stopwords"])
+    table, stop = read_table(paths["embeddings"]), load_stopwords(paths["stopwords"])
     abstracts = {ab.id: ab for ab in load_corpus_oracle(out / "cardiac.tsv")[0]}
     samples = {s.key: s for s in read_samples(out / "assigned_samples.tsv")}
     train = load_matrix_oracle(out / "features_train.txt")
@@ -231,7 +231,7 @@ def test_stages_return_their_artifacts_and_run_stage_writes_them(mini, tmp_path,
         def recording(cfg, *inputs, stage=stage, func=func):
             before = sorted(tmp_path.rglob("*"))
             with monkeypatch.context() as patch:  # the stage function itself reads no artifact
-                patch.setattr(artifacts, "read", no_artifact_read)
+                patch.setattr(artifacts, "body_lines", no_artifact_read)
                 patch.setattr(artifacts, "check_digest", no_artifact_read)
                 outputs = func(cfg, *inputs)
             assert sorted(tmp_path.rglob("*")) == before  # and writes nothing
@@ -324,7 +324,7 @@ def test_ingest_reads_a_directory_corpus(tmp_path):
     run_stage(cfg, "ingest")
     body = (cfg.output / "cardiac.tsv").read_bytes().partition(b"# body: npy\n")[2]
     assert body and body == (tmp_path / "out" / "cardiac.tsv").read_bytes().partition(b"# body: npy\n")[2]
-    assert artifacts.read(cfg.output / "cardiac.tsv")[1]["digest"] == stage_digests(cfg)("ingest")
+    assert header_of(cfg.output / "cardiac.tsv")["digest"] == stage_digests(cfg)("ingest")
     (members / ".notes").write_text("not read by ingest\n", encoding="utf-8")
     run_stage(cfg, "filter")  # a hidden file is no member: cardiac.tsv stays fresh
     with open(members / "part2.txt", "a", encoding="utf-8") as fh:
@@ -511,7 +511,7 @@ def test_diagnose_split_cli(tmp_path, capsys):
     isolated, naive = map(int, rows["total"])
     assert isolated == 0 and naive > 0
     cfg = load_config(config)
-    body, header = artifacts.read(cfg.output / "diagnose_split.txt")
+    body, header = read_body(cfg.output / "diagnose_split.txt")
     assert list(body) == printed.splitlines()
     assert header == {"digest": stage_digests(cfg)("diagnose-split")}
     digest = file_digest(cfg.output / "diagnose_split.txt")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ddimine.errors import ValidationError
-from ddimine.features import build_count_matrix
 from ddimine.labeling import InteractionSample
 from ddimine.splitting import (
     DEFAULT_RATIOS,
@@ -18,7 +17,8 @@ from ddimine.splitting import (
     split_corpus,
 )
 from helpers import (
-    KeptAbstract, alg1_assign_oracle, assignment_oracle, corpus_of, leakage_oracle, named, save, split_oracle, vocab_of,
+    KeptAbstract, alg1_assign_oracle, assignment_oracle, build_matrix, corpus_of, leakage_oracle, named, save,
+    split_oracle, vocab_of,
 )
 
 
@@ -194,7 +194,7 @@ class TestAssignAbstracts:
             assert assign(None, abstracts, samples) == alg1_assign_oracle(everyone, abstracts, samples)
             # drop_empty keeps exactly the samples the oracle attaches some abstract to
             vocab = vocab_of(ab.tokens for ab in abstracts)
-            m, _ = build_count_matrix(samples, A, corpus.counts[order], corpus.words, vocab, drop_empty=True)
+            m, _ = build_matrix(samples, A, corpus.counts[order], corpus.words, vocab, drop_empty=True)
             assert m.keys == [s.key for s, found in zip(samples, expected) if found]
 
     def test_samples_may_share_abstract_within_split(self):
@@ -207,14 +207,17 @@ class TestAssignAbstracts:
         abstracts = [make_abstract("a1", {"c1"}), make_abstract("a2", {"c1"})]
         samples = [make_sample("c1", "o1"), make_sample("c1", "o2")]
         loaded = {"abstract": {"a1": 0, "a2": 2}, "sample": {"c1|o1": 1, "c1|o2": 0}}
-        assert [codes.tolist() for codes in row_codes(loaded, ["a2", "a1"], samples, "a.tsv")] == [[2, 0], [1, 0]]
+        files = {"abstract": "k.tsv", "sample": "s.tsv"}
+        codes = row_codes(loaded, ["a2", "a1"], samples, "a.tsv", files)
+        assert [row.tolist() for row in codes] == [[2, 0], [1, 0]]
         del loaded["abstract"]["a1"]
-        with pytest.raises(ValidationError, match="^a.tsv: abstract 'a1' missing from the split assignment$"):
-            row_codes(loaded, ids(abstracts), samples, "a.tsv")
+        missing = "missing from the split assignment$"
+        with pytest.raises(ValidationError, match=f"^a.tsv: abstract 'a1' of k.tsv {missing}"):
+            row_codes(loaded, ids(abstracts), samples, "a.tsv", files)
         loaded["abstract"]["a1"] = 0
         del loaded["sample"]["c1|o2"]
-        with pytest.raises(ValidationError, match=r"^a.tsv: sample 'c1\|o2' missing from the split assignment$"):
-            row_codes(loaded, ids(abstracts), samples, "a.tsv")
+        with pytest.raises(ValidationError, match=rf"^a.tsv: sample 'c1\|o2' of s.tsv {missing}"):
+            row_codes(loaded, ids(abstracts), samples, "a.tsv", files)
 
 
 def adversarial_fixture():
@@ -276,7 +279,7 @@ class TestAssignmentFile:
         save(p2, encode_assignment(split_of(abstracts, samples, seed=9), ids(abstracts), samples, 9, DEFAULT_RATIOS))
         assert p1.read_bytes() == p2.read_bytes()
         loaded, header = load_assignment(p1)
-        codes = row_codes(loaded, ids(abstracts), samples, p1)
+        codes = row_codes(loaded, ids(abstracts), samples, p1, {})
         assert codes[0].tolist() == split[0].tolist()
         assert codes[1].tolist() == split[1].tolist()
         assert header["seed"] == "9"
