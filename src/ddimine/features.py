@@ -157,9 +157,10 @@ class FeatureMatrix:
         return self.parts.shape[1]
 
     def select(self, rows: np.ndarray) -> FeatureMatrix:
-        """These rows, in this order, and only the parts they use."""
+        """These rows, in this order, and only the parts they use: the same parts, uncopied, when they use all."""
         A, used = referenced(self.A[rows])
-        return FeatureMatrix([self.keys[i] for i in rows], self.parts[used], self.y[rows], self.kind, A)
+        parts = self.parts if len(used) == self.parts.shape[0] else self.parts[used]
+        return FeatureMatrix([self.keys[i] for i in rows], parts, self.y[rows], self.kind, A)
 
 
 def build_count_matrix(

@@ -23,8 +23,7 @@ code aligned with its row; featurize and diagnose-split get those codes back as
 ``assignment.tsv`` is decoded (:func:`ddimine.splitting.row_codes`).  Each
 computes the sample x abstract incidence from the kept corpus's mention columns
 and the codes (:func:`ddimine.splitting.incidence`); no stage reads
-``assigned_samples.tsv``.  Featurize builds one words -> columns map, to the
-vocabulary or the embedding table, for the part rows of every split.
+``assigned_samples.tsv``.  Featurize maps words to columns once for all splits.
 
 :func:`run_stage` does every artifact read and write.  Before a stage runs, a
 missing input names the stage that produces it (:class:`MissingArtifactError`),
