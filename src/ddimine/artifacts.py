@@ -23,14 +23,16 @@ are written by :func:`encode_records` and read by :func:`read_records` and
 :func:`check_csr`, which refuse any damage with a :class:`ValidationError`
 that names the path.
 
-The line-format inputs (lexicon, catalog, MAR, stopwords, embeddings) and the
-text artifact bodies are read by one line reader.  :func:`input_lines` opens an
-input, a byte-order mark read as absent, and skips blank lines, and ``#`` lines
-in the formats with comments; :func:`body_lines` reads a body after the header.
-A line ends at LF, CR LF or CR, comes without its end, and is refused unless it
-is UTF-8.  A :class:`ValidationError` raised while the lines are read, by the
-reader or its caller, is raised again as ``path:line: message``, naming the
-last line read.
+The line-format inputs (lexicon, catalog, MAR, stopwords, embeddings, and
+each file or archive member of a ``lines`` corpus) and the text artifact bodies
+are read by one line reader.  :func:`input_lines` opens an input, or reads one
+already open, such as a tar member, a byte-order mark read as absent, and skips
+blank lines, and ``#`` lines in the formats with comments; :func:`body_lines`
+reads a body after the header.  A line ends at LF, CR LF or CR, comes without
+its end, and is refused unless it is UTF-8; with a ``width``, it comes as its
+tab-separated fields, refused unless there are that many.  A
+:class:`ValidationError` raised while the lines are read, by the reader or its
+caller, is raised again as ``path:line: message``, naming the last line read.
 """
 
 from __future__ import annotations
@@ -124,11 +126,17 @@ def _rows(lines: Iterator[str], width: int) -> Iterator[list[str]]:
 
 
 @contextmanager
-def input_lines(path: Path | str, comments: bool = False) -> Iterator[Iterator[str]]:
-    """An input file's lines, numbered from 1, but blank ones, and with ``comments`` those that start with ``#``."""
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as text:
-        with _numbered(path, text, 1, "#" if comments else "") as lines:
-            yield lines
+def input_lines(path: Path | str, comments: bool = False, width: int | None = None,
+                source: BinaryIO | None = None) -> Iterator[Iterator]:
+    """An input file's lines, numbered from 1, but blank ones, and with ``comments`` those that start with ``#``.
+
+    With ``width``, each line comes as its tab-separated fields, refused unless there are ``width``.  With
+    ``source``, the lines are read from that open binary stream, which is closed after, and ``path`` only names it.
+    """
+    with open(path, "rb") if source is None else source as fh:
+        with io.TextIOWrapper(fh, encoding="utf-8-sig", errors="surrogateescape") as text:
+            with _numbered(path, text, 1, "#" if comments else "") as lines:
+                yield lines if width is None else _rows(lines, width)
 
 
 @contextmanager

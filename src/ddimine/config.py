@@ -162,12 +162,15 @@ PATHS = tuple(f.name for f in fields(PipelineConfig) if not (f.metadata or is_da
 
 
 def load_config(path: Path | str, overrides: dict[str, Any] | None = None) -> PipelineConfig:
-    """Parse and validate; raises ConfigError listing every violation at once."""
+    """Parse and validate; raises ConfigError listing every violation at once, and naming ``path``."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:  # ValueError: a JSON or UTF-8 decode error
-        raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
-    return build_config(raw, overrides)
+        raise ConfigError([f"cannot read config {path}: {exc}"], path) from exc
+    try:
+        return build_config(raw, overrides)
+    except ConfigError as exc:
+        raise ConfigError(exc.violations, path) from None
 
 
 def build_config(raw: dict[str, Any], overrides: dict[str, Any] | None = None) -> PipelineConfig:

@@ -1,5 +1,10 @@
 """Abstract ingestion: parsing, tokenization, lexicon matching, stats, stopwords.
 
+A corpus is a file, a directory or a tar archive of ``lines`` files (``id TAB
+text`` per line), read by :func:`ddimine.artifacts.input_lines` as every
+line-format input is, or of PubMed XML files.  A refusal, a repeated id among
+them, names the file or member, and its line or XML byte offset.
+
 The kept corpus ``cardiac.tsv``, the abstracts that mention a lexicon drug,
 holds :class:`AbstractColumns` as records of the codec in
 :mod:`ddimine.artifacts`: the ids; the mentions, a CSR over the sorted drug ids
@@ -29,7 +34,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, NamedTu
 import numpy as np
 
 from . import artifacts
-from .errors import CorpusParseError, ValidationError
+from .errors import ValidationError
 
 if TYPE_CHECKING:  # scipy.sparse loads in 0.2 s; it is imported where a matrix is built, not by synth's import
     import scipy.sparse as sp
@@ -221,8 +226,8 @@ class DrugLexicon:
         """Read rows ``drug_id TAB phrase TAB cardiac_flag``; '#' lines are comments."""
         entries: dict[str, list[tuple[str, ...]]] = {}
         flags: dict[str, bool] = {}
-        with artifacts.input_lines(path, comments=True) as lines:
-            for drug_id, phrase_text, flag_text in map(three_fields, lines):
+        with artifacts.input_lines(path, comments=True, width=3) as rows:
+            for drug_id, phrase_text, flag_text in rows:
                 check_drug_id(drug_id)
                 phrase = tuple(tokenize(phrase_text))
                 if not phrase:
@@ -237,14 +242,6 @@ class DrugLexicon:
         if not entries:
             raise ValidationError(f"{path}: lexicon is empty")
         return cls(entries, [drug_id for drug_id, flag in flags.items() if flag])
-
-
-def three_fields(line: str) -> list[str]:
-    """The tab-separated fields of a lexicon or catalog row, refused unless there are three."""
-    parts = line.split("\t")
-    if len(parts) != 3:
-        raise ValidationError("expected 3 tab-separated fields")
-    return parts
 
 
 def tokenize(text: str) -> list[str]:
@@ -274,91 +271,75 @@ def default_stopwords() -> frozenset[str]:
         return load_stopwords(path)
 
 
-def parse_abstracts(source: BinaryIO, fmt: str, seen: set[str] | None = None) -> tuple[list[Abstract], int]:
-    """Parse one byte stream of abstracts.
+def parse_abstracts(source: BinaryIO, fmt: str, name: str, seen: set[str] | None = None) -> tuple[list[Abstract], int]:
+    """Parse one byte stream of abstracts, ``name`` the file or member it holds, as a refusal gives it.
 
     Returns (abstracts, skipped) where ``skipped`` counts records that lack an
-    abstract body.  Input order is preserved.  Duplicate ids raise, within the
-    stream and against ``seen``, the ids read so far, which it extends.
+    abstract body.  Input order is preserved.  Each kept record's id is checked
+    as it is read (:func:`_kept_id`), against ``seen``, the ids read so far,
+    which it extends.
     """
+    seen = set() if seen is None else seen
     if fmt == "pubmed-xml":
-        abstracts, skipped = _parse_pubmed_xml(source.read())
-    elif fmt == "lines":
-        abstracts, skipped = _parse_lines(source.read())
-    else:
-        raise ValidationError(f"unknown corpus format {fmt!r}; expected one of {CORPUS_FORMATS}")
-    _check_ids(abstracts, set() if seen is None else seen)
-    return abstracts, skipped
+        return _parse_pubmed_xml(source.read(), name, seen)
+    if fmt == "lines":
+        return _parse_lines(source, name, seen)
+    raise ValidationError(f"unknown corpus format {fmt!r}; expected one of {CORPUS_FORMATS}")
 
 
-def _check_ids(abstracts: list[Abstract], seen: set[str]) -> None:
-    """Ids are unique and fit the tab-separated files and ``assigned_samples.tsv``'s ","-joined list ("-": none)."""
-    for ab in abstracts:
-        if ab.id == "-" or any(c in ab.id for c in ",\t\r\n"):
-            raise ValidationError(
-                f"abstract id {ab.id!r} is not allowed: '-', ',', tabs and line breaks are reserved"
-            )
-        if ab.id in seen:
-            raise ValidationError(f"duplicate abstract id {ab.id!r}")
-        seen.add(ab.id)
+def _kept_id(rec_id: str, seen: set[str], where: str = "") -> str:
+    """``rec_id``, added to ``seen``; refused, after ``where``, if ``seen`` holds it, or if it is what the
+    tab-separated files and ``assigned_samples.tsv``'s ","-joined list ("-": none) reserve."""
+    if rec_id == "-" or any(c in rec_id for c in ",\t\r\n"):
+        raise ValidationError(f"{where}abstract id {rec_id!r} is not allowed: '-', ',', tabs and line breaks are "
+                              "reserved")
+    if rec_id in seen:
+        raise ValidationError(f"{where}duplicate abstract id {rec_id!r}")
+    seen.add(rec_id)
+    return rec_id
 
 
-def _parse_lines(data: bytes) -> tuple[list[Abstract], int]:
-    """One ``id TAB text`` record per line; a line ends at LF, CR LF or CR only."""
-    try:
-        decoded = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = len(re.findall(r"\r\n|\r|\n", data[: exc.start].decode("utf-8"))) + 1
-        raise CorpusParseError(f"line {lineno}: not valid UTF-8", exc.start) from None
-    # not str.splitlines, which also ends a line at \x0b, \x0c, \x1c-\x1e, \x85, U+2028 and U+2029
-    lines = decoded.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    del decoded
-    lines[0] = lines[0].removeprefix("\ufeff")  # a UTF-8 byte-order mark
-    abstracts: list[Abstract] = []
+def _parse_lines(source: BinaryIO, name: str, seen: set[str]) -> tuple[list[Abstract], int]:
+    """One ``id TAB text`` record per line, read by :func:`ddimine.artifacts.input_lines`, so a refusal names
+    ``name:line``; a record with no text is skipped.  The texts are cut once every line is read, all together: cut
+    as the lines are read or freed, they interleave with the freed lines, and ingest's peak grows by a tenth."""
+    records: list[tuple[str, str]] = []  # (id, line) of each record with a text
     skipped = 0
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        rec_id, sep, text = raw.partition("\t")
-        rec_id = rec_id.strip()
-        if not rec_id:
-            raise CorpusParseError(f"line {lineno}: record has no id")
-        if not sep or not text.strip():
-            skipped += 1
-            continue
-        abstracts.append(Abstract(id=rec_id, text=text.strip()))
-    return abstracts, skipped
+    with artifacts.input_lines(name, source=source) as lines:
+        for line in lines:
+            tab = line.find("\t")
+            rec_id = (line if tab < 0 else line[:tab]).strip()
+            if not rec_id:
+                raise ValidationError("record has no id")
+            if tab < 0 or len(line.rstrip()) <= tab + 1:  # no text after the tab, which rstrip strips too
+                skipped += 1
+            else:
+                records.append((_kept_id(rec_id, seen), line))
+    return [Abstract(rec_id, line[line.index("\t") + 1 :].strip()) for rec_id, line in records], skipped
 
 
-def _parse_pubmed_xml(data: bytes) -> tuple[list[Abstract], int]:
+def _parse_pubmed_xml(data: bytes, name: str, seen: set[str]) -> tuple[list[Abstract], int]:
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
         line, col = exc.position
-        raise CorpusParseError(f"invalid XML: {exc.msg}", _byte_offset(data, line, col)) from exc
-    if root.tag == "PubmedArticle":
-        records = [root]
-    else:
-        records = list(root.iter("PubmedArticle"))
+        raise ValidationError(f"{name}: invalid XML: {exc.msg} (byte offset {_byte_offset(data, line, col)})") from None
     abstracts: list[Abstract] = []
     skipped = 0
-    for rec in records:
+    for rec in [root] if root.tag == "PubmedArticle" else root.iter("PubmedArticle"):
         pmid_el = rec.find(".//PMID")
         if pmid_el is None or not (pmid_el.text or "").strip():
-            raise CorpusParseError("PubmedArticle record without a PMID")
-        pmid = pmid_el.text.strip()
-        parts = [
-            " ".join(t.strip() for t in el.itertext() if t.strip())
-            for el in rec.findall(".//Abstract//AbstractText")
-        ]
+            raise ValidationError(f"{name}: PubmedArticle record without a PMID")
+        parts = [" ".join(t.strip() for t in el.itertext() if t.strip())
+                 for el in rec.findall(".//Abstract//AbstractText")]
         body = " ".join(p for p in parts if p)
         if not body:
             skipped += 1
             continue
         title_el = rec.find(".//ArticleTitle")
         title = " ".join(t.strip() for t in title_el.itertext()) if title_el is not None else ""
-        text = f"{title} {body}".strip() if title else body
-        abstracts.append(Abstract(id=pmid, text=text))
+        pmid = _kept_id(pmid_el.text.strip(), seen, f"{name}: ")
+        abstracts.append(Abstract(pmid, f"{title} {body}".strip() if title else body))
     return abstracts, skipped
 
 
@@ -379,7 +360,7 @@ def corpus_members(path: Path) -> list[Path]:
 
 def _sources(path: Path) -> Iterator[tuple[str, BinaryIO]]:
     """Each file of the corpus at ``path`` (a file, a directory, or a tar archive) in sorted name order: its name,
-    as a parse error gives it, and its open byte stream."""
+    as a refusal gives it, and its open byte stream."""
     if path.is_dir():
         if not (members := corpus_members(path)):
             raise ValidationError(f"{path}: directory contains no corpus files")
@@ -389,7 +370,8 @@ def _sources(path: Path) -> Iterator[tuple[str, BinaryIO]]:
     elif tarfile.is_tarfile(path):
         with tarfile.open(path) as tar:
             for name in sorted(m.name for m in tar.getmembers() if m.isfile()):
-                yield f"{path}:{name}", tar.extractfile(name)
+                with tar.extractfile(name) as fh:
+                    yield f"{path}:{name}", fh
     else:
         with open(path, "rb") as fh:
             yield str(path), fh
@@ -399,17 +381,13 @@ def load_corpus(path: Path | str, fmt: str) -> tuple[list[Abstract], int]:
     """Load abstracts from a file, a directory of files, or a tar archive.
 
     Each file is parsed in turn (see :func:`_sources`); ids must be unique
-    across the whole corpus.  A parse error names the file or member.
+    across the whole corpus.  A refusal names the file or member.
     """
     abstracts: list[Abstract] = []
     skipped, seen = 0, set()
     with contextlib.closing(_sources(Path(path))) as sources:  # on an error too, the open file is closed now
         for name, source in sources:
-            try:
-                part, skip = parse_abstracts(source, fmt, seen)
-            except CorpusParseError as exc:
-                exc.args = (f"{name}: {exc}",)
-                raise
+            part, skip = parse_abstracts(source, fmt, name, seen)
             abstracts += part
             skipped += skip
     return abstracts, skipped

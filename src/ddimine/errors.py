@@ -1,6 +1,12 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline.
+
+A refused input or artifact, the corpus included, raises a :class:`ValidationError` that names the file, as
+``path:line:`` when a line is at fault; a refused config file raises a :class:`ConfigError` that names it.
+"""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class PipelineError(Exception):
@@ -11,25 +17,14 @@ class ValidationError(PipelineError, ValueError):
     """Input violates a documented precondition or invariant."""
 
 
-class CorpusParseError(PipelineError):
-    """A corpus document is structurally invalid.
-
-    ``byte_offset`` locates the failure in the input byte stream when known.
-    """
-
-    def __init__(self, message: str, byte_offset: int | None = None):
-        if byte_offset is not None:
-            message = f"{message} (byte offset {byte_offset})"
-        super().__init__(message)
-        self.byte_offset = byte_offset
-
-
 class ConfigError(PipelineError):
-    """Configuration invalid; carries every violation found, not just the first."""
+    """Configuration invalid; carries every violation found, not just the first, and the config file's path when
+    it was read from one."""
 
-    def __init__(self, violations: list[str]):
+    def __init__(self, violations: list[str], path: Path | str | None = None):
         self.violations = list(violations)
-        super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in self.violations))
+        where = "" if path is None else f" in {path}"
+        super().__init__(f"invalid configuration{where}:\n" + "\n".join(f"  - {v}" for v in self.violations))
 
 
 class MissingArtifactError(PipelineError):

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import artifacts
-from .corpus import DrugLexicon, check_drug_id, three_fields
+from .corpus import DrugLexicon, check_drug_id
 from .errors import ValidationError
 
 PLACEHOLDER = "(~drug~)"
@@ -71,8 +71,8 @@ class InteractionCatalog:
 
         Rows reach the constructor one at a time, so an error names the last row read, as ``path:line``.
         """
-        with artifacts.input_lines(path, comments=True) as lines:
-            return cls(map(three_fields, lines))
+        with artifacts.input_lines(path, comments=True, width=3) as rows:
+            return cls(rows)
 
 
 @dataclass(frozen=True)

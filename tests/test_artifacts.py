@@ -425,6 +425,12 @@ def test_random_byte_edits_of_the_lexicon_stopwords_and_embeddings_run_or_are_re
     assert all(outcomes[name, code] for name, _, _ in inputs for code in (0, 2))
 
 
+def test_random_byte_edits_of_the_corpus_run_or_are_refused_with_the_path(chain, tmp_path, capsys):
+    """The same edits of the ``lines`` corpus through ``ingest``: each case exits 0, or 2 naming the file."""
+    outcomes = sweep(chain, tmp_path, capsys, random.Random(33), [("corpus", ("ingest",), 30)])
+    assert outcomes["corpus", 0] and outcomes["corpus", 2]
+
+
 # an input, and a stage that reads it
 INPUT_READERS = [("mar", "alerts"), ("catalog", "label"), ("catalog", "alerts"), ("lexicon", "ingest"),
                  ("lexicon", "label"), ("stopwords", "featurize"), ("embeddings", "featurize")]

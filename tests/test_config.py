@@ -51,6 +51,7 @@ def test_every_violation_listed_and_exit_code_2(tmp_path, capsys):
     assert len(info.value.violations) == 4
     assert main(["train", "--config", path]) == 2
     err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid configuration in {path}:\n")
     for field in ("l1_lambda", "tolerance", "standardize", "max_iters"):
         assert f"model.{field}" in err
 

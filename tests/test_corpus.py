@@ -1,4 +1,5 @@
 import io
+import json
 import re
 import tarfile
 import tracemalloc
@@ -27,7 +28,7 @@ from ddimine.corpus import (
     tokenize_abstracts,
 )
 from ddimine.cli import main
-from ddimine.errors import CorpusParseError, ValidationError
+from ddimine.errors import ValidationError
 from ddimine.pipeline import stage_ingest
 from ddimine.synth import SynthParams, write_dataset
 from helpers import KeptAbstract, corpus_of, load_corpus_oracle, match_oracle, same_corpus, save
@@ -117,25 +118,25 @@ class TestTokenize:
 
 class TestParseLines:
     def test_empty_stream(self):
-        abstracts, skipped = parse_abstracts(io.BytesIO(b""), "lines")
+        abstracts, skipped = parse_abstracts(io.BytesIO(b""), "lines", "c.tsv")
         assert abstracts == [] and skipped == 0
 
     def test_single_record(self):
         data = f"X1\t{FIG1_SENTENCE} We assessed the handling of oral bumetanide.".encode()
-        abstracts, skipped = parse_abstracts(io.BytesIO(data), "lines")
+        abstracts, skipped = parse_abstracts(io.BytesIO(data), "lines", "c.tsv")
         assert skipped == 0
         assert abstracts[0].id == "X1"
         assert abstracts[0].text.startswith("Bumetanide and furosemide")
 
     def test_record_without_body_skipped(self):
         data = b"A\tfirst text\nB\t\nC\tthird text\n"
-        abstracts, skipped = parse_abstracts(io.BytesIO(data), "lines")
+        abstracts, skipped = parse_abstracts(io.BytesIO(data), "lines", "c.tsv")
         assert [a.id for a in abstracts] == ["A", "C"]
         assert skipped == 1
 
     def test_records_break_only_at_line_ends(self):
         data = "1\tFirst abstract.\r\n2\tSecond\x0cabstract\x1ctext\u2028more.\r3\tThird\x85one.\n".encode()
-        abstracts, skipped = parse_abstracts(io.BytesIO(data), "lines")
+        abstracts, skipped = parse_abstracts(io.BytesIO(data), "lines", "c.tsv")
         assert [(a.id, a.text) for a in abstracts] == [
             ("1", "First abstract."), ("2", "Second\x0cabstract\x1ctext\u2028more."), ("3", "Third\x85one.")
         ]
@@ -149,18 +150,19 @@ class TestParseLines:
         # str.splitlines would also end a line at ``inner``
         first, second = endings
         data = f"1\tone{inner}text{first}2\ttwo{second}{second}3\tthree{inner}end".encode()
-        abstracts, skipped = _parse_lines(data)
+        abstracts, skipped = _parse_lines(io.BytesIO(data), "c.tsv", set())
         expected = [("1", f"one{inner}text"), ("2", "two"), ("3", f"three{inner}end")]
         assert [(a.id, a.text) for a in abstracts] == expected
         assert skipped == 0
-        with pytest.raises(CorpusParseError, match="^line 4: record has no id$"):  # the blank line counts
-            _parse_lines(data.replace(b"3\tthree", b"\tthree"))
+        with pytest.raises(ValidationError, match="^c.tsv:4: record has no id$"):  # the blank line counts
+            _parse_lines(io.BytesIO(data.replace(b"3\tthree", b"\tthree")), "c.tsv", set())
 
     def test_parse_peak_is_under_four_times_the_input(self, tmp_path):
         data = write_dataset(SynthParams(words_per_abstract=150), tmp_path)["corpus"].read_bytes()
+        source = io.BytesIO(data)
         tracemalloc.start()
         try:
-            abstracts, _ = _parse_lines(data)
+            abstracts, _ = _parse_lines(source, "corpus.tsv", set())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -169,11 +171,11 @@ class TestParseLines:
     def test_duplicate_id_rejected(self):
         data = b"A\tone\nA\ttwo\n"
         with pytest.raises(ValidationError, match="duplicate"):
-            parse_abstracts(io.BytesIO(data), "lines")
+            parse_abstracts(io.BytesIO(data), "lines", "c.tsv")
 
     def test_unknown_format(self):
         with pytest.raises(ValidationError, match="format"):
-            parse_abstracts(io.BytesIO(b""), "csv")
+            parse_abstracts(io.BytesIO(b""), "csv", "c.tsv")
 
 
 PUBMED_DOC = b"""<?xml version="1.0"?>
@@ -210,7 +212,7 @@ PUBMED_DOC = b"""<?xml version="1.0"?>
 
 class TestParsePubmedXml:
     def test_records_and_skip(self):
-        abstracts, skipped = parse_abstracts(io.BytesIO(PUBMED_DOC), "pubmed-xml")
+        abstracts, skipped = parse_abstracts(io.BytesIO(PUBMED_DOC), "pubmed-xml", "c.xml")
         assert [a.id for a in abstracts] == ["101", "103"]
         assert skipped == 1
         assert abstracts[0].text == (
@@ -219,29 +221,28 @@ class TestParsePubmedXml:
         assert abstracts[1].text == "Part one. Part two."
 
     def test_invalid_xml_names_byte_offset(self):
-        with pytest.raises(CorpusParseError, match="byte offset") as err:
-            parse_abstracts(io.BytesIO(b"<a><b></a>"), "pubmed-xml")
-        assert err.value.byte_offset is not None
+        with pytest.raises(ValidationError, match=r"^c\.xml: invalid XML: .* \(byte offset \d+\)$"):
+            parse_abstracts(io.BytesIO(b"<a><b></a>"), "pubmed-xml", "c.xml")
 
     @pytest.mark.parametrize("doc", [
         b"<a>\n<b>\n</a>", b"<a>\r\n<b>\r\n</a>", b"<a>\r<b>\r</a>", b"<a>\n\r\n\r<b>\r</a>",
         "<a>é漢<b></a>".encode(), "<a>\r\né<b>\r漢</a>".encode(), "\ufeff<a>\r<b>é</a>".encode(),
     ], ids=["lf", "crlf", "cr", "mixed", "multibyte", "multibyte-after-endings", "byte-order-mark"])
     def test_invalid_xml_byte_offset_is_where_the_error_is(self, doc):
-        with pytest.raises(CorpusParseError) as err:
-            parse_abstracts(io.BytesIO(doc), "pubmed-xml")
-        assert err.value.byte_offset == doc.rindex(b"a>")  # expat stops at the mismatched end tag's name
+        # expat stops at the mismatched end tag's name
+        with pytest.raises(ValidationError, match=rf"^c\.xml: invalid XML: .* \(byte offset {doc.rindex(b'a>')}\)$"):
+            parse_abstracts(io.BytesIO(doc), "pubmed-xml", "c.xml")
 
     def test_invalid_byte_offset_counts_the_multibyte_characters_before_it(self):
         doc = "<a>\r\né漢 ".encode() + b"\xff</a>"
-        with pytest.raises(CorpusParseError, match="invalid XML") as err:
-            parse_abstracts(io.BytesIO(doc), "pubmed-xml")
-        assert err.value.byte_offset == doc.index(b"\xff")
+        at = doc.index(b"\xff")
+        with pytest.raises(ValidationError, match=rf"^c\.xml: invalid XML: .* \(byte offset {at}\)$"):
+            parse_abstracts(io.BytesIO(doc), "pubmed-xml", "c.xml")
 
     def test_duplicate_pmid_rejected(self):
         doc = PUBMED_DOC.replace(b"<PMID>103</PMID>", b"<PMID>101</PMID>")
         with pytest.raises(ValidationError, match="duplicate"):
-            parse_abstracts(io.BytesIO(doc), "pubmed-xml")
+            parse_abstracts(io.BytesIO(doc), "pubmed-xml", "c.xml")
 
 
 @pytest.mark.parametrize(
@@ -257,7 +258,7 @@ class TestParsePubmedXml:
 def test_id_the_samples_column_cannot_hold_rejected(fmt, doc, rec_id):
     # assigned_samples.tsv joins abstract ids with "," and writes "-" for none
     with pytest.raises(ValidationError, match=re.escape(repr(rec_id))):
-        parse_abstracts(io.BytesIO(doc), fmt)
+        parse_abstracts(io.BytesIO(doc), fmt, "c")
 
 
 class TestLoadCorpus:
@@ -280,11 +281,12 @@ class TestLoadCorpus:
 
     def test_invalid_utf8_names_the_line(self, tmp_path):
         doc = b"A1\tfine text\r\nA2\tmore\rA3\tabc \xff def\n"
-        with pytest.raises(CorpusParseError, match=r"^line 3: not valid UTF-8 \(byte offset 29\)$") as err:
-            parse_abstracts(io.BytesIO(doc), "lines")
-        assert err.value.byte_offset == doc.index(b"\xff")
-        with pytest.raises(CorpusParseError, match="invalid XML"):  # expat refuses it too
-            parse_abstracts(io.BytesIO(PUBMED_DOC.replace(b"Part one.", b"Part \xff one.")), "pubmed-xml")
+        with pytest.raises(ValidationError, match=r"^c\.tsv:3: not valid UTF-8$"):
+            parse_abstracts(io.BytesIO(doc), "lines", "c.tsv")
+        xml = PUBMED_DOC.replace(b"Part one.", b"Part \xff one.")
+        at = xml.index(b"\xff")
+        with pytest.raises(ValidationError, match=rf"^c\.xml: invalid XML: .* \(byte offset {at}\)$"):
+            parse_abstracts(io.BytesIO(xml), "pubmed-xml", "c.xml")  # expat refuses it too
 
         single = tmp_path / "corpus.tsv"
         single.write_bytes(doc)
@@ -298,14 +300,79 @@ class TestLoadCorpus:
                 info.size = len(payload)
                 tar.addfile(info, io.BytesIO(payload))
         for path, name in [(single, single), (tmp_path / "dir", tmp_path / "dir" / "b.tsv"), (archive, f"{archive}:b.tsv")]:
-            with pytest.raises(CorpusParseError, match=re.escape(f"{name}: line 3: not valid UTF-8")):
+            with pytest.raises(ValidationError, match=f"^{re.escape(f'{name}:3: not valid UTF-8')}$"):
                 load_corpus(path, "lines")
 
     def test_duplicate_across_files(self, tmp_path):
         (tmp_path / "a.tsv").write_text("A1\tone\n")
         (tmp_path / "b.tsv").write_text("A1\ttwo\n")
-        with pytest.raises(ValidationError, match="duplicate"):
+        message = f"{tmp_path / 'b.tsv'}:1: duplicate abstract id 'A1'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_corpus(tmp_path, "lines")
+
+
+@pytest.fixture(scope="module")
+def mini(tmp_path_factory):
+    """The ``mini`` preset's config, as parsed JSON, and its corpus's lines."""
+    paths = write_dataset(SynthParams(seed=7), tmp_path_factory.mktemp("mini"))
+    raw = json.loads(paths["config"].read_text(encoding="utf-8"))
+    return raw, paths["corpus"].read_bytes().splitlines(keepends=True)
+
+
+def ingest_exit(raw: dict, corpus, fmt: str, capsys) -> tuple[int, str]:
+    """The exit code and the error output of ``ingest`` through the CLI, under ``raw`` with ``corpus`` in ``fmt``."""
+    raw = {**raw, "paths": {**raw["paths"], "corpus": str(corpus)}, "corpus_format": fmt}
+    config = corpus.parent / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["ingest", "--config", str(config), "--output", str(corpus.parent / "out")])
+    return code, capsys.readouterr().err
+
+
+# an id fault: the id that makes it, given a good one, and the refusal's message
+ID_FAULTS = {
+    "repeated": (lambda ab_id: ab_id, "duplicate abstract id {!r}"),
+    "reserved": (lambda ab_id: "-", "abstract id {!r} is not allowed: '-', ',', tabs and line breaks are reserved"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ID_FAULTS))
+@pytest.mark.parametrize("layout", ["file", "directory", "tar"])
+def test_a_repeated_or_reserved_id_exits_2_naming_its_line(mini, tmp_path, capsys, layout, fault):
+    """In a ``lines`` corpus the id is refused at its line, of the file or of the directory or tar member."""
+    raw, lines = mini
+    edit, message = ID_FAULTS[fault]
+    rec_id, text = lines[1].split(b"\t", 1)
+    bad = edit(rec_id.decode()).encode() + b"\t" + text
+    members = {"a.tsv": b"".join(lines[:3]), "b.tsv": b"".join([*lines[3:6], bad, *lines[6:]])}  # line 4 of b.tsv
+    if layout == "file":
+        corpus, name, lineno = tmp_path / "corpus.tsv", tmp_path / "corpus.tsv", 7
+        corpus.write_bytes(b"".join(members.values()))
+    elif layout == "directory":
+        corpus, name, lineno = tmp_path / "corpus", tmp_path / "corpus" / "b.tsv", 4
+        corpus.mkdir()
+        for member, payload in members.items():
+            (corpus / member).write_bytes(payload)
+    else:
+        corpus, lineno = tmp_path / "corpus.tar", 4
+        name = f"{corpus}:b.tsv"
+        with tarfile.open(corpus, "w") as tar:
+            for member, payload in members.items():
+                info = tarfile.TarInfo(member)
+                info.size = len(payload)
+                tar.addfile(info, io.BytesIO(payload))
+    code, err = ingest_exit(raw, corpus, "lines", capsys)
+    assert (code, err) == (2, f"error: {name}:{lineno}: {message.format(edit(rec_id.decode()))}\n")
+
+
+@pytest.mark.parametrize("fault", sorted(ID_FAULTS))
+def test_a_repeated_or_reserved_pmid_exits_2_naming_its_file(mini, tmp_path, capsys, fault):
+    raw, _ = mini
+    edit, message = ID_FAULTS[fault]
+    corpus = tmp_path / "pubmed.xml"
+    corpus.write_bytes(PUBMED_DOC.replace(b"<PMID>103</PMID>", f"<PMID>{edit('101')}</PMID>".encode()))
+    code, err = ingest_exit(raw, corpus, "pubmed-xml", capsys)
+    assert (code, err) == (2, f"error: {corpus}: {message.format(edit('101'))}\n")
 
 
 class TestMatchDrugs:

@@ -682,11 +682,11 @@ class TestMatrixPersistence:
         save(path, encode_matrix(dense_matrix(np.arange(40_000.0).reshape(2000, 20) / 7, [0, 1] * 1000)),
              {"digest": "abc"})
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        show = subprocess.Popen([sys.executable, "-m", "ddimine.cli", "show", str(path)], env=env,
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert show.stdout.read(100).startswith(b"# ddimine feature-matrix\n")  # the text is far longer than a pipe
-        show.stdout.close()
-        assert show.wait(timeout=60) == 0 and show.stderr.read() == b""
+        with subprocess.Popen([sys.executable, "-m", "ddimine.cli", "show", str(path)], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as show:  # closes the pipes at the end
+            assert show.stdout.read(100).startswith(b"# ddimine feature-matrix\n")  # the text is far longer than a pipe
+            show.stdout.close()
+            assert show.wait(timeout=60) == 0 and show.stderr.read() == b""
 
     def test_show_refuses_a_text_artifact_and_a_corrupt_file(self, tmp_path, written, capsys):
         path, data, _ = written

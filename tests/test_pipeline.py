@@ -449,7 +449,7 @@ def test_ingest_rejects_a_corpus_that_is_not_utf8(tmp_path, capsys):
     lineno = len(paths["corpus"].read_bytes().splitlines())
     assert main(["ingest", "--config", str(paths["config"])]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and f"{paths['corpus']}: line {lineno}: not valid UTF-8" in err[0]
+    assert len(err) == 1 and f"{paths['corpus']}:{lineno}: not valid UTF-8" in err[0]
 
 
 # in UTC these fall outside datetime's years 1 to 9999
