@@ -29,8 +29,10 @@ are read by one line reader.  :func:`input_lines` opens an input, or reads one
 already open, such as a tar member, a byte-order mark read as absent, and skips
 blank lines, and ``#`` lines in the formats with comments; :func:`body_lines`
 reads a body after the header.  A line ends at LF, CR LF or CR, comes without
-its end, and is refused unless it is UTF-8; with a ``width``, it comes as its
-tab-separated fields, refused unless there are that many.  A
+its end, and is refused unless it is UTF-8 and free of NUL bytes, which no text
+input or body holds and a binary file read as text, such as a tar archive whose
+first header is damaged, does; with a ``width``, it comes as its tab-separated
+fields, refused unless there are that many.  A
 :class:`ValidationError` raised while the lines are read, by the reader or its
 caller, is raised again as ``path:line: message``, naming the last line read.
 """
@@ -153,6 +155,8 @@ def _numbered(path: Path | str, text: Iterable[str], first: int, skip: str | Non
             line = line.rstrip("\n")
             if skip is not None and (not line.strip() or skip and line.lstrip().startswith(skip)):
                 continue
+            if "\x00" in line:  # no text holds one; a binary file read as text, such as a tar archive, does
+                raise ValidationError("holds a NUL byte")
             if not line.isascii():
                 try:
                     line.encode("utf-8")  # a byte that is not UTF-8 was read as a lone surrogate, which fails here

@@ -10,7 +10,7 @@ from typing import Iterator
 from . import artifacts
 from .config import load_config
 from .corpus import AbstractColumns, load_abstracts
-from .errors import PipelineError, ValidationError
+from .errors import ConfigError, PipelineError, ValidationError
 from .features import FeatureMatrix, load_matrix
 from .pipeline import STAGES, run_all, run_stage
 from .synth import SynthParams, planted_params, write_dataset
@@ -109,17 +109,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.output is not None:
             overrides["output"] = args.output
         cfg = load_config(args.config, overrides)
-
-        if args.command == "all":
-            ran = run_all(cfg)
-            print(f"completed stages: {', '.join(ran)}")
-        elif args.command == "diagnose-split":
-            run_stage(cfg, "diagnose-split")
-            with artifacts.body_lines(cfg.output / "diagnose_split.txt") as (lines, _):
-                print(*lines, sep="\n")
-        else:
-            run_stage(cfg, args.command)
-            print(f"stage {args.command} complete")
+        try:
+            if args.command == "all":
+                ran = run_all(cfg)
+                print(f"completed stages: {', '.join(ran)}")
+            elif args.command == "diagnose-split":
+                run_stage(cfg, "diagnose-split")
+                with artifacts.body_lines(cfg.output / "diagnose_split.txt") as (lines, _):
+                    print(*lines, sep="\n")
+            else:
+                run_stage(cfg, args.command)
+                print(f"stage {args.command} complete")
+        except ConfigError as exc:  # a stage's path check: the config file set the path
+            raise ConfigError(exc.violations, args.config) from None
         return 0
     except (PipelineError, OSError) as exc:  # an OSError names the path the system refused
         print(f"error: {exc}", file=sys.stderr)

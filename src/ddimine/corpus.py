@@ -3,7 +3,12 @@
 A corpus is a file, a directory or a tar archive of ``lines`` files (``id TAB
 text`` per line), read by :func:`ddimine.artifacts.input_lines` as every
 line-format input is, or of PubMed XML files.  A refusal, a repeated id among
-them, names the file or member, and its line or XML byte offset.
+them, names the file or member, and its line or XML byte offset.  A tar archive
+is refused, naming it, unless every member header parses and a full zero block,
+the end-of-archive marker, follows the last, since ``tarfile`` reads a damaged
+header, or a cut, as the archive's end; a tar or decompression error is refused
+so too.  An archive whose first header is damaged is no tar to ``tarfile``: it
+is read as one corpus file, whose NUL bytes both formats refuse.
 
 The kept corpus ``cardiac.tsv``, the abstracts that mention a lexicon drug,
 holds :class:`AbstractColumns` as records of the codec in
@@ -23,13 +28,15 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
+import lzma
 import re
 import tarfile
 import xml.etree.ElementTree as ET
+import zlib
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -367,14 +374,32 @@ def _sources(path: Path) -> Iterator[tuple[str, BinaryIO]]:
         for member in members:
             with open(member, "rb") as fh:
                 yield str(member), fh
-    elif tarfile.is_tarfile(path):
+    elif _checked_tar(path, tarfile.is_tarfile, path):
         with tarfile.open(path) as tar:
-            for name in sorted(m.name for m in tar.getmembers() if m.isfile()):
+            for name in sorted(m.name for m in _checked_tar(path, _members, tar) if m.isfile()):
                 with tar.extractfile(name) as fh:
                     yield f"{path}:{name}", fh
     else:
         with open(path, "rb") as fh:
             yield str(path), fh
+
+
+def _members(tar: tarfile.TarFile) -> list[tarfile.TarInfo]:
+    """The archive's members, once a full zero block, the end-of-archive marker, is found after the last."""
+    members = tar.getmembers()
+    tar.fileobj.seek(tar.offset)
+    if tar.fileobj.read(tarfile.BLOCKSIZE) != bytes(tarfile.BLOCKSIZE):
+        raise tarfile.ReadError(f"no end-of-archive block at byte {tar.offset}: a header is damaged or the archive "
+                                "is cut short")
+    return members
+
+
+def _checked_tar(path: Path, read: Callable, *args):
+    """``read(*args)``, a read of the tar archive at ``path``; a tar or decompression error is refused naming it."""
+    try:
+        return read(*args)
+    except (tarfile.TarError, EOFError, zlib.error, lzma.LZMAError) as exc:
+        raise ValidationError(f"{path}: damaged tar archive: {exc}") from None
 
 
 def load_corpus(path: Path | str, fmt: str) -> tuple[list[Abstract], int]:

@@ -1,7 +1,8 @@
 """Exception types shared across the pipeline.
 
 A refused input or artifact, the corpus included, raises a :class:`ValidationError` that names the file, as
-``path:line:`` when a line is at fault; a refused config file raises a :class:`ConfigError` that names it.
+``path:line:`` when a line is at fault; a refused config file raises a :class:`ConfigError` that names it, and
+through the CLI so does a path that a stage refuses, such as one that does not exist, as the config file sets it.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import io
 import math
 import random
 import re
+import tarfile
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -80,6 +81,15 @@ def header_of(path) -> dict[str, str]:
     """An artifact's header fields alone, its body text or binary."""
     with artifacts.opened(path) as (_, fields):
         return fields
+
+
+def write_tar(path, members: dict[str, bytes], mode: str = "w") -> None:
+    """A tar archive of ``members``, name -> bytes, in order; ``mode`` as ``tarfile.open`` takes it, "w:gz" say."""
+    with tarfile.open(path, mode) as tar:
+        for name, payload in members.items():
+            info = tarfile.TarInfo(name)
+            info.size = len(payload)
+            tar.addfile(info, io.BytesIO(payload))
 
 
 def read_table(path) -> dict[str, np.ndarray]:

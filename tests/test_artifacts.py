@@ -1,4 +1,5 @@
-"""The artifact codec: header format, digest checks, missing inputs and atomic writes."""
+"""The artifact codec: header format, digest checks, missing inputs and atomic writes; and the refusals of damaged
+files, driven by a reader table derived from the stage table, ending in one sweep of byte edits over every read."""
 
 import functools
 import io
@@ -7,15 +8,16 @@ import json
 import random
 import re
 import shutil
-from collections import Counter
 from pathlib import Path
+from typing import Iterator
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
 from ddimine import artifacts
 from ddimine.cli import main
-from ddimine.config import load_config
+from ddimine.config import PATH_RULES, PATHS, load_config
 from ddimine.corpus import (
     DrugLexicon, encode_abstracts, load_abstracts, load_stopwords,
 )
@@ -23,30 +25,35 @@ from ddimine.errors import ArtifactMismatchError, MissingArtifactError, Validati
 from ddimine.features import encode_matrix, load_embeddings
 from ddimine.labeling import InteractionCatalog
 from ddimine.mar_alerts import parse_mar
-from ddimine.pipeline import STAGES, run_all, run_stage
+from ddimine.pipeline import ARTIFACTS, STAGES, run_all, run_stage
 from ddimine.synth import SynthParams, write_dataset
-from helpers import KeptAbstract, corpus_of, dense_matrix, load_corpus_oracle, read_body, same_corpus, save
+from helpers import KeptAbstract, corpus_of, dense_matrix, load_corpus_oracle, read_body, same_corpus, save, write_tar
 
-# every artifact a later stage reads: (artifact, producing stage, a reading stage)
-READS = [
-    ("cardiac.tsv", "ingest", "filter"),
-    ("cardiac.tsv", "ingest", "split"),
-    ("cardiac.tsv", "ingest", "featurize"),
-    ("samples.tsv", "label", "split"),
-    ("samples.tsv", "label", "featurize"),
-    ("assignment.tsv", "split", "featurize"),
-    ("features_train.txt", "featurize", "train"),
-    ("features_dev.txt", "featurize", "evaluate"),
-    ("features_test.txt", "featurize", "evaluate"),
-    ("model.txt", "train", "evaluate"),
-]
+# The reader table, derived from the stage table: each artifact a stage reads, as (artifact, stage), and each input
+# file, as (path field, stage).  A stage reads an input under the settings that config.PATH_RULES says need it.
+ARTIFACT_READS = [(name, stage) for stage, spec in STAGES.items() for name in spec.reads]
+INPUT_READS = [(key, stage) for stage, spec in STAGES.items() for key in spec.config if key in PATHS]
 
 
-def test_stage_table_declares_every_read():
-    declared = {(name, stage) for stage, spec in STAGES.items() for name in spec.reads}
-    diagnosis = ("cardiac.tsv", "assignment.tsv", "samples.tsv")
-    expected = {(name, stage) for name, _, stage in READS} | {(name, "diagnose-split") for name in diagnosis}
-    assert declared == expected
+def readers(name: str) -> list[str]:
+    """The stages that read the artifact ``name``, in chain order."""
+    return [stage for artifact, stage in ARTIFACT_READS if artifact == name]
+
+
+def reading(key: str, stage: str) -> list[str]:
+    """The stages that declare the input ``key``, in chain order, up to ``stage``: run in turn on an edited input,
+    each gives the next fresh artifacts, so that filter meets the ``cardiac.tsv`` of an edited lexicon."""
+    order = list(STAGES)
+    return [s for s in order[: order.index(stage) + 1] if key in STAGES[s].config]
+
+
+def npy_bodied(path: Path) -> bool:
+    with artifacts.opened(path) as (_, fields):
+        return fields.get("body") == "npy"
+
+
+def stage_args(stage: str, config: Path, output: Path) -> list[str]:
+    return [stage, "--config", str(config), "--output", str(output)]
 
 
 # as bytes: a feature file's body is binary
@@ -77,7 +84,7 @@ def chain(tmp_path_factory):
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
-@pytest.mark.parametrize("name, producer, stage", READS)
+@pytest.mark.parametrize("name, producer, stage", [(name, ARTIFACTS[name], stage) for name, stage in ARTIFACT_READS])
 def test_damaged_input_refused(chain, tmp_path, capsys, damage, name, producer, stage):
     config, out = chain
     shutil.copytree(out, tmp_path / "out")
@@ -92,7 +99,7 @@ def test_damaged_input_refused(chain, tmp_path, capsys, damage, name, producer, 
             run_stage(cfg, stage)
         assert f"rerun the {producer!r} stage" in str(info.value)
     capsys.readouterr()
-    assert main([stage, "--config", str(config), "--output", str(cfg.output)]) == 2
+    assert main(stage_args(stage, config, cfg.output)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err and len(err.splitlines()) == 1
 
@@ -209,12 +216,10 @@ def test_a_multibyte_text_artifact_reads_the_same_through_the_binary_header_read
     assert same_corpus(load_abstracts(path), corpus) and load_abstracts(path).header == fields
 
 
-# a body line, as (artifact, the stage that reads it)
-NOT_UTF8 = [("samples.tsv", "split"), ("assignment.tsv", "featurize"), ("model.txt", "evaluate")]
-
-
-@pytest.mark.parametrize("name, stage", NOT_UTF8)
+@pytest.mark.parametrize("name, stage", ARTIFACT_READS)
 def test_a_body_line_that_is_not_utf8_exits_2_naming_its_line(chain, tmp_path, capsys, name, stage):
+    """A byte that is not UTF-8 at the start of the body's last line: a text body is refused at that line, an npy
+    body, which has no lines, as a damaged file."""
     config, out = chain
     shutil.copytree(out, tmp_path / "out")
     path = tmp_path / "out" / name
@@ -223,9 +228,10 @@ def test_a_body_line_that_is_not_utf8_exits_2_naming_its_line(chain, tmp_path, c
     lineno = data.count(b"\n")
     path.write_bytes(data[:last] + b"\xff" + data[last:])
     capsys.readouterr()
-    assert main([stage, "--config", str(config), "--output", str(tmp_path / "out")]) == 2
+    assert main(stage_args(stage, config, tmp_path / "out")) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and f"{path}:{lineno}: not valid UTF-8" in err[0]
+    refusal = f"error: {path}: " if npy_bodied(path) else f"error: {path}:{lineno}: not valid UTF-8"
+    assert len(err) == 1 and err[0].startswith(refusal)
 
 
 def test_a_text_kept_corpus_under_a_current_digest_is_refused(chain, tmp_path, capsys):
@@ -237,9 +243,9 @@ def test_a_text_kept_corpus_under_a_current_digest_is_refused(chain, tmp_path, c
     lines = [f"{ab.id}\t{' '.join(sorted(ab.drug_mentions))}\t{' '.join(ab.tokens)}\n" for ab in abstracts]
     # the text the older format wrote, under the same header
     artifacts.write(path, "tokenized-abstracts", header, "".join(["# id\tmentions\ttokens\n", *lines]))
-    for stage in ("filter", "split"):
+    for stage in readers("cardiac.tsv"):
         capsys.readouterr()
-        assert main([stage, "--config", str(config), "--output", str(tmp_path / "out")]) == 2
+        assert main(stage_args(stage, config, tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and "rerun ingest" in err and len(err.splitlines()) == 1
 
@@ -269,17 +275,17 @@ def swap_first_rise(indptr: np.ndarray) -> np.ndarray:
     return out
 
 
-# record file -> (the stage that reads it; its columns record, indptr record and a record whose count must match the
-# rows, by position; and its columns' bound, read off the records and the header)
+# record file -> (its columns record, indptr record and a record whose count must match the rows, by position; and its
+# columns' bound, read off the records and the header)
 RECORD_FILES = {
-    "cardiac.tsv": ("filter", 6, 5, 0, lambda records, head: len(records[4].tobytes().split(b"\n"))),
-    "features_train.txt": ("train", 1, 0, 5, lambda records, head: int(head.split(b"# dims: ")[1].split(b"\n")[0])),
+    "cardiac.tsv": (6, 5, 0, lambda records, head: len(records[4].tobytes().split(b"\n"))),
+    "features_train.txt": (1, 0, 5, lambda records, head: int(head.split(b"# dims: ")[1].split(b"\n")[0])),
 }
 
 
 def damaged(case: str, name: str, data: bytes, head: bytes, records: list[np.ndarray]) -> bytes | list[np.ndarray]:
     """The file's bytes, or its records, with one damage of ``case``."""
-    _, columns, indptr, counted, bound = RECORD_FILES[name]
+    columns, indptr, counted, bound = RECORD_FILES[name]
     records = list(records)
     if case == "truncated":
         return data[:-3]
@@ -313,131 +319,38 @@ def test_damaged_records_refused_through_the_cli(chain, tmp_path, capsys, name, 
     else:
         write_npy_records(path, head, result)
     capsys.readouterr()
-    assert main([RECORD_FILES[name][0], "--config", str(config), "--output", str(tmp_path / "out")]) == 2
+    assert main(stage_args(readers(name)[0], config, tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and len(err.splitlines()) == 1
 
 
-# each artifact the byte-edit sweep damages, and the commands it runs the damaged file through
-SWEPT = {
-    "cardiac.tsv": ("filter", "show"), "features_train.txt": ("show",), "model.txt": ("evaluate",),
-    "samples.tsv": ("split", "featurize", "diagnose-split"), "assignment.tsv": ("featurize", "diagnose-split"),
-}
-
-
-def test_random_byte_edits_load_or_are_refused_with_the_path(chain, tmp_path, capsys):
-    """1 to 4 random bytes overwritten, deleted or inserted anywhere in an artifact: through the CLI, each case
-    exits 0, or 2 naming the file.  Each stage reads fresh copies of its other inputs, as a stage that loads a
-    damaged file writes over the outputs: split rewrites ``assignment.tsv`` under the same digest."""
-    config, out = chain
-    work = tmp_path / "out"
-    shutil.copytree(out, work)
-    rng = random.Random(26)
-    outcomes = Counter()
-    for name, commands in SWEPT.items():
-        original = (out / name).read_bytes()
-        for _ in range(40):
-            data = byte_edited(rng, original)
-            for command in commands:
-                for read in () if command == "show" else STAGES[command].reads:
-                    shutil.copyfile(out / read, work / read)
-                (work / name).write_bytes(data)
-                args = ["show", str(work / name)] if command == "show" else [command, "--config", str(config),
-                                                                             "--output", str(work)]
-                code = main(args)
-                err = capsys.readouterr().err
-                assert code == 0 or code == 2 and str(work / name) in err, (name, command, err)
-                outcomes[name, code] += 1
-    for name in SWEPT:  # most edits are refused; some, such as a count raised, load
-        assert outcomes[name, 2] > outcomes[name, 0], name
-    assert outcomes["cardiac.tsv", 0] and outcomes["model.txt", 0] and outcomes["samples.tsv", 0]
-
-
-def byte_edited(rng: random.Random, original: bytes) -> bytes:
-    """``original`` with 1 to 4 random bytes overwritten, deleted or inserted."""
-    data = bytearray(original)
-    for _ in range(rng.randint(1, 4)):
-        at, edit = rng.randrange(len(data)), rng.choice(("overwrite", "delete", "insert"))
-        if edit == "overwrite":
-            data[at] = rng.randrange(256)
-        elif edit == "delete":
-            del data[at]
-        else:
-            data.insert(at, rng.randrange(256))
-    return bytes(data)
-
-
-# the settings under which a stage reads an input that it reads only under some settings
-READ_WITH = {"stopwords": {"vocab_stopwords": "drop"}, "embeddings": {"features": "embeddings"}}
+def configured(config: Path, root: Path, paths: dict[str, Path], settings: dict | None = None) -> Path:
+    """A copy of ``config``, in ``root``, with ``paths`` and ``settings`` set."""
+    root.mkdir(parents=True, exist_ok=True)
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    raw["paths"].update({key: str(path) for key, path in paths.items()})
+    raw.update(settings or {})
+    (root / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    return root / "config.json"
 
 
 def with_input(config: Path, root: Path, name: str, data: bytes) -> tuple[Path, Path]:
-    """(a copy of ``config`` whose input ``name``, such as ``mar``, holds ``data``, with the settings its reading
-    stage needs; that input), both in ``root``."""
-    raw = json.loads(config.read_text(encoding="utf-8"))
-    path = root / Path(raw["paths"][name]).name
+    """(a copy of ``config`` whose input ``name``, such as ``mar``, holds ``data``, with the settings under which
+    its stages read it; that input), both in ``root``."""
+    path = root / Path(json.loads(config.read_text(encoding="utf-8"))["paths"][name]).name
+    settings = {setting: value for (setting, value), needed in PATH_RULES.items() if name in needed}
+    damaged = configured(config, root, {name: path}, settings)
     path.write_bytes(data)
-    raw["paths"][name] = str(path)
-    raw.update(READ_WITH.get(name, {}))
-    (root / "config.json").write_text(json.dumps(raw), encoding="utf-8")
-    return root / "config.json", path
+    return damaged, path
 
 
 def input_bytes(config: Path, name: str) -> bytes:
     return Path(json.loads(config.read_text(encoding="utf-8"))["paths"][name]).read_bytes()
 
 
-def sweep(chain, tmp_path, capsys, rng: random.Random, inputs) -> Counter:
-    """Each (input, reading stages, number of edits) of ``inputs``, edited as above and run through the CLI, each
-    input on its own copy of the outputs: the (input, exit code) counts, once each case exits 0, or 2 naming the
-    file."""
-    config, out = chain
-    outcomes = Counter()
-    for name, stages, edits in inputs:
-        shutil.copytree(out, tmp_path / name / "out")
-        original = input_bytes(config, name)
-        for _ in range(edits):
-            damaged, path = with_input(config, tmp_path, name, byte_edited(rng, original))
-            for stage in stages:
-                code = main([stage, "--config", str(damaged), "--output", str(tmp_path / name / "out")])
-                err = capsys.readouterr().err
-                assert code == 0 or code == 2 and str(path) in err, (name, stage, err)
-                outcomes[name, code] += 1
-    return outcomes
-
-
-def test_random_byte_edits_of_the_alerts_inputs_run_or_are_refused_with_the_path(chain, tmp_path, capsys):
-    """The same edits of ``mar.tsv`` and ``catalog.tsv`` through ``alerts``, and of ``catalog.tsv`` through
-    ``label``: each case exits 0, or 2 naming the file."""
-    outcomes = sweep(chain, tmp_path, capsys, random.Random(28), [("mar", ("alerts",), 30),
-                                                                 ("catalog", ("alerts", "label"), 12)])
-    assert all(outcomes[name, code] for name in ("mar", "catalog") for code in (0, 2))
-
-
-def test_random_byte_edits_of_the_lexicon_stopwords_and_embeddings_run_or_are_refused_with_the_path(
-    chain, tmp_path, capsys
-):
-    """The same edits of ``lexicon.tsv`` through ``ingest`` and ``label``, and of the stopword list and the
-    embeddings through ``featurize``: each case exits 0, or 2 naming the file."""
-    inputs = [("lexicon", ("ingest", "label"), 16), ("stopwords", ("featurize",), 12),
-              ("embeddings", ("featurize",), 20)]
-    outcomes = sweep(chain, tmp_path, capsys, random.Random(29), inputs)
-    assert all(outcomes[name, code] for name, _, _ in inputs for code in (0, 2))
-
-
-def test_random_byte_edits_of_the_corpus_run_or_are_refused_with_the_path(chain, tmp_path, capsys):
-    """The same edits of the ``lines`` corpus through ``ingest``: each case exits 0, or 2 naming the file."""
-    outcomes = sweep(chain, tmp_path, capsys, random.Random(33), [("corpus", ("ingest",), 30)])
-    assert outcomes["corpus", 0] and outcomes["corpus", 2]
-
-
-# an input, and a stage that reads it
-INPUT_READERS = [("mar", "alerts"), ("catalog", "label"), ("catalog", "alerts"), ("lexicon", "ingest"),
-                 ("lexicon", "label"), ("stopwords", "featurize"), ("embeddings", "featurize")]
-
-
-@pytest.mark.parametrize("name, stage", INPUT_READERS)
+@pytest.mark.parametrize("name, stage", INPUT_READS)
 def test_an_input_line_that_is_not_utf8_exits_2_naming_its_line(chain, tmp_path, capsys, name, stage):
+    """The first stage of :func:`reading` refuses it, and so leaves the later ones no artifact of it."""
     config, out = chain
     shutil.copytree(out, tmp_path / "out")
     data = input_bytes(config, name)
@@ -445,7 +358,7 @@ def test_an_input_line_that_is_not_utf8_exits_2_naming_its_line(chain, tmp_path,
     lineno = data.count(b"\n")
     damaged, path = with_input(config, tmp_path, name, data[:last] + b"\xff" + data[last:])
     capsys.readouterr()
-    assert main([stage, "--config", str(damaged), "--output", str(tmp_path / "out")]) == 2
+    assert main(stage_args(reading(name, stage)[0], damaged, tmp_path / "out")) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"{path}:{lineno}: not valid UTF-8" in err[0]
 
@@ -464,13 +377,13 @@ def test_an_input_refused_as_a_whole_exits_2_naming_the_file_and_no_line(chain, 
     shutil.copytree(out, tmp_path / "out")
     damaged, path = with_input(config, tmp_path, name, edit(input_bytes(config, name)))
     capsys.readouterr()
-    assert main([stage, "--config", str(damaged), "--output", str(tmp_path / "out")]) == 2
+    assert main(stage_args(stage, damaged, tmp_path / "out")) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {path}: {message}")
 
 
 # each line-format input: its reader, its good lines ('#' lines among them in the formats with comments), and a line
-# its format refuses (None: any UTF-8 line is a stopword)
+# its format refuses (None: any UTF-8 line is a stopword); every format refuses a line that is not UTF-8 or holds NUL
 LINE_FORMATS = {
     "lexicon": (DrugLexicon.load, ["# drug_id\tphrase\tflag", "d1\taspirin\t1", "d2\twarfarin sodium\t0"],
                 "d3\theparin"),
@@ -480,7 +393,7 @@ LINE_FORMATS = {
     "embeddings": (functools.partial(load_embeddings, stopwords=()), ["x 1.0 0.0", "y 0.0 1.0"], "z 1.0 zero"),
 }
 BAD_LINES = [(name, bad) for name, (_, _, malformed) in LINE_FORMATS.items()
-             for bad in ("not-utf8", "malformed")[: 1 + (malformed is not None)]]
+             for bad in ("not-utf8", "nul", "malformed")[: 2 + (malformed is not None)]]
 
 
 @pytest.mark.parametrize("name, bad", BAD_LINES)
@@ -493,14 +406,14 @@ def test_an_input_refusal_names_its_line_under_a_byte_order_mark_and_every_line_
     path = tmp_path / name
     path.write_bytes(b"\xef\xbb\xbf" + text.encode())
     reader(path)  # loads
-    line = good[-1].encode() + b"\xff" if bad == "not-utf8" else malformed.encode()
+    line = malformed.encode() if bad == "malformed" else good[-1].encode() + {"not-utf8": b"\xff", "nul": b"\0"}[bad]
     path.write_bytes(b"\xef\xbb\xbf" + text.encode() + line + b"\r\n")
     lineno = len(re.findall(r"\r\n|\r|\n", text)) + 1  # the line ends before the bad line, each of the three kinds
     with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:{lineno}: ')}"):
         reader(path)
 
 
-@pytest.mark.parametrize("stage", ["featurize", "diagnose-split"])
+@pytest.mark.parametrize("stage", readers("assignment.tsv"))
 @pytest.mark.parametrize("kind", ["abstract", "sample"])
 def test_a_row_missing_from_the_assignment_exits_2_naming_the_file(chain, tmp_path, capsys, kind, stage):
     """A row deleted from ``assignment.tsv`` under its intact header is refused with the file's path, and the path of
@@ -513,13 +426,13 @@ def test_a_row_missing_from_the_assignment_exits_2_naming_the_file(chain, tmp_pa
     key = lines[i].split("\t")[1]
     path.write_text("".join(lines[:i] + lines[i + 1 :]), encoding="utf-8")
     capsys.readouterr()
-    assert main([stage, "--config", str(config), "--output", str(tmp_path / "out")]) == 2
+    assert main(stage_args(stage, config, tmp_path / "out")) == 2
     source = path.with_name("cardiac.tsv" if kind == "abstract" else "samples.tsv")
     message = f"error: {path}: {kind} {key!r} of {source} missing from the split assignment"
     assert capsys.readouterr().err.splitlines() == [message]
 
 
-@pytest.mark.parametrize("stage", ["split", "featurize", "diagnose-split"])
+@pytest.mark.parametrize("stage", readers("samples.tsv"))
 def test_a_repeated_sample_exits_2_naming_its_line(chain, tmp_path, capsys, stage):
     """A ``samples.tsv`` that holds one (cardiac, other) row twice, under its intact header, is refused at the copy."""
     config, out = chain
@@ -529,35 +442,26 @@ def test_a_repeated_sample_exits_2_naming_its_line(chain, tmp_path, capsys, stag
     i = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     path.write_text("".join(lines[: i + 4] + lines[i : i + 1] + lines[i + 4 :]), encoding="utf-8")  # at line i + 5
     capsys.readouterr()
-    assert main([stage, "--config", str(config), "--output", str(tmp_path / "out")]) == 2
+    assert main(stage_args(stage, config, tmp_path / "out")) == 2
     cardiac, other = lines[i].split("\t")[:2]
     assert capsys.readouterr().err.splitlines() == [f"error: {path}:{i + 5}: repeated sample {cardiac}|{other}"]
 
 
-def directory_input(name: str, stage: str):
+def directory_input(config: Path, root: Path, name: str, stage: str) -> tuple[list[str], Path]:
     """A case of :data:`OS_REFUSALS`: ``stage`` run with the input ``name`` an empty directory."""
-
-    def case(config: Path, root: Path) -> tuple[list[str], Path]:
-        raw = json.loads(config.read_text(encoding="utf-8"))
-        (root / name).mkdir()
-        raw["paths"][name] = str(root / name)
-        (root / "config.json").write_text(json.dumps(raw), encoding="utf-8")
-        return [stage, "--config", str(root / "config.json"), "--output", str(root / "out")], root / name
-
-    return case
+    (root / name).mkdir()
+    return stage_args(stage, configured(config, root, {name: root / name}), root / "out"), root / name
 
 
 # a path the system refuses: case -> (config, a directory holding the file "f") -> (the CLI arguments, the path)
 OS_REFUSALS = {
     "show-missing": lambda config, root: (["show", str(root / "absent")], root / "absent"),
     "show-directory": lambda config, root: (["show", str(root)], root),
-    "output-is-a-file": lambda config, root: (["label", "--config", str(config), "--output", str(root / "f")],
-                                              root / "f"),
-    "output-under-a-file": lambda config, root: (["label", "--config", str(config), "--output", str(root / "f" / "o")],
-                                                 root / "f" / "o"),
-    "lexicon-directory-ingest": directory_input("lexicon", "ingest"),
-    "catalog-directory-label": directory_input("catalog", "label"),
-    "mar-directory-alerts": directory_input("mar", "alerts"),
+    "output-is-a-file": lambda config, root: (stage_args("label", config, root / "f"), root / "f"),
+    "output-under-a-file": lambda config, root: (stage_args("label", config, root / "f" / "o"), root / "f" / "o"),
+    "lexicon-directory-ingest": functools.partial(directory_input, name="lexicon", stage="ingest"),
+    "catalog-directory-label": functools.partial(directory_input, name="catalog", stage="label"),
+    "mar-directory-alerts": functools.partial(directory_input, name="mar", stage="alerts"),
 }
 
 
@@ -570,3 +474,96 @@ def test_a_path_the_system_refuses_exits_2_naming_it(chain, tmp_path, capsys, ca
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def byte_edited(rng: random.Random, original: bytes) -> bytes:
+    """``original`` with 1 to 4 random bytes overwritten, deleted or inserted."""
+    data = bytearray(original)
+    for _ in range(rng.randint(1, 4)):
+        at, edit = rng.randrange(len(data)), rng.choice(("overwrite", "delete", "insert"))
+        if edit == "overwrite":
+            data[at] = rng.randrange(256)
+        elif edit == "delete":
+            del data[at]
+        else:
+            data.insert(at, rng.randrange(256))
+    return bytes(data)
+
+
+def corpus_layouts(config: Path, root: Path) -> list[tuple[Path, Path]]:
+    """The chain's ``lines`` corpus, in two halves, laid out under ``root`` as a directory of two files, a tar
+    archive of two members and a PubMed XML file: each as (a copy of ``config`` that reads it, the file to edit)."""
+    lines = input_bytes(config, "corpus").splitlines(keepends=True)
+    halves = {"a.tsv": b"".join(lines[: len(lines) // 2]), "b.tsv": b"".join(lines[len(lines) // 2 :])}
+    (root / "corpus").mkdir(parents=True)
+    for name, payload in halves.items():
+        (root / "corpus" / name).write_bytes(payload)
+    write_tar(root / "corpus.tar", halves)
+    records = (line.decode().rstrip("\n").split("\t", 1) for line in lines)
+    (root / "corpus.xml").write_text("<PubmedArticleSet>\n" + "".join(
+        f"<PubmedArticle><MedlineCitation><PMID>{escape(pmid)}</PMID><Article><Abstract><AbstractText>{escape(text)}"
+        "</AbstractText></Abstract></Article></MedlineCitation></PubmedArticle>\n" for pmid, text in records
+    ) + "</PubmedArticleSet>\n", encoding="utf-8")
+    return [(configured(config, root / "directory", {"corpus": root / "corpus"}), root / "corpus" / "b.tsv"),
+            (configured(config, root / "tar", {"corpus": root / "corpus.tar"}), root / "corpus.tar"),
+            (configured(config, root / "xml", {"corpus": root / "corpus.xml"}, {"corpus_format": "pubmed-xml"}),
+             root / "corpus.xml")]
+
+
+EDITS = 16  # random edits of each read
+
+
+def sweep_cases(config: Path, out: Path, root: Path) -> Iterator[tuple[Path, bytes, list[list[str]], set[str]]]:
+    """Each read of the reader table, set up under ``root``, as (the file to edit, its bytes, the commands that read
+    it in turn, the artifacts they read, restored before each edit).  An npy-bodied artifact goes through ``show``
+    too, an input through the stages of :func:`reading`, the config through each stage that reads no artifact, and
+    the corpus also as a directory, a tar archive and a PubMed XML file."""
+    work = root / "out"
+    for name, stage in ARTIFACT_READS:
+        yield work / name, (out / name).read_bytes(), [stage_args(stage, config, work)], {*STAGES[stage].reads}
+    for path in sorted(path for path in out.iterdir() if path.is_file() and npy_bodied(path)):
+        yield work / path.name, path.read_bytes(), [["show", str(work / path.name)]], set()
+    for key, stage in INPUT_READS:
+        damaged, path = with_input(config, root / f"{key}-{stage}", key, input_bytes(config, key))
+        stages = reading(key, stage)
+        yield path, path.read_bytes(), [stage_args(s, damaged, work) for s in stages], \
+            set().union(*(STAGES[s].reads for s in stages))
+    shutil.copyfile(config, root / "config.json")
+    for stage in (stage for stage, spec in STAGES.items() if not spec.reads):
+        yield root / "config.json", config.read_bytes(), [stage_args(stage, root / "config.json", work)], set()
+    for damaged, path in corpus_layouts(config, root / "layouts"):
+        yield path, path.read_bytes(), [stage_args("ingest", damaged, work)], set()
+
+
+def run_through(capsys, path: Path, commands: list[list[str]]) -> int:
+    """Run ``commands`` through the CLI in turn, up to the first refusal, and give its exit code, or 0.  A run exits
+    0 and prints no error, or exits 2 naming ``path`` on the error's one line; a config refusal lists its
+    violations on the lines after."""
+    for argv in commands:
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert code == 2 and err[0].startswith("error: ") and str(path) in err[0], (argv, err)
+            assert all(line.startswith("  - ") for line in err[1:]), (argv, err)
+            return code
+        assert not err, (argv, err)
+    return 0
+
+
+def test_byte_edits_of_every_read_run_or_are_refused_with_the_path(chain, tmp_path, capsys):
+    """1 to 4 random bytes overwritten, deleted or inserted anywhere in each file of :func:`sweep_cases`, run
+    through the commands that read it: each run exits 0, or 2 naming the file, and each file is refused at least
+    once."""
+    config, out = chain
+    shutil.copytree(out, tmp_path / "out")
+    rng = random.Random(34)
+    codes = []
+    for path, original, commands, reads in sweep_cases(config, out, tmp_path):
+        for _ in range(EDITS):
+            for name in reads:
+                shutil.copyfile(out / name, tmp_path / "out" / name)
+            path.write_bytes(byte_edited(rng, original))
+            codes.append(run_through(capsys, path, commands))
+        assert 2 in codes[-EDITS:], (path, commands)
+    # 13 artifact reads, 4 npy-bodied artifacts through show, 9 input reads, the config through 3 stages, 3 layouts
+    assert len(codes) == 32 * EDITS and 0 in codes

@@ -31,7 +31,7 @@ from ddimine.cli import main
 from ddimine.errors import ValidationError
 from ddimine.pipeline import stage_ingest
 from ddimine.synth import SynthParams, write_dataset
-from helpers import KeptAbstract, corpus_of, load_corpus_oracle, match_oracle, same_corpus, save
+from helpers import KeptAbstract, corpus_of, load_corpus_oracle, match_oracle, same_corpus, save, write_tar
 
 FIG1_SENTENCE = "Bumetanide and furosemide in heart failure."
 
@@ -270,11 +270,7 @@ class TestLoadCorpus:
 
     def test_tar_archive(self, tmp_path):
         archive = tmp_path / "corpus.tar"
-        with tarfile.open(archive, "w") as tar:
-            for name, payload in [("x.xml", PUBMED_DOC)]:
-                info = tarfile.TarInfo(name)
-                info.size = len(payload)
-                tar.addfile(info, io.BytesIO(payload))
+        write_tar(archive, {"x.xml": PUBMED_DOC})
         abstracts, skipped = load_corpus(archive, "pubmed-xml")
         assert [a.id for a in abstracts] == ["101", "103"]
         assert skipped == 1
@@ -294,11 +290,7 @@ class TestLoadCorpus:
         (tmp_path / "dir" / "a.tsv").write_text("B1\tgood\n")
         (tmp_path / "dir" / "b.tsv").write_bytes(doc)
         archive = tmp_path / "corpus.tar"
-        with tarfile.open(archive, "w") as tar:
-            for name, payload in [("a.tsv", b"B1\tgood\n"), ("b.tsv", doc)]:
-                info = tarfile.TarInfo(name)
-                info.size = len(payload)
-                tar.addfile(info, io.BytesIO(payload))
+        write_tar(archive, {"a.tsv": b"B1\tgood\n", "b.tsv": doc})
         for path, name in [(single, single), (tmp_path / "dir", tmp_path / "dir" / "b.tsv"), (archive, f"{archive}:b.tsv")]:
             with pytest.raises(ValidationError, match=f"^{re.escape(f'{name}:3: not valid UTF-8')}$"):
                 load_corpus(path, "lines")
@@ -356,13 +348,37 @@ def test_a_repeated_or_reserved_id_exits_2_naming_its_line(mini, tmp_path, capsy
     else:
         corpus, lineno = tmp_path / "corpus.tar", 4
         name = f"{corpus}:b.tsv"
-        with tarfile.open(corpus, "w") as tar:
-            for member, payload in members.items():
-                info = tarfile.TarInfo(member)
-                info.size = len(payload)
-                tar.addfile(info, io.BytesIO(payload))
+        write_tar(corpus, members)
     code, err = ingest_exit(raw, corpus, "lines", capsys)
     assert (code, err) == (2, f"error: {name}:{lineno}: {message.format(edit(rec_id.decode()))}\n")
+
+
+# a tar corpus damaged: case -> (its write mode, the edit of its bytes given where the second member's header
+# starts, the refusal after the archive's path)
+TAR_DAMAGES = {
+    # no tar once its first header fails its checksum, the archive is read as a lines file: NUL bytes
+    "first-header-edited": ("w", lambda data, at: data[:148] + b"X" + data[149:], ":1: holds a NUL byte"),
+    # tarfile takes a damaged header, or the end of the file, for the archive's end
+    "second-header-edited": ("w", lambda data, at: data[: at + 148] + b"X" + data[at + 149 :],
+                             ": damaged tar archive: no end-of-archive block"),
+    "cut-at-the-second-header": ("w", lambda data, at: data[:at], ": damaged tar archive: no end-of-archive block"),
+    "cut-inside-a-member": ("w", lambda data, at: data[: at - 100], ": damaged tar archive: unexpected end of data"),
+    "gzip-cut-at-two-thirds": ("w:gz", lambda data, at: data[: 2 * len(data) // 3],
+                               ": damaged tar archive: Compressed file ended"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAR_DAMAGES))
+def test_a_damaged_or_cut_tar_corpus_exits_2_naming_the_archive(mini, tmp_path, capsys, case):
+    raw, lines = mini
+    mode, edit, refusal = TAR_DAMAGES[case]
+    members = {"a.tsv": b"".join(lines[: len(lines) // 2]), "b.tsv": b"".join(lines[len(lines) // 2 :])}
+    corpus = tmp_path / "corpus.tar"
+    write_tar(corpus, members, mode)
+    at = tarfile.BLOCKSIZE * (2 + (len(members["a.tsv"]) - 1) // tarfile.BLOCKSIZE)  # a.tsv's header, its data padded
+    corpus.write_bytes(edit(corpus.read_bytes(), at))
+    code, err = ingest_exit(raw, corpus, "lines", capsys)
+    assert code == 2 and err.startswith(f"error: {corpus}{refusal}") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("fault", sorted(ID_FAULTS))

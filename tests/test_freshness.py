@@ -168,7 +168,8 @@ def test_alerts_without_a_mar_path_exit_2(mini, tmp_path, capsys):
     assert info.value.violations == ["paths.mar is required by the 'alerts' stage"]
     capsys.readouterr()
     assert main(["alerts", "--config", str(config)]) == 2
-    assert capsys.readouterr().err.splitlines()[1:] == ["  - paths.mar is required by the 'alerts' stage"]
+    assert capsys.readouterr().err.splitlines() == [f"error: invalid configuration in {config}:",
+                                                    "  - paths.mar is required by the 'alerts' stage"]
 
 
 def test_every_missing_declared_path_listed(mini, tmp_path, capsys):
@@ -179,6 +180,7 @@ def test_every_missing_declared_path_listed(mini, tmp_path, capsys):
     capsys.readouterr()
     assert main(["label", "--config", str(config)]) == 2
     err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid configuration in {config}:\n")  # the config set the paths
     for key, val in missing.items():
         assert f"paths.{key} does not exist: {val}" in err
     # unset, a path that only a setting asks for is not missing
