@@ -376,7 +376,7 @@ def _sources(path: Path) -> Iterator[tuple[str, BinaryIO]]:
                 yield str(member), fh
     elif _checked_tar(path, tarfile.is_tarfile, path):
         with tarfile.open(path) as tar:
-            for name in sorted(m.name for m in _checked_tar(path, _members, tar) if m.isfile()):
+            for name in sorted(m.name for m in _checked_tar(path, _members, tar, OSError) if m.isfile()):
                 with tar.extractfile(name) as fh:
                     yield f"{path}:{name}", fh
     else:
@@ -394,11 +394,12 @@ def _members(tar: tarfile.TarFile) -> list[tarfile.TarInfo]:
     return members
 
 
-def _checked_tar(path: Path, read: Callable, *args):
-    """``read(*args)``, a read of the tar archive at ``path``; a tar or decompression error is refused naming it."""
+def _checked_tar(path: Path, read: Callable, arg, *errors: type[Exception]):
+    """``read(arg)``, a read of the tar archive at ``path``; a tar or decompression error, or one of ``errors`` (on an
+    open archive, an ``OSError`` is bz2's "Invalid data stream", say), is refused naming it."""
     try:
-        return read(*args)
-    except (tarfile.TarError, EOFError, zlib.error, lzma.LZMAError) as exc:
+        return read(arg)
+    except (tarfile.TarError, EOFError, zlib.error, lzma.LZMAError, *errors) as exc:
         raise ValidationError(f"{path}: damaged tar archive: {exc}") from None
 
 

@@ -353,26 +353,32 @@ def test_a_repeated_or_reserved_id_exits_2_naming_its_line(mini, tmp_path, capsy
     assert (code, err) == (2, f"error: {name}:{lineno}: {message.format(edit(rec_id.decode()))}\n")
 
 
-# a tar corpus damaged: case -> (its write mode, the edit of its bytes given where the second member's header
-# starts, the refusal after the archive's path)
+# a tar corpus damaged: case -> (its write mode, the bytes of payload a third member adds, the edit of its bytes
+# given where the second member's header starts, the refusal after the archive's path)
 TAR_DAMAGES = {
     # no tar once its first header fails its checksum, the archive is read as a lines file: NUL bytes
-    "first-header-edited": ("w", lambda data, at: data[:148] + b"X" + data[149:], ":1: holds a NUL byte"),
+    "first-header-edited": ("w", 0, lambda data, at: data[:148] + b"X" + data[149:], ":1: holds a NUL byte"),
     # tarfile takes a damaged header, or the end of the file, for the archive's end
-    "second-header-edited": ("w", lambda data, at: data[: at + 148] + b"X" + data[at + 149 :],
+    "second-header-edited": ("w", 0, lambda data, at: data[: at + 148] + b"X" + data[at + 149 :],
                              ": damaged tar archive: no end-of-archive block"),
-    "cut-at-the-second-header": ("w", lambda data, at: data[:at], ": damaged tar archive: no end-of-archive block"),
-    "cut-inside-a-member": ("w", lambda data, at: data[: at - 100], ": damaged tar archive: unexpected end of data"),
-    "gzip-cut-at-two-thirds": ("w:gz", lambda data, at: data[: 2 * len(data) // 3],
+    "cut-at-the-second-header": ("w", 0, lambda data, at: data[:at], ": damaged tar archive: no end-of-archive block"),
+    "cut-inside-a-member": ("w", 0, lambda data, at: data[: at - 100], ": damaged tar archive: unexpected end of data"),
+    "gzip-cut-at-two-thirds": ("w:gz", 0, lambda data, at: data[: 2 * len(data) // 3],
                                ": damaged tar archive: Compressed file ended"),
+    # four bz2 blocks of 900 kB: the middle byte lies in the second, which bz2 refuses as the listing reads past it
+    "bz2-block-edited": ("w:bz2", 3_000_000, lambda data, at: data[: len(data) // 2] + bytes([data[len(data) // 2] ^ 1])
+                         + data[len(data) // 2 + 1 :], ": damaged tar archive: Invalid data stream"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TAR_DAMAGES))
 def test_a_damaged_or_cut_tar_corpus_exits_2_naming_the_archive(mini, tmp_path, capsys, case):
     raw, lines = mini
-    mode, edit, refusal = TAR_DAMAGES[case]
+    mode, payload, edit, refusal = TAR_DAMAGES[case]
     members = {"a.tsv": b"".join(lines[: len(lines) // 2]), "b.tsv": b"".join(lines[len(lines) // 2 :])}
+    if payload:  # the corpus again and again, each copy's ids made new
+        copies = -(-payload // sum(map(len, lines)))
+        members["c.tsv"] = b"".join(b"%d-" % k + line for k in range(copies) for line in lines)
     corpus = tmp_path / "corpus.tar"
     write_tar(corpus, members, mode)
     at = tarfile.BLOCKSIZE * (2 + (len(members["a.tsv"]) - 1) // tarfile.BLOCKSIZE)  # a.tsv's header, its data padded
