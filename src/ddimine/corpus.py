@@ -7,8 +7,10 @@ them, names the file or member, and its line or XML byte offset.  A tar archive
 is refused, naming it, unless every member header parses and a full zero block,
 the end-of-archive marker, follows the last, since ``tarfile`` reads a damaged
 header, or a cut, as the archive's end; a tar or decompression error is refused
-so too.  An archive whose first header is damaged is no tar to ``tarfile``: it
-is read as one corpus file, whose NUL bytes both formats refuse.
+so too.  A compressed archive is read to the end of its stream, where its
+checksum is met, so edited data that still decompresses is refused as well.
+An archive whose first header is damaged is no tar to ``tarfile``: it is read
+as one corpus file, whose NUL bytes both formats refuse.
 
 The kept corpus ``cardiac.tsv``, the abstracts that mention a lexicon drug,
 holds :class:`AbstractColumns` as records of the codec in
@@ -385,12 +387,15 @@ def _sources(path: Path) -> Iterator[tuple[str, BinaryIO]]:
 
 
 def _members(tar: tarfile.TarFile) -> list[tarfile.TarInfo]:
-    """The archive's members, once a full zero block, the end-of-archive marker, is found after the last."""
+    """The archive's members, once a full zero block, the end-of-archive marker, is found after the last, and the
+    stream is read to its end: a compressed stream's check (gzip's CRC, bz2's block CRCs) is met only there."""
     members = tar.getmembers()
     tar.fileobj.seek(tar.offset)
     if tar.fileobj.read(tarfile.BLOCKSIZE) != bytes(tarfile.BLOCKSIZE):
         raise tarfile.ReadError(f"no end-of-archive block at byte {tar.offset}: a header is damaged or the archive "
                                 "is cut short")
+    while tar.fileobj.read(1 << 16):
+        pass
     return members
 
 

@@ -15,14 +15,14 @@ embeddings (:func:`build_count_matrix`): integer sums for counts, exact; for
 embeddings, each word's tf * v added in sorted-word order, and a sample's
 abstract vectors in sorted-id order.
 
-:class:`FeatureMatrix` holds the factors; X is formed only when read, as CSC,
-straight from them with no intermediate of its size.  A feature file holds the
-factors too, so no sample x word matrix is ever written.  Its text header
-carries ``rows``, ``parts``, ``dims`` and ``kind``; the body is seven records of
-the codec in :mod:`ddimine.artifacts`, in :data:`_RECORDS` order: P's indptr,
-columns and values, A's indptr and part indices, the labels, and the sample
-keys.  Counts are stored as the smallest unsigned type; other values stay
-float64, so -0.0, NaN payloads and fractions are kept.  ``ddimine show``
+:class:`FeatureMatrix` holds the factors, and no stage forms X: training and
+scoring go through A and P (:class:`ddimine.learn.Design`).  A feature file
+holds the factors too, so no sample x word matrix is ever written.  Its text
+header carries ``rows``, ``parts``, ``dims`` and ``kind``; the body is seven
+records of the codec in :mod:`ddimine.artifacts`, in :data:`_RECORDS` order:
+P's indptr, columns and values, A's indptr and part indices, the labels, and
+the sample keys.  Counts are stored as the smallest unsigned type; other values
+stay float64, so -0.0, NaN payloads and fractions are kept.  ``ddimine show``
 prints a file as text.
 """
 
@@ -119,13 +119,14 @@ class FeatureMatrix:
     ``parts`` holds the part rows P (an abstract's counts or embedding) as
     float CSR, duplicate cells summed, and ``A`` the binary sample x part
     incidence, so a sample's row is the sum of its parts, added in ascending
-    part order.  ``X = A @ P`` is formed on first read and kept, as float CSC
-    with sorted row indices: the transpose of the CSR product P' @ A', which
-    writes X's arrays once, with no intermediate of X's size.  The solver
-    reads X, its transpose (a CSR view) and its row selections from it alone.
-    A feature file stores the CSR arrays of P and A (not A's data, all ones),
-    ``y`` and ``keys`` as its body's records, narrowed, and ``kind`` in its
-    header; :func:`load_matrix` widens them back to these types.
+    part order.  The solver and the scores read A and P alone.  ``X = A @ P``
+    is formed only on a read of :attr:`X`, which no stage makes (the benchmark
+    does), and kept, as float CSC with sorted row indices: the transpose of the
+    CSR product P' @ A', which writes X's arrays once, with no intermediate of
+    X's size.  A feature file stores the CSR arrays of P and A (not A's data,
+    all ones), ``y`` and ``keys`` as its body's records, narrowed, and
+    ``kind`` in its header; :func:`load_matrix` widens them back to these
+    types.
     """
 
     keys: list[str]

@@ -11,17 +11,24 @@ lambda = 0).  A fit is ``converged`` when that residual is at most
 ``ModelSection.tolerance``; both figures are kept in ``TrainingMeta``.
 
 A train stage builds its design once (:func:`design`): the matrix is checked,
-and its columns standardized when set, there and nowhere else.  The lambda
-grid, every CV fold and the final fit all read that one design, the
-matrix's own CSC X: X @ w, X' @ r through its CSR view, a working set's
-columns and a fold's training rows all come from it, with no transposed copy.
+and its column scale computed when standardizing, there and nowhere else.
+The design is an operator over the matrix's factors, the sample x part
+incidence A and the part rows P (:class:`ddimine.features.FeatureMatrix`):
+X @ w is A @ (P @ w) and X' @ r is P' @ (A' @ r), with w divided by the scale
+when standardizing, so no stage forms X.  The lambda grid, every CV fold and
+the final fit read that one design; a fold is A's rows with the same P, and
+its held-out scores come from the held-out rows of A.
 
 * Logistic loss uses a working-set solver.  Each outer step computes the full
   gradient and stops once the residual meets the tolerance.  Otherwise the
   working set becomes the support plus the worst violators, at most
   max(10, 2 * |support|) columns, and a projected (orthant-wise) Newton method
   with an Armijo line search on the true objective solves the problem
-  restricted to those columns, held as a dense block, plus the bias.  A Newton
+  restricted to those columns, held as a dense block, plus the bias.  A
+  column of X is computed as A @ P[:, j] when it first enters a working set,
+  and kept for the rest of the design's lambda path (:meth:`Design.block`).
+  The outer loop reads its scores off the Newton solve, so each outer step
+  makes one product through the factors, the gradient's.  A Newton
   step takes one exponential of the scores and solves its damped system by LU,
   with least squares as the fallback.  A zero weight that the step would move
   along its pseudo-gradient is dropped and the system solved again without it
@@ -30,7 +37,8 @@ columns and a fold's training rows all come from it, with no transposed copy.
   halves it.  After CV the final fit starts from the mean of the fold fits at
   the chosen lambda, a few steps from its optimum.
 * Hinge loss is the exact L1-SVM linear program (Zhu et al. 2003), solved by
-  HiGHS; the residual is read off the program's duals.
+  HiGHS; the residual is read off the program's duals.  The program needs X's
+  cells, so the hinge fit forms X from the factors for itself.
 
 ``max_iters`` caps the Newton steps or the LP iterations; a logistic fit cut
 off by it reports ``converged = False``.  Training uses no randomness and a
@@ -48,7 +56,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import artifacts
-from .config import ModelSection
+from .config import LOSS_KINDS, ModelSection
 from .errors import ValidationError
 from .features import FeatureMatrix
 from .metrics import roc_curve
@@ -168,43 +176,86 @@ def _initial_bias(y: np.ndarray) -> float:
     return float(np.log(ybar) - np.log1p(-ybar))
 
 
-class Design(NamedTuple):
-    """The training design: X (CSC), its columns divided by ``scale`` when standardizing, and y as float."""
+class Design:
+    """The training design X = A @ P, each column j divided by ``scale[j]`` when standardizing, as an operator.
 
-    X: sp.csc_matrix
-    y: np.ndarray
-    scale: np.ndarray | None
+    ``A`` is the binary sample x part incidence (CSR), ``P`` the part rows
+    (CSR) and ``y`` the labels as float.  X is never formed: its products go
+    through the factors, and the Newton blocks come from a cache of its
+    columns (:meth:`block`).  Each design has its own cache, so a CV fold's
+    columns go with the fold.
+    """
+
+    def __init__(self, A: sp.csr_matrix, P: sp.csr_matrix, y: np.ndarray, scale: np.ndarray | None):
+        self.A, self.P, self.y, self.scale = A, P, y, scale
+        self.shape = A.shape[0], P.shape[1]
+        self._inverse = None if scale is None else 1.0 / scale
+        self._slot = np.full(P.shape[1], -1)  # column j's row in the cache, or -1 before it is computed
+        self._cache = np.empty((0, A.shape[0]))
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """X @ w, as A @ (P @ w)."""
+        return self.A @ (self.P @ (w if self._inverse is None else w * self._inverse))
+
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        """X' @ r, as P' @ (A' @ r): transposed views, no copy."""
+        g = self.P.T @ (self.A.T @ r)
+        return g if self._inverse is None else g * self._inverse
+
+    def rows(self, index: np.ndarray) -> Design:
+        """The design of these rows: A's rows, with the same P and scale, and an empty cache."""
+        return Design(self.A[index], self.P, self.y[index], self.scale)
+
+    def block(self, columns: np.ndarray) -> np.ndarray:
+        """X's ``columns`` as the rows of a dense array.
+
+        A column is computed as A @ P[:, j], scaled as X's, the first time it
+        is asked for, and kept: the working sets change little down a lambda
+        path, so each column is computed once per design.
+        """
+        new = columns[self._slot[columns] < 0]
+        if new.size:
+            values = (self.A @ self.P[:, new].toarray()).T
+            if self._inverse is not None:
+                values = values * self._inverse[new, None]
+            self._slot[new] = np.arange(len(self._cache), len(self._cache) + new.size)
+            self._cache = np.concatenate([self._cache, values])
+        return self._cache[self._slot[columns]]
+
+
+# rows of X formed at a time while the column scale is summed
+_SCALE_ROWS = 4096
 
 
 def design(matrix: FeatureMatrix, standardize: bool) -> Design:
     """Check the training matrix and build its design, once per train stage.
 
-    A matrix with no columns, a single class or a non-finite value is refused.
-    The scale comes from the whole matrix, so the lambda grid, every CV fold
-    and the final fit all see the same columns.  Unstandardized, the design
-    holds the matrix's X itself; standardized, X's structure with each stored
-    value x_ij times 1/scale_j, the product X @ diags(1/scale) makes.
+    A matrix with no columns, a single class or a non-finite part value is
+    refused.  The scale comes from the whole matrix, so the lambda grid, every
+    CV fold and the final fit all see the same columns.
     """
-    X = matrix.X
+    A, P = matrix.A, matrix.parts
     if matrix.dims < 1:
         raise ValidationError("feature matrix has no columns")
     if len(np.unique(matrix.y)) < 2:
         raise ValidationError("training data contains a single class")
-    if not np.all(np.isfinite(X.data)):
+    if not np.all(np.isfinite(P.data)):
         raise ValidationError("feature matrix contains non-finite values")
-    y = np.asarray(matrix.y, dtype=float)
-    if not standardize:
-        return Design(X, y, None)
-    scale = _column_scale(X)
-    data = X.data * np.repeat(1.0 / scale, np.diff(X.indptr))
-    return Design(sp.csc_matrix((data, X.indices, X.indptr), shape=X.shape), y, scale)
+    return Design(A, P, np.asarray(matrix.y, dtype=float), _column_scale(A, P) if standardize else None)
 
 
-def _column_scale(X: sp.csc_matrix) -> np.ndarray:
-    mean = np.asarray(X.mean(axis=0)).ravel()
-    mean_sq = np.asarray(X.multiply(X).mean(axis=0)).ravel()
-    var = np.maximum(mean_sq - mean * mean, 0.0)
-    std = np.sqrt(var)
+def _column_scale(A: sp.csr_matrix, P: sp.csr_matrix) -> np.ndarray:
+    """Each column's standard deviation over the rows of X = A @ P, 1 where it is 0.
+
+    The sums run over blocks of ``_SCALE_ROWS`` rows of X, so X is never held whole.
+    """
+    n, d = A.shape[0], P.shape[1]
+    sums = np.zeros((2, d))
+    for start in range(0, n, _SCALE_ROWS):
+        X = A[start : start + _SCALE_ROWS] @ P
+        sums += np.bincount(X.indices, X.data, d), np.bincount(X.indices, X.data * X.data, d)
+    mean, mean_sq = sums / n
+    std = np.sqrt(np.maximum(mean_sq - mean * mean, 0.0))
     std[std == 0.0] = 1.0
     return std
 
@@ -216,9 +267,8 @@ def lambda_max(d: Design) -> float:
     this is max_j |(1/n) sum_i x_ij (y_i - mean(y))| on the design's columns.
     Training at ``lam >= lambda_max`` yields exactly zero weights.
     """
-    s = np.full(len(d.y), _initial_bias(d.y), dtype=float)
-    gw, _ = loss_gradient("logistic", d.X, d.y, s)
-    return float(np.max(np.abs(np.asarray(gw).ravel())))
+    s = np.full(len(d.y), _initial_bias(d.y))
+    return float(np.max(np.abs(d.rmatvec((_sigmoids(s)[0] - d.y) / len(d.y)))))
 
 
 def train(
@@ -230,36 +280,34 @@ def train(
     columns, as ``CvResult.w_start`` is.  The weights are returned on the
     matrix's own columns.
     """
-    fit = _fit(d.X, d.y, config, w0, b0)
+    fit = _fit(d, config, w0, b0)
     w = fit.w if d.scale is None else fit.w / d.scale
     meta = TrainingMeta(fit.iterations, fit.objective, seed, d.scale is not None, fit.kkt_rel, fit.converged)
     return LinearModel(w, fit.b, config.loss, config.l1_lambda, meta)
 
 
-def _fit(
-    X: sp.csc_matrix, y: np.ndarray, config: ModelSection, w0: np.ndarray | None = None, b0: float | None = None
-) -> _Fit:
-    """Solve at ``config.l1_lambda`` on X; logistic fits start from (w0, b0) when given."""
+def _fit(d: Design, config: ModelSection, w0: np.ndarray | None = None, b0: float | None = None) -> _Fit:
+    """Solve at ``config.l1_lambda`` on the design; logistic fits start from (w0, b0) when given."""
     if config.loss == "hinge":
-        fit = _fit_hinge(X, y, config)
+        fit = _fit_hinge(d, config)
     else:
-        fit = _fit_logistic(X, y, config, w0, b0)
+        fit = _fit_logistic(d, config, w0, b0)
     if not np.isfinite(fit.objective):
         raise ValidationError("training diverged to a non-finite objective")
     return fit
 
 
-def _fit_logistic(X, y: np.ndarray, config: ModelSection, w0, b0) -> _Fit:
-    """Working-set outer loop: full gradient and KKT stop, then Newton on the set."""
-    lam = config.l1_lambda
+def _fit_logistic(X: Design, config: ModelSection, w0, b0) -> _Fit:
+    """Working-set outer loop: full gradient and KKT stop, then Newton on the set, which returns the scores."""
+    lam, y = config.l1_lambda, X.y
     n, d = X.shape
     w = np.zeros(d) if w0 is None else np.array(w0, dtype=float)
     b = _initial_bias(y) if b0 is None else float(b0)
+    s = np.full(n, b) if w0 is None else X.matvec(w) + b
     iterations = 0
     while True:
-        s = np.asarray(X @ w).ravel() + b
         r = (_sigmoids(s)[0] - y) / n
-        pg = _pseudo_gradient(w, np.asarray(X.T @ r).ravel(), lam)
+        pg = _pseudo_gradient(w, X.rmatvec(r), lam)
         kkt_rel = _kkt_rel(pg, float(r.sum()), lam)
         if kkt_rel <= config.tolerance or iterations >= config.max_iters:
             break
@@ -268,8 +316,7 @@ def _fit_logistic(X, y: np.ndarray, config: ModelSection, w0, b0) -> _Fit:
         priority[support] = np.inf
         ranked = np.argsort(-priority, kind="stable")[: max(_MIN_WORKING_SET, 2 * len(support))]
         ws = np.sort(ranked[priority[ranked] > 0])
-        block = X[:, ws].T.toarray()
-        w_ws, b, steps = _newton(block, y, lam, w[ws], b, config.tolerance, config.max_iters - iterations)
+        w_ws, b, s, steps = _newton(X.block(ws), y, lam, w[ws], b, config.tolerance, config.max_iters - iterations)
         iterations += steps
         w = np.zeros(d)
         w[ws] = w_ws
@@ -296,7 +343,7 @@ def _newton(
     is a descent direction; most steps drop nothing and solve once.  No weight
     may cross zero within a step: the step is projected onto the orthant it
     starts in.  The step is halved until the objective falls by the Armijo
-    fraction of the predicted decrease.  Returns (w, b, steps taken).
+    fraction of the predicted decrease.  Returns (w, b, the scores w @ A + b, steps taken).
     """
     n = len(y)
     s = w @ A + b
@@ -346,10 +393,10 @@ def _newton(
                 break
             t *= 0.5
         else:
-            return w, b, steps
+            return w, b, s, steps
         w, b, s = w_new, b + t * db, s + h
         steps += 1
-    return w, b, steps
+    return w, b, s, steps
 
 
 def _solve_damped(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -369,17 +416,22 @@ def _solve_damped(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(H, rhs, rcond=_RCOND)[0]
 
 
-def _fit_hinge(X, y: np.ndarray, config: ModelSection) -> _Fit:
+def _fit_hinge(factors: Design, config: ModelSection) -> _Fit:
     """The exact L1-SVM as a linear program (Zhu et al. 2003), solved by HiGHS.
 
     Variables [u, v, b, xi] with w = u - v: minimise lam * sum(u + v) + mean(xi)
     subject to xi_i >= 1 - y_i (x_i.w + b) and u, v, xi >= 0.  The duals of the
     margin constraints are the hinge subgradient weights at the optimum, which
-    give the KKT residual.
+    give the KKT residual.  X is formed from the factors here, as sorted CSR,
+    for the program.
     """
     from scipy.optimize import linprog  # deferred: `import ddimine` stays free of scipy.optimize
 
-    lam = config.l1_lambda
+    lam, y = config.l1_lambda, factors.y
+    X = factors.A @ factors.P
+    X.sort_indices()
+    if factors.scale is not None:
+        X.data *= (1.0 / factors.scale)[X.indices]
     n, d = X.shape
     ysign = 2.0 * y - 1.0
     YX = sp.csr_matrix(sp.diags(ysign) @ X)
@@ -404,12 +456,12 @@ def _fit_hinge(X, y: np.ndarray, config: ModelSection) -> _Fit:
 
 
 def predict_scores(model: LinearModel, matrix: FeatureMatrix) -> np.ndarray:
-    """Raw margins w.x + b, one per row."""
+    """Raw margins w.x + b, one per row, through the matrix's factors: A @ (P @ w) + b."""
     if matrix.dims != len(model.weights):
         raise ValidationError(
             f"model has {len(model.weights)} weights but matrix has {matrix.dims} columns"
         )
-    return np.asarray(matrix.X @ model.weights).ravel() + model.bias
+    return matrix.A @ (matrix.parts @ model.weights) + model.bias
 
 
 @dataclass
@@ -449,7 +501,7 @@ def cross_validate(
     ``b_start``, on the design's columns: a start near the full-data optimum
     for the final fit on the same design.
     """
-    X, y = d.X, d.y
+    y = d.y
     if len(y) < k:
         raise ValidationError(f"cannot cut {k} folds from {len(y)} rows")
     grid = tuple(sorted(set(float(g) for g in grid), reverse=True))
@@ -462,7 +514,7 @@ def cross_validate(
     fold_auc = np.full((len(grid), k), np.nan)
     fold_loss = np.full((len(grid), k), np.nan)
     warnings: list[str] = []
-    w_sum, b_sum, fitted = np.zeros((len(grid), X.shape[1])), np.zeros(len(grid)), 0
+    w_sum, b_sum, fitted = np.zeros((len(grid), d.shape[1])), np.zeros(len(grid)), 0
     for fold_i in range(k):
         held_arr = np.sort(np.array(pos[fold_i::k] + neg[fold_i::k], dtype=np.int64))
         train_arr = np.setdiff1d(np.arange(len(y), dtype=np.int64), held_arr)
@@ -473,13 +525,13 @@ def cross_validate(
         if len(np.unique(y_tr)) < 2:
             warnings.append(f"fold {fold_i}: training part has a single class; fold skipped")
             continue
-        X_tr = X[train_arr]
+        fold, held = d.rows(train_arr), d.rows(held_arr)
         fitted += 1
         w_prev: np.ndarray | None = None
         b_prev: float | None = None
         for gi, lam in enumerate(grid):
             cfg = replace(config, l1_lambda=lam)
-            fit = _fit(X_tr, y_tr, cfg, w_prev, b_prev)
+            fit = _fit(fold, cfg, w_prev, b_prev)
             w_prev, b_prev = fit.w, fit.b  # warm start down the path
             w_sum[gi] += fit.w
             b_sum[gi] += fit.b
@@ -488,12 +540,10 @@ def cross_validate(
                     f"fold {fold_i}, lambda {lam!r}: fit stopped after {fit.iterations} "
                     f"iterations with KKT residual {fit.kkt_rel!r} (not converged)"
                 )
-            # the held-out rows' scores, from the support's columns: a zero weight adds only a signed zero
-            support = np.flatnonzero(fit.w)
-            scores = np.asarray(X[:, support] @ fit.w[support]).ravel()[held_arr] + fit.b
+            scores = held.matvec(fit.w) + fit.b
             fold_auc[gi, fold_i] = roc_curve(scores, y_ho).auc
             fold_loss[gi, fold_i] = loss_value(config.loss, scores, y_ho)
-        del X_tr  # free this fold's rows before the next fold selects its own
+        del fold, held  # free this fold's rows and column cache before the next fold builds its own
     mean_auc, mean_loss = (
         np.array([np.nan if np.all(np.isnan(row)) else float(np.nanmean(row)) for row in table])
         for table in (fold_auc, fold_loss)
@@ -540,37 +590,75 @@ def encode_model(model: LinearModel) -> artifacts.Encoded:
     return "linear-model", {}, "\n".join(lines) + "\n"
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _count(text: str) -> int:
+    if not (text.isascii() and text.isdecimal()):
+        raise ValueError(f"{text!r} is not a count")
+    return int(text)
+
+
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"{text!r} is not 0 or 1")
+    return text == "1"
+
+
+def _loss(text: str) -> str:
+    if text not in LOSS_KINDS:
+        raise ValueError(f"unknown loss {text!r}")
+    return text
+
+
+# a model file's settings lines, as encode_model writes them, and how each value is read
+_SETTINGS = {"loss": _loss, "lambda": _finite, "dims": _count, "bias": _finite, "seed": int, "objective": _finite,
+             "iterations": _count, "standardized": _flag, "kkt_rel": _finite, "converged": _flag}
+_CERTIFICATE = ("standardized", "kkt_rel", "converged")  # the lines an older version did not write
+
+
 def load_model(path: Path | str) -> tuple[LinearModel, dict[str, str]]:
-    """Read a model file; one without the certificate lines is refused, not completed."""
+    """Read a model file; a damaged one is refused, not completed.
+
+    A line is refused as ``path:line`` unless it is a setting, ``key value``,
+    its value read as :data:`_SETTINGS` says (a finite number, a count, a 0 or
+    1 flag, a known loss), or a weight, ``w column value``, its column below
+    ``dims`` and its value finite; so is a setting or a weight column given
+    twice.  A missing setting is refused with the path, and a missing
+    certificate line as a file from an older version.
+    """
+    settings: dict[str, object] = {}
+    weights: dict[int, float] = {}
     with artifacts.body_lines(path) as (lines, header):
-        rows = [line.split(" ") for line in lines if line]
-    try:
-        meta = {parts[0]: parts[1] for parts in rows if parts[0] != "w"}
-        weights = [(int(parts[1]), float(parts[2])) for parts in rows if parts[0] == "w"]
-        dims = int(meta["dims"])
-        w = np.zeros(dims)
-        for col, val in weights:
-            if not 0 <= col < dims:
-                raise IndexError(col)
-            w[col] = val
-        model = LinearModel(
-            weights=w,
-            bias=float(meta["bias"]),
-            loss_kind=meta["loss"],
-            l1_lambda=float(meta["lambda"]),
-            meta=TrainingMeta(
-                iterations=int(meta["iterations"]),
-                objective=float(meta["objective"]),
-                seed=int(meta["seed"]),
-                standardized=bool(int(meta["standardized"])),
-                kkt_rel=float(meta["kkt_rel"]),
-                converged=bool(int(meta["converged"])),
-            ),
-        )
-    except (KeyError, ValueError, IndexError) as exc:
-        if isinstance(exc, KeyError) and exc.args[0] in ("standardized", "kkt_rel", "converged"):
-            raise ValidationError(
-                f"{path}: model file without a {exc.args[0]} line, from an older version; rerun train"
-            ) from exc
-        raise ValidationError(f"{path}: malformed model file") from exc
-    return model, header
+        for line in filter(None, lines):
+            key, *values = line.split(" ")
+            try:
+                if key == "w" and len(values) == 2:
+                    col = _count(values[0])
+                    if col in weights:
+                        raise ValueError(f"weight column {col} repeated")
+                    if col >= settings.get("dims", 0):
+                        raise ValueError(f"weight column {col} is not below dims, or comes before the dims line")
+                    weights[col] = _finite(values[1])
+                elif key in settings:
+                    raise ValueError(f"{key} repeated")
+                elif key in _SETTINGS and len(values) == 1:
+                    settings[key] = _SETTINGS[key](values[0])
+                else:
+                    raise ValueError(f"{line!r} is no setting or weight line")
+            except ValueError as exc:
+                raise ValidationError(f"malformed model file: {exc}") from None
+    missing = [key for key in _SETTINGS if key not in settings]
+    if missing and set(missing) <= set(_CERTIFICATE):
+        raise ValidationError(f"{path}: model file without a {missing[0]} line, from an older version; rerun train")
+    if missing:
+        raise ValidationError(f"{path}: malformed model file: no {missing[0]} line")
+    w = np.zeros(settings["dims"])
+    w[list(weights)] = list(weights.values())
+    meta = TrainingMeta(settings["iterations"], settings["objective"], settings["seed"], settings["standardized"],
+                        settings["kkt_rel"], settings["converged"])
+    return LinearModel(w, settings["bias"], settings["loss"], settings["lambda"], meta), header

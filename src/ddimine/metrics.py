@@ -2,7 +2,7 @@
 
 A curve is held as numpy arrays; the evaluate stage turns them into Python
 floats only where it writes the curve file, and cross-validation reads only
-the AUC.
+the AUC, a rank statistic counted in integers.
 """
 
 from __future__ import annotations
@@ -52,8 +52,11 @@ class RocCurve:
 def roc_curve(scores, labels) -> RocCurve:
     """ROC by descending threshold sweep with tied scores grouped into one step.
 
-    Grouping ties makes the trapezoidal area equal the rank-statistic AUC with
-    ties counted one half.
+    The AUC is the rank statistic: the share of (positive, negative) pairs the
+    scores order right, a tie counting one half, which is the area under the
+    grouped curve.  It is counted in integers, each group's negatives times
+    twice the positives above them plus those tied with them, and divided
+    once, so it is exact to one rounding.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
@@ -72,8 +75,9 @@ def roc_curve(scores, labels) -> RocCurve:
     group_ends = np.append(np.flatnonzero(np.diff(s_sorted) != 0.0), len(s_sorted) - 1)
     fpr = np.append(0.0, cum_fp[group_ends] / n_neg)
     tpr = np.append(0.0, cum_tp[group_ends] / n_pos)
-    # summed in order, as a loop over the points would: np.sum's pairwise order would change the last bits
-    auc = float(np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1])
+    tp = np.append(0, cum_tp[group_ends])
+    pairs = int(np.sum(np.diff(np.append(0, cum_fp[group_ends])) * (tp[:-1] + tp[1:])))  # twice the pairs won
+    auc = pairs / (2 * n_pos * n_neg)
     return RocCurve(np.append(np.inf, s_sorted[group_ends]), fpr, tpr, auc)
 
 

@@ -237,6 +237,41 @@ def test_a_body_line_that_is_not_utf8_exits_2_naming_its_line(chain, tmp_path, c
     assert len(err) == 1 and err[0].startswith(refusal)
 
 
+def first_weight(text: str) -> str:
+    return re.search(r"^w .*$", text, re.M).group()
+
+
+# a model file's body edited under its intact header: each edit, and the refusal of the line it damages
+MODEL_DAMAGES = {
+    "nan-weight": (lambda text: text.replace(first_weight(text), first_weight(text).rsplit(" ", 1)[0] + " nan"),
+                   "malformed model file: 'nan' is not a finite number"),
+    "unknown-loss": (lambda text: text.replace("loss logistic", "loss banana"),
+                     "malformed model file: unknown loss 'banana'"),
+    "repeated-weight-column": (lambda text: text + first_weight(text) + "\n",
+                               "malformed model file: weight column .* repeated"),
+    "repeated-lambda": (lambda text: text + re.search(r"^lambda .*\n", text, re.M).group(),
+                        "malformed model file: lambda repeated"),
+    "extra-field-on-a-weight": (lambda text: text.replace(first_weight(text), first_weight(text) + " 1"),
+                                "malformed model file: 'w .* 1' is no setting or weight line"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_DAMAGES))
+def test_a_damaged_model_file_exits_2_naming_its_line(chain, tmp_path, capsys, case):
+    config, out = chain
+    shutil.copytree(out, tmp_path / "out")
+    path = tmp_path / "out" / "model.txt"
+    edit, refusal = MODEL_DAMAGES[case]
+    before = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(edit("\n".join(before) + "\n"), encoding="utf-8")
+    after = path.read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, (a, b) in enumerate(itertools.zip_longest(before, after), 1) if a != b)
+    capsys.readouterr()
+    assert main(stage_args("evaluate", config, tmp_path / "out")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(f"error: {re.escape(str(path))}:{lineno}: {refusal}", err[0]), err
+
+
 def test_a_text_kept_corpus_under_a_current_digest_is_refused(chain, tmp_path, capsys):
     """A kept corpus with the older text body passes the digest check, which covers inputs, not the format."""
     config, out = chain

@@ -3,6 +3,7 @@ import json
 import re
 import tarfile
 import tracemalloc
+import zlib
 from types import SimpleNamespace
 from unittest import mock
 
@@ -353,6 +354,25 @@ def test_a_repeated_or_reserved_id_exits_2_naming_its_line(mini, tmp_path, capsy
     assert (code, err) == (2, f"error: {name}:{lineno}: {message.format(edit(rec_id.decode()))}\n")
 
 
+def quietly_edited(data: bytes) -> bytes:
+    """The first one-bit flip of ``data``, a compressed tar archive, from its middle on, that ``tarfile`` lists and
+    reads with no error yet other member bytes: it stops short of the stream's end, where the stream's check is."""
+    def read(archive: bytes) -> dict[str, bytes]:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            return {member.name: tar.extractfile(member).read() for member in tar.getmembers()}
+
+    original = read(data)
+    for at in range(len(data) // 2, len(data)):
+        edited = data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
+        try:
+            members = read(edited)
+        except (tarfile.TarError, OSError, EOFError, zlib.error):
+            continue
+        if members.keys() == original.keys() and members != original:
+            return edited
+    raise AssertionError("no flip decompresses to other member bytes")
+
+
 # a tar corpus damaged: case -> (its write mode, the bytes of payload a third member adds, the edit of its bytes
 # given where the second member's header starts, the refusal after the archive's path)
 TAR_DAMAGES = {
@@ -368,6 +388,13 @@ TAR_DAMAGES = {
     # four bz2 blocks of 900 kB: the middle byte lies in the second, which bz2 refuses as the listing reads past it
     "bz2-block-edited": ("w:bz2", 3_000_000, lambda data, at: data[: len(data) // 2] + bytes([data[len(data) // 2] ^ 1])
                          + data[len(data) // 2 + 1 :], ": damaged tar archive: Invalid data stream"),
+    # edited data that still decompresses, in the deflate stream or in bz2's one block: only the check tells
+    "gzip-data-edited": ("w:gz", 0, lambda data, at: quietly_edited(data), ": damaged tar archive: CRC check failed"),
+    # the corpus twice fits one bz2 block: its stored CRC, after the 4-byte stream header and the 6-byte block
+    # magic; the third member puts the end-of-archive block 2 kB into a 10 kB tar record, so the padding after it
+    # is more than the listing reads ahead, and the block's end, where bz2 checks it, is not reached
+    "bz2-last-block-edited": ("w:bz2", 1, lambda data, at: data[:10] + bytes([data[10] ^ 1]) + data[11:],
+                              ": damaged tar archive: Invalid data stream"),
 }
 
 

@@ -1,13 +1,17 @@
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ddimine import learn, pipeline
+from ddimine import features, learn, pipeline
 from ddimine.config import ModelSection, load_config
 from ddimine.errors import ConfigError, ValidationError
 from ddimine.features import FeatureMatrix, load_matrix
@@ -39,6 +43,8 @@ from helpers import (
     random_dense_matrix,
     save,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def count_matrix(seed: int, n: int = 120, d: int = 40) -> FeatureMatrix:
@@ -182,12 +188,50 @@ def test_train_stage_without_cv_starts_cold(featurized):
 def test_standardized_train_stage_scales_the_columns_once(featurized, monkeypatch):
     calls = []
     column_scale = learn._column_scale
-    monkeypatch.setattr(learn, "_column_scale", lambda X: calls.append(X.shape) or column_scale(X))
+    monkeypatch.setattr(learn, "_column_scale", lambda A, P: calls.append(A.shape) or column_scale(A, P))
     cfg = replace(featurized, model=replace(featurized.model, standardize=True))
     assert cfg.cv_enabled()  # the grid, the CV folds and the final fit all read the design
     pipeline.run_stage(cfg, "train")
     assert len(calls) == 1
     assert load_model(cfg.output / "model.txt")[0].meta.standardized
+
+
+@pytest.mark.parametrize("model", [{}, {"standardize": True}, {"loss": "hinge"}], ids=["logistic", "standardized",
+                                                                                      "hinge"])
+def test_train_and_evaluate_never_form_x(featurized, monkeypatch, model):
+    # X = A @ P holds far more values than its factors: 21.5M at paper shape, 42% dense
+    loaded = []
+    load = features.load_matrix
+    monkeypatch.setattr(features, "load_matrix", lambda path: loaded.append(load(path)) or loaded[-1])
+    cfg = replace(featurized, model=replace(featurized.model, **model))
+    for stage in ("train", "evaluate"):
+        pipeline.run_stage(cfg, stage)
+    assert len(loaded) == 3  # the train, dev and test matrices
+    assert all("X" not in vars(matrix) for matrix, _ in loaded)
+
+
+# runs the chain through evaluate, then names the modules it imported of those that cost the most resident memory
+IMPORT_GUARD = """
+import sys
+from ddimine import pipeline
+from ddimine.config import load_config
+from ddimine.synth import SynthParams, write_dataset
+cfg = load_config(write_dataset(SynthParams(seed=7), sys.argv[1])["config"])
+for stage in pipeline.STAGE_ORDER[: pipeline.STAGE_ORDER.index("evaluate") + 1]:
+    pipeline.run_stage(cfg, stage)
+print([name for name in ("scipy.sparse.linalg", "scipy.stats", "scipy.optimize") if name in sys.modules])
+"""
+
+
+def test_train_and_evaluate_import_no_scipy_module_beyond_sparse(tmp_path):
+    """The chain's peak RSS starts from its imports: ``scipy.sparse`` alone takes about 48 MiB, with
+    ``scipy.sparse.linalg`` 59 MiB, ``scipy.optimize`` 76 MiB and ``scipy.stats`` 99 MiB.  Any of them would cost
+    more than training through the factors saves, so the logistic chain imports none."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path)], capture_output=True, text=True,
+                           env=env, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "[]"
 
 
 def change_oracle(s: float, h: float, y: int) -> float:
@@ -299,26 +343,61 @@ def test_cv_and_grid_see_the_standardized_design():
     np.testing.assert_allclose(model.weights * std, reference.weights, rtol=1e-6, atol=1e-9)
 
 
-@pytest.mark.parametrize("matrix", [count_matrix(4), random_dense_matrix(random.Random(2), 50, 7)],
-                         ids=["counts", "dense"])
-def test_design_reads_the_matrix_own_csc_x(matrix):
-    d = design(matrix, False)
-    assert d.X is matrix.X and d.scale is None
-    assert d.X.format == "csc" and d.X.has_sorted_indices
-    assert np.array_equal(d.X.toarray(), matrix.A.toarray() @ matrix.parts.toarray())
+def random_factors(seed: int) -> FeatureMatrix:
+    """Random factors with empty rows, parts no row uses, and P's cells stored more than once (summed on build)."""
+    rng = np.random.default_rng(seed)
+    n, m, d, cells = 40, 30, 12, 200
+    A = (rng.random((n, m)) < 0.15).astype(float)
+    A[:4] = 0.0  # empty rows
+    A[:, -5:] = 0.0  # unused parts
+    rows = np.sort(rng.integers(0, m, cells))
+    indptr = np.searchsorted(rows, np.arange(m + 1))
+    P = sp.csr_matrix((rng.normal(size=cells), rng.integers(0, d, cells), indptr), shape=(m, d))
+    assert not P.has_canonical_format  # cells repeat within a row
+    y = np.arange(n) % 2
+    return FeatureMatrix([f"s{i}" for i in range(n)], P, y, "counts", sp.csr_matrix(A))
 
 
-@pytest.mark.parametrize("matrix", [count_matrix(4), random_dense_matrix(random.Random(2), 50, 7)],
-                         ids=["counts", "dense"])
-def test_standardized_design_keeps_the_structure_and_scales_each_value(matrix):
-    X, d = matrix.X, design(matrix, True)
-    assert d.X.format == "csc"
-    assert d.X.indices.tobytes() == X.indices.tobytes() and d.X.indptr.tobytes() == X.indptr.tobytes()
-    columns = np.repeat(np.arange(X.shape[1]), np.diff(X.indptr))
-    want = [x * (1.0 / d.scale[j]) for x, j in zip(X.data.tolist(), columns.tolist())]
-    assert d.X.data.tobytes() == np.array(want).tobytes()
-    product = (X.tocsr() @ sp.diags(1.0 / d.scale)).toarray()  # the same values as the sparse product
-    assert d.X.toarray().tobytes() == product.tobytes()
+@pytest.mark.parametrize("standardize", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_factored_products_equal_the_formed_x_to_rounding(seed, standardize, monkeypatch):
+    monkeypatch.setattr(learn, "_SCALE_ROWS", 7)  # the scale summed over several blocks of rows
+    matrix = random_factors(seed)
+    d = design(matrix, standardize)
+    assert "X" not in vars(matrix)
+    X = matrix.X.toarray()
+    std = X.std(axis=0)
+    std[std == 0.0] = 1.0
+    if standardize:
+        np.testing.assert_allclose(d.scale, std, rtol=1e-12)
+        X = X / std
+    else:
+        assert d.scale is None
+    rng = np.random.default_rng(seed)
+    w, r = rng.normal(size=d.shape[1]), rng.normal(size=d.shape[0])
+    np.testing.assert_allclose(d.matvec(w), X @ w, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(d.rmatvec(r), X.T @ r, rtol=1e-12, atol=1e-12)
+    rows = np.flatnonzero(rng.random(d.shape[0]) < 0.6)
+    fold = d.rows(rows)
+    assert fold.P is d.P and fold.shape == (len(rows), d.shape[1])
+    np.testing.assert_allclose(fold.matvec(w), X[rows] @ w, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(fold.rmatvec(r[rows]), X[rows].T @ r[rows], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_block_computes_each_column_once_and_as_the_formed_x_holds_it(standardize):
+    matrix = random_factors(9)
+    d = design(matrix, standardize)
+    X = matrix.X.toarray()
+    if standardize:
+        X = X * (1.0 / d.scale)  # the standardized design's values, bit for bit
+    for columns, cached in (([2, 5], 2), ([0, 2, 5, 9], 4), ([5], 4), ([1, 3, 4, 6, 7, 8, 10, 11], 12)):
+        block = d.block(np.array(columns))
+        assert block.tobytes() == np.ascontiguousarray(X[:, columns].T).tobytes()
+        assert len(d._cache) == cached  # a column already computed is not computed again
+    fold = d.rows(np.arange(10, 30))
+    assert len(fold._cache) == 0  # a fold computes its own columns, over its own rows
+    assert fold.block(np.array([3])).tobytes() == np.ascontiguousarray(X[10:30, [3]].T).tobytes()
 
 
 @pytest.mark.parametrize("standardize", [False, True])

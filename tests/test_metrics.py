@@ -1,5 +1,6 @@
 """ROC AUC against the pairwise-count oracle; confusion counts and the report."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,15 @@ def test_auc_equals_pair_oracle_with_ties(rows, scale):
     curve = roc_curve(scores, labels)
     assert curve.auc == pytest.approx(auc_pair_oracle(scores, labels), rel=1e-12, abs=1e-15)
     assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0) and (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_auc_is_the_pair_count_rounded_once(seed):
+    # a thousand scores on a coarse grid: ties within and across the classes, and many steps to the curve
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, 1000)
+    scores = np.round(rng.normal(size=1000) + labels, 1)
+    assert roc_curve(scores, labels).auc == auc_pair_oracle(scores.tolist(), labels.tolist())
 
 
 def test_score_at_the_threshold_counts_as_positive():
