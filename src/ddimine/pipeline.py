@@ -18,12 +18,14 @@ counts and the phrases, and writes the abstracts that mention a drug to
 (:class:`ddimine.corpus.AbstractColumns`); filter reads it and writes only the
 corpus statistics, row and column sums, and no stage waits on filter.  Each
 stage that reads ``samples.tsv`` refuses a malformed or repeated row as
-``path:line``.  Split draws each kept abstract's and each sample's split as a
-code aligned with its row; featurize and diagnose-split get those codes back as
-``assignment.tsv`` is decoded (:func:`ddimine.splitting.row_codes`).  Each
-computes the sample x abstract incidence from the kept corpus's mention columns
-and the codes (:func:`ddimine.splitting.incidence`); no stage reads
-``assigned_samples.tsv``.  Featurize maps words to columns once for all splits.
+``path:line``.  Split, featurize and diagnose-split each draw every kept
+abstract's and every sample's split as a code aligned with its row, from the
+two row counts, the ratios and the seed (:func:`ddimine.splitting.split_corpus`),
+and compute the sample x abstract incidence from the kept corpus's mention
+columns and the codes (:func:`ddimine.splitting.incidence`).  Split writes both
+by name, to ``assignment.tsv`` and ``assigned_samples.tsv``, and its leakage
+report; no stage reads those files.  Featurize maps words to columns once for
+all splits.
 
 :func:`run_stage` does every artifact read and write.  Before a stage runs, a
 missing input names the stage that produces it (:class:`MissingArtifactError`),
@@ -47,7 +49,7 @@ import math
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,18 +124,29 @@ def check_stage_paths(cfg: PipelineConfig, stage: str) -> None:
         raise ConfigError(missing)
 
 
-def _encode_samples(samples, attached: Sequence[str] | None = None) -> artifacts.Encoded:
-    """One row per sample; ``attached`` gives each its abstract ids, ","-joined or "-", as a fifth column."""
-    rows = [f"{s.cardiac_drug}\t{s.other_drug}\t{s.label}\t{'-' if s.template_id is None else s.template_id}"
-            for s in samples]
-    cols = "cardiac\tother\tlabel\ttemplate_id"
-    if attached is not None:
-        rows, cols = list(map("{}\t{}".format, rows, attached)), cols + "\tabstract_ids"
-    return "samples", {"columns": cols}, "".join(f"{row}\n" for row in rows)
+def _encode_samples(samples, A=None, names: Sequence[str] = ()) -> artifacts.Encoded:
+    """One row per sample; given the sample x abstract incidence ``A`` and the abstract id of each of its columns,
+    ``names``, each row's ids, ","-joined or "-", as a fifth column.  The body is made as it is written, a block of
+    rows at a time from A's slices: no list of every cell is held."""
+
+    def blocks(size: int = 4096) -> Iterator[str]:
+        for start in range(0, len(samples), size):
+            block = samples[start : start + size]
+            rows = [f"{s.cardiac_drug}\t{s.other_drug}\t{s.label}\t{'-' if s.template_id is None else s.template_id}"
+                    for s in block]
+            if A is not None:
+                ends = A.indptr[start : start + len(block) + 1].tolist()
+                ids = list(map(names.__getitem__, A.indices[ends[0] : ends[-1]].tolist()))
+                rows = [f"{row}\t{','.join(ids[a - ends[0] : b - ends[0]]) or '-'}"
+                        for row, a, b in zip(rows, ends, ends[1:])]
+            yield "".join(f"{row}\n" for row in rows)
+
+    cols = "cardiac\tother\tlabel\ttemplate_id" + ("" if A is None else "\tabstract_ids")
+    return "samples", {"columns": cols}, blocks()
 
 
 def _decode_samples(path: Path) -> list[labeling_mod.InteractionSample]:
-    """Inverse of :func:`_encode_samples` without ``attached``; a malformed or repeated row is refused as
+    """Inverse of :func:`_encode_samples` without ``A``; a malformed or repeated row is refused as
     ``path:line``."""
     samples, seen = [], set()
     with artifacts.body_lines(path, width=4) as (rows, _):
@@ -152,10 +165,6 @@ def _decode_samples(path: Path) -> list[labeling_mod.InteractionSample]:
 _DECODERS: dict[str, Callable[[Path], object]] = {
     "cardiac.tsv": lambda path: corpus_mod.load_abstracts(path),
     "samples.tsv": _decode_samples,
-    # (kept ids, samples) -> their split codes; a row missing from the file is refused with its path and the row's
-    "assignment.tsv": lambda path: functools.partial(
-        splitting_mod.row_codes, splitting_mod.load_assignment(path)[0], path=path,
-        files={"abstract": path.with_name("cardiac.tsv"), "sample": path.with_name("samples.tsv")}),
     "model.txt": lambda path: learn_mod.load_model(path)[0],
     **{f"features_{split}.txt": lambda path: features_mod.load_matrix(path)[0] for split in splitting_mod.SPLITS},
 }
@@ -235,18 +244,16 @@ def stage_split(cfg: PipelineConfig, kept, samples) -> Outputs:
     report = splitting_mod.leakage_report(split, A)
     if report.total_cross_split != 0:
         raise ValidationError("split postcondition violated: cross-split abstract sharing detected")
-    names, ends = [kept.ids[order[j]] for j in A.indices.tolist()], A.indptr.tolist()
-    attached = [",".join(names[a:b]) or "-" for a, b in zip(ends, ends[1:])]
     return {
         "assignment.tsv": splitting_mod.encode_assignment(split, kept.ids, samples, cfg.seed, cfg.ratios),
-        "assigned_samples.tsv": _encode_samples(samples, attached),
+        "assigned_samples.tsv": _encode_samples(samples, A, [kept.ids[i] for i in order]),
         "leakage_report.txt": ("leakage-report", {}, report.render()),
     }
 
 
-def stage_featurize(cfg: PipelineConfig, kept, assignment, samples) -> Outputs:
+def stage_featurize(cfg: PipelineConfig, kept, samples) -> Outputs:
     """Build the train vocabulary, one words -> columns map, and per-split feature matrices through it."""
-    split = assignment(kept.ids, samples)  # each kept abstract's split code, and each sample's
+    split = splitting_mod.split_corpus(len(kept.ids), len(samples), cfg.ratios, cfg.seed)  # as split drew it
     A, order = splitting_mod.incidence(kept, samples, split)
     stop: frozenset[str] = frozenset()
     if cfg.vocab_stopwords == "drop" or cfg.feature_kind == "embeddings":
@@ -344,9 +351,9 @@ def stage_alerts(cfg: PipelineConfig) -> Outputs:
     return mar_mod.encode_alerts(mar_mod.detect_overlaps(windows, catalog))
 
 
-def stage_diagnose_split(cfg: PipelineConfig, kept, assignment, samples) -> Outputs:
+def stage_diagnose_split(cfg: PipelineConfig, kept, samples) -> Outputs:
     """Side-by-side leakage counts: the split-isolated assignment vs the naive one."""
-    split = assignment(kept.ids, samples)
+    split = splitting_mod.split_corpus(len(kept.ids), len(samples), cfg.ratios, cfg.seed)
     isolated = splitting_mod.leakage_report(split, splitting_mod.incidence(kept, samples, split)[0])
     naive = splitting_mod.leakage_report(split, splitting_mod.incidence(kept, samples)[0])
     lines = ["pair\tisolated\tnaive"]
@@ -368,8 +375,8 @@ STAGES: dict[str, Stage] = {
     "featurize": Stage(
         stage_featurize,
         ("embeddings", "stopwords", "feature_kind", "vocab_stopwords", "top_k", "drop_empty_samples",
-         "undersample_train", "seed"),
-        ("cardiac.tsv", "assignment.tsv", "samples.tsv"),
+         "undersample_train", "ratios", "seed"),
+        ("cardiac.tsv", "samples.tsv"),
         ("vocab.tsv", "features_train.txt", "features_dev.txt", "features_test.txt", "featurize_report.txt"),
     ),
     "train": Stage(stage_train, ("model", "cv", "seed"), ("features_train.txt",), ("model.txt", "cv_results.tsv")),
@@ -379,7 +386,7 @@ STAGES: dict[str, Stage] = {
     ),
     "alerts": Stage(stage_alerts, ("catalog", "mar", "alerts"), (), ("alerts.tsv", "alert_report.txt")),
     "diagnose-split": Stage(
-        stage_diagnose_split, (), ("cardiac.tsv", "assignment.tsv", "samples.tsv"), ("diagnose_split.txt",),
+        stage_diagnose_split, ("ratios", "seed"), ("cardiac.tsv", "samples.tsv"), ("diagnose_split.txt",),
     ),
 }
 STAGE_ORDER = tuple(stage for stage in STAGES if stage != "diagnose-split")

@@ -6,12 +6,14 @@ both a training-side and a test-side sample.  Within a split an abstract may
 serve many samples.
 
 A split is two code arrays, each row's index into :data:`SPLITS`, aligned with
-the kept corpus's rows and the samples' (:func:`split_corpus`); names become
-codes only where ``assignment.tsv`` is read (:func:`load_assignment`).  The
-attachment is :func:`incidence`, the binary sample x abstract matrix: a function
-of the abstracts' integer mention columns and the codes alone; so featurize and
-``diagnose-split`` compute it rather than read it.  Split writes it to
-``assigned_samples.tsv`` and counts leakage on it.
+the kept corpus's rows and the samples' (:func:`split_corpus`): a function of
+the two row counts, the ratios and the seed alone.  The attachment is
+:func:`incidence`, the binary sample x abstract matrix: a function of the
+abstracts' integer mention columns and the codes alone.  So split, featurize
+and ``diagnose-split`` each compute both from the rows they read.  Split writes
+them, by name, to ``assignment.tsv`` (:func:`encode_assignment`) and
+``assigned_samples.tsv``, and counts leakage on the attachment; no stage reads
+those files.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,35 +144,3 @@ def encode_assignment(split: Split, ids: Sequence[str], samples: Sequence[Intera
     body = "".join(f"{kind}\t{key}\t{SPLITS[code]}\n"
                    for kind, names, codes in rows for key, code in sorted(zip(names, codes.tolist())))
     return "split-assignment", {"seed": seed, "ratios": " ".join(map(repr, ratios))}, body
-
-
-def load_assignment(path: Path | str) -> tuple[dict[str, dict[str, int]], dict[str, str]]:
-    """Read an assignment file: each kind's key -> split code, and the header fields."""
-    code = {name: i for i, name in enumerate(SPLITS)}
-    splits: dict[str, dict[str, int]] = {"abstract": {}, "sample": {}}
-    with artifacts.body_lines(path, width=3) as (rows, header):
-        for kind, key, split in rows:
-            if kind not in splits or split not in code:
-                raise ValidationError(f"bad assignment row {chr(9).join((kind, key, split))!r}")
-            splits[kind][key] = code[split]
-    try:
-        int(header["seed"])  # checked only: the stages take the seed from the config
-        ratios = [float(r) for r in header["ratios"].split()]
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"{path}: missing or bad seed/ratios header") from exc
-    _check_ratios(ratios)
-    return splits, header
-
-
-def row_codes(assignment: Mapping[str, Mapping[str, int]], ids: Iterable[str], samples: Sequence[InteractionSample],
-              path: Path | str, files: Mapping[str, Path | str]) -> Split:
-    """Each kept abstract's (by ``ids``) and each sample's split code under a loaded assignment, in row order; a row
-    missing from the assignment at ``path`` is refused, naming that file and the row's own, ``files[kind]``, as
-    either may be the damaged one."""
-    codes = []
-    for kind, keys in (("abstract", ids), ("sample", (s.key for s in samples))):
-        try:
-            codes.append(np.array(list(map(assignment[kind].__getitem__, keys)), dtype=np.int64))
-        except KeyError as exc:
-            raise ValidationError(f"{path}: {kind} {exc} of {files[kind]} missing from the split assignment") from None
-    return codes[0], codes[1]

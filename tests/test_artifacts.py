@@ -452,25 +452,6 @@ def test_an_input_refusal_names_its_line_under_a_byte_order_mark_and_every_line_
         reader(path)
 
 
-@pytest.mark.parametrize("stage", readers("assignment.tsv"))
-@pytest.mark.parametrize("kind", ["abstract", "sample"])
-def test_a_row_missing_from_the_assignment_exits_2_naming_the_file(chain, tmp_path, capsys, kind, stage):
-    """A row deleted from ``assignment.tsv`` under its intact header is refused with the file's path, and the path of
-    the file the row's key comes from."""
-    config, out = chain
-    shutil.copytree(out, tmp_path / "out")
-    path = tmp_path / "out" / "assignment.tsv"
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    i = next(i for i, line in enumerate(lines) if line.startswith(f"{kind}\t"))
-    key = lines[i].split("\t")[1]
-    path.write_text("".join(lines[:i] + lines[i + 1 :]), encoding="utf-8")
-    capsys.readouterr()
-    assert main(stage_args(stage, config, tmp_path / "out")) == 2
-    source = path.with_name("cardiac.tsv" if kind == "abstract" else "samples.tsv")
-    message = f"error: {path}: {kind} {key!r} of {source} missing from the split assignment"
-    assert capsys.readouterr().err.splitlines() == [message]
-
-
 @pytest.mark.parametrize("stage", readers("samples.tsv"))
 def test_a_repeated_sample_exits_2_naming_its_line(chain, tmp_path, capsys, stage):
     """A ``samples.tsv`` that holds one (cardiac, other) row twice, under its intact header, is refused at the copy."""
@@ -602,5 +583,8 @@ def test_byte_edits_of_every_read_run_or_are_refused_with_the_path(chain, tmp_pa
         assert refused > ran if kind == "artifact" else ran and refused, case
     for name in ("cardiac.tsv", "samples.tsv", "model.txt"):
         assert any(outcomes[(name, command), 0] for command in [*readers(name), "show"]), name
-    # 13 artifact reads, 4 npy-bodied artifacts through show; 9 input reads, the config through 3 stages, 3 layouts
-    assert outcomes.total() == 17 * EDITS["artifact"] + 15 * EDITS["input"]
+    # each artifact read, and each npy-bodied artifact through show; each input read, the config through each stage that
+    # reads no artifact, and the corpus's 3 layouts
+    shown = sum(npy_bodied(path) for path in out.iterdir() if path.is_file())
+    inputs = len(INPUT_READS) + sum(not spec.reads for spec in STAGES.values()) + 3
+    assert outcomes.total() == (len(ARTIFACT_READS) + shown) * EDITS["artifact"] + inputs * EDITS["input"]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import shutil
 import tracemalloc
 from collections import Counter
@@ -20,7 +21,7 @@ from ddimine.learn import load_model
 from ddimine.pipeline import (
     ARTIFACTS, STAGE_FUNCS, STAGE_ORDER, STAGES, file_digest, run_all, run_stage, stage_digests,
 )
-from ddimine.synth import SynthParams, write_dataset
+from ddimine.synth import SynthParams, planted_params, write_dataset
 from helpers import (
     AttachedSample, artifact_digests, corpus_of, count_vector, embed_sample, header_of, load_corpus_oracle,
     load_matrix_oracle, load_vocab, read_body, read_table, save, templateize_oracle,
@@ -248,7 +249,7 @@ def test_stages_return_their_artifacts_and_run_stage_writes_them(mini, tmp_path,
         assert sorted(manifest(cfg.output, stage)) == ["elapsed_s", "outputs", "stage"]
 
 
-@pytest.mark.parametrize("stage", ["split", "train", "evaluate"])
+@pytest.mark.parametrize("stage", ["split", "featurize", "train", "evaluate"])
 def test_stage_runs_on_in_memory_inputs(mini, tmp_path, stage):
     out = mini[1]["counts"][0]
     cfg = load_config(mini[0]["config"].parent / "config_counts.json", {"output": str(tmp_path / "absent")})
@@ -262,11 +263,11 @@ def test_stage_runs_on_in_memory_inputs(mini, tmp_path, stage):
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
 
-def featurize_peak(cfg, kept, assignment, samples) -> int:
+def featurize_peak(cfg, kept, samples) -> int:
     """tracemalloc's peak over featurize and the writing of its outputs' bodies."""
     tracemalloc.start()
     try:
-        for _, _, body in pipeline.stage_featurize(cfg, kept, assignment, samples).values():
+        for _, _, body in pipeline.stage_featurize(cfg, kept, samples).values():
             for _ in [body] if isinstance(body, str) else body:
                 pass
         return tracemalloc.get_traced_memory()[1]
@@ -278,10 +279,10 @@ def test_featurize_peak_follows_the_words_not_the_tokens(mini):
     out = mini[1]["counts"][0]
     cfg = load_config(mini[0]["config"].parent / "config_counts.json", {"output": str(out)})
     kept = corpus.load_abstracts(out / "cardiac.tsv")
-    inputs = pipeline._DECODERS["assignment.tsv"](out / "assignment.tsv"), pipeline._decode_samples(out / "samples.tsv")
+    samples = pipeline._decode_samples(out / "samples.tsv")
     longer = replace(kept, counts=kept.counts * 4)  # each abstract's tokens four times over
-    featurize_peak(cfg, kept, *inputs)  # one-time allocations, such as lazy imports, go first
-    assert featurize_peak(cfg, longer, *inputs) < 1.5 * featurize_peak(cfg, kept, *inputs)
+    featurize_peak(cfg, kept, samples)  # one-time allocations, such as lazy imports, go first
+    assert featurize_peak(cfg, longer, samples) < 1.5 * featurize_peak(cfg, kept, samples)
 
 
 def test_file_digest_is_the_sha256_of_the_bytes(tmp_path):
@@ -384,6 +385,87 @@ def test_leftover_json_corpus_files_are_never_read(mini, tmp_path):
         (out / name).unlink()
     digests = artifact_digests(out)
     assert digests.pop("diagnose_split.txt") and digests == artifact_digests(mini[1]["counts"][0])
+
+
+# case -> (the synthetic preset, the config's top-level fields changed from write_dataset's)
+SPLIT_CASES = {
+    "mini": (SynthParams(seed=7), {}),
+    "planted": (planted_params(7), {}),
+    "train-only": (SynthParams(seed=7), {"ratios": [1, 0, 0]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_featurize_and_diagnose_split_draw_the_split_that_split_wrote(tmp_path, monkeypatch, case):
+    """The codes each stage draws, read by key against ``assignment.tsv``'s text."""
+    params, settings = SPLIT_CASES[case]
+    raw = json.loads(write_dataset(params, tmp_path)["config"].read_text(encoding="utf-8"))
+    cfg = build_config({**raw, **settings})
+    for stage in ("ingest", "label", "split"):
+        run_stage(cfg, stage)
+    drawn, split_corpus = [], splitting.split_corpus
+    monkeypatch.setattr(splitting, "split_corpus", lambda *args: drawn.append(split_corpus(*args)) or drawn[-1])
+    for stage in ("featurize", "diagnose-split"):
+        run_stage(cfg, stage)
+    rows = (line.split("\t") for line in data_lines(cfg.output / "assignment.tsv"))
+    written = {(kind, key): name for kind, key, name in rows}
+    kept, samples = corpus.load_abstracts(cfg.output / "cardiac.tsv"), read_samples(cfg.output / "samples.tsv")
+    keys = [("abstract", aid) for aid in kept.ids] + [("sample", s.key) for s in samples]
+    assert len(drawn) == 2 and len(written) == len(keys)
+    for abstract_split, sample_split in drawn:
+        codes = [*abstract_split.tolist(), *sample_split.tolist()]
+        assert {key: splitting.SPLITS[code] for key, code in zip(keys, codes)} == written
+    if case == "train-only":
+        assert set(written.values()) == {"train"}
+
+
+def move_every_split(path: Path) -> None:
+    moved = {"train": "dev", "dev": "test", "test": "train"}
+    text = path.read_text(encoding="utf-8")
+    path.write_text(re.sub(r"\t(train|dev|test)$", lambda m: "\t" + moved[m[1]], text, flags=re.M), encoding="utf-8")
+
+
+def foreign_digest(path: Path) -> None:
+    text = path.read_text(encoding="utf-8")
+    path.write_text(re.sub(r"^# digest: .*$", "# digest: " + "0" * 64, text, count=1, flags=re.M), encoding="utf-8")
+
+
+def strip_header(path: Path) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    path.write_text("".join(line for line in lines if not line.startswith("#")), encoding="utf-8")
+
+
+def break_last_line(path: Path) -> None:
+    data = path.read_bytes()
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1
+    path.write_bytes(data[:last] + b"\xff" + data[last:])
+
+
+# the damages that once made a reader of assignment.tsv refuse it, and an edit that once moved its model
+ASSIGNMENT_DAMAGE = {
+    "deleted": Path.unlink,
+    "body-edited": move_every_split,
+    "foreign-digest": foreign_digest,
+    "stripped-header": strip_header,
+    "not-utf8": break_last_line,
+}
+
+
+@pytest.mark.parametrize("stage", ["featurize", "diagnose-split"])
+@pytest.mark.parametrize("damage", sorted(ASSIGNMENT_DAMAGE))
+def test_featurize_and_diagnose_split_never_read_the_assignment_file(mini, tmp_path, damage, stage):
+    """With ``assignment.tsv`` gone, damaged, or every split in its body moved under its intact header, each stage
+    runs and writes what it writes beside the intact file."""
+    config, out = copy_counts_run(mini, tmp_path)
+    shutil.copytree(out, tmp_path / "intact")
+    ASSIGNMENT_DAMAGE[damage](out / "assignment.tsv")
+    for output in (out, tmp_path / "intact"):
+        run_stage(load_config(config, {"output": str(output)}), stage)
+    damaged, intact = artifact_digests(out), artifact_digests(tmp_path / "intact")
+    assert damaged.pop("assignment.tsv", None) != intact.pop("assignment.tsv")  # the damage took
+    assert damaged == intact
+    assert {name: damaged[name] for name in produced_by("featurize")} == {
+        name: file_digest(mini[1]["counts"][0] / name) for name in produced_by("featurize")}
 
 
 def test_a_planted_cross_split_abstract_makes_split_exit_2_and_write_nothing(mini, tmp_path, capsys, monkeypatch):
@@ -498,7 +580,7 @@ def test_label_rejects_a_catalog_id_feature_rows_cannot_hold(tmp_path, capsys, b
 def test_diagnose_split_cli(tmp_path, capsys):
     paths = write_dataset(SynthParams(seed=7), tmp_path)
     config = str(paths["config"])
-    for missing, stages in (("cardiac.tsv", ("ingest",)), ("assignment.tsv", ("label", "split"))):  # filter never runs
+    for missing, stages in (("cardiac.tsv", ("ingest",)), ("samples.tsv", ("label",))):  # filter and split never run
         assert main(["diagnose-split", "--config", config]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"missing artifact {missing!r}" in err[0]
