@@ -38,15 +38,12 @@ import zlib
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import artifacts
+from . import artifacts, csr
 from .errors import ValidationError
-
-if TYPE_CHECKING:  # scipy.sparse loads in 0.2 s; it is imported where a matrix is built, not by synth's import
-    import scipy.sparse as sp
 
 # Tokens are maximal runs of letters/digits, optionally joined by single
 # internal hyphens; a hyphen without a run on both sides is a separator.
@@ -95,9 +92,9 @@ class AbstractColumns:
 
     ids: list[str]
     drugs: list[str]
-    mentions: sp.csr_matrix
+    mentions: csr.CSR
     words: list[str]
-    counts: sp.csr_matrix
+    counts: csr.CSR
     header: dict[str, str] = field(default_factory=dict)  # the file's header fields, when read
 
     @classmethod
@@ -107,10 +104,9 @@ class AbstractColumns:
 
         ``codes`` maps each word to its code.  Row j of Q (phrases x words) counts phrase j's words, so a row of the
         counts C holds them all where (C > 0) @ Qᵀ is the phrase's length: a mention, if the phrase is one word or
-        occurs in order.  C is built :data:`_BLOCK` rows at a time, each block keeping its rows with a mention.
+        occurs in order.  C is built :data:`_BLOCK` rows at a time, each block keeping its rows with a mention; the
+        blocks are stacked once, each dropped as it is copied.
         """
-        import scipy.sparse as sp
-
         words = sorted(codes)
         order = np.fromiter(map(codes.__getitem__, words), np.int32, len(words))  # column -> code
         rank = np.argsort(order).astype(np.int32)  # code -> column, int32 as the counts' indices
@@ -119,43 +115,47 @@ class AbstractColumns:
                  if all(w in codes for w in p)]  # each phrase whose words all occur, as columns, and its drug
         phrases, drug_of = [p for p, _ in pairs], np.array([d for _, d in pairs], dtype=np.int64)
         lengths = np.array(list(map(len, phrases)), dtype=np.int64)  # a repeated word is counted twice, as in Q
-        Q = sp.csr_matrix((np.ones(lengths.sum(), np.int32), np.concatenate([np.zeros(0, np.int32), *phrases]),
-                           np.concatenate([[0], np.cumsum(lengths)])), shape=(len(phrases), len(words)))
+        QT = csr.from_cells(np.concatenate([np.zeros(0, np.int32), *phrases]), np.repeat(np.arange(len(phrases)),
+                            lengths), np.ones(lengths.sum(), np.int32), (len(words), len(phrases)))
         ids, mentions, counts = [], [], []
         for start in range(0, max(len(abstracts), 1), _BLOCK):
             part = abstracts[start : start + _BLOCK]
             cells = rank[np.concatenate([np.zeros(0, np.int32), *(ab.tokens for ab in part)])]
-            indptr = np.cumsum([0, *(len(ab.tokens) for ab in part)])
-            C = sp.csr_matrix((np.ones(len(cells), dtype=np.int32), cells, indptr), shape=(len(part), len(words)))
-            C.sum_duplicates()  # sorts each row's columns, then adds a repeated one's ones
-            C.data = artifacts.narrowed(C.data, int(C.data.max(initial=0)))
-            H = ((C > 0) @ Q.T).tocoo()
-            whole = H.data == lengths[H.col]  # the row holds all the phrase's words
-            row, phrase = H.row[whole], H.col[whole]
+            row = np.repeat(np.arange(len(part)), [len(ab.tokens) for ab in part])
+            C = csr.from_cells(row, cells, np.ones(len(cells), np.int32), (len(part), len(words)))  # tokens counted
+            C = C._replace(data=artifacts.narrowed(C.data, int(C.data.max(initial=0))))
+            H = csr.product(C._replace(data=np.ones(C.nnz, bool)), QT)  # C > 0: no count is 0
+            row = np.repeat(np.arange(len(part)), np.diff(H.indptr))
+            whole = H.data == lengths[H.indices]  # the row holds all the phrase's words
+            row, phrase = row[whole], H.indices[whole]
             found = lengths[phrase] == 1
             for k in np.flatnonzero(~found).tolist():  # a longer phrase is tried by position
                 p, tokens = phrases[phrase[k]], rank[part[row[k]].tokens]
                 found[k] = any(np.array_equal(tokens[i : i + len(p)], p) for i in np.flatnonzero(tokens == p[0]))
-            mention = (row[found], drug_of[phrase[found]])  # a drug two phrases name is one cell: True + True is True
-            M = sp.csr_matrix((np.ones(len(mention[0]), bool), mention), shape=(len(part), len(drugs)))
+            # a drug two phrases name is one cell: True + True is True
+            M = csr.from_cells(row[found], drug_of[phrase[found]], np.ones(np.count_nonzero(found), bool),
+                               (len(part), len(drugs)))
             keep = np.flatnonzero(np.diff(M.indptr))
             ids += [part[i].id for i in keep.tolist()]
-            mentions.append(M[keep])
-            counts.append(C[keep])
-        M, drug_columns = referenced(sp.vstack(mentions, format="csr"))
-        C, word_columns = referenced(sp.vstack(counts, format="csr"))
+            mentions.append(csr.rows(M, keep))
+            counts.append(csr.rows(C, keep))
+        M, drug_columns = referenced(mentions)
+        C, word_columns = referenced(counts)
         return cls(ids, [drugs[j] for j in drug_columns.tolist()], M, [words[j] for j in word_columns.tolist()], C)
 
 
-def referenced(M: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
-    """M on the columns some row references, and those columns, ascending: so each row keeps its order."""
-    import scipy.sparse as sp
-
-    column = np.zeros(M.shape[1], dtype=M.indices.dtype)
-    column[M.indices] = 1
+def referenced(blocks: list[csr.CSR]) -> tuple[csr.CSR, np.ndarray]:
+    """The row blocks, one above the other, on the columns some row references, and those columns, ascending: so
+    each row keeps its order.  A lone block keeps its rows and values; several are stacked by
+    :func:`ddimine.csr.stack`, which renumbers each block's columns as it copies it, so no second copy of the whole
+    is held."""
+    column = np.zeros(blocks[0].shape[1], dtype=blocks[0].indices.dtype)
+    for M in blocks:
+        column[M.indices] = 1
     used = np.flatnonzero(column)
     column[used] = np.arange(len(used))  # a used column's place among the used ones
-    return sp.csr_matrix((M.data, column[M.indices], M.indptr), shape=(M.shape[0], len(used))), used
+    M = blocks[0]._replace(indices=column[blocks[0].indices]) if len(blocks) == 1 else csr.stack(blocks, column)
+    return M._replace(shape=(M.shape[0], len(used))), used
 
 
 # the kept corpus's body, in order, and each record's form
@@ -183,8 +183,6 @@ def load_abstracts(path: Path | str) -> AbstractColumns:
     twice, a drug or word list that does not ascend strictly, and a count of 0
     are refused with the path.
     """
-    import scipy.sparse as sp
-
     records, header = artifacts.read_records(path, _RECORDS, "kept corpus", "ingest")
     ids, drugs, mention_ptr, mention_cols, words, word_ptr, word_cols, counts = records.values()
     n = len(ids)
@@ -195,10 +193,8 @@ def load_abstracts(path: Path | str) -> AbstractColumns:
     if len(counts) != len(word_cols) or counts.size and counts.min() == 0:
         raise ValidationError(f"{path}: damaged kept corpus: {len(counts)} word counts for {len(word_cols)} cells, "
                               "or a count of 0")
-    mentions = sp.csr_matrix((np.ones(len(mention_cols), dtype=np.uint8), mention_cols, mention_ptr),
-                             shape=(n, len(drugs)))
-    return AbstractColumns(ids, drugs, mentions, words, sp.csr_matrix((counts, word_cols, word_ptr),
-                                                                      shape=(n, len(words))), header)
+    mentions = csr.of(mention_ptr, mention_cols, np.ones(len(mention_cols), dtype=np.uint8), (n, len(drugs)))
+    return AbstractColumns(ids, drugs, mentions, words, csr.of(word_ptr, word_cols, counts, (n, len(words))), header)
 
 
 def check_drug_id(drug_id: str) -> None:

@@ -34,9 +34,8 @@ from pathlib import Path
 from typing import Collection, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import artifacts
+from . import artifacts, csr
 from .config import FEATURE_KINDS
 from .corpus import referenced
 from .errors import ValidationError
@@ -53,7 +52,7 @@ _RECORDS = {
 
 
 def build_vocab(
-    counts: sp.csr_matrix, words: Sequence[str], top_k: int | None = None, dropped: np.ndarray | bool = False
+    counts: csr.CSR, words: Sequence[str], top_k: int | None = None, dropped: np.ndarray | bool = False
 ) -> list[tuple[str, int]]:
     """Sum the train abstracts' word counts (rows of ``counts``, over the sorted ``words``) and keep the top k.
 
@@ -104,12 +103,12 @@ def load_embeddings(path: Path | str, stopwords: Collection[str]) -> tuple[list[
     return words, np.array([vectors[tok] for tok in words]).reshape(len(words), width)
 
 
-def column_map(words: Sequence[str], columns: Sequence[str]) -> sp.csr_matrix:
+def column_map(words: Sequence[str], columns: Sequence[str]) -> csr.CSR:
     """M, the 0/1 ``words`` x ``columns`` map: row i holds a 1 in the column of ``words[i]``, if it is a column."""
     index = {word: j for j, word in enumerate(columns)}
     column = np.array([index.get(word, -1) for word in words], dtype=np.int64)
     known = np.flatnonzero(column >= 0)
-    return sp.csr_matrix((np.ones(len(known)), (known, column[known])), shape=(len(words), len(columns)))
+    return csr.from_cells(known, column[known], np.ones(len(known)), (len(words), len(columns)))
 
 
 @dataclass
@@ -117,35 +116,34 @@ class FeatureMatrix:
     """Aligned sample keys, feature rows as factors, and binary labels.
 
     ``parts`` holds the part rows P (an abstract's counts or embedding) as
-    float CSR, duplicate cells summed, and ``A`` the binary sample x part
-    incidence, so a sample's row is the sum of its parts, added in ascending
-    part order.  The solver and the scores read A and P alone.  ``X = A @ P``
-    is formed only on a read of :attr:`X`, which no stage makes (the benchmark
-    does), and kept, as float CSC with sorted row indices: the transpose of the
-    CSR product P' @ A', which writes X's arrays once, with no intermediate of
-    X's size.  A feature file stores the CSR arrays of P and A (not A's data,
-    all ones), ``y`` and ``keys`` as its body's records, narrowed, and
-    ``kind`` in its header; :func:`load_matrix` widens them back to these
-    types.
+    float CSR, each row's columns ascending and distinct, and ``A`` the binary
+    sample x part incidence, so a sample's row is the sum of its parts, added
+    in ascending part order.  The solver and the scores read A and P alone.
+    ``X = A @ P`` is formed only on a read of :attr:`X`, which no stage makes
+    (the benchmark does), and kept, as scipy's float CSC with sorted row
+    indices: the transpose of the CSR product P' @ A', which writes X's arrays
+    once, with no intermediate of X's size.  A feature file stores the CSR
+    arrays of P and A (not A's data, all ones), ``y`` and ``keys`` as its
+    body's records, narrowed, and ``kind`` in its header; :func:`load_matrix`
+    widens them back to these types.
     """
 
     keys: list[str]
-    parts: sp.csr_matrix
+    parts: csr.CSR
     y: np.ndarray
     kind: str  # one of FEATURE_KINDS
-    A: sp.csr_matrix
+    A: csr.CSR
 
     def __post_init__(self) -> None:
-        self.parts = sp.csr_matrix(self.parts, dtype=float)
-        self.parts.sum_duplicates()
+        self.parts = self.parts._replace(data=self.parts.data.astype(float, copy=False))
         if self.A.shape != (len(self.keys), self.parts.shape[0]):
             raise ValidationError(
                 f"incidence is {self.A.shape}, expected {len(self.keys)} rows x {self.parts.shape[0]} parts"
             )
 
     @cached_property
-    def X(self) -> sp.csc_matrix:
-        X = (self.parts.T.tocsr() @ self.A.T.tocsr()).T
+    def X(self):
+        X = (self.parts.scipy().T.tocsr() @ self.A.scipy().T.tocsr()).T
         X.sort_indices()
         return X
 
@@ -159,16 +157,16 @@ class FeatureMatrix:
 
     def select(self, rows: np.ndarray) -> FeatureMatrix:
         """These rows, in this order, and only the parts they use: the same parts, uncopied, when they use all."""
-        A, used = referenced(self.A[rows])
-        parts = self.parts if len(used) == self.parts.shape[0] else self.parts[used]
+        A, used = referenced([csr.rows(self.A, rows)])
+        parts = self.parts if len(used) == self.parts.shape[0] else csr.rows(self.parts, used)
         return FeatureMatrix([self.keys[i] for i in rows], parts, self.y[rows], self.kind, A)
 
 
 def build_count_matrix(
     samples: Sequence[InteractionSample],
-    A: sp.csr_matrix,
-    counts: sp.csr_matrix,
-    M: sp.csr_matrix,
+    A: csr.CSR,
+    counts: csr.CSR,
+    M: csr.CSR,
     drop_empty: bool = False,
     V: np.ndarray | None = None,
     missable: np.ndarray | bool = True,
@@ -179,20 +177,27 @@ def build_count_matrix(
     of ``A``, and ``M`` sends the words to the columns (:func:`column_map`).
     Returns the matrix, rows in sample order, and with ``V`` the miss count:
     each (sample, abstract) pair's distinct ``missable`` words (a mask) that
-    ``M`` sends nowhere.  C's rows are sorted, and scipy's product adds a row's
-    tf * v terms in that order, as a loop over the sorted tokens would, bit for
-    bit (unsummed, v + v + v is not 3 * v in general); a word sent nowhere
-    adds a zero, which leaves the sum as it is.
+    ``M`` sends nowhere.  Counts are integer sums, exact.  C's rows are
+    sorted, and :func:`ddimine.csr.dense_product` adds a row's tf * v terms in
+    that order, as a loop over the sorted tokens would, bit for bit (unsummed,
+    v + v + v is not 3 * v in general); a word sent nowhere adds a zero, which
+    leaves the sum as it is.
     """
-    A, used = referenced(A)
-    counts = counts[used]
+    A, used = referenced([A])
+    counts = csr.rows(counts, used)
     keys, y = [s.key for s in samples], np.array([s.label for s in samples], dtype=np.int64)
     misses = 0
-    if V is not None:
+    if V is None:
+        parts = csr.product(counts, M)
+    else:
+        uses = np.bincount(A.indices, minlength=len(used))  # each abstract's samples
+        row = np.repeat(np.arange(len(used)), np.diff(counts.indptr))
         outside = (np.diff(M.indptr) == 0) & missable
-        misses = int(np.bincount(A.indices, minlength=len(used)) @ (counts != 0) @ outside)
-        M = M @ V  # words x dims: each word's vector, or zeros
-    matrix = FeatureMatrix(keys, counts @ M, y, "counts" if V is None else "embeddings", A)
+        misses = int(uses[row] @ (outside[counts.indices] & (counts.data != 0)))
+        P = csr.dense_product(counts, csr.dense_product(M, V))  # M @ V: each word's vector, or zeros
+        row, col = np.nonzero(P)
+        parts = csr.from_cells(row, col, P[row, col], P.shape)
+    matrix = FeatureMatrix(keys, parts, y, "counts" if V is None else "embeddings", A)
     if drop_empty:
         matrix = matrix.select(np.flatnonzero(np.diff(A.indptr)))
     return matrix, misses
@@ -255,6 +260,6 @@ def load_matrix(path: Path | str) -> tuple[FeatureMatrix, dict[str, str]]:
         raise ValidationError(f"{path}: a label is not 0 or 1")
     if kind not in FEATURE_KINDS:
         raise ValidationError(f"{path}: kind {kind!r} is not one of {FEATURE_KINDS}")
-    parts = sp.csr_matrix((values.astype(np.float64, copy=False), cols, part_ptr), shape=(n_parts, dims))
-    A = sp.csr_matrix((np.ones(refs.size), refs, row_ptr), shape=(n_rows, n_parts))
+    parts = csr.of(part_ptr, cols, values.astype(np.float64, copy=False), (n_parts, dims))
+    A = csr.of(row_ptr, refs, np.ones(refs.size), (n_rows, n_parts))
     return FeatureMatrix(keys, parts, labels.astype(np.int64), kind, A), header

@@ -17,7 +17,13 @@ incidence A and the part rows P (:class:`ddimine.features.FeatureMatrix`):
 X @ w is A @ (P @ w) and X' @ r is P' @ (A' @ r), with w divided by the scale
 when standardizing, so no stage forms X.  The lambda grid, every CV fold and
 the final fit read that one design; a fold is A's rows with the same P, and
-its held-out scores come from the held-out rows of A.
+its held-out scores come from the held-out rows of A.  The factors are plain
+arrays (:class:`ddimine.csr.CSR`).  Small factors multiply through numpy's
+``bincount`` (:func:`ddimine.csr.matvec`), which adds in scipy's order, so
+the models are scipy's bit for bit: there ``import scipy.sparse`` would take
+longer than all of a train stage's products, and a logistic train and
+evaluate import no scipy module.  Large factors multiply through scipy,
+whose compiled products are several times faster.
 
 * Logistic loss uses a working-set solver.  Each outer step computes the full
   gradient and stops once the residual meets the tolerance.  Otherwise the
@@ -53,9 +59,8 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import artifacts
+from . import artifacts, csr
 from .config import LOSS_KINDS, ModelSection
 from .errors import ValidationError
 from .features import FeatureMatrix
@@ -170,6 +175,11 @@ def _kkt_rel(pg: np.ndarray, gb: float, lam: float) -> float:
     return worst / lam if lam > 0 else worst
 
 
+def _one_class(y: np.ndarray) -> bool:
+    """Whether ``y`` holds fewer than two labels.  ``np.unique`` would import ``numpy.ma`` on first use."""
+    return bool((y == y[:1]).all())
+
+
 def _initial_bias(y: np.ndarray) -> float:
     """logit(mean(y)): the logistic bias that is optimal while every weight is zero."""
     ybar = float(y.mean())
@@ -179,43 +189,68 @@ def _initial_bias(y: np.ndarray) -> float:
 class Design:
     """The training design X = A @ P, each column j divided by ``scale[j]`` when standardizing, as an operator.
 
-    ``A`` is the binary sample x part incidence (CSR), ``P`` the part rows
-    (CSR) and ``y`` the labels as float.  X is never formed: its products go
-    through the factors, and the Newton blocks come from a cache of its
-    columns (:meth:`block`).  Each design has its own cache, so a CV fold's
-    columns go with the fold.
+    ``A`` is the binary sample x part incidence, ``P`` the part rows, each
+    row's columns ascending and distinct, and ``y`` the labels as float.  X
+    is never formed: its products go through the factors, and the Newton
+    blocks come from a cache of its columns (:meth:`block`).  Each design has
+    its own cache, so a CV fold's columns go with the fold; the folds share P
+    and the row and column of each of its cells.  The products run through
+    scipy when ``through_scipy`` (large factors, :data:`_SCIPY_CELLS`), else
+    through :mod:`ddimine.csr`'s kernels, with the same bits.
     """
 
-    def __init__(self, A: sp.csr_matrix, P: sp.csr_matrix, y: np.ndarray, scale: np.ndarray | None):
+    def __init__(self, A: csr.CSR, P: csr.CSR, y: np.ndarray, scale: np.ndarray | None, through_scipy: bool,
+                 p_cells: tuple[np.ndarray, np.ndarray] | None = None):
         self.A, self.P, self.y, self.scale = A, P, y, scale
         self.shape = A.shape[0], P.shape[1]
+        self._scipy = (A.scipy(), P.scipy()) if through_scipy else None  # else each cell's row and column, for bincount
+        self._a_cells = None if through_scipy else csr.cells(A)
+        self._p_cells = None if through_scipy else csr.cells(P) if p_cells is None else p_cells
         self._inverse = None if scale is None else 1.0 / scale
         self._slot = np.full(P.shape[1], -1)  # column j's row in the cache, or -1 before it is computed
         self._cache = np.empty((0, A.shape[0]))
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
         """X @ w, as A @ (P @ w)."""
-        return self.A @ (self.P @ (w if self._inverse is None else w * self._inverse))
+        v = w if self._inverse is None else w * self._inverse
+        if self._scipy is not None:
+            return self._scipy[0] @ (self._scipy[1] @ v)
+        return csr.matvec(self.A, csr.matvec(self.P, v, self._p_cells), self._a_cells)
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        """X' @ r, as P' @ (A' @ r): transposed views, no copy."""
-        g = self.P.T @ (self.A.T @ r)
+        """X' @ r, as P' @ (A' @ r)."""
+        if self._scipy is not None:
+            g = self._scipy[1].T @ (self._scipy[0].T @ r)
+        else:
+            g = csr.rmatvec(self.P, csr.rmatvec(self.A, r, self._a_cells), self._p_cells)
         return g if self._inverse is None else g * self._inverse
 
     def rows(self, index: np.ndarray) -> Design:
         """The design of these rows: A's rows, with the same P and scale, and an empty cache."""
-        return Design(self.A[index], self.P, self.y[index], self.scale)
+        return Design(csr.rows(self.A, index), self.P, self.y[index], self.scale, self._scipy is not None,
+                      self._p_cells)
 
     def block(self, columns: np.ndarray) -> np.ndarray:
         """X's ``columns`` as the rows of a dense array.
 
         A column is computed as A @ P[:, j], scaled as X's, the first time it
         is asked for, and kept: the working sets change little down a lambda
-        path, so each column is computed once per design.
+        path, so each column is computed once per design.  Without scipy, A
+        times P's new columns as a dense array adds each sample's parts in
+        stored order from 0.0, as scipy's A @ P[:, new].toarray() adds them.
         """
         new = columns[self._slot[columns] < 0]
         if new.size:
-            values = (self.A @ self.P[:, new].toarray()).T
+            if self._scipy is not None:
+                values = (self._scipy[0] @ self._scipy[1][:, new].toarray()).T
+            else:
+                place = np.full(self.P.shape[1], -1)
+                place[new] = np.arange(new.size)
+                place = place[self.P.indices]  # each cell's column among the new ones, or -1
+                cells = np.flatnonzero(place >= 0)
+                dense = np.zeros((self.P.shape[0], new.size))
+                dense[self._p_cells[0][cells], place[cells]] = self.P.data[cells]
+                values = csr.dense_product(self.A, dense).T
             if self._inverse is not None:
                 values = values * self._inverse[new, None]
             self._slot[new] = np.arange(len(self._cache), len(self._cache) + new.size)
@@ -225,6 +260,10 @@ class Design:
 
 # rows of X formed at a time while the column scale is summed
 _SCALE_ROWS = 4096
+# Factors (A and P) with more cells than this multiply through scipy: its compiled products save more than its
+# import costs (0.12 s and 18 MiB).  Below it, numpy's bincount saves the import; both give the same bits.  A train
+# stage with 3-fold CV over 7 lambdas broke even between 2.2e5 and 4.0e5 cells (CHANGES.md).
+_SCIPY_CELLS = 1 << 18
 
 
 def design(matrix: FeatureMatrix, standardize: bool) -> Design:
@@ -237,14 +276,15 @@ def design(matrix: FeatureMatrix, standardize: bool) -> Design:
     A, P = matrix.A, matrix.parts
     if matrix.dims < 1:
         raise ValidationError("feature matrix has no columns")
-    if len(np.unique(matrix.y)) < 2:
+    if _one_class(matrix.y):
         raise ValidationError("training data contains a single class")
     if not np.all(np.isfinite(P.data)):
         raise ValidationError("feature matrix contains non-finite values")
-    return Design(A, P, np.asarray(matrix.y, dtype=float), _column_scale(A, P) if standardize else None)
+    scale = _column_scale(A, P) if standardize else None
+    return Design(A, P, np.asarray(matrix.y, dtype=float), scale, A.nnz + P.nnz > _SCIPY_CELLS)
 
 
-def _column_scale(A: sp.csr_matrix, P: sp.csr_matrix) -> np.ndarray:
+def _column_scale(A: csr.CSR, P: csr.CSR) -> np.ndarray:
     """Each column's standard deviation over the rows of X = A @ P, 1 where it is 0.
 
     The sums run over blocks of ``_SCALE_ROWS`` rows of X, so X is never held whole.
@@ -252,7 +292,8 @@ def _column_scale(A: sp.csr_matrix, P: sp.csr_matrix) -> np.ndarray:
     n, d = A.shape[0], P.shape[1]
     sums = np.zeros((2, d))
     for start in range(0, n, _SCALE_ROWS):
-        X = A[start : start + _SCALE_ROWS] @ P
+        rows = csr.rows(A, np.arange(start, min(start + _SCALE_ROWS, n)))
+        X = rows.scipy() @ P.scipy() if A.nnz + P.nnz > _SCIPY_CELLS else csr.product(rows, P)
         sums += np.bincount(X.indices, X.data, d), np.bincount(X.indices, X.data * X.data, d)
     mean, mean_sq = sums / n
     std = np.sqrt(np.maximum(mean_sq - mean * mean, 0.0))
@@ -422,13 +463,14 @@ def _fit_hinge(factors: Design, config: ModelSection) -> _Fit:
     Variables [u, v, b, xi] with w = u - v: minimise lam * sum(u + v) + mean(xi)
     subject to xi_i >= 1 - y_i (x_i.w + b) and u, v, xi >= 0.  The duals of the
     margin constraints are the hinge subgradient weights at the optimum, which
-    give the KKT residual.  X is formed from the factors here, as sorted CSR,
+    give the KKT residual.  X is formed from the factors here, as scipy's CSR,
     for the program.
     """
-    from scipy.optimize import linprog  # deferred: `import ddimine` stays free of scipy.optimize
+    import scipy.sparse as sp  # deferred, as scipy.optimize: `import ddimine` stays free of scipy
+    from scipy.optimize import linprog
 
     lam, y = config.l1_lambda, factors.y
-    X = factors.A @ factors.P
+    X = factors.A.scipy() @ factors.P.scipy()
     X.sort_indices()
     if factors.scale is not None:
         X.data *= (1.0 / factors.scale)[X.indices]
@@ -461,7 +503,7 @@ def predict_scores(model: LinearModel, matrix: FeatureMatrix) -> np.ndarray:
         raise ValidationError(
             f"model has {len(model.weights)} weights but matrix has {matrix.dims} columns"
         )
-    return matrix.A @ (matrix.parts @ model.weights) + model.bias
+    return csr.matvec(matrix.A, csr.matvec(matrix.parts, model.weights)) + model.bias
 
 
 @dataclass
@@ -517,12 +559,14 @@ def cross_validate(
     w_sum, b_sum, fitted = np.zeros((len(grid), d.shape[1])), np.zeros(len(grid)), 0
     for fold_i in range(k):
         held_arr = np.sort(np.array(pos[fold_i::k] + neg[fold_i::k], dtype=np.int64))
-        train_arr = np.setdiff1d(np.arange(len(y), dtype=np.int64), held_arr)
+        trained = np.ones(len(y), dtype=bool)
+        trained[held_arr] = False
+        train_arr = np.flatnonzero(trained)
         y_tr, y_ho = y[train_arr], y[held_arr]
-        if len(np.unique(y_ho)) < 2:
+        if _one_class(y_ho):
             warnings.append(f"fold {fold_i}: held-out part has a single class; AUC undefined")
             continue
-        if len(np.unique(y_tr)) < 2:
+        if _one_class(y_tr):
             warnings.append(f"fold {fold_i}: training part has a single class; fold skipped")
             continue
         fold, held = d.rows(train_arr), d.rows(held_arr)

@@ -53,7 +53,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import artifacts
+from . import artifacts, csr
 from . import corpus as corpus_mod
 from . import features as features_mod
 from . import labeling as labeling_mod
@@ -261,7 +261,7 @@ def stage_featurize(cfg: PipelineConfig, kept, samples) -> Outputs:
     stopped = np.fromiter((word in stop for word in kept.words), dtype=bool, count=len(kept.words))
     train = split[0] == splitting_mod.SPLITS.index("train")
     dropped = stopped if cfg.vocab_stopwords == "drop" else False
-    vocab = features_mod.build_vocab(kept.counts[train], kept.words, cfg.top_k, dropped)
+    vocab = features_mod.build_vocab(csr.rows(kept.counts, train), kept.words, cfg.top_k, dropped)
     outputs = {"vocab.tsv": features_mod.encode_vocab(vocab)}
     report_lines = [f"vocab_size\t{len(vocab)}"]
 
@@ -269,12 +269,12 @@ def stage_featurize(cfg: PipelineConfig, kept, samples) -> Outputs:
     if cfg.feature_kind == "embeddings":
         columns, V = features_mod.load_embeddings(cfg.embeddings, stop)
     M = features_mod.column_map(kept.words, columns)
-    by_column = kept.counts[order]
+    by_column = csr.rows(kept.counts, order)
     matrices = {}
     for code, name in enumerate(splitting_mod.SPLITS):
         rows = np.flatnonzero(split[1] == code)
         matrices[name], misses = features_mod.build_count_matrix(
-            [samples[i] for i in rows], A[rows], by_column, M, cfg.drop_empty_samples, V, ~stopped
+            [samples[i] for i in rows], csr.rows(A, rows), by_column, M, cfg.drop_empty_samples, V, ~stopped
         )
         if V is not None:
             report_lines.append(f"embedding_misses_{name}\t{misses}")

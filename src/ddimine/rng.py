@@ -23,8 +23,9 @@ S[m:2m] = T**m (S[0:m]), with T**(2**j) applied to a uint64 array as the XOR
 of 8 lookups in tables indexed by the state's bytes; the uint64 product wraps
 mod 2**64.  Blocks start at 64 values and double at each refill, so a stream
 that draws a handful of values makes a handful.  Scalar methods read the
-block; the bulk reads (``u64s``, ``uniforms``, ``normals``) advance the stream
-exactly as the same number of scalar calls would.
+block; the bulk reads (``u64s``, ``uniforms``, ``normals``, and the draws of
+``shuffle`` and ``sample_indices``) advance the stream exactly as the same
+number of scalar calls would.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Sequence, TypeVar
 import numpy as np
 
 _MASK = (1 << 64) - 1
+_TOP = np.uint64(_MASK)
 _MULT = np.uint64(0x2545F4914F6CDD1D)
 _FIRST_BLOCK, _MAX_BLOCK = 64, 1 << 16
 
@@ -122,6 +124,23 @@ class Rng:
             if r < threshold:
                 return r % n
 
+    def _belows(self, bounds: np.ndarray) -> list[int]:
+        """``below(m)`` for each m of ``bounds``, in order, drawn as those scalar calls would draw them: one block of
+        values, each checked against its rejection bound at once; after a rejected value, the rest are drawn again
+        from the value after it."""
+        bounds = bounds.astype(np.uint64)
+        limits = _TOP - (0 - bounds) % bounds  # the largest accepted value: 2**64 - 1 - 2**64 mod m
+        out = np.empty(len(bounds), np.uint64)
+        values, done = self.u64s(len(bounds)), 0
+        while done < len(bounds):
+            rejected = np.flatnonzero(values > limits[done:])
+            k = int(rejected[0]) if rejected.size else len(values)
+            out[done : done + k] = values[:k] % bounds[done : done + k]
+            done += k
+            if rejected.size:
+                values = np.concatenate([values[k + 1 :], self.u64s(1)])
+        return out.tolist()
+
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
         if hi < lo:
@@ -149,9 +168,8 @@ class Rng:
         return radius * np.fromiter(map(math.cos, (2.0 * math.pi * u[1::2]).tolist()), np.float64, n)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """In-place Fisher-Yates shuffle: from the last item down to the second, item i swaps with item below(i + 1)."""
+        for i, j in zip(range(len(items) - 1, 0, -1), self._belows(np.arange(len(items), 1, -1))):
             items[i], items[j] = items[j], items[i]
 
     def choice(self, items: Sequence[T]) -> T:
@@ -164,7 +182,6 @@ class Rng:
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} of {n}")
         arr = list(range(n))
-        for i in range(k):
-            j = i + self.below(n - i)
-            arr[i], arr[j] = arr[j], arr[i]
+        for i, j in enumerate(self._belows(np.arange(n, n - k, -1))):
+            arr[i], arr[i + j] = arr[i + j], arr[i]
         return arr[:k]

@@ -21,12 +21,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import artifacts
+from . import artifacts, csr
 from .corpus import AbstractColumns
 from .errors import ValidationError
 from .labeling import InteractionSample
@@ -75,7 +74,7 @@ def split_corpus(n_abstracts: int, n_samples: int, ratios: Sequence[float] = DEF
 
 def incidence(
     corpus: AbstractColumns, samples: Sequence[InteractionSample], split: Split | None = None
-) -> tuple[sp.csr_matrix, list[int]]:
+) -> tuple[csr.CSR, list[int]]:
     """The binary sample x abstract incidence A, and the corpus row of the abstract behind each column.
 
     A[i, j] is 1 when abstract j mentions a drug of sample i and, given the rows' ``split`` codes, lies in its split
@@ -84,21 +83,23 @@ def incidence(
     corpus's integer mention columns.  A drug no abstract mentions has no code.
     """
     order = sorted(range(len(corpus.ids)), key=corpus.ids.__getitem__)
-    M = corpus.mentions[order]
+    column = np.empty(len(order), dtype=np.int64)
+    column[order] = np.arange(len(order))  # each corpus row's column
     naive = np.zeros(len(order), dtype=np.int64), np.zeros(len(samples), dtype=np.int64)
     abstract_split, sample_split = naive if split is None else split
     n_codes = len(SPLITS) * len(corpus.drugs)
-    mentioned = len(SPLITS) * M.indices + np.repeat(abstract_split[order], np.diff(M.indptr))
-    mentions = sp.csc_matrix((np.ones(M.nnz), mentioned, M.indptr), shape=(n_codes, len(order)))
-    column = {drug: j for j, drug in enumerate(corpus.drugs)}
-    drugs = np.array([(column.get(s.cardiac_drug, -1), column.get(s.other_drug, -1)) for s in samples],
+    M = corpus.mentions
+    row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    mentions = csr.from_cells(len(SPLITS) * M.indices.astype(np.int64) + abstract_split[row], column[row],
+                              np.ones(M.nnz), (n_codes, len(order)))
+    code = {drug: j for j, drug in enumerate(corpus.drugs)}
+    drugs = np.array([(code.get(s.cardiac_drug, -1), code.get(s.other_drug, -1)) for s in samples],
                      dtype=np.int64).reshape(len(samples), 2)
     rows, which = np.nonzero(drugs >= 0)
-    used = len(SPLITS) * drugs[rows, which] + sample_split[rows]
-    uses = sp.csr_matrix((np.ones(len(rows)), (rows, used)), shape=(len(samples), n_codes))
-    A = sp.csr_matrix(uses @ mentions)
+    uses = csr.from_cells(rows, len(SPLITS) * drugs[rows, which] + sample_split[rows], np.ones(len(rows)),
+                          (len(samples), n_codes))
+    A = csr.product(uses, mentions)
     A.data[:] = 1.0  # an abstract mentioning both drugs counts 2
-    A.sort_indices()
     return A, order
 
 
@@ -123,7 +124,7 @@ class LeakageReport:
         return "\n".join(lines) + "\n"
 
 
-def leakage_report(split: Split, A: sp.csr_matrix) -> LeakageReport:
+def leakage_report(split: Split, A: csr.CSR) -> LeakageReport:
     """Count abstracts serving samples of more than one split, on the incidence ``A`` of :func:`incidence`."""
     abstract_split, sample_split = split
     attached = np.diff(A.indptr)
@@ -139,8 +140,15 @@ def leakage_report(split: Split, A: sp.csr_matrix) -> LeakageReport:
 
 def encode_assignment(split: Split, ids: Sequence[str], samples: Sequence[InteractionSample], seed: int,
                       ratios: Sequence[float]) -> artifacts.Encoded:
-    """Rows (kind, key, split), sorted by key within each kind; the header records seed and ratios."""
-    rows = (("abstract", ids, split[0]), ("sample", [s.key for s in samples], split[1]))
-    body = "".join(f"{kind}\t{key}\t{SPLITS[code]}\n"
-                   for kind, names, codes in rows for key, code in sorted(zip(names, codes.tolist())))
-    return "split-assignment", {"seed": seed, "ratios": " ".join(map(repr, ratios))}, body
+    """Rows (kind, key, split), sorted by key within each kind; the header records seed and ratios.  The body is
+    made as it is written, a block of rows at a time: no list of every row is held."""
+
+    def blocks(size: int = 4096) -> Iterator[str]:
+        for kind, keys, codes in (("abstract", ids, split[0]), ("sample", [s.key for s in samples], split[1])):
+            order = np.argsort(np.array(keys, dtype=object), kind="stable")  # keys are distinct: by key alone
+            for start in range(0, len(order), size):
+                rows = order[start : start + size]
+                names = map(SPLITS.__getitem__, codes[rows].tolist())
+                yield "".join(f"{kind}\t{keys[i]}\t{name}\n" for i, name in zip(rows.tolist(), names))
+
+    return "split-assignment", {"seed": seed, "ratios": " ".join(map(repr, ratios))}, blocks()

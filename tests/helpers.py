@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ddimine import artifacts
+from ddimine.csr import CSR
 from ddimine.corpus import AbstractColumns, CorpusStats
 from ddimine.errors import ValidationError
 from ddimine.features import FeatureMatrix, build_count_matrix, build_vocab, column_map
@@ -41,15 +42,27 @@ class KeptAbstract(NamedTuple):
     drug_mentions: frozenset[str]
 
 
-def bag(rows: Sequence[Collection[str]]) -> tuple[list[str], sp.csr_matrix]:
+def csr_of(M) -> CSR:
+    """A scipy sparse or dense matrix as the package holds it: canonical CSR (each row's columns ascending and
+    distinct), its arrays scipy's."""
+    M = sp.csr_matrix(M)
+    M.sum_duplicates()
+    return CSR(M.indptr, M.indices, M.data, M.shape)
+
+
+def row_indices(M: CSR, i: int) -> list[int]:
+    """The columns of row ``i`` of ``M``."""
+    return M.indices[M.indptr[i] : M.indptr[i + 1]].tolist()
+
+
+def bag(rows: Sequence[Collection[str]]) -> tuple[list[str], CSR]:
     """The sorted distinct strings of ``rows``, and how often each row holds each: a canonical CSR over them."""
     labels = sorted(set().union(*rows))
     column = {label: j for j, label in enumerate(labels)}
     cells = np.array([column[label] for row in rows for label in row], dtype=np.int64)
     indptr = np.cumsum([0, *map(len, rows)])
-    counts = sp.csr_matrix((np.ones(len(cells), dtype=np.int64), cells, indptr), shape=(len(rows), len(labels)))
-    counts.sum_duplicates()
-    return labels, counts
+    return labels, csr_of(sp.csr_matrix((np.ones(len(cells), dtype=np.int64), cells, indptr),
+                                        shape=(len(rows), len(labels))))
 
 
 def corpus_of(abstracts: Sequence[KeptAbstract]) -> AbstractColumns:
@@ -201,7 +214,7 @@ class AttachedSample(InteractionSample):
     abstract_ids: frozenset[str] = frozenset()
 
 
-def incidence_of(samples, abstracts_by_id) -> tuple[sp.csr_matrix, sp.csr_matrix, list[str]]:
+def incidence_of(samples, abstracts_by_id) -> tuple[CSR, CSR, list[str]]:
     """The incidence of :class:`AttachedSample` rows, and the word counts behind its columns, their ids sorted, over
     the sorted words: ``build_count_matrix``'s A, counts and words."""
     ids = sorted({aid for s in samples for aid in s.abstract_ids})
@@ -214,7 +227,7 @@ def incidence_of(samples, abstracts_by_id) -> tuple[sp.csr_matrix, sp.csr_matrix
                 raise ValidationError(f"sample {s.key!r} references unknown abstract {aid!r}")
             indices.append(column[aid])
         indptr.append(len(indices))
-    A = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(samples), len(ids)))
+    A = csr_of(sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(samples), len(ids))))
     words, counts = bag([abstracts_by_id[aid].tokens for aid in ids])
     return A, counts, words
 
@@ -496,8 +509,8 @@ def alert_files_oracle(alerts) -> dict[str, str]:
 
 def full_rows(keys, X, y, kind: str = "counts") -> FeatureMatrix:
     """A feature matrix from rows given in full: the rows are its parts, and A is the identity."""
-    A = sp.identity(len(keys), format="csr")
-    return FeatureMatrix(list(keys), X, np.asarray(y, dtype=np.int64), kind, A)
+    A = csr_of(sp.identity(len(keys), format="csr"))
+    return FeatureMatrix(list(keys), csr_of(sp.csr_matrix(X, dtype=float)), np.asarray(y, dtype=np.int64), kind, A)
 
 
 def dense_matrix(X, y, kind: str = "counts") -> FeatureMatrix:

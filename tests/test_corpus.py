@@ -32,7 +32,16 @@ from ddimine.cli import main
 from ddimine.errors import ValidationError
 from ddimine.pipeline import stage_ingest
 from ddimine.synth import SynthParams, write_dataset
-from helpers import KeptAbstract, corpus_of, load_corpus_oracle, match_oracle, same_corpus, save, write_tar
+from helpers import (
+    KeptAbstract,
+    corpus_of,
+    load_corpus_oracle,
+    match_oracle,
+    row_indices,
+    same_corpus,
+    save,
+    write_tar,
+)
 
 FIG1_SENTENCE = "Bumetanide and furosemide in heart failure."
 
@@ -607,7 +616,7 @@ def test_tokenize_abstracts_deterministic(small_lexicon):
     assert runs[0] == runs[1]
     kept = ingested([FIG1_SENTENCE, "Digoxin toxicity case."], small_lexicon)
     assert kept.ids == ["0", "1"] and kept.drugs == ["bumetanide", "digoxin", "furosemide"]
-    assert [row.indices.tolist() for row in kept.mentions] == [[0, 2], [1]]
+    assert [row_indices(kept.mentions, i) for i in range(2)] == [[0, 2], [1]]
 
 
 def test_tokenize_abstracts_gives_equal_words_one_code():
@@ -633,7 +642,7 @@ class TestCorpusFile:
         path = tmp_path / "cardiac.tsv"
         corpus = corpus_of(self.ABSTRACTS)
         assert corpus.drugs == ["aspirin", "bumetanide", "digoxin", "furosemide"]  # sorted
-        assert corpus.mentions[0].indices.tolist() == [0, 2] and corpus.counts[3].nnz == 0
+        assert row_indices(corpus.mentions, 0) == [0, 2] and row_indices(corpus.counts, 3) == []
         save(path, encode_abstracts(corpus, before=7), {"digest": "abc"})
         header = b"# ddimine kept-corpus\n# digest: abc\n# before: 7\n# body: npy\n"
         assert path.read_bytes().startswith(header + b"\x93NUMPY")

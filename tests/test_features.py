@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddimine import artifacts
+from ddimine import artifacts, csr
 from ddimine.cli import main
 from ddimine.corpus import (
     corpus_stats, default_stopwords, encode_abstracts, load_abstracts, load_stopwords,
@@ -31,7 +31,7 @@ from ddimine.features import (
     undersample,
 )
 from helpers import (
-    AttachedSample, KeptAbstract, build_matrix, column_of, corpus_of, corpus_stats_oracle, count_vector,
+    AttachedSample, KeptAbstract, build_matrix, column_of, corpus_of, corpus_stats_oracle, count_vector, csr_of,
     dense_matrix, embed_abstract, embed_sample, full_rows, incidence_of, load_corpus_oracle, load_matrix_oracle,
     load_vocab, mask_of, same_corpus, save, table_columns, vocab_of, vocab_oracle,
 )
@@ -281,16 +281,16 @@ class TestMatrixBuilders:
 
         # a column no row references is dropped, and its counts are never read
         A, bags, words = incidence_of(samples, abstracts)
-        padded = sp.csr_matrix((A.data, 2 * A.indices + 1, A.indptr), shape=(A.shape[0], 2 * A.shape[1] + 1))
-        unread = sp.vstack([bags, sp.csr_matrix(np.full((A.shape[1] + 1, len(words)), 9))]).tocsr()
-        unread = unread[np.argsort(np.r_[2 * np.arange(A.shape[1]) + 1, 2 * np.arange(A.shape[1] + 1)])]
+        padded = csr_of(sp.csr_matrix((A.data, 2 * A.indices + 1, A.indptr), shape=(A.shape[0], 2 * A.shape[1] + 1)))
+        unread = sp.vstack([bags.scipy(), sp.csr_matrix(np.full((A.shape[1] + 1, len(words)), 9))]).tocsr()
+        unread = csr_of(unread[np.argsort(np.r_[2 * np.arange(A.shape[1]) + 1, 2 * np.arange(A.shape[1] + 1)])])
         again = (
             build_matrix(samples, padded, unread, words, vocab, drop_empty)[0],
             build_matrix(samples, padded, unread, words, columns, drop_empty, V, stop)[0],
         )
         for m, other in zip((counts, embedded), again):
             for a, b in ((m.A, other.A), (m.parts, other.parts)):
-                assert a.shape == b.shape and (a != b).nnz == 0
+                assert a.shape == b.shape and (a.scipy() != b.scipy()).nnz == 0
 
     def test_embedding_matrix(self):
         table = {"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0]), "the": np.ones(2)}
@@ -345,7 +345,7 @@ class TestKeptCorpusOracles:
         ]
         A = incidence_of(samples, by_id)[0]
         behind = sorted({aid for s in samples for aid in s.abstract_ids})  # A's columns
-        counts = kept.counts[[kept.ids.index(aid) for aid in behind]]
+        counts = csr.rows(kept.counts, [kept.ids.index(aid) for aid in behind])
         table = {w: np.array([rng.gauss(0, 1) for _ in range(3)]) for w in rng.sample(CORPUS_WORDS, 6)}
         vocab = build_vocab(kept.counts, kept.words, ties[0] if ties else None)
         columns, V = table_columns(table, stop)
@@ -471,7 +471,9 @@ class TestMatrixPersistence:
             (np.ones(sum(map(len, refs))), [i for r in refs for i in r], np.cumsum([0, *map(len, refs)])),
             shape=(len(refs), X.shape[0]),
         )
-        for m in (full_rows(keys, X, y, kind), FeatureMatrix(keys, X, np.asarray(y, dtype=np.int64), kind, A)):
+        factors = FeatureMatrix(keys, csr_of(sp.csr_matrix(X, dtype=float)), np.asarray(y, dtype=np.int64), kind,
+                                csr_of(A))
+        for m in (full_rows(keys, X, y, kind), factors):
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp) / "m.txt"
                 save(path, encode_matrix(m), {"digest": "abc"})
@@ -672,7 +674,8 @@ class TestMatrixPersistence:
         )
         A = sp.csr_matrix((np.ones(4), [0, 2, 1, 2], [0, 2, 2, 4]), shape=(3, 3))
         path = tmp_path / "features_train.txt"
-        save(path, encode_matrix(FeatureMatrix(["a|b", "c|d", "e|f"], parts, np.array([1, 0, 1]), "embeddings", A)),
+        matrix = FeatureMatrix(["a|b", "c|d", "e|f"], csr_of(parts), np.array([1, 0, 1]), "embeddings", csr_of(A))
+        save(path, encode_matrix(matrix),
              {"digest": "abc"})
         assert main(["show", str(path)]) == 0
         assert capsys.readouterr().out == golden

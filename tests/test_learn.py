@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import re
@@ -33,6 +34,7 @@ from ddimine.metrics import roc_curve
 from ddimine.rng import Rng
 from ddimine.synth import SynthParams, write_dataset
 from helpers import (
+    csr_of,
     dense_matrix,
     full_rows,
     gradient_check,
@@ -210,28 +212,54 @@ def test_train_and_evaluate_never_form_x(featurized, monkeypatch, model):
     assert all("X" not in vars(matrix) for matrix, _ in loaded)
 
 
-# runs the chain through evaluate, then names the modules it imported of those that cost the most resident memory
+# runs the chain stage by stage in a fresh process, with the loss of argv[2], and prints the scipy modules loaded:
+# after the package's import, after the stages before train (then alerts and diagnose-split), after train and evaluate
 IMPORT_GUARD = """
 import sys
+from dataclasses import replace
+import ddimine.cli
 from ddimine import pipeline
 from ddimine.config import load_config
 from ddimine.synth import SynthParams, write_dataset
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+
+print(scipy_modules())
 cfg = load_config(write_dataset(SynthParams(seed=7), sys.argv[1])["config"])
-for stage in pipeline.STAGE_ORDER[: pipeline.STAGE_ORDER.index("evaluate") + 1]:
+cfg = replace(cfg, model=replace(cfg.model, loss=sys.argv[2]))
+for stage in ("ingest", "filter", "label", "split", "featurize", "alerts", "diagnose-split"):
     pipeline.run_stage(cfg, stage)
-print([name for name in ("scipy.sparse.linalg", "scipy.stats", "scipy.optimize") if name in sys.modules])
+print(scipy_modules())
+for stage in ("train", "evaluate"):
+    pipeline.run_stage(cfg, stage)
+print(scipy_modules())
 """
 
 
-def test_train_and_evaluate_import_no_scipy_module_beyond_sparse(tmp_path):
-    """The chain's peak RSS starts from its imports: ``scipy.sparse`` alone takes about 48 MiB, with
-    ``scipy.sparse.linalg`` 59 MiB, ``scipy.optimize`` 76 MiB and ``scipy.stats`` 99 MiB.  Any of them would cost
-    more than training through the factors saves, so the logistic chain imports none."""
+def loaded_modules(*args) -> list[list[str]]:
+    """Each list of module names a child process prints, run as ``python -c *args``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    child = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path)], capture_output=True, text=True,
-                           env=env, timeout=300)
+    child = subprocess.run([sys.executable, "-c", *map(str, args)], capture_output=True, text=True, env=env,
+                           timeout=300)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines()[-1] == "[]"
+    return [ast.literal_eval(line) for line in child.stdout.splitlines() if line.startswith("[")]
+
+
+def test_a_logistic_chain_imports_no_scipy(tmp_path):
+    """scipy is the hinge solver's, and train's over factors past ``learn._SCIPY_CELLS``: the chain's peak RSS starts
+    from its imports, and ``import scipy.sparse`` alone adds about 24 MiB to the 30 MiB of the package's own, and
+    0.12 s, more than a small train stage's products take.  So importing the CLI and running every stage of a small
+    logistic chain, alerts and diagnose-split included, loads no scipy module."""
+    assert loaded_modules(IMPORT_GUARD, tmp_path, "logistic") == [[], [], []]
+
+
+def test_a_hinge_chain_fits_with_scipy_loaded_by_train_alone(tmp_path):
+    after_import, before_train, after_evaluate = loaded_modules(IMPORT_GUARD, tmp_path, "hinge")
+    assert after_import == before_train == []
+    assert {"scipy.sparse", "scipy.optimize"} <= set(after_evaluate)  # HiGHS solves the linear program
+    model = load_model(tmp_path / "out" / "model.txt")[0]
+    assert model.loss_kind == "hinge" and model.meta.converged and (tmp_path / "out" / "metrics_test.txt").exists()
 
 
 def change_oracle(s: float, h: float, y: int) -> float:
@@ -344,7 +372,8 @@ def test_cv_and_grid_see_the_standardized_design():
 
 
 def random_factors(seed: int) -> FeatureMatrix:
-    """Random factors with empty rows, parts no row uses, and P's cells stored more than once (summed on build)."""
+    """Random factors with empty rows, parts no row uses, and P's cells drawn more than once (summed, as the
+    package holds P)."""
     rng = np.random.default_rng(seed)
     n, m, d, cells = 40, 30, 12, 200
     A = (rng.random((n, m)) < 0.15).astype(float)
@@ -355,12 +384,20 @@ def random_factors(seed: int) -> FeatureMatrix:
     P = sp.csr_matrix((rng.normal(size=cells), rng.integers(0, d, cells), indptr), shape=(m, d))
     assert not P.has_canonical_format  # cells repeat within a row
     y = np.arange(n) % 2
-    return FeatureMatrix([f"s{i}" for i in range(n)], P, y, "counts", sp.csr_matrix(A))
+    return FeatureMatrix([f"s{i}" for i in range(n)], csr_of(P), y, "counts", csr_of(A))
+
+
+@pytest.fixture(params=[False, True], ids=["bincount", "scipy"])
+def through_scipy(request, monkeypatch):
+    """Each design multiplies through numpy's bincount, then through scipy, as a design over large factors does."""
+    if request.param:
+        monkeypatch.setattr(learn, "_SCIPY_CELLS", -1)
+    return request.param
 
 
 @pytest.mark.parametrize("standardize", [False, True])
 @pytest.mark.parametrize("seed", range(4))
-def test_factored_products_equal_the_formed_x_to_rounding(seed, standardize, monkeypatch):
+def test_factored_products_equal_the_formed_x_to_rounding(seed, standardize, through_scipy, monkeypatch):
     monkeypatch.setattr(learn, "_SCALE_ROWS", 7)  # the scale summed over several blocks of rows
     matrix = random_factors(seed)
     d = design(matrix, standardize)
@@ -385,7 +422,7 @@ def test_factored_products_equal_the_formed_x_to_rounding(seed, standardize, mon
 
 
 @pytest.mark.parametrize("standardize", [False, True])
-def test_block_computes_each_column_once_and_as_the_formed_x_holds_it(standardize):
+def test_block_computes_each_column_once_and_as_the_formed_x_holds_it(standardize, through_scipy):
     matrix = random_factors(9)
     d = design(matrix, standardize)
     X = matrix.X.toarray()
@@ -401,8 +438,9 @@ def test_block_computes_each_column_once_and_as_the_formed_x_holds_it(standardiz
 
 
 @pytest.mark.parametrize("standardize", [False, True])
-def test_logistic_cv_and_train_make_no_format_conversion(standardize, monkeypatch):
+def test_logistic_cv_and_train_make_no_format_conversion(standardize, through_scipy, monkeypatch):
     d = design(count_matrix(5), standardize)
+    assert (d._scipy is not None) == through_scipy
     conversions = []
 
     def counted(cls, name):
@@ -424,6 +462,21 @@ def test_logistic_cv_and_train_make_no_format_conversion(standardize, monkeypatc
     assert conversions == []
     train(d, replace(config, loss="hinge", l1_lambda=cv.best_lambda), seed=0)
     assert conversions  # the hinge LP builds its own CSR constraint matrix, and the wrapper sees it
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_scipy_and_bincount_products_train_the_same_bits(standardize, monkeypatch):
+    """Large factors multiply through scipy and small ones through bincount: the CV and the model do not tell."""
+    fits = []
+    for cells in (learn._SCIPY_CELLS, -1):
+        monkeypatch.setattr(learn, "_SCIPY_CELLS", cells)
+        d = design(count_matrix(5), standardize)
+        assert (d._scipy is not None) == (cells < 0)
+        config = ModelSection(standardize=standardize)
+        cv = cross_validate(d, default_lambda_grid(d, n_points=4), 3, config, seed=1)
+        model = train(d, replace(config, l1_lambda=cv.best_lambda), seed=0, w0=cv.w_start, b0=cv.b_start)
+        fits.append((cv.mean_auc.tobytes(), cv.w_start.tobytes(), model.weights.tobytes(), model.bias))
+    assert fits[0] == fits[1]
 
 
 def test_cv_deals_the_shuffled_classes_round_robin_and_scores_held_out_rows_alone():

@@ -280,7 +280,7 @@ def test_featurize_peak_follows_the_words_not_the_tokens(mini):
     cfg = load_config(mini[0]["config"].parent / "config_counts.json", {"output": str(out)})
     kept = corpus.load_abstracts(out / "cardiac.tsv")
     samples = pipeline._decode_samples(out / "samples.tsv")
-    longer = replace(kept, counts=kept.counts * 4)  # each abstract's tokens four times over
+    longer = replace(kept, counts=kept.counts._replace(data=kept.counts.data * 4))  # each abstract's tokens 4 times
     featurize_peak(cfg, kept, samples)  # one-time allocations, such as lazy imports, go first
     assert featurize_peak(cfg, longer, samples) < 1.5 * featurize_peak(cfg, kept, samples)
 

@@ -170,3 +170,30 @@ def test_a_zero_uniform_is_drawn_again_for_u1_by_scalar_and_bulk_normal_alike(in
     assert [scalar.normals(1).item() for _ in range(n)] == want
     assert bulk.normals(n).tolist() == want
     assert scalar.next_u64() == bulk.next_u64() == model.next_u64()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_shuffle_and_sample_indices_draw_as_the_scalar_loops(seed):
+    """n from 0 to 3, then random sizes: each call's items equal the scalar loop's, and the stream goes on from the
+    same value."""
+    pick = random.Random(seed)
+    rng, model = Rng(seed), ScalarModel(reference_stream(seed, 50_000))
+    for n in [0, 1, 2, 3] + [pick.randrange(4, 1500) for _ in range(12)]:
+        assert _draw(rng, "shuffle", (n,)) == _draw(model, "shuffle", (n,)), n
+        k = pick.randrange(n + 1)
+        assert _draw(rng, "sample_indices", (n, k)) == _draw(model, "sample_indices", (n, k)), (n, k)
+    assert rng.next_u64() == model.next_u64()
+
+
+@pytest.mark.parametrize("index", [0, 1, 17, 47])
+def test_a_rejected_draw_is_drawn_again_from_the_next_value(index):
+    """2**64 - 1 planted at output ``index`` is rejected below any bound but a power of 2: the bound takes the next
+    value, and every later draw moves one value on, as in the scalar loop."""
+    state = _state_before_output(index, MASK)
+    values = xorshift64star(state, 60)
+    for op, args, draws in (("shuffle", (50,), 49), ("sample_indices", (50, 48), 48)):
+        rng, model = Rng(1), ScalarModel(values)
+        rng._state = state
+        assert _draw(rng, op, args) == _draw(model, op, args)
+        assert model.pos == draws + 1  # the planted value was drawn and refused
+        assert rng.next_u64() == model.next_u64()

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from ddimine import csr
 from ddimine.errors import ValidationError
 from ddimine.labeling import InteractionSample
 from ddimine.splitting import (
@@ -16,7 +17,7 @@ from ddimine.splitting import (
 )
 from helpers import (
     KeptAbstract, alg1_assign_oracle, assignment_oracle, build_matrix, corpus_of, header_of, leakage_oracle, named,
-    save, split_oracle, vocab_of,
+    row_indices, save, split_oracle, vocab_of,
 )
 
 
@@ -40,7 +41,7 @@ def assign(split, abstracts, samples):
     """Each sample's abstract ids, read off the incidence (``split=None``: the naive one)."""
     corpus = corpus_of(abstracts)
     A, order = incidence(corpus, samples, split)
-    return [{corpus.ids[order[j]] for j in A[i].indices} for i in range(len(samples))]
+    return [{corpus.ids[order[j]] for j in row_indices(A, i)} for i in range(len(samples))]
 
 
 def report(split, abstracts, samples, isolated=True):
@@ -185,14 +186,14 @@ class TestAssignAbstracts:
             corpus = corpus_of(abstracts)
             A, order = incidence(corpus, samples, split)
             columns = [corpus.ids[i] for i in order]
-            assert columns == sorted(corpus.ids) and A.has_sorted_indices and set(A.data) <= {1.0}
+            assert columns == sorted(corpus.ids) and A.scipy().has_canonical_format and set(A.data) <= {1.0}
             expected = alg1_assign_oracle(named(split, ids(abstracts), samples), abstracts, samples)
-            assert [{columns[j] for j in A[i].indices} for i in range(len(samples))] == expected
+            assert [{columns[j] for j in row_indices(A, i)} for i in range(len(samples))] == expected
             everyone = named(split_of(abstracts, samples, (1.0, 0.0, 0.0), seed=trial), ids(abstracts), samples)
             assert assign(None, abstracts, samples) == alg1_assign_oracle(everyone, abstracts, samples)
             # drop_empty keeps exactly the samples the oracle attaches some abstract to
             vocab = vocab_of(ab.tokens for ab in abstracts)
-            m, _ = build_matrix(samples, A, corpus.counts[order], corpus.words, vocab, drop_empty=True)
+            m, _ = build_matrix(samples, A, csr.rows(corpus.counts, order), corpus.words, vocab, drop_empty=True)
             assert m.keys == [s.key for s, found in zip(samples, expected) if found]
 
     def test_samples_may_share_abstract_within_split(self):
